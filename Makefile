@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench chaos overload plancache adaptive benchgate benchgate-update serve fuzz-smoke ci
+.PHONY: build test race race-cpu vet bench bench-build chaos overload plancache adaptive benchgate benchgate-update serve fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,17 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# The packages with real concurrency (wire sessions, the driver's cancel
+# watcher, the wave scheduler, exchange transport) again at 1, 2 and 4
+# cores: their ordering bugs depend on GOMAXPROCS.
+race-cpu:
+	$(GO) test -race -cpu 1,2,4 ./driver ./internal/server ./internal/cluster ./internal/exec
+
+# The wall-clock benchmark is a nested module (bench/go.mod), so `./...`
+# skips it; vet and test it against the engine in this checkout.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The paper-artifact benchmarks (figures/tables) plus the operator and
 # scheduler microbenchmarks. GIGNITE_PARBENCH_SF overrides the
@@ -82,4 +93,4 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) . || exit 1; \
 	done
 
-ci: vet race
+ci: vet race race-cpu bench-build

@@ -53,7 +53,7 @@ func adaptiveEngine(t testing.TB, adaptive bool, backups int, faultSpec string, 
 		}
 		cfg.Faults = fp
 	}
-	e := gignite.New(cfg)
+	e := gignite.Open(gignite.WithConfig(cfg))
 	if err := tpch.Setup(e, adaptiveTestSF); err != nil {
 		t.Fatal(err)
 	}

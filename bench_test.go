@@ -197,7 +197,7 @@ func BenchmarkParallelExecute(b *testing.B) {
 			sf = v
 		}
 	}
-	e := gignite.New(harness.ConfigFor(harness.ICPlus, 4, sf))
+	e := gignite.Open(gignite.WithConfig(harness.ConfigFor(harness.ICPlus, 4, sf)))
 	if err := tpch.Setup(e, sf); err != nil {
 		b.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func openChaosEngine(t *testing.T, backups int, spec string) *gignite.Engine {
 	cfg := harness.ConfigFor(harness.ICPlus, 4, chaosSF)
 	cfg.Backups = backups
 	cfg.Faults = plan
-	e := gignite.New(cfg)
+	e := gignite.Open(gignite.WithConfig(cfg))
 	if err := tpch.Setup(e, chaosSF); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func openCancelEngine(t *testing.T) *gignite.Engine {
 	t.Helper()
 	cfg := gignite.IC(4)
 	cfg.ExecWorkLimit = -1
-	e := gignite.New(cfg)
+	e := gignite.Open(gignite.WithConfig(cfg))
 	if err := tpch.Setup(e, chaosSF); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestChaosDeadlineCancelsQuery(t *testing.T) {
 	// Config.QueryTimeout is the engine-level form of the same deadline.
 	cfg := e.Config()
 	cfg.QueryTimeout = time.Millisecond
-	te := gignite.New(cfg)
+	te := gignite.Open(gignite.WithConfig(cfg))
 	if err := tpch.Setup(te, chaosSF); err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"gignite"
@@ -66,18 +62,10 @@ func runAdaptive(opts harness.Options, mis float64, queryList, metricsOut string
 		mis = 10
 	}
 	set := adaptiveQueries
-	if queryList != "" {
+	if ids := parseQueryIDs(queryList, nil); ids != nil {
 		set = nil
-		for _, s := range strings.Split(queryList, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatalf("bad -queries value %q: %v", s, err)
-			}
-			q := tpch.QueryByID(id)
-			if q == nil {
-				fatalf("adaptive: unknown TPC-H query %d", id)
-			}
-			set = append(set, adaptiveQuery{name: fmt.Sprintf("Q%d", id), sql: q.SQL})
+		for _, id := range ids {
+			set = append(set, adaptiveQuery{name: fmt.Sprintf("Q%d", id), sql: tpch.QueryByID(id).SQL})
 		}
 	}
 	sf := opts.SFs[0]
@@ -179,14 +167,7 @@ func runAdaptive(opts harness.Options, mis float64, queryList, metricsOut string
 	fmt.Printf("identity: %s byte-identical across par={1,2,8} x faults={none,crash,slow,sendfail}\n", idQ.name)
 
 	if metricsOut != "" {
-		data, err := json.MarshalIndent(artifact, "", "  ")
-		if err != nil {
-			fatalf("adaptive: marshal metrics: %v", err)
-		}
-		if err := os.WriteFile(metricsOut, data, 0o644); err != nil {
-			fatalf("adaptive: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "benchrunner: wrote metrics to %s\n", metricsOut)
+		writeJSON(metricsOut, artifact)
 	}
 	sk.exit()
 }

@@ -28,7 +28,7 @@ func (x expEnv) open(mut func(*gignite.Config)) *gignite.Engine {
 	if mut != nil {
 		mut(&cfg)
 	}
-	e := gignite.New(cfg)
+	e := gignite.Open(gignite.WithConfig(cfg))
 	if err := tpch.Setup(e, x.sf); err != nil {
 		fatalf("%s: %v", x.name, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -26,17 +25,7 @@ const planCacheHits = 20
 //   - rows are byte-identical across cache-off, cold and every hot run.
 func runPlanCache(opts harness.Options, queryList, metricsOut string) {
 	sk := &smoke{name: "plancache"}
-	ids := []int{1, 3, 10}
-	if queryList != "" {
-		ids = nil
-		for _, s := range strings.Split(queryList, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatalf("bad -queries value %q: %v", s, err)
-			}
-			ids = append(ids, id)
-		}
-	}
+	ids := parseQueryIDs(queryList, []int{1, 3, 10})
 	sf := opts.SFs[0]
 	sites := opts.Sites[0]
 	env := opts.Env
@@ -63,9 +52,6 @@ func runPlanCache(opts harness.Options, queryList, metricsOut string) {
 	artifact := map[string]gateQuery{}
 	for _, id := range ids {
 		q := tpch.QueryByID(id)
-		if q == nil {
-			fatalf("plancache: unknown TPC-H query %d", id)
-		}
 		base, err := off.Query(q.SQL)
 		if err != nil {
 			fatalf("plancache: Q%d (cache off): %v", id, err)
@@ -239,17 +225,10 @@ func runBenchGate(opts harness.Options, baselinePath, metricsOut string, update 
 		base.Queries = measured
 		env := gateEnvironment()
 		base.Description = strings.TrimSpace(base.Description)
-		out, err := json.MarshalIndent(struct {
+		writeJSON(baselinePath, struct {
 			*gateBaseline
 			Environment map[string]string `json:"environment"`
-		}{base, env}, "", "  ")
-		if err != nil {
-			fatalf("benchgate: marshal baseline: %v", err)
-		}
-		if err := os.WriteFile(baselinePath, append(out, '\n'), 0o644); err != nil {
-			fatalf("benchgate: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "benchrunner: wrote baseline to %s\n", baselinePath)
+		}{base, env})
 	}
 	if metricsOut != "" {
 		writeJSON(metricsOut, map[string]interface{}{
@@ -278,12 +257,13 @@ func gateEnvironment() map[string]string {
 	}
 }
 
+// writeJSON writes v as an indented JSON artifact; failure is fatal.
 func writeJSON(path string, v interface{}) {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		fatalf("marshal %s: %v", path, err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		fatalf("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "benchrunner: wrote %s\n", path)

@@ -67,7 +67,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -126,69 +125,74 @@ func main() {
 		opts.Sites = append(opts.Sites, v)
 	}
 
-	if *exp == "obs" {
-		runObs(opts, ef.System, *queries, *metricsOut, *traceOut)
-		return
-	}
-	if *exp == "filters" {
-		runFilters(opts, *queries)
-		return
-	}
-	if *exp == "overload" {
-		runOverload(opts, ef.Admission, *clients, ef.MaxMem, ef.QueryMem, ef.Hedge, *metricsOut)
-		return
-	}
-	if *exp == "adaptive" {
-		runAdaptive(opts, ef.Misestimate, *queries, *metricsOut)
-		return
-	}
-	if *exp == "plancache" {
-		runPlanCache(opts, *queries, *metricsOut)
-		return
-	}
-	if *exp == "benchgate" {
-		runBenchGate(opts, *baseline, *metricsOut, *updateBaseline)
-		return
-	}
-	if *exp == "serve" {
-		runServe(opts, *metricsOut)
-		return
-	}
-	if *exp == "serveaql" {
-		runServeAQL(opts, *clients)
-		return
-	}
-
+	// One dispatch table: the §6 tables and figures (paper; what -exp all
+	// runs) print a harness report, the smoke experiments own their output
+	// and exit code.
 	type experiment struct {
-		name string
-		run  func(harness.Options) (*harness.Report, error)
+		name  string
+		paper bool
+		run   func()
 	}
-	all := []experiment{
-		{"fig7", harness.Fig7},
-		{"fig8", harness.Fig8},
-		{"fig9", harness.Fig9},
-		{"fig10", harness.Fig10},
-		{"table3", harness.Table3},
-		{"fig11", harness.Fig11},
-		{"failures", harness.FailureMatrix},
-		{"ablate", harness.Ablation},
-		{"scaling", harness.Scaling},
+	report := func(name string, build func(harness.Options) (*harness.Report, error)) experiment {
+		return experiment{name, true, func() {
+			rep, err := build(opts)
+			if err != nil {
+				fatalf("%s: %v", name, err)
+			}
+			fmt.Println(rep.Render())
+		}}
+	}
+	experiments := []experiment{
+		report("fig7", harness.Fig7),
+		report("fig8", harness.Fig8),
+		report("fig9", harness.Fig9),
+		report("fig10", harness.Fig10),
+		report("table3", harness.Table3),
+		report("fig11", harness.Fig11),
+		report("failures", harness.FailureMatrix),
+		report("ablate", harness.Ablation),
+		report("scaling", harness.Scaling),
+		{"obs", false, func() { runObs(opts, ef.System, *queries, *metricsOut, *traceOut) }},
+		{"filters", false, func() { runFilters(opts, *queries) }},
+		{"overload", false, func() {
+			runOverload(opts, ef.Admission, *clients, ef.MaxMem, ef.QueryMem, ef.Hedge, *metricsOut)
+		}},
+		{"adaptive", false, func() { runAdaptive(opts, ef.Misestimate, *queries, *metricsOut) }},
+		{"plancache", false, func() { runPlanCache(opts, *queries, *metricsOut) }},
+		{"benchgate", false, func() { runBenchGate(opts, *baseline, *metricsOut, *updateBaseline) }},
+		{"serve", false, func() { runServe(opts, *metricsOut) }},
+		{"serveaql", false, func() { runServeAQL(opts, *clients) }},
 	}
 	ran := false
-	for _, e := range all {
-		if *exp != "all" && *exp != e.name {
-			continue
+	for _, e := range experiments {
+		if *exp == e.name || (*exp == "all" && e.paper) {
+			ran = true
+			e.run()
 		}
-		ran = true
-		rep, err := e.run(opts)
-		if err != nil {
-			fatalf("%s: %v", e.name, err)
-		}
-		fmt.Println(rep.Render())
 	}
 	if !ran {
 		fatalf("unknown experiment %q", *exp)
 	}
+}
+
+// parseQueryIDs parses the -queries flag, a comma-separated list of known
+// TPC-H query ids; an empty list selects the experiment's default set.
+func parseQueryIDs(list string, def []int) []int {
+	if list == "" {
+		return def
+	}
+	var ids []int
+	for _, s := range strings.Split(list, ",") {
+		id, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil {
+			fatalf("bad -queries value %q: %v", s, err)
+		}
+		if tpch.QueryByID(id) == nil {
+			fatalf("bad -queries value %q: unknown TPC-H query", s)
+		}
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 // runObs executes the observability experiment: run the selected TPC-H
@@ -206,16 +210,7 @@ func runObs(opts harness.Options, system, queryList, metricsOut, traceOut string
 	default:
 		fatalf("unknown system %q", system)
 	}
-	var ids []int
-	if queryList != "" {
-		for _, s := range strings.Split(queryList, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatalf("bad -queries value %q: %v", s, err)
-			}
-			ids = append(ids, id)
-		}
-	}
+	ids := parseQueryIDs(queryList, nil)
 	sf := opts.SFs[0]
 	sites := opts.Sites[0]
 	mf, traces, err := harness.CollectMetrics(opts.Env, sys, sites, sf, ids)
@@ -233,14 +228,7 @@ func runObs(opts harness.Options, system, queryList, metricsOut, traceOut string
 		}
 	}
 	if metricsOut != "" {
-		data, err := json.MarshalIndent(mf, "", "  ")
-		if err != nil {
-			fatalf("obs: marshal metrics: %v", err)
-		}
-		if err := os.WriteFile(metricsOut, data, 0o644); err != nil {
-			fatalf("obs: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "benchrunner: wrote metrics to %s\n", metricsOut)
+		writeJSON(metricsOut, mf)
 	}
 	if traceOut != "" {
 		data, err := obs.ChromeTrace(traces)
@@ -262,17 +250,7 @@ func runObs(opts harness.Options, system, queryList, metricsOut, traceOut string
 // two result sets must match byte for byte, and Q3 (always included)
 // must ship fewer bytes with filters on.
 func runFilters(opts harness.Options, queryList string) {
-	ids := []int{3, 5, 10}
-	if queryList != "" {
-		ids = nil
-		for _, s := range strings.Split(queryList, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatalf("bad -queries value %q: %v", s, err)
-			}
-			ids = append(ids, id)
-		}
-	}
+	ids := parseQueryIDs(queryList, []int{3, 5, 10})
 	sf := opts.SFs[0]
 	sites := opts.Sites[0]
 	env := opts.Env
@@ -292,9 +270,6 @@ func runFilters(opts harness.Options, queryList string) {
 	sk := &smoke{name: "filters"}
 	for _, id := range ids {
 		q := tpch.QueryByID(id)
-		if q == nil {
-			fatalf("filters: unknown TPC-H query %d", id)
-		}
 		base, err := off.Query(q.SQL)
 		if err != nil {
 			fatalf("filters: Q%d off: %v", id, err)
@@ -481,7 +456,7 @@ func runOverload(opts harness.Options, admission, clients int, maxmem, querymem 
 		modeledBase.Round(time.Microsecond), modeledHedge.Round(time.Microsecond), hedgesWon)
 
 	if metricsOut != "" {
-		artifact := map[string]interface{}{
+		writeJSON(metricsOut, map[string]interface{}{
 			"pool_bytes":       pool,
 			"max_query_peak":   maxPeak,
 			"governed_queue":   govB.Metrics(),
@@ -489,15 +464,7 @@ func runOverload(opts harness.Options, admission, clients int, maxmem, querymem 
 			"hedged":           hedged.Metrics(),
 			"modeled_baseline": modeledBase.Seconds(),
 			"modeled_hedged":   modeledHedge.Seconds(),
-		}
-		data, err := json.MarshalIndent(artifact, "", "  ")
-		if err != nil {
-			fatalf("overload: marshal metrics: %v", err)
-		}
-		if err := os.WriteFile(metricsOut, data, 0o644); err != nil {
-			fatalf("overload: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "benchrunner: wrote metrics to %s\n", metricsOut)
+		})
 	}
 	sk.exit()
 }

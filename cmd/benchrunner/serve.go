@@ -3,13 +3,11 @@ package main
 import (
 	"context"
 	"database/sql"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -57,7 +55,7 @@ func runServe(opts harness.Options, metricsOut string) {
 		if mut != nil {
 			mut(&cfg)
 		}
-		e := gignite.New(cfg)
+		e := gignite.Open(gignite.WithConfig(cfg))
 		if err := tpch.Setup(e, sf); err != nil {
 			fatalf("serve: %v", err)
 		}
@@ -311,18 +309,10 @@ func runServe(opts harness.Options, metricsOut string) {
 	}
 
 	if metricsOut != "" {
-		artifact := map[string]interface{}{
+		writeJSON(metricsOut, map[string]interface{}{
 			"prometheus":      metricsArtifact,
 			"engine_snapshot": engB.Metrics(),
-		}
-		data, err := json.MarshalIndent(artifact, "", "  ")
-		if err != nil {
-			fatalf("serve: marshal metrics: %v", err)
-		}
-		if err := os.WriteFile(metricsOut, data, 0o644); err != nil {
-			fatalf("serve: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "benchrunner: wrote metrics to %s\n", metricsOut)
+		})
 	}
 	sk.exit()
 }

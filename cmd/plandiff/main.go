@@ -39,7 +39,7 @@ func main() {
 	for _, sys := range []harness.System{harness.IC, harness.ICPlus} {
 		cfg := harness.ConfigFor(sys, 4, sf)
 		cfg.ExecParallelism = 1 // sequential: plan diffs stay byte-stable
-		e := gignite.New(cfg)
+		e := gignite.Open(gignite.WithConfig(cfg))
 		if err := tpch.Setup(e, sf); err != nil {
 			panic(err)
 		}

@@ -28,7 +28,7 @@ func main() {
 	var queries []qspec
 	engines := map[harness.System]*gignite.Engine{}
 	for _, sys := range harness.Systems() {
-		e := gignite.New(harness.ConfigFor(sys, *sites, *sf))
+		e := gignite.Open(gignite.WithConfig(harness.ConfigFor(sys, *sites, *sf)))
 		var err error
 		if *bench == "ssb" {
 			err = ssb.Setup(e, *sf)

@@ -178,21 +178,29 @@ func (c *conn) readFrame() (uint8, []byte, error) {
 
 // watchCancel arranges for ctx cancellation to send a Cancel frame while
 // a query is in flight. The returned stop func must be called once the
-// response stream is fully consumed (or abandoned).
+// response stream is fully consumed (or abandoned). It returns only after
+// the watcher has exited, so a Cancel the watcher was about to send is on
+// the wire before the connection's next request — where the server, idle
+// by then, ignores it — and can never hit that next request instead.
 func (c *conn) watchCancel(ctx context.Context) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
 	}
 	done := make(chan struct{})
-	var once sync.Once
+	exited := make(chan struct{})
 	go func() {
+		defer close(exited)
 		select {
 		case <-ctx.Done():
 			_ = c.writeFrame(wire.FrameCancel, nil)
 		case <-done:
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
+	}
 }
 
 // Prepare implements driver.Conn.

@@ -21,7 +21,7 @@ func startDB(t *testing.T, mut func(*gignite.Config)) (*sql.DB, *gignite.Engine)
 	if mut != nil {
 		mut(&cfg)
 	}
-	eng := gignite.New(cfg)
+	eng := gignite.Open(gignite.WithConfig(cfg))
 	srv := server.New(eng, server.Config{})
 	if err := srv.Listen(); err != nil {
 		t.Fatal(err)
@@ -128,6 +128,38 @@ func TestPreparedPlaceholders(t *testing.T) {
 	if err := db.QueryRow(`SELECT v FROM kv WHERE k = ?`, int64(2)).Scan(&got); err != nil || got != "two" {
 		t.Fatalf("auto-prepare: %q, %v", got, err)
 	}
+
+	// Back-to-back prepared and unprepared statements on one TCP
+	// connection, each under its own context that is cancelled the moment
+	// the statement returns. The next request leaves the instant the
+	// previous terminal frame is read, so the server must already be idle
+	// by then, and the cancel watcher's Cancel frame — racing the deferred
+	// cancel — must never reach the following statement.
+	conn, err := db.Conn(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	pst, err := conn.PrepareContext(ctx, `SELECT v FROM kv WHERE k = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = pst.Close() }()
+	lookup := func(i int) (got string, err error) {
+		sctx, cancel := context.WithTimeout(ctx, time.Minute)
+		defer cancel()
+		if i%2 == 0 {
+			err = pst.QueryRowContext(sctx, int64(2)).Scan(&got)
+		} else {
+			err = conn.QueryRowContext(sctx, `SELECT v FROM kv WHERE k = 2`).Scan(&got)
+		}
+		return got, err
+	}
+	for i := 0; i < 2000; i++ {
+		if got, err := lookup(i); err != nil || got != "two" {
+			t.Fatalf("back-to-back statement %d: %q, %v", i, got, err)
+		}
+	}
 }
 
 // TestQueryRowContextCancel cancels a long-running query through the
@@ -193,7 +225,7 @@ func TestDeadlineExceeded(t *testing.T) {
 
 // TestDSNAndTx covers DSN forms and the no-transactions contract.
 func TestDSNAndTx(t *testing.T) {
-	eng := gignite.New(gignite.ICPlus(2))
+	eng := gignite.Open(gignite.WithPreset(gignite.ICPlus, 2))
 	srv := server.New(eng, server.Config{AuthToken: "hunter2"})
 	if err := srv.Listen(); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // engine.
 func setupEmployees(t *testing.T, cfg Config) *Engine {
 	t.Helper()
-	e := New(cfg)
+	e := Open(WithConfig(cfg))
 	mustExec(t, e, `CREATE TABLE dept (dept_id BIGINT PRIMARY KEY, dname VARCHAR(20))`)
 	mustExec(t, e, `CREATE TABLE emp (
 		id BIGINT PRIMARY KEY, name VARCHAR(30), dept_id BIGINT,
@@ -202,7 +202,7 @@ func TestViewsUnsupported(t *testing.T) {
 }
 
 func TestInsertAndQuery(t *testing.T) {
-	e := New(ICPlus(2))
+	e := Open(WithPreset(ICPlus, 2))
 	mustExec(t, e, `CREATE TABLE t (a BIGINT PRIMARY KEY, b VARCHAR(10))`)
 	mustExec(t, e, `INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y'), (3, 'z')`)
 	res := mustExec(t, e, `SELECT b FROM t WHERE a >= 2 ORDER BY a`)
@@ -245,7 +245,7 @@ func TestModeledTimePositiveAndICPlusFaster(t *testing.T) {
 }
 
 func TestErrorPaths(t *testing.T) {
-	e := New(IC(2))
+	e := Open(WithPreset(IC, 2))
 	if _, err := e.Exec(`SELECT * FROM missing`); err == nil {
 		t.Error("missing table accepted")
 	}
@@ -292,7 +292,7 @@ func TestLogicalPlanDebugOutput(t *testing.T) {
 
 func TestConfigAccessors(t *testing.T) {
 	cfg := ICPlusM(8)
-	e := New(cfg)
+	e := Open(WithConfig(cfg))
 	if e.Config().Sites != 8 || e.Config().VariantFragments != 2 {
 		t.Errorf("config = %+v", e.Config())
 	}
@@ -300,7 +300,7 @@ func TestConfigAccessors(t *testing.T) {
 		t.Error("catalog accessor nil")
 	}
 	// Open normalizes degenerate settings.
-	weird := New(Config{Sites: 0})
+	weird := Open(WithConfig(Config{Sites: 0}))
 	if weird.Config().Sites != 1 {
 		t.Errorf("sites not normalized: %d", weird.Config().Sites)
 	}

@@ -11,7 +11,7 @@ import (
 // employee/sales schema on a 4-site cluster and the distributed join
 // Query A.
 func Example() {
-	e := gignite.New(gignite.ICPlusM(4))
+	e := gignite.Open(gignite.WithPreset(gignite.ICPlusM, 4))
 
 	statements := []string{
 		`CREATE TABLE employee (id BIGINT PRIMARY KEY, name VARCHAR(30))`,

@@ -55,7 +55,7 @@ func main() {
 	for _, comp := range compositions {
 		cfg := gignite.IC(sites)
 		comp.mutate(&cfg)
-		e := gignite.New(cfg)
+		e := gignite.Open(gignite.WithConfig(cfg))
 		if err := tpch.Setup(e, sf); err != nil {
 			log.Fatal(err)
 		}

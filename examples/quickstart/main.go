@@ -14,7 +14,7 @@ import (
 func main() {
 	// IC+M is the fully improved system: planner fixes, hash joins,
 	// fully-distributed join mappings and dual-threaded variant fragments.
-	e := gignite.New(gignite.ICPlusM(4))
+	e := gignite.Open(gignite.WithPreset(gignite.ICPlusM, 4))
 
 	must := func(q string) *gignite.Result {
 		res, err := e.Exec(q)

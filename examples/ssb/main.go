@@ -20,7 +20,7 @@ func main() {
 		sf    = 0.005
 		sites = 4
 	)
-	e := gignite.New(harness.ConfigFor(harness.ICPM, sites, sf))
+	e := gignite.Open(gignite.WithConfig(harness.ConfigFor(harness.ICPM, sites, sf)))
 	fmt.Printf("loading SSB at SF %g on %d sites...\n\n", sf, sites)
 	if err := ssb.Setup(e, sf); err != nil {
 		log.Fatal(err)

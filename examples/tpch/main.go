@@ -22,7 +22,7 @@ func main() {
 
 	engines := map[harness.System]*gignite.Engine{}
 	for _, sys := range harness.Systems() {
-		e := gignite.New(harness.ConfigFor(sys, sites, sf))
+		e := gignite.Open(gignite.WithConfig(harness.ConfigFor(sys, sites, sf)))
 		if err := tpch.Setup(e, sf); err != nil {
 			log.Fatal(err)
 		}

@@ -32,7 +32,7 @@ func filterEngine(t testing.TB, sites int, filters bool, backups int, faultSpec 
 		}
 		cfg.Faults = fp
 	}
-	e := gignite.New(cfg)
+	e := gignite.Open(gignite.WithConfig(cfg))
 	if err := tpch.Setup(e, filterTestSF); err != nil {
 		t.Fatal(err)
 	}

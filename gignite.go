@@ -36,7 +36,6 @@ import (
 	"gignite/internal/fragment"
 	"gignite/internal/governor"
 	"gignite/internal/hep"
-	"gignite/internal/joinfilter"
 	"gignite/internal/expr"
 	"gignite/internal/logical"
 	"gignite/internal/obs"
@@ -155,11 +154,6 @@ type Config struct {
 	// build/ship cost for reduced network volume. Off in every preset (an
 	// extension beyond the paper's system).
 	RuntimeFilters bool
-	// RuntimeFilterMaxBytes caps one bloom filter's size and
-	// RuntimeFilterSmallKeys the exact-set threshold (0 = joinfilter
-	// defaults: 64 KiB, 1024 keys).
-	RuntimeFilterMaxBytes  int
-	RuntimeFilterSmallKeys int
 
 	// --- limits and modeling ---
 
@@ -345,14 +339,26 @@ type engineMetrics struct {
 	modeledSeconds, wallSeconds *obs.Histogram
 }
 
-// New creates an engine with empty storage from a flat Config.
+// Open composes an engine with empty storage from functional options —
+// the one constructor.
 //
-// Deprecated: new code should compose engines with Open and functional
-// options (WithPreset, WithCluster, WithGovernance, WithPlanCache,
-// WithAdaptive, WithObservability). New remains supported for callers
-// that build a Config programmatically; Open(WithConfig(cfg)) is the
-// exact equivalent.
-func New(cfg Config) *Engine {
+// The base configuration is ICPlus(1): the paper's improved planner and
+// execution engine (§4, §5.1, §5.2) on a single site. Pass WithPreset
+// (or WithConfig, for a Config built programmatically) first to start
+// from a different system variant:
+//
+//	e := gignite.Open(
+//	        gignite.WithPreset(gignite.ICPlusM, 4),
+//	        gignite.WithPlanCache(64),
+//	        gignite.WithAdaptive(gignite.AdaptiveOptions{}),
+//	)
+func Open(opts ...Option) *Engine {
+	cfg := ICPlus(1)
+	for _, opt := range opts {
+		if opt != nil {
+			opt(&cfg)
+		}
+	}
 	if cfg.Sites <= 0 {
 		cfg.Sites = 1
 	}
@@ -367,10 +373,6 @@ func New(cfg Config) *Engine {
 		cl.RowLimit = cfg.ExecRowLimit
 	}
 	cl.Faults = faults.New(cfg.Faults)
-	cl.FilterParams = joinfilter.Params{
-		MaxBytes:  cfg.RuntimeFilterMaxBytes,
-		SmallKeys: cfg.RuntimeFilterSmallKeys,
-	}
 	reg := obs.NewRegistry()
 	// The governor only exists when a governance knob is set, so ungoverned
 	// engines skip admission entirely (a nil governor admits everything).

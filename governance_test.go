@@ -261,7 +261,7 @@ func TestHedgingCutsStragglerMakespan(t *testing.T) {
 	// pay, so use enough rows per site that per-instance work dwarfs the
 	// fixed thread overhead.
 	loadBig := func(cfg Config) *Engine {
-		e := New(cfg)
+		e := Open(WithConfig(cfg))
 		mustExec(t, e, `CREATE TABLE big (id BIGINT PRIMARY KEY, grp BIGINT, val DOUBLE)`)
 		rows := make([]Row, 20000)
 		for i := range rows {

@@ -13,6 +13,15 @@
 // per-fragment threads analytically (see DESIGN.md §2 and package
 // simnet).
 //
+// Cluster.Run is the whole scheduler, as a list of named steps over one
+// per-execution run value (DESIGN.md "Scheduler anatomy"): set-up, the
+// runtime-filter pre-pass, then per wave build jobs → execute → hedge →
+// barrier → adaptive replan, then finish. There is one of each: one
+// barrier merges worker results (filter pre-pass and waves alike), one
+// attempt runs an instance (first tries, retries and hedges alike). The
+// optional steps live next to their state — filters.go (§13), hedge.go
+// (§14), replan below (§17) — and are no-ops when their feature is off.
+//
 // The scheduler is fault-tolerant: when an instance fails with an
 // injected fault (site crash, transport send failure — see package
 // faults), it is retried with capped exponential backoff, failing over
@@ -32,17 +41,13 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"gignite/internal/adaptive"
-	"gignite/internal/cost"
 	"gignite/internal/exec"
 	"gignite/internal/faults"
 	"gignite/internal/fragment"
 	"gignite/internal/governor"
-	"gignite/internal/joinfilter"
 	"gignite/internal/obs"
 	"gignite/internal/physical"
 	"gignite/internal/simnet"
@@ -68,26 +73,7 @@ type Cluster struct {
 	RowLimit int64
 	// Faults is the query-fault injector (nil = inject nothing).
 	Faults *faults.Injector
-	// RetryBackoffBase and RetryBackoffCap bound the capped exponential
-	// backoff between failover attempts of one instance (real sleep,
-	// wall-clock only; zero values use DefaultRetryBackoffBase/Cap).
-	RetryBackoffBase time.Duration
-	RetryBackoffCap  time.Duration
-	// FilterParams sizes runtime join filters (DESIGN.md §13); the zero
-	// value uses the joinfilter defaults. Filters only run when the plan
-	// carries RuntimeFilter edges (fragment.PlanRuntimeFilters).
-	FilterParams joinfilter.Params
 }
-
-// Default retry backoff bounds: tiny, because the "network" is in-process;
-// they exist so the backoff path is real and configurable.
-const (
-	DefaultRetryBackoffBase = 100 * time.Microsecond
-	DefaultRetryBackoffCap  = 2 * time.Millisecond
-	// maxExtraSendRetries bounds same-host retries of flaky sends beyond
-	// the replica-chain length.
-	maxExtraSendRetries = 3
-)
 
 // New creates a cluster over a store.
 func New(store *storage.Store, sim simnet.Params) *Cluster {
@@ -139,18 +125,6 @@ type Result struct {
 // ErrWorkLimit re-exports the executor's work-limit error for callers.
 var ErrWorkLimit = exec.ErrWorkLimit
 
-// Execute runs a fragmented plan. variants > 1 enables §5.3 variant
-// fragments (IC+M runs with 2). ctx cancels in-flight waves.
-func (c *Cluster) Execute(ctx context.Context, plan *fragment.Plan, variants int) (*Result, error) {
-	return c.Run(ctx, plan, Opts{Variants: variants})
-}
-
-// ExecuteLimited is Execute with a per-instance work limit (0 =
-// unlimited), reproducing the paper's query runtime limit.
-func (c *Cluster) ExecuteLimited(ctx context.Context, plan *fragment.Plan, variants int, workLimit float64) (*Result, error) {
-	return c.Run(ctx, plan, Opts{Variants: variants, WorkLimit: workLimit})
-}
-
 // Opts configures one execution beyond the plan itself.
 type Opts struct {
 	// Variants > 1 enables §5.3 variant fragments.
@@ -176,999 +150,325 @@ type Opts struct {
 	Adaptive *adaptive.Controller
 }
 
-// runEnv bundles the per-execution state the wave scheduler threads
-// through every instance.
-type runEnv struct {
-	transport  *exec.Transport
-	workLimit  float64
-	dying      map[int]int
-	began      time.Time
-	fs         *filterState
-	mem        *governor.Lease
-	hedgeAfter float64
-	// sketchKeys enables per-exchange sender sketches (nil: adaptive off).
-	sketchKeys map[int][]int
-}
+// run is one execution's state: everything the steps of Cluster.Run
+// share. Workers never touch it beyond reading — each writes only its own
+// instanceResult slot, and the barrier folds the slots in.
+type run struct {
+	c       *Cluster
+	ctx     context.Context
+	opts    Opts
+	waves   [][]*fragment.Fragment
+	workers int
+	began   time.Time
 
-// instanceJob is one schedulable (fragment × site × variant) instance.
-type instanceJob struct {
-	frag *fragment.Fragment
-	// site is the instance's logical site. For hash-content fragments it
-	// doubles as the partition the instance covers; failover moves the
-	// instance to another replica host without changing it.
-	site      int
-	variant   int
-	nVariants int
-	modes     map[physical.Node]fragment.SourceMode
-	// ordinal is the instance's deterministic global sequence number
-	// (assigned in wave order before execution); fault plans address
-	// instances by it.
+	transport *exec.Transport
+	trace     *simnet.Trace
+	qobs      *obs.QueryObs
+	// res accumulates the barrier's counters and the root rows.
+	res *Result
+
+	// ordinal is the next instance's deterministic global sequence number.
+	// Jobs are created in strictly increasing ordinal order — pre-pass
+	// first, then wave by wave — and fault plans and failure reports
+	// address instances by it, never by arrival order, so outcomes are
+	// identical at every worker count.
 	ordinal int
-	// wave is the scheduler wave the instance belongs to (trace spans
-	// carry it).
-	wave int
-	// partitioned marks hash-content fragments, which may fail over
-	// across their partition's replica chain.
-	partitioned bool
-	// fobs is the fragment's observation view; instances record into a
-	// private obs.InstanceObs sized from it.
-	fobs *obs.FragmentObs
-	// filter, when non-nil, marks a runtime-filter pre-pass job: the
-	// instance executes the filter's build subtree (not the fragment
-	// root) at its site, before wave 0. Pre-pass jobs share the join
-	// fragment's identity, so fault plans and failover treat them like
-	// any other instance of that fragment.
-	filter *physical.RuntimeFilter
-}
+	// dying[site] is the ordinal of the one instance that is in flight at
+	// that site when the fault plan crashes it: the smallest ordinal at the
+	// site at or past the crash point. That instance runs and loses its
+	// work; every later ordinal finds the site dead.
+	dying map[int]int
 
-// instanceResult is the per-instance outcome a worker hands back to the
-// wave barrier. Workers never touch shared trace state: each writes only
-// its own slot, and the barrier merges slots in deterministic job order.
-type instanceResult struct {
-	rows    []types.Row
-	work    float64
-	host    int
-	retries []simnet.Retry
-	// spans records one trace span per attempt of this instance
-	// (including zero-cost dead-host skips).
-	spans []obs.Span
-	// obs is the successful attempt's per-operator record (nil when the
-	// instance failed terminally).
-	obs *obs.InstanceObs
-	// ftested/fpruned are the instance's per-filter probe counts (nil
-	// when the instance applied no runtime filters).
-	ftested, fpruned map[int]int64
-	// hedge records the instance's speculative straggler attempt, if one
-	// was launched (win or lose).
-	hedge *simnet.Hedge
-	// sketches are the winning attempt's exchange sketches (nil when
-	// adaptive execution is off or the instance shipped nothing).
+	// fs holds the runtime filters (nil: the plan carries none).
+	fs *filterState
+	// sketches accumulates the per-exchange runtime sketches across
+	// barriers (nil: adaptive off).
 	sketches map[int]*sketch.Sketch
-	err      error
 }
-
-// siteState is a site's condition from the perspective of one instance
-// ordinal (deterministic logical time).
-type siteState uint8
-
-const (
-	siteAlive siteState = iota
-	// siteDying: the site dies while this instance is in flight — the
-	// attempt executes and its outputs are lost.
-	siteDying
-	// siteDead: the site died at an earlier ordinal; attempts fail
-	// immediately with no work done.
-	siteDead
-)
 
 // Run executes a fragmented plan under the given options.
 func (c *Cluster) Run(ctx context.Context, plan *fragment.Plan, opts Opts) (*Result, error) {
-	variants := opts.Variants
+	r, err := c.newRun(ctx, plan, opts)
+	if err != nil {
+		return nil, err
+	}
+	// Runtime-filter pre-pass (DESIGN.md §13): the planned filters' build
+	// subtrees run as ordinary instances before wave 0 and freeze at their
+	// barrier.
+	if jobs := r.filterJobs(plan); len(jobs) > 0 {
+		if err := r.barrier(jobs, r.execute(jobs)); err != nil {
+			return nil, err
+		}
+		r.fs.freeze(r.trace)
+	}
+	for w := range r.waves {
+		// Jobs are built only now, after the previous barrier, so the
+		// adaptive controller's rewrites take effect on them.
+		jobs := r.waveJobs(w)
+		results := r.execute(jobs)
+		// Stragglers are hedged before the barrier: the speculative attempts
+		// must win or lose (and the loser's shipments be discarded) before
+		// any consumer wave receives.
+		r.hedge(jobs, results)
+		if err := r.barrier(jobs, results); err != nil {
+			return nil, err
+		}
+		r.replan(w)
+	}
+	return r.finish(), nil
+}
+
+// newRun sets one execution up: the wave schedule, the transport (with the
+// fault plan's send failures wired in), the simnet trace skeleton and the
+// observation record.
+func (c *Cluster) newRun(ctx context.Context, plan *fragment.Plan, opts Opts) (*run, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	began := time.Now()
 	waves, err := plan.Waves()
 	if err != nil {
 		return nil, err
 	}
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	r := &run{
+		c: c, ctx: ctx, opts: opts, waves: waves,
+		workers:   c.Workers,
+		began:     time.Now(),
+		transport: exec.NewTransport(),
+		trace: &simnet.Trace{
+			Instances: make(map[int][]simnet.Instance),
+			Consumers: make(map[int][]int),
+		},
+		res: &Result{Fragments: len(plan.Fragments)},
 	}
-	transport := exec.NewTransport()
-	if inj := c.Faults; inj.SendFailRate() > 0 {
-		transport.FailSend = func(exchange, toSite int, b *exec.Batch) error {
-			if inj.SendFails(exchange, b.FromFrag, b.FromSite, b.FromVariant, toSite, b.Attempt) {
-				return fmt.Errorf("exchange %d send %d→%d: %w", exchange, b.FromSite, toSite, faults.ErrSendFail)
+	if r.workers <= 0 {
+		r.workers = runtime.GOMAXPROCS(0)
+	}
+	if inj := c.Faults; inj != nil {
+		r.dying = make(map[int]int)
+		if inj.SendFailRate() > 0 {
+			r.transport.FailSend = func(exchange, toSite int, b *exec.Batch) error {
+				if inj.SendFails(exchange, b.FromFrag, b.FromSite, b.FromVariant, toSite, b.Attempt) {
+					return fmt.Errorf("exchange %d send %d→%d: %w", exchange, b.FromSite, toSite, faults.ErrSendFail)
+				}
+				return nil
 			}
-			return nil
 		}
 	}
-	trace := &simnet.Trace{
-		Instances: make(map[int][]simnet.Instance),
-		Consumers: make(map[int][]int),
+	if opts.Adaptive != nil {
+		r.sketches = make(map[int]*sketch.Sketch)
 	}
 	// The observation record: per-fragment operator views (pre-order op
 	// ids shared by every instance of a fragment) and the exchange edges
 	// of the fragment DAG.
-	qobs := &obs.QueryObs{
-		Began:     began,
+	r.qobs = &obs.QueryObs{
+		Began:     r.began,
 		Fragments: make([]*obs.FragmentObs, len(plan.Fragments)),
 	}
 	for _, f := range plan.Fragments {
 		for _, ex := range f.Receivers {
-			trace.Consumers[ex] = append(trace.Consumers[ex], f.ID)
+			r.trace.Consumers[ex] = append(r.trace.Consumers[ex], f.ID)
 			if prod := plan.Producer[ex]; prod != nil {
-				qobs.Edges = append(qobs.Edges, obs.Edge{Exchange: ex, FromFrag: prod.ID, ToFrag: f.ID})
+				r.qobs.Edges = append(r.qobs.Edges, obs.Edge{Exchange: ex, FromFrag: prod.ID, ToFrag: f.ID})
 			}
 		}
 		if f.IsRoot {
-			trace.RootFrag = f.ID
+			r.trace.RootFrag = f.ID
 		}
-		qobs.Fragments[f.ID] = obs.NewFragmentObs(f.ID, f.IsRoot, f.Root)
+		r.qobs.Fragments[f.ID] = obs.NewFragmentObs(f.ID, f.IsRoot, f.Root)
 	}
+	return r, nil
+}
 
-	// Runtime-filter pre-pass jobs (DESIGN.md §13): each planned filter's
-	// build subtree runs at the join fragment's sites before wave 0, so
-	// the filter can reach the probe-side producers that execute in
-	// earlier waves. Pre-pass ordinals come first, which makes a fault
-	// plan's crash point cover them exactly like wave instances.
-	ordinal := 0
+// addJobs appends one job per (site × variant) of fragment f, taking the
+// next ordinals and recording the fault plan's dying instance per site.
+// An instance only ever consults the liveness of ordinals ≤ its own, so
+// later jobs' dying entries need not exist yet when earlier ones run.
+func (r *run) addJobs(jobs []instanceJob, proto instanceJob, sites []int) []instanceJob {
+	for _, site := range sites {
+		for v := 0; v < proto.nVariants; v++ {
+			j := proto
+			j.site, j.variant, j.ordinal = site, v, r.ordinal
+			r.ordinal++
+			if n, ok := r.c.Faults.CrashPoint(site); ok && j.ordinal >= n {
+				if _, seen := r.dying[site]; !seen {
+					r.dying[site] = j.ordinal
+				}
+			}
+			jobs = append(jobs, j)
+		}
+	}
+	return jobs
+}
+
+// waveJobs materializes wave w's jobs in fragment order, with the variant
+// count the adaptive controller currently assigns each fragment.
+func (r *run) waveJobs(w int) []instanceJob {
+	var jobs []instanceJob
+	for _, f := range r.waves[w] {
+		r.trace.Order = append(r.trace.Order, f.ID)
+		sites, partitioned := r.c.fragmentSites(f)
+		nv := r.opts.Variants
+		if r.opts.Adaptive != nil {
+			nv = r.opts.Adaptive.VariantFor(f.ID, nv)
+		}
+		proto := instanceJob{
+			frag: f, nVariants: 1, wave: w, partitioned: partitioned,
+			fobs: r.qobs.Fragments[f.ID],
+		}
+		if vs := fragment.BuildVariants(f, nv); vs != nil {
+			proto.nVariants, proto.modes = vs.N, vs.Modes
+		}
+		jobs = r.addJobs(jobs, proto, sites)
+	}
+	return jobs
+}
+
+// execute runs one batch of jobs on at most r.workers goroutines. Every
+// instance runs to completion (or terminal failure) — failures never skip
+// sibling instances, which keeps the batch's failure set deterministic;
+// only context cancellation stops it early.
+func (r *run) execute(jobs []instanceJob) []instanceResult {
+	results := make([]instanceResult, len(jobs))
+	runPool(len(jobs), r.workers, func(i int) { r.runInstance(&jobs[i], &results[i]) })
+	return results
+}
+
+// barrier merges one batch of worker results into the run, in
+// deterministic job order, so the trace, the observation record and the
+// reported errors are identical at every worker count. All of a failed
+// batch's distinct failures are reported together. It is the only place
+// worker results meet shared state: a pre-pass result is absorbed into
+// its filter, a wave result into the trace, the fragment's operator
+// statistics, the filter counters, the exchange sketches and — for the
+// root fragment — the query's rows.
+func (r *run) barrier(jobs []instanceJob, results []instanceResult) error {
+	if err := r.ctx.Err(); err != nil {
+		return err
+	}
 	var (
-		fstate  *filterState
-		preJobs []instanceJob
+		errs []error
+		seen map[string]bool
 	)
-	for _, rf := range plan.Filters {
-		jf := plan.Fragments[rf.JoinFrag]
-		vs := fragment.BuildVariants(jf, variants)
-		if vs != nil && vs.Modes[rf.Receiver] == fragment.SplitMode {
-			// Variant instances split the probe receiver's rows by a
-			// per-variant counter; pruning ahead of the receiver would
-			// reshuffle that split and change results. Skip the filter.
+	for i := range jobs {
+		j, ir := &jobs[i], &results[i]
+		r.qobs.Spans = append(r.qobs.Spans, ir.spans...)
+		if ir.err != nil {
+			if seen == nil {
+				seen = make(map[string]bool)
+			}
+			if key := ir.err.Error(); !seen[key] {
+				seen[key] = true
+				errs = append(errs, j.wrap(ir.err))
+			}
 			continue
 		}
-		if fstate == nil {
-			fstate = newFilterState(c.FilterParams)
-		}
-		sites, partitioned := c.fragmentSites(jf)
-		bf := &builtFilter{
-			spec:    rf,
-			perSite: make(map[int]*joinfilter.Filter, len(sites)),
-			// Cache build rows for the join instance only when the join
-			// fragment is variant-free: variant instances re-read split
-			// sources, so their builds differ from the pre-pass's.
-			cache: vs == nil,
-		}
-		if bf.cache {
-			bf.rows = make(map[int][]types.Row, len(sites))
-		}
-		fstate.add(bf)
-		for _, site := range sites {
-			preJobs = append(preJobs, instanceJob{
-				frag: jf, site: site, variant: 0, nVariants: 1,
-				ordinal: ordinal, wave: -1, partitioned: partitioned,
-				fobs: qobs.Fragments[jf.ID], filter: rf,
-			})
-			ordinal++
-		}
-	}
-
-	// dying[site] is the ordinal of the one instance that is in flight at
-	// that site when the fault plan crashes it: the smallest primary
-	// ordinal at the site at or past the crash point. That instance runs
-	// and loses its work; every later ordinal finds the site dead.
-	// markDying is fed every job batch in creation order — and jobs are
-	// created in strictly increasing ordinal order — so the incremental
-	// computation finds the same minimum the old whole-schedule scan did.
-	dying := make(map[int]int)
-	markDying := func(jobs []instanceJob) {
-		if c.Faults == nil {
-			return
-		}
-		for _, j := range jobs {
-			if n, ok := c.Faults.CrashPoint(j.site); ok && j.ordinal >= n {
-				if _, seen := dying[j.site]; !seen {
-					dying[j.site] = j.ordinal
-				}
-			}
-		}
-	}
-	markDying(preJobs)
-
-	// buildWave materializes one wave's jobs, assigning deterministic
-	// instance ordinals in wave order: fault plans and failure reports
-	// address instances by ordinal, never by arrival order, so outcomes
-	// are identical at every worker count. Building lazily — after the
-	// previous wave's barrier — lets the adaptive controller's barrier
-	// rewrites (variant re-grades) take effect on the jobs themselves.
-	// An instance of wave w only ever consults the liveness of ordinals
-	// ≤ its own, so later waves' dying entries need not exist yet.
-	buildWave := func(w int) []instanceJob {
-		var jobs []instanceJob
-		for _, f := range waves[w] {
-			trace.Order = append(trace.Order, f.ID)
-			sites, partitioned := c.fragmentSites(f)
-			nv := variants
-			if opts.Adaptive != nil {
-				nv = opts.Adaptive.VariantFor(f.ID, variants)
-			}
-			vs := fragment.BuildVariants(f, nv)
-			n := 1
-			var modes map[physical.Node]fragment.SourceMode
-			if vs != nil {
-				n = vs.N
-				modes = vs.Modes
-			}
-			for _, site := range sites {
-				for v := 0; v < n; v++ {
-					jobs = append(jobs, instanceJob{
-						frag: f, site: site, variant: v, nVariants: n, modes: modes,
-						ordinal: ordinal, wave: w, partitioned: partitioned,
-						fobs: qobs.Fragments[f.ID],
-					})
-					ordinal++
-				}
-			}
-		}
-		markDying(jobs)
-		return jobs
-	}
-
-	var (
-		resultRows   []types.Row
-		resultFields types.Fields
-		instances    int
-		retryCount   int
-		hedges       int
-		hedgesWon    int
-	)
-	env := &runEnv{
-		transport: transport, workLimit: opts.WorkLimit, dying: dying,
-		began: began, fs: fstate, mem: opts.Mem, hedgeAfter: opts.HedgeAfter,
-	}
-	if opts.Adaptive != nil {
-		env.sketchKeys = opts.Adaptive.SketchKeys()
-	}
-
-	// Execute the filter pre-pass and freeze the filters at its barrier.
-	// Pre-pass instances run through the same retry/failover machinery as
-	// wave instances; their work and filter shipments are charged to the
-	// trace as FilterBuild records (the join instances later reuse the
-	// cached build rows, so the build runs off the critical path).
-	if len(preJobs) > 0 {
-		results := make([]instanceResult, len(preJobs))
-		c.runWave(ctx, preJobs, results, env, workers)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var (
-			preErrs []error
-			seen    map[string]bool
-		)
-		unions := make(map[*physical.RuntimeFilter]*joinfilter.Builder)
-		for i := range preJobs {
-			j, r := preJobs[i], &results[i]
-			qobs.Spans = append(qobs.Spans, r.spans...)
-			if r.err != nil {
-				if seen == nil {
-					seen = make(map[string]bool)
-				}
-				if key := r.err.Error(); !seen[key] {
-					seen[key] = true
-					preErrs = append(preErrs, fmt.Errorf("cluster: filter %d build (fragment %d) at site %d: %w",
-						j.filter.ID, j.frag.ID, j.site, r.err))
-				}
-				continue
-			}
-			instances++
-			retryCount += len(r.retries)
-			trace.Retries = append(trace.Retries, r.retries...)
-			if r.obs != nil {
-				// Extra-instance merge: operator stats accumulate without
-				// bumping the fragment's Instances count (the pre-pass ran
-				// the build subtree the join instance will now skip).
-				j.fobs.MergeExtra(r.obs)
-			}
-			bf := fstate.bySpec[j.filter]
-			b := joinfilter.NewBuilder()
-			for _, row := range r.rows {
-				if buildKeyNull(row, j.filter.BuildCols) {
-					continue
-				}
-				b.Add(row.Hash(j.filter.BuildCols))
-			}
-			bf.perSite[j.site] = b.Build(fstate.params)
-			bf.buildRows += int64(len(r.rows))
-			if bf.cache {
-				bf.rows[j.site] = r.rows
-			}
-			if unions[j.filter] == nil {
-				unions[j.filter] = joinfilter.NewBuilder()
-			}
-			unions[j.filter].Merge(b)
-			// The key-insert work rides on the build subtree's work; both
-			// charge the trace's filter record, not the join instance.
-			insert := float64(len(r.rows)) * cost.BFIC * c.Faults.Slowdown(r.host)
-			bf.siteWork = append(bf.siteWork, siteWork{site: j.site, work: r.work + insert})
-		}
-		if len(preErrs) > 0 {
-			return nil, errors.Join(preErrs...)
-		}
-		for _, bf := range fstate.built {
-			bf.union = unions[bf.spec].Build(fstate.params)
-			// Each site ships its per-site filter plus its share of the
-			// union; the shares sum to exactly one union shipment.
-			unionShare := float64(bf.union.SizeBytes()) / float64(len(bf.siteWork))
-			for _, sw := range bf.siteWork {
-				bytes := float64(bf.perSite[sw.site].SizeBytes()) + unionShare
-				bf.bytes += int64(bytes)
-				trace.Filters = append(trace.Filters, simnet.FilterBuild{
-					Exchange: bf.spec.Exchange, JoinFrag: bf.spec.JoinFrag,
-					Site: sw.site, Work: sw.work, Bytes: bytes,
-				})
-			}
-		}
-	}
-
-	// exSketches accumulates the per-exchange runtime sketches across
-	// barriers; replans/switches count the adaptive passes and the
-	// rewrites they applied.
-	var (
-		exSketches map[int]*sketch.Sketch
-		replans    int
-		switches   int
-	)
-	if opts.Adaptive != nil {
-		exSketches = make(map[int]*sketch.Sketch)
-	}
-	for w := range waves {
-		jobs := buildWave(w)
-		if len(jobs) == 0 {
+		r.res.Instances++
+		r.res.Retries += len(ir.retries)
+		r.trace.Retries = append(r.trace.Retries, ir.retries...)
+		if j.filter != nil {
+			r.fs.absorb(j, ir, r.c.Faults.Slowdown(ir.host))
 			continue
 		}
-		results := make([]instanceResult, len(jobs))
-		c.runWave(ctx, jobs, results, env, workers)
-
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Hedge this wave's stragglers before the barrier merges results:
-		// the speculative attempts must win or lose (and the loser's
-		// shipments be discarded) before any consumer wave receives.
-		c.hedgeWave(ctx, jobs, results, env, workers)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-
-		// Merge at the wave barrier, in deterministic job order, so the
-		// trace and the reported errors are identical at every worker
-		// count. All of a failed wave's distinct failures are reported
-		// together; instances are never skipped, so the failure set does
-		// not depend on scheduling.
-		var (
-			waveErrs []error
-			seen     map[string]bool
-		)
-		for i := range jobs {
-			j, r := jobs[i], &results[i]
-			qobs.Spans = append(qobs.Spans, r.spans...)
-			if r.err != nil {
-				if seen == nil {
-					seen = make(map[string]bool)
-				}
-				if key := r.err.Error(); !seen[key] {
-					seen[key] = true
-					waveErrs = append(waveErrs, fmt.Errorf("cluster: fragment %d at site %d: %w", j.frag.ID, j.site, r.err))
-				}
-				continue
-			}
-			instances++
-			retryCount += len(r.retries)
-			trace.Retries = append(trace.Retries, r.retries...)
-			if r.hedge != nil {
-				trace.Hedges = append(trace.Hedges, *r.hedge)
-				hedges++
-				if r.hedge.Won {
-					hedgesWon++
-				}
-			}
-			trace.Instances[j.frag.ID] = append(trace.Instances[j.frag.ID], simnet.Instance{
-				Frag: j.frag.ID, Site: j.site, Variant: j.variant, Work: r.work,
-			})
-			if r.obs != nil {
-				j.fobs.Merge(r.obs)
-			}
-			if fstate != nil {
-				fstate.count(r.ftested, r.fpruned)
-			}
-			if exSketches != nil && r.sketches != nil {
-				// Merge in deterministic job order (each fragment has one
-				// sender, so a result carries at most one exchange; sorting
-				// keeps the merge canonical regardless).
-				exIDs := make([]int, 0, len(r.sketches))
-				for ex := range r.sketches {
-					exIDs = append(exIDs, ex)
-				}
-				sort.Ints(exIDs)
-				for _, ex := range exIDs {
-					if cur := exSketches[ex]; cur != nil {
-						cur.Merge(r.sketches[ex])
-					} else {
-						exSketches[ex] = r.sketches[ex]
-					}
-				}
-			}
-			if j.frag.IsRoot {
-				resultRows = r.rows
-				resultFields = j.frag.Root.Schema()
+		if ir.hedge != nil {
+			r.trace.Hedges = append(r.trace.Hedges, *ir.hedge)
+			r.res.Hedges++
+			if ir.hedge.Won {
+				r.res.HedgesWon++
 			}
 		}
-		if len(waveErrs) > 0 {
-			return nil, errors.Join(waveErrs...)
+		r.trace.Instances[j.frag.ID] = append(r.trace.Instances[j.frag.ID], simnet.Instance{
+			Frag: j.frag.ID, Site: j.site, Variant: j.variant, Work: ir.work,
+		})
+		if ir.obs != nil {
+			j.fobs.Merge(ir.obs)
 		}
-
-		// Adaptive barrier (DESIGN.md §17): with later waves still pending,
-		// hand the accumulated sketches to the controller, which may rewrite
-		// the not-yet-built part of the schedule. The pass is recorded as a
-		// replan span so static runs keep the spans == instances + retries +
-		// hedges invariant untouched.
-		if opts.Adaptive != nil && w+1 < len(waves) {
-			passStart := time.Now()
-			applied := opts.Adaptive.OnBarrier(w, exSketches)
-			replans++
-			switches += len(applied)
-			qobs.Replans = append(qobs.Replans, applied...)
-			qobs.Spans = append(qobs.Spans, obs.Span{
-				Frag: -1, Site: -1, Host: -1, Wave: w,
-				StartNanos: passStart.Sub(began).Nanoseconds(),
-				EndNanos:   time.Since(began).Nanoseconds(),
-				Status:     obs.SpanReplan,
-			})
+		if r.fs != nil {
+			r.fs.count(ir.ftested, ir.fpruned)
+		}
+		if r.sketches != nil && ir.sketches != nil {
+			mergeSketches(r.sketches, ir.sketches)
+		}
+		if j.frag.IsRoot {
+			r.res.Rows = ir.rows
+			r.res.Fields = j.frag.Root.Schema()
 		}
 	}
+	return errors.Join(errs...)
+}
 
+// mergeSketches folds one instance's exchange sketches into the run's.
+// Each fragment has one sender, so a result carries at most one exchange;
+// sorting keeps the merge canonical regardless.
+func mergeSketches(into, from map[int]*sketch.Sketch) {
+	exIDs := make([]int, 0, len(from))
+	for ex := range from {
+		exIDs = append(exIDs, ex)
+	}
+	sort.Ints(exIDs)
+	for _, ex := range exIDs {
+		if cur := into[ex]; cur != nil {
+			cur.Merge(from[ex])
+		} else {
+			into[ex] = from[ex]
+		}
+	}
+}
+
+// replan is the adaptive barrier step (DESIGN.md §17): with later waves
+// still pending, hand the accumulated sketches to the controller, which
+// may rewrite the not-yet-built part of the schedule. The pass is
+// recorded as a replan span so static runs keep the spans == instances +
+// retries + hedges invariant untouched.
+func (r *run) replan(w int) {
+	if r.opts.Adaptive == nil || w+1 >= len(r.waves) {
+		return
+	}
+	passStart := time.Now()
+	applied := r.opts.Adaptive.OnBarrier(w, r.sketches)
+	r.res.Replans++
+	r.res.Switches += len(applied)
+	r.qobs.Replans = append(r.qobs.Replans, applied...)
+	r.qobs.Spans = append(r.qobs.Spans, obs.Span{
+		Frag: -1, Site: -1, Host: -1, Wave: w,
+		StartNanos: passStart.Sub(r.began).Nanoseconds(),
+		EndNanos:   time.Since(r.began).Nanoseconds(),
+		Status:     obs.SpanReplan,
+	})
+}
+
+// finish prices the trace on the cost clock and completes the result.
+func (r *run) finish() *Result {
 	exRows := make(map[int]int64)
 	exBytes := make(map[int]int64)
-	for _, s := range transport.Sends {
-		trace.Sends = append(trace.Sends, simnet.Send{
+	for _, s := range r.transport.Sends {
+		r.trace.Sends = append(r.trace.Sends, simnet.Send{
 			Exchange: s.Exchange, FromFrag: s.FromFrag, FromSite: s.FromSite,
 			FromVariant: s.FromVariant, ToSite: s.ToSite, Bytes: float64(s.Bytes),
 		})
 		exRows[s.Exchange] += s.Rows
 		exBytes[s.Exchange] += s.Bytes
 	}
-	for i := range qobs.Edges {
-		e := &qobs.Edges[i]
+	for i := range r.qobs.Edges {
+		e := &r.qobs.Edges[i]
 		e.Rows = exRows[e.Exchange]
 		e.Bytes = exBytes[e.Exchange]
 	}
 
-	modeled := simnet.Makespan(trace, c.Sim)
-	qobs.WallNanos = time.Since(began).Nanoseconds()
-	qobs.ModeledNanos = modeled.Nanoseconds()
-
-	res := &Result{
-		Rows:         resultRows,
-		Fields:       resultFields,
-		Modeled:      modeled,
-		Work:         trace.TotalWork(),
-		BytesShipped: trace.TotalBytes(),
-		Fragments:    len(plan.Fragments),
-		Instances:    instances,
-		Retries:      retryCount,
-		Hedges:       hedges,
-		HedgesWon:    hedgesWon,
-		Workers:      workers,
-		Obs:          qobs,
-		Replans:      replans,
-		Switches:     switches,
+	res := r.res
+	res.Modeled = simnet.Makespan(r.trace, r.c.Sim)
+	res.Work = r.trace.TotalWork()
+	res.BytesShipped = r.trace.TotalBytes()
+	res.Workers = r.workers
+	res.Obs = r.qobs
+	r.qobs.WallNanos = time.Since(r.began).Nanoseconds()
+	r.qobs.ModeledNanos = res.Modeled.Nanoseconds()
+	if r.opts.Adaptive != nil {
+		res.Notes = r.opts.Adaptive.Notes()
 	}
-	if opts.Adaptive != nil {
-		res.Notes = opts.Adaptive.Notes()
+	if r.fs != nil {
+		r.fs.report(res)
 	}
-	if fstate != nil {
-		for _, bf := range fstate.built {
-			res.FiltersBuilt++
-			res.FilterBytes += bf.bytes
-			res.RowsPruned += bf.pruned
-			qobs.Filters = append(qobs.Filters, obs.FilterObs{
-				ID: bf.spec.ID, JoinFrag: bf.spec.JoinFrag, ProbeFrag: bf.spec.ProbeFrag,
-				Exchange: bf.spec.Exchange, Keys: bf.union.Keys(), BuildRows: bf.buildRows,
-				Bytes: bf.bytes, RowsTested: bf.tested, RowsPruned: bf.pruned,
-			})
-		}
-	}
-	return res, nil
-}
-
-// filterState carries the pre-pass products the wave jobs consume: one
-// builtFilter per planned (and not variant-skipped) RuntimeFilter.
-type filterState struct {
-	params  joinfilter.Params
-	built   []*builtFilter
-	bySpec  map[*physical.RuntimeFilter]*builtFilter
-	byJoin  map[int][]*builtFilter
-	byProbe map[int][]*builtFilter
-}
-
-// builtFilter is one runtime filter's frozen state after the pre-pass
-// barrier. perSite holds each join site's build-partition filter (what the
-// probe-side Sender tests per destination); union is their merge (what
-// deeper node-level pushdown tests, since those rows may still route
-// anywhere); rows caches the pre-pass build rows for reuse by the join
-// instance when the join fragment is variant-free.
-type builtFilter struct {
-	spec      *physical.RuntimeFilter
-	perSite   map[int]*joinfilter.Filter
-	union     *joinfilter.Filter
-	rows      map[int][]types.Row
-	cache     bool
-	buildRows int64
-	bytes     int64
-	siteWork  []siteWork
-	// tested/pruned accumulate probe counts from wave instances, merged
-	// at wave barriers in deterministic job order.
-	tested, pruned int64
-}
-
-type siteWork struct {
-	site int
-	work float64
-}
-
-func newFilterState(p joinfilter.Params) *filterState {
-	return &filterState{
-		params:  p,
-		bySpec:  make(map[*physical.RuntimeFilter]*builtFilter),
-		byJoin:  make(map[int][]*builtFilter),
-		byProbe: make(map[int][]*builtFilter),
-	}
-}
-
-func (fs *filterState) add(bf *builtFilter) {
-	fs.built = append(fs.built, bf)
-	fs.bySpec[bf.spec] = bf
-	fs.byJoin[bf.spec.JoinFrag] = append(fs.byJoin[bf.spec.JoinFrag], bf)
-	fs.byProbe[bf.spec.ProbeFrag] = append(fs.byProbe[bf.spec.ProbeFrag], bf)
-}
-
-// count folds one instance's per-filter probe counters into the state
-// (called at wave barriers only, in job order; sums commute, so the
-// totals are worker-count independent).
-func (fs *filterState) count(tested, pruned map[int]int64) {
-	if tested == nil && pruned == nil {
-		return
-	}
-	for _, bf := range fs.built {
-		bf.tested += tested[bf.spec.ID]
-		bf.pruned += pruned[bf.spec.ID]
-	}
-}
-
-// inject wires the frozen filters into one wave instance's exec context:
-// cached build rows for join-fragment instances, node- and sender-level
-// filters for probe-side producer instances. The wiring is a pure
-// function of logical identity (fragment ID, site), so retries and
-// replica failover see the same filters.
-func (fs *filterState) inject(j instanceJob, ectx *exec.Context, nsites int) {
-	for _, bf := range fs.byJoin[j.frag.ID] {
-		if !bf.cache {
-			continue
-		}
-		if rows, ok := bf.rows[j.site]; ok {
-			if ectx.Prebuilt == nil {
-				ectx.Prebuilt = make(map[physical.Node][]types.Row)
-			}
-			ectx.Prebuilt[bf.spec.BuildRoot] = rows
-		}
-	}
-	for _, bf := range fs.byProbe[j.frag.ID] {
-		if bf.spec.ProbeNode != nil {
-			if ectx.NodeFilters == nil {
-				ectx.NodeFilters = make(map[physical.Node][]*exec.AppliedFilter)
-			}
-			ectx.NodeFilters[bf.spec.ProbeNode] = append(ectx.NodeFilters[bf.spec.ProbeNode],
-				&exec.AppliedFilter{ID: bf.spec.ID, Cols: bf.spec.ProbeNodeCols, Filter: bf.union})
-		}
-		per := make([]*joinfilter.Filter, nsites)
-		for site, f := range bf.perSite {
-			if site < nsites {
-				per[site] = f
-			}
-		}
-		if ectx.SendFilters == nil {
-			ectx.SendFilters = make(map[int]*exec.SendFilter)
-		}
-		ectx.SendFilters[bf.spec.Exchange] = &exec.SendFilter{
-			ID: bf.spec.ID, Cols: bf.spec.ProbeCols, PerSite: per,
-		}
-	}
-}
-
-// buildKeyNull reports a build row with a NULL equi-key: the hash join
-// never matches such rows, so the filter must not admit their hash.
-func buildKeyNull(r types.Row, cols []int) bool {
-	for _, c := range cols {
-		if r[c].IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-// siteStateAt evaluates a site's condition at one instance ordinal under
-// the fault plan (see siteState).
-func (c *Cluster) siteStateAt(site, ordinal int, dying map[int]int) siteState {
-	n, ok := c.Faults.CrashPoint(site)
-	if !ok || ordinal < n {
-		return siteAlive
-	}
-	if d, isDying := dying[site]; isDying && ordinal == d {
-		return siteDying
-	}
-	return siteDead
-}
-
-// runWave executes one wave's instances on at most `workers` goroutines.
-// Each instance gets a private exec.Context, so work counters accumulate
-// without sharing. Every instance runs to completion (or terminal
-// failure) — failures never skip sibling instances, which keeps the
-// wave's failure set deterministic; only context cancellation stops the
-// wave early.
-func (c *Cluster) runWave(ctx context.Context, jobs []instanceJob, results []instanceResult,
-	env *runEnv, workers int) {
-
-	run := func(i int) { c.runInstance(ctx, jobs[i], &results[i], env) }
-	runPool(len(jobs), workers, run)
-}
-
-// runPool fans run(i) for i in [0, n) over at most `workers` goroutines
-// (sequentially when workers <= 1).
-func runPool(n, workers int, run func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				run(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// runInstance executes one instance with retry and replica failover. The
-// attempt sequence is a pure function of the job's identity and the fault
-// plan, so it is identical at every worker count.
-func (c *Cluster) runInstance(ctx context.Context, j instanceJob, r *instanceResult, env *runEnv) {
-	// span emits one trace span for an attempt of this instance. Offsets
-	// are wall-clock (outside the determinism contract); the span set and
-	// its order are deterministic.
-	span := func(host, attempt int, start time.Time, status obs.SpanStatus, err error) {
-		s := obs.Span{
-			Frag: j.frag.ID, Site: j.site, Host: host, Variant: j.variant,
-			Attempt: attempt, Ordinal: j.ordinal, Wave: j.wave,
-			StartNanos: start.Sub(env.began).Nanoseconds(),
-			EndNanos:   time.Since(env.began).Nanoseconds(),
-			Status:     status,
-		}
-		if err != nil {
-			s.Error = err.Error()
-		}
-		r.spans = append(r.spans, s)
-	}
-
-	// The failover chain: hash-content fragments may run at any replica
-	// of their partition; everything else is pinned to its site.
-	chain := []int{j.site}
-	if j.partitioned {
-		chain = c.Store.ReplicaSites(j.site)
-	}
-	maxAttempts := len(chain) + maxExtraSendRetries
-
-	hostIdx := 0
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			r.err = err
-			return
-		}
-		// Find the next live replica. Dead hosts are skipped without an
-		// attempt (the failure detector already knows they are gone); the
-		// skip is still recorded as a zero-cost recovery event.
-		host, state := -1, siteAlive
-		for hostIdx < len(chain) {
-			h := chain[hostIdx]
-			if st := c.siteStateAt(h, j.ordinal, env.dying); st != siteDead {
-				host, state = h, st
-				break
-			}
-			r.retries = append(r.retries, simnet.Retry{
-				Frag: j.frag.ID, Site: j.site, Variant: j.variant, Host: chain[hostIdx],
-			})
-			span(chain[hostIdx], attempt, time.Now(), obs.SpanSkipped, faults.ErrSiteCrash)
-			hostIdx++
-		}
-		if host < 0 {
-			if j.partitioned && c.Store.Backups() == 0 {
-				r.err = fmt.Errorf("partition %d has no backup replicas to fail over to: %w",
-					j.site, faults.ErrSiteCrash)
-			} else if j.partitioned {
-				r.err = fmt.Errorf("all %d replicas of partition %d are down: %w",
-					len(chain), j.site, faults.ErrSiteCrash)
-			} else {
-				r.err = fmt.Errorf("site %d is down and fragment %d cannot fail over: %w",
-					j.site, j.frag.ID, faults.ErrSiteCrash)
-			}
-			return
-		}
-
-		attemptStart := time.Now()
-		ectx := c.instanceContext(ctx, j, host, attempt, env)
-		root := j.frag.Root
-		if j.filter != nil {
-			// Pre-pass instance: execute the filter's build subtree in
-			// place of the fragment root.
-			root = j.filter.BuildRoot
-		} else if env.fs != nil {
-			env.fs.inject(j, ectx, c.Store.Sites())
-		}
-		rows, err := exec.Run(root, ectx)
-		// The attempt's operator state is gone either way; return its
-		// reservation to the shared pool (the per-query budget still
-		// remembers the cumulative charge).
-		env.mem.Release(ectx.ChargedMem())
-		if err == nil && state == siteDying {
-			err = fmt.Errorf("site %d died mid-instance: %w", host, faults.ErrSiteCrash)
-		}
-		if err == nil {
-			r.rows = rows
-			r.host = host
-			// A slow site is charged proportionally more work: the simnet
-			// clock converts work to time, so the slowdown lands in the
-			// modeled response time.
-			r.work = ectx.CPUWork * c.Faults.Slowdown(host)
-			r.obs = ectx.Obs
-			r.ftested, r.fpruned = ectx.FilterTested, ectx.FilterPruned
-			r.sketches = ectx.Sketches
-			span(host, attempt, attemptStart, obs.SpanOK, nil)
-			return
-		}
-
-		// Roll back this attempt's shipments so a retry never duplicates
-		// rows (and a terminally failed instance never leaks partial
-		// sends into the trace).
-		bytes, _ := env.transport.DiscardFrom(j.frag.ID, j.site, j.variant)
-
-		if !faults.Injected(err) || attempt == maxAttempts-1 {
-			span(host, attempt, attemptStart, obs.SpanFailed, err)
-			r.err = err
-			return
-		}
-		// Retryable fault: charge the lost attempt (its CPU work and the
-		// bytes that must be resent) and fail over.
-		span(host, attempt, attemptStart, obs.SpanRetried, err)
-		r.retries = append(r.retries, simnet.Retry{
-			Frag: j.frag.ID, Site: j.site, Variant: j.variant, Host: host,
-			Work: ectx.CPUWork * c.Faults.Slowdown(host), Bytes: bytes,
-		})
-		if errors.Is(err, faults.ErrSiteCrash) || errors.Is(err, faults.ErrSiteMem) {
-			// This replica cannot serve the instance (gone, or its memory
-			// pool deterministically too small); move down the chain.
-			hostIdx++
-		}
-		if !c.backoff(ctx, attempt) {
-			r.err = ctx.Err()
-			return
-		}
-	}
-}
-
-// instanceContext builds one attempt's private exec context.
-func (c *Cluster) instanceContext(ctx context.Context, j instanceJob, host, attempt int, env *runEnv) *exec.Context {
-	return &exec.Context{
-		Store:        c.Store,
-		Transport:    env.transport,
-		FragID:       j.frag.ID,
-		Site:         j.site,
-		Host:         host,
-		Attempt:      attempt,
-		Ctx:          ctx,
-		Faults:       c.Faults,
-		Variant:      j.variant,
-		NVariants:    j.nVariants,
-		Modes:        j.modes,
-		WorkLimit:    env.workLimit,
-		RowLimit:     c.RowLimit,
-		OpIDs:        j.fobs.OpIndex,
-		Obs:          obs.NewInstanceObs(j.fobs),
-		Mem:          env.mem,
-		SiteMemBytes: c.Faults.MemLimit(host),
-		SketchKeys:   env.sketchKeys,
-	}
-}
-
-// hedgeWave launches speculative attempts for the wave's stragglers
-// (DESIGN.md §14). Detection runs at the wave barrier on the modeled
-// clock, not wall time: an instance whose charged work exceeded
-// hedgeAfter× the wave's median (a slow site multiplies charged work —
-// see Injector.Slowdown) is re-executed at the next live replica of its
-// partition. The modeled-faster attempt's shipments survive, the loser's
-// are discarded, and a tie goes to the primary (the lowest attempt
-// ordinal), so results stay byte-identical at every worker count whether
-// or not hedging fires.
-func (c *Cluster) hedgeWave(ctx context.Context, jobs []instanceJob, results []instanceResult,
-	env *runEnv, workers int) {
-	if env.hedgeAfter <= 0 {
-		return
-	}
-	var works []float64
-	for i := range results {
-		if results[i].err == nil {
-			works = append(works, results[i].work)
-		}
-	}
-	if len(works) < 2 {
-		return
-	}
-	sort.Float64s(works)
-	median := works[len(works)/2]
-	if median <= 0 {
-		return
-	}
-	threshold := env.hedgeAfter * median
-	type hedgeCand struct{ idx, host int }
-	var cand []hedgeCand
-	for i := range jobs {
-		j, r := jobs[i], &results[i]
-		if r.err != nil || !j.partitioned || j.filter != nil || r.work <= threshold {
-			continue
-		}
-		if h := c.hedgeHost(j, r.host, env); h >= 0 {
-			cand = append(cand, hedgeCand{idx: i, host: h})
-		}
-	}
-	runPool(len(cand), workers, func(k int) {
-		i := cand[k].idx
-		c.runHedge(ctx, jobs[i], &results[i], env, cand[k].host, threshold)
-	})
-}
-
-// hedgeHost picks the replica a straggler's speculative attempt runs at:
-// the next live site after the primary's host on the partition's replica
-// chain (-1 when none exists).
-func (c *Cluster) hedgeHost(j instanceJob, primary int, env *runEnv) int {
-	chain := c.Store.ReplicaSites(j.site)
-	at := -1
-	for k, h := range chain {
-		if h == primary {
-			at = k
-			break
-		}
-	}
-	for k := at + 1; k < len(chain); k++ {
-		if c.siteStateAt(chain[k], j.ordinal, env.dying) == siteAlive {
-			return chain[k]
-		}
-	}
-	return -1
-}
-
-// runHedge executes one speculative attempt and settles the race on the
-// modeled clock: the hedge launched after `threshold` work-units of the
-// primary's timeline, so it wins only when threshold + its own work beats
-// the primary's work outright. Exactly one attempt's shipments survive in
-// the transport, and exactly one span is appended (keeping the invariant
-// spans == instances + retries + hedges).
-func (c *Cluster) runHedge(ctx context.Context, j instanceJob, r *instanceResult,
-	env *runEnv, host int, threshold float64) {
-	if err := ctx.Err(); err != nil {
-		return
-	}
-	okIdx := -1
-	for k := range r.spans {
-		if r.spans[k].Status == obs.SpanOK {
-			okIdx = k
-		}
-	}
-	if okIdx < 0 {
-		return
-	}
-	attempt := r.spans[len(r.spans)-1].Attempt + 1
-	start := time.Now()
-	ectx := c.instanceContext(ctx, j, host, attempt, env)
-	if env.fs != nil {
-		env.fs.inject(j, ectx, c.Store.Sites())
-	}
-	rows, err := exec.Run(j.frag.Root, ectx)
-	env.mem.Release(ectx.ChargedMem())
-	hedgeWork := ectx.CPUWork * c.Faults.Slowdown(host)
-
-	hedge := &simnet.Hedge{Frag: j.frag.ID, Site: j.site, Variant: j.variant, DelayWork: threshold}
-	s := obs.Span{
-		Frag: j.frag.ID, Site: j.site, Host: host, Variant: j.variant,
-		Attempt: attempt, Ordinal: j.ordinal, Wave: j.wave, Hedge: true,
-		StartNanos: start.Sub(env.began).Nanoseconds(),
-	}
-	switch {
-	case err != nil:
-		// A failed hedge never fails the query — the primary already
-		// succeeded; only the speculation's work is charged.
-		env.transport.DiscardAttempt(j.frag.ID, j.site, j.variant, attempt)
-		s.Status, s.Error = obs.SpanFailed, err.Error()
-		hedge.LostWork = hedgeWork
-	case threshold+hedgeWork < r.work:
-		// The hedge finishes first on the modeled clock: keep its outputs,
-		// discard the primary's, and flip the primary's span. The primary
-		// is abandoned the moment the hedge completes, so its lost work is
-		// capped at the race's finish time.
-		bytes, _ := env.transport.DiscardAttempt(j.frag.ID, j.site, j.variant, r.spans[okIdx].Attempt)
-		r.spans[okIdx].Status = obs.SpanHedged
-		s.Status = obs.SpanOK
-		hedge.Won = true
-		hedge.LostWork = threshold + hedgeWork
-		if r.work < hedge.LostWork {
-			hedge.LostWork = r.work
-		}
-		hedge.LostBytes = bytes
-		r.rows, r.host, r.work, r.obs = rows, host, hedgeWork, ectx.Obs
-		r.ftested, r.fpruned = ectx.FilterTested, ectx.FilterPruned
-		r.sketches = ectx.Sketches
-	default:
-		// The primary wins (ties included: the lowest attempt ordinal is
-		// canonical). The hedge ran from threshold until the primary's
-		// finish, bounded by its own completion.
-		bytes, _ := env.transport.DiscardAttempt(j.frag.ID, j.site, j.variant, attempt)
-		s.Status = obs.SpanHedged
-		hedge.LostWork = r.work - threshold
-		if hedge.LostWork > hedgeWork {
-			hedge.LostWork = hedgeWork
-		}
-		hedge.LostBytes = bytes
-	}
-	s.EndNanos = time.Since(env.began).Nanoseconds()
-	r.spans = append(r.spans, s)
-	r.hedge = hedge
-}
-
-// backoff sleeps the capped exponential backoff for an attempt; it
-// returns false when the context is cancelled while waiting.
-func (c *Cluster) backoff(ctx context.Context, attempt int) bool {
-	base, cap := c.RetryBackoffBase, c.RetryBackoffCap
-	if base <= 0 {
-		base = DefaultRetryBackoffBase
-	}
-	if cap <= 0 {
-		cap = DefaultRetryBackoffCap
-	}
-	d := base << uint(attempt)
-	if d > cap || d <= 0 {
-		d = cap
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-timer.C:
-		return true
-	}
+	return res
 }
 
 // fragmentSites determines where a fragment executes, from the

@@ -59,7 +59,7 @@ func buildPlan(t *testing.T, c *Cluster) *fragment.Plan {
 func TestExecuteCollectsAllPartitions(t *testing.T) {
 	for _, sites := range []int{1, 3, 5} {
 		c := testCluster(t, sites)
-		res, err := c.Execute(context.Background(), buildPlan(t, c), 1)
+		res, err := c.Run(context.Background(), buildPlan(t, c), Opts{Variants: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +84,11 @@ func TestExecuteCollectsAllPartitions(t *testing.T) {
 
 func TestVariantsSameResultsMoreInstances(t *testing.T) {
 	c := testCluster(t, 2)
-	single, err := c.Execute(context.Background(), buildPlan(t, c), 1)
+	single, err := c.Run(context.Background(), buildPlan(t, c), Opts{Variants: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dual, err := c.Execute(context.Background(), buildPlan(t, c), 2)
+	dual, err := c.Run(context.Background(), buildPlan(t, c), Opts{Variants: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +120,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, variants := range []int{1, 2} {
 		c := testCluster(t, 4)
 		c.Workers = 1
-		seq, err := c.Execute(context.Background(), buildPlan(t, c), variants)
+		seq, err := c.Run(context.Background(), buildPlan(t, c), Opts{Variants: variants})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 16} {
 			c.Workers = workers
-			par, err := c.Execute(context.Background(), buildPlan(t, c), variants)
+			par, err := c.Run(context.Background(), buildPlan(t, c), Opts{Variants: variants})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,14 +160,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestParallelWorkLimit(t *testing.T) {
 	c := testCluster(t, 4)
 	c.Workers = 4
-	if _, err := c.ExecuteLimited(context.Background(), buildPlan(t, c), 1, 1); err == nil {
+	if _, err := c.Run(context.Background(), buildPlan(t, c), Opts{Variants: 1, WorkLimit: 1}); err == nil {
 		t.Error("tiny work limit not enforced under parallel execution")
 	}
 }
 
 func TestWorkLimitPropagates(t *testing.T) {
 	c := testCluster(t, 2)
-	_, err := c.ExecuteLimited(context.Background(), buildPlan(t, c), 1, 1)
+	_, err := c.Run(context.Background(), buildPlan(t, c), Opts{Variants: 1, WorkLimit: 1})
 	if err == nil {
 		t.Error("tiny work limit not enforced")
 	}
@@ -220,7 +220,7 @@ func TestDistributedAggregation(t *testing.T) {
 			{Name: "avg_id", Kind: types.KindFloat},
 		})
 	}
-	res, err := c.Execute(context.Background(), fragment.Split(root), 1)
+	res, err := c.Run(context.Background(), fragment.Split(root), Opts{Variants: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func replicatedTestCluster(t *testing.T, sites, backups int, spec string) *Clust
 // the recovery is visible in Result.Retries.
 func TestFailoverToBackupReplica(t *testing.T) {
 	healthy := testCluster(t, 4)
-	want, err := healthy.Execute(context.Background(), buildPlan(t, healthy), 1)
+	want, err := healthy.Run(context.Background(), buildPlan(t, healthy), Opts{Variants: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestFailoverToBackupReplica(t *testing.T) {
 		// Site 2 dies while instance ordinal 2 (its scan) is in flight.
 		c := replicatedTestCluster(t, 4, 1, "crash=2@2")
 		c.Workers = workers
-		got, err := c.Execute(context.Background(), buildPlan(t, c), 1)
+		got, err := c.Run(context.Background(), buildPlan(t, c), Opts{Variants: 1})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -309,7 +309,7 @@ func TestFailoverToBackupReplica(t *testing.T) {
 // clean error naming the lost partition.
 func TestCrashWithoutBackupsFails(t *testing.T) {
 	c := replicatedTestCluster(t, 4, 0, "crash=1@0")
-	_, err := c.Execute(context.Background(), buildPlan(t, c), 1)
+	_, err := c.Run(context.Background(), buildPlan(t, c), Opts{Variants: 1})
 	if err == nil {
 		t.Fatal("crash with no backups must fail")
 	}
@@ -327,7 +327,7 @@ func TestCancelledContextStopsExecution(t *testing.T) {
 	c := testCluster(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.Execute(ctx, buildPlan(t, c), 1)
+	_, err := c.Run(ctx, buildPlan(t, c), Opts{Variants: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}

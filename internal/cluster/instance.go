@@ -1,0 +1,334 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"gignite/internal/exec"
+	"gignite/internal/faults"
+	"gignite/internal/fragment"
+	"gignite/internal/obs"
+	"gignite/internal/physical"
+	"gignite/internal/simnet"
+	"gignite/internal/sketch"
+	"gignite/internal/types"
+)
+
+// Retry backoff bounds (real sleep, wall-clock only): tiny, because the
+// "network" is in-process; they exist so the backoff path is real.
+const (
+	retryBackoffBase = 100 * time.Microsecond
+	retryBackoffCap  = 2 * time.Millisecond
+	// maxExtraSendRetries bounds same-host retries of flaky sends beyond
+	// the replica-chain length.
+	maxExtraSendRetries = 3
+)
+
+// instanceJob is one schedulable (fragment × site × variant) instance.
+type instanceJob struct {
+	frag *fragment.Fragment
+	// site is the instance's logical site. For hash-content fragments it
+	// doubles as the partition the instance covers; failover moves the
+	// instance to another replica host without changing it.
+	site      int
+	variant   int
+	nVariants int
+	modes     map[physical.Node]fragment.SourceMode
+	// ordinal is the instance's deterministic global sequence number (see
+	// run.ordinal); fault plans address instances by it.
+	ordinal int
+	// wave is the scheduler wave the instance belongs to (trace spans
+	// carry it); -1 for the filter pre-pass.
+	wave int
+	// partitioned marks hash-content fragments, which may fail over
+	// across their partition's replica chain.
+	partitioned bool
+	// fobs is the fragment's observation view; instances record into a
+	// private obs.InstanceObs sized from it.
+	fobs *obs.FragmentObs
+	// filter, when non-nil, marks a runtime-filter pre-pass job: the
+	// instance executes the filter's build subtree (not the fragment
+	// root) at its site, before wave 0. Pre-pass jobs share the join
+	// fragment's identity, so fault plans and failover treat them like
+	// any other instance of that fragment.
+	filter *physical.RuntimeFilter
+}
+
+// wrap names the job in a terminal failure.
+func (j *instanceJob) wrap(err error) error {
+	if j.filter != nil {
+		return fmt.Errorf("cluster: filter %d build (fragment %d) at site %d: %w",
+			j.filter.ID, j.frag.ID, j.site, err)
+	}
+	return fmt.Errorf("cluster: fragment %d at site %d: %w", j.frag.ID, j.site, err)
+}
+
+// span describes one attempt of job j, ending now. Offsets are wall-clock
+// (outside the determinism contract); the span set and its order are
+// deterministic.
+func (r *run) span(j *instanceJob, host, attempt int, start time.Time, status obs.SpanStatus, err error) obs.Span {
+	s := obs.Span{
+		Frag: j.frag.ID, Site: j.site, Host: host, Variant: j.variant,
+		Attempt: attempt, Ordinal: j.ordinal, Wave: j.wave,
+		StartNanos: start.Sub(r.began).Nanoseconds(),
+		EndNanos:   time.Since(r.began).Nanoseconds(),
+		Status:     status,
+	}
+	if err != nil {
+		s.Error = err.Error()
+	}
+	return s
+}
+
+// outcome is what one attempt of an instance produced.
+type outcome struct {
+	rows []types.Row
+	host int
+	// work is the attempt's CPU work as charged to the cost clock: a slow
+	// site is charged proportionally more, so the slowdown lands in the
+	// modeled response time.
+	work float64
+	// obs is the attempt's per-operator record.
+	obs *obs.InstanceObs
+	// ftested/fpruned are the per-filter probe counts (nil when the
+	// attempt applied no runtime filters).
+	ftested, fpruned map[int]int64
+	// sketches are the attempt's exchange sketches (nil when adaptive
+	// execution is off or the instance shipped nothing).
+	sketches map[int]*sketch.Sketch
+}
+
+// instanceResult is the per-instance outcome a worker hands back to the
+// barrier. Workers never touch shared trace state: each writes only its
+// own slot, and the barrier merges slots in deterministic job order.
+type instanceResult struct {
+	// outcome is the surviving attempt's: the successful primary, or the
+	// hedge that beat it (zero when the instance failed terminally).
+	outcome
+	retries []simnet.Retry
+	// spans records one trace span per attempt of this instance
+	// (including zero-cost dead-host skips).
+	spans []obs.Span
+	// hedge records the instance's speculative straggler attempt, if one
+	// was launched (win or lose).
+	hedge *simnet.Hedge
+	err   error
+}
+
+// siteState is a site's condition from the perspective of one instance
+// ordinal (deterministic logical time).
+type siteState uint8
+
+const (
+	siteAlive siteState = iota
+	// siteDying: the site dies while this instance is in flight — the
+	// attempt executes and its outputs are lost.
+	siteDying
+	// siteDead: the site died at an earlier ordinal; attempts fail
+	// immediately with no work done.
+	siteDead
+)
+
+// siteStateAt evaluates a site's condition at one instance ordinal under
+// the fault plan (see siteState).
+func (r *run) siteStateAt(site, ordinal int) siteState {
+	n, ok := r.c.Faults.CrashPoint(site)
+	if !ok || ordinal < n {
+		return siteAlive
+	}
+	if d, isDying := r.dying[site]; isDying && ordinal == d {
+		return siteDying
+	}
+	return siteDead
+}
+
+// runPool fans run(i) for i in [0, n) over at most `workers` goroutines
+// (sequentially when workers <= 1).
+func runPool(n, workers int, run func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			run(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	next.Store(-1)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1))
+				if i >= n {
+					return
+				}
+				run(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// attempt executes job j once, as attempt n at host, in a private exec
+// context (so work counters accumulate without sharing). It is the one
+// way an instance runs — first tries, retries, failovers and hedges
+// alike. The outcome's work is valid even when the attempt fails.
+func (r *run) attempt(j *instanceJob, host, n int) (outcome, error) {
+	c := r.c
+	ectx := &exec.Context{
+		Store:        c.Store,
+		Transport:    r.transport,
+		FragID:       j.frag.ID,
+		Site:         j.site,
+		Host:         host,
+		Attempt:      n,
+		Ctx:          r.ctx,
+		Faults:       c.Faults,
+		Variant:      j.variant,
+		NVariants:    j.nVariants,
+		Modes:        j.modes,
+		WorkLimit:    r.opts.WorkLimit,
+		RowLimit:     c.RowLimit,
+		OpIDs:        j.fobs.OpIndex,
+		Obs:          obs.NewInstanceObs(j.fobs),
+		Mem:          r.opts.Mem,
+		SiteMemBytes: c.Faults.MemLimit(host),
+	}
+	if r.opts.Adaptive != nil {
+		ectx.SketchKeys = r.opts.Adaptive.SketchKeys()
+	}
+	root := j.frag.Root
+	if j.filter != nil {
+		// Pre-pass instance: execute the filter's build subtree in place
+		// of the fragment root.
+		root = j.filter.BuildRoot
+	} else if r.fs != nil {
+		r.fs.inject(j, ectx, c.Store.Sites())
+	}
+	rows, err := exec.Run(root, ectx)
+	// The attempt's operator state is gone either way; return its
+	// reservation to the shared pool (the per-query budget still
+	// remembers the cumulative charge).
+	r.opts.Mem.Release(ectx.ChargedMem())
+	return outcome{
+		rows: rows, host: host,
+		work:    ectx.CPUWork * c.Faults.Slowdown(host),
+		obs:     ectx.Obs,
+		ftested: ectx.FilterTested, fpruned: ectx.FilterPruned,
+		sketches: ectx.Sketches,
+	}, err
+}
+
+// runInstance executes one instance with retry and replica failover. The
+// attempt sequence is a pure function of the job's identity and the fault
+// plan, so it is identical at every worker count.
+func (r *run) runInstance(j *instanceJob, ir *instanceResult) {
+	c := r.c
+	// The failover chain: hash-content fragments may run at any replica
+	// of their partition; everything else is pinned to its site.
+	chain := []int{j.site}
+	if j.partitioned {
+		chain = c.Store.ReplicaSites(j.site)
+	}
+	maxAttempts := len(chain) + maxExtraSendRetries
+
+	hostIdx := 0
+	for n := 0; n < maxAttempts; n++ {
+		if err := r.ctx.Err(); err != nil {
+			ir.err = err
+			return
+		}
+		// Find the next live replica. Dead hosts are skipped without an
+		// attempt (the failure detector already knows they are gone); the
+		// skip is still recorded as a zero-cost recovery event.
+		host, state := -1, siteAlive
+		for hostIdx < len(chain) {
+			h := chain[hostIdx]
+			if st := r.siteStateAt(h, j.ordinal); st != siteDead {
+				host, state = h, st
+				break
+			}
+			ir.retries = append(ir.retries, simnet.Retry{
+				Frag: j.frag.ID, Site: j.site, Variant: j.variant, Host: h,
+			})
+			ir.spans = append(ir.spans, r.span(j, h, n, time.Now(), obs.SpanSkipped, faults.ErrSiteCrash))
+			hostIdx++
+		}
+		if host < 0 {
+			if j.partitioned && c.Store.Backups() == 0 {
+				ir.err = fmt.Errorf("partition %d has no backup replicas to fail over to: %w",
+					j.site, faults.ErrSiteCrash)
+			} else if j.partitioned {
+				ir.err = fmt.Errorf("all %d replicas of partition %d are down: %w",
+					len(chain), j.site, faults.ErrSiteCrash)
+			} else {
+				ir.err = fmt.Errorf("site %d is down and fragment %d cannot fail over: %w",
+					j.site, j.frag.ID, faults.ErrSiteCrash)
+			}
+			return
+		}
+
+		start := time.Now()
+		out, err := r.attempt(j, host, n)
+		if err == nil && state == siteDying {
+			err = fmt.Errorf("site %d died mid-instance: %w", host, faults.ErrSiteCrash)
+		}
+		if err == nil {
+			ir.outcome = out
+			ir.spans = append(ir.spans, r.span(j, host, n, start, obs.SpanOK, nil))
+			return
+		}
+
+		// Roll back this attempt's shipments so a retry never duplicates
+		// rows (and a terminally failed instance never leaks partial
+		// sends into the trace).
+		bytes, _ := r.transport.DiscardFrom(j.frag.ID, j.site, j.variant)
+
+		if !faults.Injected(err) || n == maxAttempts-1 {
+			ir.spans = append(ir.spans, r.span(j, host, n, start, obs.SpanFailed, err))
+			ir.err = err
+			return
+		}
+		// Retryable fault: charge the lost attempt (its CPU work and the
+		// bytes that must be resent) and fail over.
+		ir.spans = append(ir.spans, r.span(j, host, n, start, obs.SpanRetried, err))
+		ir.retries = append(ir.retries, simnet.Retry{
+			Frag: j.frag.ID, Site: j.site, Variant: j.variant, Host: host,
+			Work: out.work, Bytes: bytes,
+		})
+		if errors.Is(err, faults.ErrSiteCrash) || errors.Is(err, faults.ErrSiteMem) {
+			// This replica cannot serve the instance (gone, or its memory
+			// pool deterministically too small); move down the chain.
+			hostIdx++
+		}
+		if !backoff(r.ctx, n) {
+			ir.err = r.ctx.Err()
+			return
+		}
+	}
+}
+
+// backoff sleeps the capped exponential backoff for an attempt; it
+// returns false when the context is cancelled while waiting.
+func backoff(ctx context.Context, attempt int) bool {
+	d := retryBackoffBase << uint(attempt)
+	if d > retryBackoffCap || d <= 0 {
+		d = retryBackoffCap
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-timer.C:
+		return true
+	}
+}

@@ -5,6 +5,12 @@
 // the blocking operators that dominate the workloads (hash builds, sorts,
 // aggregations); pipelining effects on wall-clock time are captured by the
 // simnet cost clock instead.
+//
+// The three join algorithms (operators.go) differ only in how they find a
+// left row's candidate right rows — every right row, a hash bucket, a
+// sorted run; matching the candidates and emitting per join type is one
+// shared joinEmitter. There is one hash join, parameterised by build side
+// (physical.Join.BuildLeft), with order-identical output either way.
 package exec
 
 import (
@@ -335,7 +341,7 @@ func (c *Context) countFilter(id int, tested, pruned int64) {
 // testRow evaluates one row against a filter: rows with NULL keys can
 // never equi-match and are pruned outright.
 func filterTestRow(f *joinfilter.Filter, cols []int, r types.Row) bool {
-	if rowHasNullKey(r, cols) {
+	if r.HasNull(cols) {
 		return false
 	}
 	return f.Test(r.Hash(cols))

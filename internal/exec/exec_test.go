@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -139,50 +140,91 @@ func TestScalarAggregateEmptyInput(t *testing.T) {
 	}
 }
 
-// joinFixture builds left/right row sets with controlled key overlap.
+// joinFixture builds left/right row sets with controlled key overlap and
+// NULL keys on both sides.
 func joinFixture(n int) (left, right []types.Row) {
 	for i := 0; i < n; i++ {
-		left = append(left, types.Row{types.NewInt(int64(i % 7)), types.NewInt(int64(i))})
+		k := types.NewInt(int64(i % 7))
+		if i%11 == 3 {
+			k = types.Null
+		}
+		left = append(left, types.Row{k, types.NewInt(int64(i))})
 	}
 	for i := 0; i < n/2; i++ {
-		right = append(right, types.Row{types.NewInt(int64(i % 5)), types.NewFloat(float64(i))})
+		k := types.NewInt(int64(i % 5))
+		if i%6 == 2 {
+			k = types.Null
+		}
+		right = append(right, types.Row{k, types.NewFloat(float64(i))})
 	}
 	return left, right
 }
 
+// mkJoin joins (k, a) with (k2, b) on k = k2 AND a > b: one equi key plus
+// a residual non-equi condition.
 func mkJoin(algo physical.JoinAlgo, jt logical.JoinType) *physical.Join {
 	l := physical.NewValues(types.Fields{{Name: "k", Kind: types.KindInt},
 		{Name: "a", Kind: types.KindInt}}, nil)
 	r := physical.NewValues(types.Fields{{Name: "k2", Kind: types.KindInt},
 		{Name: "b", Kind: types.KindFloat}}, nil)
-	cond := expr.NewBinOp(expr.OpEq,
-		expr.NewColRef(0, types.KindInt, ""), expr.NewColRef(2, types.KindInt, ""))
+	cond := expr.NewBinOp(expr.OpAnd,
+		expr.NewBinOp(expr.OpEq,
+			expr.NewColRef(0, types.KindInt, ""), expr.NewColRef(2, types.KindInt, "")),
+		expr.NewBinOp(expr.OpGt,
+			expr.NewColRef(1, types.KindInt, ""), expr.NewColRef(3, types.KindFloat, "")))
 	return physical.NewJoin(l, r, algo, jt, cond,
 		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.SingleDist, "single")
 }
 
 func sortRows(rows []types.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
+	out := renderRows(rows)
 	sort.Strings(out)
 	return out
 }
 
-// TestJoinAlgorithmsAgree: NLJ, hash and merge joins must produce
-// identical results for every join type on the same inputs.
+func renderRows(rows []types.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.String()
+	}
+	return out
+}
+
+// hashBothSides runs the hash join building on the right and on the left
+// and requires order-identical output (the adaptive re-planner flips the
+// build side mid-query on that guarantee); it returns the build-right rows.
+func hashBothSides(t testing.TB, st *storage.Store, jt logical.JoinType, left, right []types.Row) []types.Row {
+	t.Helper()
+	hj, err := runJoin(mkJoin(physical.HashAlgo, jt), left, right, ctxAt(st, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := mkJoin(physical.HashAlgo, jt)
+	swapped.BuildLeft = true
+	bl, err := runJoin(swapped, left, right, ctxAt(st, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := renderRows(bl), renderRows(hj); !slices.Equal(got, want) {
+		t.Fatalf("%s: build-left output differs from build-right:\n got %v\nwant %v", jt, got, want)
+	}
+	return hj
+}
+
+// TestJoinAlgorithmsAgree: NLJ, hash (either build side) and merge joins
+// must produce identical results for every join type on the same inputs.
 func TestJoinAlgorithmsAgree(t *testing.T) {
 	st := testStore(t, 1)
 	left, right := joinFixture(40)
-	// Merge join needs sorted inputs.
+	// Merge join needs sorted inputs (NULL keys first).
+	byKey := []types.SortKey{{Col: 0}}
 	sortedLeft := append([]types.Row(nil), left...)
 	sort.SliceStable(sortedLeft, func(a, b int) bool {
-		return sortedLeft[a][0].Int() < sortedLeft[b][0].Int()
+		return types.CompareRows(sortedLeft[a], sortedLeft[b], byKey) < 0
 	})
 	sortedRight := append([]types.Row(nil), right...)
 	sort.SliceStable(sortedRight, func(a, b int) bool {
-		return sortedRight[a][0].Int() < sortedRight[b][0].Int()
+		return types.CompareRows(sortedRight[a], sortedRight[b], byKey) < 0
 	})
 	for _, jt := range []logical.JoinType{logical.JoinInner, logical.JoinLeft,
 		logical.JoinSemi, logical.JoinAnti} {
@@ -190,16 +232,13 @@ func TestJoinAlgorithmsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hj, err := runJoin(mkJoin(physical.HashAlgo, jt), left, right, ctxAt(st, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
+		hj := hashBothSides(t, st, jt, left, right)
 		mj, err := runJoin(mkJoin(physical.Merge, jt), sortedLeft, sortedRight, ctxAt(st, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sn, sh, sm := sortRows(nlj), sortRows(hj), sortRows(mj)
-		if len(sn) != len(sh) || len(sn) != len(sm) {
+		if len(sn) == 0 || len(sn) != len(sh) || len(sn) != len(sm) {
 			t.Fatalf("%s: row counts nlj=%d hash=%d merge=%d", jt, len(sn), len(sh), len(sm))
 		}
 		for i := range sn {
@@ -210,32 +249,32 @@ func TestJoinAlgorithmsAgree(t *testing.T) {
 	}
 }
 
-// TestJoinEquivalenceProperty fuzz-checks hash vs NLJ join equivalence on
-// random key sets.
+// TestJoinEquivalenceProperty fuzz-checks hash (either build side) vs NLJ
+// join equivalence on random key sets; key 7 stands for NULL.
 func TestJoinEquivalenceProperty(t *testing.T) {
 	st := testStore(t, 1)
+	key := func(k uint8) types.Value {
+		if k%8 == 7 {
+			return types.Null
+		}
+		return types.NewInt(int64(k % 8))
+	}
 	f := func(lk, rk []uint8) bool {
 		var left, right []types.Row
 		for i, k := range lk {
-			left = append(left, types.Row{types.NewInt(int64(k % 8)), types.NewInt(int64(i))})
+			left = append(left, types.Row{key(k), types.NewInt(int64(i))})
 		}
 		for i, k := range rk {
-			right = append(right, types.Row{types.NewInt(int64(k % 8)), types.NewFloat(float64(i))})
+			right = append(right, types.Row{key(k), types.NewFloat(float64(i))})
 		}
-		for _, jt := range []logical.JoinType{logical.JoinInner, logical.JoinSemi, logical.JoinAnti} {
-			nlj, err1 := runJoin(mkJoin(physical.NestedLoop, jt), left, right, ctxAt(st, 0))
-			hj, err2 := runJoin(mkJoin(physical.HashAlgo, jt), left, right, ctxAt(st, 0))
-			if err1 != nil || err2 != nil {
+		for _, jt := range []logical.JoinType{logical.JoinInner, logical.JoinLeft,
+			logical.JoinSemi, logical.JoinAnti} {
+			nlj, err := runJoin(mkJoin(physical.NestedLoop, jt), left, right, ctxAt(st, 0))
+			if err != nil {
 				return false
 			}
-			a, b := sortRows(nlj), sortRows(hj)
-			if len(a) != len(b) {
+			if !slices.Equal(sortRows(nlj), sortRows(hashBothSides(t, st, jt, left, right))) {
 				return false
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					return false
-				}
 			}
 		}
 		return true

@@ -241,381 +241,250 @@ func (g *emitGuard) flush() error {
 	return err
 }
 
-// runNestedLoopJoin is the fallback for arbitrary conditions. It is the
-// operator that makes the IC baseline's mis-planned N×M joins exceed the
-// work limit, so the limit is checked inside the loop.
+// joinEmitter is the per-left-row core every join algorithm shares. The
+// algorithms differ only in how they find a left row's candidate right
+// rows; what a candidate must still satisfy, what each join type emits
+// for it, and what an unmatched left row becomes is decided here, once.
+type joinEmitter struct {
+	j *physical.Join
+	// leftCols/rightCols split the equi keys by input side.
+	leftCols, rightCols []int
+	// pairs: inner and left joins emit one l⧺r row per match; semi and
+	// anti joins emit at most l itself, so the first match decides them.
+	pairs bool
+	// rightW is the right input's width, for a left join's NULL padding.
+	rightW int
+	out    []types.Row
+	guard  emitGuard
+	// evals counts condition evaluations. Candidates may fail for long
+	// stretches, so the emit guard alone cannot observe cancellation; it
+	// is checked every 64Ki evaluations too.
+	evals int
+}
+
+func newJoinEmitter(j *physical.Join, right []types.Row, ctx *Context) joinEmitter {
+	em := joinEmitter{
+		j:         j,
+		leftCols:  make([]int, len(j.Keys)),
+		rightCols: make([]int, len(j.Keys)),
+		pairs:     j.Type == logical.JoinInner || j.Type == logical.JoinLeft,
+		rightW:    len(j.Inputs()[1].Schema()),
+		guard:     emitGuard{ctx: ctx, node: j},
+	}
+	for i, k := range j.Keys {
+		em.leftCols[i] = k.Left
+		em.rightCols[i] = k.Right
+	}
+	if len(right) > 0 {
+		em.rightW = len(right[0])
+	}
+	return em
+}
+
+// joinRow emits left row l against its candidate right rows, in candidate
+// order. A candidate matches when it agrees with l on the equi keys
+// (checked only with verify: hash candidates share a hash, not
+// necessarily a key) and the concatenated row satisfies the condition.
+func (e *joinEmitter) joinRow(l types.Row, cands []types.Row, verify bool) error {
+	matched := false
+	for _, r := range cands {
+		e.evals++
+		if e.evals&0xFFFF == 0 {
+			if err := e.guard.ctx.cancelled(); err != nil {
+				return err
+			}
+		}
+		if verify && !types.EqualOn(l, e.leftCols, r, e.rightCols) {
+			continue
+		}
+		row := l.Concat(r)
+		if !condTrue(e.j.Cond, row) {
+			continue
+		}
+		matched = true
+		if !e.pairs {
+			break
+		}
+		e.out = append(e.out, row)
+		if err := e.guard.addRow(row); err != nil {
+			return err
+		}
+	}
+	switch e.j.Type {
+	case logical.JoinLeft:
+		if !matched {
+			row := make(types.Row, 0, len(l)+e.rightW)
+			row = append(row, l...)
+			for i := 0; i < e.rightW; i++ {
+				row = append(row, types.Null)
+			}
+			e.out = append(e.out, row)
+		}
+	case logical.JoinSemi:
+		if matched {
+			e.out = append(e.out, l)
+		}
+	case logical.JoinAnti:
+		if !matched {
+			e.out = append(e.out, l)
+		}
+	}
+	return nil
+}
+
+// finish settles the emit guard and returns the join's output.
+func (e *joinEmitter) finish() ([]types.Row, error) {
+	if err := e.guard.flush(); err != nil {
+		return nil, err
+	}
+	return e.out, nil
+}
+
+// runNestedLoopJoin is the fallback for arbitrary conditions: every right
+// row is a candidate for every left row. It is the operator that makes
+// the IC baseline's mis-planned N×M joins exceed the work limit.
 func runNestedLoopJoin(j *physical.Join, left, right []types.Row, ctx *Context) ([]types.Row, error) {
 	ctx.work((float64(len(left)) + float64(len(left))*float64(len(right))) * (cost.RPTC + cost.RCC))
 	if ctx.overLimit() {
 		return nil, ErrWorkLimit
 	}
-	var out []types.Row
-	rightW := 0
-	if len(right) > 0 {
-		rightW = len(right[0])
-	} else if len(j.Inputs()) == 2 {
-		rightW = len(j.Inputs()[1].Schema())
-	}
-	guard := &emitGuard{ctx: ctx, node: j}
-	// The inner loop may match nothing for long stretches, so the emit
-	// guard alone cannot observe cancellation; count condition
-	// evaluations and check every 64Ki of them.
-	evals := 0
+	em := newJoinEmitter(j, right, ctx)
 	for _, l := range left {
-		matched := false
-		for _, r := range right {
-			evals++
-			if evals&0xFFFF == 0 {
-				if err := ctx.cancelled(); err != nil {
-					return nil, err
-				}
-			}
-			row := l.Concat(r)
-			if !condTrue(j.Cond, row) {
-				continue
-			}
-			matched = true
-			switch j.Type {
-			case logical.JoinInner, logical.JoinLeft:
-				out = append(out, row)
-				if err := guard.addRow(row); err != nil {
-					return nil, err
-				}
-			case logical.JoinSemi:
-				out = append(out, l)
-			}
-			if j.Type == logical.JoinSemi {
-				break
-			}
-		}
-		if !matched {
-			switch j.Type {
-			case logical.JoinLeft:
-				out = append(out, padRight(l, rightW))
-			case logical.JoinAnti:
-				out = append(out, l)
-			}
+		if err := em.joinRow(l, right, false); err != nil {
+			return nil, err
 		}
 	}
-	if err := guard.flush(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return em.finish()
 }
 
-func padRight(l types.Row, rightW int) types.Row {
-	row := make(types.Row, 0, len(l)+rightW)
-	row = append(row, l...)
-	for i := 0; i < rightW; i++ {
-		row = append(row, types.Null)
+// hashRows buckets rows by the hash of their key columns, in input order,
+// skipping rows with a NULL key (they never equi-match) and — when hits is
+// non-nil — rows whose hash no bucket of hits carries.
+func hashRows(rows []types.Row, cols []int, hits map[uint64][]types.Row, ctx *Context) (map[uint64][]types.Row, error) {
+	size := len(rows)
+	if hits != nil {
+		size = len(hits)
 	}
-	return row
-}
-
-// runHashJoin implements §5.1.2: build on the right input, probe with the
-// left. When the adaptive re-planner set BuildLeft, the table is built on
-// the left input instead (runHashJoinBuildLeft) — emission order is
-// identical, only the build-side memory charge moves.
-func runHashJoin(j *physical.Join, left, right []types.Row, ctx *Context) ([]types.Row, error) {
-	if len(j.Keys) == 0 {
-		return nil, fmt.Errorf("exec: hash join without equi keys")
-	}
-	if j.BuildLeft {
-		return runHashJoinBuildLeft(j, left, right, ctx)
-	}
-	// Asymmetric hash charge, mirroring cost.HashJoin: a probe row
-	// computes the hash and looks up (HAC/2), a build row also pays the
-	// insert's allocation (3·HAC/2).
-	ctx.work(float64(len(left))*(cost.RCC+cost.RPTC+cost.HAC/2) +
-		float64(len(right))*(cost.RCC+cost.RPTC+1.5*cost.HAC))
-	ctx.opstat(j).addBuild(int64(len(right)))
-	// The build table pins the whole right input for the probe's duration.
-	if err := ctx.ReserveMem(j, estRowBytes(right)); err != nil {
-		return nil, err
-	}
-	leftCols := make([]int, len(j.Keys))
-	rightCols := make([]int, len(j.Keys))
-	for i, k := range j.Keys {
-		leftCols[i] = k.Left
-		rightCols[i] = k.Right
-	}
-	table := make(map[uint64][]types.Row, len(right))
-	for i, r := range right {
+	table := make(map[uint64][]types.Row, size)
+	for i, r := range rows {
 		if i%4096 == 4095 {
 			if err := ctx.cancelled(); err != nil {
 				return nil, err
 			}
 		}
-		if rowHasNullKey(r, rightCols) {
+		if r.HasNull(cols) {
 			continue
 		}
-		h := r.Hash(rightCols)
+		h := r.Hash(cols)
+		if hits != nil && len(hits[h]) == 0 {
+			continue
+		}
 		table[h] = append(table[h], r)
 	}
-	rightW := 0
-	if len(right) > 0 {
-		rightW = len(right[0])
-	} else {
-		rightW = len(j.Inputs()[1].Schema())
+	return table, nil
+}
+
+// runHashJoin implements §5.1.2: build a hash table on the right input,
+// probe it with the left, emitting in left-input order.
+//
+// When the adaptive re-planner set BuildLeft (DESIGN.md §17) the table is
+// built on the left input instead: the right input streams past it, only
+// the right rows whose hash hits the table are retained, and the same
+// left-order emission runs over those. Either way a left row's
+// candidates are the right rows sharing its key hash, in right-input
+// order, so the output is byte-identical for both build sides — which is
+// what lets the re-planner flip the side mid-query without breaking the
+// determinism contract. Only the work split and the memory charge move.
+func runHashJoin(j *physical.Join, left, right []types.Row, ctx *Context) ([]types.Row, error) {
+	if len(j.Keys) == 0 {
+		return nil, fmt.Errorf("exec: hash join without equi keys")
+	}
+	em := newJoinEmitter(j, right, ctx)
+	build, buildCols, probe := right, em.rightCols, left
+	if j.BuildLeft {
+		build, buildCols, probe = left, em.leftCols, right
+	}
+	// Asymmetric hash charge, mirroring cost.HashJoin: a probe row
+	// computes the hash and looks up (HAC/2), a build row also pays the
+	// insert's allocation (3·HAC/2).
+	ctx.work(float64(len(probe))*(cost.RCC+cost.RPTC+cost.HAC/2) +
+		float64(len(build))*(cost.RCC+cost.RPTC+1.5*cost.HAC))
+	ctx.opstat(j).addBuild(int64(len(build)))
+	// The build table pins the whole build input for the probe's duration.
+	if err := ctx.ReserveMem(j, estRowBytes(build)); err != nil {
+		return nil, err
+	}
+	table, err := hashRows(build, buildCols, nil, ctx)
+	if err == nil && j.BuildLeft {
+		table, err = hashRows(right, em.rightCols, table, ctx)
+	}
+	if err != nil {
+		return nil, err
 	}
 	// Equi-joins on key-ish columns emit about one row per probe row.
-	out := make([]types.Row, 0, len(left))
-	guard := &emitGuard{ctx: ctx, node: j}
+	em.out = make([]types.Row, 0, len(left))
 	for i, l := range left {
 		if i%4096 == 4095 {
 			if err := ctx.cancelled(); err != nil {
 				return nil, err
 			}
 		}
-		matched := false
-		if !rowHasNullKey(l, leftCols) {
-			h := l.Hash(leftCols)
-			for _, r := range table[h] {
-				if !types.EqualOn(l, leftCols, r, rightCols) {
-					continue
-				}
-				row := l.Concat(r)
-				if !condTrue(j.Cond, row) {
-					continue
-				}
-				matched = true
-				switch j.Type {
-				case logical.JoinInner, logical.JoinLeft:
-					out = append(out, row)
-					if err := guard.addRow(row); err != nil {
-						return nil, err
-					}
-				case logical.JoinSemi:
-					out = append(out, l)
-				}
-				if j.Type == logical.JoinSemi {
-					break
-				}
-			}
+		var cands []types.Row
+		if !l.HasNull(em.leftCols) {
+			cands = table[l.Hash(em.leftCols)]
 		}
-		if !matched {
-			switch j.Type {
-			case logical.JoinLeft:
-				out = append(out, padRight(l, rightW))
-			case logical.JoinAnti:
-				out = append(out, l)
-			}
+		if err := em.joinRow(l, cands, true); err != nil {
+			return nil, err
 		}
 	}
-	if err := guard.flush(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return em.finish()
 }
 
-// runHashJoinBuildLeft is the swapped-build hash join (DESIGN.md §17):
-// the table is built on the left input and the right input streams past
-// it, recording per-left-row match lists; emission then walks the left
-// input in order. For every probe row the matching build rows appear in
-// right-input order — exactly the order the build-right variant emits —
-// so output rows are byte-identical to runHashJoin, which is what lets
-// the adaptive re-planner flip build sides mid-query without breaking
-// the determinism contract.
-func runHashJoinBuildLeft(j *physical.Join, left, right []types.Row, ctx *Context) ([]types.Row, error) {
-	// Mirror of runHashJoin's asymmetric charge: here the left input is
-	// the build side and pays the insert premium.
-	ctx.work(float64(len(left))*(cost.RCC+cost.RPTC+1.5*cost.HAC) +
-		float64(len(right))*(cost.RCC+cost.RPTC+cost.HAC/2))
-	ctx.opstat(j).addBuild(int64(len(left)))
-	// The build table now pins the left input instead of the right.
-	if err := ctx.ReserveMem(j, estRowBytes(left)); err != nil {
-		return nil, err
-	}
-	leftCols := make([]int, len(j.Keys))
-	rightCols := make([]int, len(j.Keys))
-	for i, k := range j.Keys {
-		leftCols[i] = k.Left
-		rightCols[i] = k.Right
-	}
-	table := make(map[uint64][]int, len(left))
-	for li, l := range left {
-		if li%4096 == 4095 {
-			if err := ctx.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		if rowHasNullKey(l, leftCols) {
-			continue
-		}
-		table[l.Hash(leftCols)] = append(table[l.Hash(leftCols)], li)
-	}
-	// matches[li] lists the right-row indices joining left row li, in
-	// right-input order (the probe scan visits right rows in order).
-	matches := make([][]int32, len(left))
-	for ri, r := range right {
-		if ri%4096 == 4095 {
-			if err := ctx.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		if rowHasNullKey(r, rightCols) {
-			continue
-		}
-		for _, li := range table[r.Hash(rightCols)] {
-			l := left[li]
-			if !types.EqualOn(l, leftCols, r, rightCols) {
-				continue
-			}
-			if !condTrue(j.Cond, l.Concat(r)) {
-				continue
-			}
-			matches[li] = append(matches[li], int32(ri))
-		}
-	}
-	rightW := 0
-	if len(right) > 0 {
-		rightW = len(right[0])
-	} else {
-		rightW = len(j.Inputs()[1].Schema())
-	}
-	out := make([]types.Row, 0, len(left))
-	guard := &emitGuard{ctx: ctx, node: j}
-	for li, l := range left {
-		if li%4096 == 4095 {
-			if err := ctx.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		if len(matches[li]) == 0 {
-			switch j.Type {
-			case logical.JoinLeft:
-				out = append(out, padRight(l, rightW))
-			case logical.JoinAnti:
-				out = append(out, l)
-			}
-			continue
-		}
-		switch j.Type {
-		case logical.JoinInner, logical.JoinLeft:
-			for _, ri := range matches[li] {
-				row := l.Concat(right[ri])
-				out = append(out, row)
-				if err := guard.addRow(row); err != nil {
-					return nil, err
-				}
-			}
-		case logical.JoinSemi:
-			out = append(out, l)
-		}
-	}
-	if err := guard.flush(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func rowHasNullKey(r types.Row, cols []int) bool {
-	for _, c := range cols {
-		if r[c].IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-// runMergeJoin merges two inputs sorted on the equi keys (inner and left
-// joins).
+// runMergeJoin merges two inputs sorted on the equi keys: a left row's
+// candidates are the run of right rows with an equal key.
 func runMergeJoin(j *physical.Join, left, right []types.Row, ctx *Context) ([]types.Row, error) {
 	if len(j.Keys) == 0 {
 		return nil, fmt.Errorf("exec: merge join without equi keys")
 	}
 
 	ctx.work((float64(len(left)) + float64(len(right))) * (cost.RCC + cost.RPTC + cost.HAC))
-	leftCols := make([]int, len(j.Keys))
-	rightCols := make([]int, len(j.Keys))
-	for i, k := range j.Keys {
-		leftCols[i] = k.Left
-		rightCols[i] = k.Right
-	}
-	rightW := 0
-	if len(right) > 0 {
-		rightW = len(right[0])
-	} else {
-		rightW = len(j.Inputs()[1].Schema())
-	}
+	em := newJoinEmitter(j, right, ctx)
 	cmp := func(l, r types.Row) int {
-		for i := range leftCols {
-			c := types.Compare(l[leftCols[i]], r[rightCols[i]])
+		for i := range em.leftCols {
+			c := types.Compare(l[em.leftCols[i]], r[em.rightCols[i]])
 			if c != 0 {
 				return c
 			}
 		}
 		return 0
 	}
-	var out []types.Row
-	guard := &emitGuard{ctx: ctx, node: j}
-	// emitUnmatched handles a left row with no qualifying right partner.
-	emitUnmatched := func(l types.Row) {
-		switch j.Type {
-		case logical.JoinLeft:
-			out = append(out, padRight(l, rightW))
-		case logical.JoinAnti:
-			out = append(out, l)
-		}
-	}
-	li, ri := 0, 0
-	for li < len(left) {
+	ri := 0
+	for li, l := range left {
 		if li%4096 == 4095 {
 			if err := ctx.cancelled(); err != nil {
 				return nil, err
 			}
 		}
-		l := left[li]
-		if rowHasNullKey(l, leftCols) {
-			emitUnmatched(l)
-			li++
-			continue
-		}
-		// Advance the right side to the first candidate.
-		for ri < len(right) && (rowHasNullKey(right[ri], rightCols) || cmp(l, right[ri]) > 0) {
-			ri++
-			if ri%4096 == 4095 {
-				if err := ctx.cancelled(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if ri >= len(right) || cmp(l, right[ri]) < 0 {
-			emitUnmatched(l)
-			li++
-			continue
-		}
-		// Group of equal right rows.
 		re := ri
-		for re < len(right) && cmp(l, right[re]) == 0 {
-			re++
-		}
-		matched := false
-		for _, r := range right[ri:re] {
-			row := l.Concat(r)
-			if condTrue(j.Cond, row) {
-				matched = true
-				if j.Type == logical.JoinInner || j.Type == logical.JoinLeft {
-					out = append(out, row)
-					if err := guard.addRow(row); err != nil {
+		if !l.HasNull(em.leftCols) {
+			// Advance the right side to the first candidate.
+			for ri < len(right) && (right[ri].HasNull(em.rightCols) || cmp(l, right[ri]) > 0) {
+				ri++
+				if ri%4096 == 4095 {
+					if err := ctx.cancelled(); err != nil {
 						return nil, err
 					}
-				} else {
-					break
 				}
 			}
+			// The group of equal right rows. ri stays put afterwards: the
+			// next left row may share the key group.
+			for re = ri; re < len(right) && cmp(l, right[re]) == 0; {
+				re++
+			}
 		}
-		switch {
-		case matched && j.Type == logical.JoinSemi:
-			out = append(out, l)
-		case !matched:
-			emitUnmatched(l)
+		if err := em.joinRow(l, right[ri:re], false); err != nil {
+			return nil, err
 		}
-		li++
-		// Do not advance ri: the next left row may share the key group.
 	}
-	if err := guard.flush(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return em.finish()
 }

@@ -423,7 +423,7 @@ func Ablation(opts Options) (*Report, error) {
 	const sites = 4
 
 	run := func(cfg gignite.Config) (time.Duration, int, error) {
-		e := gignite.New(cfg)
+		e := gignite.Open(gignite.WithConfig(cfg))
 		if err := tpch.Setup(e, sf); err != nil {
 			return 0, 0, err
 		}

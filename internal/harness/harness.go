@@ -132,7 +132,7 @@ func (env *Env) Engine(w Workload, sys System, sites int, sf float64) (*gignite.
 	cfg.PlanCacheSize = env.PlanCache
 	cfg.AdaptiveExec = env.Adaptive
 	cfg.StatsMisestimate = env.Misestimate
-	e := gignite.New(cfg)
+	e := gignite.Open(gignite.WithConfig(cfg))
 	var err error
 	if w == SSB {
 		err = ssb.Setup(e, sf)

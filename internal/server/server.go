@@ -206,11 +206,15 @@ func (s *Server) reject(conn net.Conn, code uint16, msg string) {
 	_ = conn.Close()
 }
 
+// dropSession forgets a session; only the first call for it counts.
 func (s *Server) dropSession(sess *session) {
 	s.mu.Lock()
+	_, open := s.sessions[sess]
 	delete(s.sessions, sess)
 	s.mu.Unlock()
-	s.m.connsOpen.Add(-1)
+	if open {
+		s.m.connsOpen.Add(-1)
+	}
 }
 
 // Shutdown drains the server: the listener closes, idle sessions close

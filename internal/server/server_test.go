@@ -48,7 +48,7 @@ func tpchEngine(t *testing.T, mut func(*gignite.Config)) *gignite.Engine {
 	if mut != nil {
 		mut(&cfg)
 	}
-	eng := gignite.New(cfg)
+	eng := gignite.Open(gignite.WithConfig(cfg))
 	if err := tpch.Setup(eng, 0.005); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,12 @@ func TestGracefulDrain(t *testing.T) {
 		text := renderSQL(t, rows)
 		resCh <- result{text: text, err: rows.Close()}
 	}()
-	time.Sleep(10 * time.Millisecond)
+	for deadline := time.Now().Add(20 * time.Second); eng.Metrics().Counters["server_queries_total"] < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("query never reached the server")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	ctx, cancelT := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancelT()

@@ -25,17 +25,21 @@ type session struct {
 	br   *bufio.Reader
 	log  gignite.LogFunc
 
-	wmu sync.Mutex // serializes frame writes (query stream vs. nothing else while busy)
+	// wmu serializes frame writes. A request's terminal frame and the
+	// return to idle happen together under it (finish), so the terminal
+	// frame is the request's last observable effect.
+	wmu sync.Mutex
 
-	mu       sync.Mutex
-	busy     bool
-	cancel   context.CancelFunc // in-flight query's cancel; nil when idle
+	mu sync.Mutex
+	// inflight cancels the in-flight query; nil means the session is idle.
+	inflight context.CancelFunc
 	draining bool
 	closed   bool
 
-	queryDone chan struct{} // signaled when the in-flight query goroutine exits
-	stmts     map[uint32]*gignite.Stmt
-	queries   uint64
+	// running counts live query goroutines, so cleanup can await them.
+	running sync.WaitGroup
+	stmts   map[uint32]*gignite.Stmt
+	queries uint64
 }
 
 func newSession(s *Server, conn net.Conn, id uint64) *session {
@@ -118,7 +122,7 @@ func (sess *session) handshake() error {
 	}
 	sess.srv.m.frames.Inc()
 	if typ != wire.FrameHello {
-		sess.sendError(wire.CodeProtocol, "expected Hello frame")
+		sess.refuse(wire.CodeProtocol, "expected Hello frame")
 		return fmt.Errorf("first frame was %#x, not Hello", typ)
 	}
 	d := wire.NewDecoder(payload)
@@ -126,21 +130,29 @@ func (sess *session) handshake() error {
 	version := d.U8()
 	token := d.Str()
 	if d.Err() != nil || magic != wire.Magic {
-		sess.sendError(wire.CodeProtocol, "malformed Hello frame")
+		sess.refuse(wire.CodeProtocol, "malformed Hello frame")
 		return fmt.Errorf("malformed Hello")
 	}
 	if version != wire.Version {
-		sess.sendError(wire.CodeProtocol, fmt.Sprintf("unsupported protocol version %d (server speaks %d)", version, wire.Version))
+		sess.refuse(wire.CodeProtocol, fmt.Sprintf("unsupported protocol version %d (server speaks %d)", version, wire.Version))
 		return fmt.Errorf("client version %d", version)
 	}
 	if want := sess.srv.cfg.AuthToken; want != "" && token != want {
-		sess.sendError(wire.CodeAuth, "invalid auth token")
+		sess.refuse(wire.CodeAuth, "invalid auth token")
 		return fmt.Errorf("auth token mismatch")
 	}
 	var enc wire.Encoder
 	enc.U8(wire.Version)
 	enc.U64(sess.id)
 	return sess.writeFrame(wire.FrameHelloOK, enc.Bytes())
+}
+
+// refuse rejects the handshake. The session stops counting against
+// MaxConns before the error frame goes out, so a client that reconnects
+// the moment it reads the refusal is not turned away by its own corpse.
+func (sess *session) refuse(code uint16, msg string) {
+	sess.srv.dropSession(sess)
+	_ = sess.sendError(code, msg)
 }
 
 // readFrame reads the next client frame. While the session is idle the
@@ -178,7 +190,7 @@ func (sess *session) readOneFrame() (uint8, []byte, error) {
 func (sess *session) isBusy() bool {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	return sess.busy
+	return sess.inflight != nil
 }
 
 func (sess *session) isClosed() bool {
@@ -258,53 +270,67 @@ func (sess *session) handleCloseStmt(payload []byte) bool {
 // disconnects interrupt it.
 func (sess *session) startQuery(run func(context.Context) (*gignite.Result, error)) bool {
 	sess.mu.Lock()
-	if sess.busy {
+	if sess.inflight != nil {
 		sess.mu.Unlock()
 		sess.protocolError("query pipelining is not supported")
 		return false
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	sess.busy = true
-	sess.cancel = cancel
-	done := make(chan struct{})
-	sess.queryDone = done
+	sess.inflight = cancel
 	sess.mu.Unlock()
 
 	sess.srv.m.queries.Inc()
+	sess.running.Add(1)
 	go func() {
-		defer close(done)
+		defer sess.running.Done()
 		defer cancel()
 		res, err := run(ctx)
 		if err != nil {
-			_ = sess.sendError(codeFor(err), err.Error())
-		} else if werr := sess.streamResult(res); werr != nil {
+			err = sess.finish(wire.FrameError, wire.EncodeError(codeFor(err), err.Error()))
+		} else if err = sess.streamRows(res); err != nil {
+			sess.endQuery() // no terminal frame will follow
+		} else {
+			err = sess.finish(wire.FrameDone, doneFrame(res))
+		}
+		if err != nil {
 			// The client went away mid-stream; the read loop will see the
 			// same condition and close the session.
-			sess.log("stream aborted: %v", werr)
+			sess.log("stream aborted: %v", err)
 			sess.closeConn()
 		}
-		sess.endQuery()
 	}()
 	return true
 }
 
-// endQuery returns the session to idle; under drain it closes the
-// connection now that the in-flight query has fully streamed.
-func (sess *session) endQuery() {
+// endQuery returns the session to idle and reports whether a drain is
+// waiting to close it.
+func (sess *session) endQuery() (drainNow bool) {
 	sess.mu.Lock()
-	sess.busy = false
-	sess.cancel = nil
-	sess.queryDone = nil
+	defer sess.mu.Unlock()
+	sess.inflight = nil
 	sess.queries++
-	drainNow := sess.draining
-	sess.mu.Unlock()
+	return sess.draining
+}
+
+// finish writes a request's terminal frame (Done or Error) and returns
+// the session to idle as one step under the write lock: a client that
+// sends its next request the instant it reads the terminal frame finds
+// the session idle, and whatever that request writes lands after the
+// frame. Under drain the connection closes once the frame is out.
+func (sess *session) finish(typ uint8, payload []byte) error {
+	sess.wmu.Lock()
+	drainNow := sess.endQuery()
+	err := sess.writeFrameLocked(typ, payload)
+	sess.wmu.Unlock()
 	if drainNow {
 		sess.closeConn()
 	}
+	return err
 }
 
-// streamResult writes RowHeader, row batches and Done for one result.
-func (sess *session) streamResult(res *gignite.Result) error {
+// streamRows writes one result's RowHeader and row batches; the Done
+// frame that ends the stream goes out through finish.
+func (sess *session) streamRows(res *gignite.Result) error {
 	var enc wire.Encoder
 	enc.U16(uint16(len(res.Columns)))
 	for _, c := range res.Columns {
@@ -328,7 +354,12 @@ func (sess *session) streamResult(res *gignite.Result) error {
 			return err
 		}
 	}
-	enc.Reset()
+	return nil
+}
+
+// doneFrame encodes a result's Done payload.
+func doneFrame(res *gignite.Result) []byte {
+	var enc wire.Encoder
 	enc.U64(uint64(len(res.Rows)))
 	enc.I64(int64(res.Modeled))
 	var flags uint8
@@ -336,13 +367,13 @@ func (sess *session) streamResult(res *gignite.Result) error {
 		flags |= wire.FlagPlanningSkipped
 	}
 	enc.U8(flags)
-	return sess.writeFrame(wire.FrameDone, enc.Bytes())
+	return enc.Bytes()
 }
 
 // cancelInflight cancels the in-flight query, if any.
 func (sess *session) cancelInflight() {
 	sess.mu.Lock()
-	cancel := sess.cancel
+	cancel := sess.inflight
 	sess.mu.Unlock()
 	if cancel != nil {
 		cancel()
@@ -350,13 +381,16 @@ func (sess *session) cancelInflight() {
 }
 
 // drain puts the session into drain mode: an idle session closes
-// immediately; a busy one closes right after its in-flight query
-// finishes streaming (endQuery).
+// immediately; a busy one closes right after its in-flight query's
+// terminal frame (finish). The write lock orders the two: a terminal
+// frame being written is never cut off by the close.
 func (sess *session) drain() {
+	sess.wmu.Lock()
 	sess.mu.Lock()
 	sess.draining = true
-	busy := sess.busy
+	busy := sess.inflight != nil
 	sess.mu.Unlock()
+	sess.wmu.Unlock()
 	if !busy {
 		sess.closeConn()
 	}
@@ -384,17 +418,11 @@ func (sess *session) closeConn() {
 // then the connection closes.
 func (sess *session) cleanup() {
 	sess.cancelInflight()
+	sess.running.Wait()
+	sess.closeConn()
 	sess.mu.Lock()
-	done := sess.queryDone
 	n := sess.queries
 	sess.mu.Unlock()
-	if done != nil {
-		<-done
-		sess.mu.Lock()
-		n = sess.queries
-		sess.mu.Unlock()
-	}
-	sess.closeConn()
 	sess.log("session closed after %d queries", n)
 }
 
@@ -403,6 +431,10 @@ func (sess *session) cleanup() {
 func (sess *session) writeFrame(typ uint8, payload []byte) error {
 	sess.wmu.Lock()
 	defer sess.wmu.Unlock()
+	return sess.writeFrameLocked(typ, payload)
+}
+
+func (sess *session) writeFrameLocked(typ uint8, payload []byte) error {
 	if d := sess.srv.cfg.WriteTimeout; d > 0 {
 		_ = sess.conn.SetWriteDeadline(time.Now().Add(d))
 	}

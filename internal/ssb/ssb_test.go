@@ -95,7 +95,7 @@ func canonical(rows []gignite.Row) []string {
 // paper-excluded flights — this reproduction's planner handles them) on
 // IC+M/4 sites and cross-checks against the reference interpreter.
 func TestAllSSBQueriesMatchReference(t *testing.T) {
-	e := gignite.New(gignite.ICPlusM(4))
+	e := gignite.Open(gignite.WithPreset(gignite.ICPlusM, 4))
 	if err := Setup(e, testSF); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAllSSBQueriesMatchReference(t *testing.T) {
 func TestSSBBaselineRunsIncludedFlights(t *testing.T) {
 	cfg := gignite.IC(4)
 	cfg.ExecWorkLimit = 5e10 * testSF
-	e := gignite.New(cfg)
+	e := gignite.Open(gignite.WithConfig(cfg))
 	if err := Setup(e, testSF); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestRandomSSBQueryDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads SSB")
 	}
-	e := gignite.New(gignite.ICPlusM(4))
+	e := gignite.Open(gignite.WithPreset(gignite.ICPlusM, 4))
 	if err := Setup(e, testSF); err != nil {
 		t.Fatal(err)
 	}

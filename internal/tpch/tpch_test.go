@@ -15,7 +15,7 @@ const testSF = 0.002
 
 func setupEngine(t *testing.T, cfg gignite.Config) *gignite.Engine {
 	t.Helper()
-	e := gignite.New(cfg)
+	e := gignite.Open(gignite.WithConfig(cfg))
 	if err := Setup(e, testSF); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestQ15FailsWithViews(t *testing.T) {
 func TestBaselineFailureMatrix(t *testing.T) {
 	cfg := gignite.IC(4)
 	cfg.ExecWorkLimit = icWorkLimit
-	e := gignite.New(cfg)
+	e := gignite.Open(gignite.WithConfig(cfg))
 	if err := Setup(e, testSF); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestBaselineFailureMatrix(t *testing.T) {
 func TestICPlusRunsAllBaselineFailures(t *testing.T) {
 	cfg := gignite.ICPlus(4)
 	cfg.ExecWorkLimit = icWorkLimit
-	e := gignite.New(cfg)
+	e := gignite.Open(gignite.WithConfig(cfg))
 	if err := Setup(e, testSF); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestICPlusRunsAllBaselineFailures(t *testing.T) {
 func TestQ15WithExperimentalViews(t *testing.T) {
 	cfg := gignite.ICPlus(4)
 	cfg.ExperimentalViews = true
-	e := gignite.New(cfg)
+	e := gignite.Open(gignite.WithConfig(cfg))
 	if err := Setup(e, testSF); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ ORDER BY s_suppkey`
 		t.Error("duplicate view accepted")
 	}
 	// Default configurations still reject views (paper fidelity).
-	plain := gignite.New(gignite.ICPlus(2))
+	plain := gignite.Open(gignite.WithPreset(gignite.ICPlus, 2))
 	if _, err := plain.Exec(`CREATE VIEW v AS SELECT 1`); err == nil {
 		t.Error("views accepted without the extension flag")
 	}

@@ -36,6 +36,17 @@ func (r Row) Hash(cols []int) uint64 {
 	return h
 }
 
+// HasNull reports whether any value at the given column offsets is NULL
+// (an equi-join key with a NULL never matches).
+func (r Row) HasNull(cols []int) bool {
+	for _, c := range cols {
+		if r[c].IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
 // Width returns the modeled byte width of the row.
 func (r Row) Width() int64 {
 	var w int64

@@ -32,7 +32,7 @@ func openObsEngine(t *testing.T, parallelism, backups int, spec string) *gignite
 	cfg.ExecParallelism = parallelism
 	cfg.Backups = backups
 	cfg.Faults = plan
-	e := gignite.New(cfg)
+	e := gignite.Open(gignite.WithConfig(cfg))
 	if err := tpch.Setup(e, obsSF); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSlowQueryLog(t *testing.T) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 		mu.Unlock()
 	}
-	e := gignite.New(cfg)
+	e := gignite.Open(gignite.WithConfig(cfg))
 	if err := tpch.Setup(e, obsSF); err != nil {
 		t.Fatal(err)
 	}

@@ -9,29 +9,6 @@ import "time"
 // "keep the previous value".
 type Option func(*Config)
 
-// Open composes an engine from functional options — the v1 public API.
-//
-// The base configuration is ICPlus(1): the paper's improved planner and
-// execution engine (§4, §5.1, §5.2) on a single site. Pass WithPreset
-// (or WithConfig) first to start from a different system variant:
-//
-//	e := gignite.Open(
-//	        gignite.WithPreset(gignite.ICPlusM, 4),
-//	        gignite.WithPlanCache(64),
-//	        gignite.WithAdaptive(gignite.AdaptiveOptions{}),
-//	)
-//
-// The flat-Config constructor New remains for existing callers.
-func Open(opts ...Option) *Engine {
-	cfg := ICPlus(1)
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&cfg)
-		}
-	}
-	return New(cfg)
-}
-
 // WithConfig replaces the entire configuration with cfg. Use it as the
 // first option to layer further options over a hand-built Config (for
 // example one produced by a harness).

@@ -23,7 +23,7 @@ func openParallelTestEngine(t testing.TB, sys harness.System, parallelism int) *
 	t.Helper()
 	cfg := harness.ConfigFor(sys, 4, parallelTestSF)
 	cfg.ExecParallelism = parallelism
-	e := gignite.New(cfg)
+	e := gignite.Open(gignite.WithConfig(cfg))
 	if err := tpch.Setup(e, parallelTestSF); err != nil {
 		t.Fatal(err)
 	}
