@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-cpu vet bench bench-build chaos overload plancache adaptive benchgate benchgate-update serve fuzz-smoke ci
+.PHONY: build test race race-cpu vet bench bench-build bench-exec chaos overload plancache adaptive benchgate benchgate-update serve fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,12 @@ race-cpu:
 # skips it; vet and test it against the engine in this checkout.
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The executor microbenchmarks (pipeline shapes, hash join, hash
+# aggregate, sender routing), one iteration each: CI runs them so they
+# keep compiling and running; measure with a larger -benchtime.
+bench-exec:
+	$(GO) test -run '^$$' -bench 'Pipeline|HashJoin|HashAggregate|SendRows' -benchmem -benchtime 1x ./internal/exec .
 
 # The paper-artifact benchmarks (figures/tables) plus the operator and
 # scheduler microbenchmarks. GIGNITE_PARBENCH_SF overrides the
@@ -93,4 +99,4 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) . || exit 1; \
 	done
 
-ci: vet race race-cpu bench-build
+ci: vet race race-cpu bench-build bench-exec

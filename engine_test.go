@@ -3,11 +3,10 @@ package gignite
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
-	"gignite/internal/types"
+	"gignite/internal/empdb"
 )
 
 // setupEmployees builds a small schema with deterministic data on an
@@ -15,44 +14,13 @@ import (
 func setupEmployees(t *testing.T, cfg Config) *Engine {
 	t.Helper()
 	e := Open(WithConfig(cfg))
-	mustExec(t, e, `CREATE TABLE dept (dept_id BIGINT PRIMARY KEY, dname VARCHAR(20))`)
-	mustExec(t, e, `CREATE TABLE emp (
-		id BIGINT PRIMARY KEY, name VARCHAR(30), dept_id BIGINT,
-		salary DOUBLE, hired DATE)`)
-	mustExec(t, e, `CREATE TABLE sales (
-		sale_id BIGINT PRIMARY KEY, emp_id BIGINT, amount DOUBLE, sold DATE)`)
-
-	depts := []Row{}
-	for i := 0; i < 4; i++ {
-		depts = append(depts, Row{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("dept%d", i))})
+	for _, ddl := range empdb.DDL {
+		mustExec(t, e, ddl)
 	}
-	if err := e.LoadTable("dept", depts); err != nil {
-		t.Fatal(err)
-	}
-	emps := []Row{}
-	for i := 0; i < 100; i++ {
-		emps = append(emps, Row{
-			types.NewInt(int64(i)),
-			types.NewString(fmt.Sprintf("emp%03d", i)),
-			types.NewInt(int64(i % 4)),
-			types.NewFloat(1000 + float64(i)*10),
-			types.DateFromYMD(1990+i%10, 1+i%12, 1+i%28),
-		})
-	}
-	if err := e.LoadTable("emp", emps); err != nil {
-		t.Fatal(err)
-	}
-	sales := []Row{}
-	for i := 0; i < 500; i++ {
-		sales = append(sales, Row{
-			types.NewInt(int64(i)),
-			types.NewInt(int64(i % 100)),
-			types.NewFloat(float64(i%97) * 3.5),
-			types.DateFromYMD(1995+i%5, 1+i%12, 1+i%28),
-		})
-	}
-	if err := e.LoadTable("sales", sales); err != nil {
-		t.Fatal(err)
+	for _, tbl := range empdb.Tables() {
+		if err := e.LoadTable(tbl.Name, tbl.Rows); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := e.Analyze(); err != nil {
 		t.Fatal(err)
@@ -70,22 +38,7 @@ func mustExec(t *testing.T, e *Engine, q string) *Result {
 }
 
 // canonical renders a result set order-insensitively for comparison.
-func canonical(rows []Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		parts := make([]string, len(r))
-		for j, v := range r {
-			if v.K == types.KindFloat {
-				parts[j] = fmt.Sprintf("%.4f", v.F)
-			} else {
-				parts[j] = v.String()
-			}
-		}
-		out[i] = strings.Join(parts, "|")
-	}
-	sort.Strings(out)
-	return out
-}
+func canonical(rows []Row) []string { return empdb.Canonical(rows) }
 
 func sameRows(t *testing.T, q string, a, b []Row) {
 	t.Helper()

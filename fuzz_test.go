@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gignite/internal/empdb"
 	"gignite/internal/plancache"
 	"gignite/internal/sql"
 )
@@ -19,10 +20,10 @@ func TestRandomQueryDifferential(t *testing.T) {
 	ref := setupEmployees(t, IC(1))
 	icpm := setupEmployees(t, ICPlusM(4))
 
-	gen := &queryGen{state: 0xD1FF}
+	gen := empdb.NewGen(0xD1FF)
 	const queries = 120
 	for i := 0; i < queries; i++ {
-		q := gen.query()
+		q := gen.Query()
 		want, err := ref.Query(q)
 		if err != nil {
 			t.Fatalf("query %d on IC/1: %v\n%s", i, err, q)
@@ -38,113 +39,6 @@ func TestRandomQueryDifferential(t *testing.T) {
 		}
 		sameRows(t, fmt.Sprintf("fuzz %d (vs ref): %s", i, q), got.Rows, refRows)
 	}
-}
-
-// queryGen builds random but always-valid SQL over the emp/sales/dept
-// schema.
-type queryGen struct {
-	state uint64
-}
-
-func (g *queryGen) next() uint64 {
-	g.state = g.state*6364136223846793005 + 1442695040888963407
-	return g.state >> 33
-}
-
-func (g *queryGen) pick(options ...string) string {
-	return options[g.next()%uint64(len(options))]
-}
-
-func (g *queryGen) intn(n int) int { return int(g.next() % uint64(n)) }
-
-func (g *queryGen) query() string {
-	switch g.intn(5) {
-	case 0:
-		return g.simpleSelect()
-	case 1:
-		return g.joinSelect()
-	case 2:
-		return g.aggSelect()
-	case 3:
-		return g.subquerySelect()
-	default:
-		return g.joinAggSelect()
-	}
-}
-
-// empPred generates a predicate over emp columns; q prefixes column names
-// (with a trailing dot) so multi-table queries stay unambiguous.
-func (g *queryGen) empPredQ(q string) string {
-	switch g.intn(6) {
-	case 0:
-		return fmt.Sprintf("%ssalary %s %d", q, g.pick("<", ">", "<=", ">="), 900+g.intn(1200))
-	case 1:
-		return fmt.Sprintf("%sdept_id = %d", q, g.intn(4))
-	case 2:
-		return fmt.Sprintf("%sid BETWEEN %d AND %d", q, g.intn(40), 40+g.intn(60))
-	case 3:
-		return fmt.Sprintf("%sname LIKE 'emp0%d%%'", q, g.intn(10))
-	case 4:
-		return fmt.Sprintf("%sdept_id IN (%d, %d)", q, g.intn(4), g.intn(4))
-	default:
-		return fmt.Sprintf("%shired >= DATE '199%d-01-01'", q, g.intn(9))
-	}
-}
-
-func (g *queryGen) empPred() string { return g.empPredQ("") }
-
-func (g *queryGen) simpleSelect() string {
-	cols := g.pick("id, name", "name, salary", "id, dept_id, salary", "*")
-	q := fmt.Sprintf("SELECT %s FROM emp WHERE %s AND %s", cols, g.empPred(), g.empPred())
-	if g.intn(2) == 0 {
-		q += " ORDER BY id"
-		if g.intn(2) == 0 {
-			q += fmt.Sprintf(" LIMIT %d", 1+g.intn(20))
-		}
-	}
-	return q
-}
-
-func (g *queryGen) joinSelect() string {
-	pred := g.empPredQ("e.")
-	amount := 50 + g.intn(250)
-	return fmt.Sprintf(`SELECT e.name, s.amount FROM emp e, sales s
-		WHERE e.id = s.emp_id AND %s AND s.amount > %d ORDER BY e.name, s.amount`,
-		pred, amount)
-}
-
-func (g *queryGen) aggSelect() string {
-	agg := g.pick("COUNT(*)", "SUM(salary)", "AVG(salary)", "MIN(id)", "MAX(salary)",
-		"COUNT(DISTINCT dept_id)")
-	if g.intn(2) == 0 {
-		return fmt.Sprintf("SELECT %s FROM emp WHERE %s", agg, g.empPred())
-	}
-	return fmt.Sprintf(`SELECT dept_id, %s FROM emp WHERE %s GROUP BY dept_id
-		HAVING COUNT(*) > %d ORDER BY dept_id`, agg, g.empPred(), g.intn(4))
-}
-
-func (g *queryGen) subquerySelect() string {
-	switch g.intn(3) {
-	case 0:
-		return fmt.Sprintf(`SELECT name FROM emp WHERE id IN
-			(SELECT emp_id FROM sales WHERE amount > %d) AND %s ORDER BY name`,
-			g.intn(300), g.empPred())
-	case 1:
-		return fmt.Sprintf(`SELECT name FROM emp e WHERE EXISTS
-			(SELECT 1 FROM sales s WHERE s.emp_id = e.id AND s.amount > %d)
-			AND %s ORDER BY name`, g.intn(300), g.empPred())
-	default:
-		return fmt.Sprintf(`SELECT name FROM emp WHERE salary > (SELECT AVG(salary)
-			FROM emp WHERE %s) ORDER BY name`, g.empPred())
-	}
-}
-
-func (g *queryGen) joinAggSelect() string {
-	return fmt.Sprintf(`SELECT d.dname, COUNT(*) AS n, SUM(s.amount) AS rev
-		FROM emp e, dept d, sales s
-		WHERE e.dept_id = d.dept_id AND s.emp_id = e.id AND %s
-		GROUP BY d.dname ORDER BY n DESC, d.dname LIMIT %d`,
-		g.empPredQ("e."), 1+g.intn(5))
 }
 
 // FuzzParseSQL: the SQL lexer and parser must reject arbitrary input

@@ -1,15 +1,23 @@
 // Package exec implements the runtime operators: it executes one fragment
 // instance (fragment × site × variant) over the partitioned store,
-// exchanging rows with other fragments through a Transport. Execution is
-// materialized (each operator consumes its inputs fully), which matches
-// the blocking operators that dominate the workloads (hash builds, sorts,
-// aggregations); pipelining effects on wall-clock time are captured by the
-// simnet cost clock instead.
+// exchanging rows with other fragments through a Transport.
+//
+// Execution inside a fragment is pipelined (pipeline.go): rows flow in
+// batches of at most batchSize from a source (table or index scan,
+// Values, Receiver, a pre-built subtree) through the streaming operators
+// — splitter, runtime filters, Filter, Project, Limit and the probe side
+// of every join — which write into per-operator scratch buffers reused
+// for the next batch. Only the pipeline breakers keep rows: a join's
+// build (or collected) side, Sort, the aggregates' group state, the
+// Sender, a merging Receiver and the fragment's result. A row that dies
+// in a downstream filter or probe is never allocated. The modeled cost
+// clock is independent of all this: every operator charges the same work
+// and memory estimates it would under full materialization, per batch.
 //
 // The three join algorithms (operators.go) differ only in how they find a
-// left row's candidate right rows — every right row, a hash bucket, a
+// left row's candidate right rows — every right row, a hash chain, a
 // sorted run; matching the candidates and emitting per join type is one
-// shared joinEmitter. There is one hash join, parameterised by build side
+// shared joinOp. There is one hash join, parameterised by build side
 // (physical.Join.BuildLeft), with order-identical output either way.
 package exec
 
@@ -17,10 +25,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"gignite/internal/cost"
 	"gignite/internal/faults"
@@ -239,9 +245,9 @@ type Context struct {
 	// It reproduces the paper's four-hour runtime limit: the IC baseline's
 	// nested-loop chains hit it on TPC-H Q17/Q19/Q21.
 	WorkLimit float64
-	// RowLimit bounds rows materialized by join emission (0 = unlimited);
-	// it keeps runaway cross products from exhausting host memory before
-	// the work limit trips.
+	// RowLimit bounds the rows the instance's joins emit (0 = unlimited);
+	// it keeps runaway cross products from exhausting host memory in a
+	// downstream breaker before the work limit trips.
 	RowLimit    int64
 	rowsEmitted int64
 	// rowCounter implements the splitter's read counter per source.
@@ -268,17 +274,13 @@ type Context struct {
 	// nil disables instrumentation (microbenchmarks, operator unit tests).
 	OpIDs map[physical.Node]int
 	Obs   *obs.InstanceObs
-	// opStack tracks the operator frames currently executing, so work()
-	// attributes modeled work to the operator that charged it (self work,
-	// children excluded).
-	opStack []int
 
 	// --- runtime join filters (DESIGN.md §13) ---
 
 	// Prebuilt maps a hash join's build-side root to the rows the filter
-	// pre-pass already computed at this instance's logical site; runNode
-	// returns them instead of re-executing the subtree (work and operator
-	// stats for the build were recorded by the pre-pass instance).
+	// pre-pass already computed at this instance's logical site; they are
+	// served instead of re-executing the subtree (work and operator stats
+	// for the build were recorded by the pre-pass instance).
 	Prebuilt map[physical.Node][]types.Row
 	// NodeFilters maps producer-fragment operators to the runtime filters
 	// applied at their output (scan-level pushdown, union filter).
@@ -347,26 +349,6 @@ func filterTestRow(f *joinfilter.Filter, cols []int, r types.Row) bool {
 	return f.Test(r.Hash(cols))
 }
 
-// applyNodeFilters drops rows failing any of the node's runtime filters,
-// charging test work and recording pruned counts inside the node's open
-// operator frame.
-func (c *Context) applyNodeFilters(n physical.Node, afs []*AppliedFilter, rows []types.Row) []types.Row {
-	for _, af := range afs {
-		c.work(float64(len(rows)) * cost.BFTC)
-		kept := make([]types.Row, 0, len(rows))
-		for _, r := range rows {
-			if filterTestRow(af.Filter, af.Cols, r) {
-				kept = append(kept, r)
-			}
-		}
-		pruned := int64(len(rows) - len(kept))
-		c.countFilter(af.ID, int64(len(rows)), pruned)
-		c.opstat(n).addPruned(pruned)
-		rows = kept
-	}
-	return rows
-}
-
 // ErrWorkLimit reports an execution exceeding its work limit.
 var ErrWorkLimit = errors.New("exec: work limit exceeded")
 
@@ -374,14 +356,14 @@ var ErrWorkLimit = errors.New("exec: work limit exceeded")
 // instance's site memory pool and the query's lease, recording the
 // operator's memory high-water mark. A failed reservation names the
 // operator; the caller aborts the instance (site-pool failures fail over,
-// lease failures abort the query).
+// lease failures abort the query). The charges are estimates in the same
+// sense as the cost clock: an operator charges what full materialization
+// of its state would hold, whether or not the pipeline keeps it.
 func (c *Context) ReserveMem(n physical.Node, bytes int64) error {
 	if bytes <= 0 {
 		return nil
 	}
-	if st := c.opstat(n); st != nil {
-		st.addMem(bytes)
-	}
+	c.opstat(n).addMem(bytes)
 	c.memLocal += bytes
 	if c.SiteMemBytes > 0 && c.memLocal > c.SiteMemBytes {
 		return fmt.Errorf("exec: %s: site %d memory pool (%d bytes) exhausted: %w",
@@ -405,59 +387,30 @@ func (c *Context) ChargedMem() int64 { return c.memCharged }
 // from the modeled width of a small sample. It is a pure function of the
 // rows, so memory charges are identical at every worker count.
 func estRowBytes(rows []types.Row) int64 {
-	if len(rows) == 0 {
+	return estBytes(rows[:min(len(rows), estSample)], len(rows))
+}
+
+// estSample is how many leading rows a footprint estimate samples.
+const estSample = 16
+
+// estBytes scales the mean modeled width of sample to total rows.
+func estBytes(sample []types.Row, total int) int64 {
+	if len(sample) == 0 {
 		return 0
 	}
-	sample := len(rows)
-	if sample > 16 {
-		sample = 16
-	}
 	var w int64
-	for _, r := range rows[:sample] {
+	for _, r := range sample {
 		w += r.Width()
 	}
-	return w / int64(sample) * int64(len(rows))
+	return w / int64(len(sample)) * int64(total)
 }
 
-func (c *Context) work(units float64) {
+// work charges modeled work units to the instance and, when the operator
+// is tracked, to its recorder slot (self work, children excluded).
+func (c *Context) work(st *OpStatsRef, units float64) {
 	c.CPUWork += units
-	if c.Obs != nil && len(c.opStack) > 0 {
-		c.Obs.Ops[c.opStack[len(c.opStack)-1]].Work += units
-	}
-}
-
-// opFrame is one open operator instrumentation frame; id < 0 means the
-// operator is untracked and the frame is a no-op.
-type opFrame struct {
-	id    int
-	start time.Time
-}
-
-// openOp starts an operator's instrumentation frame.
-func (c *Context) openOp(n physical.Node) opFrame {
-	if c.Obs == nil {
-		return opFrame{id: -1}
-	}
-	id, ok := c.OpIDs[n]
-	if !ok {
-		return opFrame{id: -1}
-	}
-	c.opStack = append(c.opStack, id)
-	return opFrame{id: id, start: time.Now()}
-}
-
-// closeOp finishes a frame, recording output rows, the materialization
-// high-water mark and inclusive wall time.
-func (c *Context) closeOp(f opFrame, rows []types.Row) {
-	if f.id < 0 {
-		return
-	}
-	c.opStack = c.opStack[:len(c.opStack)-1]
-	op := &c.Obs.Ops[f.id]
-	op.RowsOut += int64(len(rows))
-	op.WallNanos += time.Since(f.start).Nanoseconds()
-	if n := int64(len(rows)); n > op.PeakRows {
-		op.PeakRows = n
+	if st != nil {
+		st.Work += units
 	}
 }
 
@@ -473,36 +426,48 @@ func (c *Context) opstat(n physical.Node) *OpStatsRef {
 	return (*OpStatsRef)(&c.Obs.Ops[id])
 }
 
-// OpStatsRef aliases an operator's recorder slot for the few operators
-// that record extra detail (receiver batches, hash build sizes, scan
-// input rows).
+// OpStatsRef aliases an operator's recorder slot; its methods accept a
+// nil receiver, so untracked operators record nothing.
 type OpStatsRef obs.OpStats
 
-func (o *OpStatsRef) addIn(n int64) {
+func (o *OpStatsRef) addIn(n int) {
 	if o != nil {
-		o.RowsIn += n
+		o.RowsIn += int64(n)
 	}
 }
 
-func (o *OpStatsRef) addBatches(n int64) {
+func (o *OpStatsRef) addBatches(n int) {
 	if o != nil {
-		o.Batches += n
+		o.Batches += int64(n)
 	}
 }
 
-func (o *OpStatsRef) addBuild(n int64) {
-	if o == nil {
-		return
-	}
-	o.BuildRows += n
-	if n > o.PeakRows {
-		o.PeakRows = n
+// addOut records one emitted batch.
+func (o *OpStatsRef) addOut(n int) {
+	if o != nil {
+		o.RowsOut += int64(n)
+		o.held(n)
 	}
 }
 
-func (o *OpStatsRef) addPruned(n int64) {
+// held records that the operator held n rows at once (an emitted batch,
+// a build table, a sort buffer).
+func (o *OpStatsRef) held(n int) {
+	if o != nil && int64(n) > o.PeakRows {
+		o.PeakRows = int64(n)
+	}
+}
+
+func (o *OpStatsRef) addBuild(n int) {
 	if o != nil {
-		o.RowsPruned += n
+		o.BuildRows += int64(n)
+		o.held(n)
+	}
+}
+
+func (o *OpStatsRef) addPruned(n int) {
+	if o != nil {
+		o.RowsPruned += int64(n)
 	}
 }
 
@@ -517,9 +482,9 @@ func (c *Context) overLimit() bool {
 	return c.WorkLimit > 0 && c.CPUWork > c.WorkLimit
 }
 
-// cancelled returns the query's cancellation error, if any. Operators
-// call it at row-batch boundaries so deadlines and Ctrl-C stop in-flight
-// instances promptly.
+// cancelled returns the query's cancellation error, if any. Sources and
+// breakers call it once per emitted batch, so deadlines and Ctrl-C stop
+// in-flight instances promptly.
 func (c *Context) cancelled() error {
 	if c.Ctx == nil {
 		return nil
@@ -527,37 +492,17 @@ func (c *Context) cancelled() error {
 	return c.Ctx.Err()
 }
 
-// sourceRows applies the §5.3.2 splitter: pass tuple when
-// counter % n == variant. Duplicators pass everything. The whole
-// partition is still read (and charged), matching the paper's note that
-// every variant reads the full partition.
-func (c *Context) sourceRows(n physical.Node, rows []types.Row) []types.Row {
-	if c.NVariants <= 1 || c.Modes == nil {
-		return rows
-	}
-	mode, ok := c.Modes[n]
-	if !ok || mode == fragment.DuplicateMode {
-		return rows
-	}
-	if c.rowCounters == nil {
-		c.rowCounters = make(map[physical.Node]int64)
-	}
-	out := make([]types.Row, 0, len(rows)/c.NVariants+1)
-	ctr := c.rowCounters[n]
-	for _, r := range rows {
-		if int(ctr%int64(c.NVariants)) == c.Variant {
-			out = append(out, r)
-		}
-		ctr++
-	}
-	c.rowCounters[n] = ctr
-	return out
-}
-
 // Run executes a fragment instance rooted at n and returns its output
-// rows. Sender roots route their rows into the transport and return nil.
+// rows, which the caller may keep. Sender roots route their rows into the
+// transport and return nil.
 func Run(n physical.Node, ctx *Context) ([]types.Row, error) {
-	rows, err := runInstance(n, ctx)
+	var res rowBuffer
+	var err error
+	if s, ok := n.(*physical.Sender); ok {
+		err = ctx.runSender(s)
+	} else {
+		err = ctx.run(n, &res)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -566,187 +511,35 @@ func Run(n physical.Node, ctx *Context) ([]types.Row, error) {
 	if ctx.overLimit() {
 		return nil, ErrWorkLimit
 	}
-	return rows, nil
+	return res.rows, nil
 }
 
-func runInstance(n physical.Node, ctx *Context) ([]types.Row, error) {
-	switch t := n.(type) {
-	case *physical.Sender:
-		f := ctx.openOp(t)
-		rows, err := runNode(t.Inputs()[0], ctx)
-		if err != nil {
-			ctx.closeOp(f, nil)
-			return nil, err
-		}
-		ctx.opstat(t).addIn(int64(len(rows)))
-		err = sendRows(t, rows, ctx)
-		ctx.closeOp(f, rows)
-		return nil, err
-	default:
-		return runNode(n, ctx)
+// runSender drives a fragment whose root is a Sender. The Sender is a
+// breaker: each destination gets exactly one batch per instance (the
+// fault plan and the receivers' batch counts depend on it), so it keeps
+// its whole input and routes it once the input is exhausted.
+func (c *Context) runSender(s *physical.Sender) error {
+	var snd senderOp
+	c.open(&snd.op, s, nil)
+	defer snd.close()
+	if err := c.run(s.Inputs()[0], &snd); err != nil {
+		return err
 	}
+	rows := snd.buf.rows
+	snd.st.addIn(len(rows))
+	snd.st.addOut(len(rows))
+	return sendRows(s, rows, c)
 }
 
-// runNode executes one operator subtree, wrapping the dispatch in the
-// observability frame: output rows, wall time and self modeled work are
-// recorded per operator (see Context.openOp).
-func runNode(n physical.Node, ctx *Context) ([]types.Row, error) {
-	// A subtree the runtime-filter pre-pass already executed at this
-	// logical site is served from the cache: its work and operator stats
-	// were charged by the pre-pass instance, so re-recording them here
-	// would double-count.
-	if ctx.Prebuilt != nil {
-		if rows, ok := ctx.Prebuilt[n]; ok {
-			return rows, nil
-		}
-	}
-	f := ctx.openOp(n)
-	rows, err := execNode(n, ctx)
-	if err == nil && ctx.NodeFilters != nil {
-		if afs, ok := ctx.NodeFilters[n]; ok {
-			rows = ctx.applyNodeFilters(n, afs, rows)
-		}
-	}
-	ctx.closeOp(f, rows)
-	return rows, err
+// senderOp buffers a Sender's input.
+type senderOp struct {
+	op
+	buf rowBuffer
 }
 
-func execNode(n physical.Node, ctx *Context) ([]types.Row, error) {
-	if ctx.overLimit() {
-		return nil, ErrWorkLimit
-	}
-	if err := ctx.cancelled(); err != nil {
-		return nil, err
-	}
-	switch t := n.(type) {
-	case *physical.TableScan:
-		rows, err := ctx.Store.PartitionAt(t.Table.Name, ctx.Site, ctx.Host)
-		if err != nil {
-			return nil, err
-		}
-		ctx.opstat(n).addIn(int64(len(rows)))
-		ctx.work(float64(len(rows)) * cost.RPTC)
-		return ctx.sourceRows(n, rows), nil
-
-	case *physical.IndexScan:
-		rows, err := ctx.Store.IndexScanAt(t.Table.Name, t.Index.Name, ctx.Site, ctx.Host, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		ctx.opstat(n).addIn(int64(len(rows)))
-		ctx.work(float64(len(rows)) * cost.RPTC * 1.2)
-		return ctx.sourceRows(n, rows), nil
-
-	case *physical.Values:
-		return t.Rows, nil
-
-	case *physical.Receiver:
-		return runReceiver(t, ctx)
-
-	case *physical.Filter:
-		in, err := runNode(t.Inputs()[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		ctx.opstat(n).addIn(int64(len(in)))
-		ctx.work(float64(len(in)) * (cost.RPTC + cost.RCC))
-		out := make([]types.Row, 0, len(in))
-		for _, r := range in {
-			v := t.Cond.Eval(r)
-			if v.K == types.KindBool && v.Bool() {
-				out = append(out, r)
-			}
-		}
-		return out, nil
-
-	case *physical.Project:
-		in, err := runNode(t.Inputs()[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		ctx.opstat(n).addIn(int64(len(in)))
-		ctx.work(float64(len(in)) * cost.RPTC * float64(len(t.Exprs)))
-		out := make([]types.Row, len(in))
-		for i, r := range in {
-			if i%4096 == 4095 {
-				if err := ctx.cancelled(); err != nil {
-					return nil, err
-				}
-			}
-			row := make(types.Row, len(t.Exprs))
-			for j, e := range t.Exprs {
-				row[j] = e.Eval(r)
-			}
-			out[i] = row
-		}
-		return out, nil
-
-	case *physical.Sort:
-		in, err := runNode(t.Inputs()[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		ctx.opstat(n).addIn(int64(len(in)))
-		// The sort materializes a full copy of its input.
-		if err := ctx.ReserveMem(n, estRowBytes(in)); err != nil {
-			return nil, err
-		}
-		n := float64(len(in))
-		if n > 1 {
-			ctx.work(n * cost.RPTC)
-			ctx.work(n * math.Log2(n) * cost.RCC)
-		}
-		out := make([]types.Row, len(in))
-		copy(out, in)
-		if err := sortRowsCancellable(out, t.Keys, ctx); err != nil {
-			return nil, err
-		}
-		return out, nil
-
-	case *physical.Limit:
-		in, err := runNode(t.Inputs()[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		ctx.opstat(n).addIn(int64(len(in)))
-		if int64(len(in)) > t.N {
-			in = in[:t.N]
-		}
-		ctx.work(float64(len(in)) * cost.RPTC)
-		return in, nil
-
-	case *physical.HashAggregate:
-		in, err := runNode(t.Inputs()[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		ctx.opstat(n).addIn(int64(len(in)))
-		return runHashAggregate(t, t.GroupBy, t.Aggs, in, ctx)
-
-	case *physical.SortAggregate:
-		in, err := runNode(t.Inputs()[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		ctx.opstat(n).addIn(int64(len(in)))
-		return runSortAggregate(t, t.GroupBy, t.Aggs, in, ctx)
-
-	case *physical.Join:
-		left, err := runNode(t.Inputs()[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		right, err := runNode(t.Inputs()[1], ctx)
-		if err != nil {
-			return nil, err
-		}
-		ctx.opstat(n).addIn(int64(len(left) + len(right)))
-		return runJoin(t, left, right, ctx)
-
-	default:
-		return nil, fmt.Errorf("exec: no runtime for %T", n)
-	}
-}
+func (s *senderOp) push(rows []types.Row, stable bool) error { return s.buf.push(rows, stable) }
+func (s *senderOp) expect(n int)                             { s.buf.expect(n) }
+func (s *senderOp) keepsRows()                               {}
 
 // sendRows routes a sender's output per its target distribution. Batches
 // carry the instance's logical coordinates (Site, not Host), so a
@@ -755,6 +548,7 @@ func execNode(n physical.Node, ctx *Context) ([]types.Row, error) {
 // byte-identical.
 func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 	sites := ctx.Store.Sites()
+	st := ctx.opstat(s)
 	mk := func(rs []types.Row) *Batch {
 		var bytes int64
 		for _, r := range rs {
@@ -770,13 +564,13 @@ func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 	if ctx.SendFilters != nil {
 		sf = ctx.SendFilters[s.ExchangeID]
 	}
-	ctx.work(float64(len(rows)) * cost.RPTC)
+	ctx.work(st, float64(len(rows))*cost.RPTC)
 	ctx.sketchRows(s, rows)
 	switch s.Target.Type {
 	case physical.Single:
 		out := rows
 		if sf != nil {
-			out = ctx.filterToSite(s, sf, rows, 0)
+			out = ctx.filterToSite(st, sf, rows, 0)
 		}
 		return ctx.Transport.Send(s.ExchangeID, 0, mk(out))
 	case physical.Broadcast:
@@ -786,7 +580,7 @@ func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 				// Each destination's copy is pruned against that site's
 				// build filter independently: a broadcast row only needs to
 				// reach the sites whose build partition could match it.
-				out = ctx.filterToSite(s, sf, rows, site)
+				out = ctx.filterToSite(st, sf, rows, site)
 			}
 			if err := ctx.Transport.Send(s.ExchangeID, site, mk(out)); err != nil {
 				return err
@@ -799,9 +593,15 @@ func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 		// send path free of append-growth reallocations.
 		sc := ctx.Transport.getScratch(len(rows), sites)
 		defer ctx.Transport.putScratch(sc)
-		var pruned int64
+		// A keyless target routes on the whole row.
+		keys := s.Target.Keys
+		if len(keys) == 0 && len(rows) > 0 {
+			keys = allCols(len(rows[0]))
+		}
+		placed := len(s.Target.Keys) == 1
+		var pruned int
 		for i, r := range rows {
-			site := routeRow(r, s.Target.Keys, sites)
+			site := routeRow(r, keys, placed, sites)
 			if sf != nil {
 				if siteF := sf.PerSite[site]; !filterTestRow(siteF, sf.Cols, r) {
 					sc.routes[i] = -1
@@ -813,11 +613,11 @@ func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 			sc.counts[site]++
 		}
 		if sf != nil {
-			ctx.work(float64(len(rows)) * cost.BFTC)
-			ctx.countFilter(sf.ID, int64(len(rows)), pruned)
-			ctx.opstat(s).addPruned(pruned)
+			ctx.work(st, float64(len(rows))*cost.BFTC)
+			ctx.countFilter(sf.ID, int64(len(rows)), int64(pruned))
+			st.addPruned(pruned)
 		}
-		backing := make([]types.Row, len(rows)-int(pruned))
+		backing := make([]types.Row, len(rows)-pruned)
 		buckets := make([][]types.Row, sites)
 		off := 0
 		for site, n := range sc.counts {
@@ -874,34 +674,32 @@ func (c *Context) sketchRows(s *physical.Sender, rows []types.Row) {
 // filterToSite returns the rows passing one destination site's runtime
 // filter, charging test work and recording pruned counts against the
 // sender's operator slot.
-func (c *Context) filterToSite(s *physical.Sender, sf *SendFilter, rows []types.Row, site int) []types.Row {
+func (c *Context) filterToSite(st *OpStatsRef, sf *SendFilter, rows []types.Row, site int) []types.Row {
 	f := sf.PerSite[site]
-	c.work(float64(len(rows)) * cost.BFTC)
+	c.work(st, float64(len(rows))*cost.BFTC)
 	out := make([]types.Row, 0, len(rows))
 	for _, r := range rows {
 		if filterTestRow(f, sf.Cols, r) {
 			out = append(out, r)
 		}
 	}
-	pruned := int64(len(rows) - len(out))
-	c.countFilter(sf.ID, int64(len(rows)), pruned)
-	c.opstat(s).addPruned(pruned)
+	pruned := len(rows) - len(out)
+	c.countFilter(sf.ID, int64(len(rows)), int64(pruned))
+	st.addPruned(pruned)
 	return out
 }
 
-// routeRow picks the target partition for a row under a hash target. A
-// single-key route uses the storage placement function so that exchanged
-// rows land where the co-located partitions live; multi-key and keyless
-// targets use a combined row hash.
-func routeRow(r types.Row, keys []int, sites int) int {
+// routeRow picks the target partition for a row under a hash target.
+// placed marks a single-key route, which uses the storage placement
+// function so that exchanged rows land where the co-located partitions
+// live; multi-key targets (and keyless ones, whose keys are every column)
+// use a combined row hash.
+func routeRow(r types.Row, keys []int, placed bool, sites int) int {
 	if sites <= 1 {
 		return 0
 	}
-	if len(keys) == 1 {
+	if placed {
 		return storage.PartitionOf(r[keys[0]], sites)
-	}
-	if len(keys) == 0 {
-		return int(r.Hash(allCols(len(r))) % uint64(sites))
 	}
 	return int(r.Hash(keys) % uint64(sites))
 }
@@ -912,37 +710,4 @@ func allCols(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-// runReceiver collects the batches for this site, merging sorted streams
-// when the receiver is a merging receiver.
-func runReceiver(r *physical.Receiver, ctx *Context) ([]types.Row, error) {
-	batches := ctx.Transport.Receive(r.ExchangeID, ctx.Site)
-	var total int
-	for _, b := range batches {
-		total += len(b.Rows)
-	}
-	st := ctx.opstat(r)
-	st.addIn(int64(total))
-	st.addBatches(int64(len(batches)))
-	out := make([]types.Row, 0, total)
-	for _, b := range batches {
-		out = append(out, b.Rows...)
-	}
-	// The receiver buffers every inbound batch before the consumer runs.
-	if err := ctx.ReserveMem(r, estRowBytes(out)); err != nil {
-		return nil, err
-	}
-	ctx.work(float64(total) * cost.RPTC)
-	if len(r.MergeKeys) > 0 && len(batches) > 1 {
-		// K-way merge of the per-sender sorted streams. The data movement
-		// is implemented as a re-sort of the concatenation for simplicity,
-		// but the cost clock charges what a real loser-tree merge costs:
-		// one comparison per row.
-		ctx.work(float64(total) * cost.RCC)
-		if err := sortRowsCancellable(out, r.MergeKeys, ctx); err != nil {
-			return nil, err
-		}
-	}
-	return ctx.sourceRows(r, out), nil
 }

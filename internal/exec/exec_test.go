@@ -17,7 +17,7 @@ import (
 	"gignite/internal/types"
 )
 
-func testStore(t *testing.T, sites int) *storage.Store {
+func testStore(t testing.TB, sites int) *storage.Store {
 	t.Helper()
 	cat := catalog.New()
 	err := cat.AddTable(&catalog.Table{
@@ -75,7 +75,7 @@ func TestScanFilterProject(t *testing.T) {
 		types.Fields{{Name: "dbl", Kind: types.KindInt}})
 	var total int
 	for site := 0; site < 2; site++ {
-		rows, err := runNode(proj, ctxAt(st, site))
+		rows, err := Run(proj, ctxAt(st, site))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestSortAndLimit(t *testing.T) {
 	scan := scanNode(t, st)
 	sorted := physical.NewSort(scan, []types.SortKey{{Col: 2, Desc: true}})
 	lim := physical.NewLimit(sorted, 3)
-	rows, err := runNode(lim, ctxAt(st, 0))
+	rows, err := Run(lim, ctxAt(st, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestHashAggregateSitewise(t *testing.T) {
 		}, physical.AggSinglePhase,
 		types.Fields{{Name: "grp", Kind: types.KindInt}, {Name: "n", Kind: types.KindInt},
 			{Name: "s", Kind: types.KindInt}})
-	rows, err := runNode(agg, ctxAt(st, 0))
+	rows, err := Run(agg, ctxAt(st, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,10 @@ func TestHashAggregateSitewise(t *testing.T) {
 }
 
 func TestScalarAggregateEmptyInput(t *testing.T) {
-	rows, err := runHashAggregate(nil, nil,
-		[]expr.AggCall{{Func: expr.AggCount}}, nil, ctxAt(testStore(t, 1), 0))
+	fields := types.Fields{{Name: "n", Kind: types.KindInt}}
+	agg := physical.NewHashAggregate(physical.NewValues(nil, nil), nil,
+		[]expr.AggCall{{Func: expr.AggCount}}, physical.AggSinglePhase, fields)
+	rows, err := Run(agg, ctxAt(testStore(t, 1), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,6 +176,13 @@ func mkJoin(algo physical.JoinAlgo, jt logical.JoinType) *physical.Join {
 			expr.NewColRef(1, types.KindInt, ""), expr.NewColRef(3, types.KindFloat, "")))
 	return physical.NewJoin(l, r, algo, jt, cond,
 		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.SingleDist, "single")
+}
+
+// runJoin feeds left and right to j's Values inputs and runs it.
+func runJoin(j *physical.Join, left, right []types.Row, ctx *Context) ([]types.Row, error) {
+	j.Inputs()[0].(*physical.Values).Rows = left
+	j.Inputs()[1].(*physical.Values).Rows = right
+	return Run(j, ctx)
 }
 
 func sortRows(rows []types.Row) []string {
@@ -360,7 +369,7 @@ func TestSplitterPartitionProperty(t *testing.T) {
 		for v := 0; v < n; v++ {
 			ctx := &Context{Store: st, Transport: NewTransport(), Site: 0,
 				Variant: v, NVariants: n, Modes: modes}
-			rows, err := runNode(scan, ctx)
+			rows, err := Run(scan, ctx)
 			if err != nil {
 				return false
 			}
@@ -391,7 +400,7 @@ func TestDuplicatorReplaysAll(t *testing.T) {
 	for v := 0; v < 2; v++ {
 		ctx := &Context{Store: st, Transport: NewTransport(), Site: 0,
 			Variant: v, NVariants: 2, Modes: modes}
-		rows, err := runNode(scan, ctx)
+		rows, err := Run(scan, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,7 +471,7 @@ func TestMergingReceiverOrders(t *testing.T) {
 		physical.NewValues(types.Fields{{Name: "k", Kind: types.KindInt}}, nil), keys),
 		physical.SingleDist)
 	recv := physical.NewReceiver(ex, 3)
-	rows, err := runReceiver(recv, &Context{Store: st, Transport: tr, Site: 0, NVariants: 1})
+	rows, err := Run(recv, &Context{Store: st, Transport: tr, Site: 0, NVariants: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,11 +525,16 @@ func TestSortAggregateMatchesHash(t *testing.T) {
 		{Func: expr.AggSum, Arg: expr.NewColRef(1, types.KindFloat, ""), Name: "s"},
 		{Func: expr.AggMin, Arg: expr.NewColRef(1, types.KindFloat, ""), Name: "m"},
 	}
-	h, err := runHashAggregate(nil, []int{0}, aggs, in, ctxAt(st, 0))
+	inFields := types.Fields{{Name: "k", Kind: types.KindInt}, {Name: "v", Kind: types.KindFloat}}
+	outFields := types.Fields{{Name: "k", Kind: types.KindInt},
+		{Name: "s", Kind: types.KindFloat}, {Name: "m", Kind: types.KindFloat}}
+	h, err := Run(physical.NewHashAggregate(physical.NewValues(inFields, in), []int{0}, aggs,
+		physical.AggSinglePhase, outFields), ctxAt(st, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := runSortAggregate(nil, []int{0}, aggs, in, ctxAt(st, 0))
+	s, err := Run(physical.NewSortAggregate(physical.NewValues(inFields, in), []int{0}, aggs,
+		physical.AggSinglePhase, outFields), ctxAt(st, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,483 @@
+package exec
+
+import (
+	"fmt"
+	"time"
+
+	"gignite/internal/cost"
+	"gignite/internal/expr"
+	"gignite/internal/fragment"
+	"gignite/internal/physical"
+	"gignite/internal/types"
+)
+
+// batchSize is the most rows one push carries. It is not configuration:
+// only this package's tests shrink it, to make small fixtures cross batch
+// boundaries.
+var batchSize = 128
+
+// stage is the consuming end of a pipeline edge. Execution is
+// producer-driven: run(n, next) pushes every row node n produces into
+// next, batch by batch and in order, and returns when n is exhausted —
+// so a join needs no suspend/resume state, and a join's build side runs
+// to completion before its probe side starts.
+type stage interface {
+	// push hands over the next rows. The slice itself belongs to the
+	// producer: it is valid only during the call and must not be
+	// modified. stable reports whether the rows' values outlive the call;
+	// a consumer that keeps an unstable row must copy it (rowBuffer does).
+	push(rows []types.Row, stable bool) error
+}
+
+// operator is a stage that runs one unary plan node.
+type operator interface {
+	stage
+	base() *op
+	// finish runs once the input is exhausted; breakers emit here.
+	finish() error
+}
+
+// sizer is a stage that can use advance notice of its input's size: a
+// breaker reserves its buffer once instead of growing it batch by batch.
+type sizer interface {
+	// expect announces that at least the next n rows pushed are certain
+	// to come.
+	expect(n int)
+}
+
+// keeper is a stage that keeps every row it is pushed. A producer that
+// assembles its rows itself can hand a keeper freshly allocated ones,
+// stable, instead of scratch the keeper would have to copy.
+type keeper interface{ keepsRows() }
+
+// op is the part of a running operator every stage shares: its recorder
+// slot, its downstream edge, and the node-level runtime filters applied
+// on that edge.
+type op struct {
+	ctx  *Context
+	node physical.Node
+	st   *OpStatsRef // nil when untracked
+	next stage
+	afs  []*AppliedFilter
+	kept []types.Row // runtime-filter scratch
+	sel  []types.Row // splitter scratch
+	// start and away turn the producer-driven call stack back into the
+	// operator's wall time inclusive of its inputs: everything between
+	// open and close, minus the time spent downstream in next.push.
+	start time.Time
+	away  time.Duration
+}
+
+func (o *op) base() *op { return o }
+
+// open binds an op to its node and starts its wall clock.
+func (c *Context) open(o *op, n physical.Node, next stage) {
+	o.ctx, o.node, o.next = c, n, next
+	if o.st = c.opstat(n); o.st != nil {
+		o.start = time.Now()
+	}
+	if c.NodeFilters != nil {
+		o.afs = c.NodeFilters[n]
+	}
+}
+
+func (o *op) close() {
+	if o.st != nil {
+		o.st.WallNanos += (time.Since(o.start) - o.away).Nanoseconds()
+	}
+}
+
+func (o *op) work(units float64) { o.ctx.work(o.st, units) }
+
+// emit passes one batch downstream, through the node's runtime filters.
+func (o *op) emit(rows []types.Row, stable bool) error {
+	for _, af := range o.afs {
+		rows = o.applyFilter(af, rows)
+	}
+	if len(rows) == 0 {
+		return nil
+	}
+	if o.st == nil {
+		return o.next.push(rows, stable)
+	}
+	o.st.addOut(len(rows))
+	t := time.Now()
+	err := o.next.push(rows, stable)
+	o.away += time.Since(t)
+	return err
+}
+
+// applyFilter drops the rows failing one runtime filter, charging test
+// work and recording pruned counts against the node. The first filter
+// copies the survivors into the op's scratch; later ones compact it in
+// place.
+func (o *op) applyFilter(af *AppliedFilter, rows []types.Row) []types.Row {
+	o.work(float64(len(rows)) * cost.BFTC)
+	if cap(o.kept) < len(rows) {
+		o.kept = make([]types.Row, 0, len(rows))
+	}
+	kept := o.kept[:0]
+	for _, r := range rows {
+		if filterTestRow(af.Filter, af.Cols, r) {
+			kept = append(kept, r)
+		}
+	}
+	pruned := len(rows) - len(kept)
+	o.ctx.countFilter(af.ID, int64(len(rows)), int64(pruned))
+	o.st.addPruned(pruned)
+	return kept
+}
+
+// emitAll streams rows the op holds for good (a source's, a breaker's
+// output) downstream in batches. This is the executor's one batch
+// boundary check: the work limit and cancellation are observed here.
+func (o *op) emitAll(rows []types.Row) error {
+	o.announce(len(rows))
+	for len(rows) > 0 {
+		if o.ctx.overLimit() {
+			return ErrWorkLimit
+		}
+		if err := o.ctx.cancelled(); err != nil {
+			return err
+		}
+		n := min(len(rows), batchSize)
+		if err := o.emit(rows[:n:n], true); err != nil {
+			return err
+		}
+		rows = rows[n:]
+	}
+	return nil
+}
+
+// announce tells the consumer that n rows are certain to follow — unless
+// a runtime filter stands in between.
+func (o *op) announce(n int) {
+	if s, ok := o.next.(sizer); ok && n > 0 && len(o.afs) == 0 {
+		s.expect(n)
+	}
+}
+
+// emitSource streams a scan's or receiver's rows through the §5.3.2
+// splitter: pass tuple when counter % n == variant. Duplicators pass
+// everything. The whole partition is still read (and charged), matching
+// the paper's note that every variant reads the full partition.
+func (o *op) emitSource(rows []types.Row) error {
+	c := o.ctx
+	if !o.splits() {
+		return o.emitAll(rows)
+	}
+	o.announce(o.share(len(rows)))
+	ctr := c.rowCounters[o.node]
+	// Select batch by batch into one scratch; the selected rows are the
+	// source's own, so they stay stable.
+	for len(rows) > 0 {
+		n := min(len(rows), batchSize)
+		if cap(o.sel) < n/c.NVariants+1 {
+			o.sel = make([]types.Row, 0, n/c.NVariants+1)
+		}
+		sel := o.sel[:0]
+		for _, r := range rows[:n] {
+			if int(ctr%int64(c.NVariants)) == c.Variant {
+				sel = append(sel, r)
+			}
+			ctr++
+		}
+		rows = rows[n:]
+		if err := o.emitAll(sel); err != nil {
+			return err
+		}
+	}
+	if c.rowCounters == nil {
+		c.rowCounters = make(map[physical.Node]int64)
+	}
+	c.rowCounters[o.node] = ctr
+	return nil
+}
+
+// splits reports whether this instance passes only its variant's share
+// of the source's rows.
+func (o *op) splits() bool {
+	c := o.ctx
+	if c.NVariants <= 1 || c.Modes == nil {
+		return false
+	}
+	mode, ok := c.Modes[o.node]
+	return ok && mode != fragment.DuplicateMode
+}
+
+// share returns how many of the source's next n rows the splitter passes.
+func (o *op) share(n int) int {
+	if !o.splits() {
+		return n
+	}
+	// passed(x) counts the counters below x that belong to this variant.
+	nv, v := int64(o.ctx.NVariants), int64(o.ctx.Variant)
+	passed := func(x int64) int64 { return (x + nv - 1 - v) / nv }
+	ctr := o.ctx.rowCounters[o.node]
+	return int(passed(ctr+int64(n)) - passed(ctr))
+}
+
+// rowBuffer is what a pipeline breaker keeps: row headers in arrival
+// order, and — for rows that arrived in a producer's scratch — one copy
+// of their values in slab storage.
+type rowBuffer struct {
+	rows []types.Row
+	slab []types.Value
+}
+
+func (b *rowBuffer) keepsRows() {}
+
+// expect reserves room for n more rows, exactly.
+func (b *rowBuffer) expect(n int) { b.grow(n, len(b.rows)+n) }
+
+// grow makes room for n more rows in a buffer of at least size rows.
+func (b *rowBuffer) grow(n, size int) {
+	if cap(b.rows)-len(b.rows) < n {
+		grown := make([]types.Row, len(b.rows), max(size, len(b.rows)+n))
+		copy(grown, b.rows)
+		b.rows = grown
+	}
+}
+
+func (b *rowBuffer) push(rows []types.Row, stable bool) error {
+	// Unannounced rows double the buffer — not append's 1.25× for large
+	// slices: headers arrive a batch at a time, and the gentler factor
+	// would reallocate, and abandon, the buffer five times over.
+	b.grow(len(rows), 2*cap(b.rows))
+	if stable {
+		b.rows = append(b.rows, rows...)
+		return nil
+	}
+	for i, r := range rows {
+		if len(b.slab) < len(r) {
+			// One slab per batch, sized for the rest of it.
+			b.slab = make([]types.Value, (len(rows)-i)*len(r))
+		}
+		// The capacity limit keeps a later append to the kept row from
+		// running into its neighbour.
+		kept := b.slab[:len(r):len(r)]
+		b.slab = b.slab[len(r):]
+		copy(kept, r)
+		b.rows = append(b.rows, kept)
+	}
+	return nil
+}
+
+// collect runs a subtree to completion and returns its rows, which the
+// caller may keep: the build (or collected) side of a join.
+func (c *Context) collect(n physical.Node) ([]types.Row, error) {
+	if rows, ok := c.Prebuilt[n]; ok {
+		return rows, nil
+	}
+	var buf rowBuffer
+	if err := c.run(n, &buf); err != nil {
+		return nil, err
+	}
+	return buf.rows, nil
+}
+
+// run executes the subtree rooted at n, pushing its output into next.
+func (c *Context) run(n physical.Node, next stage) error {
+	// A subtree the runtime-filter pre-pass already executed at this
+	// logical site is served from the cache: its work and operator stats
+	// were charged by the pre-pass instance, so re-recording them here
+	// would double-count.
+	if rows, ok := c.Prebuilt[n]; ok {
+		served := op{ctx: c, next: next}
+		return served.emitAll(rows)
+	}
+	var s operator
+	switch t := n.(type) {
+	case *physical.TableScan, *physical.IndexScan, *physical.Values, *physical.Receiver:
+		return c.runSource(n, next)
+	case *physical.Join:
+		return c.runJoin(t, next)
+	case *physical.Filter:
+		s = &filterOp{cond: t.Cond}
+	case *physical.Project:
+		s = &projectOp{exprs: t.Exprs}
+	case *physical.Limit:
+		s = &limitOp{n: t.N}
+	case *physical.Sort:
+		s = &sortOp{keys: t.Keys}
+	case *physical.HashAggregate:
+		s = newHashAgg(t.GroupBy, t.Aggs, cost.RPTC+cost.HAC+cost.RCC)
+	case *physical.SortAggregate:
+		if len(t.GroupBy) == 0 {
+			// A scalar aggregate has no order to exploit: it runs on the
+			// hash operator, on top of the sort aggregate's own charge.
+			s = newHashAgg(nil, t.Aggs, (cost.RPTC+cost.RCC)+(cost.RPTC+cost.HAC+cost.RCC))
+		} else {
+			s = &sortAggOp{groupBy: t.GroupBy, aggs: t.Aggs}
+		}
+	default:
+		return fmt.Errorf("exec: no runtime for %T", n)
+	}
+	o := s.base()
+	c.open(o, n, next)
+	defer o.close()
+	if err := c.run(n.Inputs()[0], s); err != nil {
+		return err
+	}
+	return s.finish()
+}
+
+// runSource reads a leaf's rows — which belong to the store, the plan or
+// the transport, and so are stable — and streams them downstream.
+func (c *Context) runSource(n physical.Node, next stage) error {
+	var o op
+	c.open(&o, n, next)
+	defer o.close()
+	switch t := n.(type) {
+	case *physical.TableScan:
+		rows, err := c.Store.PartitionAt(t.Table.Name, c.Site, c.Host)
+		if err != nil {
+			return err
+		}
+		o.st.addIn(len(rows))
+		o.work(float64(len(rows)) * cost.RPTC)
+		return o.emitSource(rows)
+
+	case *physical.IndexScan:
+		rows, err := c.Store.IndexScanAt(t.Table.Name, t.Index.Name, c.Site, c.Host, nil, nil)
+		if err != nil {
+			return err
+		}
+		o.st.addIn(len(rows))
+		o.work(float64(len(rows)) * cost.RPTC * 1.2)
+		return o.emitSource(rows)
+
+	case *physical.Values:
+		return o.emitAll(t.Rows)
+
+	default:
+		return o.receive(n.(*physical.Receiver))
+	}
+}
+
+// receive streams the batches shipped to this site. A merging receiver
+// is a breaker: it holds every inbound row to merge the sorted streams.
+func (o *op) receive(r *physical.Receiver) error {
+	c := o.ctx
+	batches := c.Transport.Receive(r.ExchangeID, c.Site)
+	var total int
+	var sample [estSample]types.Row
+	sampled := sample[:0]
+	for _, b := range batches {
+		total += len(b.Rows)
+		sampled = append(sampled, b.Rows[:min(len(b.Rows), estSample-len(sampled))]...)
+	}
+	o.st.addIn(total)
+	o.st.addBatches(len(batches))
+	// Every inbound batch is buffered before the consumer runs.
+	if err := c.ReserveMem(r, estBytes(sampled, total)); err != nil {
+		return err
+	}
+	o.work(float64(total) * cost.RPTC)
+	if len(r.MergeKeys) > 0 && len(batches) > 1 {
+		// K-way merge of the per-sender sorted streams. The data movement
+		// is implemented as a re-sort of the concatenation for simplicity,
+		// but the cost clock charges what a real loser-tree merge costs:
+		// one comparison per row.
+		o.work(float64(total) * cost.RCC)
+		merged := make([]types.Row, 0, total)
+		for _, b := range batches {
+			merged = append(merged, b.Rows...)
+		}
+		if err := sortRowsCancellable(merged, r.MergeKeys, c); err != nil {
+			return err
+		}
+		o.st.held(total)
+		return o.emitSource(merged)
+	}
+	o.announce(o.share(total))
+	for _, b := range batches {
+		if err := o.emitSource(b.Rows); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// filterOp streams the rows satisfying a condition.
+type filterOp struct {
+	op
+	cond expr.Expr
+	out  []types.Row
+}
+
+func (f *filterOp) push(rows []types.Row, stable bool) error {
+	f.st.addIn(len(rows))
+	f.work(float64(len(rows)) * (cost.RPTC + cost.RCC))
+	out := f.out[:0]
+	for _, r := range rows {
+		if !condTrue(f.cond, r) {
+			continue
+		}
+		// The scratch is sized when the first row of a batch survives, so
+		// a filter nothing passes allocates nothing.
+		if len(out) == 0 && cap(out) < len(rows) {
+			out = make([]types.Row, 0, len(rows))
+		}
+		out = append(out, r)
+	}
+	f.out = out
+	return f.emit(out, stable)
+}
+
+func (f *filterOp) finish() error { return nil }
+
+// projectOp streams computed rows. They live in one value arena that the
+// next batch overwrites — unless the consumer keeps every row anyway, in
+// which case each batch gets an arena of its own to keep.
+type projectOp struct {
+	op
+	exprs []expr.Expr
+	out   []types.Row
+	vals  []types.Value
+}
+
+func (p *projectOp) push(rows []types.Row, _ bool) error {
+	p.st.addIn(len(rows))
+	w := len(p.exprs)
+	p.work(float64(len(rows)) * cost.RPTC * float64(w))
+	_, kept := p.next.(keeper)
+	if cap(p.out) < len(rows) {
+		p.out = make([]types.Row, len(rows))
+	}
+	if kept || len(p.vals) < len(rows)*w {
+		p.vals = make([]types.Value, len(rows)*w)
+	}
+	out := p.out[:len(rows)]
+	for i, r := range rows {
+		row := p.vals[i*w : (i+1)*w : (i+1)*w]
+		for j, e := range p.exprs {
+			row[j] = e.Eval(r)
+		}
+		out[i] = row
+	}
+	return p.emit(out, kept)
+}
+
+func (p *projectOp) finish() error { return nil }
+
+// expect: a projection emits exactly the rows it is pushed.
+func (p *projectOp) expect(n int) { p.announce(n) }
+
+// limitOp passes the first n rows. It does not stop its producers early:
+// the modeled clock charges the full input, as under materialization.
+type limitOp struct {
+	op
+	n    int64
+	seen int64
+}
+
+func (l *limitOp) push(rows []types.Row, stable bool) error {
+	l.st.addIn(len(rows))
+	take := int(max(0, min(l.n-l.seen, int64(len(rows)))))
+	l.seen += int64(len(rows))
+	l.work(float64(take) * cost.RPTC)
+	return l.emit(rows[:take], stable)
+}
+
+func (l *limitOp) finish() error { return nil }

@@ -29,9 +29,10 @@ type OpStats struct {
 	// BuildRows counts hash-table build-side rows (hash joins only;
 	// hash-aggregate group counts equal RowsOut).
 	BuildRows int64 `json:"build_rows,omitempty"`
-	// PeakRows is the spill-free memory high-water mark in rows: the
-	// largest single materialization (output or build table) any one
-	// instance of this operator held.
+	// PeakRows is the row high-water mark: the most rows any one instance
+	// of this operator held at once — the largest batch a streaming
+	// operator emitted, the rows a breaker kept (a join's collected
+	// inputs, a sort buffer, a merging receiver's input).
 	PeakRows int64 `json:"peak_rows"`
 	// RowsPruned counts rows a runtime join filter dropped at this
 	// operator's output before they were batched or shipped (DESIGN.md

@@ -6,9 +6,17 @@ import (
 )
 
 // Row is a tuple of values. Rows are passed by reference through the
-// executor; operators that buffer rows must copy them with Clone if the
-// producer reuses backing storage (gignite producers allocate fresh rows,
-// so Clone is only needed by mutating operators).
+// executor, and whether a consumer may keep one depends on its producer.
+// Rows from the store, a plan's Values, the transport (a Receiver's
+// input), a Sort, an aggregate or a finished fragment are stable: nothing
+// overwrites them, and nobody may modify them. Rows from a Project or a
+// pair-emitting join that does not feed a breaker directly live in that
+// operator's scratch arena, which the next batch overwrites; Filter,
+// Limit and semi/anti joins pass their input rows on as stable as they
+// came. The executor says which it is with every batch (internal/exec's
+// stage.push), and an operator that keeps a scratch row past the call — a
+// join's collected side, Sort, the Sender, the fragment result — copies it
+// first.
 type Row []Value
 
 // Clone returns a deep copy of the row.
