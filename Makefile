@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-cpu vet bench bench-build bench-exec chaos overload plancache adaptive benchgate benchgate-update serve fuzz-smoke ci
+.PHONY: build test race race-cpu vet bench bench-build bench-exec chaos benchgate benchgate-update fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -19,9 +19,12 @@ race:
 
 # The packages with real concurrency (wire sessions, the driver's cancel
 # watcher, the wave scheduler, exchange transport) again at 1, 2 and 4
-# cores: their ordering bugs depend on GOMAXPROCS.
+# cores, plus the root package's concurrency tests (concurrent clients,
+# the plan-cache hammer, admission and overload races, Close/drain): their
+# ordering bugs depend on GOMAXPROCS.
 race-cpu:
 	$(GO) test -race -cpu 1,2,4 ./driver ./internal/server ./internal/cluster ./internal/exec
+	$(GO) test -race -cpu 1,2,4 -run 'Concurrent|Hammer|Admission|Overload|Close' .
 
 # The wall-clock benchmark is a nested module (bench/go.mod), so `./...`
 # skips it; vet and test it against the engine in this checkout.
@@ -46,49 +49,17 @@ bench:
 chaos:
 	$(GO) test -race -count=2 -run 'TestChaos' .
 
-# The resource-governance smoke check (DESIGN.md §14): admission sheds
-# with ErrOverloaded only, queued queries drain with identical rows, and
-# hedged straggler attempts cut the modeled makespan. Exits non-zero on
-# any violation.
-overload:
-	$(GO) run ./cmd/benchrunner -exp overload -sf 0.005 -sites 4 -metrics overload-metrics.json
-
-# The plan-cache smoke check (DESIGN.md §15): hot runs must skip planning
-# (mean hot plan time ≤ 10% of cold) with rows byte-identical cache
-# on/off. Exits non-zero on any violation.
-plancache:
-	$(GO) run ./cmd/benchrunner -exp plancache -sf 0.02 -sites 4 -metrics plancache-metrics.json
-
-# The adaptive-execution smoke check (DESIGN.md §17): under 10x
-# misestimated statistics the adaptive run must stay within 115% of the
-# correctly-estimated static plan's modeled time on Q5/Q9-shaped joins,
-# stay byte-identical to the misestimated static plan across
-# parallelism and fault plans, and fire at least one rewrite. Exits
-# non-zero on any violation.
-adaptive:
-	$(GO) run ./cmd/benchrunner -exp adaptive -sf 0.01 -sites 4 -metrics adaptive-metrics.json
-
-# The benchmark-regression gate: measure the committed BENCH_gate.json
-# query set and fail on >tolerance modeled-time or shipped-bytes
-# regressions. The measured signals are deterministic simnet values, so
-# the gate is host-independent.
+# The benchmark-regression gate (TestBenchGate, part of `make test`):
+# measure the committed BENCH_gate.json query set and fail on >tolerance
+# modeled-time or shipped-bytes regressions. The measured signals are
+# deterministic simnet values, so the gate is host-independent.
 benchgate:
-	$(GO) run ./cmd/benchrunner -exp benchgate -metrics benchgate-metrics.json
+	$(GO) test -count=1 -v -run '^TestBenchGate$$' .
 
 # Refresh the committed baseline after an intentional performance change;
 # commit the resulting BENCH_gate.json diff.
 benchgate-update:
-	$(GO) run ./cmd/benchrunner -exp benchgate -update-baseline
-
-# The serving-layer smoke check (DESIGN.md §16): concurrent database/sql
-# clients over TCP must get byte-identical rows to in-process execution
-# (plan cache on and off), prepared statements must skip planning
-# (observed via /metrics), overload must surface as a typed wire error, a
-# mid-stream client kill must free its governor lease, a graceful drain
-# must finish the in-flight query, and nothing may leak. Exits non-zero
-# on any violation.
-serve:
-	$(GO) run ./cmd/benchrunner -exp serve -sf 0.005 -sites 4 -metrics serve-metrics.json
+	$(GO) test -count=1 -v -run '^TestBenchGate$$' . -update-gate
 
 # Run every fuzz target briefly, seeded from testdata/fuzz. `go test
 # -fuzz` accepts one target per invocation, hence the loop.

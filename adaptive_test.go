@@ -15,9 +15,7 @@ import (
 	"testing"
 
 	"gignite"
-	"gignite/internal/harness"
 	"gignite/internal/obs"
-	"gignite/internal/tpch"
 )
 
 const (
@@ -25,48 +23,48 @@ const (
 	// adaptiveTestMis is a 10x join-estimate overestimation: large enough
 	// to invert build-side choices, small enough that the optimizer keeps
 	// the same join order (in-place rewrites cannot recover a changed
-	// join order; see cmd/benchrunner's adaptive smoke).
+	// join order).
 	adaptiveTestMis = 10
 )
 
-// adaptiveTestSQL is the benchrunner smoke's Q5-shaped join aggregate:
-// its misestimated plan broadcasts a build side the rewrites repair.
+// adaptiveTestSQL is a Q5-shaped join aggregate: its misestimated plan
+// broadcasts a build side the rewrites repair.
 const adaptiveTestSQL = `SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
 FROM customer, orders, lineitem, supplier, nation
 WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey AND l_suppkey = s_suppkey
   AND c_nationkey = s_nationkey AND s_nationkey = n_nationkey
 GROUP BY n_name ORDER BY revenue DESC`
 
-// adaptiveEngine opens an IC+ engine at SF 0.01 on 4 sites with the 10x
-// misestimation applied and adaptivity toggled.
-func adaptiveEngine(t testing.TB, adaptive bool, backups int, faultSpec string, planCache int) *gignite.Engine {
-	t.Helper()
-	cfg := harness.ConfigFor(harness.ICPlus, 4, adaptiveTestSF)
-	cfg.StatsMisestimate = adaptiveTestMis
-	cfg.AdaptiveExec = adaptive
-	cfg.Backups = backups
-	cfg.PlanCacheSize = planCache
-	if faultSpec != "" {
-		fp, err := gignite.ParseFaults(faultSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Faults = fp
-	}
-	e := gignite.Open(gignite.WithConfig(cfg))
-	if err := tpch.Setup(e, adaptiveTestSF); err != nil {
-		t.Fatal(err)
-	}
-	return e
+// adaptiveTestQueries are Q5/Q9-shaped multiway join aggregates, chosen
+// so the misestimation damages exactly the decisions the §17 rewrites
+// can repair mid-query (build sides and exchange routing), not the join
+// order itself.
+var adaptiveTestQueries = []struct{ name, sql string }{
+	{"Q5-shape", adaptiveTestSQL},
+	{"Q5-supplier", `SELECT s_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
+FROM lineitem, orders, supplier
+WHERE l_orderkey = o_orderkey AND l_suppkey = s_suppkey AND o_orderdate >= DATE '1994-01-01'
+GROUP BY s_name ORDER BY revenue DESC`},
+	{"Q9-shape", `SELECT n_name, SUM(l_extendedprice * (1 - l_discount) - ps_supplycost * l_quantity) AS profit
+FROM part, supplier, lineitem, partsupp, nation
+WHERE s_suppkey = l_suppkey AND ps_suppkey = l_suppkey AND ps_partkey = l_partkey
+  AND p_partkey = l_partkey AND s_nationkey = n_nationkey
+GROUP BY n_name ORDER BY profit DESC`},
 }
+
+// The suite's engines are IC+ at SF 0.01 on 4 sites with the 10x
+// misestimation applied (static and adaptive alike) and adaptivity
+// toggled.
+func misestimated(c *gignite.Config) { c.StatsMisestimate = adaptiveTestMis }
+func adaptiveOn(c *gignite.Config)   { c.AdaptiveExec = true }
 
 // TestAdaptiveByteIdentity checks that the adaptive run returns exactly
 // the static plan's bytes at host parallelism 1, 2 and 8, with an
 // identical modeled time at every parallelism, while actually rewriting
 // something (a run that never switches proves nothing).
 func TestAdaptiveByteIdentity(t *testing.T) {
-	static := adaptiveEngine(t, false, 0, "", 0)
-	ad := adaptiveEngine(t, true, 0, "", 0)
+	static := openTPCH(t, adaptiveTestSF, 4, misestimated)
+	ad := openTPCH(t, adaptiveTestSF, 4, misestimated, adaptiveOn)
 	base, err := static.Query(adaptiveTestSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -96,19 +94,63 @@ func TestAdaptiveByteIdentity(t *testing.T) {
 	}
 }
 
+// TestAdaptiveRecoversMisestimate is the efficacy bar: with the join
+// estimates 10x off, the adaptive run's modeled time stays within 115% of
+// an oracle planned from correct statistics, on every shaped query, and
+// at least one rewrite fires across the set. The misestimated static plan
+// must still return the oracle's row count (a sanity check that the
+// misestimation changed the plan, not the answer), and the adaptive run
+// the static plan's exact bytes.
+func TestAdaptiveRecoversMisestimate(t *testing.T) {
+	oracle := openTPCH(t, adaptiveTestSF, 4)
+	static := openTPCH(t, adaptiveTestSF, 4, misestimated)
+	ad := openTPCH(t, adaptiveTestSF, 4, misestimated, adaptiveOn)
+	switches := 0
+	for _, q := range adaptiveTestQueries {
+		base, err := oracle.Query(q.sql)
+		if err != nil {
+			t.Fatalf("%s oracle: %v", q.name, err)
+		}
+		st, err := static.Query(q.sql)
+		if err != nil {
+			t.Fatalf("%s static: %v", q.name, err)
+		}
+		res, err := ad.Query(q.sql)
+		if err != nil {
+			t.Fatalf("%s adaptive: %v", q.name, err)
+		}
+		ratio := res.Modeled.Seconds() / base.Modeled.Seconds()
+		t.Logf("%s: oracle %v, static-mis %v, adaptive-mis %v (%.2fx oracle), %d switches",
+			q.name, base.Modeled, st.Modeled, res.Modeled, ratio, res.Stats.AdaptiveSwitches)
+		if len(st.Rows) != len(base.Rows) {
+			t.Errorf("%s: misestimated static plan returns %d rows, oracle %d", q.name, len(st.Rows), len(base.Rows))
+		}
+		if rowsChecksum(res.Rows) != rowsChecksum(st.Rows) {
+			t.Errorf("%s: adaptive rows diverge from the static plan", q.name)
+		}
+		if ratio > 1.15 {
+			t.Errorf("%s: adaptive modeled time is %.2fx the oracle's (limit 1.15x)", q.name, ratio)
+		}
+		switches += res.Stats.AdaptiveSwitches
+	}
+	if switches == 0 {
+		t.Error("no adaptive rewrite fired across the query set")
+	}
+}
+
 // TestAdaptiveUnderFaults checks byte identity while the fault injector
 // crashes, slows and drops sends: the re-planning decisions are pure
 // functions of merged sketches, so recovery machinery must not change
 // what the adaptive run returns.
 func TestAdaptiveUnderFaults(t *testing.T) {
-	static := adaptiveEngine(t, false, 1, "", 0)
+	static := openTPCH(t, adaptiveTestSF, 4, misestimated, withFaults(t, 1, ""))
 	base, err := static.Query(adaptiveTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := rowsChecksum(base.Rows)
 	for _, spec := range []string{"seed=7;crash=2@4", "seed=7;slow=1x4", "seed=7;sendfail=0.05"} {
-		ad := adaptiveEngine(t, true, 1, spec, 0)
+		ad := openTPCH(t, adaptiveTestSF, 4, misestimated, adaptiveOn, withFaults(t, 1, spec))
 		res, err := ad.Query(adaptiveTestSQL)
 		if err != nil {
 			t.Fatalf("faults=%q: %v", spec, err)
@@ -126,7 +168,7 @@ func TestAdaptiveUnderFaults(t *testing.T) {
 // (which requires build=right) could not re-fire and switches would
 // drop to zero on the hit.
 func TestAdaptivePlanCacheReAdapts(t *testing.T) {
-	e := adaptiveEngine(t, true, 0, "", 16)
+	e := openTPCH(t, adaptiveTestSF, 4, misestimated, adaptiveOn, func(c *gignite.Config) { c.PlanCacheSize = 16 })
 	first, err := e.Query(adaptiveTestSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +199,7 @@ func TestAdaptivePlanCacheReAdapts(t *testing.T) {
 // ANALYZE must carry the per-rewrite "adaptive replan:" lines and the
 // replans=/switches= summary counters.
 func TestAdaptiveExplainAnalyze(t *testing.T) {
-	e := adaptiveEngine(t, true, 0, "", 0)
+	e := openTPCH(t, adaptiveTestSF, 4, misestimated, adaptiveOn)
 	res, err := e.Exec("EXPLAIN ANALYZE " + adaptiveTestSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +216,7 @@ func TestAdaptiveExplainAnalyze(t *testing.T) {
 // each re-planning pass emits exactly one SpanReplan span, static runs
 // emit none, and Result.Report carries the replan log.
 func TestAdaptiveSpansAndReport(t *testing.T) {
-	ad := adaptiveEngine(t, true, 0, "", 0)
+	ad := openTPCH(t, adaptiveTestSF, 4, misestimated, adaptiveOn)
 	res, err := ad.Query(adaptiveTestSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +238,7 @@ func TestAdaptiveSpansAndReport(t *testing.T) {
 		t.Error("report shows no switches")
 	}
 
-	static := adaptiveEngine(t, false, 0, "", 0)
+	static := openTPCH(t, adaptiveTestSF, 4, misestimated)
 	sres, err := static.Query(adaptiveTestSQL)
 	if err != nil {
 		t.Fatal(err)

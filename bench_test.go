@@ -10,11 +10,14 @@
 package gignite_test
 
 import (
+	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"gignite"
 	"gignite/internal/exec"
@@ -301,6 +304,116 @@ func BenchmarkHashJoin(b *testing.B) {
 		}
 		if len(rows) != 20000 {
 			b.Fatalf("join rows = %d", len(rows))
+		}
+	}
+}
+
+// updateGate makes TestBenchGate rewrite BENCH_gate.json from the current
+// measurements instead of comparing against it (`make benchgate-update`).
+var updateGate = flag.Bool("update-gate", false, "TestBenchGate: rewrite BENCH_gate.json from current measurements")
+
+// TestBenchGate is the benchmark-regression gate: it measures the query
+// set BENCH_gate.json pins, at the configuration it pins, and fails when
+// modeled time or shipped bytes regress beyond the file's tolerance. Both
+// signals come from the simnet cost clock — deterministic across hosts
+// and worker counts — so a failure is a real plan or executor regression,
+// never machine noise. Improvements beyond the tolerance are logged, not
+// failed; refresh the baseline with -update-gate and commit the diff.
+func TestBenchGate(t *testing.T) {
+	const path = "BENCH_gate.json"
+	type entry struct {
+		ModeledMs    float64 `json:"modeled_ms"`
+		BytesShipped float64 `json:"bytes_shipped"`
+	}
+	var base struct {
+		Schema      string `json:"schema"`
+		Description string `json:"description"`
+		Config      struct {
+			System  harness.System `json:"system"`
+			SF      float64        `json:"sf"`
+			Sites   int            `json:"sites"`
+			Queries []int          `json:"queries"`
+		} `json:"config"`
+		TolerancePct float64           `json:"tolerance_pct"`
+		Queries      map[string]entry  `json:"queries"`
+		Environment  map[string]string `json:"environment"`
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatalf("parse %s: %v", path, err)
+	}
+	if base.Schema != "gignite.benchgate/v1" || base.TolerancePct <= 0 {
+		t.Fatalf("%s: schema %q, tolerance %g%%", path, base.Schema, base.TolerancePct)
+	}
+	e, err := env().Engine(harness.TPCH, base.Config.System, base.Config.Sites, base.Config.SF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pct := func(got, want float64) float64 { return 100 * (got - want) / want }
+	measured := make(map[string]entry, len(base.Config.Queries))
+	for _, id := range base.Config.Queries {
+		res, err := e.Query(tpch.QueryByID(id).SQL)
+		if err != nil {
+			t.Fatalf("Q%d: %v", id, err)
+		}
+		label := fmt.Sprintf("Q%d", id)
+		got := entry{float64(res.Modeled.Microseconds()) / 1000, res.Stats.BytesShipped}
+		measured[label] = got
+		want := base.Queries[label] // absent from the file: an infinite regression
+		dm, db := pct(got.ModeledMs, want.ModeledMs), pct(got.BytesShipped, want.BytesShipped)
+		t.Logf("%-4s modeled %.3fms -> %.3fms (%+.1f%%), shipped %.0f -> %.0f bytes (%+.1f%%)",
+			label, want.ModeledMs, got.ModeledMs, dm, want.BytesShipped, got.BytesShipped, db)
+		switch tol := base.TolerancePct; {
+		case *updateGate:
+		case dm > tol || db > tol:
+			t.Errorf("%s regressed beyond the %g%% tolerance (modeled %+.1f%%, shipped bytes %+.1f%%)", label, tol, dm, db)
+		case dm < -tol || db < -tol:
+			t.Logf("%s improved beyond the tolerance; refresh the baseline with -update-gate", label)
+		}
+	}
+	if *updateGate {
+		base.Queries = measured
+		data, err := json.MarshalIndent(base, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPlanCacheSkipsPlanningWork is the plan cache's efficacy bar on real
+// plans (DESIGN.md §15): on TPC-H Q1/Q3/Q10 the mean plan-acquisition
+// time of 20 cache hits is at most 10% of the cold run's planning time.
+// The slowest hit is left out of the mean: a hit takes ~15 µs, so one
+// descheduling on a busy host would otherwise outweigh the other 19.
+// (Byte identity and the PlanningSkipped contract are plancache_test.go's.)
+func TestPlanCacheSkipsPlanningWork(t *testing.T) {
+	const hits = 20
+	e := openTPCH(t, 0.002, 4, func(c *gignite.Config) { c.PlanCacheSize = 64 })
+	for _, id := range []int{1, 3, 10} {
+		sql := tpch.QueryByID(id).SQL
+		cold, err := e.Query(sql)
+		if err != nil {
+			t.Fatalf("Q%d cold: %v", id, err)
+		}
+		var sum, slowest int64
+		for i := 0; i < hits; i++ {
+			res, err := e.Query(sql)
+			if err != nil {
+				t.Fatalf("Q%d hot run %d: %v", id, i, err)
+			}
+			sum += res.Stats.PlanNanos
+			slowest = max(slowest, res.Stats.PlanNanos)
+		}
+		coldPlan, hotPlan := time.Duration(cold.Stats.PlanNanos), time.Duration((sum-slowest)/(hits-1))
+		t.Logf("Q%d: cold plan %v, mean hot plan %v", id, coldPlan, hotPlan)
+		if hotPlan*10 > coldPlan {
+			t.Errorf("Q%d: mean hot plan time %v is over 10%% of cold %v", id, hotPlan, coldPlan)
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"gignite"
-	"gignite/internal/harness"
 	"gignite/internal/tpch"
 )
 
@@ -23,22 +22,6 @@ const chaosSF = 0.005
 // chaosQueries are the acceptance queries: a two-phase aggregation (Q1)
 // and a join + sort pipeline (Q3), both multi-fragment at 4 sites.
 var chaosQueries = []int{1, 3}
-
-func openChaosEngine(t *testing.T, backups int, spec string) *gignite.Engine {
-	t.Helper()
-	plan, err := gignite.ParseFaults(spec)
-	if err != nil {
-		t.Fatalf("fault spec %q: %v", spec, err)
-	}
-	cfg := harness.ConfigFor(harness.ICPlus, 4, chaosSF)
-	cfg.Backups = backups
-	cfg.Faults = plan
-	e := gignite.Open(gignite.WithConfig(cfg))
-	if err := tpch.Setup(e, chaosSF); err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
 
 // checkGoroutineLeaks fails the test if goroutines outlive it (workers,
 // backoff timers). Registered before the work so the cleanup runs after.
@@ -65,7 +48,7 @@ func checkGoroutineLeaks(t *testing.T) {
 // worker count, and recovery scenarios must surface retries in the stats.
 func TestChaosFaultPlans(t *testing.T) {
 	checkGoroutineLeaks(t)
-	baseline := openChaosEngine(t, 1, "")
+	baseline := openTPCH(t, chaosSF, 4, withFaults(t, 1, ""))
 	want := make(map[int][]string)
 	wantWork := make(map[int]float64)
 	for _, id := range chaosQueries {
@@ -106,7 +89,7 @@ func TestChaosFaultPlans(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			e := openChaosEngine(t, sc.backups, sc.spec)
+			e := openTPCH(t, chaosSF, 4, withFaults(t, sc.backups, sc.spec))
 			retries := 0
 			var work float64
 			for _, workers := range []int{1, 0} {
@@ -145,7 +128,7 @@ func TestChaosFaultPlans(t *testing.T) {
 // turns into a clean aggregate error, not a panic, hang, or wrong rows.
 func TestChaosNoBackupsFailsCleanly(t *testing.T) {
 	checkGoroutineLeaks(t)
-	e := openChaosEngine(t, 0, "seed=1;crash=2@0")
+	e := openTPCH(t, chaosSF, 4, withFaults(t, 0, "seed=1;crash=2@0"))
 	for _, id := range chaosQueries {
 		_, err := e.Query(tpch.QueryByID(id).SQL)
 		if err == nil {
@@ -159,7 +142,7 @@ func TestChaosNoBackupsFailsCleanly(t *testing.T) {
 // order — identical text at Workers=1 and Workers=8.
 func TestChaosErrorTextDeterministic(t *testing.T) {
 	checkGoroutineLeaks(t)
-	e := openChaosEngine(t, 0, "seed=1;crash=1@0;crash=2@0")
+	e := openTPCH(t, chaosSF, 4, withFaults(t, 0, "seed=1;crash=1@0;crash=2@0"))
 	q := tpch.QueryByID(1).SQL
 	e.SetExecParallelism(1)
 	_, errSeq := e.Query(q)
@@ -177,17 +160,11 @@ func TestChaosErrorTextDeterministic(t *testing.T) {
 	}
 }
 
-// openCancelEngine: the IC baseline with the work limit disabled, so its
-// mis-planned nested-loop joins run indefinitely unless cancelled.
-func openCancelEngine(t *testing.T) *gignite.Engine {
-	t.Helper()
-	cfg := gignite.IC(4)
-	cfg.ExecWorkLimit = -1
-	e := gignite.Open(gignite.WithConfig(cfg))
-	if err := tpch.Setup(e, chaosSF); err != nil {
-		t.Fatal(err)
-	}
-	return e
+// uncancelledIC configures the IC baseline with the work limit disabled,
+// so its mis-planned nested-loop joins run indefinitely unless cancelled.
+func uncancelledIC(c *gignite.Config) {
+	*c = gignite.IC(4)
+	c.ExecWorkLimit = -1
 }
 
 // longRunningSQL forces a huge nested-loop join (the condition is not an
@@ -200,7 +177,7 @@ where l1.l_orderkey + l2.l_orderkey < 0`
 // with context.DeadlineExceeded.
 func TestChaosDeadlineCancelsQuery(t *testing.T) {
 	checkGoroutineLeaks(t)
-	e := openCancelEngine(t)
+	e := openTPCH(t, chaosSF, 4, uncancelledIC)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	_, err := e.QueryContext(ctx, longRunningSQL)
@@ -224,7 +201,7 @@ func TestChaosDeadlineCancelsQuery(t *testing.T) {
 // first wave is executing stops the query with context.Canceled.
 func TestChaosClientCancelMidWave(t *testing.T) {
 	checkGoroutineLeaks(t)
-	e := openCancelEngine(t)
+	e := openTPCH(t, chaosSF, 4, uncancelledIC)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(5 * time.Millisecond)

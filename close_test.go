@@ -29,6 +29,17 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	if _, err := e.Prepare(`SELECT id FROM emp WHERE id = ?`); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("Prepare after Close: want ErrEngineClosed, got %v", err)
 	}
+	for name, call := range map[string]func() error{
+		"Explain":        func() error { _, err := e.Explain(`SELECT id FROM emp`); return err },
+		"LoadTable":      func() error { return e.LoadTable("emp", nil) },
+		"Analyze":        e.Analyze,
+		"ReferenceQuery": func() error { _, err := e.ReferenceQuery(`SELECT id FROM emp`); return err },
+		"LogicalPlan":    func() error { _, err := e.LogicalPlan(`SELECT id FROM emp`); return err },
+	} {
+		if err := call(); !errors.Is(err, ErrEngineClosed) {
+			t.Errorf("%s after Close: want ErrEngineClosed, got %v", name, err)
+		}
+	}
 }
 
 // TestCloseStmtAfterClose: a statement prepared before Close refuses to
@@ -71,6 +82,44 @@ func TestCloseWaitsForInflight(t *testing.T) {
 		t.Fatalf("Close returned after %v without waiting for in-flight work", elapsed)
 	}
 	wg.Wait()
+}
+
+// TestCloseWaitsForInflightLoad: a bulk load is in-flight work too. Close
+// must not report "drained" while LoadTable is still appending to
+// partitions or rebuilding indexes.
+func TestCloseWaitsForInflightLoad(t *testing.T) {
+	e := Open(WithPreset(ICPlus, 2))
+	mustExec(t, e, `CREATE TABLE big (id BIGINT PRIMARY KEY, grp BIGINT)`)
+	mustExec(t, e, `CREATE INDEX big_grp ON big (grp)`)
+	rows := make([]Row, 200000)
+	for i := range rows {
+		rows[i] = Row{types.NewInt(int64(i)), types.NewInt(int64(i % 16))}
+	}
+	loaded := make(chan error, 1)
+	go func() { loaded <- e.LoadTable("big", rows) }()
+	// Wait until the load has registered itself, so Close races a load
+	// that is genuinely in flight (it runs for tens of milliseconds).
+	for inflight := 0; inflight == 0; time.Sleep(50 * time.Microsecond) {
+		select {
+		case err := <-loaded:
+			t.Fatalf("LoadTable returned (%v) without registering as in-flight work", err)
+		default:
+		}
+		e.shutMu.Lock()
+		inflight = e.ops
+		e.shutMu.Unlock()
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	// Drained means loaded and indexed: rebuilding the index is the load's
+	// last step.
+	if _, err := e.store.IndexScan("big", "big_grp", 0, nil, nil); err != nil {
+		t.Errorf("Close returned before the load finished: %v", err)
+	}
+	if err := <-loaded; err != nil {
+		t.Fatalf("LoadTable: %v", err)
+	}
 }
 
 // TestCloseContextExpired reports drain interruption when the context

@@ -31,6 +31,7 @@ import (
 
 func main() {
 	ef := engineflags.Bind(flag.CommandLine, engineflags.Defaults{System: "ic+m", PlanCache: 64})
+	ef.BindGovernance(flag.CommandLine)
 	sites := flag.Int("sites", 4, "simulated processing sites")
 	load := flag.String("load", "", "preload a benchmark: tpch or ssb")
 	sf := flag.Float64("sf", 0.01, "benchmark scale factor")

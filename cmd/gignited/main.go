@@ -43,6 +43,7 @@ func main() {
 
 func run() int {
 	ef := engineflags.Bind(flag.CommandLine, engineflags.Defaults{System: "ic+m", PlanCache: 64})
+	ef.BindGovernance(flag.CommandLine)
 	addr := flag.String("addr", "127.0.0.1:7468", "wire-protocol listen address")
 	httpAddr := flag.String("http", "127.0.0.1:7469", "HTTP sidecar address for /metrics and /healthz (empty disables)")
 	sites := flag.Int("sites", 4, "simulated processing sites")

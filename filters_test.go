@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"gignite"
-	"gignite/internal/harness"
 	"gignite/internal/tpch"
 )
 
@@ -18,26 +17,7 @@ import (
 // but small enough for the test suite's time budget.
 const filterTestSF = 0.05
 
-// filterEngine opens an IC+ engine at SF 0.05 on `sites` sites with
-// runtime filters toggled, loading TPC-H once per combination.
-func filterEngine(t testing.TB, sites int, filters bool, backups int, faultSpec string) *gignite.Engine {
-	t.Helper()
-	cfg := harness.ConfigFor(harness.ICPlus, sites, filterTestSF)
-	cfg.RuntimeFilters = filters
-	cfg.Backups = backups
-	if faultSpec != "" {
-		fp, err := gignite.ParseFaults(faultSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Faults = fp
-	}
-	e := gignite.Open(gignite.WithConfig(cfg))
-	if err := tpch.Setup(e, filterTestSF); err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
+func filtersOn(c *gignite.Config) { c.RuntimeFilters = true }
 
 // rowsChecksum renders a result set to a comparable string (row order
 // included: the engine's results are deterministic and ordered).
@@ -74,8 +54,8 @@ func exchangeRows(res *gignite.Result, exchanges map[int]bool) int64 {
 // lineitem; ~14% of the guarded exchange's rows are all that is
 // semantically prunable.
 func TestRuntimeFilterShippedRows(t *testing.T) {
-	off := filterEngine(t, 4, false, 0, "")
-	on := filterEngine(t, 4, true, 0, "")
+	off := openTPCH(t, filterTestSF, 4)
+	on := openTPCH(t, filterTestSF, 4, filtersOn)
 	for _, tc := range []struct {
 		qid     int
 		minDrop float64
@@ -134,8 +114,8 @@ func TestRuntimeFilterShippedRows(t *testing.T) {
 // ExecParallelism 1, 2 and 8, with identical modeled times at every
 // parallelism (host workers must never leak into results or the clock).
 func TestRuntimeFilterDeterminism(t *testing.T) {
-	off := filterEngine(t, 4, false, 0, "")
-	on := filterEngine(t, 4, true, 0, "")
+	off := openTPCH(t, filterTestSF, 4)
+	on := openTPCH(t, filterTestSF, 4, filtersOn)
 	for _, qid := range []int{3, 5, 10} {
 		sql := tpch.QueryByID(qid).SQL
 		off.SetExecParallelism(1)
@@ -169,9 +149,9 @@ func TestRuntimeFilterDeterminism(t *testing.T) {
 // logical site identity, so recovery must not change what gets pruned.
 func TestRuntimeFilterUnderFaults(t *testing.T) {
 	const faultSpec = "seed=7;crash=2@5"
-	clean := filterEngine(t, 4, false, 1, "")
-	off := filterEngine(t, 4, false, 1, faultSpec)
-	on := filterEngine(t, 4, true, 1, faultSpec)
+	clean := openTPCH(t, filterTestSF, 4, withFaults(t, 1, ""))
+	off := openTPCH(t, filterTestSF, 4, withFaults(t, 1, faultSpec))
+	on := openTPCH(t, filterTestSF, 4, filtersOn, withFaults(t, 1, faultSpec))
 	for _, qid := range []int{3, 5, 10} {
 		sql := tpch.QueryByID(qid).SQL
 		base, err := clean.Query(sql)
@@ -203,7 +183,7 @@ func TestRuntimeFilterUnderFaults(t *testing.T) {
 // EXPLAIN ANALYZE report must carry per-filter summary lines with pruned
 // counts and per-operator pruned= annotations.
 func TestRuntimeFilterExplainAnalyze(t *testing.T) {
-	on := filterEngine(t, 4, true, 0, "")
+	on := openTPCH(t, filterTestSF, 4, filtersOn)
 	res, err := on.Exec("EXPLAIN ANALYZE " + tpch.QueryByID(3).SQL)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +208,7 @@ func BenchmarkRuntimeFilter(b *testing.B) {
 		filters bool
 	}{{"off", false}, {"on", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			e := filterEngine(b, 4, mode.filters, 0, "")
+			e := openTPCH(b, filterTestSF, 4, func(c *gignite.Config) { c.RuntimeFilters = mode.filters })
 			sql := tpch.QueryByID(3).SQL
 			var res *gignite.Result
 			var err error

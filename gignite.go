@@ -444,9 +444,11 @@ func (e *Engine) Metrics() obs.Snapshot { return e.metrics.Snapshot() }
 // own series next to the engine's and serve one coherent snapshot.
 func (e *Engine) Registry() *obs.Registry { return e.metrics }
 
-// beginOp admits one statement into the engine's lifecycle accounting;
-// it fails once Close has been called. Every beginOp is paired with
-// endOp, which lets Close wait for in-flight statements to drain.
+// beginOp admits one operation into the engine's lifecycle accounting;
+// it fails once Close has been called. Every entry point that touches the
+// catalog or the store — statements, Explain, LoadTable, Analyze,
+// ReferenceQuery, LogicalPlan — pairs it with endOp, which lets Close
+// wait for in-flight work (a bulk load included) to drain.
 func (e *Engine) beginOp() error {
 	e.shutMu.Lock()
 	defer e.shutMu.Unlock()
@@ -722,6 +724,10 @@ func (e *Engine) QueryContext(ctx context.Context, query string) (*Result, error
 
 // Explain returns the fragmented physical plan for a SELECT.
 func (e *Engine) Explain(query string) (string, error) {
+	if err := e.beginOp(); err != nil {
+		return "", err
+	}
+	defer e.endOp()
 	sel, err := sql.ParseSelect(query)
 	if err != nil {
 		return "", err
@@ -736,6 +742,10 @@ func (e *Engine) Explain(query string) (string, error) {
 // LoadTable bulk-loads rows and rebuilds the table's indexes. It is the
 // fast path the benchmark generators use.
 func (e *Engine) LoadTable(name string, rows []Row) error {
+	if err := e.beginOp(); err != nil {
+		return err
+	}
+	defer e.endOp()
 	if err := e.store.Load(name, rows); err != nil {
 		return err
 	}
@@ -746,6 +756,10 @@ func (e *Engine) LoadTable(name string, rows []Row) error {
 // min/max) for every table — Ignite's "statistics enabled" mode. Call it
 // after loading data and before planning queries.
 func (e *Engine) Analyze() error {
+	if err := e.beginOp(); err != nil {
+		return err
+	}
+	defer e.endOp()
 	for _, t := range e.catalog.Tables() {
 		if err := e.store.ComputeStats(t); err != nil {
 			return err
@@ -1191,6 +1205,10 @@ func (e *Engine) explain(sel *sql.SelectStmt) (*Result, error) {
 // stage-1 heuristic rules with the main pipeline, so integration tests use
 // it to cross-check the distributed engine's results.
 func (e *Engine) ReferenceQuery(query string) ([]Row, error) {
+	if err := e.beginOp(); err != nil {
+		return nil, err
+	}
+	defer e.endOp()
 	sel, err := sql.ParseSelect(query)
 	if err != nil {
 		return nil, err
@@ -1206,6 +1224,10 @@ func (e *Engine) ReferenceQuery(query string) ([]Row, error) {
 // LogicalPlan returns the bound + heuristically optimized logical plan
 // text (a debugging aid used by tests and the CLI).
 func (e *Engine) LogicalPlan(query string) (string, error) {
+	if err := e.beginOp(); err != nil {
+		return "", err
+	}
+	defer e.endOp()
 	sel, err := sql.ParseSelect(query)
 	if err != nil {
 		return "", err

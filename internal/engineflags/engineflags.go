@@ -8,7 +8,9 @@
 // daemon and the benchmark runner. Commands bind the registry into their
 // own flag.FlagSet (per-command defaults go through Defaults), add their
 // command-specific flags (addresses, scale-factor lists, ...), and
-// resolve the bound values with Values.Options.
+// resolve the bound values with Values.Options. The resource-governance
+// flags are bound separately (BindGovernance) by the commands that serve
+// queries; benchrunner's experiments run ungoverned and do not bind them.
 package engineflags
 
 import (
@@ -32,6 +34,8 @@ type Values struct {
 	Faults string
 	// Filters toggles runtime join-filter pushdown.
 	Filters bool
+	// Admission, MaxMem, QueryMem and Hedge are the resource-governance
+	// group: bound by BindGovernance, zero (ungoverned) otherwise.
 	// Admission bounds concurrent queries (0 = unbounded).
 	Admission int
 	// MaxMem is the engine memory budget in bytes (0 = no pool).
@@ -54,8 +58,6 @@ type Values struct {
 type Defaults struct {
 	System    string
 	Filters   bool
-	Admission int
-	Hedge     float64
 	PlanCache int
 }
 
@@ -71,46 +73,61 @@ func Bind(fs *flag.FlagSet, d Defaults) *Values {
 	fs.IntVar(&v.Parallelism, "par", 0, "host execution parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	fs.StringVar(&v.Faults, "faults", "", `deterministic fault plan, e.g. "seed=1;crash=2@5;slow=1x4;sendfail=0.01"`)
 	fs.BoolVar(&v.Filters, "filters", d.Filters, "enable runtime join-filter pushdown (DESIGN.md §13)")
-	fs.IntVar(&v.Admission, "admission", d.Admission, "max concurrent queries (0 = unbounded)")
-	fs.Int64Var(&v.MaxMem, "maxmem", 0, "engine-wide memory budget in bytes (0 = no pool)")
-	fs.Int64Var(&v.QueryMem, "querymem", 0, "per-query memory cap in bytes (0 = unlimited)")
-	fs.Float64Var(&v.Hedge, "hedge", d.Hedge, "hedge stragglers past this multiple of the wave median (0 = off)")
 	fs.IntVar(&v.PlanCache, "plancache", d.PlanCache, "plan cache capacity in plans (0 = off)")
 	fs.BoolVar(&v.Adaptive, "adaptive", false, "enable adaptive mid-query re-optimization (DESIGN.md §17)")
 	fs.Float64Var(&v.Misestimate, "misestimate", 0, "multiply the planner's join estimates by this factor (stats fault injection)")
 	return v
 }
 
-// Preset resolves the -system flag to its Config constructor. Matching
+// BindGovernance registers the resource-governance flags (DESIGN.md §14)
+// on fs. Unbound, they stay zero: ungoverned.
+func (v *Values) BindGovernance(fs *flag.FlagSet) {
+	fs.IntVar(&v.Admission, "admission", 0, "max concurrent queries (0 = unbounded)")
+	fs.Int64Var(&v.MaxMem, "maxmem", 0, "engine-wide memory budget in bytes (0 = no pool)")
+	fs.Int64Var(&v.QueryMem, "querymem", 0, "per-query memory cap in bytes (0 = unlimited)")
+	fs.Float64Var(&v.Hedge, "hedge", 0, "hedge stragglers past this multiple of the wave median (0 = off)")
+}
+
+// Preset resolves the -system flag to the variant's canonical name (the
+// paper's spelling: IC, IC+ or IC+M) and its Config constructor. Matching
 // is case-insensitive and accepts the spelled-out icplus/icplusm aliases.
-func (v *Values) Preset() (func(sites int) gignite.Config, error) {
+func (v *Values) Preset() (name string, preset func(sites int) gignite.Config, err error) {
 	switch strings.ToLower(v.System) {
 	case "ic":
-		return gignite.IC, nil
+		return "IC", gignite.IC, nil
 	case "ic+", "icplus":
-		return gignite.ICPlus, nil
+		return "IC+", gignite.ICPlus, nil
 	case "ic+m", "icplusm":
-		return gignite.ICPlusM, nil
+		return "IC+M", gignite.ICPlusM, nil
 	}
-	return nil, fmt.Errorf("unknown -system %q (want ic, ic+ or ic+m)", v.System)
+	return "", nil, fmt.Errorf("unknown -system %q (want ic, ic+ or ic+m)", v.System)
 }
 
 // Options resolves the bound values into functional options for a
 // cluster of the given size, preset first so command-specific options
 // appended after them still win.
 func (v *Values) Options(sites int) ([]gignite.Option, error) {
-	preset, err := v.Preset()
+	_, preset, err := v.Preset()
 	if err != nil {
 		return nil, err
 	}
+	rest, err := v.EngineOptions()
+	if err != nil {
+		return nil, err
+	}
+	return append([]gignite.Option{gignite.WithPreset(preset, sites)}, rest...), nil
+}
+
+// EngineOptions resolves every bound flag except -system: the options a
+// caller layers over a configuration whose variant and site count it
+// picked itself (benchrunner's experiments choose the system per point).
+func (v *Values) EngineOptions() ([]gignite.Option, error) {
 	fp, err := gignite.ParseFaults(v.Faults)
 	if err != nil {
 		return nil, fmt.Errorf("-faults: %w", err)
 	}
 	opts := []gignite.Option{
-		gignite.WithPreset(preset, sites),
 		gignite.WithCluster(gignite.ClusterOptions{
-			Sites:       sites,
 			Backups:     v.Backups,
 			Parallelism: v.Parallelism,
 			Faults:      fp,

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"gignite"
-	"gignite/internal/faults"
 	"gignite/internal/ssb"
 	"gignite/internal/tpch"
 )
@@ -77,62 +76,34 @@ func (w Workload) String() string {
 }
 
 // Env caches loaded engines so experiments over many (system, sites, SF)
-// combinations pay data generation and loading once each. An Env is safe
-// for concurrent use (the multi-client AQL drivers share one).
+// combinations pay data generation and loading once each. Its engine
+// options are fixed at construction, so the cache key is the experiment
+// point alone and two Engine calls can never disagree about a knob. An
+// Env is safe for concurrent use (the multi-client AQL drivers share one).
 type Env struct {
-	// Parallelism is passed through to Config.ExecParallelism for every
-	// engine the Env opens (0 = GOMAXPROCS, 1 = sequential).
-	Parallelism int
-	// Backups is the per-partition backup replica count for every engine
-	// the Env opens (Config.Backups).
-	Backups int
-	// Faults is an optional fault-injection plan applied to every query
-	// (Config.Faults); nil injects nothing.
-	Faults *faults.Plan
-	// Timeout is an optional per-query wall-clock deadline
-	// (Config.QueryTimeout); 0 means none.
-	Timeout time.Duration
-	// Filters enables runtime join-filter pushdown (Config.RuntimeFilters)
-	// for every engine the Env opens. It is part of the engine cache key,
-	// so one Env can hold filters-on and filters-off engines side by side.
-	Filters bool
-	// PlanCache is the plan-cache capacity (Config.PlanCacheSize) for every
-	// engine the Env opens; 0 disables caching. Part of the engine cache
-	// key, so cache-on and cache-off engines coexist in one Env.
-	PlanCache int
-	// Adaptive enables mid-query re-optimization (Config.AdaptiveExec)
-	// and Misestimate perturbs the planner's join estimates
-	// (Config.StatsMisestimate) for every engine the Env opens. Both are
-	// part of the engine cache key.
-	Adaptive    bool
-	Misestimate float64
-
+	opts    []gignite.Option
 	mu      sync.Mutex
 	engines map[string]*gignite.Engine
 }
 
-// NewEnv creates an empty environment.
-func NewEnv() *Env { return &Env{engines: make(map[string]*gignite.Engine)} }
+// NewEnv creates an empty environment. opts are layered over the
+// ConfigFor configuration of every engine the Env opens (benchrunner
+// passes its engine flags here); the experiment still picks the system,
+// site count and scale factor per point.
+func NewEnv(opts ...gignite.Option) *Env {
+	return &Env{opts: opts, engines: make(map[string]*gignite.Engine)}
+}
 
 // Engine returns (loading on first use) the engine for a combination.
 func (env *Env) Engine(w Workload, sys System, sites int, sf float64) (*gignite.Engine, error) {
-	key := fmt.Sprintf("%s/%s/%d/%g/filters=%t/plancache=%d/adaptive=%t/mis=%g",
-		w, sys, sites, sf, env.Filters, env.PlanCache, env.Adaptive, env.Misestimate)
+	key := fmt.Sprintf("%s/%s/%d/%g", w, sys, sites, sf)
 	env.mu.Lock()
 	defer env.mu.Unlock()
 	if e, ok := env.engines[key]; ok {
 		return e, nil
 	}
-	cfg := ConfigFor(sys, sites, sf)
-	cfg.ExecParallelism = env.Parallelism
-	cfg.Backups = env.Backups
-	cfg.Faults = env.Faults
-	cfg.QueryTimeout = env.Timeout
-	cfg.RuntimeFilters = env.Filters
-	cfg.PlanCacheSize = env.PlanCache
-	cfg.AdaptiveExec = env.Adaptive
-	cfg.StatsMisestimate = env.Misestimate
-	e := gignite.Open(gignite.WithConfig(cfg))
+	opts := append([]gignite.Option{gignite.WithConfig(ConfigFor(sys, sites, sf))}, env.opts...)
+	e := gignite.Open(opts...)
 	var err error
 	if w == SSB {
 		err = ssb.Setup(e, sf)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gignite"
 )
 
 // Harness tests run at a tiny scale factor and a single site pair to stay
@@ -51,6 +53,21 @@ func TestEnvCachesEngines(t *testing.T) {
 	}
 	if a == c {
 		t.Error("different systems share an engine")
+	}
+	// Engine options are fixed per Env, so the same point under different
+	// options is a different engine in a different Env — never a stale one
+	// built before a knob changed.
+	backed := NewEnv(gignite.WithCluster(gignite.ClusterOptions{Backups: 1}))
+	d, err := backed.Engine(TPCH, ICPlus, 4, 0.002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d == a || d.Config().Backups != 1 || a.Config().Backups != 0 {
+		t.Errorf("Envs with different options share an engine or its configuration (backups %d and %d)",
+			a.Config().Backups, d.Config().Backups)
+	}
+	if d2, _ := backed.Engine(TPCH, ICPlus, 4, 0.002); d2 != d {
+		t.Error("engine not cached in the second Env")
 	}
 }
 

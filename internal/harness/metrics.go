@@ -12,105 +12,38 @@ import (
 // one MetricsFile object:
 //
 //	{
-//	  "schema":   "gignite.metrics/v1",
+//	  "schema":   "gignite.metrics/v2",
 //	  "system":   "IC+M",            // system variant
 //	  "workload": "TPC-H",
 //	  "sf":       0.1,               // scale factor
 //	  "sites":    4,                 // simulated processing sites
-//	  "queries":  [ ... ],           // one QueryMetrics per query run
+//	  "queries":  [ ... ],           // one LabeledReport per query run
 //	  "engine":   { ... }            // cumulative obs.Snapshot: counters,
 //	}                                // gauges, histograms
 //
-// Each QueryMetrics element carries the query's modeled and wall times,
-// totals (work, bytes, instances, retries, spans) and the per-operator
-// estimate-vs-actual report ("operators": est_rows from the planner,
-// act_rows summed over successful instances, qerror the symmetric
-// (est+1)/(act+1) ratio). All deterministic fields are identical across
-// hosts and worker counts; wall_seconds is host measurement.
-const MetricsSchema = "gignite.metrics/v1"
+// Each element of "queries" is the engine's own gignite.QueryReport (see
+// its field documentation) with the benchmark's query label added; v1
+// carried a renamed copy of the same numbers. All deterministic fields
+// are identical across hosts and worker counts; wall_ns is host
+// measurement.
+const MetricsSchema = "gignite.metrics/v2"
 
-// OperatorMetrics is one row of the estimate-vs-actual report.
-type OperatorMetrics struct {
-	Frag    int     `json:"frag"`
-	Op      string  `json:"op"`
-	EstRows float64 `json:"est_rows"`
-	ActRows int64   `json:"act_rows"`
-	QError  float64 `json:"qerror"`
-	Work    float64 `json:"work"`
-}
-
-// QueryMetrics is the observability record of one benchmark query run.
-type QueryMetrics struct {
-	Label       string  `json:"label"`
-	PlanDigest  string  `json:"plan_digest"`
-	ModeledSecs float64 `json:"modeled_seconds"`
-	WallSecs    float64 `json:"wall_seconds"`
-	Rows        int     `json:"rows"`
-	Work        float64 `json:"work"`
-	Bytes       float64 `json:"bytes_shipped"`
-	Instances   int     `json:"instances"`
-	Retries     int     `json:"retries"`
-	Spans       int     `json:"spans"`
-	// Runtime join-filter telemetry (zero when Config.RuntimeFilters is
-	// off or the plan carries no filter edges).
-	FiltersBuilt int   `json:"filters_built,omitempty"`
-	FilterBytes  int64 `json:"filter_bytes,omitempty"`
-	RowsPruned   int64 `json:"rows_pruned,omitempty"`
-	// PlanningSkipped is true when the run reused a cached plan (plan
-	// cache or prepared statement) and so did no optimization work;
-	// PlanNanos is the plan-acquisition wall time either way.
-	PlanningSkipped bool  `json:"planning_skipped,omitempty"`
-	PlanNanos       int64 `json:"plan_nanos,omitempty"`
-	// Replans / Switches are the adaptive-execution counters (zero when
-	// Config.AdaptiveExec is off — DESIGN.md §17).
-	Replans   int               `json:"replans,omitempty"`
-	Switches  int               `json:"switches,omitempty"`
-	Operators []OperatorMetrics `json:"operators"`
+// LabeledReport is one benchmark query run: the engine's report under the
+// query's benchmark label.
+type LabeledReport struct {
+	Label string `json:"label"`
+	*gignite.QueryReport
 }
 
 // MetricsFile is the top-level -metrics JSON document (see MetricsSchema).
 type MetricsFile struct {
-	Schema   string         `json:"schema"`
-	System   string         `json:"system"`
-	Workload string         `json:"workload"`
-	SF       float64        `json:"sf"`
-	Sites    int            `json:"sites"`
-	Queries  []QueryMetrics `json:"queries"`
-	Engine   obs.Snapshot   `json:"engine"`
-}
-
-// queryMetrics flattens one Result into the metrics-file schema. It is
-// a thin projection of the engine's unified QueryReport, so the harness
-// and any external consumer of Result.Report see the same numbers.
-func queryMetrics(label string, res *gignite.Result) QueryMetrics {
-	rep := res.Report()
-	qm := QueryMetrics{
-		Label:           label,
-		PlanDigest:      rep.PlanDigest,
-		ModeledSecs:     rep.Stats.Modeled.Seconds(),
-		WallSecs:        rep.Wall.Seconds(),
-		Rows:            rep.RowCount,
-		Work:            rep.Stats.Work,
-		Bytes:           rep.Stats.BytesShipped,
-		Instances:       rep.Stats.Instances,
-		Retries:         rep.Stats.Retries,
-		Spans:           rep.Stats.Spans,
-		FiltersBuilt:    rep.Stats.FiltersBuilt,
-		FilterBytes:     rep.Stats.FilterBytes,
-		RowsPruned:      rep.Stats.RowsPruned,
-		PlanningSkipped: rep.Stats.PlanningSkipped,
-		PlanNanos:       rep.Stats.PlanNanos,
-		Replans:         rep.Stats.AdaptiveReplans,
-		Switches:        rep.Stats.AdaptiveSwitches,
-	}
-	for _, op := range rep.Operators {
-		qm.Operators = append(qm.Operators, OperatorMetrics{
-			Frag: op.Frag, Op: op.Op,
-			EstRows: op.EstRows, ActRows: op.ActRows,
-			QError: op.QError, Work: op.Work,
-		})
-	}
-	return qm
+	Schema   string          `json:"schema"`
+	System   string          `json:"system"`
+	Workload string          `json:"workload"`
+	SF       float64         `json:"sf"`
+	Sites    int             `json:"sites"`
+	Queries  []LabeledReport `json:"queries"`
+	Engine   obs.Snapshot    `json:"engine"`
 }
 
 // CollectMetrics runs the selected TPC-H queries once each on one engine
@@ -148,7 +81,7 @@ func CollectMetrics(env *Env, sys System, sites int, sf float64, ids []int) (*Me
 			res.Obs.Label = label
 			traces = append(traces, res.Obs)
 		}
-		mf.Queries = append(mf.Queries, queryMetrics(label, res))
+		mf.Queries = append(mf.Queries, LabeledReport{label, res.Report()})
 	}
 	mf.Engine = e.Metrics()
 	return mf, traces, nil

@@ -121,6 +121,29 @@ func TestSnapshotTextDeterministic(t *testing.T) {
 	}
 }
 
+// TestSnapshotPrometheus: the /metrics exposition carries counters and
+// gauges as bare `name value` samples a scraper can read back, and
+// histograms as cumulative buckets.
+func TestSnapshotPrometheus(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("queries_planning_skipped_total").Add(4)
+	r.Gauge("conns_open").Set(2)
+	h := r.Histogram("h", []float64{1, 10})
+	for _, v := range []float64{0.5, 5, 50} {
+		h.Observe(v)
+	}
+	text := r.Snapshot().Prometheus()
+	for _, line := range []string{
+		"# TYPE queries_planning_skipped_total counter", "queries_planning_skipped_total 4",
+		"# TYPE conns_open gauge", "conns_open 2",
+		`h_bucket{le="1"} 1`, `h_bucket{le="10"} 2`, `h_bucket{le="+Inf"} 3`, "h_sum 55.5", "h_count 3",
+	} {
+		if !strings.Contains("\n"+text, "\n"+line+"\n") {
+			t.Errorf("exposition lacks line %q:\n%s", line, text)
+		}
+	}
+}
+
 // TestFragmentMerge: merging two instance records sums flows and takes
 // the max of the high-water mark.
 func TestFragmentMerge(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -117,13 +118,22 @@ func renderEngine(rows []gignite.Row) string {
 	return sb.String()
 }
 
-// TestE2EMixedClients runs concurrent driver clients over real TCP and
-// checks every result byte-identical against in-process execution.
+// TestE2EMixedClients runs concurrent driver clients over real TCP, with
+// the plan cache off and on, and checks every result byte-identical
+// against in-process execution; after shutdown no connection is still
+// counted open and the serving layer's goroutines are gone.
 func TestE2EMixedClients(t *testing.T) {
-	eng := tpchEngine(t, nil)
-	_, addr := startServer(t, eng, server.Config{})
+	for _, cache := range []int{0, 64} {
+		t.Run(fmt.Sprintf("plancache=%d", cache), func(t *testing.T) { e2eMixedClients(t, cache) })
+	}
+}
 
-	ids := []int{1, 3, 10}
+func e2eMixedClients(t *testing.T, planCache int) {
+	baseGoroutines := runtime.NumGoroutine()
+	eng := tpchEngine(t, func(cfg *gignite.Config) { cfg.PlanCacheSize = planCache })
+	srv, addr := startServer(t, eng, server.Config{})
+
+	ids := []int{1, 3, 5, 10}
 	want := make(map[int]string)
 	for _, id := range ids {
 		res, err := eng.Query(tpch.QueryByID(id).SQL)
@@ -144,7 +154,7 @@ func TestE2EMixedClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for j := 0; j < 3; j++ {
+			for j := range ids {
 				id := ids[(i+j)%len(ids)]
 				rows, err := db.Query(tpch.QueryByID(id).SQL)
 				if err != nil {
@@ -167,6 +177,28 @@ func TestE2EMixedClients(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+
+	if err := db.Close(); err != nil {
+		t.Errorf("close pool: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Errorf("Shutdown: %v", err)
+	}
+	if open := eng.Metrics().Gauges["conns_open"]; open != 0 {
+		t.Errorf("conns_open = %g after shutdown, want 0", open)
+	}
+	if err := eng.Close(); err != nil {
+		t.Errorf("engine close: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseGoroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after shutdown vs %d before; the serving layer leaked",
+				runtime.NumGoroutine(), baseGoroutines)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -205,7 +237,14 @@ func TestMidStreamKillFreesLease(t *testing.T) {
 	if err := wire.WriteFrame(conn, wire.FrameQuery, enc.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	// Let the query get into execution, then kill the connection hard.
+	// Let the query be admitted and get into execution, then kill the
+	// connection hard.
+	for deadline := time.Now().Add(10 * time.Second); eng.Metrics().Gauges["queries_inflight"] < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("slow query never admitted")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	time.Sleep(150 * time.Millisecond)
 	if err := conn.Close(); err != nil {
 		t.Fatal(err)

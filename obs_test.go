@@ -22,23 +22,6 @@ import (
 
 const obsSF = 0.005
 
-func openObsEngine(t *testing.T, parallelism, backups int, spec string) *gignite.Engine {
-	t.Helper()
-	plan, err := gignite.ParseFaults(spec)
-	if err != nil {
-		t.Fatalf("fault spec %q: %v", spec, err)
-	}
-	cfg := harness.ConfigFor(harness.ICPlus, 4, obsSF)
-	cfg.ExecParallelism = parallelism
-	cfg.Backups = backups
-	cfg.Faults = plan
-	e := gignite.Open(gignite.WithConfig(cfg))
-	if err := tpch.Setup(e, obsSF); err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
 // opSummary renders the deterministic slice of a query's per-operator
 // stats (row flows, batches, build sizes, peaks and modeled work — wall
 // times excluded, they are host measurements).
@@ -68,8 +51,8 @@ func spanSummary(q *obs.QueryObs) string {
 // TestObsDeterministicAcrossWorkers: per-operator stats and the span
 // sequence are byte-identical between sequential and parallel execution.
 func TestObsDeterministicAcrossWorkers(t *testing.T) {
-	seq := openObsEngine(t, 1, 0, "")
-	par := openObsEngine(t, 8, 0, "")
+	seq := openTPCH(t, obsSF, 4, parallelism(1))
+	par := openTPCH(t, obsSF, 4, parallelism(8))
 	for _, id := range []int{1, 3, 6} {
 		q := tpch.QueryByID(id).SQL
 		rs, err := seq.Query(q)
@@ -96,8 +79,8 @@ func TestObsDeterministicAcrossWorkers(t *testing.T) {
 // (spans == instances + retries), retried attempts marked, and the
 // recovered rows byte-identical to the fault-free run.
 func TestObsSpanInvariantUnderFaults(t *testing.T) {
-	baseline := openObsEngine(t, 4, 1, "")
-	faulty := openObsEngine(t, 4, 1, "seed=7;crash=2@5")
+	baseline := openTPCH(t, obsSF, 4, parallelism(4), withFaults(t, 1, ""))
+	faulty := openTPCH(t, obsSF, 4, parallelism(4), withFaults(t, 1, "seed=7;crash=2@5"))
 	for _, id := range []int{1, 3} {
 		q := tpch.QueryByID(id).SQL
 		want, err := baseline.Query(q)
@@ -138,7 +121,7 @@ func TestObsSpanInvariantUnderFaults(t *testing.T) {
 		}
 	}
 	// The same crashed run must stay deterministic across worker counts.
-	faultySeq := openObsEngine(t, 1, 1, "seed=7;crash=2@5")
+	faultySeq := openTPCH(t, obsSF, 4, parallelism(1), withFaults(t, 1, "seed=7;crash=2@5"))
 	for _, id := range []int{1, 3} {
 		q := tpch.QueryByID(id).SQL
 		a, err := faulty.Query(q)
@@ -158,7 +141,7 @@ func TestObsSpanInvariantUnderFaults(t *testing.T) {
 
 // TestObsEdges: the trace records the fragment DAG's exchange edges.
 func TestObsEdges(t *testing.T) {
-	e := openObsEngine(t, 0, 0, "")
+	e := openTPCH(t, obsSF, 4)
 	res, err := e.Query(tpch.QueryByID(3).SQL)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +159,7 @@ func TestObsEdges(t *testing.T) {
 // TestExplainAnalyze: the report annotates every operator with estimated
 // vs. actual rows and drops the result rows.
 func TestExplainAnalyze(t *testing.T) {
-	e := openObsEngine(t, 0, 0, "")
+	e := openTPCH(t, obsSF, 4)
 	res, err := e.Exec("EXPLAIN ANALYZE " + tpch.QueryByID(3).SQL)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +218,7 @@ func TestSlowQueryLog(t *testing.T) {
 // TestEngineMetrics: the cumulative registry tracks queries, failures and
 // in-flight counts across a mixed workload.
 func TestEngineMetrics(t *testing.T) {
-	e := openObsEngine(t, 0, 0, "")
+	e := openTPCH(t, obsSF, 4)
 	if _, err := e.Query(tpch.QueryByID(6).SQL); err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package gignite_test
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gignite"
 	"gignite/internal/harness"
@@ -19,15 +21,39 @@ var parallelTestQueries = []int{1, 3, 6, 12, 14}
 
 const parallelTestSF = 0.01
 
-func openParallelTestEngine(t testing.TB, sys harness.System, parallelism int) *gignite.Engine {
-	t.Helper()
-	cfg := harness.ConfigFor(sys, 4, parallelTestSF)
-	cfg.ExecParallelism = parallelism
+// openTPCH is the root tests' one loaded-engine opener: an IC+ engine on
+// `sites` sites with the work limit scaled to sf (harness.ConfigFor), the
+// given mutators applied in order, and TPC-H loaded at sf.
+func openTPCH(tb testing.TB, sf float64, sites int, muts ...func(*gignite.Config)) *gignite.Engine {
+	tb.Helper()
+	cfg := harness.ConfigFor(harness.ICPlus, sites, sf)
+	for _, mut := range muts {
+		mut(&cfg)
+	}
 	e := gignite.Open(gignite.WithConfig(cfg))
-	if err := tpch.Setup(e, parallelTestSF); err != nil {
-		t.Fatal(err)
+	if err := tpch.Setup(e, sf); err != nil {
+		tb.Fatal(err)
 	}
 	return e
+}
+
+// parallelism sets the host worker-pool bound.
+func parallelism(n int) func(*gignite.Config) {
+	return func(c *gignite.Config) { c.ExecParallelism = n }
+}
+
+// withFaults sets the backup replica count and the fault plan parsed from
+// spec ("" injects nothing).
+func withFaults(tb testing.TB, backups int, spec string) func(*gignite.Config) {
+	tb.Helper()
+	plan, err := gignite.ParseFaults(spec)
+	if err != nil {
+		tb.Fatalf("fault spec %q: %v", spec, err)
+	}
+	return func(c *gignite.Config) {
+		c.Backups = backups
+		c.Faults = plan
+	}
 }
 
 func rowStrings(res *gignite.Result) []string {
@@ -66,9 +92,10 @@ func roundedRowStrings(res *gignite.Result) []string {
 // and the variant-fragment (IC+M, variants=2) output must be
 // order-insensitive-equal to the single-threaded IC+ output.
 func TestConcurrentEngineExec(t *testing.T) {
-	seq := openParallelTestEngine(t, harness.ICPM, 1)
-	par := openParallelTestEngine(t, harness.ICPM, 0)
-	plain := openParallelTestEngine(t, harness.ICPlus, 1)
+	icpm := func(c *gignite.Config) { *c = harness.ConfigFor(harness.ICPM, 4, parallelTestSF) }
+	seq := openTPCH(t, parallelTestSF, 4, icpm, parallelism(1))
+	par := openTPCH(t, parallelTestSF, 4, icpm)
+	plain := openTPCH(t, parallelTestSF, 4, parallelism(1))
 
 	want := make(map[int][]string)
 	for _, id := range parallelTestQueries {
@@ -136,10 +163,80 @@ func TestConcurrentEngineExec(t *testing.T) {
 	}
 }
 
+// TestOverloadConcurrentClients is resource governance (DESIGN.md §14)
+// under real concurrency: 8 goroutines race TPC-H Q1/Q3 into an engine
+// that admits two at a time over a memory pool holding about two queries'
+// operator state. With a short admission timeout the excess load must
+// shed with ErrOverloaded and nothing else; with a patient one the FIFO
+// queue must drain completely. Every admitted result is byte-identical to
+// the ungoverned run.
+func TestOverloadConcurrentClients(t *testing.T) {
+	const clients = 8
+	ids := []int{1, 3}
+	// The huge per-query budget only turns memory accounting on: this
+	// engine supplies the expected rows and the peaks that size the pool.
+	ref := openTPCH(t, chaosSF, 4, func(c *gignite.Config) { c.QueryMemLimitBytes = 1 << 40 })
+	want := make(map[int]string)
+	var maxPeak int64
+	for _, id := range ids {
+		res, err := ref.Query(tpch.QueryByID(id).SQL)
+		if err != nil {
+			t.Fatalf("ungoverned Q%d: %v", id, err)
+		}
+		want[id] = rowsChecksum(res.Rows)
+		maxPeak = max(maxPeak, res.Stats.MemPeakBytes)
+	}
+	for _, tc := range []struct {
+		name     string
+		timeout  time.Duration
+		allAdmit bool
+	}{{"shed", 50 * time.Millisecond, false}, {"queue", 60 * time.Second, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := openTPCH(t, chaosSF, 4, func(c *gignite.Config) {
+				c.MaxConcurrentQueries = 2
+				c.MemoryBudgetBytes = 2*maxPeak + 1<<20
+				c.AdmissionTimeout = tc.timeout
+			})
+			rows, errs := make([]string, clients), make([]error, clients)
+			var wg sync.WaitGroup
+			for i := 0; i < clients; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					res, err := e.Query(tpch.QueryByID(ids[i%len(ids)]).SQL)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					rows[i] = rowsChecksum(res.Rows)
+				}(i)
+			}
+			wg.Wait()
+			admitted := 0
+			for i, err := range errs {
+				id := ids[i%len(ids)]
+				switch {
+				case err == nil:
+					admitted++
+					if rows[i] != want[id] {
+						t.Errorf("admitted Q%d rows differ from the ungoverned run", id)
+					}
+				case !errors.Is(err, gignite.ErrOverloaded):
+					t.Errorf("Q%d failed outside the shed taxonomy: %v", id, err)
+				}
+			}
+			t.Logf("%d/%d admitted, the rest shed with ErrOverloaded", admitted, clients)
+			if admitted == 0 || (tc.allAdmit && admitted != clients) {
+				t.Errorf("%d/%d admitted", admitted, clients)
+			}
+		})
+	}
+}
+
 // TestExecStatsReportWorkers: the engine surfaces the pool size it ran
 // with, and ExecParallelism=1 reports one worker.
 func TestExecStatsReportWorkers(t *testing.T) {
-	seq := openParallelTestEngine(t, harness.ICPlus, 1)
+	seq := openTPCH(t, parallelTestSF, 4, parallelism(1))
 	res, err := seq.Query(tpch.QueryByID(3).SQL)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +244,7 @@ func TestExecStatsReportWorkers(t *testing.T) {
 	if res.Stats.Workers != 1 {
 		t.Errorf("sequential workers = %d, want 1", res.Stats.Workers)
 	}
-	par := openParallelTestEngine(t, harness.ICPlus, 3)
+	par := openTPCH(t, parallelTestSF, 4, parallelism(3))
 	res, err = par.Query(tpch.QueryByID(3).SQL)
 	if err != nil {
 		t.Fatal(err)

@@ -7,9 +7,9 @@ import "time"
 // SELECT — response times, execution telemetry, the per-operator
 // estimate-vs-actual table and the adaptive replan log. It merges what
 // used to live in three places (Result.Stats, Result.Obs and the
-// benchmark harness's per-query metrics, which are now derived from
-// it). Every field except Wall is deterministic: identical across
-// hosts, worker counts and fault-free re-runs.
+// benchmark harness's per-query metrics, which now are this report).
+// Every field except Wall is deterministic: identical across hosts,
+// worker counts and fault-free re-runs.
 type QueryReport struct {
 	// Columns names the result columns and RowCount counts the tuples
 	// (the rows themselves stay on the Result).
