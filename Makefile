@@ -11,8 +11,12 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet plus a gofmt gate: any file gofmt would rewrite fails the build
+# (.bench_build/ holds bench/run.sh's build outputs, not sources).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

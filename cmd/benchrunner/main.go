@@ -123,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "all", "experiment: "+experimentNames())
-	ef := engineflags.Bind(fs, engineflags.Defaults{System: "ic+m"})
+	ef := engineflags.Bind(fs, 0)
 	sfs := fs.String("sf", "0.005,0.01", "comma-separated scale factors")
 	sites := fs.String("sites", "4,8", "comma-separated site counts")
 	timeout := fs.Duration("timeout", 0, "per-query wall-clock deadline (0 = none)")
@@ -161,13 +161,12 @@ func (inv *invocation) execute(exp string, ef *engineflags.Values, sfs, sites, q
 	if err != nil {
 		return err
 	}
-	opts, err := ef.EngineOptions()
+	flags, err := ef.EngineOptions()
 	if err != nil {
 		return err
 	}
-	opts = append(opts, func(c *gignite.Config) { c.QueryTimeout = timeout })
-	inv.system = harness.System(system)
-	inv.Env = harness.NewEnv(opts...)
+	inv.system = system
+	inv.Env = harness.NewEnv(flags, func(c *gignite.Config) { c.QueryTimeout = timeout })
 	for _, s := range strings.Split(sfs, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil {

@@ -25,12 +25,10 @@ import (
 	"gignite"
 	"gignite/internal/engineflags"
 	"gignite/internal/harness"
-	"gignite/internal/ssb"
-	"gignite/internal/tpch"
 )
 
 func main() {
-	ef := engineflags.Bind(flag.CommandLine, engineflags.Defaults{System: "ic+m", PlanCache: 64})
+	ef := engineflags.Bind(flag.CommandLine, 64)
 	ef.BindGovernance(flag.CommandLine)
 	sites := flag.Int("sites", 4, "simulated processing sites")
 	load := flag.String("load", "", "preload a benchmark: tpch or ssb")
@@ -43,34 +41,27 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gignite: %v\n", err)
 		os.Exit(1)
 	}
-	opts = append(opts, gignite.WithExecLimits(harness.WorkLimitFor(*sf), 0))
-	if *slow > 0 {
-		opts = append(opts, gignite.WithObservability(gignite.ObservabilityOptions{
-			SlowQueryThreshold: *slow,
-			Logger: func(format string, args ...interface{}) {
+	opts = append(opts, func(c *gignite.Config) {
+		c.ExecWorkLimit = harness.WorkLimitFor(*sf)
+		if *slow > 0 {
+			c.SlowQueryThreshold = *slow
+			c.Logger = func(format string, args ...interface{}) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		}))
-	}
+			}
+		}
+	})
 	e := gignite.Open(opts...)
 
-	switch strings.ToLower(*load) {
-	case "tpch":
-		fmt.Fprintf(os.Stderr, "loading TPC-H at SF %g...\n", *sf)
-		if err := tpch.Setup(e, *sf); err != nil {
+	if *load != "" {
+		w, err := harness.ParseWorkload(*load)
+		if err == nil {
+			fmt.Fprintf(os.Stderr, "loading %s at SF %g...\n", w, *sf)
+			err = w.Setup(e, *sf)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "gignite: %v\n", err)
 			os.Exit(1)
 		}
-	case "ssb":
-		fmt.Fprintf(os.Stderr, "loading SSB at SF %g...\n", *sf)
-		if err := ssb.Setup(e, *sf); err != nil {
-			fmt.Fprintf(os.Stderr, "gignite: %v\n", err)
-			os.Exit(1)
-		}
-	case "":
-	default:
-		fmt.Fprintf(os.Stderr, "gignite: unknown benchmark %q\n", *load)
-		os.Exit(1)
 	}
 
 	fmt.Fprintf(os.Stderr, "gignite %s shell on %d sites; \\q quits, \\t toggles timing, \\m prints metrics, \\cache prints plan-cache stats\n",

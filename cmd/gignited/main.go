@@ -25,7 +25,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -33,8 +32,6 @@ import (
 	"gignite/internal/engineflags"
 	"gignite/internal/harness"
 	"gignite/internal/server"
-	"gignite/internal/ssb"
-	"gignite/internal/tpch"
 )
 
 func main() {
@@ -42,7 +39,7 @@ func main() {
 }
 
 func run() int {
-	ef := engineflags.Bind(flag.CommandLine, engineflags.Defaults{System: "ic+m", PlanCache: 64})
+	ef := engineflags.Bind(flag.CommandLine, 64)
 	ef.BindGovernance(flag.CommandLine)
 	addr := flag.String("addr", "127.0.0.1:7468", "wire-protocol listen address")
 	httpAddr := flag.String("http", "127.0.0.1:7469", "HTTP sidecar address for /metrics and /healthz (empty disables)")
@@ -61,35 +58,30 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "gignited: %v\n", err)
 		return 2
 	}
-	opts = append(opts, gignite.WithExecLimits(harness.WorkLimitFor(*sf), 0))
-
 	var log *server.Logger
 	if !*quiet {
 		log = server.NewLogger(os.Stderr)
 	}
-	// Engine logs (slow queries etc.) share the serialized writer.
-	if log != nil {
-		opts = append(opts, gignite.WithObservability(gignite.ObservabilityOptions{Logger: log.Func("engine")}))
-	}
+	opts = append(opts, func(c *gignite.Config) {
+		c.ExecWorkLimit = harness.WorkLimitFor(*sf)
+		// Engine logs (slow queries etc.) share the serialized writer.
+		if log != nil {
+			c.Logger = log.Func("engine")
+		}
+	})
 	eng := gignite.Open(opts...)
 
-	switch strings.ToLower(*load) {
-	case "tpch":
-		log.Printf("loading TPC-H at SF %g...", *sf)
-		if err := tpch.Setup(eng, *sf); err != nil {
+	if *load != "" {
+		w, err := harness.ParseWorkload(*load)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "gignited: %v\n", err)
+			return 2
+		}
+		log.Printf("loading %s at SF %g...", w, *sf)
+		if err := w.Setup(eng, *sf); err != nil {
 			fmt.Fprintf(os.Stderr, "gignited: %v\n", err)
 			return 1
 		}
-	case "ssb":
-		log.Printf("loading SSB at SF %g...", *sf)
-		if err := ssb.Setup(eng, *sf); err != nil {
-			fmt.Fprintf(os.Stderr, "gignited: %v\n", err)
-			return 1
-		}
-	case "":
-	default:
-		fmt.Fprintf(os.Stderr, "gignited: unknown benchmark %q\n", *load)
-		return 2
 	}
 
 	srv := server.New(eng, server.Config{

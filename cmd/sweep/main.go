@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"gignite"
@@ -24,23 +25,23 @@ func main() {
 	sites := flag.Int("sites", 4, "sites")
 	flag.Parse()
 
+	w, err := harness.ParseWorkload(*bench)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		os.Exit(2)
+	}
 	type qspec struct{ label, sql string }
 	var queries []qspec
+	env := harness.NewEnv()
 	engines := map[harness.System]*gignite.Engine{}
 	for _, sys := range harness.Systems() {
-		e := gignite.Open(gignite.WithConfig(harness.ConfigFor(sys, *sites, *sf)))
-		var err error
-		if *bench == "ssb" {
-			err = ssb.Setup(e, *sf)
-		} else {
-			err = tpch.Setup(e, *sf)
-		}
+		e, err := env.Engine(w, sys, *sites, *sf)
 		if err != nil {
 			panic(err)
 		}
 		engines[sys] = e
 	}
-	if *bench == "ssb" {
+	if w == harness.SSB {
 		for _, q := range ssb.Queries() {
 			queries = append(queries, qspec{q.ID, q.SQL})
 		}

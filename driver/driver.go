@@ -103,7 +103,7 @@ func (cn *Connector) Connect(ctx context.Context) (driver.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &conn{netc: netc, br: bufio.NewReaderSize(netc, 32 << 10)}
+	c := &conn{netc: netc, br: bufio.NewReaderSize(netc, 32<<10)}
 	if err := c.handshake(ctx, cn.Token); err != nil {
 		_ = netc.Close()
 		return nil, err

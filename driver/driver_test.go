@@ -15,13 +15,9 @@ import (
 // startDB spins up an engine + server on an ephemeral port and opens a
 // database/sql handle to it via sql.Open (exercising DSN parsing and the
 // registered driver name, not just the Connector).
-func startDB(t *testing.T, mut func(*gignite.Config)) (*sql.DB, *gignite.Engine) {
+func startDB(t *testing.T, opt gignite.Option) (*sql.DB, *gignite.Engine) {
 	t.Helper()
-	cfg := gignite.ICPlus(2)
-	if mut != nil {
-		mut(&cfg)
-	}
-	eng := gignite.Open(gignite.WithConfig(cfg))
+	eng := gignite.Open(gignite.WithPreset(gignite.ICPlus, 2), opt)
 	srv := server.New(eng, server.Config{})
 	if err := srv.Listen(); err != nil {
 		t.Fatal(err)

@@ -140,13 +140,18 @@ func (r *rows) readBatch() error {
 		r.buf = r.buf[:0]
 		r.next = 0
 		for i := 0; i < n; i++ {
-			r.buf = append(r.buf, d.Row())
-		}
-		if d.Err() != nil {
-			r.c.broken = true
-			r.finish()
-			r.err = d.Err()
-			return r.err
+			row := d.Row()
+			if d.Err() != nil {
+				return r.fail(d.Err())
+			}
+			// The row's width is the peer's claim, not ours: a wider row
+			// would overrun Next's dest and a narrower one leave the
+			// previous row's values in it.
+			if len(row) != len(r.cols) {
+				return r.fail(fmt.Errorf("gignite driver: protocol error: row of %d values in a %d-column result",
+					len(row), len(r.cols)))
+			}
+			r.buf = append(r.buf, row)
 		}
 		return nil
 	case wire.FrameDone:
@@ -159,11 +164,18 @@ func (r *rows) readBatch() error {
 		r.err = errorFromWire(wire.DecodeError(payload), nil)
 		return r.err
 	default:
-		r.c.broken = true
-		r.finish()
-		r.err = fmt.Errorf("gignite driver: unexpected stream frame %#x", typ)
-		return r.err
+		return r.fail(fmt.Errorf("gignite driver: unexpected stream frame %#x", typ))
 	}
+}
+
+// fail ends the stream on a protocol violation: the connection is marked
+// broken (the pool discards it), the cancel watcher stops, and err is the
+// stream's error.
+func (r *rows) fail(err error) error {
+	r.c.broken = true
+	r.finish()
+	r.err = err
+	return err
 }
 
 func (r *rows) finish() {
@@ -210,7 +222,14 @@ func wireValue(v driver.Value) (types.Value, error) {
 	case []byte:
 		return types.NewString(string(x)), nil
 	case time.Time:
-		return types.NewDate(x.UTC().Unix() / 86400), nil
+		// Floor division: instants before 1970 belong to the day that
+		// contains them, not the one after.
+		sec := x.Unix()
+		days := sec / 86400
+		if sec%86400 < 0 {
+			days--
+		}
+		return types.NewDate(days), nil
 	default:
 		return types.Null, fmt.Errorf("gignite driver: unsupported parameter type %T", v)
 	}

@@ -24,7 +24,7 @@ func main() {
 
 	type composition struct {
 		name   string
-		mutate func(*gignite.Config)
+		mutate gignite.Option
 	}
 	compositions := []composition{
 		{"baseline (IC)", func(c *gignite.Config) {}},
@@ -44,18 +44,12 @@ func main() {
 			c.FixExchangePenalty = true
 			c.HashJoin = true
 		}},
-		{"+ fully-distributed join mappings (§5.1.1) = IC+", func(c *gignite.Config) {
-			*c = gignite.ICPlus(sites)
-		}},
-		{"+ variant fragments (§5.3) = IC+M", func(c *gignite.Config) {
-			*c = gignite.ICPlusM(sites)
-		}},
+		{"+ fully-distributed join mappings (§5.1.1) = IC+", gignite.WithPreset(gignite.ICPlus, sites)},
+		{"+ variant fragments (§5.3) = IC+M", gignite.WithPreset(gignite.ICPlusM, sites)},
 	}
 
 	for _, comp := range compositions {
-		cfg := gignite.IC(sites)
-		comp.mutate(&cfg)
-		e := gignite.Open(gignite.WithConfig(cfg))
+		e := gignite.Open(gignite.WithPreset(gignite.IC, sites), comp.mutate)
 		if err := tpch.Setup(e, sf); err != nil {
 			log.Fatal(err)
 		}

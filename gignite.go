@@ -32,11 +32,11 @@ import (
 	"gignite/internal/catalog"
 	"gignite/internal/cluster"
 	"gignite/internal/cost"
+	"gignite/internal/expr"
 	"gignite/internal/faults"
 	"gignite/internal/fragment"
 	"gignite/internal/governor"
 	"gignite/internal/hep"
-	"gignite/internal/expr"
 	"gignite/internal/logical"
 	"gignite/internal/obs"
 	"gignite/internal/physical"
@@ -107,8 +107,9 @@ type FaultPlan = faults.Plan
 // (nil, nil); malformed specs return an error, never panic.
 func ParseFaults(spec string) (*FaultPlan, error) { return faults.Parse(spec) }
 
-// Config selects the engine's composition. The zero value is not valid;
-// start from IC, ICPlus or ICPlusM and adjust.
+// Config selects the engine's composition: the one configuration surface.
+// Start from IC, ICPlus or ICPlusM and adjust; the zero value is the IC
+// baseline on one site with no row limit.
 type Config struct {
 	// Sites is the number of processing sites in the simulated cluster.
 	Sites int
@@ -242,8 +243,6 @@ type Config struct {
 	// which is what excludes TPC-H Q15). Off in every preset so the
 	// reproduction stays faithful; switch it on to run Q15.
 	ExperimentalViews bool
-	// Sim is the modeled hardware profile for the cost clock.
-	Sim simnet.Params
 
 	// --- observability ---
 
@@ -271,7 +270,7 @@ const DefaultExecRowLimit int64 = 25_000_000
 
 // IC returns the baseline Apache Ignite 2.16 configuration.
 func IC(sites int) Config {
-	return Config{Sites: sites, ExecRowLimit: DefaultExecRowLimit, Sim: simnet.DefaultParams()}
+	return Config{Sites: sites, ExecRowLimit: DefaultExecRowLimit}
 }
 
 // ICPlus returns the paper's improved configuration (§4 + §5.1 + §5.2).
@@ -288,7 +287,6 @@ func ICPlus(sites int) Config {
 		FullyDistributedJoins:       true,
 		JoinConditionSimplification: true,
 		ExecRowLimit:                DefaultExecRowLimit,
-		Sim:                         simnet.DefaultParams(),
 	}
 }
 
@@ -345,12 +343,13 @@ type engineMetrics struct {
 // The base configuration is ICPlus(1): the paper's improved planner and
 // execution engine (§4, §5.1, §5.2) on a single site. Pass WithPreset
 // (or WithConfig, for a Config built programmatically) first to start
-// from a different system variant:
+// from a different system variant; every other setting is a Config field,
+// set by a func(*Config):
 //
 //	e := gignite.Open(
 //	        gignite.WithPreset(gignite.ICPlusM, 4),
 //	        gignite.WithPlanCache(64),
-//	        gignite.WithAdaptive(gignite.AdaptiveOptions{}),
+//	        func(c *gignite.Config) { c.AdaptiveExec = true },
 //	)
 func Open(opts ...Option) *Engine {
 	cfg := ICPlus(1)
@@ -367,7 +366,8 @@ func Open(opts ...Option) *Engine {
 	}
 	cat := catalog.New()
 	store := storage.NewReplicatedStore(cat, cfg.Sites, cfg.Backups)
-	cl := cluster.New(store, cfg.Sim)
+	// The modeled hardware profile is the paper's testbed, always.
+	cl := cluster.New(store, simnet.DefaultParams())
 	cl.Workers = cfg.ExecParallelism
 	if cfg.ExecRowLimit > 0 {
 		cl.RowLimit = cfg.ExecRowLimit
@@ -781,6 +781,15 @@ func (e *Engine) newBinder() *binder.Binder {
 	return binder.New(e.catalog).WithViews(e.views)
 }
 
+// rulesConfig is the rule-set selection Config implies, shared by the
+// planner and LogicalPlan.
+func (e *Engine) rulesConfig() rules.Config {
+	return rules.Config{
+		FilterCorrelate:             e.cfg.FilterCorrelate,
+		JoinConditionSimplification: e.cfg.JoinConditionSimplification,
+	}
+}
+
 // plan runs the full planning pipeline for a bound SELECT. It also
 // returns the bind-time type hint of every `?` placeholder (indexed by
 // ordinal; types.KindNull when no hint was derivable).
@@ -790,10 +799,7 @@ func (e *Engine) plan(sel *sql.SelectStmt) (physical.Node, []types.Kind, *volcan
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rc := rules.Config{
-		FilterCorrelate:             e.cfg.FilterCorrelate,
-		JoinConditionSimplification: e.cfg.JoinConditionSimplification,
-	}
+	rc := e.rulesConfig()
 	lp = hep.RunGroups(lp, rules.Stage1Groups(rc))
 	est := stats.New(e.catalog, !e.cfg.SwamiSchieferEstimation)
 	est.Misestimate = e.cfg.StatsMisestimate
@@ -995,19 +1001,19 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 		Modeled: res.Modeled,
 		Obs:     qobs,
 		Stats: ExecStats{
-			Work:         res.Work,
-			BytesShipped: res.BytesShipped,
-			Fragments:    res.Fragments,
-			Instances:    res.Instances,
-			Workers:      res.Workers,
-			Retries:      res.Retries,
-			Modeled:      res.Modeled,
-			PlanTickets:  entry.Tickets,
-			FiltersBuilt: res.FiltersBuilt,
-			FilterBytes:  res.FilterBytes,
-			RowsPruned:   res.RowsPruned,
-			Hedges:          res.Hedges,
-			HedgesWon:       res.HedgesWon,
+			Work:             res.Work,
+			BytesShipped:     res.BytesShipped,
+			Fragments:        res.Fragments,
+			Instances:        res.Instances,
+			Workers:          res.Workers,
+			Retries:          res.Retries,
+			Modeled:          res.Modeled,
+			PlanTickets:      entry.Tickets,
+			FiltersBuilt:     res.FiltersBuilt,
+			FilterBytes:      res.FilterBytes,
+			RowsPruned:       res.RowsPruned,
+			Hedges:           res.Hedges,
+			HedgesWon:        res.HedgesWon,
 			MemPeakBytes:     lease.Peak(),
 			PlanNanos:        planNanos,
 			PlanningSkipped:  skipped,
@@ -1174,11 +1180,11 @@ func formatAnalyzedNode(sb *strings.Builder, n physical.Node, fo *obs.FragmentOb
 // qerror is the symmetric q-error of an estimate, smoothed by +1 on both
 // sides so empty results do not divide by zero.
 func qerror(est, act float64) float64 {
-	a, b := (est+1)/(act+1), (act+1)/(est+1)
-	if a > b {
-		return a
+	q := (est + 1) / (act + 1)
+	if inv := 1 / q; inv > q {
+		return inv
 	}
-	return b
+	return q
 }
 
 func (e *Engine) explain(sel *sql.SelectStmt) (*Result, error) {
@@ -1236,10 +1242,6 @@ func (e *Engine) LogicalPlan(query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	rc := rules.Config{
-		FilterCorrelate:             e.cfg.FilterCorrelate,
-		JoinConditionSimplification: e.cfg.JoinConditionSimplification,
-	}
-	lp = hep.RunGroups(lp, rules.Stage1Groups(rc))
+	lp = hep.RunGroups(lp, rules.Stage1Groups(e.rulesConfig()))
 	return logical.Format(lp), nil
 }

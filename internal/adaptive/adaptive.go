@@ -29,7 +29,9 @@
 // Decisions are pure functions of merged sketches, which the barrier
 // merges in deterministic job order; no wall-clock input exists, so the
 // same query under the same fault plan re-plans identically at every
-// ExecParallelism.
+// ExecParallelism. The guards' thresholds are constants of this package
+// (flipMargin, swapMargin, infoMargin, variantMinRows, maxCorrection);
+// Config carries only the cluster's shape.
 package adaptive
 
 import (
@@ -44,47 +46,39 @@ import (
 	"gignite/internal/types"
 )
 
-// Config tunes the controller's guards. Zero values select the defaults.
+// Config describes the cluster the controller re-plans for. Values below
+// 1 mean 1.
 type Config struct {
 	// Sites is the cluster's site count (drives the dist-flip guard).
 	Sites int
 	// Variants is the configured §5.3 variant count (drives variant
 	// safety checks and the re-grade baseline).
 	Variants int
-	// FlipMargin is the hysteresis factor a dist-flip's modeled benefit
-	// must exceed its cost by (default 1.3).
-	FlipMargin float64
-	// SwapMargin is how many times smaller the left input must be than
-	// the right before the build side swaps (default 2).
-	SwapMargin float64
-	// InfoMargin is the minimum est-vs-corrected divergence (as a
-	// symmetric ratio) before the controller reacts at all: rewrites are
-	// responses to misestimation, not second-guessing of the planner on
-	// its own numbers (default 1.5).
-	InfoMargin float64
-	// VariantMinRows is the corrected input volume below which a variant
-	// fragment re-grades to a single thread (default 1024).
-	VariantMinRows float64
-	// MaxCorrection clamps each act/est propagation ratio (default 1000).
-	MaxCorrection float64
 }
 
+// The rewrite guards. They are constants, not Config fields: no caller
+// ever ran the controller with other values, and every engine-level
+// expectation (replans, switches, modeled times) is calibrated to them.
+const (
+	// flipMargin is the hysteresis factor a dist-flip's modeled benefit
+	// must exceed its cost by.
+	flipMargin float64 = 1.3
+	// swapMargin is how many times smaller the left input must be than
+	// the right before the build side swaps.
+	swapMargin float64 = 2
+	// infoMargin is the minimum est-vs-corrected divergence (as a
+	// symmetric ratio) before the controller reacts at all: rewrites are
+	// responses to misestimation, not second-guessing of the planner on
+	// its own numbers.
+	infoMargin float64 = 1.5
+	// variantMinRows is the corrected input volume below which a variant
+	// fragment re-grades to a single thread.
+	variantMinRows float64 = 1024
+	// maxCorrection clamps each act/est propagation ratio.
+	maxCorrection float64 = 1000
+)
+
 func (c Config) withDefaults() Config {
-	if c.FlipMargin <= 0 {
-		c.FlipMargin = 1.3
-	}
-	if c.SwapMargin <= 0 {
-		c.SwapMargin = 2
-	}
-	if c.InfoMargin <= 0 {
-		c.InfoMargin = 1.5
-	}
-	if c.VariantMinRows <= 0 {
-		c.VariantMinRows = 1024
-	}
-	if c.MaxCorrection <= 0 {
-		c.MaxCorrection = 1000
-	}
 	if c.Variants < 1 {
 		c.Variants = 1
 	}
@@ -269,7 +263,7 @@ func est(n physical.Node) float64 {
 // recomputed with the Swami-Schiefer formula over corrected inputs and
 // sketch-based distinct counts (sidestepping whatever error the planner's
 // join estimates carried), and every other operator scales its estimate
-// by its children's correction ratios, clamped to MaxCorrection.
+// by its children's correction ratios, clamped to maxCorrection.
 func (c *Controller) corrected(n physical.Node) float64 {
 	return c.correctedDepth(n, 0)
 }
@@ -330,12 +324,7 @@ func (c *Controller) correctedDepth(n physical.Node, depth int) float64 {
 	scale := 1.0
 	for _, in := range ins {
 		ratio := c.correctedDepth(in, depth+1) / est(in)
-		if ratio > c.cfg.MaxCorrection {
-			ratio = c.cfg.MaxCorrection
-		}
-		if ratio < 1/c.cfg.MaxCorrection {
-			ratio = 1 / c.cfg.MaxCorrection
-		}
+		ratio = min(max(ratio, 1/maxCorrection), maxCorrection)
 		scale *= ratio
 	}
 	return est(n) * scale
@@ -398,7 +387,7 @@ func (c *Controller) diverged(estimate, correctedV float64) bool {
 	if a < 1 {
 		a = 1 / a
 	}
-	return a >= c.cfg.InfoMargin
+	return a >= infoMargin
 }
 
 // ---------------------------------------------------------------------------
@@ -465,7 +454,7 @@ func (c *Controller) tryDistFlip(p *fragment.Fragment, barrier int) {
 	// side; the flip must buy more than the hysteresis-scaled fixed cost
 	// of the shuffle.
 	sites := float64(c.cfg.Sites)
-	if actR*(sites-1) <= c.cfg.FlipMargin*exchangePenalty*sites {
+	if actR*(sites-1) <= flipMargin*exchangePenalty*sites {
 		return
 	}
 	from := sender.Target.String()
@@ -547,7 +536,7 @@ func (c *Controller) tryBuildSwap(f *fragment.Fragment, barrier int) {
 		if !c.diverged(estL, l) && !c.diverged(estR, r) {
 			return true
 		}
-		if l*c.cfg.SwapMargin >= r {
+		if l*swapMargin >= r {
 			return true
 		}
 		j.BuildLeft = true
@@ -591,7 +580,7 @@ func (c *Controller) tryRegrade(f *fragment.Fragment, barrier int) {
 		}
 		return true
 	})
-	if vol >= c.cfg.VariantMinRows {
+	if vol >= variantMinRows {
 		return
 	}
 	if !c.orderWashed(f.ID, make(map[int]bool)) {

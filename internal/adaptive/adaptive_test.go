@@ -198,7 +198,7 @@ func TestBuildSwapFires(t *testing.T) {
 
 func TestBuildSwapMarginHolds(t *testing.T) {
 	// Sides diverge from their estimates but the left is not
-	// SwapMargin-times smaller than the right: keep the planned build side.
+	// swapMargin-times smaller than the right: keep the planned build side.
 	plan, join := swapPlan(t, 1000, 100)
 	c, err := New(plan, Config{Sites: 4})
 	if err != nil {
@@ -261,10 +261,10 @@ func TestDiverged(t *testing.T) {
 		want     bool
 	}{
 		{10, 10, false},
-		{10, 13, false},   // 14/11 = 1.27 < 1.5
-		{10, 16, true},    // 17/11 = 1.55
-		{16, 10, true},    // symmetric
-		{0, 0, false},     // +1 smoothing keeps empty inputs quiet
+		{10, 13, false}, // 14/11 = 1.27 < 1.5
+		{10, 16, true},  // 17/11 = 1.55
+		{16, 10, true},  // symmetric
+		{0, 0, false},   // +1 smoothing keeps empty inputs quiet
 		{1000, 10, true},
 	} {
 		if got := c.diverged(tc.est, tc.act); got != tc.want {

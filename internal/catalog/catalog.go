@@ -91,17 +91,6 @@ func (t *Table) IndexByName(name string) *Index {
 	return nil
 }
 
-// IndexOnColumn returns the first index whose leading column is name, or
-// nil.
-func (t *Table) IndexOnColumn(name string) *Index {
-	for i := range t.Indexes {
-		if len(t.Indexes[i].Columns) > 0 && strings.EqualFold(t.Indexes[i].Columns[0], name) {
-			return &t.Indexes[i]
-		}
-	}
-	return nil
-}
-
 // TableStats carries the per-table statistics the planner consumes.
 type TableStats struct {
 	RowCount int64
@@ -129,12 +118,12 @@ type Catalog struct {
 
 // Version returns the catalog's monotonically increasing schema version.
 // It changes whenever metadata that can affect planning changes (tables
-// added or dropped, indexes created, statistics refreshed); consumers such
+// added, indexes created, statistics refreshed); consumers such
 // as the plan cache compare versions to detect stale plans.
 func (c *Catalog) Version() uint64 { return c.version.Load() }
 
 // BumpVersion advances the schema version. Callers that mutate planning-
-// relevant metadata outside AddTable/DropTable (index creation, ANALYZE,
+// relevant metadata outside AddTable (index creation, ANALYZE,
 // view registration) must call it so cached plans are invalidated.
 func (c *Catalog) BumpVersion() { c.version.Add(1) }
 
@@ -201,19 +190,6 @@ func (c *Catalog) Table(name string) (*Table, error) {
 		return nil, fmt.Errorf("catalog: table %s does not exist", name)
 	}
 	return t, nil
-}
-
-// DropTable removes a table.
-func (c *Catalog) DropTable(name string) error {
-	key := strings.ToLower(name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[key]; !ok {
-		return fmt.Errorf("catalog: table %s does not exist", name)
-	}
-	delete(c.tables, key)
-	c.version.Add(1)
-	return nil
 }
 
 // Tables returns all table names, sorted.

@@ -47,11 +47,8 @@ func TestAddAndLookup(t *testing.T) {
 	if idx := tb.IndexByName("EMP_DEPT"); idx == nil || idx.Columns[0] != "dept" {
 		t.Errorf("IndexByName = %v", idx)
 	}
-	if idx := tb.IndexOnColumn("dept"); idx == nil || idx.Name != "emp_dept" {
-		t.Errorf("IndexOnColumn = %v", idx)
-	}
-	if idx := tb.IndexOnColumn("name"); idx != nil {
-		t.Errorf("IndexOnColumn(name) = %v, want nil", idx)
+	if names := c.Tables(); len(names) != 1 || names[0] != "emp" {
+		t.Errorf("Tables = %v", names)
 	}
 }
 
@@ -108,26 +105,6 @@ func TestReplicatedTable(t *testing.T) {
 	tb, _ := c.Table("nation")
 	if tb.AffinityOrdinal() != -1 {
 		t.Error("replicated table has affinity ordinal")
-	}
-}
-
-func TestDropAndList(t *testing.T) {
-	c := New()
-	if err := c.AddTable(testTable()); err != nil {
-		t.Fatal(err)
-	}
-	names := c.Tables()
-	if len(names) != 1 || names[0] != "emp" {
-		t.Errorf("Tables = %v", names)
-	}
-	if err := c.DropTable("emp"); err != nil {
-		t.Fatalf("DropTable: %v", err)
-	}
-	if err := c.DropTable("emp"); err == nil {
-		t.Error("dropped missing table")
-	}
-	if _, err := c.Table("emp"); err == nil {
-		t.Error("lookup after drop succeeded")
 	}
 }
 

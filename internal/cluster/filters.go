@@ -122,7 +122,7 @@ func (fs *filterState) absorb(j *instanceJob, ir *instanceResult, slowdown float
 			b.Add(row.Hash(j.filter.BuildCols))
 		}
 	}
-	bf.perSite[j.site] = b.Build(joinfilter.Params{})
+	bf.perSite[j.site] = b.Build()
 	bf.keys.Merge(b)
 	bf.buildRows += int64(len(ir.rows))
 	if bf.cache {
@@ -139,7 +139,7 @@ func (fs *filterState) absorb(j *instanceJob, ir *instanceResult, slowdown float
 // and shipments are charged to the trace as FilterBuild records.
 func (fs *filterState) freeze(trace *simnet.Trace) {
 	for _, bf := range fs.built {
-		bf.union = bf.keys.Build(joinfilter.Params{})
+		bf.union = bf.keys.Build()
 		bf.keys = nil
 		// Each site ships its per-site filter plus its share of the
 		// union; the shares sum to exactly one union shipment.

@@ -49,12 +49,6 @@ type Cost struct {
 	Network float64
 }
 
-// Zero is the zero cost.
-var Zero = Cost{}
-
-// Infinite marks unimplementable alternatives.
-var Infinite = Cost{CPU: math.Inf(1)}
-
 // Plus adds two costs component-wise.
 func (c Cost) Plus(o Cost) Cost {
 	return Cost{
@@ -70,9 +64,6 @@ func (c Cost) Scalar() float64 { return c.CPU + c.Memory + c.IO + c.Network }
 
 // Less orders costs by scalar value.
 func (c Cost) Less(o Cost) bool { return c.Scalar() < o.Scalar() }
-
-// IsInfinite reports whether the cost marks an invalid alternative.
-func (c Cost) IsInfinite() bool { return math.IsInf(c.Scalar(), 1) }
 
 // Params selects between the baseline (IC) and improved (IC+) cost model
 // behaviours.

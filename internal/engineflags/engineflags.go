@@ -1,24 +1,25 @@
-// Package engineflags is the shared option registry behind the gignite
+// Package engineflags is the shared flag registry behind the gignite
 // command-line tools (cmd/gignite, cmd/gignited, cmd/benchrunner).
 //
 // Every engine knob a CLI exposes is declared exactly once here — name,
-// usage string and resolution into functional options — so the three
+// usage string and the gignite.Config field it sets — so the three
 // binaries stay flag-compatible by construction: "-plancache 64" or
 // "-adaptive" mean the same thing to the interactive shell, the network
 // daemon and the benchmark runner. Commands bind the registry into their
-// own flag.FlagSet (per-command defaults go through Defaults), add their
-// command-specific flags (addresses, scale-factor lists, ...), and
-// resolve the bound values with Values.Options. The resource-governance
-// flags are bound separately (BindGovernance) by the commands that serve
-// queries; benchrunner's experiments run ungoverned and do not bind them.
+// own flag.FlagSet (the one per-command default, the plan-cache capacity,
+// is Bind's argument), add their command-specific flags (addresses,
+// scale-factor lists, ...), and resolve the bound values with
+// Values.Options. The resource-governance flags are bound separately
+// (BindGovernance) by the commands that serve queries; benchrunner's
+// experiments run ungoverned and do not bind them.
 package engineflags
 
 import (
 	"flag"
 	"fmt"
-	"strings"
 
 	"gignite"
+	"gignite/internal/harness"
 )
 
 // Values holds the bound values of the shared engine flags after flag
@@ -53,27 +54,16 @@ type Values struct {
 	Misestimate float64
 }
 
-// Defaults carries the per-command default values of the shared flags.
-// The zero value means: system ic+, everything else off.
-type Defaults struct {
-	System    string
-	Filters   bool
-	PlanCache int
-}
-
 // Bind registers the shared engine flags on fs and returns the value
-// struct they parse into.
-func Bind(fs *flag.FlagSet, d Defaults) *Values {
-	if d.System == "" {
-		d.System = "ic+"
-	}
+// struct they parse into. planCache is the command's -plancache default.
+func Bind(fs *flag.FlagSet, planCache int) *Values {
 	v := &Values{}
-	fs.StringVar(&v.System, "system", d.System, "system variant: ic, ic+ or ic+m")
+	fs.StringVar(&v.System, "system", "ic+m", "system variant: ic, ic+ or ic+m")
 	fs.IntVar(&v.Backups, "backups", 0, "backup replicas per partition (0 = none)")
 	fs.IntVar(&v.Parallelism, "par", 0, "host execution parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	fs.StringVar(&v.Faults, "faults", "", `deterministic fault plan, e.g. "seed=1;crash=2@5;slow=1x4;sendfail=0.01"`)
-	fs.BoolVar(&v.Filters, "filters", d.Filters, "enable runtime join-filter pushdown (DESIGN.md §13)")
-	fs.IntVar(&v.PlanCache, "plancache", d.PlanCache, "plan cache capacity in plans (0 = off)")
+	fs.BoolVar(&v.Filters, "filters", false, "enable runtime join-filter pushdown (DESIGN.md §13)")
+	fs.IntVar(&v.PlanCache, "plancache", planCache, "plan cache capacity in plans (0 = off)")
 	fs.BoolVar(&v.Adaptive, "adaptive", false, "enable adaptive mid-query re-optimization (DESIGN.md §17)")
 	fs.Float64Var(&v.Misestimate, "misestimate", 0, "multiply the planner's join estimates by this factor (stats fault injection)")
 	return v
@@ -88,19 +78,14 @@ func (v *Values) BindGovernance(fs *flag.FlagSet) {
 	fs.Float64Var(&v.Hedge, "hedge", 0, "hedge stragglers past this multiple of the wave median (0 = off)")
 }
 
-// Preset resolves the -system flag to the variant's canonical name (the
-// paper's spelling: IC, IC+ or IC+M) and its Config constructor. Matching
-// is case-insensitive and accepts the spelled-out icplus/icplusm aliases.
-func (v *Values) Preset() (name string, preset func(sites int) gignite.Config, err error) {
-	switch strings.ToLower(v.System) {
-	case "ic":
-		return "IC", gignite.IC, nil
-	case "ic+", "icplus":
-		return "IC+", gignite.ICPlus, nil
-	case "ic+m", "icplusm":
-		return "IC+M", gignite.ICPlusM, nil
+// Preset resolves the -system flag to the system variant and its Config
+// constructor (harness.PresetFor's name matching).
+func (v *Values) Preset() (harness.System, func(sites int) gignite.Config, error) {
+	sys, preset, ok := harness.PresetFor(v.System)
+	if !ok {
+		return "", nil, fmt.Errorf("unknown -system %q (want ic, ic+ or ic+m)", v.System)
 	}
-	return "", nil, fmt.Errorf("unknown -system %q (want ic, ic+ or ic+m)", v.System)
+	return sys, preset, nil
 }
 
 // Options resolves the bound values into functional options for a
@@ -115,37 +100,30 @@ func (v *Values) Options(sites int) ([]gignite.Option, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append([]gignite.Option{gignite.WithPreset(preset, sites)}, rest...), nil
+	return []gignite.Option{gignite.WithPreset(preset, sites), rest}, nil
 }
 
-// EngineOptions resolves every bound flag except -system: the options a
-// caller layers over a configuration whose variant and site count it
-// picked itself (benchrunner's experiments choose the system per point).
-func (v *Values) EngineOptions() ([]gignite.Option, error) {
+// EngineOptions resolves every bound flag except -system into one option
+// assigning each flag's value to its Config field: what a caller layers
+// over a configuration whose variant and site count it picked itself
+// (benchrunner's experiments choose the system per point).
+func (v *Values) EngineOptions() (gignite.Option, error) {
 	fp, err := gignite.ParseFaults(v.Faults)
 	if err != nil {
 		return nil, fmt.Errorf("-faults: %w", err)
 	}
-	opts := []gignite.Option{
-		gignite.WithCluster(gignite.ClusterOptions{
-			Backups:     v.Backups,
-			Parallelism: v.Parallelism,
-			Faults:      fp,
-		}),
-		gignite.WithGovernance(gignite.GovernanceOptions{
-			MaxConcurrentQueries: v.Admission,
-			MemoryBudgetBytes:    v.MaxMem,
-			QueryMemLimitBytes:   v.QueryMem,
-			HedgeAfter:           v.Hedge,
-		}),
-		gignite.WithPlanCache(v.PlanCache),
-		gignite.WithRuntimeFilters(v.Filters),
-	}
-	if v.Adaptive {
-		opts = append(opts, gignite.WithAdaptive(gignite.AdaptiveOptions{Misestimate: v.Misestimate}))
-	} else if v.Misestimate != 0 {
-		mis := v.Misestimate
-		opts = append(opts, func(c *gignite.Config) { c.StatsMisestimate = mis })
-	}
-	return opts, nil
+	bound := *v
+	return func(c *gignite.Config) {
+		c.Backups = bound.Backups
+		c.ExecParallelism = bound.Parallelism
+		c.Faults = fp
+		c.RuntimeFilters = bound.Filters
+		c.MaxConcurrentQueries = bound.Admission
+		c.MemoryBudgetBytes = bound.MaxMem
+		c.QueryMemLimitBytes = bound.QueryMem
+		c.HedgeAfter = bound.Hedge
+		c.PlanCacheSize = bound.PlanCache
+		c.AdaptiveExec = bound.Adaptive
+		c.StatsMisestimate = bound.Misestimate
+	}, nil
 }

@@ -202,7 +202,7 @@ func TestNodeFiltersAcrossBatches(t *testing.T) {
 		for _, k := range keys {
 			b.Add(types.Row{types.NewInt(k)}.Hash([]int{0}))
 		}
-		return b.Build(joinfilter.Params{})
+		return b.Build()
 	}
 	onK := &AppliedFilter{ID: 1, Cols: []int{0}, Filter: build(0, 2, 4, 6)}
 	onV := &AppliedFilter{ID: 2, Cols: []int{1}, Filter: build(0, 2, 8, 9, 16, 28, 30)}

@@ -1,7 +1,5 @@
 package expr
 
-import "gignite/internal/types"
-
 // Fold performs constant folding and trivial boolean simplification:
 // constant sub-expressions are evaluated, TRUE/FALSE identities in AND/OR
 // are collapsed, and double negation is removed. Fold never changes the
@@ -78,26 +76,4 @@ func foldNode(e Expr) Expr {
 func isFoldableConst(e Expr) bool {
 	_, ok := e.(*Lit)
 	return ok
-}
-
-// StaticBool evaluates a row-independent predicate. It returns (value,
-// true) when e is constant, else (false, false).
-func StaticBool(e Expr) (bool, bool) {
-	if !IsConstant(e) {
-		return false, false
-	}
-	v := Fold(e)
-	l, ok := v.(*Lit)
-	if !ok {
-		// Constant but not folded to a literal (e.g. CASE); evaluate.
-		val := e.Eval(nil)
-		if val.K != types.KindBool {
-			return false, false
-		}
-		return val.Bool(), true
-	}
-	if l.Val.K != types.KindBool {
-		return false, false
-	}
-	return l.Val.Bool(), true
 }

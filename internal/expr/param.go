@@ -39,32 +39,3 @@ func (p *Param) WithChildren(children []Expr) Expr {
 	mustArity("Param", children, 0)
 	return p
 }
-
-// HasParams reports whether e contains any Param node.
-func HasParams(e Expr) bool {
-	if _, ok := e.(*Param); ok {
-		return true
-	}
-	for _, ch := range e.Children() {
-		if HasParams(ch) {
-			return true
-		}
-	}
-	return false
-}
-
-// BindParams substitutes a literal for every Param in e: args[i] replaces
-// the Param with Ordinal i. Ordinals past len(args) panic — the engine
-// validates argument counts before plans reach this rewrite.
-func BindParams(e Expr, args []types.Value) Expr {
-	return Transform(e, func(n Expr) Expr {
-		p, ok := n.(*Param)
-		if !ok {
-			return n
-		}
-		if p.Ordinal >= len(args) {
-			panic(fmt.Sprintf("expr: parameter $%d has no argument", p.Ordinal+1))
-		}
-		return NewLit(args[p.Ordinal])
-	})
-}

@@ -125,15 +125,6 @@ func TestFold(t *testing.T) {
 	}
 }
 
-func TestStaticBool(t *testing.T) {
-	if v, ok := StaticBool(NewBinOp(OpLt, intLit(1), intLit(2))); !ok || !v {
-		t.Error("StaticBool(1<2) failed")
-	}
-	if _, ok := StaticBool(NewBinOp(OpLt, col(0), intLit(2))); ok {
-		t.Error("StaticBool on non-constant returned ok")
-	}
-}
-
 func TestExtractCommonConjuncts(t *testing.T) {
 	// (c1 AND c2) OR (c1 AND c3) -> c1 AND (c2 OR c3)
 	c1 := NewBinOp(OpEq, col(0), col(4))

@@ -341,14 +341,3 @@ func (l *Lease) Peak() int64 {
 	defer l.mu.Unlock()
 	return l.peak
 }
-
-// Charged returns the lease's cumulative charged bytes (the value the
-// per-query limit is enforced against).
-func (l *Lease) Charged() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}

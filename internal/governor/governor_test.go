@@ -121,8 +121,8 @@ func TestPerQueryLimitIsCumulative(t *testing.T) {
 	if err := l.Reserve(60); !errors.Is(err, ErrMemoryExceeded) {
 		t.Fatalf("second reserve = %v, want ErrMemoryExceeded", err)
 	}
-	if got := l.Charged(); got != 60 {
-		t.Fatalf("charged = %d, want 60 (failed reserve must not charge)", got)
+	if l.total != 60 {
+		t.Fatalf("charged = %d, want 60 (failed reserve must not charge)", l.total)
 	}
 	if got := l.Peak(); got != 60 {
 		t.Fatalf("peak = %d, want 60", got)

@@ -391,7 +391,7 @@ func FailureMatrix(opts Options) (*Report, error) {
 // AblationFlag names one independently togglable IC+ improvement.
 type AblationFlag struct {
 	Name    string
-	Disable func(*gignite.Config)
+	Disable gignite.Option
 }
 
 // AblationFlags lists the §4/§5 improvements for one-at-a-time ablation.

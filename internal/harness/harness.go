@@ -10,6 +10,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -31,21 +32,31 @@ const (
 // Systems lists the variants in presentation order.
 func Systems() []System { return []System{IC, ICPlus, ICPM} }
 
+// PresetFor resolves a system name to the variant and its Config
+// constructor — the one name → preset table, shared with the commands'
+// -system flag. Matching is case-insensitive and accepts the spelled-out
+// icplus/icplusm aliases; ok is false for any other name.
+func PresetFor(name string) (sys System, preset func(sites int) gignite.Config, ok bool) {
+	switch strings.ToLower(name) {
+	case "ic":
+		return IC, gignite.IC, true
+	case "ic+", "icplus":
+		return ICPlus, gignite.ICPlus, true
+	case "ic+m", "icplusm":
+		return ICPM, gignite.ICPlusM, true
+	}
+	return "", nil, false
+}
+
 // ConfigFor builds the engine configuration of a system variant with the
 // execution work limit scaled to the scale factor (the analogue of the
 // paper's fixed four-hour limit across its SF range).
 func ConfigFor(sys System, sites int, sf float64) gignite.Config {
-	var cfg gignite.Config
-	switch sys {
-	case IC:
-		cfg = gignite.IC(sites)
-	case ICPlus:
-		cfg = gignite.ICPlus(sites)
-	case ICPM:
-		cfg = gignite.ICPlusM(sites)
-	default:
+	_, preset, ok := PresetFor(string(sys))
+	if !ok {
 		panic(fmt.Sprintf("harness: unknown system %q", sys))
 	}
+	cfg := preset(sites)
 	cfg.ExecWorkLimit = WorkLimitFor(sf)
 	// The row limit scales with the work limit (one row of join emission
 	// charges ~100 work units), matching the calibration of the baseline
@@ -73,6 +84,27 @@ func (w Workload) String() string {
 		return "SSB"
 	}
 	return "TPC-H"
+}
+
+// ParseWorkload resolves a benchmark name (tpch or ssb, in any case): the
+// commands' -load and -bench flags.
+func ParseWorkload(name string) (Workload, error) {
+	switch strings.ToLower(name) {
+	case "tpch":
+		return TPCH, nil
+	case "ssb":
+		return SSB, nil
+	}
+	return 0, fmt.Errorf("unknown benchmark %q", name)
+}
+
+// Setup creates the benchmark's schema in e, loads its data at scale
+// factor sf and collects statistics — the one benchmark loader.
+func (w Workload) Setup(e *gignite.Engine, sf float64) error {
+	if w == SSB {
+		return ssb.Setup(e, sf)
+	}
+	return tpch.Setup(e, sf)
 }
 
 // Env caches loaded engines so experiments over many (system, sites, SF)
@@ -104,13 +136,7 @@ func (env *Env) Engine(w Workload, sys System, sites int, sf float64) (*gignite.
 	}
 	opts := append([]gignite.Option{gignite.WithConfig(ConfigFor(sys, sites, sf))}, env.opts...)
 	e := gignite.Open(opts...)
-	var err error
-	if w == SSB {
-		err = ssb.Setup(e, sf)
-	} else {
-		err = tpch.Setup(e, sf)
-	}
-	if err != nil {
+	if err := w.Setup(e, sf); err != nil {
 		return nil, err
 	}
 	env.engines[key] = e
@@ -136,45 +162,4 @@ func ResponseTime(e *gignite.Engine, query string) (time.Duration, error) {
 		total += res.Modeled
 	}
 	return total / measuredRuns, nil
-}
-
-// QueryTimes measures every query of a workload on one engine. Failures
-// (planning errors, work-limit timeouts) are reported as negative
-// durations with the error retained.
-type QueryTime struct {
-	Label string
-	Time  time.Duration
-	Err   error
-}
-
-// TPCHTimes measures the TPC-H queries (skipping Q15, which requires
-// views, and Q20 when skipPaperDisabled is set — the paper disables both).
-func TPCHTimes(e *gignite.Engine, skipPaperDisabled bool) []QueryTime {
-	var out []QueryTime
-	for _, q := range tpch.Queries() {
-		if q.RequiresViews {
-			continue
-		}
-		if skipPaperDisabled && q.ID == 20 {
-			continue
-		}
-		d, err := ResponseTime(e, q.SQL)
-		out = append(out, QueryTime{Label: fmt.Sprintf("Q%d", q.ID), Time: d, Err: err})
-	}
-	return out
-}
-
-// SSBTimes measures the SSB queries, optionally restricted to the
-// paper-included flights (1 and 3).
-func SSBTimes(e *gignite.Engine, paperFlightsOnly bool) []QueryTime {
-	excluded := ssb.ExcludedFlights()
-	var out []QueryTime
-	for _, q := range ssb.Queries() {
-		if paperFlightsOnly && excluded[q.Flight] {
-			continue
-		}
-		d, err := ResponseTime(e, q.SQL)
-		out = append(out, QueryTime{Label: q.ID, Time: d, Err: err})
-	}
-	return out
 }

@@ -57,7 +57,7 @@ func TestEnvCachesEngines(t *testing.T) {
 	// Engine options are fixed per Env, so the same point under different
 	// options is a different engine in a different Env — never a stale one
 	// built before a knob changed.
-	backed := NewEnv(gignite.WithCluster(gignite.ClusterOptions{Backups: 1}))
+	backed := NewEnv(func(c *gignite.Config) { c.Backups = 1 })
 	d, err := backed.Engine(TPCH, ICPlus, 4, 0.002)
 	if err != nil {
 		t.Fatal(err)
@@ -142,26 +142,6 @@ func TestAQLContentionShape(t *testing.T) {
 	// 8 clients x 3.5 threads exceeds 24 cores: even IC pays a little.
 	if aqlContention(IC, 8) <= 1+0.15*7 {
 		t.Error("over-core term missing for IC at 8 clients")
-	}
-}
-
-func TestTPCHTimesSkipsDisabled(t *testing.T) {
-	env := NewEnv()
-	e, err := env.Engine(TPCH, ICPlus, 4, 0.002)
-	if err != nil {
-		t.Fatal(err)
-	}
-	times := TPCHTimes(e, true)
-	for _, qt := range times {
-		if qt.Label == "Q15" || qt.Label == "Q20" {
-			t.Errorf("%s not skipped", qt.Label)
-		}
-		if qt.Err != nil {
-			t.Errorf("%s: %v", qt.Label, qt.Err)
-		}
-	}
-	if len(times) != 20 {
-		t.Errorf("measured %d queries, want 20", len(times))
 	}
 }
 

@@ -11,48 +11,28 @@
 // negatives impossible: a row the join would match hashes to a value the
 // builder inserted.
 //
-// Small builds (at most Params.SmallKeys distinct hashes) keep the exact
-// hash set; larger builds use a blocked-free classic bloom filter with a
+// Small builds (at most smallKeys distinct hashes) keep the exact hash
+// set; larger builds use a blocked-free classic bloom filter with a
 // power-of-two bit array and double hashing. Both representations are
 // insertion-order independent, so a filter built from the same key set is
-// byte-identical at every host worker count.
+// byte-identical at every host worker count. The sizing is fixed: no
+// caller ever asked for anything but these values.
 package joinfilter
 
 import "fmt"
 
-// Params sizes filter construction.
-type Params struct {
-	// MaxBytes caps one bloom filter's bit-array size (0 = DefaultMaxBytes).
-	MaxBytes int
-	// SmallKeys is the exact-set threshold: builds with at most this many
-	// distinct key hashes skip the bloom filter and keep the exact set
-	// (0 = DefaultSmallKeys).
-	SmallKeys int
-	// BitsPerKey sizes the bloom bit array (0 = DefaultBitsPerKey).
-	BitsPerKey int
-}
-
-// Default sizing: 10 bits/key ≈ 1% false-positive rate with 7 probes;
-// 64 KiB caps the per-filter control-plane shipment.
 const (
-	DefaultMaxBytes   = 64 << 10
-	DefaultSmallKeys  = 1024
-	DefaultBitsPerKey = 10
-	bloomProbes       = 7
+	// maxBytes caps one bloom filter's bit array, bounding the per-filter
+	// control-plane shipment. It must be a power of two.
+	maxBytes = 64 << 10
+	// smallKeys is the exact-set threshold: builds with at most this many
+	// distinct key hashes skip the bloom filter and keep the exact set.
+	smallKeys = 1024
+	// bitsPerKey sizes the bloom bit array: 10 bits/key ≈ 1%
+	// false-positive rate with 7 probes.
+	bitsPerKey  = 10
+	bloomProbes = 7
 )
-
-func (p Params) withDefaults() Params {
-	if p.MaxBytes <= 0 {
-		p.MaxBytes = DefaultMaxBytes
-	}
-	if p.SmallKeys <= 0 {
-		p.SmallKeys = DefaultSmallKeys
-	}
-	if p.BitsPerKey <= 0 {
-		p.BitsPerKey = DefaultBitsPerKey
-	}
-	return p
-}
 
 // Builder accumulates the distinct key hashes of one build side.
 type Builder struct {
@@ -85,26 +65,17 @@ func (b *Builder) Merge(o *Builder) {
 func (b *Builder) Len() int { return len(b.order) }
 
 // Build freezes the builder into a filter.
-func (b *Builder) Build(p Params) *Filter {
-	p = p.withDefaults()
+func (b *Builder) Build() *Filter {
 	f := &Filter{keys: len(b.order)}
-	if len(b.order) <= p.SmallKeys {
+	if len(b.order) <= smallKeys {
 		f.exact = make(map[uint64]struct{}, len(b.order))
 		for _, h := range b.order {
 			f.exact[h] = struct{}{}
 		}
 		return f
 	}
-	bits := nextPow2(uint64(len(b.order)) * uint64(p.BitsPerKey))
-	if max := uint64(p.MaxBytes) * 8; bits > max {
-		bits = nextPow2(max) // MaxBytes rounded down to a power of two
-		if bits > max {
-			bits >>= 1
-		}
-	}
-	if bits < 64 {
-		bits = 64
-	}
+	// More than smallKeys keys: at least 16 Ki bits, so whole words.
+	bits := min(nextPow2(uint64(len(b.order))*bitsPerKey), maxBytes*8)
 	f.mask = bits - 1
 	f.words = make([]uint64, bits/64)
 	for _, h := range b.order {
@@ -168,10 +139,6 @@ func (f *Filter) Keys() int {
 	}
 	return f.keys
 }
-
-// Exact reports whether the filter kept the exact key set (no false
-// positives beyond hash collisions).
-func (f *Filter) Exact() bool { return f != nil && f.exact != nil }
 
 // SizeBytes is the filter's modeled wire size: 8 bytes per exact key, or
 // the bloom bit array.

@@ -10,8 +10,8 @@ func TestExactSmallSet(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Add(uint64(i) * 0x9e3779b97f4a7c15)
 	}
-	f := b.Build(Params{})
-	if !f.Exact() {
+	f := b.Build()
+	if f.exact == nil {
 		t.Fatalf("100 keys should stay exact, got %s", f)
 	}
 	for i := 0; i < 100; i++ {
@@ -38,8 +38,8 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 		keys[i] = rng.Uint64()
 		b.Add(keys[i])
 	}
-	f := b.Build(Params{SmallKeys: 10})
-	if f.Exact() {
+	f := b.Build()
+	if f.exact != nil {
 		t.Fatal("50k keys should build a bloom filter")
 	}
 	for _, k := range keys {
@@ -73,7 +73,7 @@ func TestDeterministicAcrossInsertionOrder(t *testing.T) {
 	for i := len(keys) - 1; i >= 0; i-- {
 		rev.Add(keys[i])
 	}
-	a, b := fwd.Build(Params{}), rev.Build(Params{})
+	a, b := fwd.Build(), rev.Build()
 	if a.SizeBytes() != b.SizeBytes() || len(a.words) != len(b.words) {
 		t.Fatalf("size mismatch: %s vs %s", a, b)
 	}
@@ -94,11 +94,16 @@ func TestMergeAndCaps(t *testing.T) {
 	if a.Len() != 1500 {
 		t.Fatalf("merged distinct count = %d, want 1500", a.Len())
 	}
-	f := a.Build(Params{SmallKeys: 10, MaxBytes: 128})
-	if got := f.SizeBytes(); got > 128 {
-		t.Fatalf("bloom size %d exceeds MaxBytes", got)
+	// 60k keys want 600k bits, which rounds up past the 64 KiB cap.
+	const capped = 60_000
+	for i := 1500; i < capped; i++ {
+		a.Add(uint64(i))
 	}
-	for i := 0; i < 1500; i++ {
+	f := a.Build()
+	if got := f.SizeBytes(); got != maxBytes {
+		t.Fatalf("bloom size %d, want the %d-byte cap", got, maxBytes)
+	}
+	for i := 0; i < capped; i++ {
 		if !f.Test(uint64(i)) {
 			t.Fatalf("false negative after cap on key %d", i)
 		}

@@ -91,7 +91,7 @@ func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(3)
 	r.Histogram("h", []float64{1}).Observe(2)
-	data, err := r.Snapshot().JSON()
+	data, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatalf("JSON: %v", err)
 	}

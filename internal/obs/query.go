@@ -278,9 +278,6 @@ func (f *FilterObs) Selectivity() float64 {
 	return float64(f.RowsTested-f.RowsPruned) / float64(f.RowsTested)
 }
 
-// JSON renders the full observation record.
-func (q *QueryObs) JSON() ([]byte, error) { return json.MarshalIndent(q, "", "  ") }
-
 // TopOp identifies one operator in a ranking.
 type TopOp struct {
 	Frag int

@@ -235,9 +235,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// JSON renders the snapshot as indented JSON.
-func (s Snapshot) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
-
 // Text renders the snapshot as sorted "name value" lines (counters and
 // gauges) plus one line per histogram with count/sum/buckets.
 func (s Snapshot) Text() string {

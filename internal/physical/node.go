@@ -439,20 +439,6 @@ func Walk(n Node, fn func(Node) bool) {
 	}
 }
 
-// HasExchange reports whether any node in the subtree is an Exchange —
-// the hasExchange predicate of Algorithm 2.
-func HasExchange(n Node) bool {
-	found := false
-	Walk(n, func(m Node) bool {
-		if _, ok := m.(*Exchange); ok {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
-}
-
 // CollationSatisfies reports whether actual ordering satisfies the wanted
 // prefix.
 func CollationSatisfies(actual, wanted []types.SortKey) bool {

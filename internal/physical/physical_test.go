@@ -137,18 +137,6 @@ func TestExchangeMergeReceiverPreservesCollation(t *testing.T) {
 	}
 }
 
-func TestHasExchange(t *testing.T) {
-	s := scanFixture()
-	if HasExchange(s) {
-		t.Error("scan has exchange")
-	}
-	ex := NewExchange(s, SingleDist)
-	f := NewFilter(ex, expr.True)
-	if !HasExchange(f) {
-		t.Error("filter-over-exchange not detected")
-	}
-}
-
 func TestCollationSatisfies(t *testing.T) {
 	ab := []types.SortKey{{Col: 0}, {Col: 1}}
 	a := []types.SortKey{{Col: 0}}

@@ -143,16 +143,6 @@ func (c *Cache) Get(digest, version uint64, build func() (*Entry, error)) (e *En
 	return call.entry, false, nil
 }
 
-// Invalidate drops every cached plan. Used by tests and by callers that
-// cannot express an invalidation as a version bump.
-func (c *Cache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, el := range c.entries {
-		c.removeLocked(el, false)
-	}
-}
-
 // Len returns the number of cached plans.
 func (c *Cache) Len() int {
 	c.mu.Lock()

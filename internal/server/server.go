@@ -42,23 +42,19 @@ type Config struct {
 	// IdleTimeout closes sessions that send no frame for this long while
 	// no query is in flight (0 = DefaultIdleTimeout; < 0 = no idle bound).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each frame write, so a wedged client cannot pin
-	// a session forever; slow-but-draining clients are fine because the
-	// deadline resets per frame (0 = DefaultWriteTimeout).
-	WriteTimeout time.Duration
-	// BatchRows is the result-stream batch size in rows
-	// (0 = DefaultBatchRows).
-	BatchRows int
-	// MaxFrameBytes bounds one inbound frame (0 = wire.DefaultMaxFrame).
-	MaxFrameBytes int
 	// Logger receives server and session log lines; nil logs nothing.
 	Logger *Logger
 }
 
-// Defaults for Config's zero fields.
+// Serving-layer constants. Only the idle timeout is a Config default; the
+// rest are fixed (inbound frames are bounded by wire.DefaultMaxFrame).
 const (
-	DefaultIdleTimeout      = 5 * time.Minute
-	DefaultWriteTimeout     = time.Minute
+	DefaultIdleTimeout = 5 * time.Minute
+	// DefaultWriteTimeout bounds each frame write, so a wedged client
+	// cannot pin a session forever; slow-but-draining clients are fine
+	// because the deadline resets per frame.
+	DefaultWriteTimeout = time.Minute
+	// DefaultBatchRows is the result-stream batch size in rows.
 	DefaultBatchRows        = 256
 	DefaultHandshakeTimeout = 10 * time.Second
 )
@@ -97,15 +93,6 @@ func New(eng *gignite.Engine, cfg Config) *Server {
 	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
-	}
-	if cfg.BatchRows <= 0 {
-		cfg.BatchRows = DefaultBatchRows
-	}
-	if cfg.MaxFrameBytes <= 0 {
-		cfg.MaxFrameBytes = wire.DefaultMaxFrame
 	}
 	reg := eng.Registry()
 	return &Server{

@@ -43,13 +43,9 @@ func startServer(t *testing.T, eng *gignite.Engine, cfg server.Config) (*server.
 }
 
 // tpchEngine loads TPC-H at a small scale factor once per config.
-func tpchEngine(t *testing.T, mut func(*gignite.Config)) *gignite.Engine {
+func tpchEngine(t *testing.T, opt gignite.Option) *gignite.Engine {
 	t.Helper()
-	cfg := gignite.ICPlus(4)
-	if mut != nil {
-		mut(&cfg)
-	}
-	eng := gignite.Open(gignite.WithConfig(cfg))
+	eng := gignite.Open(gignite.WithPreset(gignite.ICPlus, 4), opt)
 	if err := tpch.Setup(eng, 0.005); err != nil {
 		t.Fatal(err)
 	}

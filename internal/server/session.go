@@ -116,7 +116,7 @@ func (sess *session) serve() {
 // handshake validates the client Hello under a fixed deadline.
 func (sess *session) handshake() error {
 	_ = sess.conn.SetReadDeadline(time.Now().Add(DefaultHandshakeTimeout))
-	typ, payload, err := wire.ReadFrame(sess.br, sess.srv.cfg.MaxFrameBytes)
+	typ, payload, err := wire.ReadFrame(sess.br, wire.DefaultMaxFrame)
 	if err != nil {
 		return err
 	}
@@ -180,7 +180,7 @@ func (sess *session) readFrame() (uint8, []byte, error) {
 }
 
 func (sess *session) readOneFrame() (uint8, []byte, error) {
-	typ, payload, err := wire.ReadFrame(sess.br, sess.srv.cfg.MaxFrameBytes)
+	typ, payload, err := wire.ReadFrame(sess.br, wire.DefaultMaxFrame)
 	if err == nil {
 		sess.srv.m.bytesRecv.Add(float64(5 + len(payload)))
 	}
@@ -339,12 +339,8 @@ func (sess *session) streamRows(res *gignite.Result) error {
 	if err := sess.writeFrame(wire.FrameRowHeader, enc.Bytes()); err != nil {
 		return err
 	}
-	batch := sess.srv.cfg.BatchRows
-	for lo := 0; lo < len(res.Rows); lo += batch {
-		hi := lo + batch
-		if hi > len(res.Rows) {
-			hi = len(res.Rows)
-		}
+	for lo := 0; lo < len(res.Rows); lo += DefaultBatchRows {
+		hi := min(lo+DefaultBatchRows, len(res.Rows))
 		enc.Reset()
 		enc.U16(uint16(hi - lo))
 		for _, r := range res.Rows[lo:hi] {
@@ -435,9 +431,7 @@ func (sess *session) writeFrame(typ uint8, payload []byte) error {
 }
 
 func (sess *session) writeFrameLocked(typ uint8, payload []byte) error {
-	if d := sess.srv.cfg.WriteTimeout; d > 0 {
-		_ = sess.conn.SetWriteDeadline(time.Now().Add(d))
-	}
+	_ = sess.conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 	err := wire.WriteFrame(sess.conn, typ, payload)
 	if err == nil {
 		sess.srv.m.bytesSent.Add(float64(5 + len(payload)))

@@ -40,9 +40,6 @@ type Params struct {
 	// instance (thread scheduling + setup); it is what makes useless
 	// variant fragments a net loss (§6.2.3).
 	ThreadOverheadSec float64
-	// LoadFactor scales CPU time for externally induced contention (the
-	// AQL experiments run k clients against the same sites). 0 means 1.
-	LoadFactor float64
 }
 
 // DefaultParams is the testbed profile used by the benchmark harness:
@@ -159,10 +156,6 @@ func Makespan(tr *Trace, p Params) time.Duration {
 	if p.WorkPerSec <= 0 {
 		p = DefaultParams()
 	}
-	load := p.LoadFactor
-	if load < 1 {
-		load = 1
-	}
 	finish := make(map[instKey]float64)
 
 	// A recovery event delays the instance that eventually succeeded: the
@@ -184,7 +177,7 @@ func Makespan(tr *Trace, p Params) time.Duration {
 	// but pruned rows cannot leave before the filter arrived.
 	filterReady := make(map[int]float64)
 	for _, fb := range tr.Filters {
-		t := p.ThreadOverheadSec + fb.Work/p.WorkPerSec*load +
+		t := p.ThreadOverheadSec + fb.Work/p.WorkPerSec +
 			p.LatencySec + fb.Bytes/p.BytesPerSec
 		if t > filterReady[fb.Exchange] {
 			filterReady[fb.Exchange] = t
@@ -237,10 +230,10 @@ func Makespan(tr *Trace, p Params) time.Duration {
 			if t := threads[in.Site]; t > p.CoresPerSite {
 				contention = float64(t) / float64(p.CoresPerSite)
 			}
-			elapsed := p.ThreadOverheadSec + in.Work/p.WorkPerSec*contention*load
+			elapsed := p.ThreadOverheadSec + in.Work/p.WorkPerSec*contention
 			if h := hedged[instKey{fid, in.Site, in.Variant}]; h != nil {
-				elapsed = 2*p.ThreadOverheadSec + h.DelayWork/p.WorkPerSec*load +
-					in.Work/p.WorkPerSec*contention*load
+				elapsed = 2*p.ThreadOverheadSec + h.DelayWork/p.WorkPerSec +
+					in.Work/p.WorkPerSec*contention
 			}
 			elapsed += recovery[instKey{fid, in.Site, in.Variant}]
 			f := ready + elapsed

@@ -93,22 +93,6 @@ func TestContentionAboveCores(t *testing.T) {
 	}
 }
 
-func TestLoadFactorScalesCPU(t *testing.T) {
-	tr := &Trace{
-		Order:     []int{0},
-		Instances: map[int][]Instance{0: {{Frag: 0, Site: 0, Work: 1000}}},
-		Consumers: map[int][]int{},
-		RootFrag:  0,
-	}
-	p := params()
-	base := Makespan(tr, p).Seconds()
-	p.LoadFactor = 3
-	loaded := Makespan(tr, p).Seconds()
-	if loaded <= base*2 {
-		t.Errorf("load factor ignored: %v vs %v", loaded, base)
-	}
-}
-
 func TestNetworkBytesMatter(t *testing.T) {
 	mk := func(bytes float64) float64 {
 		tr := &Trace{

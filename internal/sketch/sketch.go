@@ -3,60 +3,36 @@
 // an exchange sender shipped, built incrementally on the send path and
 // merged at wave barriers.
 //
-// A Sketch combines three summaries over the stream of key hashes it is
+// A Sketch combines two summaries over the stream of key hashes it is
 // fed:
 //
-//   - an exact row count,
-//   - a KMV (k-minimum-values) distinct-count estimator, and
-//   - a hash-threshold sample of exact per-key frequencies, from which
-//     heavy hitters (skewed keys) are read off.
+//   - an exact row count, and
+//   - a KMV (k-minimum-values) distinct-count estimator.
 //
-// All three are order-independent: Merge is associative and commutative,
-// and the serialized form is deterministic, so sketches merged at a wave
-// barrier in any grouping produce byte-identical state. That property is
-// what lets the adaptive re-planner key decisions off sketches without
-// breaking the engine's determinism contract (results identical at every
-// worker count).
+// Both are order-independent: Merge is associative and commutative, so
+// sketches merged at a wave barrier in any grouping produce identical
+// state. That property is what lets the adaptive re-planner key decisions
+// off sketches without breaking the engine's determinism contract
+// (results identical at every worker count).
 package sketch
 
-import (
-	"encoding/binary"
-	"fmt"
-	"sort"
-)
+import "sort"
 
-// DefaultK is the KMV synopsis size: the k smallest distinct key hashes
-// are retained, giving a relative NDV error around 1/sqrt(k-2) (~8% at
+// k is the KMV synopsis size: the k smallest distinct key hashes are
+// retained, giving a relative NDV error around 1/sqrt(k-2) (~8% at
 // k=160; we use 256 for ~6%).
-const DefaultK = 256
+const k = 256
 
-// DefaultHitterCap bounds the frequency sample: when more than this many
-// distinct hashes fall under the sampling threshold, the threshold halves
-// until the sample fits. Until the cap is first exceeded every key is
-// sampled, so small exchanges get exact frequencies.
-const DefaultHitterCap = 256
-
-// Sketch summarizes one exchange's shipped rows. The zero value is not
-// usable; call New.
+// Sketch summarizes one exchange's shipped rows. The zero value is an
+// empty sketch.
 type Sketch struct {
-	k   int
-	cap int
-
 	rows int64
 	// kmv holds the k smallest distinct (finalized) hashes, sorted.
 	kmv []uint64
-	// level is the sampling level: a hash h is sampled when h>>level has
-	// its top `level` bits zero — i.e. h < 2^64 >> level. Level 0 samples
-	// everything.
-	level uint8
-	// counts holds exact frequencies of sampled hashes.
-	counts map[uint64]int64
 }
 
-// New creates an empty sketch with the default synopsis sizes.
-func New() *Sketch {
-	return &Sketch{k: DefaultK, cap: DefaultHitterCap, counts: make(map[uint64]int64)}
-}
+// New creates an empty sketch.
+func New() *Sketch { return &Sketch{} }
 
 // mix finalizes a key hash (splitmix64) so the KMV order statistics are
 // uniform even when the input hash is weak on low entropy keys.
@@ -67,52 +43,20 @@ func mix(h uint64) uint64 {
 	return h ^ (h >> 31)
 }
 
-// threshold returns the sampling bound for a level (hashes below it are
-// sampled). Level 0 means sample everything.
-func threshold(level uint8) uint64 {
-	if level == 0 {
-		return ^uint64(0)
-	}
-	return ^uint64(0) >> level
-}
-
 // Add feeds one row's key hash into the sketch.
 func (s *Sketch) Add(keyHash uint64) {
 	s.rows++
 	h := mix(keyHash)
 
 	// KMV: insert h into the sorted k-minimum set if it qualifies.
-	if len(s.kmv) < s.k || h < s.kmv[len(s.kmv)-1] {
+	if len(s.kmv) < k || h < s.kmv[len(s.kmv)-1] {
 		i := sort.Search(len(s.kmv), func(i int) bool { return s.kmv[i] >= h })
 		if i == len(s.kmv) || s.kmv[i] != h {
 			s.kmv = append(s.kmv, 0)
 			copy(s.kmv[i+1:], s.kmv[i:])
 			s.kmv[i] = h
-			if len(s.kmv) > s.k {
-				s.kmv = s.kmv[:s.k]
-			}
-		}
-	}
-
-	// Frequency sample: exact counts for hashes under the threshold.
-	if h <= threshold(s.level) {
-		s.counts[h]++
-		if len(s.counts) > s.cap {
-			s.shrink()
-		}
-	}
-}
-
-// shrink raises the sampling level to the smallest one that fits the cap,
-// pruning counts above the new threshold. The resulting state is a pure
-// function of the distinct-hash set, independent of insertion order.
-func (s *Sketch) shrink() {
-	for len(s.counts) > s.cap && s.level < 63 {
-		s.level++
-		t := threshold(s.level)
-		for h := range s.counts {
-			if h > t {
-				delete(s.counts, h)
+			if len(s.kmv) > k {
+				s.kmv = s.kmv[:k]
 			}
 		}
 	}
@@ -125,60 +69,15 @@ func (s *Sketch) Rows() int64 { return s.rows }
 // hashes observed the count is exact; past that the KMV estimator
 // (k-1)/max_normalized applies.
 func (s *Sketch) NDV() float64 {
-	if len(s.kmv) < s.k {
+	if len(s.kmv) < k {
 		return float64(len(s.kmv))
 	}
-	kth := s.kmv[s.k-1]
+	kth := s.kmv[k-1]
 	if kth == 0 {
-		return float64(s.k)
+		return float64(k)
 	}
 	// (k-1) / (kth / 2^64)
-	return float64(s.k-1) / (float64(kth) / float64(1<<63) / 2)
-}
-
-// Hitter is one sampled key frequency.
-type Hitter struct {
-	Hash  uint64
-	Count int64
-}
-
-// HeavyHitters returns the n most frequent sampled keys, ordered by
-// descending count then ascending hash (a total, deterministic order).
-// Counts are exact for the keys reported; keys hashed above the sampling
-// threshold are unobserved, so at high levels the report is a uniform
-// sample of the key space.
-func (s *Sketch) HeavyHitters(n int) []Hitter {
-	out := make([]Hitter, 0, len(s.counts))
-	for h, c := range s.counts {
-		out = append(out, Hitter{Hash: h, Count: c})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Count != out[b].Count {
-			return out[a].Count > out[b].Count
-		}
-		return out[a].Hash < out[b].Hash
-	})
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// MaxFraction estimates the heaviest key's share of the rows — the skew
-// signal (0 when the sketch is empty or nothing was sampled). The sampled
-// count is exact, but at sampling level L the heaviest key overall may be
-// unsampled, so this is a lower bound.
-func (s *Sketch) MaxFraction() float64 {
-	if s.rows == 0 {
-		return 0
-	}
-	var max int64
-	for _, c := range s.counts {
-		if c > max {
-			max = c
-		}
-	}
-	return float64(max) / float64(s.rows)
+	return float64(k-1) / (float64(kth) / float64(1<<63) / 2)
 }
 
 // Merge folds another sketch into this one. Merge is associative and
@@ -204,91 +103,9 @@ func (s *Sketch) Merge(o *Sketch) {
 			merged = append(merged, s.kmv[i])
 			i, j = i+1, j+1
 		}
-		if len(merged) == s.k {
+		if len(merged) == k {
 			break
 		}
 	}
 	s.kmv = merged
-
-	// Frequency sample: counts restricted to the coarser level, then
-	// re-shrunk to the cap.
-	if o.level > s.level {
-		s.level = o.level
-		t := threshold(s.level)
-		for h := range s.counts {
-			if h > t {
-				delete(s.counts, h)
-			}
-		}
-	}
-	t := threshold(s.level)
-	for h, c := range o.counts {
-		if h <= t {
-			s.counts[h] += c
-		}
-	}
-	if len(s.counts) > s.cap {
-		s.shrink()
-	}
-}
-
-const marshalMagic = "gsk1"
-
-// Marshal serializes the sketch deterministically: equal sketch states
-// produce byte-identical encodings regardless of construction order.
-func (s *Sketch) Marshal() []byte {
-	buf := make([]byte, 0, 4+8+1+4+len(s.kmv)*8+4+len(s.counts)*16)
-	buf = append(buf, marshalMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(s.rows))
-	buf = append(buf, s.level)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.kmv)))
-	for _, h := range s.kmv {
-		buf = binary.BigEndian.AppendUint64(buf, h)
-	}
-	hashes := make([]uint64, 0, len(s.counts))
-	for h := range s.counts {
-		hashes = append(hashes, h)
-	}
-	sort.Slice(hashes, func(a, b int) bool { return hashes[a] < hashes[b] })
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hashes)))
-	for _, h := range hashes {
-		buf = binary.BigEndian.AppendUint64(buf, h)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(s.counts[h]))
-	}
-	return buf
-}
-
-// Unmarshal reconstructs a sketch from its Marshal encoding.
-func Unmarshal(b []byte) (*Sketch, error) {
-	if len(b) < 4+8+1+4 || string(b[:4]) != marshalMagic {
-		return nil, fmt.Errorf("sketch: bad encoding header")
-	}
-	s := New()
-	p := 4
-	s.rows = int64(binary.BigEndian.Uint64(b[p:]))
-	p += 8
-	s.level = b[p]
-	p++
-	nk := int(binary.BigEndian.Uint32(b[p:]))
-	p += 4
-	if nk > s.k || len(b) < p+nk*8+4 {
-		return nil, fmt.Errorf("sketch: truncated kmv section")
-	}
-	s.kmv = make([]uint64, nk)
-	for i := range s.kmv {
-		s.kmv[i] = binary.BigEndian.Uint64(b[p:])
-		p += 8
-	}
-	nc := int(binary.BigEndian.Uint32(b[p:]))
-	p += 4
-	if len(b) != p+nc*16 {
-		return nil, fmt.Errorf("sketch: truncated counts section")
-	}
-	for i := 0; i < nc; i++ {
-		h := binary.BigEndian.Uint64(b[p:])
-		c := int64(binary.BigEndian.Uint64(b[p+8:]))
-		p += 16
-		s.counts[h] = c
-	}
-	return s, nil
 }

@@ -1,14 +1,18 @@
 package sketch
 
 import (
-	"bytes"
 	"math"
+	"slices"
 	"testing"
 )
 
 // hashOf simulates a key hash stream: a weak sequential "hash" the
 // sketch's internal finalizer must spread out.
 func hashOf(i int) uint64 { return uint64(i) * 0x9E3779B97F4A7C15 }
+
+// sameState compares the whole sketch state: the row count and the KMV
+// synopsis.
+func sameState(a, b *Sketch) bool { return a.rows == b.rows && slices.Equal(a.kmv, b.kmv) }
 
 func TestExactSmallStream(t *testing.T) {
 	s := New()
@@ -20,10 +24,6 @@ func TestExactSmallStream(t *testing.T) {
 	}
 	if ndv := s.NDV(); ndv != 10 {
 		t.Fatalf("NDV = %g, want exactly 10 (below-k streams are exact)", ndv)
-	}
-	hh := s.HeavyHitters(3)
-	if len(hh) != 3 || hh[0].Count != 10 {
-		t.Fatalf("heavy hitters = %+v, want 3 entries of count 10", hh)
 	}
 }
 
@@ -80,17 +80,16 @@ func TestMergeAssociativity(t *testing.T) {
 	c3.Merge(a3)
 	c3.Merge(b3)
 
-	e1, e2, e3 := a1.Marshal(), a2.Marshal(), c3.Marshal()
-	if !bytes.Equal(e1, e2) {
+	if !sameState(a1, a2) {
 		t.Fatal("merge is not associative: (a+b)+c != a+(b+c)")
 	}
-	if !bytes.Equal(e1, e3) {
+	if !sameState(a1, c3) {
 		t.Fatal("merge is not commutative: (a+b)+c != (c+a)+b")
 	}
 }
 
-func TestDeterministicSerialization(t *testing.T) {
-	// Same multiset, different insertion orders → identical bytes.
+func TestInsertionOrderIndependence(t *testing.T) {
+	// Same multiset, different insertion orders → identical state.
 	s1, s2 := New(), New()
 	for i := 0; i < 5000; i++ {
 		s1.Add(hashOf(i % 600))
@@ -98,48 +97,7 @@ func TestDeterministicSerialization(t *testing.T) {
 	for i := 4999; i >= 0; i-- {
 		s2.Add(hashOf(i % 600))
 	}
-	e1, e2 := s1.Marshal(), s2.Marshal()
-	if !bytes.Equal(e1, e2) {
-		t.Fatal("serialization depends on insertion order")
-	}
-	back, err := Unmarshal(e1)
-	if err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if !bytes.Equal(back.Marshal(), e1) {
-		t.Fatal("Marshal/Unmarshal round trip is not the identity")
-	}
-	if back.Rows() != s1.Rows() || back.NDV() != s1.NDV() {
-		t.Fatalf("round trip changed summaries: rows %d/%d ndv %g/%g",
-			back.Rows(), s1.Rows(), back.NDV(), s1.NDV())
-	}
-}
-
-func TestUnmarshalRejectsGarbage(t *testing.T) {
-	if _, err := Unmarshal([]byte("nope")); err == nil {
-		t.Fatal("want error for bad header")
-	}
-	good := New()
-	good.Add(1)
-	enc := good.Marshal()
-	if _, err := Unmarshal(enc[:len(enc)-3]); err == nil {
-		t.Fatal("want error for truncated encoding")
-	}
-}
-
-func TestHeavyHitterSkew(t *testing.T) {
-	s := New()
-	for i := 0; i < 9000; i++ {
-		s.Add(hashOf(42)) // one dominant key
-	}
-	for i := 0; i < 1000; i++ {
-		s.Add(hashOf(1000 + i%100))
-	}
-	if f := s.MaxFraction(); f < 0.85 {
-		t.Fatalf("MaxFraction = %.3f, want >= 0.85 for a 90%% skewed stream", f)
-	}
-	hh := s.HeavyHitters(1)
-	if len(hh) != 1 || hh[0].Count != 9000 {
-		t.Fatalf("heavy hitter = %+v, want count 9000", hh)
+	if !sameState(s1, s2) {
+		t.Fatal("sketch state depends on insertion order")
 	}
 }

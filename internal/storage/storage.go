@@ -336,20 +336,6 @@ func (s *Store) RowCount(name string) (int64, error) {
 	return n, nil
 }
 
-// PartitionSites returns the number of sites that hold a partition of the
-// table: 1 for replicated tables (the paper's Algorithm 2 treats a
-// replicated relation as a single partition), else the cluster size.
-func (s *Store) PartitionSites(name string) (int, error) {
-	td, err := s.Table(name)
-	if err != nil {
-		return 0, err
-	}
-	if td.Def.Replicated {
-		return 1, nil
-	}
-	return s.sites, nil
-}
-
 // ComputeStats scans a table and fills its catalog statistics: row count,
 // per-column NDV and min/max. It mirrors Ignite running with statistics
 // collection enabled.

@@ -103,12 +103,6 @@ func TestReplicatedVisibleEverywhere(t *testing.T) {
 	if n, _ := s.RowCount("region"); n != 2 {
 		t.Errorf("RowCount counts copies: %d", n)
 	}
-	if ps, _ := s.PartitionSites("region"); ps != 1 {
-		t.Errorf("PartitionSites(replicated) = %d, want 1", ps)
-	}
-	if ps, _ := s.PartitionSites("emp"); ps != 4 {
-		t.Errorf("PartitionSites(emp) = %d, want 4", ps)
-	}
 }
 
 func TestLoadValidatesWidth(t *testing.T) {

@@ -252,10 +252,7 @@ func (p *Planner) buildTwoPhaseAgg(t *logical.Aggregate, in physical.Node,
 	mapRows := math.Min(inRows, outRows*sites)
 
 	mapAgg := physical.NewHashAggregate(in, t.GroupBy, split.MapCalls, physical.AggMap, split.MapFields)
-	pr := mapAgg.Props()
-	pr.EstRows = mapRows
-	pr.Self = p.cfg.CostParams.HashAggregate(inRows, mapRows, float64(len(split.MapFields)), p.df(in))
-	pr.Total = pr.Self.Plus(in.Props().Total)
+	setCost(mapAgg, mapRows, p.cfg.CostParams.HashAggregate(inRows, mapRows, float64(len(split.MapFields)), p.df(in)))
 
 	ex := p.newExchange(mapAgg, physical.SingleDist)
 
@@ -264,19 +261,13 @@ func (p *Planner) buildTwoPhaseAgg(t *logical.Aggregate, in physical.Node,
 		groupCols[i] = i
 	}
 	reduce := physical.NewHashAggregate(ex, groupCols, split.ReduceCalls, physical.AggReduce, split.ReduceFields)
-	rr := reduce.Props()
-	rr.EstRows = outRows
-	rr.Self = p.cfg.CostParams.HashAggregate(mapRows, outRows, float64(len(split.ReduceFields)), 1)
-	rr.Total = rr.Self.Plus(ex.Props().Total)
+	setCost(reduce, outRows, p.cfg.CostParams.HashAggregate(mapRows, outRows, float64(len(split.ReduceFields)), 1))
 
 	if split.Finalize == nil {
 		return reduce
 	}
 	proj := physical.NewProject(reduce, split.Finalize, t.Schema())
-	pp := proj.Props()
-	pp.EstRows = outRows
-	pp.Self = p.cfg.CostParams.Project(outRows, float64(len(t.Schema())), 1)
-	pp.Total = pp.Self.Plus(rr.Total)
+	setCost(proj, outRows, p.cfg.CostParams.Project(outRows, float64(len(t.Schema())), 1))
 	return proj
 }
 
@@ -287,7 +278,7 @@ func (p *Planner) joinAlternatives(t *logical.Join, req Req) ([]physical.Node, e
 	keys, _ := expr.SplitJoinCondition(t.Cond, leftW)
 
 	var alts []physical.Node
-	add, err := p.orientationAlternatives(t, t.Left, t.Right, t.Type, t.Cond, keys, false)
+	add, err := p.orientationAlternatives(t, t.Left, t.Right, t.Type, t.Cond, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +319,7 @@ func commuteCond(cond expr.Expr, leftW, rightW int) expr.Expr {
 func (p *Planner) orientationAlternativesSwapped(t *logical.Join, swCond expr.Expr,
 	swKeys []expr.EquiKey) ([]physical.Node, error) {
 
-	raw, err := p.orientationAlternatives(t, t.Right, t.Left, t.Type, swCond, swKeys, true)
+	raw, err := p.orientationAlternatives(t, t.Right, t.Left, t.Type, swCond, swKeys)
 	if err != nil {
 		return nil, err
 	}
@@ -347,10 +338,8 @@ func (p *Planner) orientationAlternativesSwapped(t *logical.Join, swCond expr.Ex
 			exprs = append(exprs, expr.NewColRef(i, js[i].Kind, js[i].Name))
 		}
 		proj := physical.NewProject(j, exprs, fields)
-		pr := proj.Props()
-		pr.EstRows = j.Props().EstRows
-		pr.Self = p.cfg.CostParams.Project(pr.EstRows, float64(len(fields)), 1)
-		pr.Total = pr.Self.Plus(j.Props().Total)
+		rows := j.Props().EstRows
+		setCost(proj, rows, p.cfg.CostParams.Project(rows, float64(len(fields)), 1))
 		out = append(out, proj)
 	}
 	return out, nil
@@ -360,7 +349,7 @@ func (p *Planner) orientationAlternativesSwapped(t *logical.Join, swCond expr.Ex
 // orientation. t carries the estimates; left/right/cond/keys describe the
 // (possibly swapped) orientation.
 func (p *Planner) orientationAlternatives(t *logical.Join, left, right logical.Node,
-	jt logical.JoinType, cond expr.Expr, keys []expr.EquiKey, swapped bool) ([]physical.Node, error) {
+	jt logical.JoinType, cond expr.Expr, keys []expr.EquiKey) ([]physical.Node, error) {
 
 	leftW := len(left.Schema())
 	leftNat, err := p.optimize(left, anyReq)
@@ -417,13 +406,9 @@ func (p *Planner) orientationAlternatives(t *logical.Join, left, right logical.N
 			case physical.HashAlgo:
 				self = p.cfg.CostParams.HashJoin(lRows, rRows, widthOf(rp), p.df(rp))
 			}
-			pr := j.Props()
-			pr.EstRows = outRows
-			pr.Self = self
-			pr.Total = self.Plus(lp.Props().Total).Plus(rp.Props().Total)
+			setCost(j, outRows, self)
 			alts = append(alts, j)
 		}
 	}
-	_ = swapped
 	return alts, nil
 }

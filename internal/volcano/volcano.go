@@ -17,7 +17,7 @@
 //   - Two-phase (IC+): a logical pass runs first (see package hep), then
 //     join orders are explored once and physicalized with memoization.
 //     The join-permutation rules are conditionally disabled for queries
-//     with more than MaxJoins joins or more than MaxNesting nested joins.
+//     with more than maxJoins joins or more than maxNesting nested joins.
 package volcano
 
 import (
@@ -55,11 +55,15 @@ type Config struct {
 	CostParams cost.Params
 	// Budget bounds search effort in tickets; <=0 selects DefaultBudget.
 	Budget int
-	// MaxJoins / MaxNesting are the §4.3 conditional-disabling thresholds
-	// (two-phase only): queries beyond them skip join-order permutation.
-	MaxJoins   int
-	MaxNesting int
 }
+
+// maxJoins / maxNesting are the paper's §4.3 conditional-disabling
+// thresholds (two-phase only): queries beyond them skip join-order
+// permutation.
+const (
+	maxJoins   = 4
+	maxNesting = 3
+)
 
 // DefaultBudget is the ticket budget corresponding to Calcite's planning
 // resource limit. The single-phase (IC) regime pays singlePhaseFactor per
@@ -99,12 +103,6 @@ type memoEntry struct {
 
 // New creates a planner.
 func New(cfg Config) *Planner {
-	if cfg.MaxJoins <= 0 {
-		cfg.MaxJoins = 4
-	}
-	if cfg.MaxNesting <= 0 {
-		cfg.MaxNesting = 3
-	}
 	if cfg.Sites <= 0 {
 		cfg.Sites = 1
 	}
@@ -143,8 +141,8 @@ func (p *Planner) Optimize(plan logical.Node) (physical.Node, error) {
 	// the hard queries.
 	explore := true
 	if p.cfg.TwoPhase {
-		if logical.CountJoins(plan) > p.cfg.MaxJoins ||
-			logical.MaxJoinNesting(plan) > p.cfg.MaxNesting {
+		if logical.CountJoins(plan) > maxJoins ||
+			logical.MaxJoinNesting(plan) > maxNesting {
 			explore = false
 		}
 	}
@@ -283,10 +281,7 @@ func (p *Planner) newExchange(input physical.Node, target physical.Distribution)
 	case physical.Hash:
 		targets = p.cfg.Sites
 	}
-	pr := ex.Props()
-	pr.EstRows = rows
-	pr.Self = p.cfg.CostParams.Exchange(rows, width, copies, targets)
-	pr.Total = pr.Self.Plus(input.Props().Total)
+	setCost(ex, rows, p.cfg.CostParams.Exchange(rows, width, copies, targets))
 	return ex
 }
 
@@ -295,10 +290,7 @@ func (p *Planner) newEnforcerSort(input physical.Node, keys []types.SortKey) phy
 	s := physical.NewSort(input, keys)
 	rows := input.Props().EstRows
 	width := float64(len(input.Schema()))
-	pr := s.Props()
-	pr.EstRows = rows
-	pr.Self = p.cfg.CostParams.Sort(rows, width, p.df(input))
-	pr.Total = pr.Self.Plus(input.Props().Total)
+	setCost(s, rows, p.cfg.CostParams.Sort(rows, width, p.df(input)))
 	return s
 }
 
@@ -346,14 +338,20 @@ func (p *Planner) df(child physical.Node) float64 {
 	return df
 }
 
-// finish fills an operator's estimate and cost and accumulates the total.
+// finish costs an operator at its logical node's estimated row count.
 func (p *Planner) finish(n physical.Node, logicalNode logical.Node, self cost.Cost) physical.Node {
+	setCost(n, p.cfg.Est.RowCount(logicalNode), self)
+	return n
+}
+
+// setCost fills an operator's estimate and own cost, and totals the cost
+// over its inputs in order.
+func setCost(n physical.Node, rows float64, self cost.Cost) {
 	pr := n.Props()
-	pr.EstRows = p.cfg.Est.RowCount(logicalNode)
+	pr.EstRows = rows
 	pr.Self = self
 	pr.Total = self
 	for _, in := range n.Inputs() {
 		pr.Total = pr.Total.Plus(in.Props().Total)
 	}
-	return n
 }

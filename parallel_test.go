@@ -23,14 +23,11 @@ const parallelTestSF = 0.01
 
 // openTPCH is the root tests' one loaded-engine opener: an IC+ engine on
 // `sites` sites with the work limit scaled to sf (harness.ConfigFor), the
-// given mutators applied in order, and TPC-H loaded at sf.
-func openTPCH(tb testing.TB, sf float64, sites int, muts ...func(*gignite.Config)) *gignite.Engine {
+// given options applied in order, and TPC-H loaded at sf.
+func openTPCH(tb testing.TB, sf float64, sites int, opts ...gignite.Option) *gignite.Engine {
 	tb.Helper()
-	cfg := harness.ConfigFor(harness.ICPlus, sites, sf)
-	for _, mut := range muts {
-		mut(&cfg)
-	}
-	e := gignite.Open(gignite.WithConfig(cfg))
+	base := gignite.WithConfig(harness.ConfigFor(harness.ICPlus, sites, sf))
+	e := gignite.Open(append([]gignite.Option{base}, opts...)...)
 	if err := tpch.Setup(e, sf); err != nil {
 		tb.Fatal(err)
 	}
@@ -38,13 +35,13 @@ func openTPCH(tb testing.TB, sf float64, sites int, muts ...func(*gignite.Config
 }
 
 // parallelism sets the host worker-pool bound.
-func parallelism(n int) func(*gignite.Config) {
+func parallelism(n int) gignite.Option {
 	return func(c *gignite.Config) { c.ExecParallelism = n }
 }
 
 // withFaults sets the backup replica count and the fault plan parsed from
 // spec ("" injects nothing).
-func withFaults(tb testing.TB, backups int, spec string) func(*gignite.Config) {
+func withFaults(tb testing.TB, backups int, spec string) gignite.Option {
 	tb.Helper()
 	plan, err := gignite.ParseFaults(spec)
 	if err != nil {

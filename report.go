@@ -89,14 +89,10 @@ func (r *Result) Report() *QueryReport {
 			continue
 		}
 		for _, op := range fo.Ops {
-			qerr := (op.EstRows + 1) / (float64(op.RowsOut) + 1)
-			if inv := 1 / qerr; inv > qerr {
-				qerr = inv
-			}
 			rep.Operators = append(rep.Operators, OperatorReport{
 				Frag: fo.Frag, Op: op.Op,
 				EstRows: op.EstRows, ActRows: op.RowsOut,
-				QError: qerr, Work: op.Work,
+				QError: qerror(op.EstRows, float64(op.RowsOut)), Work: op.Work,
 			})
 		}
 	}
