@@ -23,9 +23,9 @@ race:
 
 # The packages with real concurrency (wire sessions, the driver's cancel
 # watcher, the wave scheduler, exchange transport) again at 1, 2 and 4
-# cores, plus the root package's concurrency tests (concurrent clients,
-# the plan-cache hammer, admission and overload races, Close/drain): their
-# ordering bugs depend on GOMAXPROCS.
+# cores, plus the root package's concurrency tests (concurrent clients and
+# ad-hoc planners, the plan-cache hammer, admission and overload races,
+# Close/drain): their ordering bugs depend on GOMAXPROCS.
 race-cpu:
 	$(GO) test -race -cpu 1,2,4 ./driver ./internal/server ./internal/cluster ./internal/exec
 	$(GO) test -race -cpu 1,2,4 -run 'Concurrent|Hammer|Admission|Overload|Close' .
@@ -36,10 +36,12 @@ bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The executor microbenchmarks (pipeline shapes, hash join, hash
-# aggregate, sender routing), one iteration each: CI runs them so they
-# keep compiling and running; measure with a larger -benchtime.
+# aggregate, sender routing) and the planner's (BenchmarkOptimize: one
+# Volcano run per TPC-H join query, with tickets/op), one iteration each:
+# CI runs them so they keep compiling and running; measure with a larger
+# -benchtime.
 bench-exec:
-	$(GO) test -run '^$$' -bench 'Pipeline|HashJoin|HashAggregate|SendRows' -benchmem -benchtime 1x ./internal/exec .
+	$(GO) test -run '^$$' -bench 'Pipeline|HashJoin|HashAggregate|SendRows|Optimize' -benchmem -benchtime 1x ./internal/exec .
 
 # The paper-artifact benchmarks (figures/tables) plus the operator and
 # scheduler microbenchmarks. GIGNITE_PARBENCH_SF overrides the

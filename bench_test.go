@@ -295,7 +295,7 @@ func BenchmarkHashJoin(b *testing.B) {
 		physical.HashAlgo, logical.JoinInner,
 		expr.NewBinOp(expr.OpEq,
 			expr.NewColRef(0, types.KindInt, ""), expr.NewColRef(2, types.KindInt, "")),
-		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.SingleDist, "single")
+		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.SingleDist, "single", nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows, err := exec.Run(join, &exec.Context{NVariants: 1})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gignite/internal/empdb"
+	"gignite/internal/types"
 )
 
 // setupEmployees builds a small schema with deterministic data on an
@@ -319,6 +320,84 @@ func TestConcurrentQueries(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// identicalInputsJoin is a self-join whose two inputs are the same
+// derived table, letter for letter: the planner's memo puts both in one
+// group and hands the join the same physical subtree twice.
+const identicalInputsJoin = `SELECT a.v, b.v
+	FROM (SELECT e.id AS k, e.id + 1 AS v FROM emp e) a
+	JOIN (SELECT e.id AS k, e.id + 1 AS v FROM emp e) b ON a.k = b.k`
+
+// TestSharedSubtreeInsideFragment: a subtree the memo shares between the
+// two inputs of one join — inside one fragment, no exchange between them
+// — must execute as two operators. Per-operator state keyed by node
+// pointer (the variant fragments' source modes, the row counters) would
+// otherwise be set by one visit and overwritten by the other: under IC+M
+// the join returned no rows.
+func TestSharedSubtreeInsideFragment(t *testing.T) {
+	for _, sys := range []struct {
+		name string
+		cfg  func(int) Config
+	}{{"IC", IC}, {"IC+", ICPlus}, {"IC+M", ICPlusM}} {
+		for _, par := range []int{1, 0} {
+			cfg := sys.cfg(4)
+			cfg.ExecParallelism = par
+			e := setupEmployees(t, cfg)
+			want, err := e.ReferenceQuery(identicalInputsJoin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != 100 {
+				t.Fatalf("reference returned %d rows, want 100", len(want))
+			}
+			label := fmt.Sprintf("%s par=%d", sys.name, par)
+			got, err := e.Query(identicalInputsJoin)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sameRows(t, label+" unprepared", want, got.Rows)
+			stmt, err := e.Prepare(identicalInputsJoin)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			// Twice: the second run executes a clone of the cached plan.
+			for run := 0; run < 2; run++ {
+				got, err = stmt.Query()
+				if err != nil {
+					t.Fatalf("%s prepared run %d: %v", label, run, err)
+				}
+				sameRows(t, fmt.Sprintf("%s prepared run %d", label, run), want, got.Rows)
+			}
+		}
+	}
+}
+
+// TestMemoSeparatesLiteralKinds: `e.id + 1` and `e.id + 1.0` render
+// alike, so a memo keyed by the rendering planned the second projection
+// as the first and returned its BIGINT column where a DOUBLE was asked
+// for.
+func TestMemoSeparatesLiteralKinds(t *testing.T) {
+	const q = `SELECT a.v, b.v
+		FROM (SELECT e.id AS k, e.id + 1 AS v FROM emp e) a
+		JOIN (SELECT e.id AS k, e.id + 1.0 AS v FROM emp e) b ON a.k = b.k`
+	for _, cfg := range []Config{IC(4), ICPlus(4), ICPlusM(4)} {
+		e := setupEmployees(t, cfg)
+		want, err := e.ReferenceQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, q, want, got.Rows)
+		for i, row := range got.Rows {
+			if row[0].K != types.KindInt || row[1].K != types.KindFloat {
+				t.Fatalf("row %d is (%s, %s), want (BIGINT, DOUBLE)", i, row[0].K, row[1].K)
+			}
 		}
 	}
 }

@@ -1,0 +1,24 @@
+package gignite
+
+import (
+	"gignite/internal/logical"
+	"gignite/internal/sql"
+	"gignite/internal/volcano"
+)
+
+// The two halves of Engine.plan, for the package's planner tests and
+// benchmarks: they time, count and inspect the Volcano stage on exactly
+// the plan and planner a statement would get.
+
+// BindLogical parses and binds a SELECT and runs the stage-1 rules.
+func (e *Engine) BindLogical(query string) (logical.Node, error) {
+	sel, err := sql.ParseSelect(query)
+	if err != nil {
+		return nil, err
+	}
+	lp, _, err := e.bindLogical(sel, e.rulesConfig())
+	return lp, err
+}
+
+// NewPlanner builds the planner (and estimator) one statement would use.
+func (e *Engine) NewPlanner() *volcano.Planner { return e.newPlanner() }

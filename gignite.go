@@ -790,21 +790,25 @@ func (e *Engine) rulesConfig() rules.Config {
 	}
 }
 
-// plan runs the full planning pipeline for a bound SELECT. It also
-// returns the bind-time type hint of every `?` placeholder (indexed by
-// ordinal; types.KindNull when no hint was derivable).
-func (e *Engine) plan(sel *sql.SelectStmt) (physical.Node, []types.Kind, *volcano.Planner, error) {
+// bindLogical binds a SELECT and runs the stage-1 heuristic rules rc
+// selects — the front half of planning, shared with LogicalPlan and
+// ReferenceQuery.
+func (e *Engine) bindLogical(sel *sql.SelectStmt, rc rules.Config) (logical.Node, *binder.Binder, error) {
 	b := e.newBinder()
 	lp, err := b.BindSelect(sel)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	rc := e.rulesConfig()
-	lp = hep.RunGroups(lp, rules.Stage1Groups(rc))
+	return hep.RunGroups(lp, rules.Stage1Groups(rc)), b, nil
+}
+
+// newPlanner builds the cost-based planner Config implies, with a fresh
+// estimator: both hold per-run memos, so every planning run gets its own.
+func (e *Engine) newPlanner() *volcano.Planner {
 	est := stats.New(e.catalog, !e.cfg.SwamiSchieferEstimation)
 	est.Misestimate = e.cfg.StatsMisestimate
-	vp := volcano.New(volcano.Config{
-		Rules:                 rc,
+	return volcano.New(volcano.Config{
+		Rules:                 e.rulesConfig(),
 		TwoPhase:              e.cfg.TwoPhaseOptimization,
 		EnableHashJoin:        e.cfg.HashJoin,
 		FullyDistributedJoins: e.cfg.FullyDistributedJoins,
@@ -817,6 +821,17 @@ func (e *Engine) plan(sel *sql.SelectStmt) (physical.Node, []types.Kind, *volcan
 		},
 		Budget: e.cfg.PlanningBudget,
 	})
+}
+
+// plan runs the full planning pipeline for a bound SELECT. It also
+// returns the bind-time type hint of every `?` placeholder (indexed by
+// ordinal; types.KindNull when no hint was derivable).
+func (e *Engine) plan(sel *sql.SelectStmt) (physical.Node, []types.Kind, *volcano.Planner, error) {
+	lp, b, err := e.bindLogical(sel, e.rulesConfig())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	vp := e.newPlanner()
 	pp, err := vp.Optimize(lp)
 	if err != nil {
 		return nil, nil, vp, err
@@ -837,17 +852,17 @@ func (e *Engine) buildEntry(sel *sql.SelectStmt) (*plancache.Entry, error) {
 	return &plancache.Entry{Plan: pp, ParamKinds: kinds, Tickets: vp.TicketsUsed, Version: version}, nil
 }
 
-// getPlan resolves the optimized plan for a SELECT: through the plan
-// cache when enabled (planning runs only on a miss, and concurrent misses
-// on one digest coalesce into a single planning pass), from scratch
-// otherwise.
-func (e *Engine) getPlan(sel *sql.SelectStmt, src string) (*plancache.Entry, bool, error) {
+// getPlan resolves the optimized plan for a parsed SELECT: through the
+// plan cache when enabled (filed under the digest the parser left on the
+// statement; planning runs only on a miss, and concurrent misses on one
+// digest coalesce into a single planning pass), from scratch otherwise.
+func (e *Engine) getPlan(sel *sql.SelectStmt) (*plancache.Entry, bool, error) {
 	build := func() (*plancache.Entry, error) { return e.buildEntry(sel) }
 	if e.plans == nil {
 		entry, err := build()
 		return entry, false, err
 	}
-	return e.plans.Get(plancache.Digest(src), e.catalog.Version(), build)
+	return e.plans.Get(sel.Digest, e.catalog.Version(), build)
 }
 
 // PlanCacheStats snapshots the plan cache. enabled is false (and the
@@ -910,7 +925,7 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 	}
 	if get == nil {
 		get = func() (*plancache.Entry, bool, bool, error) {
-			entry, hit, err := e.getPlan(sel, src)
+			entry, hit, err := e.getPlan(sel)
 			return entry, hit, e.plans != nil, err
 		}
 	}
@@ -1219,11 +1234,10 @@ func (e *Engine) ReferenceQuery(query string) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	lp, err := e.newBinder().BindSelect(sel)
+	lp, _, err := e.bindLogical(sel, rules.Config{FilterCorrelate: true})
 	if err != nil {
 		return nil, err
 	}
-	lp = hep.RunGroups(lp, rules.Stage1Groups(rules.Config{FilterCorrelate: true}))
 	return ref.Execute(lp, e.store)
 }
 
@@ -1238,10 +1252,9 @@ func (e *Engine) LogicalPlan(query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	lp, err := e.newBinder().BindSelect(sel)
+	lp, _, err := e.bindLogical(sel, e.rulesConfig())
 	if err != nil {
 		return "", err
 	}
-	lp = hep.RunGroups(lp, rules.Stage1Groups(e.rulesConfig()))
 	return logical.Format(lp), nil
 }

@@ -52,7 +52,7 @@ func flipPlan(t *testing.T, estBuild float64) (*fragment.Plan, *physical.Sender,
 
 	probe := leaf(1000, physical.HashDist(0))
 	join := physical.NewJoin(probe, recv0, physical.HashAlgo, logical.JoinInner, nil,
-		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.HashDist(0), "bcast-right")
+		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.HashDist(0), "bcast-right", nil)
 
 	f0 := &fragment.Fragment{ID: 0, Root: join, IsRoot: true, Receivers: []int{0}, ExchangeID: -1}
 	f1 := &fragment.Fragment{ID: 1, Root: sender0, Receivers: []int{1}, ExchangeID: 0}
@@ -167,7 +167,7 @@ func swapPlan(t *testing.T, estL, estR float64) (*fragment.Plan, *physical.Join)
 	f1, recv1 := mk(1, estL)
 	f2, recv2 := mk(2, estR)
 	join := physical.NewJoin(recv1, recv2, physical.HashAlgo, logical.JoinInner, nil,
-		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.HashDist(0), "hash")
+		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.HashDist(0), "hash", nil)
 	f0 := &fragment.Fragment{ID: 0, Root: join, IsRoot: true, Receivers: []int{1, 2}, ExchangeID: -1}
 	plan := &fragment.Plan{
 		Fragments: []*fragment.Fragment{f0, f1, f2},

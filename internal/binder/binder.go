@@ -440,7 +440,7 @@ func (b *Binder) bindOrderBy(sel *sql.SelectStmt, itemExprs []expr.Expr,
 			}
 			// Structural match against a select item first.
 			for i, ie := range itemExprs {
-				if expr.EqualExprs(bound, ie) {
+				if expr.Equal(bound, ie) {
 					col = i
 					break
 				}

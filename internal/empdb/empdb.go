@@ -98,7 +98,7 @@ func (g *Gen) intn(n int) int { return int(g.next() % uint64(n)) }
 
 // Query returns the next random query.
 func (g *Gen) Query() string {
-	switch g.intn(5) {
+	switch g.intn(6) {
 	case 0:
 		return g.simpleSelect()
 	case 1:
@@ -107,6 +107,8 @@ func (g *Gen) Query() string {
 		return g.aggSelect()
 	case 3:
 		return g.subquerySelect()
+	case 4:
+		return g.selfJoinSelect()
 	default:
 		return g.joinAggSelect()
 	}
@@ -177,6 +179,16 @@ func (g *Gen) subquerySelect() string {
 		return fmt.Sprintf(`SELECT name FROM emp WHERE salary > (SELECT AVG(salary)
 			FROM emp WHERE %s) ORDER BY name`, g.empPred())
 	}
+}
+
+// selfJoinSelect joins a derived table to a letter-for-letter copy of
+// itself: the planner's memo sees one subplan twice and hands the join the
+// same physical subtree for both inputs.
+func (g *Gen) selfJoinSelect() string {
+	sub := fmt.Sprintf("SELECT e.id AS k, e.salary + %d AS v FROM emp e WHERE %s",
+		g.intn(100), g.empPredQ("e."))
+	return fmt.Sprintf(`SELECT a.k, a.v, b.v FROM (%s) a JOIN (%s) b ON a.k = b.k
+		ORDER BY a.k`, sub, sub)
 }
 
 func (g *Gen) joinAggSelect() string {

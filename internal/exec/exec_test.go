@@ -175,7 +175,7 @@ func mkJoin(algo physical.JoinAlgo, jt logical.JoinType) *physical.Join {
 		expr.NewBinOp(expr.OpGt,
 			expr.NewColRef(1, types.KindInt, ""), expr.NewColRef(3, types.KindFloat, "")))
 	return physical.NewJoin(l, r, algo, jt, cond,
-		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.SingleDist, "single")
+		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.SingleDist, "single", nil)
 }
 
 // runJoin feeds left and right to j's Values inputs and runs it.

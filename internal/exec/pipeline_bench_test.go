@@ -58,15 +58,15 @@ func BenchmarkPipelineJoinChain(b *testing.B) {
 	cross := physical.NewJoin(physical.NewValues(ints("p_key", "p_x"), part),
 		physical.NewValues(ints("s_key", "s_nation"), supplier),
 		physical.NestedLoop, logical.JoinInner, expr.NewLit(types.NewBool(true)), nil,
-		physical.SingleDist, "single")
+		physical.SingleDist, "single", nil)
 	// ... ⋈ (ps_part, ps_supp) on both keys
 	supplied := physical.NewJoin(cross, physical.NewValues(ints("ps_part", "ps_supp"), partsupp),
 		physical.HashAlgo, logical.JoinInner, bin(expr.OpAnd, eq(0, 4), eq(2, 5)),
-		[]expr.EquiKey{{Left: 0, Right: 0}, {Left: 2, Right: 1}}, physical.SingleDist, "single")
+		[]expr.EquiKey{{Left: 0, Right: 0}, {Left: 2, Right: 1}}, physical.SingleDist, "single", nil)
 	// ... ⋈ (n_key, n_region)
 	located := physical.NewJoin(supplied, physical.NewValues(ints("n_key", "n_region"), nation),
 		physical.HashAlgo, logical.JoinInner, eq(3, 6),
-		[]expr.EquiKey{{Left: 3, Right: 0}}, physical.SingleDist, "single")
+		[]expr.EquiKey{{Left: 3, Right: 0}}, physical.SingleDist, "single", nil)
 	plan := physical.NewHashAggregate(located, []int{7},
 		[]expr.AggCall{{Func: expr.AggSum, Arg: col(1), Name: "s"}}, physical.AggSinglePhase,
 		ints("n_region", "s"))

@@ -439,7 +439,7 @@ func TestBreakersCopyScratchRows(t *testing.T) {
 			}
 			cond := bin(expr.OpEq, col(0), expr.NewColRef(2, types.KindInt, ""))
 			j := physical.NewJoin(physical.NewValues(kvFields, outer), src, algo, logical.JoinInner, cond,
-				[]expr.EquiKey{{Left: 0, Right: 0}}, physical.SingleDist, "single")
+				[]expr.EquiKey{{Left: 0, Right: 0}}, physical.SingleDist, "single", nil)
 			got, err := Run(j, ctxAt(st, 0))
 			if err != nil {
 				t.Fatal(err)

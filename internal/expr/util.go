@@ -209,12 +209,12 @@ func IsConstant(e Expr) bool {
 	return true
 }
 
-// Digest returns a canonical string for equality testing of expressions.
-// Two expressions with the same digest are semantically identical.
+// Digest returns the expression's rendering for use as a map key by the
+// binder's bind-time matching of GROUP BY and aggregate expressions. It is
+// a label, not an identity: literals of different kinds can render alike
+// (`1` and `1.0`). Use Equal to decide whether two expressions are the
+// same.
 func Digest(e Expr) string { return e.String() }
-
-// EqualExprs reports whether two expressions are structurally identical.
-func EqualExprs(a, b Expr) bool { return Digest(a) == Digest(b) }
 
 // ExtractCommonConjuncts implements the paper's §5.2 join-condition
 // simplification. Given a predicate that is an OR of AND-bundles
@@ -244,7 +244,7 @@ func ExtractCommonConjuncts(pred Expr) (common []Expr, residual Expr) {
 		for _, bundle := range bundles[1:] {
 			found := false
 			for _, c := range bundle {
-				if EqualExprs(cand, c) {
+				if Equal(cand, c) {
 					found = true
 					break
 				}
@@ -268,7 +268,7 @@ func ExtractCommonConjuncts(pred Expr) (common []Expr, residual Expr) {
 		for _, c := range bundle {
 			isCommon := false
 			for _, cc := range common {
-				if EqualExprs(c, cc) {
+				if Equal(c, cc) {
 					isCommon = true
 					break
 				}

@@ -47,10 +47,18 @@ type Plan struct {
 // Exchange node or through an already-substituted Receiver in a shared
 // subtree — records the exchange in its Receivers. Dropping the second
 // consumer's edge would let Waves schedule it alongside its producer.
+//
+// Sharing stops at the exchange: every other operator reached a second
+// time (the memo gives two equal join inputs the same subtree) is copied,
+// so that between its receivers and its root a fragment is a tree. The
+// executor and the variant planner key per-operator state — source modes,
+// split counters, row statistics — by node pointer, and one operator
+// standing in two places would have one visit overwrite the other's.
 func Split(root physical.Node) *Plan {
 	p := &Plan{Producer: make(map[int]*Fragment)}
 	nextExchange := 0
 	split := make(map[*physical.Exchange]*physical.Receiver)
+	reached := make(map[physical.Node]bool)
 
 	addReceiver := func(frag *Fragment, id int) {
 		for _, ex := range frag.Receivers {
@@ -87,6 +95,13 @@ func Split(root physical.Node) *Plan {
 			rv := physical.NewReceiver(t, id)
 			split[t] = rv
 			return rv
+		}
+		if reached[n] {
+			// The first visit rewired n's inputs in place; the copy starts
+			// from those and gets an input slice of its own below.
+			n = physical.Copy(n)
+		} else {
+			reached[n] = true
 		}
 		ins := n.Inputs()
 		if len(ins) > 0 {
@@ -301,6 +316,11 @@ func BuildVariants(f *Fragment, n int) *Variants {
 func assignModes(n physical.Node, mode SourceMode, modes map[physical.Node]SourceMode) bool {
 	switch t := n.(type) {
 	case *physical.TableScan, *physical.IndexScan, *physical.Receiver:
+		// A receiver can stand in two places (Split shares exchanges); if
+		// the places disagree on its mode the fragment stays one thread.
+		if prev, ok := modes[n]; ok && prev != mode {
+			return false
+		}
 		modes[n] = mode
 		return true
 	case *physical.HashAggregate:

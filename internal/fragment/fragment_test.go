@@ -33,7 +33,7 @@ func buildJoinPlan() physical.Node {
 		expr.NewBinOp(expr.OpEq,
 			expr.NewColRef(0, types.KindInt, ""),
 			expr.NewColRef(2, types.KindInt, "")),
-		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.HashDist(0), "hash")
+		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.HashDist(0), "hash", nil)
 	return physical.NewExchange(join, physical.SingleDist)
 }
 
@@ -172,7 +172,7 @@ func TestBuildVariantsJoinModes(t *testing.T) {
 	// Inner join: left source duplicates, right splits (§5.3.1).
 	a, b := scan("a"), scan("b")
 	join := physical.NewJoin(a, b, physical.NestedLoop, logical.JoinInner,
-		expr.True, nil, physical.SingleDist, "single")
+		expr.True, nil, physical.SingleDist, "single", nil)
 	f := &Fragment{ID: 1, Root: physical.NewSender(join, 0, physical.SingleDist)}
 	v := BuildVariants(f, 2)
 	if v == nil {
@@ -188,7 +188,7 @@ func TestBuildVariantsJoinModes(t *testing.T) {
 	// need the whole right side).
 	a2, b2 := scan("a"), scan("b")
 	semi := physical.NewJoin(a2, b2, physical.NestedLoop, logical.JoinSemi,
-		expr.True, nil, physical.SingleDist, "single")
+		expr.True, nil, physical.SingleDist, "single", nil)
 	f2 := &Fragment{ID: 2, Root: physical.NewSender(semi, 0, physical.SingleDist)}
 	v2 := BuildVariants(f2, 2)
 	if v2 == nil {
@@ -214,7 +214,7 @@ func TestBuildVariantsAllDuplicatorsRejected(t *testing.T) {
 	// on duplicate chains.
 	a, b := scan("a"), scan("b")
 	inner := physical.NewJoin(a, b, physical.NestedLoop, logical.JoinSemi,
-		expr.True, nil, physical.SingleDist, "single")
+		expr.True, nil, physical.SingleDist, "single", nil)
 	// semi: a splits — still has a splitter, so variants exist.
 	f := &Fragment{ID: 1, Root: physical.NewSender(inner, 0, physical.SingleDist)}
 	if v := BuildVariants(f, 2); v == nil {
@@ -235,12 +235,12 @@ func TestSplitSharedSubtreeRecordsAllConsumers(t *testing.T) {
 		expr.NewBinOp(expr.OpEq,
 			expr.NewColRef(0, types.KindInt, ""),
 			expr.NewColRef(2, types.KindInt, "")),
-		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.HashDist(0), "hash")
+		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.HashDist(0), "hash", nil)
 	// The shared join appears under the root directly AND under a second
 	// exchange; the second walk meets the already-substituted receiver.
 	side := physical.NewExchange(shared, physical.SingleDist)
 	root := physical.NewJoin(shared, side, physical.NestedLoop, logical.JoinInner,
-		expr.True, nil, physical.SingleDist, "single")
+		expr.True, nil, physical.SingleDist, "single", nil)
 
 	plan := Split(root)
 	// Fragment 1 produces exchange 0 (scan b); the root and the side
@@ -287,12 +287,12 @@ func TestSplitSharedExchangeNodeSplitOnce(t *testing.T) {
 	a, b, c := scan("a"), scan("b"), scan("c")
 	exB := physical.NewExchange(b, physical.BroadcastDist)
 	join1 := physical.NewJoin(a, exB, physical.NestedLoop, logical.JoinInner,
-		expr.True, nil, physical.SingleDist, "single")
+		expr.True, nil, physical.SingleDist, "single", nil)
 	join2 := physical.NewJoin(c, exB, physical.NestedLoop, logical.JoinInner,
-		expr.True, nil, physical.SingleDist, "single")
+		expr.True, nil, physical.SingleDist, "single", nil)
 	side := physical.NewExchange(join2, physical.SingleDist)
 	root := physical.NewJoin(join1, side, physical.NestedLoop, logical.JoinInner,
-		expr.True, nil, physical.SingleDist, "single")
+		expr.True, nil, physical.SingleDist, "single", nil)
 
 	plan := Split(root)
 	// Exchanges: the shared one (split once) + the side one.
@@ -340,4 +340,46 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
+}
+
+// TestSplitUnsharesOperatorsInsideAFragment: two equal join inputs get
+// the same subtree from the memo. Between its receivers and its root a
+// fragment must be a tree — per-operator state is keyed by node pointer —
+// so Split copies the operator reached a second time; the exchange below
+// it stays one exchange with one producer.
+func TestSplitUnsharesOperatorsInsideAFragment(t *testing.T) {
+	ex := physical.NewExchange(scan("b"), physical.BroadcastDist)
+	shared := physical.NewFilter(physical.NewFilter(ex, expr.True), expr.True)
+	join := physical.NewJoin(shared, shared, physical.NestedLoop, logical.JoinInner,
+		expr.True, nil, physical.BroadcastDist, "broadcast", nil)
+
+	plan := Split(physical.NewExchange(join, physical.SingleDist))
+	if len(plan.Fragments) != 3 {
+		t.Fatalf("fragments = %d, want 3 (root, join, scan b)", len(plan.Fragments))
+	}
+	seen := make(map[physical.Node]bool)
+	physical.Walk(plan.Fragments[1].Root, func(n physical.Node) bool {
+		if _, ok := n.(*physical.Receiver); !ok && seen[n] {
+			t.Errorf("%s stands in two places of one fragment", n.Describe())
+		}
+		seen[n] = true
+		return true
+	})
+	l, r := join.Inputs()[0], join.Inputs()[1]
+	if l == r || l.Inputs()[0] == r.Inputs()[0] {
+		t.Error("the join's inputs still share an operator")
+	}
+	if l.Inputs()[0].Inputs()[0] != r.Inputs()[0].Inputs()[0] {
+		t.Error("the shared exchange was split into two receivers")
+	}
+	if got := plan.Fragments[1].Receivers; len(got) != 1 {
+		t.Errorf("join fragment receivers = %v, want the one shared exchange", got)
+	}
+
+	// The shared receiver is asked to duplicate (left of an inner join)
+	// and to split (right): no assignment serves both, so the fragment
+	// runs on one thread.
+	if v := BuildVariants(plan.Fragments[1], 2); v != nil {
+		t.Errorf("variants built over a receiver with conflicting modes: %v", v.Modes)
+	}
 }

@@ -23,9 +23,24 @@ type Node interface {
 	Inputs() []Node
 	// WithInputs returns a copy of the node with new children, in order.
 	WithInputs(inputs []Node) Node
-	// Digest returns a canonical string; equal digests mean identical
-	// subplans (the memo keys on this).
+	// Digest renders the subplan on one line, as a label for errors and
+	// tests. It is not an identity: it drops literal kinds, NullsLast and
+	// the rows of a Values, and costs O(subtree) — the planner's memo
+	// compares structure instead (volcano, memo.go) and never calls it.
 	Digest() string
+}
+
+// labelHook, when a test sets it, is called for every label rendered: each
+// Digest() and each DescribeKeys() (which Req.String() and the physical
+// Describe() methods build on). Planning a statement renders none.
+var labelHook func()
+
+// label renders a Digest().
+func label(format string, args ...any) string {
+	if labelHook != nil {
+		labelHook()
+	}
+	return fmt.Sprintf(format, args...)
 }
 
 // JoinType enumerates logical join kinds. Semi and anti joins are produced
@@ -55,6 +70,15 @@ func (t JoinType) String() string { return joinNames[t] }
 // ProjectsLeftOnly reports whether the join's output is just the left
 // schema (semi/anti joins).
 func (t JoinType) ProjectsLeftOnly() bool { return t == JoinSemi || t == JoinAnti }
+
+// Fields is the join's output schema over the given input schemas: the
+// left schema itself for semi/anti joins, a new left ++ right otherwise.
+func (t JoinType) Fields(left, right types.Fields) types.Fields {
+	if t.ProjectsLeftOnly() {
+		return left
+	}
+	return left.Concat(right)
+}
 
 // ---------------------------------------------------------------------------
 // Scan
@@ -91,7 +115,7 @@ func (s *Scan) WithInputs(inputs []Node) Node {
 }
 
 func (s *Scan) Digest() string {
-	return fmt.Sprintf("Scan(%s as %s)", s.Table.Name, s.Alias)
+	return label("Scan(%s as %s)", s.Table.Name, s.Alias)
 }
 
 // ---------------------------------------------------------------------------
@@ -117,7 +141,7 @@ func (f *Filter) WithInputs(inputs []Node) Node {
 }
 
 func (f *Filter) Digest() string {
-	return fmt.Sprintf("Filter(%s)[%s]", f.Cond, f.Input.Digest())
+	return label("Filter(%s)[%s]", f.Cond, f.Input.Digest())
 }
 
 // ---------------------------------------------------------------------------
@@ -173,7 +197,7 @@ func (p *Project) Digest() string {
 	for i, e := range p.Exprs {
 		parts[i] = e.String()
 	}
-	return fmt.Sprintf("Project(%s)[%s]", strings.Join(parts, ", "), p.Input.Digest())
+	return label("Project(%s)[%s]", strings.Join(parts, ", "), p.Input.Digest())
 }
 
 // IsTrivial reports whether the projection is the identity over its input.
@@ -204,19 +228,16 @@ type Join struct {
 	// paper's FILTER_CORRELATE rule is what allows filters to be pushed
 	// past such joins; without it (the IC baseline) pushdown stops here.
 	FromCorrelate bool
+	fields        types.Fields
 }
 
 // NewJoin builds a join.
 func NewJoin(left, right Node, jt JoinType, cond expr.Expr) *Join {
-	return &Join{Left: left, Right: right, Type: jt, Cond: cond}
+	return &Join{Left: left, Right: right, Type: jt, Cond: cond,
+		fields: jt.Fields(left.Schema(), right.Schema())}
 }
 
-func (j *Join) Schema() types.Fields {
-	if j.Type.ProjectsLeftOnly() {
-		return j.Left.Schema()
-	}
-	return j.Left.Schema().Concat(j.Right.Schema())
-}
+func (j *Join) Schema() types.Fields { return j.fields }
 
 func (j *Join) Inputs() []Node { return []Node{j.Left, j.Right} }
 
@@ -232,7 +253,7 @@ func (j *Join) Digest() string {
 	if j.FromCorrelate {
 		corr = ",corr"
 	}
-	return fmt.Sprintf("Join(%s%s,%s)[%s][%s]",
+	return label("Join(%s%s,%s)[%s][%s]",
 		j.Type, corr, j.Cond, j.Left.Digest(), j.Right.Digest())
 }
 
@@ -279,7 +300,7 @@ func (a *Aggregate) Digest() string {
 	for i, g := range a.GroupBy {
 		groups[i] = strconv.Itoa(g)
 	}
-	return fmt.Sprintf("Aggregate(group=[%s],aggs=[%s])[%s]",
+	return label("Aggregate(group=[%s],aggs=[%s])[%s]",
 		strings.Join(groups, ","), expr.DescribeAggs(a.Aggs), a.Input.Digest())
 }
 
@@ -317,11 +338,14 @@ func (s *Sort) WithInputs(inputs []Node) Node {
 }
 
 func (s *Sort) Digest() string {
-	return fmt.Sprintf("Sort(%s)[%s]", DescribeKeys(s.Keys), s.Input.Digest())
+	return label("Sort(%s)[%s]", DescribeKeys(s.Keys), s.Input.Digest())
 }
 
-// DescribeKeys renders sort keys for digests.
+// DescribeKeys renders sort keys for digests and EXPLAIN.
 func DescribeKeys(keys []types.SortKey) string {
+	if labelHook != nil {
+		labelHook()
+	}
 	parts := make([]string, len(keys))
 	for i, k := range keys {
 		dir := "asc"
@@ -351,7 +375,7 @@ func (l *Limit) WithInputs(inputs []Node) Node {
 }
 
 func (l *Limit) Digest() string {
-	return fmt.Sprintf("Limit(%d)[%s]", l.N, l.Input.Digest())
+	return label("Limit(%d)[%s]", l.N, l.Input.Digest())
 }
 
 // ---------------------------------------------------------------------------
@@ -377,7 +401,7 @@ func (v *Values) WithInputs(inputs []Node) Node {
 }
 
 func (v *Values) Digest() string {
-	return fmt.Sprintf("Values(%d rows, %s)", len(v.Rows), v.fields)
+	return label("Values(%d rows, %s)", len(v.Rows), v.fields)
 }
 
 // ---------------------------------------------------------------------------

@@ -58,6 +58,47 @@ func (c *cloner) aggs(as []expr.AggCall) []expr.AggCall {
 	return out
 }
 
+// Copy returns a shallow copy of one operator: a fresh node that shares
+// the original's inputs, expressions and properties. It panics on a node
+// type it does not know, so a new operator cannot be silently shared.
+func Copy(n Node) Node {
+	switch t := n.(type) {
+	case *TableScan:
+		return shallow(t)
+	case *IndexScan:
+		return shallow(t)
+	case *Values:
+		return shallow(t)
+	case *Filter:
+		return shallow(t)
+	case *Project:
+		return shallow(t)
+	case *Sort:
+		return shallow(t)
+	case *Limit:
+		return shallow(t)
+	case *HashAggregate:
+		return shallow(t)
+	case *SortAggregate:
+		return shallow(t)
+	case *Join:
+		return shallow(t)
+	case *Exchange:
+		return shallow(t)
+	case *Sender:
+		return shallow(t)
+	case *Receiver:
+		return shallow(t)
+	default:
+		panic(fmt.Sprintf("physical: Copy: unhandled node type %T", n))
+	}
+}
+
+func shallow[T any](t *T) *T {
+	cp := *t
+	return &cp
+}
+
 func (c *cloner) clone(n Node) Node {
 	if n == nil {
 		return nil
@@ -65,54 +106,18 @@ func (c *cloner) clone(n Node) Node {
 	if m, ok := c.memo[n]; ok {
 		return m
 	}
-	var out Node
-	switch t := n.(type) {
-	case *TableScan:
-		cp := *t
-		out = &cp
-	case *IndexScan:
-		cp := *t
-		out = &cp
-	case *Values:
-		cp := *t
-		out = &cp
+	out := Copy(n)
+	switch t := out.(type) {
 	case *Filter:
-		cp := *t
-		cp.Cond = c.expr(t.Cond)
-		out = &cp
+		t.Cond = c.expr(t.Cond)
 	case *Project:
-		cp := *t
-		cp.Exprs = c.exprs(t.Exprs)
-		out = &cp
-	case *Sort:
-		cp := *t
-		out = &cp
-	case *Limit:
-		cp := *t
-		out = &cp
+		t.Exprs = c.exprs(t.Exprs)
 	case *HashAggregate:
-		cp := *t
-		cp.Aggs = c.aggs(t.Aggs)
-		out = &cp
+		t.Aggs = c.aggs(t.Aggs)
 	case *SortAggregate:
-		cp := *t
-		cp.Aggs = c.aggs(t.Aggs)
-		out = &cp
+		t.Aggs = c.aggs(t.Aggs)
 	case *Join:
-		cp := *t
-		cp.Cond = c.expr(t.Cond)
-		out = &cp
-	case *Exchange:
-		cp := *t
-		out = &cp
-	case *Sender:
-		cp := *t
-		out = &cp
-	case *Receiver:
-		cp := *t
-		out = &cp
-	default:
-		panic(fmt.Sprintf("physical: CloneTree: unhandled node type %T", n))
+		t.Cond = c.expr(t.Cond)
 	}
 	c.memo[n] = out
 	ins := n.Inputs()

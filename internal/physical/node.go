@@ -372,16 +372,17 @@ type Join struct {
 }
 
 // NewJoin builds a physical join; dist is the mapping's target
-// distribution.
+// distribution. fields is the output schema — the planner builds it once
+// and shares it between the alternatives of one join; nil derives it from
+// the inputs (JoinType.Fields).
 func NewJoin(left, right Node, algo JoinAlgo, jt logical.JoinType, cond expr.Expr,
-	keys []expr.EquiKey, dist Distribution, mapping string) *Join {
+	keys []expr.EquiKey, dist Distribution, mapping string, fields types.Fields) *Join {
 	j := &Join{Algo: algo, Type: jt, Cond: cond, Keys: keys, Mapping: mapping}
 	j.inputs = []Node{left, right}
-	if jt.ProjectsLeftOnly() {
-		j.props.Fields = left.Schema()
-	} else {
-		j.props.Fields = left.Schema().Concat(right.Schema())
+	if fields == nil {
+		fields = jt.Fields(left.Schema(), right.Schema())
 	}
+	j.props.Fields = fields
 	j.props.Dist = dist
 	if algo == Merge {
 		j.props.Coll = left.Collation()

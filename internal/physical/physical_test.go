@@ -242,12 +242,12 @@ func TestJoinSchemaAndSemiProjection(t *testing.T) {
 	cond := expr.NewBinOp(expr.OpEq,
 		expr.NewColRef(0, types.KindInt, ""), expr.NewColRef(3, types.KindInt, ""))
 	inner := NewJoin(l, r, HashAlgo, logical.JoinInner, cond,
-		[]expr.EquiKey{{Left: 0, Right: 0}}, SingleDist, "single")
+		[]expr.EquiKey{{Left: 0, Right: 0}}, SingleDist, "single", nil)
 	if len(inner.Schema()) != 6 {
 		t.Errorf("inner join width = %d", len(inner.Schema()))
 	}
 	semi := NewJoin(l, r, HashAlgo, logical.JoinSemi, cond,
-		[]expr.EquiKey{{Left: 0, Right: 0}}, SingleDist, "single")
+		[]expr.EquiKey{{Left: 0, Right: 0}}, SingleDist, "single", nil)
 	if len(semi.Schema()) != 3 {
 		t.Errorf("semi join width = %d", len(semi.Schema()))
 	}

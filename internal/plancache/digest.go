@@ -2,50 +2,30 @@ package plancache
 
 import (
 	"hash/fnv"
-	"strings"
 
 	"gignite/internal/sql"
 )
 
-// Digest computes the cache key for a statement: an FNV-64a hash over the
-// statement's token stream with identifiers lower-cased, so queries that
-// differ only in whitespace, comments or identifier case share a plan.
-// Leading EXPLAIN [ANALYZE] tokens are stripped so EXPLAIN ANALYZE (which
-// executes the query) shares the underlying query's cache entry. Literal
-// text is hashed verbatim: two queries with different literals are
-// different plans — parameter placeholders (`?`) are how callers opt into
-// sharing across values.
+// Digest computes the cache key for a statement: sql.DigestTokens of its
+// token stream — an FNV-64a hash with identifiers lower-cased, so queries
+// that differ only in whitespace, comments or identifier case share a
+// plan, and with leading EXPLAIN [ANALYZE] tokens stripped so EXPLAIN
+// ANALYZE (which executes the query) shares the underlying query's cache
+// entry. Literal text is hashed verbatim: two queries with different
+// literals are different plans — parameter placeholders (`?`) are how
+// callers opt into sharing across values.
+//
+// A parsed statement already carries this value (sql.SelectStmt.Digest),
+// so the engine's lookup path does not lex the text a second time; this
+// function is for callers that hold only the text.
 func Digest(src string) uint64 {
-	h := fnv.New64a()
 	toks, err := sql.Lex(src)
 	if err != nil {
 		// Unlexable input cannot produce a plan; hash the raw text so the
 		// caller still gets a stable key for its (failing) build attempt.
+		h := fnv.New64a()
 		h.Write([]byte(src))
 		return h.Sum64()
 	}
-	i := 0
-	for i < len(toks) && toks[i].Kind == sql.TokIdent {
-		switch strings.ToLower(toks[i].Text) {
-		case "explain", "analyze":
-			i++
-		default:
-			goto hash
-		}
-	}
-hash:
-	var sep = []byte{0}
-	for _, t := range toks[i:] {
-		if t.Kind == sql.TokEOF {
-			break
-		}
-		text := t.Text
-		if t.Kind == sql.TokIdent {
-			text = strings.ToLower(text)
-		}
-		h.Write([]byte{byte(t.Kind)})
-		h.Write([]byte(text))
-		h.Write(sep)
-	}
-	return h.Sum64()
+	return sql.DigestTokens(toks)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gignite/internal/physical"
+	"gignite/internal/sql"
 )
 
 func mkEntry(version uint64) *Entry {
@@ -166,5 +167,30 @@ func TestDigestNormalization(t *testing.T) {
 	// Literal case is significant even though identifier case is not.
 	if Digest("SELECT 'abc'") == Digest("SELECT 'ABC'") {
 		t.Error("string literal case must be significant")
+	}
+}
+
+// TestParsedStatementCarriesItsDigest: the parser leaves on the outermost
+// SELECT the digest Digest computes from the text — under EXPLAIN
+// [ANALYZE] too, which share the bare query's entry — so the engine can
+// look a parsed statement up without lexing it a second time.
+func TestParsedStatementCarriesItsDigest(t *testing.T) {
+	const q = "SELECT a, COUNT(*) FROM T x WHERE x.a > ? AND b = 'Lit' -- note\n GROUP BY a"
+	for _, src := range []string{q, "explain " + q, "EXPLAIN ANALYZE " + q} {
+		stmt, err := sql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, ok := stmt.(*sql.SelectStmt)
+		if ex, isExplain := stmt.(*sql.ExplainStmt); isExplain {
+			sel, ok = ex.Query, true
+		}
+		if !ok {
+			t.Fatalf("%q parsed to %T", src, stmt)
+		}
+		if sel.Digest != Digest(src) || sel.Digest != Digest(q) {
+			t.Errorf("%q: parsed digest %#x, Digest(text) %#x, Digest(bare query) %#x",
+				src, sel.Digest, Digest(src), Digest(q))
+		}
 	}
 }

@@ -95,12 +95,12 @@ func (constantFold) Apply(n logical.Node) (logical.Node, bool) {
 	switch t := n.(type) {
 	case *logical.Filter:
 		folded := expr.Fold(t.Cond)
-		if expr.Digest(folded) != expr.Digest(t.Cond) {
+		if !expr.Equal(folded, t.Cond) {
 			return logical.NewFilter(t.Input, folded), true
 		}
 	case *logical.Join:
 		folded := expr.Fold(t.Cond)
-		if expr.Digest(folded) != expr.Digest(t.Cond) {
+		if !expr.Equal(folded, t.Cond) {
 			nj := logical.NewJoin(t.Left, t.Right, t.Type, folded)
 			nj.FromCorrelate = t.FromCorrelate
 			return nj, true
@@ -110,7 +110,7 @@ func (constantFold) Apply(n logical.Node) (logical.Node, bool) {
 		exprs := make([]expr.Expr, len(t.Exprs))
 		for i, e := range t.Exprs {
 			exprs[i] = expr.Fold(e)
-			if expr.Digest(exprs[i]) != expr.Digest(e) {
+			if !expr.Equal(exprs[i], e) {
 				changed = true
 			}
 		}

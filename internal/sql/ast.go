@@ -27,6 +27,11 @@ type SelectStmt struct {
 	// statement (subqueries included). Only set on the outermost SELECT of
 	// a statement; nested SelectStmts leave it zero.
 	Params int
+	// Digest is DigestTokens of the statement this SELECT was parsed from
+	// — its plan-cache key — so that looking a parsed statement up does
+	// not lex its text again. Set with Params, on the outermost SELECT
+	// only.
+	Digest uint64
 }
 
 func (*SelectStmt) stmt() {}

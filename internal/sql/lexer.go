@@ -168,3 +168,37 @@ func isIdentStart(c byte) bool {
 func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// DigestTokens hashes a statement's token stream (FNV-64a over each
+// token's kind and text) into the key the plan cache files it under.
+// Identifiers are lower-cased and leading EXPLAIN [ANALYZE] tokens
+// skipped; everything else, literals included, is hashed verbatim (see
+// plancache.Digest for what that normalization is for). It allocates
+// nothing: Parse runs it on every statement.
+func DigestTokens(toks []Token) uint64 {
+	for len(toks) > 0 && toks[0].Kind == TokIdent &&
+		(strings.EqualFold(toks[0].Text, "explain") || strings.EqualFold(toks[0].Text, "analyze")) {
+		toks = toks[1:]
+	}
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, t := range toks {
+		if t.Kind == TokEOF {
+			break
+		}
+		h = (h ^ uint64(byte(t.Kind))) * prime64
+		for i := 0; i < len(t.Text); i++ {
+			c := t.Text[i]
+			// Identifiers are ASCII (isIdentPart), so this is ToLower.
+			if t.Kind == TokIdent && c >= 'A' && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			h = (h ^ uint64(c)) * prime64
+		}
+		h *= prime64 // the separator byte 0: h ^ 0 is h
+	}
+	return h
+}

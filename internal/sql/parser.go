@@ -31,14 +31,15 @@ func Parse(src string) (Statement, error) {
 	if !p.atEOF() {
 		return nil, p.errorf("unexpected trailing input %q", p.peek().Text)
 	}
-	// Record the statement's placeholder count on the outermost SELECT
-	// (prepared statements only support SELECT, so other statement kinds
-	// surface their parameters as binder errors instead).
+	// Record the statement's placeholder count and plan-cache digest on
+	// the outermost SELECT (prepared statements only support SELECT, so
+	// other statement kinds surface their parameters as binder errors
+	// instead).
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		s.Params = p.params
+		s.Params, s.Digest = p.params, DigestTokens(toks)
 	case *ExplainStmt:
-		s.Query.Params = p.params
+		s.Query.Params, s.Query.Digest = p.params, DigestTokens(toks)
 	}
 	return stmt, nil
 }

@@ -37,6 +37,14 @@ const (
 
 // Estimator derives row counts and distinct-value counts for logical
 // plans.
+//
+// An Estimator belongs to one planning run and one goroutine: RowCount
+// and NDV remember every answer by node pointer, so each estimate is
+// computed once however many alternatives the planner costs on top of it.
+// That is sound because logical nodes are immutable once built and the
+// estimates are pure functions of the node, the provider's statistics and
+// the fields below — build a fresh Estimator (New) after changing any of
+// those, and one per concurrent planner.
 type Estimator struct {
 	Provider catalog.StatsProvider
 	// LegacyJoin selects Ignite's original join-size estimation with the
@@ -52,6 +60,15 @@ type Estimator struct {
 	// matching the paper's finding that join-size estimation is where the
 	// plans go wrong.
 	Misestimate float64
+
+	rows map[logical.Node]float64
+	ndvs map[ndvKey]float64
+}
+
+// ndvKey identifies one output column of one plan node.
+type ndvKey struct {
+	node logical.Node
+	col  int
 }
 
 // New returns an estimator backed by the given provider.
@@ -61,6 +78,18 @@ func New(p catalog.StatsProvider, legacyJoin bool) *Estimator {
 
 // RowCount estimates the output cardinality of a plan node.
 func (e *Estimator) RowCount(n logical.Node) float64 {
+	if v, ok := e.rows[n]; ok {
+		return v
+	}
+	v := e.rowCount(n)
+	if e.rows == nil {
+		e.rows = make(map[logical.Node]float64)
+	}
+	e.rows[n] = v
+	return v
+}
+
+func (e *Estimator) rowCount(n logical.Node) float64 {
 	switch t := n.(type) {
 	case *logical.Scan:
 		rc := e.Provider.RowCount(t.Table.Name)
@@ -183,6 +212,19 @@ func (e *Estimator) swamiSchieferRows(left, right float64, keys []expr.EquiKey, 
 
 // NDV estimates the number of distinct values of an output column.
 func (e *Estimator) NDV(n logical.Node, col int) float64 {
+	key := ndvKey{node: n, col: col}
+	if v, ok := e.ndvs[key]; ok {
+		return v
+	}
+	v := e.ndv(n, col)
+	if e.ndvs == nil {
+		e.ndvs = make(map[ndvKey]float64)
+	}
+	e.ndvs[key] = v
+	return v
+}
+
+func (e *Estimator) ndv(n logical.Node, col int) float64 {
 	switch t := n.(type) {
 	case *logical.Scan:
 		ndv := e.Provider.NDV(t.Table.Name, t.Table.Columns[col].Name)
@@ -286,11 +328,13 @@ func (e *Estimator) Selectivity(pred expr.Expr, input logical.Node) float64 {
 // date windows are ~1/84 of the span, not 0.25).
 func (e *Estimator) conjunctionSelectivity(conjuncts []expr.Expr, input logical.Node) float64 {
 	type bounds struct {
-		lower, upper *float64
+		col          int
+		lower, upper float64
 		scale        float64 // max-min
-		count        int
 	}
-	windows := make(map[int]*bounds)
+	// In order of first appearance: the product below must multiply in
+	// the same order every time for the estimate to be the same float.
+	var windows []bounds
 	var rest []expr.Expr
 	for _, c := range conjuncts {
 		b, ok := c.(*expr.BinOp)
@@ -308,30 +352,34 @@ func (e *Estimator) conjunctionSelectivity(conjuncts []expr.Expr, input logical.
 			rest = append(rest, c)
 			continue
 		}
-		w := windows[col.Index]
+		var w *bounds
+		for i := range windows {
+			if windows[i].col == col.Index {
+				w = &windows[i]
+				break
+			}
+		}
 		if w == nil {
-			w = &bounds{scale: mx.Float() - mn.Float()}
 			// Initialize to the column's full range.
-			lo, hi := mn.Float(), mx.Float()
-			w.lower, w.upper = &lo, &hi
-			windows[col.Index] = w
+			windows = append(windows, bounds{col: col.Index, lower: mn.Float(), upper: mx.Float(),
+				scale: mx.Float() - mn.Float()})
+			w = &windows[len(windows)-1]
 		}
 		v := lit.Float()
 		switch op {
 		case expr.OpGe, expr.OpGt:
-			if v > *w.lower {
-				*w.lower = v
+			if v > w.lower {
+				w.lower = v
 			}
 		default:
-			if v < *w.upper {
-				*w.upper = v
+			if v < w.upper {
+				w.upper = v
 			}
 		}
-		w.count++
 	}
 	sel := 1.0
 	for _, w := range windows {
-		frac := (*w.upper - *w.lower) / w.scale
+		frac := (w.upper - w.lower) / w.scale
 		if frac < 0.001 {
 			frac = 0.001
 		}

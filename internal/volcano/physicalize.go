@@ -327,15 +327,22 @@ func (p *Planner) orientationAlternativesSwapped(t *logical.Join, swCond expr.Ex
 	rightW := len(t.Right.Schema())
 	fields := t.Schema()
 	out := make([]physical.Node, 0, len(raw))
+	// The restore-projection expressions depend only on the commuted
+	// join's schema, which the alternatives share (see joinSchema): build
+	// them once per distinct schema, not once per alternative.
+	var exprs []expr.Expr
+	var exprsFor types.Fields
 	for _, j := range raw {
-		// Restore [L ++ R] order.
-		exprs := make([]expr.Expr, 0, leftW+rightW)
-		js := j.Schema()
-		for i := 0; i < leftW; i++ {
-			exprs = append(exprs, expr.NewColRef(rightW+i, js[rightW+i].Kind, js[rightW+i].Name))
-		}
-		for i := 0; i < rightW; i++ {
-			exprs = append(exprs, expr.NewColRef(i, js[i].Kind, js[i].Name))
+		if js := j.Schema(); exprs == nil || !sameFields(js, exprsFor) {
+			// Restore [L ++ R] order.
+			exprs = make([]expr.Expr, 0, leftW+rightW)
+			for i := 0; i < leftW; i++ {
+				exprs = append(exprs, expr.NewColRef(rightW+i, js[rightW+i].Kind, js[rightW+i].Name))
+			}
+			for i := 0; i < rightW; i++ {
+				exprs = append(exprs, expr.NewColRef(i, js[i].Kind, js[i].Name))
+			}
+			exprsFor = js
 		}
 		proj := physical.NewProject(j, exprs, fields)
 		rows := j.Props().EstRows
@@ -343,6 +350,25 @@ func (p *Planner) orientationAlternativesSwapped(t *logical.Join, swCond expr.Ex
 		out = append(out, proj)
 	}
 	return out, nil
+}
+
+// joinSchema hands out the output schema of one join's alternatives,
+// rebuilding it only when an alternative's inputs carry schemas other
+// than the ones it was last built from. Alternatives differ in traits,
+// not in schema — except that two subplans differing only in column
+// labels share a memo group, so an input can arrive under either label
+// set; comparing by content keeps every plan's schema exactly what a
+// concatenation of its own inputs would give.
+type joinSchema struct {
+	left, right, out types.Fields
+}
+
+func (s *joinSchema) of(jt logical.JoinType, left, right types.Fields) types.Fields {
+	if s.out == nil || !sameFields(left, s.left) || !sameFields(right, s.right) {
+		s.left, s.right = left, right
+		s.out = jt.Fields(left, right)
+	}
+	return s.out
 }
 
 // orientationAlternatives enumerates algorithm × mapping for one input
@@ -363,31 +389,40 @@ func (p *Planner) orientationAlternatives(t *logical.Join, left, right logical.N
 	mappings := physical.DeriveJoinDistributions(jt, keys, leftW,
 		leftNat.Dist(), rightNat.Dist(), p.cfg.FullyDistributedJoins)
 
-	algos := []physical.JoinAlgo{physical.NestedLoop}
+	// What no alternative changes is built once: the algorithm list, the
+	// merge-join input collations and (through schema) the output fields.
+	algos := make([]physical.JoinAlgo, 1, 3)
+	algos[0] = physical.NestedLoop
+	var lc, rc []types.SortKey
 	if len(keys) > 0 {
 		algos = append(algos, physical.Merge)
 		if p.cfg.EnableHashJoin {
 			algos = append(algos, physical.HashAlgo)
 		}
+		lc = make([]types.SortKey, len(keys))
+		rc = make([]types.SortKey, len(keys))
+		for i, k := range keys {
+			lc[i] = types.SortKey{Col: k.Left}
+			rc[i] = types.SortKey{Col: k.Right}
+		}
+	}
+	// In t's own orientation the logical join already holds the schema.
+	var schema joinSchema
+	if left == t.Left {
+		schema = joinSchema{left: left.Schema(), right: right.Schema(), out: t.Schema()}
 	}
 
 	est := p.cfg.Est
 	outRows := est.RowCount(t)
 
-	var alts []physical.Node
-	for _, m := range mappings {
+	alts := make([]physical.Node, 0, len(mappings)*len(algos))
+	for i := range mappings {
+		m := &mappings[i]
 		for _, algo := range algos {
 			lReq := Req{Dist: &m.Left}
 			rReq := Req{Dist: &m.Right}
 			if algo == physical.Merge {
-				lc := make([]types.SortKey, len(keys))
-				rc := make([]types.SortKey, len(keys))
-				for i, k := range keys {
-					lc[i] = types.SortKey{Col: k.Left}
-					rc[i] = types.SortKey{Col: k.Right}
-				}
-				lReq.Coll = lc
-				rReq.Coll = rc
+				lReq.Coll, rReq.Coll = lc, rc
 			}
 			lp, err := p.optimize(left, lReq)
 			if err != nil {
@@ -397,7 +432,8 @@ func (p *Planner) orientationAlternatives(t *logical.Join, left, right logical.N
 			if err != nil {
 				return nil, err
 			}
-			j := physical.NewJoin(lp, rp, algo, jt, cond, keys, m.Target, m.Name)
+			j := physical.NewJoin(lp, rp, algo, jt, cond, keys, m.Target, m.Name,
+				schema.of(jt, lp.Schema(), rp.Schema()))
 			lRows, rRows := lp.Props().EstRows, rp.Props().EstRows
 			var self = p.cfg.CostParams.NestedLoopJoin(lRows, rRows, widthOf(rp), p.df(lp))
 			switch algo {

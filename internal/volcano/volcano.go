@@ -80,25 +80,19 @@ const DefaultBudget = 400000
 // (the "Cartesian product of logical and physical possibilities", §4.3).
 const singlePhaseFactor = 24
 
-// Planner is one optimization run's state.
+// Planner is one optimization run's state; it is used by one goroutine.
 type Planner struct {
-	cfg          Config
-	tickets      int
-	budget       int
-	memo         map[memoKey]memoEntry
+	cfg     Config
+	tickets int
+	budget  int
+	// The memo (memo.go): groups by id, found by node pointer or by
+	// structural hash.
+	groups       []group
+	byNode       map[logical.Node]int
+	byHash       map[uint64][]int
 	allowCommute bool
 	// TicketsUsed counts tickets consumed (exposed for tests/telemetry).
 	TicketsUsed int
-}
-
-type memoKey struct {
-	digest string
-	req    string
-}
-
-type memoEntry struct {
-	node physical.Node
-	err  error
 }
 
 // New creates a planner.
@@ -110,7 +104,12 @@ func New(cfg Config) *Planner {
 	if b <= 0 {
 		b = DefaultBudget
 	}
-	return &Planner{cfg: cfg, budget: b, memo: make(map[memoKey]memoEntry)}
+	return &Planner{
+		cfg:    cfg,
+		budget: b,
+		byNode: make(map[logical.Node]int),
+		byHash: make(map[uint64][]int),
+	}
 }
 
 // charge spends search tickets; single-phase mode pays the interleaving
@@ -169,6 +168,8 @@ type Req struct {
 	Coll []types.SortKey
 }
 
+// String labels the requirement in errors and tests; the memo compares
+// requirements field by field (memoEntry.matches).
 func (r Req) String() string {
 	d := "any"
 	if r.Dist != nil {
@@ -182,12 +183,12 @@ var anyReq = Req{}
 
 // optimize is the memoized core.
 func (p *Planner) optimize(n logical.Node, req Req) (physical.Node, error) {
-	key := memoKey{digest: n.Digest(), req: req.String()}
-	if e, ok := p.memo[key]; ok {
+	g := p.groupOf(n)
+	if e := p.lookup(g, req); e != nil {
 		return e.node, e.err
 	}
 	node, err := p.optimizeImpl(n, req)
-	p.memo[key] = memoEntry{node: node, err: err}
+	p.remember(g, req, node, err)
 	return node, err
 }
 

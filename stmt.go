@@ -43,7 +43,7 @@ func (e *Engine) Prepare(query string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Stmt{e: e, src: query, sel: sel, digest: plancache.Digest(query)}
+	s := &Stmt{e: e, src: query, sel: sel, digest: sel.Digest}
 	// Plan eagerly so Prepare surfaces binding/optimization errors and
 	// Query's first call already skips planning.
 	if _, _, err := s.entry(); err != nil {
