@@ -36,12 +36,13 @@ bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The executor microbenchmarks (pipeline shapes, hash join, hash
-# aggregate, sender routing) and the planner's (BenchmarkOptimize: one
-# Volcano run per TPC-H join query, with tickets/op), one iteration each:
-# CI runs them so they keep compiling and running; measure with a larger
-# -benchtime.
+# aggregate, sender routing), the expression kernels' (BenchmarkExprKernels:
+# TPC-H predicates and projection, interpreted vs compiled, ns/row) and the
+# planner's (BenchmarkOptimize: one Volcano run per TPC-H join query, with
+# tickets/op), one iteration each: CI runs them so they keep compiling and
+# running; measure with a larger -benchtime.
 bench-exec:
-	$(GO) test -run '^$$' -bench 'Pipeline|HashJoin|HashAggregate|SendRows|Optimize' -benchmem -benchtime 1x ./internal/exec .
+	$(GO) test -run '^$$' -bench 'Pipeline|HashJoin|HashAggregate|SendRows|ExprKernels|Optimize' -benchmem -benchtime 1x ./internal/exec ./internal/expr .
 
 # The paper-artifact benchmarks (figures/tables) plus the operator and
 # scheduler microbenchmarks. GIGNITE_PARBENCH_SF overrides the
@@ -67,13 +68,16 @@ benchgate:
 benchgate-update:
 	$(GO) test -count=1 -v -run '^TestBenchGate$$' . -update-gate
 
-# Run every fuzz target briefly, seeded from testdata/fuzz. `go test
-# -fuzz` accepts one target per invocation, hence the loop.
+# Run every fuzz target of every package that has one briefly, seeded from
+# the package's testdata/fuzz. `go test -fuzz` accepts one target and one
+# package per invocation, hence the loops.
 FUZZTIME ?= 30s
 fuzz-smoke:
-	@for t in $$($(GO) test -list 'Fuzz.*' . | grep '^Fuzz'); do \
-		echo "fuzzing $$t for $(FUZZTIME)"; \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) . || exit 1; \
+	@for p in $$(grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for t in $$($(GO) test -list 'Fuzz.*' $$p | grep '^Fuzz'); do \
+			echo "fuzzing $$p $$t for $(FUZZTIME)"; \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) $$p || exit 1; \
+		done; \
 	done
 
 ci: vet race race-cpu bench-build bench-exec

@@ -265,6 +265,7 @@ func BenchmarkHashAggregate(b *testing.B) {
 		}, physical.AggSinglePhase,
 		types.Fields{{Name: "g", Kind: types.KindInt}, {Name: "n", Kind: types.KindInt},
 			{Name: "s", Kind: types.KindFloat}})
+	physical.Compile(agg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows, err := exec.Run(agg, &exec.Context{NVariants: 1})
@@ -296,6 +297,7 @@ func BenchmarkHashJoin(b *testing.B) {
 		expr.NewBinOp(expr.OpEq,
 			expr.NewColRef(0, types.KindInt, ""), expr.NewColRef(2, types.KindInt, "")),
 		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.SingleDist, "single", nil)
+	physical.Compile(join)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows, err := exec.Run(join, &exec.Context{NVariants: 1})

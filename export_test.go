@@ -22,3 +22,6 @@ func (e *Engine) BindLogical(query string) (logical.Node, error) {
 
 // NewPlanner builds the planner (and estimator) one statement would use.
 func (e *Engine) NewPlanner() *volcano.Planner { return e.newPlanner() }
+
+// Compiled is how many expressions the execution behind r compiled.
+func (r *Result) Compiled() int { return r.compiled }

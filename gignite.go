@@ -552,6 +552,9 @@ type Result struct {
 	// annotations into the EXPLAIN ANALYZE renderer (nil unless
 	// Config.AdaptiveExec rewrote something).
 	adaptiveNotes map[physical.Node]string
+	// compiled counts the expressions this execution compiled (the
+	// package's tests check that a cached plan's kernels are reused).
+	compiled int
 }
 
 // ExecStats is per-query execution telemetry.
@@ -842,13 +845,16 @@ func (e *Engine) plan(sel *sql.SelectStmt) (physical.Node, []types.Kind, *volcan
 // buildEntry runs the planning pipeline and wraps the result as a cache
 // entry stamped with the catalog version planning started from. Reading
 // the version first is deliberate: a DDL landing mid-plan leaves the
-// entry marked stale, never the reverse.
+// entry marked stale, never the reverse. The plan's expressions are
+// compiled before anyone else can see it, so every clone an execution
+// runs shares its kernels.
 func (e *Engine) buildEntry(sel *sql.SelectStmt) (*plancache.Entry, error) {
 	version := e.catalog.Version()
 	pp, kinds, vp, err := e.plan(sel)
 	if err != nil {
 		return nil, err
 	}
+	physical.Compile(pp)
 	return &plancache.Entry{Plan: pp, ParamKinds: kinds, Tickets: vp.TicketsUsed, Version: version}, nil
 }
 
@@ -1036,6 +1042,7 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 			AdaptiveSwitches: res.Switches,
 		},
 		adaptiveNotes: res.Notes,
+		compiled:      res.Compiled,
 	}
 	if qobs != nil {
 		out.Stats.Spans = len(qobs.Spans)

@@ -120,6 +120,10 @@ type Result struct {
 	// Notes carries the adaptive controller's per-node rewrite
 	// annotations for EXPLAIN ANALYZE (nil when adaptive is off).
 	Notes map[physical.Node]string
+	// Compiled counts the expressions compiled for this execution
+	// (physical.Compile): none for a plan that came compiled, only those a
+	// parameter rewrite replaced for a rewritten clone of one.
+	Compiled int
 }
 
 // ErrWorkLimit re-exports the executor's work-limit error for callers.
@@ -239,6 +243,11 @@ func (c *Cluster) newRun(ctx context.Context, plan *fragment.Plan, opts Opts) (*
 			Consumers: make(map[int][]int),
 		},
 		res: &Result{Fragments: len(plan.Fragments)},
+	}
+	// The executor runs compiled expressions only. Kernels are shared by
+	// every instance, so they are compiled here, before any instance runs.
+	for _, f := range plan.Fragments {
+		r.res.Compiled += physical.Compile(f.Root)
 	}
 	if r.workers <= 0 {
 		r.workers = runtime.GOMAXPROCS(0)

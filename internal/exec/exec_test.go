@@ -64,6 +64,13 @@ func ctxAt(st *storage.Store, site int) *Context {
 	return &Context{Store: st, Transport: NewTransport(), Site: site, Host: site, NVariants: 1}
 }
 
+// runPlan compiles a hand-built plan's expressions, as cluster.Run does
+// before any instance starts, and runs it as one instance.
+func runPlan(n physical.Node, ctx *Context) ([]types.Row, error) {
+	physical.Compile(n)
+	return Run(n, ctx)
+}
+
 func TestScanFilterProject(t *testing.T) {
 	st := testStore(t, 2)
 	scan := scanNode(t, st)
@@ -75,7 +82,7 @@ func TestScanFilterProject(t *testing.T) {
 		types.Fields{{Name: "dbl", Kind: types.KindInt}})
 	var total int
 	for site := 0; site < 2; site++ {
-		rows, err := Run(proj, ctxAt(st, site))
+		rows, err := runPlan(proj, ctxAt(st, site))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +103,7 @@ func TestSortAndLimit(t *testing.T) {
 	scan := scanNode(t, st)
 	sorted := physical.NewSort(scan, []types.SortKey{{Col: 2, Desc: true}})
 	lim := physical.NewLimit(sorted, 3)
-	rows, err := Run(lim, ctxAt(st, 0))
+	rows, err := runPlan(lim, ctxAt(st, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +122,7 @@ func TestHashAggregateSitewise(t *testing.T) {
 		}, physical.AggSinglePhase,
 		types.Fields{{Name: "grp", Kind: types.KindInt}, {Name: "n", Kind: types.KindInt},
 			{Name: "s", Kind: types.KindInt}})
-	rows, err := Run(agg, ctxAt(st, 0))
+	rows, err := runPlan(agg, ctxAt(st, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +140,7 @@ func TestScalarAggregateEmptyInput(t *testing.T) {
 	fields := types.Fields{{Name: "n", Kind: types.KindInt}}
 	agg := physical.NewHashAggregate(physical.NewValues(nil, nil), nil,
 		[]expr.AggCall{{Func: expr.AggCount}}, physical.AggSinglePhase, fields)
-	rows, err := Run(agg, ctxAt(testStore(t, 1), 0))
+	rows, err := runPlan(agg, ctxAt(testStore(t, 1), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +189,7 @@ func mkJoin(algo physical.JoinAlgo, jt logical.JoinType) *physical.Join {
 func runJoin(j *physical.Join, left, right []types.Row, ctx *Context) ([]types.Row, error) {
 	j.Inputs()[0].(*physical.Values).Rows = left
 	j.Inputs()[1].(*physical.Values).Rows = right
-	return Run(j, ctx)
+	return runPlan(j, ctx)
 }
 
 func sortRows(rows []types.Row) []string {
@@ -306,7 +313,7 @@ func TestSenderRouting(t *testing.T) {
 	vals := physical.NewValues(fields, rows)
 	s := physical.NewSender(vals, 7, physical.SingleDist)
 	ctx := &Context{Store: st, Transport: tr, Site: 2, Host: 2, NVariants: 1}
-	if _, err := Run(s, ctx); err != nil {
+	if _, err := runPlan(s, ctx); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(tr.Receive(7, 0)); got != 1 {
@@ -322,7 +329,7 @@ func TestSenderRouting(t *testing.T) {
 	tr = NewTransport()
 	s = physical.NewSender(physical.NewValues(fields, rows), 8, physical.BroadcastDist)
 	ctx = &Context{Store: st, Transport: tr, Site: 0, NVariants: 1}
-	if _, err := Run(s, ctx); err != nil {
+	if _, err := runPlan(s, ctx); err != nil {
 		t.Fatal(err)
 	}
 	for site := 0; site < 4; site++ {
@@ -337,7 +344,7 @@ func TestSenderRouting(t *testing.T) {
 	tr = NewTransport()
 	s = physical.NewSender(physical.NewValues(fields, rows), 9, physical.HashDist(0))
 	ctx = &Context{Store: st, Transport: tr, Site: 0, NVariants: 1}
-	if _, err := Run(s, ctx); err != nil {
+	if _, err := runPlan(s, ctx); err != nil {
 		t.Fatal(err)
 	}
 	seen := 0
@@ -369,7 +376,7 @@ func TestSplitterPartitionProperty(t *testing.T) {
 		for v := 0; v < n; v++ {
 			ctx := &Context{Store: st, Transport: NewTransport(), Site: 0,
 				Variant: v, NVariants: n, Modes: modes}
-			rows, err := Run(scan, ctx)
+			rows, err := runPlan(scan, ctx)
 			if err != nil {
 				return false
 			}
@@ -400,7 +407,7 @@ func TestDuplicatorReplaysAll(t *testing.T) {
 	for v := 0; v < 2; v++ {
 		ctx := &Context{Store: st, Transport: NewTransport(), Site: 0,
 			Variant: v, NVariants: 2, Modes: modes}
-		rows, err := Run(scan, ctx)
+		rows, err := runPlan(scan, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,7 +478,7 @@ func TestMergingReceiverOrders(t *testing.T) {
 		physical.NewValues(types.Fields{{Name: "k", Kind: types.KindInt}}, nil), keys),
 		physical.SingleDist)
 	recv := physical.NewReceiver(ex, 3)
-	rows, err := Run(recv, &Context{Store: st, Transport: tr, Site: 0, NVariants: 1})
+	rows, err := runPlan(recv, &Context{Store: st, Transport: tr, Site: 0, NVariants: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,12 +535,12 @@ func TestSortAggregateMatchesHash(t *testing.T) {
 	inFields := types.Fields{{Name: "k", Kind: types.KindInt}, {Name: "v", Kind: types.KindFloat}}
 	outFields := types.Fields{{Name: "k", Kind: types.KindInt},
 		{Name: "s", Kind: types.KindFloat}, {Name: "m", Kind: types.KindFloat}}
-	h, err := Run(physical.NewHashAggregate(physical.NewValues(inFields, in), []int{0}, aggs,
+	h, err := runPlan(physical.NewHashAggregate(physical.NewValues(inFields, in), []int{0}, aggs,
 		physical.AggSinglePhase, outFields), ctxAt(st, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Run(physical.NewSortAggregate(physical.NewValues(inFields, in), []int{0}, aggs,
+	s, err := runPlan(physical.NewSortAggregate(physical.NewValues(inFields, in), []int{0}, aggs,
 		physical.AggSinglePhase, outFields), ctxAt(st, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -541,5 +548,65 @@ func TestSortAggregateMatchesHash(t *testing.T) {
 	hs, ss := sortRows(h), sortRows(s)
 	if fmt.Sprint(hs) != fmt.Sprint(ss) {
 		t.Errorf("hash %v vs sort %v", hs, ss)
+	}
+}
+
+// TestJoinResidual: a hash or merge join tests per candidate only what its
+// key match has not verified. A join whose condition is exactly its keys
+// tests nothing (its residual is nil) and still agrees with the nested
+// loop, which verifies no keys and tests the whole condition; a
+// condition whose equi conjuncts are not exactly the keys stays whole.
+func TestJoinResidual(t *testing.T) {
+	st := testStore(t, 1)
+	left, right := joinFixture(40)
+	byKey := []types.SortKey{{Col: 0}}
+	sorted := func(rows []types.Row) []types.Row {
+		out := append([]types.Row(nil), rows...)
+		sort.SliceStable(out, func(a, b int) bool { return types.CompareRows(out[a], out[b], byKey) < 0 })
+		return out
+	}
+	keysOnly := func(algo physical.JoinAlgo, jt logical.JoinType) *physical.Join {
+		j := mkJoin(algo, jt)
+		j.Cond = bin(expr.OpEq, col(0), col(2))
+		return j
+	}
+	for _, jt := range []logical.JoinType{logical.JoinInner, logical.JoinLeft, logical.JoinSemi, logical.JoinAnti} {
+		nl := keysOnly(physical.NestedLoop, jt)
+		want, err := runJoin(nl, left, right, ctxAt(st, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := nl.Residual(); r == nil || r.Source() != nl.Cond {
+			t.Errorf("%s nested loop: residual %v, want the whole condition", jt, r)
+		}
+		for _, algo := range []physical.JoinAlgo{physical.HashAlgo, physical.Merge} {
+			j := keysOnly(algo, jt)
+			l, r := left, right
+			if algo == physical.Merge {
+				l, r = sorted(left), sorted(right)
+			}
+			got, err := runJoin(j, l, r, ctxAt(st, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.Residual() != nil {
+				t.Errorf("%s %s join on its keys alone tests %s per candidate", jt, algo, j.Residual().Source())
+			}
+			if !slices.Equal(sortRows(got), sortRows(want)) {
+				t.Errorf("%s %s join differs from the nested loop", jt, algo)
+			}
+		}
+	}
+	withResidual := mkJoin(physical.HashAlgo, logical.JoinInner)
+	physical.Compile(withResidual)
+	if got := withResidual.Residual().Source().String(); got != "($1 > $3)" {
+		t.Errorf("residual of %s is %s, want ($1 > $3)", withResidual.Cond, got)
+	}
+	unmatched := mkJoin(physical.HashAlgo, logical.JoinInner)
+	unmatched.Cond = bin(expr.OpAnd, bin(expr.OpEq, col(0), col(2)), bin(expr.OpEq, col(1), col(3)))
+	physical.Compile(unmatched)
+	if unmatched.Residual().Source() != unmatched.Cond {
+		t.Errorf("keys %v do not reproduce %s, yet its residual is %s",
+			unmatched.Keys, unmatched.Cond, unmatched.Residual().Source())
 	}
 }

@@ -29,9 +29,15 @@ func newGroup(r types.Row, groupBy []int, aggs []expr.AggCall) *group {
 	return g
 }
 
-func (g *group) add(r types.Row) {
-	for _, acc := range g.accs {
-		acc.Add(r)
+// add feeds r's argument values, read through the compiled arguments,
+// to the accumulators.
+func (g *group) add(r types.Row, args []*expr.Scalar) {
+	for i, acc := range g.accs {
+		var v types.Value
+		if a := args[i]; a != nil {
+			v = a.At(r)
+		}
+		acc.Add(v)
 	}
 }
 
@@ -60,6 +66,7 @@ type hashAggOp struct {
 	op
 	groupBy []int
 	aggs    []expr.AggCall
+	args    []*expr.Scalar
 	// perRow is the modeled work charged per input row.
 	perRow float64
 	groups map[uint64][]*group
@@ -72,8 +79,8 @@ type hashAggOp struct {
 	charged int
 }
 
-func newHashAgg(groupBy []int, aggs []expr.AggCall, perRow float64) *hashAggOp {
-	return &hashAggOp{groupBy: groupBy, aggs: aggs, perRow: perRow, groups: make(map[uint64][]*group)}
+func newHashAgg(groupBy []int, aggs []expr.AggCall, args []*expr.Scalar, perRow float64) *hashAggOp {
+	return &hashAggOp{groupBy: groupBy, aggs: aggs, args: args, perRow: perRow, groups: make(map[uint64][]*group)}
 }
 
 func (a *hashAggOp) push(rows []types.Row, _ bool) error {
@@ -96,7 +103,7 @@ func (a *hashAggOp) push(rows []types.Row, _ bool) error {
 			a.groups[h] = append(a.groups[h], g)
 			a.order = append(a.order, g)
 		}
-		g.add(r)
+		g.add(r, a.args)
 	}
 	if len(a.order) > a.charged {
 		grown := len(a.order) - a.charged
@@ -128,6 +135,7 @@ type sortAggOp struct {
 	op
 	groupBy []int
 	aggs    []expr.AggCall
+	args    []*expr.Scalar
 	cur     *group
 	out     []types.Row
 }
@@ -142,7 +150,7 @@ func (a *sortAggOp) push(rows []types.Row, _ bool) error {
 			}
 			a.cur = newGroup(r, a.groupBy, a.aggs)
 		}
-		a.cur.add(r)
+		a.cur.add(r, a.args)
 	}
 	return nil
 }
@@ -238,12 +246,6 @@ func sortRowsCancellable(rows []types.Row, keys []types.SortKey, ctx *Context) (
 	return nil
 }
 
-// condTrue evaluates a condition over a row.
-func condTrue(cond expr.Expr, row types.Row) bool {
-	v := cond.Eval(row)
-	return v.K == types.KindBool && v.Bool()
-}
-
 // emitGuard charges work and estimated memory per emitted join row and
 // aborts runaway outputs (a join can produce quadratically many rows from
 // linear inputs, so input-based charging alone cannot bound it). Memory is
@@ -336,6 +338,9 @@ type joinOp struct {
 	j *physical.Join
 	// leftCols/rightCols split the equi keys by input side.
 	leftCols, rightCols []int
+	// residual is what a candidate must still satisfy once its keys
+	// matched (physical.Join.Residual); nil tests nothing.
+	residual *expr.Predicate
 	// pairs: inner and left joins emit one l⧺r row per match; semi and
 	// anti joins emit at most l itself, so the first match decides them.
 	pairs bool
@@ -352,9 +357,9 @@ type joinOp struct {
 	// front).
 	leftWork float64
 	guard    emitGuard
-	// evals counts condition evaluations. Candidates may fail for long
+	// evals counts candidates tried. Candidates may fail for long
 	// stretches, so neither the emit guard nor the batch boundary can
-	// observe cancellation; it is checked every 64Ki evaluations too.
+	// observe cancellation; it is checked every 64Ki candidates too.
 	evals int
 
 	// out is the pending output batch. A pair-emitting join writes its
@@ -424,6 +429,7 @@ func (c *Context) runJoin(t *physical.Join, next stage) error {
 		j:         t,
 		leftCols:  make([]int, len(t.Keys)),
 		rightCols: make([]int, len(t.Keys)),
+		residual:  t.Residual(),
 		pairs:     t.Type == logical.JoinInner || t.Type == logical.JoinLeft,
 		rightW:    len(t.Inputs()[1].Schema()),
 	}
@@ -632,8 +638,9 @@ func (j *joinOp) matchAny(l types.Row, cands []types.Row, verify bool) (bool, er
 }
 
 // match tests one candidate: it matches when it agrees with l on the equi
-// keys (checked only with verify) and the concatenated row satisfies the
-// condition. A pair-emitting join emits the concatenated row.
+// keys (checked here with verify, by the merge before the call) and the
+// concatenated row satisfies the residual. A pair-emitting join emits the
+// concatenated row; a semi or anti join with no residual never builds it.
 func (j *joinOp) match(l, r types.Row, verify bool) (bool, error) {
 	j.evals++
 	if j.evals&0xFFFF == 0 {
@@ -644,12 +651,15 @@ func (j *joinOp) match(l, r types.Row, verify bool) (bool, error) {
 	if verify && !types.EqualOn(l, j.leftCols, r, j.rightCols) {
 		return false, nil
 	}
+	if !j.pairs && j.residual == nil {
+		return true, nil
+	}
 	row, err := j.slot(len(l) + len(r))
 	if err != nil {
 		return false, err
 	}
 	copy(row[copy(row, l):], r)
-	if !condTrue(j.j.Cond, row) {
+	if j.residual != nil && !j.residual.Holds(row) {
 		return false, nil
 	}
 	if j.pairs {

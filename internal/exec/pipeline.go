@@ -293,22 +293,22 @@ func (c *Context) run(n physical.Node, next stage) error {
 	case *physical.Join:
 		return c.runJoin(t, next)
 	case *physical.Filter:
-		s = &filterOp{cond: t.Cond}
+		s = &filterOp{pred: t.Predicate()}
 	case *physical.Project:
-		s = &projectOp{exprs: t.Exprs}
+		s = &projectOp{cols: t.Kernels()}
 	case *physical.Limit:
 		s = &limitOp{n: t.N}
 	case *physical.Sort:
 		s = &sortOp{keys: t.Keys}
 	case *physical.HashAggregate:
-		s = newHashAgg(t.GroupBy, t.Aggs, cost.RPTC+cost.HAC+cost.RCC)
+		s = newHashAgg(t.GroupBy, t.Aggs, t.Args(), cost.RPTC+cost.HAC+cost.RCC)
 	case *physical.SortAggregate:
 		if len(t.GroupBy) == 0 {
 			// A scalar aggregate has no order to exploit: it runs on the
 			// hash operator, on top of the sort aggregate's own charge.
-			s = newHashAgg(nil, t.Aggs, (cost.RPTC+cost.RCC)+(cost.RPTC+cost.HAC+cost.RCC))
+			s = newHashAgg(nil, t.Aggs, t.Args(), (cost.RPTC+cost.RCC)+(cost.RPTC+cost.HAC+cost.RCC))
 		} else {
-			s = &sortAggOp{groupBy: t.GroupBy, aggs: t.Aggs}
+			s = &sortAggOp{groupBy: t.GroupBy, aggs: t.Aggs, args: t.Args()}
 		}
 	default:
 		return fmt.Errorf("exec: no runtime for %T", n)
@@ -399,47 +399,39 @@ func (o *op) receive(r *physical.Receiver) error {
 	return nil
 }
 
-// filterOp streams the rows satisfying a condition.
+// filterOp streams the rows satisfying a condition. The compiled
+// predicate selects them into the operator's scratch, which the first
+// surviving row of the first batch sizes: a filter nothing passes
+// allocates nothing.
 type filterOp struct {
 	op
-	cond expr.Expr
+	pred *expr.Predicate
 	out  []types.Row
 }
 
 func (f *filterOp) push(rows []types.Row, stable bool) error {
 	f.st.addIn(len(rows))
 	f.work(float64(len(rows)) * (cost.RPTC + cost.RCC))
-	out := f.out[:0]
-	for _, r := range rows {
-		if !condTrue(f.cond, r) {
-			continue
-		}
-		// The scratch is sized when the first row of a batch survives, so
-		// a filter nothing passes allocates nothing.
-		if len(out) == 0 && cap(out) < len(rows) {
-			out = make([]types.Row, 0, len(rows))
-		}
-		out = append(out, r)
-	}
-	f.out = out
-	return f.emit(out, stable)
+	f.out = f.pred.Select(f.out[:0], rows)
+	return f.emit(f.out, stable)
 }
 
 func (f *filterOp) finish() error { return nil }
 
-// projectOp streams computed rows. They live in one value arena that the
-// next batch overwrites — unless the consumer keeps every row anyway, in
-// which case each batch gets an arena of its own to keep.
+// projectOp streams computed rows. Each compiled expression fills its
+// column of one value arena that the next batch overwrites — unless the
+// consumer keeps every row anyway, in which case each batch gets an arena
+// of its own to keep.
 type projectOp struct {
 	op
-	exprs []expr.Expr
-	out   []types.Row
-	vals  []types.Value
+	cols []*expr.Scalar
+	out  []types.Row
+	vals []types.Value
 }
 
 func (p *projectOp) push(rows []types.Row, _ bool) error {
 	p.st.addIn(len(rows))
-	w := len(p.exprs)
+	w := len(p.cols)
 	p.work(float64(len(rows)) * cost.RPTC * float64(w))
 	_, kept := p.next.(keeper)
 	if cap(p.out) < len(rows) {
@@ -448,13 +440,12 @@ func (p *projectOp) push(rows []types.Row, _ bool) error {
 	if kept || len(p.vals) < len(rows)*w {
 		p.vals = make([]types.Value, len(rows)*w)
 	}
+	for j, c := range p.cols {
+		c.Fill(rows, p.vals[j:], w)
+	}
 	out := p.out[:len(rows)]
-	for i, r := range rows {
-		row := p.vals[i*w : (i+1)*w : (i+1)*w]
-		for j, e := range p.exprs {
-			row[j] = e.Eval(r)
-		}
-		out[i] = row
+	for i := range out {
+		out[i] = p.vals[i*w : (i+1)*w : (i+1)*w]
 	}
 	return p.emit(out, kept)
 }

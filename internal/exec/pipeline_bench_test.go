@@ -18,7 +18,7 @@ func BenchmarkPipelineScanAgg(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(plan, ctxAt(st, 0)); err != nil {
+		if _, err := runPlan(plan, ctxAt(st, 0)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func BenchmarkPipelineJoinChain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := Run(plan, ctxAt(st, 0))
+		rows, err := runPlan(plan, ctxAt(st, 0))
 		if err != nil || len(rows) != 5 {
 			b.Fatalf("%d groups, err %v", len(rows), err)
 		}

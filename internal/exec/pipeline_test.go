@@ -92,7 +92,7 @@ func TestStreamingOperatorsAcrossBatches(t *testing.T) {
 
 		ctx := ctxAt(st, 0)
 		tracked(ctx, limit)
-		got, err := Run(limit, ctx)
+		got, err := runPlan(limit, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestSplitterAcrossBatches(t *testing.T) {
 				ctx := &Context{Store: st, Transport: tr, Variant: v, NVariants: variants,
 					Modes: map[physical.Node]fragment.SourceMode{src: fragment.SplitMode}}
 				tracked(ctx, src)
-				got, err := Run(src, ctx)
+				got, err := runPlan(src, ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,7 +221,7 @@ func TestNodeFiltersAcrossBatches(t *testing.T) {
 		ctx := ctxAt(st, 0)
 		ctx.NodeFilters = map[physical.Node][]*AppliedFilter{vals: {onK, onV}}
 		tracked(ctx, vals)
-		got, err := Run(vals, ctx)
+		got, err := runPlan(vals, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +328,7 @@ func TestJoinsAcrossBatches(t *testing.T) {
 						}
 						ctx := ctxAt(st, 0)
 						tracked(ctx, j)
-						got, err := Run(j, ctx)
+						got, err := runPlan(j, ctx)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -399,7 +399,7 @@ func TestBreakersCopyScratchRows(t *testing.T) {
 		keys := []types.SortKey{{Col: len(rows[0]) - 1, Desc: true}}
 		want := slices.Clone(rows)
 		sort.SliceStable(want, func(a, b int) bool { return types.CompareRows(want[a], want[b], keys) < 0 })
-		got, err := Run(physical.NewSort(src, keys), ctxAt(st, 0))
+		got, err := runPlan(physical.NewSort(src, keys), ctxAt(st, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +409,7 @@ func TestBreakersCopyScratchRows(t *testing.T) {
 		for _, dist := range []physical.Distribution{physical.SingleDist, physical.HashDist(1)} {
 			src, rows = producer()
 			ctx := ctxAt(st, 0)
-			if _, err := Run(physical.NewSender(src, 5, dist), ctx); err != nil {
+			if _, err := runPlan(physical.NewSender(src, 5, dist), ctx); err != nil {
 				t.Fatal(err)
 			}
 			var shipped []string
@@ -440,7 +440,7 @@ func TestBreakersCopyScratchRows(t *testing.T) {
 			cond := bin(expr.OpEq, col(0), expr.NewColRef(2, types.KindInt, ""))
 			j := physical.NewJoin(physical.NewValues(kvFields, outer), src, algo, logical.JoinInner, cond,
 				[]expr.EquiKey{{Left: 0, Right: 0}}, physical.SingleDist, "single", nil)
-			got, err := Run(j, ctxAt(st, 0))
+			got, err := runPlan(j, ctxAt(st, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -477,7 +477,7 @@ func TestPipelineAllocationBudget(t *testing.T) {
 	allocs := func(n int) float64 {
 		st, plan := scanAggPlan(t, n)
 		return testing.AllocsPerRun(5, func() {
-			rows, err := Run(plan, ctxAt(st, 0))
+			rows, err := runPlan(plan, ctxAt(st, 0))
 			if err != nil || len(rows) != 8 {
 				t.Fatalf("n=%d: %d groups, err %v", n, len(rows), err)
 			}

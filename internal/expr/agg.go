@@ -73,9 +73,11 @@ func (a AggCall) String() string {
 }
 
 // Accumulator is the running state of one aggregate over one group. It is
-// created by NewAccumulator and fed rows by Add; Result finalizes.
+// created by NewAccumulator and fed one argument value per row by Add —
+// the caller evaluates the argument; COUNT(*) counts every Add, whatever
+// the value — and Result finalizes.
 type Accumulator interface {
-	Add(row types.Row)
+	Add(v types.Value)
 	Result() types.Value
 	// Merge folds another accumulator of the same call into this one.
 	// It is used when combining partial aggregates from distributed sites.
@@ -87,31 +89,31 @@ func (a AggCall) NewAccumulator() Accumulator {
 	var base Accumulator
 	switch a.Func {
 	case AggCount:
-		base = &countAcc{arg: a.Arg}
+		base = &countAcc{star: a.Arg == nil}
 	case AggSum:
-		base = &sumAcc{arg: a.Arg, kind: a.Kind()}
+		base = &sumAcc{kind: a.Kind()}
 	case AggAvg:
-		base = &avgAcc{arg: a.Arg}
+		base = &avgAcc{}
 	case AggMin:
-		base = &minMaxAcc{arg: a.Arg, isMin: true}
+		base = &minMaxAcc{isMin: true}
 	case AggMax:
-		base = &minMaxAcc{arg: a.Arg}
+		base = &minMaxAcc{}
 	default:
 		panic(fmt.Sprintf("expr: unknown aggregate %d", a.Func))
 	}
 	if a.Distinct {
-		return &distinctAcc{call: a, seen: make(map[uint64][]types.Value)}
+		return &distinctAcc{call: a, index: make(map[uint64][]int)}
 	}
 	return base
 }
 
 type countAcc struct {
-	arg Expr
-	n   int64
+	star bool // COUNT(*)
+	n    int64
 }
 
-func (c *countAcc) Add(row types.Row) {
-	if c.arg != nil && c.arg.Eval(row).IsNull() {
+func (c *countAcc) Add(v types.Value) {
+	if !c.star && v.IsNull() {
 		return
 	}
 	c.n++
@@ -122,15 +124,13 @@ func (c *countAcc) Result() types.Value { return types.NewInt(c.n) }
 func (c *countAcc) Merge(other Accumulator) { c.n += other.(*countAcc).n }
 
 type sumAcc struct {
-	arg     Expr
 	kind    types.Kind
 	sumI    int64
 	sumF    float64
 	nonNull bool
 }
 
-func (s *sumAcc) Add(row types.Row) {
-	v := s.arg.Eval(row)
+func (s *sumAcc) Add(v types.Value) {
 	if v.IsNull() {
 		return
 	}
@@ -160,13 +160,11 @@ func (s *sumAcc) Merge(other Accumulator) {
 }
 
 type avgAcc struct {
-	arg Expr
 	sum float64
 	n   int64
 }
 
-func (a *avgAcc) Add(row types.Row) {
-	v := a.arg.Eval(row)
+func (a *avgAcc) Add(v types.Value) {
 	if v.IsNull() {
 		return
 	}
@@ -188,21 +186,15 @@ func (a *avgAcc) Merge(other Accumulator) {
 }
 
 type minMaxAcc struct {
-	arg   Expr
 	isMin bool
 	best  types.Value
 	set   bool
 }
 
-func (m *minMaxAcc) Add(row types.Row) {
-	v := m.arg.Eval(row)
+func (m *minMaxAcc) Add(v types.Value) {
 	if v.IsNull() {
 		return
 	}
-	m.addValue(v)
-}
-
-func (m *minMaxAcc) addValue(v types.Value) {
 	if !m.set {
 		m.best, m.set = v, true
 		return
@@ -223,62 +215,59 @@ func (m *minMaxAcc) Result() types.Value {
 func (m *minMaxAcc) Merge(other Accumulator) {
 	o := other.(*minMaxAcc)
 	if o.set {
-		m.addValue(o.best)
+		m.Add(o.best)
 	}
 }
 
-// distinctAcc collects the distinct non-NULL argument values (hash buckets
-// resolve collisions) and computes the aggregate over them at finalize
-// time, so merging two partial accumulators is a simple set union.
+// distinctAcc collects the distinct non-NULL argument values in order of
+// first arrival (index maps a value's hash to its positions in vals) and
+// computes the aggregate over them at finalize time, so merging two
+// partial accumulators is a set union. The order is what makes a float
+// SUM or AVG deterministic: the values are added up in arrival order,
+// which the executor keeps fixed, not in map order.
 type distinctAcc struct {
-	call AggCall
-	seen map[uint64][]types.Value
+	call  AggCall
+	vals  []types.Value
+	index map[uint64][]int
 }
 
-func (d *distinctAcc) Add(row types.Row) {
-	v := d.call.Arg.Eval(row)
+func (d *distinctAcc) Add(v types.Value) {
 	if v.IsNull() {
 		return
 	}
-	d.addValue(v)
-}
-
-func (d *distinctAcc) addValue(v types.Value) {
 	h := v.Hash()
-	for _, existing := range d.seen[h] {
-		if types.Equal(existing, v) {
+	for _, i := range d.index[h] {
+		if types.Equal(d.vals[i], v) {
 			return
 		}
 	}
-	d.seen[h] = append(d.seen[h], v)
+	d.index[h] = append(d.index[h], len(d.vals))
+	d.vals = append(d.vals, v)
 }
 
 func (d *distinctAcc) Result() types.Value {
 	var (
-		n    int64
 		sumF float64
 		sumI int64
 		best types.Value
 		set  bool
 	)
-	for _, vals := range d.seen {
-		for _, v := range vals {
-			n++
-			switch d.call.Func {
-			case AggSum, AggAvg:
-				sumF += v.Float()
-				if v.K == types.KindInt {
-					sumI += v.I
-				}
-			case AggMin, AggMax:
-				if !set {
-					best, set = v, true
-					break
-				}
-				c := types.Compare(v, best)
-				if (d.call.Func == AggMin && c < 0) || (d.call.Func == AggMax && c > 0) {
-					best = v
-				}
+	n := int64(len(d.vals))
+	for _, v := range d.vals {
+		switch d.call.Func {
+		case AggSum, AggAvg:
+			sumF += v.Float()
+			if v.K == types.KindInt {
+				sumI += v.I
+			}
+		case AggMin, AggMax:
+			if !set {
+				best, set = v, true
+				break
+			}
+			c := types.Compare(v, best)
+			if (d.call.Func == AggMin && c < 0) || (d.call.Func == AggMax && c > 0) {
+				best = v
 			}
 		}
 	}
@@ -306,12 +295,11 @@ func (d *distinctAcc) Result() types.Value {
 	}
 }
 
+// Merge adds the other accumulator's values that are new here, in their
+// arrival order.
 func (d *distinctAcc) Merge(other Accumulator) {
-	o := other.(*distinctAcc)
-	for _, vals := range o.seen {
-		for _, v := range vals {
-			d.addValue(v)
-		}
+	for _, v := range other.(*distinctAcc).vals {
+		d.Add(v)
 	}
 }
 

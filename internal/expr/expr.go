@@ -294,10 +294,14 @@ func evalArith(op Op, lv, rv types.Value, typ types.Kind) types.Value {
 		}
 		return types.NewFloat(l / r)
 	case OpMod:
-		if r == 0 {
+		// Float modulo truncates both operands to integers, so a divisor
+		// that truncates to 0 — anything in (-1, 1), and NaN where the
+		// conversion yields 0 — is a zero divisor: NULL.
+		d := int64(r)
+		if d == 0 {
 			return types.Null
 		}
-		return types.NewFloat(float64(int64(l) % int64(r)))
+		return types.NewFloat(float64(int64(l) % d))
 	default:
 		panic(fmt.Sprintf("expr: unhandled arithmetic %s", op))
 	}
@@ -353,8 +357,9 @@ func NewNeg(e Expr) *Neg { return &Neg{E: e} }
 
 func (n *Neg) Kind() types.Kind { return n.E.Kind() }
 
-func (n *Neg) Eval(row types.Row) types.Value {
-	v := n.E.Eval(row)
+func (n *Neg) Eval(row types.Row) types.Value { return negValue(n.E.Eval(row)) }
+
+func negValue(v types.Value) types.Value {
 	switch v.K {
 	case types.KindNull:
 		return types.Null
@@ -565,12 +570,13 @@ func NewCast(e Expr, to types.Kind) *Cast { return &Cast{E: e, To: to} }
 
 func (c *Cast) Kind() types.Kind { return c.To }
 
-func (c *Cast) Eval(row types.Row) types.Value {
-	v := c.E.Eval(row)
+func (c *Cast) Eval(row types.Row) types.Value { return castValue(c.E.Eval(row), c.To) }
+
+func castValue(v types.Value, to types.Kind) types.Value {
 	if v.IsNull() {
 		return types.Null
 	}
-	switch c.To {
+	switch to {
 	case types.KindInt:
 		return types.NewInt(v.Int())
 	case types.KindFloat:

@@ -1,0 +1,147 @@
+package physical
+
+import (
+	"fmt"
+	"slices"
+
+	"gignite/internal/expr"
+)
+
+// Compile gives the operators of the plan rooted at n the compiled form of
+// every expression the executor evaluates per row: a Filter's condition, a
+// Project's expressions, a join's residual condition and an aggregate's
+// arguments (expr.CompilePredicate, expr.CompileScalar). It compiles only
+// what is missing or stale — a copy (Copy, or CloneTree without a rewrite)
+// shares its original's kernels, and a rewritten clone recompiles only the
+// expressions the rewrite replaced — and returns how many expressions it
+// compiled.
+//
+// Compile writes the operators, so it runs before a plan is shared: on the
+// plan a cache or a prepared statement keeps, and in cluster.Run before
+// any instance starts. The executor refuses an operator it was not run on.
+func Compile(n Node) int {
+	k := 0
+	switch t := n.(type) {
+	case *Filter:
+		if t.pred.Source() != t.Cond {
+			t.pred = expr.CompilePredicate(t.Cond)
+			k++
+		}
+	case *Project:
+		t.cols, k = compileScalars(t.cols, t.Exprs, self)
+	case *Join:
+		if t.residualOf != t.Cond {
+			t.residual, t.residualOf = residual(t), t.Cond
+			k++
+		}
+	case *HashAggregate:
+		t.args, k = compileScalars(t.args, t.Aggs, aggArg)
+	case *SortAggregate:
+		t.args, k = compileScalars(t.args, t.Aggs, aggArg)
+	}
+	for _, in := range n.Inputs() {
+		k += Compile(in)
+	}
+	return k
+}
+
+func self(e expr.Expr) expr.Expr      { return e }
+func aggArg(a expr.AggCall) expr.Expr { return a.Arg }
+
+// stale reports whether have are not the kernels of the expressions of
+// items.
+func stale[T any](have []*expr.Scalar, items []T, exprOf func(T) expr.Expr) bool {
+	if len(have) != len(items) {
+		return true
+	}
+	for i, it := range items {
+		if have[i].Source() != exprOf(it) {
+			return true
+		}
+	}
+	return false
+}
+
+// compileScalars returns the kernels of the expressions of items (nil for
+// a nil expression), reusing those of have that were compiled from the
+// same expression, and how many it compiled. It never writes into have,
+// which a copied operator shares with its original.
+func compileScalars[T any](have []*expr.Scalar, items []T, exprOf func(T) expr.Expr) ([]*expr.Scalar, int) {
+	if !stale(have, items, exprOf) {
+		return have, 0
+	}
+	out := make([]*expr.Scalar, len(items))
+	k := 0
+	for i, it := range items {
+		e := exprOf(it)
+		switch {
+		case i < len(have) && have[i].Source() == e:
+			out[i] = have[i]
+		case e != nil:
+			out[i] = expr.CompileScalar(e)
+			k++
+		}
+	}
+	return out, k
+}
+
+// residual is what a join still tests of its condition once its algorithm
+// has matched a candidate's keys. A hash probe (EqualOn) and a merge
+// (equal keys) verify every equi key, so when SplitJoinCondition turns the
+// condition into exactly the join's Keys, the conjuncts it took them from
+// are dropped — nil means nothing is left to test. A nested loop verifies
+// nothing and tests the whole condition.
+func residual(j *Join) *expr.Predicate {
+	if j.Algo != NestedLoop {
+		keys, rest := expr.SplitJoinCondition(j.Cond, len(j.inputs[0].Schema()))
+		if slices.Equal(keys, j.Keys) {
+			if len(rest) == 0 {
+				return nil
+			}
+			return expr.CompilePredicate(expr.Conjunction(rest))
+		}
+	}
+	return expr.CompilePredicate(j.Cond)
+}
+
+// Predicate returns the compiled condition.
+func (f *Filter) Predicate() *expr.Predicate {
+	if f.pred.Source() != f.Cond {
+		panic(notCompiled(f))
+	}
+	return f.pred
+}
+
+// Kernels returns the compiled expressions, in output order.
+func (p *Project) Kernels() []*expr.Scalar {
+	if stale(p.cols, p.Exprs, self) {
+		panic(notCompiled(p))
+	}
+	return p.cols
+}
+
+// Residual returns what the join tests of its condition per candidate
+// once the keys matched; nil when nothing is left.
+func (j *Join) Residual() *expr.Predicate {
+	if j.residualOf != j.Cond {
+		panic(notCompiled(j))
+	}
+	return j.residual
+}
+
+// Args returns the compiled aggregate arguments (nil for COUNT(*)).
+func (a *HashAggregate) Args() []*expr.Scalar { return compiledArgs(a, a.args, a.Aggs) }
+
+// Args returns the compiled aggregate arguments (nil for COUNT(*)).
+func (a *SortAggregate) Args() []*expr.Scalar { return compiledArgs(a, a.args, a.Aggs) }
+
+func compiledArgs(n Node, args []*expr.Scalar, aggs []expr.AggCall) []*expr.Scalar {
+	if stale(args, aggs, aggArg) {
+		panic(notCompiled(n))
+	}
+	return args
+}
+
+func notCompiled(n Node) string {
+	return fmt.Sprintf("physical: %s was not compiled (physical.Compile)", n.Describe())
+}

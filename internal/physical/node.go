@@ -134,6 +134,7 @@ func (v *Values) Describe() string { return fmt.Sprintf("Values %d rows", len(v.
 type Filter struct {
 	base
 	Cond expr.Expr
+	pred *expr.Predicate // Cond compiled (Compile)
 }
 
 // NewFilter builds a filter over an input.
@@ -154,6 +155,7 @@ func (f *Filter) Describe() string { return fmt.Sprintf("Filter %s", f.Cond) }
 type Project struct {
 	base
 	Exprs []expr.Expr
+	cols  []*expr.Scalar // Exprs compiled (Compile)
 }
 
 // NewProject builds a projection.
@@ -262,6 +264,7 @@ type HashAggregate struct {
 	GroupBy []int
 	Aggs    []expr.AggCall
 	Phase   AggPhase
+	args    []*expr.Scalar // the Aggs' arguments compiled (Compile)
 }
 
 // NewHashAggregate builds a hash aggregation with the given output schema.
@@ -305,6 +308,7 @@ type SortAggregate struct {
 	GroupBy []int
 	Aggs    []expr.AggCall
 	Phase   AggPhase
+	args    []*expr.Scalar // the Aggs' arguments compiled (Compile)
 }
 
 // NewSortAggregate builds a streaming aggregation; the input must be
@@ -369,6 +373,10 @@ type Join struct {
 	// rows and their order are identical either way; only the build-side
 	// memory charge moves to the smaller input.
 	BuildLeft bool
+	// residual is what the join tests per candidate once the keys
+	// matched, compiled from residualOf (Compile).
+	residual   *expr.Predicate
+	residualOf expr.Expr
 }
 
 // NewJoin builds a physical join; dist is the mapping's target

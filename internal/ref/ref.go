@@ -222,8 +222,12 @@ func executeAggregate(a *logical.Aggregate, store *storage.Store) ([]types.Row, 
 			groups[h] = append(groups[h], g)
 			order = append(order, g)
 		}
-		for _, acc := range g.accs {
-			acc.Add(r)
+		for i, acc := range g.accs {
+			var v types.Value // COUNT(*) counts whatever it is fed
+			if arg := a.Aggs[i].Arg; arg != nil {
+				v = arg.Eval(r)
+			}
+			acc.Add(v)
 		}
 	}
 	if len(a.GroupBy) == 0 && len(order) == 0 {

@@ -439,3 +439,32 @@ func TestLoggerNoInterleave(t *testing.T) {
 		}
 	}
 }
+
+// TestFloatModuloByFractionServed: a float % divisor that truncates to 0
+// is NULL over the wire as in-process. It used to panic with an integer
+// divide by zero — in a fragment goroutine, or in the session goroutine
+// where constant folding met it — and take the daemon down with it; the
+// session must answer both and then the next statement.
+func TestFloatModuloByFractionServed(t *testing.T) {
+	eng := tpchEngine(t, nil)
+	_, addr := startServer(t, eng, server.Config{})
+	db := sql.OpenDB(&gdriver.Connector{Addr: addr})
+	defer func() { _ = db.Close() }()
+	db.SetMaxOpenConns(1)
+	for _, q := range []string{
+		`SELECT l_quantity % 0.5 FROM lineitem LIMIT 1`,
+		`SELECT 7 % 0.5 FROM region LIMIT 1`,
+	} {
+		var v interface{}
+		if err := db.QueryRow(q).Scan(&v); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if v != nil {
+			t.Errorf("%s = %v, want NULL", q, v)
+		}
+	}
+	var n int64
+	if err := db.QueryRow(`SELECT COUNT(*) FROM region`).Scan(&n); err != nil || n != 5 {
+		t.Fatalf("next statement: %d rows, err %v", n, err)
+	}
+}
