@@ -2,8 +2,11 @@ package gignite
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -11,122 +14,254 @@ import (
 	"testing"
 )
 
-// exportedButUncalled names the exported declarations the guard tolerates
-// without a non-test user, each with the reason it has none.
-var exportedButUncalled = map[string]string{
-	// database/sql calls these through driver interfaces; nothing in the
-	// module names them.
-	"Begin":       "driver.Conn, called by database/sql",
-	"BeginTx":     "driver.ConnBeginTx, called by database/sql",
-	"IsValid":     "driver.Validator, called by database/sql",
-	"NumInput":    "driver.Stmt, called by database/sql",
-	"MarshalJSON": "json.Marshaler, called by encoding/json",
-	// Test conveniences with many users across packages.
-	"NewStore":  "storage: unreplicated store for the packages' unit tests",
-	"Labels":    "harness.Report: row labels for experiment tests",
-	"Canonical": "empdb: the fixture package only tests import; its other names collide with live ones",
+// uncalledAllowed names the declarations the guard tolerates without a
+// non-test user, each with the reason it has none. A key is a qualified
+// name as the guard reports it, or a package name for a whole package.
+var uncalledAllowed = map[string]string{
+	"storage.NewStore":         "unreplicated store for the packages' unit tests",
+	"catalog.(*Table).Fields":  "a table's full-row schema for the unit tests' hand-built scans",
+	"harness.(*Report).Labels": "row labels for experiment tests and the root benchmarks",
+	"harness.(*Report).Value":  "cell lookup for experiment tests and the root benchmarks",
+	"empdb":                    "the fixture package only tests import",
 }
 
-// TestExportedNamesHaveCallers keeps exported-but-unused code from
-// accumulating: every exported top-level function, method, constant and
-// variable declared under internal/, driver/ and cmd/ must be named by
-// some non-test file of the module (bench/ included) outside its own
-// declaration. Matching is by name only, so a use of any String counts
-// for every String: the scan can miss dead code, it cannot report live
-// code. A function's calls to itself do not count.
+// TestExportedNamesHaveCallers keeps code without callers from
+// accumulating. Every exported top-level function, method, constant and
+// variable, and every unexported top-level function, declared under
+// internal/, driver/ or cmd/ must be used by some non-test file of the
+// module (bench/ included) outside its own declaration. Uses are resolved
+// by object with go/types, so a use of one String says nothing about
+// another. A method also counts as used when its type implements an
+// interface, declared in the module or the standard library, that has it.
 func TestExportedNamesHaveCallers(t *testing.T) {
+	l, err := loadModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The interfaces a method may be called through, and the module's
+	// types that may have the method, declared or promoted.
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	var named []types.Type
+	seen := make(map[*types.Package]bool)
+	var collect func(p *types.Package)
+	collect = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		_, inModule := l.pkgs[p.Path()]
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); !ok || n.TypeParams().Len() > 0 {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.IsMethodSet() {
+				ifaces = append(ifaces, it)
+			} else if inModule {
+				named = append(named, tn.Type(), types.NewPointer(tn.Type()))
+			}
+		}
+		for _, imp := range p.Imports() {
+			collect(imp)
+		}
+	}
+	for _, p := range l.pkgs {
+		collect(p)
+	}
+	implements := func(fn *types.Func) bool {
+		for _, typ := range named {
+			if sel := types.NewMethodSet(typ).Lookup(fn.Pkg(), fn.Name()); sel == nil || sel.Obj() != fn {
+				continue
+			}
+			for _, it := range ifaces {
+				for i := 0; i < it.NumMethods(); i++ {
+					if it.Method(i).Name() == fn.Name() && types.Implements(typ, it) {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+
+	// The declarations under guard, with the extent of each function's own
+	// declaration: a function's references to itself are not uses.
 	type decl struct {
-		name, where string
-		body        *ast.BlockStmt // the declaring function's body, nil for values
+		obj      types.Object
+		pkg      string
+		from, to token.Pos
 	}
 	var decls []decl
-	var files []*ast.File
+	for path, files := range l.files {
+		rel := strings.TrimPrefix(path, "gignite/")
+		if !strings.HasPrefix(rel, "internal/") && rel != "driver" && !strings.HasPrefix(rel, "driver/") && !strings.HasPrefix(rel, "cmd/") {
+			continue
+		}
+		pkg := l.pkgs[path].Name()
+		for _, f := range files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					name := d.Name.Name
+					if d.Name.IsExported() || (d.Recv == nil && name != "init" && name != "main") {
+						decls = append(decls, decl{l.info.Defs[d.Name], pkg, d.Pos(), d.End()})
+					}
+				case *ast.GenDecl:
+					if d.Tok != token.CONST && d.Tok != token.VAR {
+						continue
+					}
+					for _, spec := range d.Specs {
+						for _, id := range spec.(*ast.ValueSpec).Names {
+							if id.IsExported() {
+								decls = append(decls, decl{l.info.Defs[id], pkg, id.Pos(), id.End()})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	uses := make(map[types.Object][]token.Pos)
+	for id, obj := range l.info.Uses {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		uses[obj] = append(uses[obj], id.Pos())
+	}
+	var dead []string
+	for _, d := range decls {
+		name := qualifiedName(d.pkg, d.obj)
+		if _, ok := uncalledAllowed[name]; ok {
+			continue
+		}
+		if _, ok := uncalledAllowed[d.pkg]; ok {
+			continue
+		}
+		used := false
+		for _, pos := range uses[d.obj] {
+			if pos < d.from || pos >= d.to {
+				used = true
+				break
+			}
+		}
+		if fn, ok := d.obj.(*types.Func); !used && ok && fn.Type().(*types.Signature).Recv() != nil {
+			used = implements(fn)
+		}
+		if !used {
+			dead = append(dead, name+"  ("+l.fset.Position(d.from).String()+")")
+		}
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Errorf("%d declaration(s) no non-test file uses — delete them (with their tests) or give them a caller:\n  %s",
+			len(dead), strings.Join(dead, "\n  "))
+	}
+	if len(uncalledAllowed) > 12 {
+		t.Errorf("allowlist has %d names, want <= 12", len(uncalledAllowed))
+	}
+}
+
+// qualifiedName renders an object as pkg.Name, pkg.T.Method or
+// pkg.(*T).Method.
+func qualifiedName(pkg string, obj types.Object) string {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Type().(*types.Signature).Recv() == nil {
+		return pkg + "." + obj.Name()
+	}
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		return pkg + ".(*" + ptr.Elem().(*types.Named).Obj().Name() + ")." + fn.Name()
+	}
+	return pkg + "." + recv.(*types.Named).Obj().Name() + "." + fn.Name()
+}
+
+// moduleLoader type-checks the module's non-test files (bench/ included)
+// from source, resolving gignite/... imports itself and the standard
+// library through the source importer. One Info covers every package.
+type moduleLoader struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // by import path
+	pkgs  map[string]*types.Package
+	info  *types.Info
+	std   types.Importer
+}
+
+// loadModule parses and type-checks every package under root.
+func loadModule(root string) (*moduleLoader, error) {
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	l := &moduleLoader{
+		fset:  fset,
+		files: make(map[string][]*ast.File),
+		pkgs:  make(map[string]*types.Package),
+		info: &types.Info{
+			Defs: make(map[*ast.Ident]types.Object),
+			Uses: make(map[*ast.Ident]types.Object),
+		},
+		std: importer.ForCompiler(fset, "source", nil),
+	}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		dir, name := filepath.Split(path)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		files = append(files, f)
-		slash := filepath.ToSlash(path)
-		if !strings.HasPrefix(slash, "internal/") && !strings.HasPrefix(slash, "driver/") && !strings.HasPrefix(slash, "cmd/") {
-			return nil
+		// The bench module is gignite/bench, so one mapping serves both.
+		ipath := "gignite"
+		if rel := filepath.ToSlash(filepath.Clean(dir)); rel != "." {
+			ipath += "/" + rel
 		}
-		add := func(id *ast.Ident, body *ast.BlockStmt) {
-			if id.IsExported() {
-				decls = append(decls, decl{id.Name, fset.Position(id.Pos()).String(), body})
-			}
-		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				add(d.Name, d.Body)
-			case *ast.GenDecl:
-				if d.Tok != token.CONST && d.Tok != token.VAR {
-					continue
-				}
-				for _, spec := range d.Specs {
-					for _, id := range spec.(*ast.ValueSpec).Names {
-						add(id, nil)
-					}
-				}
-			}
-		}
+		l.files[ipath] = append(l.files[ipath], f)
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
+	for path := range l.files {
+		if _, err := l.Import(path); err != nil {
+			return nil, err
+		}
+	}
+	return l, nil
+}
 
-	// uses counts every identifier occurrence by name.
-	uses := make(map[string]int)
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name]++
-			}
-			return true
-		})
+// Import implements types.Importer.
+func (l *moduleLoader) Import(path string) (*types.Package, error) {
+	if p := l.pkgs[path]; p != nil {
+		return p, nil
 	}
-	// Per name: its declarations and the occurrences inside the declaring
-	// functions' own bodies, neither of which is a use.
-	notUses := make(map[string]int)
-	for _, d := range decls {
-		notUses[d.name]++
-		if d.body == nil {
-			continue
-		}
-		ast.Inspect(d.body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && id.Name == d.name {
-				notUses[d.name]++
-			}
-			return true
-		})
+	files, ok := l.files[path]
+	if !ok {
+		return l.std.Import(path)
 	}
-	var dead []string
-	for _, d := range decls {
-		if _, ok := exportedButUncalled[d.name]; !ok && uses[d.name] <= notUses[d.name] {
-			dead = append(dead, d.name+"  ("+d.where+")")
-		}
+	conf := types.Config{Importer: l}
+	p, err := conf.Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(dead)
-	if len(dead) > 0 {
-		t.Errorf("%d exported name(s) no non-test file uses — delete them (with their tests) or give them a caller:\n  %s",
-			len(dead), strings.Join(dead, "\n  "))
-	}
-	if len(exportedButUncalled) > 12 {
-		t.Errorf("allowlist has %d names, want <= 12", len(exportedButUncalled))
-	}
+	l.pkgs[path] = p
+	return p, nil
 }

@@ -558,55 +558,7 @@ type Result struct {
 }
 
 // ExecStats is per-query execution telemetry.
-type ExecStats struct {
-	// Work is total executor work units across all fragment instances.
-	Work float64
-	// BytesShipped is total network volume.
-	BytesShipped float64
-	// Fragments / Instances count execution units.
-	Fragments int
-	Instances int
-	// Workers is the host worker-pool size the query executed with.
-	Workers int
-	// Retries counts fault-recovery events (failed attempts retried or
-	// failed over onto a replica site).
-	Retries int
-	// Spans counts trace spans (fragment-instance attempts, including
-	// retried and skipped ones).
-	Spans int
-	// Modeled is the simnet cost-clock response time (the same value as
-	// Result.Modeled, surfaced with the rest of the telemetry).
-	Modeled time.Duration
-	// PlanTickets is the planner search effort.
-	PlanTickets int
-	// FiltersBuilt counts runtime join filters the pre-pass constructed;
-	// FilterBytes is their total modeled shipment and RowsPruned the
-	// probe-side rows they dropped before shipping (DESIGN.md §13).
-	FiltersBuilt int
-	FilterBytes  int64
-	RowsPruned   int64
-	// Hedges / HedgesWon count hedged straggler attempts launched and won
-	// (DESIGN.md §14).
-	Hedges    int
-	HedgesWon int
-	// MemPeakBytes is the query's high-water mark of estimated operator
-	// state reserved against the engine's memory pool (0 when ungoverned).
-	MemPeakBytes int64
-	// PlanNanos is the wall time spent acquiring the optimized plan: the
-	// cache lookup plus, on a miss, bind + heuristic + cost-based
-	// optimization. Parsing, plan cloning and fragmentation are excluded —
-	// they are per-execution costs paid whether or not the plan was cached.
-	PlanNanos int64
-	// PlanningSkipped is true when the plan came from the plan cache (or a
-	// prepared statement's retained plan), so no optimization ran for this
-	// execution.
-	PlanningSkipped bool
-	// AdaptiveReplans counts the re-planning passes run at wave barriers;
-	// AdaptiveSwitches the plan rewrites they applied (both 0 unless
-	// Config.AdaptiveExec is on — DESIGN.md §17).
-	AdaptiveReplans  int
-	AdaptiveSwitches int
-}
+type ExecStats = obs.ExecStats
 
 // Exec parses and executes one SQL statement (DDL, INSERT, SELECT or
 // EXPLAIN). Exec is safe for concurrent callers: SELECTs run fully in
@@ -1017,36 +969,17 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 		qobs.PlanDigest = planDigest(fp)
 	}
 	out := &Result{
-		Columns: res.Fields.Names(),
-		Rows:    res.Rows,
-		Modeled: res.Modeled,
-		Obs:     qobs,
-		Stats: ExecStats{
-			Work:             res.Work,
-			BytesShipped:     res.BytesShipped,
-			Fragments:        res.Fragments,
-			Instances:        res.Instances,
-			Workers:          res.Workers,
-			Retries:          res.Retries,
-			Modeled:          res.Modeled,
-			PlanTickets:      entry.Tickets,
-			FiltersBuilt:     res.FiltersBuilt,
-			FilterBytes:      res.FilterBytes,
-			RowsPruned:       res.RowsPruned,
-			Hedges:           res.Hedges,
-			HedgesWon:        res.HedgesWon,
-			MemPeakBytes:     lease.Peak(),
-			PlanNanos:        planNanos,
-			PlanningSkipped:  skipped,
-			AdaptiveReplans:  res.Replans,
-			AdaptiveSwitches: res.Switches,
-		},
+		Columns:       res.Fields.Names(),
+		Rows:          res.Rows,
+		Modeled:       res.Modeled,
+		Obs:           qobs,
+		Stats:         res.ExecStats,
 		adaptiveNotes: res.Notes,
 		compiled:      res.Compiled,
 	}
-	if qobs != nil {
-		out.Stats.Spans = len(qobs.Spans)
-	}
+	out.Stats.PlanTickets = entry.Tickets
+	out.Stats.PlanNanos = planNanos
+	out.Stats.PlanningSkipped = skipped
 	e.recordQuery(out, qobs, src)
 	return out, fp, nil
 }

@@ -222,9 +222,6 @@ func (c *Controller) VariantFor(fragID, configured int) int {
 // Notes exposes the per-node rewrite annotations for EXPLAIN ANALYZE.
 func (c *Controller) Notes() map[physical.Node]string { return c.notes }
 
-// Replans returns every rewrite applied so far, in decision order.
-func (c *Controller) Replans() []obs.Replan { return c.replans }
-
 // OnBarrier ingests the merged sketches of all completed exchanges and
 // re-plans the pending waves (every wave after `wave`). It returns the
 // rewrites applied at this barrier. sketches is cumulative: the caller

@@ -96,8 +96,8 @@ func TestDistFlipFires(t *testing.T) {
 	if again := c.OnBarrier(1, map[int]*sketch.Sketch{1: filled(5000)}); len(again) != 0 {
 		t.Fatalf("second barrier re-fired: %+v", again)
 	}
-	if len(c.Replans()) != 1 {
-		t.Fatalf("replan log grew to %d entries", len(c.Replans()))
+	if len(c.replans) != 1 {
+		t.Fatalf("replan log grew to %d entries", len(c.replans))
 	}
 }
 

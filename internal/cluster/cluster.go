@@ -1,8 +1,8 @@
 // Package cluster drives fragmented query execution over the simulated
 // multi-site deployment: it assigns fragments to sites by their
 // distribution traits, runs every (fragment × site × variant) instance,
-// wires the exchanges through the transport, and feeds the execution
-// trace to the simnet cost clock.
+// publishes their exchanged rows, and feeds the execution trace to the
+// simnet cost clock.
 //
 // Fragments execute wave by wave: Plan.Waves groups them so that every
 // producer finishes before its consumers start, and all instances within
@@ -12,6 +12,12 @@
 // still comes from the simnet cost clock, which accounts for the paper's
 // per-fragment threads analytically (see DESIGN.md §2 and package
 // simnet).
+//
+// Instances exchange rows only through the wave barrier: an attempt keeps
+// its shipments private (exec.Context.Sent), and the barrier publishes the
+// surviving attempt's into the run's exchanges, in job order, for later
+// waves' receivers. Nothing a failed or losing attempt shipped is ever
+// visible, so recovery has nothing to undo.
 //
 // Cluster.Run is the whole scheduler, as a list of named steps over one
 // per-execution run value (DESIGN.md "Scheduler anatomy"): set-up, the
@@ -29,8 +35,8 @@
 // partition. A retried instance keeps its logical identity (Site,
 // Variant), so its resent shipments order identically at receivers and
 // failover results stay byte-identical to the fault-free run; the failed
-// attempt's work and discarded bytes are charged to the simnet trace as
-// retry cost. When a wave fails terminally, all distinct instance
+// attempt's work and the bytes it had shipped are charged to the simnet
+// trace as retry cost. When a wave fails terminally, all distinct instance
 // failures are reported together (errors.Join) in deterministic job
 // order, identical at every worker count.
 package cluster
@@ -38,7 +44,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
 	"time"
@@ -80,43 +85,15 @@ func New(store *storage.Store, sim simnet.Params) *Cluster {
 	return &Cluster{Store: store, Sim: sim}
 }
 
-// Result is one query execution's outcome.
+// Result is one query execution's outcome: its rows and telemetry.
 type Result struct {
+	obs.ExecStats
 	Rows   []types.Row
 	Fields types.Fields
-	// Modeled is the cost-clock response time on the modeled testbed.
-	Modeled time.Duration
-	// Work is the total CPU work units across all instances, including
-	// work lost to failed attempts.
-	Work float64
-	// BytesShipped is the total network volume, including resent bytes.
-	BytesShipped float64
-	// Fragments and Instances count the execution plan's parallel units.
-	Fragments int
-	Instances int
-	// Retries counts recovery events: failed attempts that were retried
-	// or failed over to a replica site.
-	Retries int
-	// Workers is the host worker-pool size the execution ran with.
-	Workers int
-	// FiltersBuilt counts runtime join filters constructed by the
-	// pre-pass; FilterBytes their total modeled shipment and RowsPruned
-	// the probe-side rows they dropped before batching (DESIGN.md §13).
-	FiltersBuilt int
-	FilterBytes  int64
-	RowsPruned   int64
-	// Hedges counts speculative straggler attempts launched, HedgesWon
-	// the ones that beat their primary (DESIGN.md §14).
-	Hedges    int
-	HedgesWon int
 	// Obs is the query's observation record: per-operator runtime
 	// statistics per fragment, and one trace span per fragment-instance
 	// attempt, in deterministic job order.
 	Obs *obs.QueryObs
-	// Replans counts the adaptive re-planning passes run at wave
-	// barriers; Switches the plan rewrites they applied (DESIGN.md §17).
-	Replans  int
-	Switches int
 	// Notes carries the adaptive controller's per-node rewrite
 	// annotations for EXPLAIN ANALYZE (nil when adaptive is off).
 	Notes map[physical.Node]string
@@ -144,7 +121,7 @@ type Opts struct {
 	// §14): after each wave, an instance whose modeled work exceeded
 	// HedgeAfter× the wave median is speculatively re-executed at the
 	// next live replica of its partition; the modeled-faster attempt's
-	// outputs are kept and the loser's are discarded.
+	// outputs are published and the loser's never are.
 	HedgeAfter float64
 	// Adaptive, when non-nil, enables mid-query re-optimization
 	// (DESIGN.md §17): exchange senders build runtime sketches, and at
@@ -165,7 +142,9 @@ type run struct {
 	workers int
 	began   time.Time
 
-	transport *exec.Transport
+	// exchanges holds the published shipments, [exchangeID][targetSite]:
+	// the barrier writes it, later waves' instances only read it.
+	exchanges map[int]map[int][]*exec.Batch
 	trace     *simnet.Trace
 	qobs      *obs.QueryObs
 	// res accumulates the barrier's counters and the root rows.
@@ -196,12 +175,21 @@ func (c *Cluster) Run(ctx context.Context, plan *fragment.Plan, opts Opts) (*Res
 	if err != nil {
 		return nil, err
 	}
+	if err := r.schedule(plan); err != nil {
+		return nil, err
+	}
+	return r.finish(), nil
+}
+
+// schedule runs the runtime-filter pre-pass and then every wave, each up
+// to and through its barrier.
+func (r *run) schedule(plan *fragment.Plan) error {
 	// Runtime-filter pre-pass (DESIGN.md §13): the planned filters' build
 	// subtrees run as ordinary instances before wave 0 and freeze at their
 	// barrier.
 	if jobs := r.filterJobs(plan); len(jobs) > 0 {
 		if err := r.barrier(jobs, r.execute(jobs)); err != nil {
-			return nil, err
+			return err
 		}
 		r.fs.freeze(r.trace)
 	}
@@ -210,21 +198,19 @@ func (c *Cluster) Run(ctx context.Context, plan *fragment.Plan, opts Opts) (*Res
 		// adaptive controller's rewrites take effect on them.
 		jobs := r.waveJobs(w)
 		results := r.execute(jobs)
-		// Stragglers are hedged before the barrier: the speculative attempts
-		// must win or lose (and the loser's shipments be discarded) before
-		// any consumer wave receives.
+		// Stragglers are hedged before the barrier, so it publishes only
+		// the race's winner.
 		r.hedge(jobs, results)
 		if err := r.barrier(jobs, results); err != nil {
-			return nil, err
+			return err
 		}
 		r.replan(w)
 	}
-	return r.finish(), nil
+	return nil
 }
 
-// newRun sets one execution up: the wave schedule, the transport (with the
-// fault plan's send failures wired in), the simnet trace skeleton and the
-// observation record.
+// newRun sets one execution up: the wave schedule, the simnet trace
+// skeleton and the observation record.
 func (c *Cluster) newRun(ctx context.Context, plan *fragment.Plan, opts Opts) (*run, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -237,12 +223,12 @@ func (c *Cluster) newRun(ctx context.Context, plan *fragment.Plan, opts Opts) (*
 		c: c, ctx: ctx, opts: opts, waves: waves,
 		workers:   c.Workers,
 		began:     time.Now(),
-		transport: exec.NewTransport(),
+		exchanges: make(map[int]map[int][]*exec.Batch),
 		trace: &simnet.Trace{
 			Instances: make(map[int][]simnet.Instance),
 			Consumers: make(map[int][]int),
 		},
-		res: &Result{Fragments: len(plan.Fragments)},
+		res: &Result{ExecStats: obs.ExecStats{Fragments: len(plan.Fragments)}},
 	}
 	// The executor runs compiled expressions only. Kernels are shared by
 	// every instance, so they are compiled here, before any instance runs.
@@ -252,16 +238,8 @@ func (c *Cluster) newRun(ctx context.Context, plan *fragment.Plan, opts Opts) (*
 	if r.workers <= 0 {
 		r.workers = runtime.GOMAXPROCS(0)
 	}
-	if inj := c.Faults; inj != nil {
+	if c.Faults != nil {
 		r.dying = make(map[int]int)
-		if inj.SendFailRate() > 0 {
-			r.transport.FailSend = func(exchange, toSite int, b *exec.Batch) error {
-				if inj.SendFails(exchange, b.FromFrag, b.FromSite, b.FromVariant, toSite, b.Attempt) {
-					return fmt.Errorf("exchange %d send %d→%d: %w", exchange, b.FromSite, toSite, faults.ErrSendFail)
-				}
-				return nil
-			}
-		}
 	}
 	if opts.Adaptive != nil {
 		r.sketches = make(map[int]*sketch.Sketch)
@@ -346,10 +324,11 @@ func (r *run) execute(jobs []instanceJob) []instanceResult {
 // deterministic job order, so the trace, the observation record and the
 // reported errors are identical at every worker count. All of a failed
 // batch's distinct failures are reported together. It is the only place
-// worker results meet shared state: a pre-pass result is absorbed into
-// its filter, a wave result into the trace, the fragment's operator
-// statistics, the filter counters, the exchange sketches and — for the
-// root fragment — the query's rows.
+// worker results meet shared state: a surviving attempt's shipments are
+// published for later waves' receivers and priced on the trace, a
+// pre-pass result is absorbed into its filter, a wave result into the
+// trace, the fragment's operator statistics, the filter counters, the
+// exchange sketches and — for the root fragment — the query's rows.
 func (r *run) barrier(jobs []instanceJob, results []instanceResult) error {
 	if err := r.ctx.Err(); err != nil {
 		return err
@@ -371,6 +350,7 @@ func (r *run) barrier(jobs []instanceJob, results []instanceResult) error {
 			}
 			continue
 		}
+		r.publish(ir.sent)
 		r.res.Instances++
 		r.res.Retries += len(ir.retries)
 		r.trace.Retries = append(r.trace.Retries, ir.retries...)
@@ -405,6 +385,34 @@ func (r *run) barrier(jobs []instanceJob, results []instanceResult) error {
 	return errors.Join(errs...)
 }
 
+// publish makes one surviving attempt's shipments visible to later
+// waves' receivers and records them on the trace. Barriers call it in job
+// order — sender site, then variant — which is the order receivers read.
+func (r *run) publish(sent []*exec.Batch) {
+	for _, b := range sent {
+		to := r.exchanges[b.Exchange]
+		if to == nil {
+			to = make(map[int][]*exec.Batch)
+			r.exchanges[b.Exchange] = to
+		}
+		to[b.ToSite] = append(to[b.ToSite], b)
+		r.trace.Sends = append(r.trace.Sends, simnet.Send{
+			Exchange: b.Exchange, FromFrag: b.FromFrag, FromSite: b.FromSite,
+			FromVariant: b.FromVariant, ToSite: b.ToSite, Bytes: float64(b.Bytes),
+		})
+	}
+}
+
+// sentBytes totals an attempt's shipped bytes: what a retry must resend
+// or a lost hedge race wasted.
+func sentBytes(sent []*exec.Batch) float64 {
+	var n float64
+	for _, b := range sent {
+		n += float64(b.Bytes)
+	}
+	return n
+}
+
 // mergeSketches folds one instance's exchange sketches into the run's.
 // Each fragment has one sender, so a result carries at most one exchange;
 // sorting keeps the merge canonical regardless.
@@ -434,8 +442,8 @@ func (r *run) replan(w int) {
 	}
 	passStart := time.Now()
 	applied := r.opts.Adaptive.OnBarrier(w, r.sketches)
-	r.res.Replans++
-	r.res.Switches += len(applied)
+	r.res.AdaptiveReplans++
+	r.res.AdaptiveSwitches += len(applied)
 	r.qobs.Replans = append(r.qobs.Replans, applied...)
 	r.qobs.Spans = append(r.qobs.Spans, obs.Span{
 		Frag: -1, Site: -1, Host: -1, Wave: w,
@@ -445,22 +453,17 @@ func (r *run) replan(w int) {
 	})
 }
 
-// finish prices the trace on the cost clock and completes the result.
+// finish prices the trace on the cost clock and completes the result,
+// totalling each exchange edge from what the barriers published.
 func (r *run) finish() *Result {
-	exRows := make(map[int]int64)
-	exBytes := make(map[int]int64)
-	for _, s := range r.transport.Sends {
-		r.trace.Sends = append(r.trace.Sends, simnet.Send{
-			Exchange: s.Exchange, FromFrag: s.FromFrag, FromSite: s.FromSite,
-			FromVariant: s.FromVariant, ToSite: s.ToSite, Bytes: float64(s.Bytes),
-		})
-		exRows[s.Exchange] += s.Rows
-		exBytes[s.Exchange] += s.Bytes
-	}
 	for i := range r.qobs.Edges {
 		e := &r.qobs.Edges[i]
-		e.Rows = exRows[e.Exchange]
-		e.Bytes = exBytes[e.Exchange]
+		for _, bs := range r.exchanges[e.Exchange] {
+			for _, b := range bs {
+				e.Rows += int64(len(b.Rows))
+				e.Bytes += b.Bytes
+			}
+		}
 	}
 
 	res := r.res
@@ -468,6 +471,8 @@ func (r *run) finish() *Result {
 	res.Work = r.trace.TotalWork()
 	res.BytesShipped = r.trace.TotalBytes()
 	res.Workers = r.workers
+	res.Spans = len(r.qobs.Spans)
+	res.MemPeakBytes = r.opts.Mem.Peak()
 	res.Obs = r.qobs
 	r.qobs.WallNanos = time.Since(r.began).Nanoseconds()
 	r.qobs.ModeledNanos = res.Modeled.Nanoseconds()

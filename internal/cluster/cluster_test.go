@@ -17,7 +17,9 @@ import (
 	"gignite/internal/types"
 )
 
-func testCluster(t *testing.T, sites int) *Cluster {
+// testCluster is a cluster whose store holds table t(id, grp): 100 rows,
+// grp = id % 4, with the given number of backup replicas.
+func testCluster(t *testing.T, sites, backups int) *Cluster {
 	t.Helper()
 	cat := catalog.New()
 	err := cat.AddTable(&catalog.Table{
@@ -31,7 +33,7 @@ func testCluster(t *testing.T, sites int) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := storage.NewStore(cat, sites)
+	st := storage.NewReplicatedStore(cat, sites, backups)
 	rows := make([]types.Row, 100)
 	for i := range rows {
 		rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 4))}
@@ -42,15 +44,22 @@ func testCluster(t *testing.T, sites int) *Cluster {
 	return New(st, simnet.DefaultParams())
 }
 
-// buildPlan: scan t (all sites) → exchange single → collect at root.
-func buildPlan(t *testing.T, c *Cluster) *fragment.Plan {
+// scanT is a full scan of table t.
+func scanT(t *testing.T, c *Cluster) *physical.TableScan {
 	t.Helper()
-	tbl, err := c.Store.Catalog().Table("t")
+	td, err := c.Store.Table("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := physical.NewTableScan(tbl, "t", tbl.Fields())
+	scan := physical.NewTableScan(td.Def, "t", td.Def.Fields())
 	scan.Props().EstRows = 100
+	return scan
+}
+
+// buildPlan: scan t (all sites) → exchange single → collect at root.
+func buildPlan(t *testing.T, c *Cluster) *fragment.Plan {
+	t.Helper()
+	scan := scanT(t, c)
 	ex := physical.NewExchange(scan, physical.SingleDist)
 	ex.Props().EstRows = 100
 	return fragment.Split(ex)
@@ -58,7 +67,7 @@ func buildPlan(t *testing.T, c *Cluster) *fragment.Plan {
 
 func TestExecuteCollectsAllPartitions(t *testing.T) {
 	for _, sites := range []int{1, 3, 5} {
-		c := testCluster(t, sites)
+		c := testCluster(t, sites, 0)
 		res, err := c.Run(context.Background(), buildPlan(t, c), Opts{Variants: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -83,7 +92,7 @@ func TestExecuteCollectsAllPartitions(t *testing.T) {
 }
 
 func TestVariantsSameResultsMoreInstances(t *testing.T) {
-	c := testCluster(t, 2)
+	c := testCluster(t, 2, 0)
 	single, err := c.Run(context.Background(), buildPlan(t, c), Opts{Variants: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +127,7 @@ func TestVariantsSameResultsMoreInstances(t *testing.T) {
 // worker count — host parallelism changes wall-clock only.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, variants := range []int{1, 2} {
-		c := testCluster(t, 4)
+		c := testCluster(t, 4, 0)
 		c.Workers = 1
 		seq, err := c.Run(context.Background(), buildPlan(t, c), Opts{Variants: variants})
 		if err != nil {
@@ -158,7 +167,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // TestParallelWorkLimit: the limit still aborts when instances run on
 // multiple goroutines.
 func TestParallelWorkLimit(t *testing.T) {
-	c := testCluster(t, 4)
+	c := testCluster(t, 4, 0)
 	c.Workers = 4
 	if _, err := c.Run(context.Background(), buildPlan(t, c), Opts{Variants: 1, WorkLimit: 1}); err == nil {
 		t.Error("tiny work limit not enforced under parallel execution")
@@ -166,7 +175,7 @@ func TestParallelWorkLimit(t *testing.T) {
 }
 
 func TestWorkLimitPropagates(t *testing.T) {
-	c := testCluster(t, 2)
+	c := testCluster(t, 2, 0)
 	_, err := c.Run(context.Background(), buildPlan(t, c), Opts{Variants: 1, WorkLimit: 1})
 	if err == nil {
 		t.Error("tiny work limit not enforced")
@@ -174,7 +183,7 @@ func TestWorkLimitPropagates(t *testing.T) {
 }
 
 func TestFragmentSitesByDistribution(t *testing.T) {
-	c := testCluster(t, 4)
+	c := testCluster(t, 4, 0)
 	plan := buildPlan(t, c)
 	for _, f := range plan.Fragments {
 		sites, _ := c.fragmentSites(f)
@@ -194,10 +203,8 @@ func TestFragmentSitesByDistribution(t *testing.T) {
 // TestDistributedAggregation wires map/exchange/reduce manually and checks
 // partial merging across sites.
 func TestDistributedAggregation(t *testing.T) {
-	c := testCluster(t, 3)
-	tbl, _ := c.Store.Catalog().Table("t")
-	scan := physical.NewTableScan(tbl, "t", tbl.Fields())
-	scan.Props().EstRows = 100
+	c := testCluster(t, 3, 0)
+	scan := scanT(t, c)
 	split, err := physical.SplitAggCalls(1, []expr.AggCall{
 		{Func: expr.AggCount, Name: "n"},
 		{Func: expr.AggAvg, Arg: expr.NewColRef(0, types.KindInt, ""), Name: "avg_id"},
@@ -246,21 +253,11 @@ func TestDistributedAggregation(t *testing.T) {
 // plan.
 func replicatedTestCluster(t *testing.T, sites, backups int, spec string) *Cluster {
 	t.Helper()
-	c := testCluster(t, sites)
+	c := testCluster(t, sites, backups)
 	plan, err := faults.Parse(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := c.Store.Catalog()
-	st := storage.NewReplicatedStore(cat, sites, backups)
-	rows := make([]types.Row, 100)
-	for i := range rows {
-		rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 4))}
-	}
-	if err := st.Load("t", rows); err != nil {
-		t.Fatal(err)
-	}
-	c.Store = st
 	c.Faults = faults.New(plan)
 	return c
 }
@@ -269,7 +266,7 @@ func replicatedTestCluster(t *testing.T, sites, backups int, spec string) *Clust
 // partition's backup replica; rows are identical to the healthy run and
 // the recovery is visible in Result.Retries.
 func TestFailoverToBackupReplica(t *testing.T) {
-	healthy := testCluster(t, 4)
+	healthy := testCluster(t, 4, 0)
 	want, err := healthy.Run(context.Background(), buildPlan(t, healthy), Opts{Variants: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +321,7 @@ func TestCrashWithoutBackupsFails(t *testing.T) {
 // TestCancelledContextStopsExecution: a pre-cancelled context returns
 // ctx.Err() without running instances.
 func TestCancelledContextStopsExecution(t *testing.T) {
-	c := testCluster(t, 4)
+	c := testCluster(t, 4, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := c.Run(ctx, buildPlan(t, c), Opts{Variants: 1})

@@ -13,8 +13,8 @@ import (
 // clock, not wall time: an instance whose charged work exceeded
 // HedgeAfter× the wave's median (a slow site multiplies charged work —
 // see Injector.Slowdown) is re-executed at the next live replica of its
-// partition. The modeled-faster attempt's shipments survive, the loser's
-// are discarded, and a tie goes to the primary (the lowest attempt
+// partition. The modeled-faster attempt's shipments are published, the
+// loser's never are, and a tie goes to the primary (the lowest attempt
 // ordinal), so results stay byte-identical at every worker count whether
 // or not hedging fires.
 func (r *run) hedge(jobs []instanceJob, results []instanceResult) {
@@ -76,9 +76,10 @@ func (r *run) hedgeHost(j *instanceJob, primary int) int {
 // runHedge executes one speculative attempt and settles the race on the
 // modeled clock: the hedge launched after `threshold` work-units of the
 // primary's timeline, so it wins only when threshold + its own work beats
-// the primary's work outright. Exactly one attempt's shipments survive in
-// the transport, and exactly one span is appended (keeping the invariant
-// spans == instances + retries + hedges).
+// the primary's work outright. Exactly one attempt's outcome, shipments
+// included, stays on ir for the barrier to publish, and exactly one span
+// is appended (keeping the invariant spans == instances + retries +
+// hedges).
 func (r *run) runHedge(j *instanceJob, ir *instanceResult, host int, threshold float64) {
 	if r.ctx.Err() != nil {
 		return
@@ -90,7 +91,7 @@ func (r *run) runHedge(j *instanceJob, ir *instanceResult, host int, threshold f
 	out, err := r.attempt(j, host, n)
 
 	hedge := &simnet.Hedge{Frag: j.frag.ID, Site: j.site, Variant: j.variant, DelayWork: threshold}
-	status, loser := obs.SpanOK, n
+	status := obs.SpanOK
 	switch {
 	case err != nil:
 		// A failed hedge never fails the query — the primary already
@@ -98,14 +99,14 @@ func (r *run) runHedge(j *instanceJob, ir *instanceResult, host int, threshold f
 		status = obs.SpanFailed
 		hedge.LostWork = out.work
 	case threshold+out.work < ir.work:
-		// The hedge finishes first on the modeled clock: keep its outputs,
-		// discard the primary's, and flip the primary's span. The primary
-		// is abandoned the moment the hedge completes, so its lost work is
-		// capped at the race's finish time.
-		loser = primary.Attempt
+		// The hedge finishes first on the modeled clock: keep its outputs
+		// instead of the primary's, and flip the primary's span. The
+		// primary is abandoned the moment the hedge completes, so its lost
+		// work is capped at the race's finish time.
 		primary.Status = obs.SpanHedged
 		hedge.Won = true
 		hedge.LostWork = min(threshold+out.work, ir.work)
+		hedge.LostBytes = sentBytes(ir.sent)
 		ir.outcome = out
 	default:
 		// The primary wins (ties included: the lowest attempt ordinal is
@@ -113,10 +114,7 @@ func (r *run) runHedge(j *instanceJob, ir *instanceResult, host int, threshold f
 		// finish, bounded by its own completion.
 		status = obs.SpanHedged
 		hedge.LostWork = min(ir.work-threshold, out.work)
-	}
-	bytes, _ := r.transport.DiscardAttempt(j.frag.ID, j.site, j.variant, loser)
-	if err == nil {
-		hedge.LostBytes = bytes
+		hedge.LostBytes = sentBytes(out.sent)
 	}
 	s := r.span(j, host, n, start, status, err)
 	s.Hedge = true

@@ -87,6 +87,9 @@ func (r *run) span(j *instanceJob, host, attempt int, start time.Time, status ob
 // outcome is what one attempt of an instance produced.
 type outcome struct {
 	rows []types.Row
+	// sent is the attempt's private shipments; the barrier publishes them
+	// only for the attempt that survives.
+	sent []*exec.Batch
 	host int
 	// work is the attempt's CPU work as charged to the cost clock: a slow
 	// site is charged proportionally more, so the slowdown lands in the
@@ -184,23 +187,22 @@ func runPool(n, workers int, run func(i int)) {
 func (r *run) attempt(j *instanceJob, host, n int) (outcome, error) {
 	c := r.c
 	ectx := &exec.Context{
-		Store:        c.Store,
-		Transport:    r.transport,
-		FragID:       j.frag.ID,
-		Site:         j.site,
-		Host:         host,
-		Attempt:      n,
-		Ctx:          r.ctx,
-		Faults:       c.Faults,
-		Variant:      j.variant,
-		NVariants:    j.nVariants,
-		Modes:        j.modes,
-		WorkLimit:    r.opts.WorkLimit,
-		RowLimit:     c.RowLimit,
-		OpIDs:        j.fobs.OpIndex,
-		Obs:          obs.NewInstanceObs(j.fobs),
-		Mem:          r.opts.Mem,
-		SiteMemBytes: c.Faults.MemLimit(host),
+		Store:     c.Store,
+		Exchanges: r.exchanges,
+		FragID:    j.frag.ID,
+		Site:      j.site,
+		Host:      host,
+		Attempt:   n,
+		Ctx:       r.ctx,
+		Faults:    c.Faults,
+		Variant:   j.variant,
+		NVariants: j.nVariants,
+		Modes:     j.modes,
+		WorkLimit: r.opts.WorkLimit,
+		RowLimit:  c.RowLimit,
+		OpIDs:     j.fobs.OpIndex,
+		Obs:       obs.NewInstanceObs(j.fobs),
+		Mem:       r.opts.Mem,
 	}
 	if r.opts.Adaptive != nil {
 		ectx.SketchKeys = r.opts.Adaptive.SketchKeys()
@@ -219,7 +221,7 @@ func (r *run) attempt(j *instanceJob, host, n int) (outcome, error) {
 	// remembers the cumulative charge).
 	r.opts.Mem.Release(ectx.ChargedMem())
 	return outcome{
-		rows: rows, host: host,
+		rows: rows, sent: ectx.Sent, host: host,
 		work:    ectx.CPUWork * c.Faults.Slowdown(host),
 		obs:     ectx.Obs,
 		ftested: ectx.FilterTested, fpruned: ectx.FilterPruned,
@@ -287,22 +289,18 @@ func (r *run) runInstance(j *instanceJob, ir *instanceResult) {
 			return
 		}
 
-		// Roll back this attempt's shipments so a retry never duplicates
-		// rows (and a terminally failed instance never leaks partial
-		// sends into the trace).
-		bytes, _ := r.transport.DiscardFrom(j.frag.ID, j.site, j.variant)
-
 		if !faults.Injected(err) || n == maxAttempts-1 {
 			ir.spans = append(ir.spans, r.span(j, host, n, start, obs.SpanFailed, err))
 			ir.err = err
 			return
 		}
 		// Retryable fault: charge the lost attempt (its CPU work and the
-		// bytes that must be resent) and fail over.
+		// bytes that must be resent) and fail over. Its shipments are
+		// dropped with it: only a surviving attempt's are published.
 		ir.spans = append(ir.spans, r.span(j, host, n, start, obs.SpanRetried, err))
 		ir.retries = append(ir.retries, simnet.Retry{
 			Frag: j.frag.ID, Site: j.site, Variant: j.variant, Host: host,
-			Work: out.work, Bytes: bytes,
+			Work: out.work, Bytes: sentBytes(out.sent),
 		})
 		if errors.Is(err, faults.ErrSiteCrash) || errors.Is(err, faults.ErrSiteMem) {
 			// This replica cannot serve the instance (gone, or its memory

@@ -1,6 +1,12 @@
 // Package exec implements the runtime operators: it executes one fragment
-// instance (fragment × site × variant) over the partitioned store,
-// exchanging rows with other fragments through a Transport.
+// instance (fragment × site × variant) over the partitioned store.
+//
+// Fragments exchange rows only through Sender/Receiver pairs, and an
+// instance never writes shared state: a Sender appends its batches to its
+// own attempt's Context.Sent, and the scheduler's wave barrier publishes
+// the surviving attempt's batches into the query's Exchanges, which later
+// waves' Receivers read without locks, copies or sorting. A failed retry
+// or a losing hedge is simply never published.
 //
 // Execution inside a fragment is pipelined (pipeline.go): rows flow in
 // batches of at most batchSize from a source (table or index scan,
@@ -25,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"gignite/internal/cost"
@@ -43,43 +48,34 @@ import (
 // Batch is one shipment of rows from a sender instance to a target site.
 type Batch struct {
 	Rows        []types.Row
+	Exchange    int
+	ToSite      int
 	FromFrag    int
 	FromSite    int
 	FromVariant int
-	// Attempt is the sender instance's retry attempt (0 = first try); it
-	// feeds the fault injector so a resent batch draws a fresh outcome.
-	Attempt int
-	Bytes   int64
+	Bytes       int64
 	// Sorted carries the sender-side collation for merging receivers.
 	Sorted []types.SortKey
 }
 
-// Transport buffers exchanged batches: batches[exchangeID][targetSite].
-// It is safe for concurrent senders and receivers.
-type Transport struct {
-	mu      sync.Mutex
-	batches map[int]map[int][]*Batch
-	// Sends records every shipment for the cost clock.
-	Sends []SendRecord
-	// FailSend, when set, is consulted before every shipment; a non-nil
-	// return fails the send (the cluster wires the fault injector here).
-	FailSend func(exchange, toSite int, b *Batch) error
-	// scratch pools hash senders' per-call routing buffers. Batch row
-	// slices themselves are retained by the transport until the query
-	// finishes, so only the transient routing state is poolable.
-	scratch sync.Pool
-}
-
 // sendScratch is the reusable per-call state of one hash-routing send:
-// the per-row route assignments and the per-site row counts.
+// the per-row route assignments and the per-site row counts. Batch row
+// slices are kept until the query finishes, so only the transient
+// routing state is pooled.
 type sendScratch struct {
 	routes []int
 	counts []int
 }
 
+// sendScratchPool is package-level on purpose: the runtime keeps a used
+// pool reachable until the second collection after its last use, so a pool
+// embedded in a per-query object would keep that object, and every batch
+// it points to, alive that long.
+var sendScratchPool sync.Pool
+
 // getScratch borrows a routing buffer sized for rows×sites.
-func (t *Transport) getScratch(rows, sites int) *sendScratch {
-	sc, _ := t.scratch.Get().(*sendScratch)
+func getScratch(rows, sites int) *sendScratch {
+	sc, _ := sendScratchPool.Get().(*sendScratch)
 	if sc == nil {
 		sc = &sendScratch{}
 	}
@@ -97,126 +93,19 @@ func (t *Transport) getScratch(rows, sites int) *sendScratch {
 	return sc
 }
 
-func (t *Transport) putScratch(sc *sendScratch) { t.scratch.Put(sc) }
-
-// SendRecord is the cost-clock view of one shipment. Attempt identifies
-// the sender attempt so a hedged race's loser can be rolled back without
-// touching the winner's shipments.
-type SendRecord struct {
-	Exchange    int
-	FromFrag    int
-	FromSite    int
-	FromVariant int
-	Attempt     int
-	ToSite      int
-	Bytes       int64
-	Rows        int64
-}
-
-// NewTransport creates an empty transport.
-func NewTransport() *Transport {
-	return &Transport{batches: make(map[int]map[int][]*Batch)}
-}
-
-// Send ships rows to a target site under an exchange ID. It fails only
-// when a FailSend hook rejects the shipment (injected transport faults).
-func (t *Transport) Send(exchange, toSite int, b *Batch) error {
-	if t.FailSend != nil {
-		if err := t.FailSend(exchange, toSite, b); err != nil {
-			return err
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m, ok := t.batches[exchange]
-	if !ok {
-		m = make(map[int][]*Batch)
-		t.batches[exchange] = m
-	}
-	m[toSite] = append(m[toSite], b)
-	t.Sends = append(t.Sends, SendRecord{
-		Exchange: exchange, FromFrag: b.FromFrag, FromSite: b.FromSite,
-		FromVariant: b.FromVariant, Attempt: b.Attempt, ToSite: toSite,
-		Bytes: b.Bytes, Rows: int64(len(b.Rows)),
-	})
-	return nil
-}
-
-// DiscardFrom rolls back every batch and send record shipped by one
-// sender instance, identified by its logical coordinates (fragment,
-// logical site, variant). The retry scheduler calls this before re-running
-// a failed instance so retried shipments never duplicate rows; the
-// returned totals are the rollback's resend cost for the simnet trace.
-// Discarding is safe because consumers only receive at the next wave
-// barrier, after all retries of the producing wave have settled.
-func (t *Transport) DiscardFrom(fromFrag, fromSite, fromVariant int) (bytes float64, rows int64) {
-	return t.discard(func(frag, site, variant, attempt int) bool {
-		return frag == fromFrag && site == fromSite && variant == fromVariant
-	})
-}
-
-// DiscardAttempt rolls back the shipments of one specific attempt of a
-// sender instance — the losing side of a hedged race — leaving the
-// surviving attempt's shipments in place (DESIGN.md §14).
-func (t *Transport) DiscardAttempt(fromFrag, fromSite, fromVariant, attempt int) (bytes float64, rows int64) {
-	return t.discard(func(frag, site, variant, att int) bool {
-		return frag == fromFrag && site == fromSite && variant == fromVariant && att == attempt
-	})
-}
-
-func (t *Transport) discard(match func(frag, site, variant, attempt int) bool) (bytes float64, rows int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, m := range t.batches {
-		for toSite, bs := range m {
-			kept := bs[:0]
-			for _, b := range bs {
-				if match(b.FromFrag, b.FromSite, b.FromVariant, b.Attempt) {
-					continue
-				}
-				kept = append(kept, b)
-			}
-			m[toSite] = kept
-		}
-	}
-	keptSends := t.Sends[:0]
-	for _, s := range t.Sends {
-		if match(s.FromFrag, s.FromSite, s.FromVariant, s.Attempt) {
-			bytes += float64(s.Bytes)
-			rows += s.Rows
-			continue
-		}
-		keptSends = append(keptSends, s)
-	}
-	t.Sends = keptSends
-	return bytes, rows
-}
-
-// Receive returns the batches shipped to a site under an exchange ID.
-// The returned slice is a copy in a deterministic order — by sender
-// site, then sender variant — so concurrent receivers may reorder or
-// truncate it freely, and concurrent senders' arrival order never
-// perturbs consumer-side row order.
-func (t *Transport) Receive(exchange, site int) []*Batch {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	src := t.batches[exchange][site]
-	out := make([]*Batch, len(src))
-	copy(out, src)
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].FromSite != out[b].FromSite {
-			return out[a].FromSite < out[b].FromSite
-		}
-		return out[a].FromVariant < out[b].FromVariant
-	})
-	return out
-}
-
 // Context is the execution environment of one fragment instance.
 type Context struct {
-	Store     *storage.Store
-	Transport *Transport
-	FragID    int
+	Store *storage.Store
+	// Exchanges holds the shipments earlier waves published,
+	// batches[exchangeID][targetSite], in sender job order — (site,
+	// variant). Receivers index it directly; nothing writes it while the
+	// instance runs.
+	Exchanges map[int]map[int][]*Batch
+	// Sent collects this attempt's own shipments. They stay private to the
+	// attempt: the scheduler publishes them into Exchanges at the wave
+	// barrier only if the attempt survives.
+	Sent   []*Batch
+	FragID int
 	// Site is the instance's logical site: the partition slot it covers
 	// and the identity its shipments carry. It never changes across
 	// retries, which is what keeps failover results byte-identical.
@@ -230,7 +119,8 @@ type Context struct {
 	// Ctx carries the query's cancellation signal; operators check it at
 	// row-batch boundaries. nil means not cancellable.
 	Ctx context.Context
-	// Faults is the query's fault injector (nil = no faults).
+	// Faults is the query's fault injector (nil = no faults): it fails
+	// sends (sendfail=) and bounds the host's memory pool (mem=S@B).
 	Faults *faults.Injector
 	// Variant / NVariants implement §5.3.2 splitters; NVariants is 1 for
 	// single-threaded fragments.
@@ -259,14 +149,9 @@ type Context struct {
 	// failures abort only this query, with a typed error naming the
 	// operator.
 	Mem *governor.Lease
-	// SiteMemBytes, when positive, is the host site's injected memory
-	// pool (the mem=S@B fault term): an instance whose charges exceed it
-	// fails with faults.ErrSiteMem and fails over to the next replica.
-	// Enforcement is per-instance and deterministic.
-	SiteMemBytes int64
-	// memLocal is this attempt's charged bytes (the SiteMemBytes check);
-	// memCharged is the subset successfully reserved on the lease, which
-	// the scheduler releases when the attempt finishes.
+	// memLocal is this attempt's charged bytes (the host memory pool
+	// check); memCharged is the subset successfully reserved on the lease,
+	// which the scheduler releases when the attempt finishes.
 	memLocal   int64
 	memCharged int64
 	// OpIDs maps this fragment's operators to dense per-fragment operator
@@ -352,22 +237,23 @@ func filterTestRow(f *joinfilter.Filter, cols []int, r types.Row) bool {
 // ErrWorkLimit reports an execution exceeding its work limit.
 var ErrWorkLimit = errors.New("exec: work limit exceeded")
 
-// ReserveMem charges estimated operator-state bytes against the
-// instance's site memory pool and the query's lease, recording the
-// operator's memory high-water mark. A failed reservation names the
-// operator; the caller aborts the instance (site-pool failures fail over,
-// lease failures abort the query). The charges are estimates in the same
-// sense as the cost clock: an operator charges what full materialization
-// of its state would hold, whether or not the pipeline keeps it.
+// ReserveMem charges estimated operator-state bytes against the host's
+// injected memory pool and the query's lease, recording the operator's
+// memory high-water mark. A failed reservation names the operator; the
+// caller aborts the instance (a host pool failure, faults.ErrSiteMem,
+// fails over to the next replica; lease failures abort the query). The
+// charges are estimates in the same sense as the cost clock: an operator
+// charges what full materialization of its state would hold, whether or
+// not the pipeline keeps it.
 func (c *Context) ReserveMem(n physical.Node, bytes int64) error {
 	if bytes <= 0 {
 		return nil
 	}
 	c.opstat(n).addMem(bytes)
 	c.memLocal += bytes
-	if c.SiteMemBytes > 0 && c.memLocal > c.SiteMemBytes {
+	if pool := c.Faults.MemLimit(c.Host); pool > 0 && c.memLocal > pool {
 		return fmt.Errorf("exec: %s: site %d memory pool (%d bytes) exhausted: %w",
-			n.Describe(), c.Host, c.SiteMemBytes, faults.ErrSiteMem)
+			n.Describe(), c.Host, pool, faults.ErrSiteMem)
 	}
 	if c.Mem != nil {
 		if err := c.Mem.Reserve(bytes); err != nil {
@@ -493,8 +379,8 @@ func (c *Context) cancelled() error {
 }
 
 // Run executes a fragment instance rooted at n and returns its output
-// rows, which the caller may keep. Sender roots route their rows into the
-// transport and return nil.
+// rows, which the caller may keep. Sender roots append their batches to
+// ctx.Sent and return nil.
 func Run(n physical.Node, ctx *Context) ([]types.Row, error) {
 	var res rowBuffer
 	var err error
@@ -541,25 +427,11 @@ func (s *senderOp) push(rows []types.Row, stable bool) error { return s.buf.push
 func (s *senderOp) expect(n int)                             { s.buf.expect(n) }
 func (s *senderOp) keepsRows()                               {}
 
-// sendRows routes a sender's output per its target distribution. Batches
-// carry the instance's logical coordinates (Site, not Host), so a
-// failed-over sender ships under the same identity the owner would have —
-// receivers order by that identity, keeping failover results
-// byte-identical.
+// sendRows routes a sender's output per its target distribution into the
+// attempt's Sent list.
 func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 	sites := ctx.Store.Sites()
 	st := ctx.opstat(s)
-	mk := func(rs []types.Row) *Batch {
-		var bytes int64
-		for _, r := range rs {
-			bytes += r.Width()
-		}
-		return &Batch{
-			Rows: rs, FromFrag: ctx.FragID, FromSite: ctx.Site,
-			FromVariant: ctx.Variant, Attempt: ctx.Attempt,
-			Bytes: bytes, Sorted: s.Collation(),
-		}
-	}
 	var sf *SendFilter
 	if ctx.SendFilters != nil {
 		sf = ctx.SendFilters[s.ExchangeID]
@@ -572,7 +444,7 @@ func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 		if sf != nil {
 			out = ctx.filterToSite(st, sf, rows, 0)
 		}
-		return ctx.Transport.Send(s.ExchangeID, 0, mk(out))
+		return ctx.ship(s, 0, out)
 	case physical.Broadcast:
 		for site := 0; site < sites; site++ {
 			out := rows
@@ -582,7 +454,7 @@ func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 				// reach the sites whose build partition could match it.
 				out = ctx.filterToSite(st, sf, rows, site)
 			}
-			if err := ctx.Transport.Send(s.ExchangeID, site, mk(out)); err != nil {
+			if err := ctx.ship(s, site, out); err != nil {
 				return err
 			}
 		}
@@ -591,8 +463,8 @@ func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 		// destination (and filter verdict) once, then carve exact-size
 		// per-site slices out of one backing array. This keeps the hot
 		// send path free of append-growth reallocations.
-		sc := ctx.Transport.getScratch(len(rows), sites)
-		defer ctx.Transport.putScratch(sc)
+		sc := getScratch(len(rows), sites)
+		defer sendScratchPool.Put(sc)
 		// A keyless target routes on the whole row.
 		keys := s.Target.Keys
 		if len(keys) == 0 && len(rows) > 0 {
@@ -630,11 +502,32 @@ func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 			}
 		}
 		for site, b := range buckets {
-			if err := ctx.Transport.Send(s.ExchangeID, site, mk(b)); err != nil {
+			if err := ctx.ship(s, site, b); err != nil {
 				return err
 			}
 		}
 	}
+	return nil
+}
+
+// ship records one batch for a target site as this attempt's shipment,
+// unless the fault plan fails the send. Batches carry the instance's
+// logical coordinates (Site, not Host), so a failed-over sender ships
+// under the same identity the owner would have, and a retry draws a fresh
+// fault outcome from its attempt number.
+func (c *Context) ship(s *physical.Sender, toSite int, rows []types.Row) error {
+	if c.Faults.SendFails(s.ExchangeID, c.FragID, c.Site, c.Variant, toSite, c.Attempt) {
+		return fmt.Errorf("exchange %d send %d→%d: %w", s.ExchangeID, c.Site, toSite, faults.ErrSendFail)
+	}
+	var bytes int64
+	for _, r := range rows {
+		bytes += r.Width()
+	}
+	c.Sent = append(c.Sent, &Batch{
+		Rows: rows, Exchange: s.ExchangeID, ToSite: toSite,
+		FromFrag: c.FragID, FromSite: c.Site, FromVariant: c.Variant,
+		Bytes: bytes, Sorted: s.Collation(),
+	})
 	return nil
 }
 

@@ -53,15 +53,28 @@ func testStore(t testing.TB, sites int) *storage.Store {
 
 func scanNode(t *testing.T, st *storage.Store) *physical.TableScan {
 	t.Helper()
-	tbl, err := st.Catalog().Table("t")
+	td, err := st.Table("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return physical.NewTableScan(tbl, "t", tbl.Fields())
+	return physical.NewTableScan(td.Def, "t", td.Def.Fields())
 }
 
 func ctxAt(st *storage.Store, site int) *Context {
-	return &Context{Store: st, Transport: NewTransport(), Site: site, Host: site, NVariants: 1}
+	return &Context{Store: st, Site: site, Host: site, NVariants: 1}
+}
+
+// publish groups batches by exchange and target site in the order given,
+// as the scheduler's wave barrier does with surviving attempts' Sent.
+func publish(batches ...*Batch) map[int]map[int][]*Batch {
+	ex := make(map[int]map[int][]*Batch)
+	for _, b := range batches {
+		if ex[b.Exchange] == nil {
+			ex[b.Exchange] = make(map[int][]*Batch)
+		}
+		ex[b.Exchange][b.ToSite] = append(ex[b.Exchange][b.ToSite], b)
+	}
+	return ex
 }
 
 // runPlan compiles a hand-built plan's expressions, as cluster.Run does
@@ -309,31 +322,31 @@ func TestSenderRouting(t *testing.T) {
 	fields := types.Fields{{Name: "k", Kind: types.KindInt}, {Name: "v", Kind: types.KindInt}}
 
 	// Single: everything to site 0.
-	tr := NewTransport()
 	vals := physical.NewValues(fields, rows)
 	s := physical.NewSender(vals, 7, physical.SingleDist)
-	ctx := &Context{Store: st, Transport: tr, Site: 2, Host: 2, NVariants: 1}
+	ctx := &Context{Store: st, Site: 2, Host: 2, NVariants: 1}
 	if _, err := runPlan(s, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tr.Receive(7, 0)); got != 1 {
+	sent := publish(ctx.Sent...)
+	if got := len(sent[7][0]); got != 1 {
 		t.Errorf("single target batches at site 0 = %d", got)
 	}
 	for site := 1; site < 4; site++ {
-		if len(tr.Receive(7, site)) != 0 {
+		if len(sent[7][site]) != 0 {
 			t.Errorf("single target leaked to site %d", site)
 		}
 	}
 
 	// Broadcast: a full copy everywhere.
-	tr = NewTransport()
 	s = physical.NewSender(physical.NewValues(fields, rows), 8, physical.BroadcastDist)
-	ctx = &Context{Store: st, Transport: tr, Site: 0, NVariants: 1}
+	ctx = &Context{Store: st, Site: 0, NVariants: 1}
 	if _, err := runPlan(s, ctx); err != nil {
 		t.Fatal(err)
 	}
+	sent = publish(ctx.Sent...)
 	for site := 0; site < 4; site++ {
-		batches := tr.Receive(8, site)
+		batches := sent[8][site]
 		if len(batches) != 1 || len(batches[0].Rows) != 40 {
 			t.Errorf("broadcast site %d got %d batches", site, len(batches))
 		}
@@ -341,15 +354,15 @@ func TestSenderRouting(t *testing.T) {
 
 	// Hash: partitioned disjointly and completely, consistent with the
 	// storage placement function.
-	tr = NewTransport()
 	s = physical.NewSender(physical.NewValues(fields, rows), 9, physical.HashDist(0))
-	ctx = &Context{Store: st, Transport: tr, Site: 0, NVariants: 1}
+	ctx = &Context{Store: st, Site: 0, NVariants: 1}
 	if _, err := runPlan(s, ctx); err != nil {
 		t.Fatal(err)
 	}
+	sent = publish(ctx.Sent...)
 	seen := 0
 	for site := 0; site < 4; site++ {
-		for _, b := range tr.Receive(9, site) {
+		for _, b := range sent[9][site] {
 			for _, r := range b.Rows {
 				if storage.PartitionOf(r[0], 4) != site {
 					t.Errorf("row %v routed to wrong site %d", r, site)
@@ -367,15 +380,13 @@ func TestSenderRouting(t *testing.T) {
 // source completely and disjointly across variants.
 func TestSplitterPartitionProperty(t *testing.T) {
 	st := testStore(t, 1)
-	tbl, _ := st.Catalog().Table("t")
-	scan := physical.NewTableScan(tbl, "t", tbl.Fields())
+	scan := scanNode(t, st)
 	f := func(nRaw uint8) bool {
 		n := int(nRaw%4) + 2
 		modes := map[physical.Node]fragment.SourceMode{scan: fragment.SplitMode}
 		seen := map[int64]int{}
 		for v := 0; v < n; v++ {
-			ctx := &Context{Store: st, Transport: NewTransport(), Site: 0,
-				Variant: v, NVariants: n, Modes: modes}
+			ctx := &Context{Store: st, Site: 0, Variant: v, NVariants: n, Modes: modes}
 			rows, err := runPlan(scan, ctx)
 			if err != nil {
 				return false
@@ -401,12 +412,10 @@ func TestSplitterPartitionProperty(t *testing.T) {
 
 func TestDuplicatorReplaysAll(t *testing.T) {
 	st := testStore(t, 1)
-	tbl, _ := st.Catalog().Table("t")
-	scan := physical.NewTableScan(tbl, "t", tbl.Fields())
+	scan := scanNode(t, st)
 	modes := map[physical.Node]fragment.SourceMode{scan: fragment.DuplicateMode}
 	for v := 0; v < 2; v++ {
-		ctx := &Context{Store: st, Transport: NewTransport(), Site: 0,
-			Variant: v, NVariants: 2, Modes: modes}
+		ctx := &Context{Store: st, Site: 0, Variant: v, NVariants: 2, Modes: modes}
 		rows, err := runPlan(scan, ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -417,68 +426,94 @@ func TestDuplicatorReplaysAll(t *testing.T) {
 	}
 }
 
-// TestReceiveReturnsCopy: the batch slice handed to one receiver must be
-// private — truncating or overwriting it cannot corrupt what a second
-// receiver of the same exchange sees (variant fragments receive the same
-// (exchange, site) stream once per variant).
+// TestReceiveReturnsCopy: receivers read the published stream in place,
+// so nothing a consumer does to the rows it is handed — re-sorting them,
+// or merging them — may change what a second receiver of the same
+// (exchange, site) stream sees (variant fragments receive it once per
+// variant).
 func TestReceiveReturnsCopy(t *testing.T) {
-	tr := NewTransport()
-	tr.Send(1, 0, &Batch{Rows: []types.Row{{types.NewInt(1)}}, FromSite: 0})
-	tr.Send(1, 0, &Batch{Rows: []types.Row{{types.NewInt(2)}}, FromSite: 1})
+	st := testStore(t, 1)
+	fields := types.Fields{{Name: "k", Kind: types.KindInt}}
+	b0 := &Batch{Exchange: 1, Rows: []types.Row{{types.NewInt(1)}, {types.NewInt(3)}}}
+	b1 := &Batch{Exchange: 1, FromSite: 1, Rows: []types.Row{{types.NewInt(2)}, {types.NewInt(4)}}}
+	ex := publish(b0, b1)
 
-	first := tr.Receive(1, 0)
-	if len(first) != 2 {
-		t.Fatalf("batches = %d", len(first))
+	desc := []types.SortKey{{Col: 0, Desc: true}}
+	plain := physical.NewReceiver(physical.NewExchange(physical.NewValues(fields, nil), physical.SingleDist), 1)
+	merging := physical.NewReceiver(physical.NewExchange(physical.NewSort(
+		physical.NewValues(fields, nil), desc), physical.SingleDist), 1)
+	for _, n := range []physical.Node{physical.NewSort(plain, desc), merging} {
+		rows, err := runPlan(n, &Context{Store: st, Exchanges: ex, Site: 0, NVariants: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 4 || rows[0][0].Int() != 4 {
+			t.Fatalf("re-sorting consumer got %v", rows)
+		}
 	}
-	// Mutate the returned slice in every way a consumer might.
-	first[0], first[1] = first[1], first[0]
-	first = append(first[:1], &Batch{})
-	_ = first
 
-	second := tr.Receive(1, 0)
-	if len(second) != 2 {
-		t.Fatalf("second receiver sees %d batches", len(second))
+	stream := ex[1][0]
+	if len(stream) != 2 || stream[0] != b0 || stream[1] != b1 {
+		t.Fatalf("published stream changed: %v", stream)
 	}
-	if second[0].Rows[0][0].Int() != 1 || second[1].Rows[0][0].Int() != 2 {
-		t.Errorf("second receiver corrupted: %v, %v", second[0].Rows, second[1].Rows)
+	rows, err := runPlan(plain, &Context{Store: st, Exchanges: ex, Site: 0, Variant: 1, NVariants: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int64{1, 3, 2, 4}
+	if len(rows) != len(want) {
+		t.Fatalf("second receiver sees %d rows", len(rows))
+	}
+	for i, r := range rows {
+		if r[0].Int() != want[i] {
+			t.Fatalf("second receiver corrupted: %v, want %v", rows, want)
+		}
 	}
 }
 
-// TestReceiveDeterministicOrder: batches come back ordered by (sender
-// site, sender variant) regardless of arrival order, so concurrent
-// senders cannot perturb consumer-side row order.
+// TestReceiveDeterministicOrder: a receiver streams its published batches
+// in the order the barrier publishes them — (sender site, sender variant)
+// — so row order downstream does not depend on which sender finished
+// first.
 func TestReceiveDeterministicOrder(t *testing.T) {
-	tr := NewTransport()
-	// Arrive out of order, as parallel senders would.
-	tr.Send(5, 0, &Batch{FromSite: 2, FromVariant: 0})
-	tr.Send(5, 0, &Batch{FromSite: 0, FromVariant: 1})
-	tr.Send(5, 0, &Batch{FromSite: 1, FromVariant: 0})
-	tr.Send(5, 0, &Batch{FromSite: 0, FromVariant: 0})
-
-	got := tr.Receive(5, 0)
-	want := [][2]int{{0, 0}, {0, 1}, {1, 0}, {2, 0}}
-	for i, b := range got {
-		if b.FromSite != want[i][0] || b.FromVariant != want[i][1] {
-			t.Fatalf("batch %d from (site %d, variant %d), want (%d, %d)",
-				i, b.FromSite, b.FromVariant, want[i][0], want[i][1])
+	st := testStore(t, 1)
+	fields := types.Fields{{Name: "k", Kind: types.KindInt}}
+	var batches []*Batch
+	for _, from := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {2, 0}} {
+		batches = append(batches, &Batch{Exchange: 5, FromSite: from[0], FromVariant: from[1],
+			Rows: []types.Row{{types.NewInt(int64(10*from[0] + from[1]))}}})
+	}
+	recv := physical.NewReceiver(physical.NewExchange(physical.NewValues(fields, nil), physical.SingleDist), 5)
+	for run := 0; run < 3; run++ {
+		rows, err := runPlan(recv, &Context{Store: st, Exchanges: publish(batches...), Site: 0, NVariants: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []int64{0, 1, 10, 20}
+		if len(rows) != len(want) {
+			t.Fatalf("rows = %d, want %d", len(rows), len(want))
+		}
+		for i, r := range rows {
+			if r[0].Int() != want[i] {
+				t.Fatalf("row %d from sender %d, want %d (rows %v)", i, r[0].Int(), want[i], rows)
+			}
 		}
 	}
 }
 
 func TestMergingReceiverOrders(t *testing.T) {
 	st := testStore(t, 1)
-	tr := NewTransport()
 	keys := []types.SortKey{{Col: 0}}
 	// Two senders ship sorted runs.
-	tr.Send(3, 0, &Batch{Rows: []types.Row{
-		{types.NewInt(1)}, {types.NewInt(4)}, {types.NewInt(9)}}, Sorted: keys})
-	tr.Send(3, 0, &Batch{Rows: []types.Row{
-		{types.NewInt(2)}, {types.NewInt(3)}, {types.NewInt(8)}}, Sorted: keys})
-	ex := physical.NewExchange(physical.NewSort(
+	ex := publish(&Batch{Exchange: 3, Rows: []types.Row{
+		{types.NewInt(1)}, {types.NewInt(4)}, {types.NewInt(9)}}, Sorted: keys},
+		&Batch{Exchange: 3, FromSite: 1, Rows: []types.Row{
+			{types.NewInt(2)}, {types.NewInt(3)}, {types.NewInt(8)}}, Sorted: keys})
+	exch := physical.NewExchange(physical.NewSort(
 		physical.NewValues(types.Fields{{Name: "k", Kind: types.KindInt}}, nil), keys),
 		physical.SingleDist)
-	recv := physical.NewReceiver(ex, 3)
-	rows, err := runPlan(recv, &Context{Store: st, Transport: tr, Site: 0, NVariants: 1})
+	recv := physical.NewReceiver(exch, 3)
+	rows, err := runPlan(recv, &Context{Store: st, Exchanges: ex, Site: 0, NVariants: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,7 +323,7 @@ func (c *Context) run(n physical.Node, next stage) error {
 }
 
 // runSource reads a leaf's rows — which belong to the store, the plan or
-// the transport, and so are stable — and streams them downstream.
+// the published exchanges, and so are stable — and streams them downstream.
 func (c *Context) runSource(n physical.Node, next stage) error {
 	var o op
 	c.open(&o, n, next)
@@ -339,7 +339,7 @@ func (c *Context) runSource(n physical.Node, next stage) error {
 		return o.emitSource(rows)
 
 	case *physical.IndexScan:
-		rows, err := c.Store.IndexScanAt(t.Table.Name, t.Index.Name, c.Site, c.Host, nil, nil)
+		rows, err := c.Store.IndexScanAt(t.Table.Name, t.Index.Name, c.Site, c.Host)
 		if err != nil {
 			return err
 		}
@@ -355,11 +355,12 @@ func (c *Context) runSource(n physical.Node, next stage) error {
 	}
 }
 
-// receive streams the batches shipped to this site. A merging receiver
-// is a breaker: it holds every inbound row to merge the sorted streams.
+// receive streams the batches published to this site, in (sender site,
+// sender variant) order. A merging receiver is a breaker: it holds every
+// inbound row to merge the sorted streams.
 func (o *op) receive(r *physical.Receiver) error {
 	c := o.ctx
-	batches := c.Transport.Receive(r.ExchangeID, c.Site)
+	batches := c.Exchanges[r.ExchangeID][c.Site]
 	var total int
 	var sample [estSample]types.Row
 	sampled := sample[:0]

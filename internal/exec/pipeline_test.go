@@ -139,7 +139,7 @@ func kvStore(t testing.TB, n int) (*storage.Store, *physical.TableScan) {
 	if err := st.Load("kv", kvRows(n)); err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := st.Catalog().Table("kv")
+	tbl, err := cat.Table("kv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func kvStore(t testing.TB, n int) (*storage.Store, *physical.TableScan) {
 
 // TestSplitterAcrossBatches: the §5.3.2 splitter hands variant v every
 // row whose read counter is v modulo the variant count — over a scan and
-// over a receiver whose counter runs on across transport batches.
+// over a receiver whose counter runs on across exchanged batches.
 func TestSplitterAcrossBatches(t *testing.T) {
 	defer SetBatchSize(seamBatch)()
 	const variants = 3
@@ -159,12 +159,13 @@ func TestSplitterAcrossBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// The same rows again, shipped in three uneven transport batches.
-		tr := NewTransport()
+		// The same rows again, shipped in three uneven batches.
+		var batches []*Batch
 		for i, cut := range [][2]int{{0, n / 3}, {n / 3, n/3 + 1}, {n/3 + 1, n}} {
 			lo, hi := min(cut[0], n), min(cut[1], n)
-			tr.Send(1, 0, &Batch{Rows: part[lo:hi], FromSite: i})
+			batches = append(batches, &Batch{Exchange: 1, Rows: part[lo:hi], FromSite: i})
 		}
+		ex := publish(batches...)
 		recv := physical.NewReceiver(physical.NewExchange(scan, physical.SingleDist), 1)
 
 		for _, src := range []physical.Node{scan, recv} {
@@ -175,7 +176,7 @@ func TestSplitterAcrossBatches(t *testing.T) {
 						want = append(want, r)
 					}
 				}
-				ctx := &Context{Store: st, Transport: tr, Variant: v, NVariants: variants,
+				ctx := &Context{Store: st, Exchanges: ex, Variant: v, NVariants: variants,
 					Modes: map[physical.Node]fragment.SourceMode{src: fragment.SplitMode}}
 				tracked(ctx, src)
 				got, err := runPlan(src, ctx)
@@ -405,7 +406,7 @@ func TestBreakersCopyScratchRows(t *testing.T) {
 		}
 		sameRendered(t, "sort over "+name, got, want)
 
-		// Sender: what the transport holds afterwards, by destination.
+		// Sender: what the attempt shipped, by destination.
 		for _, dist := range []physical.Distribution{physical.SingleDist, physical.HashDist(1)} {
 			src, rows = producer()
 			ctx := ctxAt(st, 0)
@@ -413,10 +414,8 @@ func TestBreakersCopyScratchRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			var shipped []string
-			for site := 0; site < 4; site++ {
-				for _, b := range ctx.Transport.Receive(5, site) {
-					shipped = append(shipped, renderRows(b.Rows)...)
-				}
+			for _, b := range ctx.Sent {
+				shipped = append(shipped, renderRows(b.Rows)...)
 			}
 			wantShipped := renderRows(rows)
 			sort.Strings(shipped)

@@ -25,7 +25,7 @@ func benchSendSetup(b *testing.B, dist physical.Distribution, nrows int) (*stora
 		b.Fatal(err)
 	}
 	st := storage.NewStore(cat, 8)
-	tbl, err := st.Catalog().Table("t")
+	tbl, err := cat.Table("t")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,8 +46,7 @@ func BenchmarkSendRowsHash(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := NewTransport()
-		ctx := &Context{Store: st, Transport: tr, Site: 0, Host: 0, NVariants: 1}
+		ctx := &Context{Store: st, Site: 0, Host: 0, NVariants: 1}
 		if err := sendRows(sender, rows, ctx); err != nil {
 			b.Fatal(err)
 		}
@@ -60,8 +59,7 @@ func BenchmarkSendRowsBroadcast(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := NewTransport()
-		ctx := &Context{Store: st, Transport: tr, Site: 0, Host: 0, NVariants: 1}
+		ctx := &Context{Store: st, Site: 0, Host: 0, NVariants: 1}
 		if err := sendRows(sender, rows, ctx); err != nil {
 			b.Fatal(err)
 		}

@@ -1,10 +1,6 @@
 package expr
 
-import (
-	"sort"
-
-	"gignite/internal/types"
-)
+import "gignite/internal/types"
 
 // True and False are the boolean literal singletons used by rewrites.
 var (
@@ -74,33 +70,6 @@ type ColumnSet map[int]struct{}
 
 // Add inserts a column into the set.
 func (s ColumnSet) Add(c int) { s[c] = struct{}{} }
-
-// Contains reports membership.
-func (s ColumnSet) Contains(c int) bool {
-	_, ok := s[c]
-	return ok
-}
-
-// Ordered returns the columns in ascending order.
-func (s ColumnSet) Ordered() []int {
-	out := make([]int, 0, len(s))
-	for c := range s {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Max returns the largest column ordinal, or -1 for an empty set.
-func (s ColumnSet) Max() int {
-	max := -1
-	for c := range s {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
 
 // AllBelow reports whether every column is < bound.
 func (s ColumnSet) AllBelow(bound int) bool {

@@ -254,14 +254,6 @@ func (in *Injector) MemLimit(site int) int64 {
 	return in.plan.MemLimits[site]
 }
 
-// SendFailRate returns the plan's transport failure probability.
-func (in *Injector) SendFailRate() float64 {
-	if in == nil {
-		return 0
-	}
-	return in.plan.SendFailRate
-}
-
 // SendFails decides deterministically whether one transport send attempt
 // fails: it hashes the send's full identity (exchange, sender fragment,
 // logical sender site, variant, target site, attempt) with the plan seed

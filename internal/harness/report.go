@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -110,14 +109,3 @@ func fmtSpeedup(v float64) string {
 
 // fmtPct renders a relative change as a percentage.
 func fmtPct(v float64) string { return fmt.Sprintf("%+.1f%%", v*100) }
-
-// sortedKeys returns a map's keys in order (generic helper for stable
-// report output).
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

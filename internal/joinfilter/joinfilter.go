@@ -61,9 +61,6 @@ func (b *Builder) Merge(o *Builder) {
 	}
 }
 
-// Len returns the distinct key count.
-func (b *Builder) Len() int { return len(b.order) }
-
 // Build freezes the builder into a filter.
 func (b *Builder) Build() *Filter {
 	f := &Filter{keys: len(b.order)}

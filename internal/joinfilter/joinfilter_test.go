@@ -91,8 +91,8 @@ func TestMergeAndCaps(t *testing.T) {
 		b.Add(uint64(i + 500)) // 500 overlap
 	}
 	a.Merge(b)
-	if a.Len() != 1500 {
-		t.Fatalf("merged distinct count = %d, want 1500", a.Len())
+	if len(a.order) != 1500 {
+		t.Fatalf("merged distinct count = %d, want 1500", len(a.order))
 	}
 	// 60k keys want 600k bits, which rounds up past the 64 KiB cap.
 	const capped = 60_000

@@ -24,7 +24,7 @@ type OpStats struct {
 	// RowsOut counts output rows produced, summed across instances — the
 	// "actual" side of the estimate-vs-actual report.
 	RowsOut int64 `json:"rows_out"`
-	// Batches counts transport batches consumed (receivers only).
+	// Batches counts exchanged batches consumed (receivers only).
 	Batches int64 `json:"batches,omitempty"`
 	// BuildRows counts hash-table build-side rows (hash joins only;
 	// hash-aggregate group counts equal RowsOut).
@@ -134,7 +134,7 @@ const (
 	// SpanOK: the attempt succeeded and its outputs were kept.
 	SpanOK SpanStatus = "ok"
 	// SpanRetried: the attempt failed with a retryable fault and a later
-	// attempt took over (its shipments were rolled back).
+	// attempt took over (its shipments were never published).
 	SpanRetried SpanStatus = "retried"
 	// SpanSkipped: the target host was already known dead, so the attempt
 	// failed over immediately without executing (zero-cost recovery).
@@ -143,8 +143,8 @@ const (
 	SpanFailed SpanStatus = "failed"
 	// SpanHedged: the attempt lost a hedged race — either the primary
 	// superseded by a faster speculative replica attempt, or the
-	// speculative attempt the primary outran. Its shipments were rolled
-	// back (DESIGN.md §14).
+	// speculative attempt the primary outran. Its shipments were never
+	// published (DESIGN.md §14).
 	SpanHedged SpanStatus = "hedged"
 	// SpanReplan: not an instance attempt — an adaptive re-planning pass
 	// at a wave barrier (DESIGN.md §17). Frag/Site/Host are -1; Wave is
@@ -184,11 +184,63 @@ type Edge struct {
 	Exchange int `json:"exchange"`
 	FromFrag int `json:"from_frag"`
 	ToFrag   int `json:"to_frag"`
-	// Rows/Bytes total the exchange's shipped volume (retained resends
-	// excluded: discarded batches are rolled back before the totals are
-	// taken). Runtime-filter pruning shows up here as fewer shipped rows.
+	// Rows/Bytes total the exchange's published volume (resends excluded:
+	// a failed or losing attempt's batches are never published).
+	// Runtime-filter pruning shows up here as fewer shipped rows.
 	Rows  int64 `json:"rows"`
 	Bytes int64 `json:"bytes"`
+}
+
+// ExecStats is per-query execution telemetry. The cluster scheduler fills
+// every field but the three planning ones, which the engine adds.
+type ExecStats struct {
+	// Work is total executor work units across all fragment instances,
+	// including work lost to failed attempts.
+	Work float64
+	// BytesShipped is total network volume, including resent bytes.
+	BytesShipped float64
+	// Fragments / Instances count execution units.
+	Fragments int
+	Instances int
+	// Workers is the host worker-pool size the query executed with.
+	Workers int
+	// Retries counts fault-recovery events (failed attempts retried or
+	// failed over onto a replica site).
+	Retries int
+	// Spans counts trace spans (fragment-instance attempts, including
+	// retried and skipped ones).
+	Spans int
+	// Modeled is the simnet cost-clock response time.
+	Modeled time.Duration
+	// PlanTickets is the planner search effort.
+	PlanTickets int
+	// FiltersBuilt counts runtime join filters the pre-pass constructed;
+	// FilterBytes is their total modeled shipment and RowsPruned the
+	// probe-side rows they dropped before shipping (DESIGN.md §13).
+	FiltersBuilt int
+	FilterBytes  int64
+	RowsPruned   int64
+	// Hedges / HedgesWon count hedged straggler attempts launched and won
+	// (DESIGN.md §14).
+	Hedges    int
+	HedgesWon int
+	// MemPeakBytes is the query's high-water mark of estimated operator
+	// state reserved against the engine's memory pool (0 when ungoverned).
+	MemPeakBytes int64
+	// PlanNanos is the wall time spent acquiring the optimized plan: the
+	// cache lookup plus, on a miss, bind + heuristic + cost-based
+	// optimization. Parsing, plan cloning and fragmentation are excluded —
+	// they are per-execution costs paid whether or not the plan was cached.
+	PlanNanos int64
+	// PlanningSkipped is true when the plan came from the plan cache (or a
+	// prepared statement's retained plan), so no optimization ran for this
+	// execution.
+	PlanningSkipped bool
+	// AdaptiveReplans counts the re-planning passes run at wave barriers;
+	// AdaptiveSwitches the plan rewrites they applied (both 0 unless
+	// adaptive execution is on — DESIGN.md §17).
+	AdaptiveReplans  int
+	AdaptiveSwitches int
 }
 
 // QueryObs is the complete observation record of one query: the trace

@@ -110,9 +110,9 @@ func SubtreeSelective(n Node) bool {
 	return selective
 }
 
-// ResolveProbeChain walks from the join's probe (left) input down through
-// column-transparent single-parent operators to a Receiver, remapping the
-// probe key columns into receiver-output coordinates. It returns nil when
+// ResolveProbeChain finds the Receiver a join's probe (left) input reads
+// through column-transparent single-parent operators, with the probe key
+// columns remapped into receiver-output coordinates. It returns nil when
 // the chain crosses anything else (a join, an aggregate, a limit, a
 // multi-parent node, a computed projection), in which case no filter is
 // planned for this join.
@@ -121,66 +121,45 @@ func ResolveProbeChain(j *Join, parents map[Node]int) (*Receiver, []int) {
 	for i, k := range j.Keys {
 		cols[i] = k.Left
 	}
-	n := j.Inputs()[0]
-	for {
-		if parents[n] > 1 {
-			return nil, nil
-		}
-		switch t := n.(type) {
-		case *Receiver:
-			return t, cols
-		case *Filter:
-			n = t.Inputs()[0]
-		case *Sort:
-			n = t.Inputs()[0]
-		case *Project:
-			next, ok := remapThroughProject(t, cols)
-			if !ok {
-				return nil, nil
-			}
-			cols = next
-			n = t.Inputs()[0]
-		default:
-			return nil, nil
-		}
+	probe := j.Inputs()[0]
+	if parents[probe] > 1 {
+		return nil, nil
 	}
+	n, cols := PushdownTarget(probe, cols, parents)
+	r, ok := n.(*Receiver)
+	if !ok {
+		return nil, nil
+	}
+	return r, cols
 }
 
-// PushdownTarget descends from a producer fragment's sender child through
-// transparent operators to the deepest node whose output the filter may
-// prune, remapping key columns along the way. Descent stops at sources,
-// joins, aggregates and limits (pruning below a Limit would change which
-// rows fill it) and at multi-parent nodes; the stop node itself is the
-// application point, which is always safe because everything above it
-// feeds only the guarded sender.
-func PushdownTarget(senderChild Node, cols []int, parents map[Node]int) (Node, []int) {
-	n := cols
-	node := senderChild
+// PushdownTarget descends from n through transparent operators (Filter,
+// Sort, a Project whose key columns are bare column references) to the
+// deepest node whose output the filter may prune, remapping key columns
+// along the way. Descent stops at sources, joins, aggregates and limits
+// (pruning below a Limit would change which rows fill it) and above
+// multi-parent nodes; the stop node itself is the application point,
+// which is always safe because everything above it feeds only n's
+// consumer.
+func PushdownTarget(n Node, cols []int, parents map[Node]int) (Node, []int) {
 	for {
-		var next Node
-		switch t := node.(type) {
-		case *Filter:
-			next = t.Inputs()[0]
-		case *Sort:
-			next = t.Inputs()[0]
+		next := cols
+		switch t := n.(type) {
+		case *Filter, *Sort:
 		case *Project:
-			remapped, ok := remapThroughProject(t, n)
+			remapped, ok := remapThroughProject(t, cols)
 			if !ok {
-				return node, n
+				return n, cols
 			}
-			if parents[t.Inputs()[0]] > 1 {
-				return node, n
-			}
-			n = remapped
-			node = t.Inputs()[0]
-			continue
+			next = remapped
 		default:
-			return node, n
+			return n, cols
 		}
-		if parents[next] > 1 {
-			return node, n
+		child := n.Inputs()[0]
+		if parents[child] > 1 {
+			return n, cols
 		}
-		node = next
+		n, cols = child, next
 	}
 }
 

@@ -143,13 +143,6 @@ func (c *Cache) Get(digest, version uint64, build func() (*Entry, error)) (e *En
 	return call.entry, false, nil
 }
 
-// Len returns the number of cached plans.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Snapshot returns current cache statistics.
 func (c *Cache) Snapshot() Stats {
 	c.mu.Lock()

@@ -86,7 +86,7 @@ func TestBuildErrorNotCached(t *testing.T) {
 	if _, _, err := c.Get(9, 1, func() (*Entry, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if c.Len() != 0 {
+	if c.ll.Len() != 0 {
 		t.Fatal("failed build must not be cached")
 	}
 	if _, hit, err := c.Get(9, 1, func() (*Entry, error) { return mkEntry(1), nil }); hit || err != nil {

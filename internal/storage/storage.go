@@ -29,8 +29,8 @@ func PartitionOf(v types.Value, n int) int {
 
 // Store is the cluster-wide storage: every site's partitions live here,
 // indexed by site ordinal. One Store instance backs one simulated cluster.
-// A Store is safe for concurrent use: reads (Partition, IndexScan,
-// RowCount) share an RWMutex read lock, so concurrent SELECT clients
+// A Store is safe for concurrent use: reads (PartitionAt, IndexScanAt)
+// share an RWMutex read lock, so concurrent SELECT clients
 // proceed in parallel while loads and index builds take the write lock.
 //
 // With backups > 0 every hash partition has an ordered replica chain
@@ -95,9 +95,6 @@ func (s *Store) HoldsReplica(partition, site int) bool {
 	return false
 }
 
-// Catalog returns the catalog backing this store.
-func (s *Store) Catalog() *catalog.Catalog { return s.cat }
-
 // TableData is the stored content of one table across all sites.
 type TableData struct {
 	Def *catalog.Table
@@ -108,8 +105,6 @@ type TableData struct {
 	// indexes[name][site] is a row-ordinal permutation of partitions[site]
 	// sorted by the index key columns.
 	indexes map[string][][]int
-	// keyCols caches each index's key column ordinals.
-	keyCols map[string][]int
 }
 
 // ensureTable returns (creating if needed) the TableData for a table.
@@ -128,7 +123,6 @@ func (s *Store) ensureTable(name string) (*TableData, error) {
 		Def:        def,
 		partitions: make([][]types.Row, s.sites),
 		indexes:    make(map[string][][]int),
-		keyCols:    make(map[string][]int),
 	}
 	s.tables[key] = td
 	return td, nil
@@ -176,7 +170,6 @@ func (s *Store) Load(name string, rows []types.Row) error {
 	}
 	// Any previously built indexes are stale now.
 	td.indexes = make(map[string][][]int)
-	td.keyCols = make(map[string][]int)
 	return nil
 }
 
@@ -189,13 +182,9 @@ func (s *Store) BuildIndexes(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, idx := range td.Def.Indexes {
-		cols := make([]int, len(idx.Columns))
+		keys := make([]types.SortKey, len(idx.Columns))
 		for i, cn := range idx.Columns {
-			cols[i] = td.Def.ColumnIndex(cn)
-		}
-		keys := make([]types.SortKey, len(cols))
-		for i, c := range cols {
-			keys[i] = types.SortKey{Col: c}
+			keys[i] = types.SortKey{Col: td.Def.ColumnIndex(cn)}
 		}
 		perSite := make([][]int, s.sites)
 		for site := 0; site < s.sites; site++ {
@@ -209,9 +198,7 @@ func (s *Store) BuildIndexes(name string) error {
 			})
 			perSite[site] = perm
 		}
-		lname := strings.ToLower(idx.Name)
-		td.indexes[lname] = perSite
-		td.keyCols[lname] = cols
+		td.indexes[strings.ToLower(idx.Name)] = perSite
 	}
 	return nil
 }
@@ -230,13 +217,51 @@ func (s *Store) Partition(name string, site int) ([]types.Row, error) {
 	return s.PartitionAt(name, site, site)
 }
 
-// PartitionAt returns one hash partition's rows as read by a host site,
-// validating that the host actually holds a replica of that partition
-// (the owner or one of its backups). Replicated tables are present at
-// every site, so any host qualifies. This is the failover read path: a
-// retried fragment instance keeps its logical partition but executes at a
-// backup host.
+// PartitionAt returns one hash partition's rows as read by a host site
+// (see replicaAt). This is the failover read path: a retried fragment
+// instance keeps its logical partition but executes at a backup host.
 func (s *Store) PartitionAt(name string, partition, host int) ([]types.Row, error) {
+	td, err := s.replicaAt(name, partition, host)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return td.partitionLocked(partition), nil
+}
+
+// IndexScanAt returns one logical partition's rows in index order, as read
+// by a host site (see replicaAt). Indexes are per-partition permutations,
+// so a backup host scans the same index in the same order the owner would
+// have.
+func (s *Store) IndexScanAt(name, index string, partition, host int) ([]types.Row, error) {
+	td, err := s.replicaAt(name, partition, host)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	perm, ok := td.indexes[strings.ToLower(index)]
+	if !ok {
+		return nil, fmt.Errorf("storage: index %s on %s not built", index, name)
+	}
+	rowsAt := td.partitionLocked(partition)
+	p := perm[partition]
+	if td.Def.Replicated {
+		p = perm[0]
+	}
+	out := make([]types.Row, len(p))
+	for i, ri := range p {
+		out[i] = rowsAt[ri]
+	}
+	return out, nil
+}
+
+// replicaAt returns a table for reading one partition at a host site,
+// validating that the host actually holds a replica of that partition (the
+// owner or one of its backups). Replicated tables are present at every
+// site, so any host qualifies.
+func (s *Store) replicaAt(name string, partition, host int) (*TableData, error) {
 	td, err := s.Table(name)
 	if err != nil {
 		return nil, err
@@ -251,89 +276,7 @@ func (s *Store) PartitionAt(name string, partition, host int) ([]types.Row, erro
 		return nil, fmt.Errorf("storage: site %d holds no replica of partition %d (%s, backups=%d)",
 			host, partition, td.Def.Name, s.backups)
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return td.partitionLocked(partition), nil
-}
-
-// IndexScan returns the rows at a site in index order. If lo/hi are
-// non-nil they bound the leading key column (inclusive): rows with leading
-// key < lo or > hi are excluded via binary search.
-func (s *Store) IndexScan(name, index string, site int, lo, hi *types.Value) ([]types.Row, error) {
-	return s.IndexScanAt(name, index, site, site, lo, hi)
-}
-
-// IndexScanAt is IndexScan reading one logical partition from a host site
-// that holds a replica of it (see PartitionAt). Indexes are per-partition
-// permutations, so a backup host scans the same index in the same order
-// the owner would have.
-func (s *Store) IndexScanAt(name, index string, partition, host int, lo, hi *types.Value) ([]types.Row, error) {
-	td, err := s.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	lname := strings.ToLower(index)
-	perm, ok := td.indexes[lname]
-	if !ok {
-		return nil, fmt.Errorf("storage: index %s on %s not built", index, name)
-	}
-	site := partition
-	if site < 0 || site >= s.sites {
-		return nil, fmt.Errorf("storage: site %d out of range [0,%d)", site, s.sites)
-	}
-	if host < 0 || host >= s.sites {
-		return nil, fmt.Errorf("storage: host site %d out of range [0,%d)", host, s.sites)
-	}
-	if !td.Def.Replicated && !s.HoldsReplica(partition, host) {
-		return nil, fmt.Errorf("storage: site %d holds no replica of partition %d (%s, backups=%d)",
-			host, partition, td.Def.Name, s.backups)
-	}
-	rowsAt := td.partitionLocked(site)
-	p := perm[site]
-	if td.Def.Replicated {
-		p = perm[0]
-	}
-	leadCol := td.keyCols[lname][0]
-	start, end := 0, len(p)
-	if lo != nil {
-		start = sort.Search(len(p), func(i int) bool {
-			return types.Compare(rowsAt[p[i]][leadCol], *lo) >= 0
-		})
-	}
-	if hi != nil {
-		end = sort.Search(len(p), func(i int) bool {
-			return types.Compare(rowsAt[p[i]][leadCol], *hi) > 0
-		})
-	}
-	if start > end {
-		start = end
-	}
-	out := make([]types.Row, 0, end-start)
-	for _, ri := range p[start:end] {
-		out = append(out, rowsAt[ri])
-	}
-	return out, nil
-}
-
-// RowCount returns the total number of rows in a table across sites
-// (counting replicated tables once).
-func (s *Store) RowCount(name string) (int64, error) {
-	td, err := s.Table(name)
-	if err != nil {
-		return 0, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if td.Def.Replicated {
-		return int64(len(td.partitions[0])), nil
-	}
-	var n int64
-	for _, p := range td.partitions {
-		n += int64(len(p))
-	}
-	return n, nil
+	return td, nil
 }
 
 // ComputeStats scans a table and fills its catalog statistics: row count,

@@ -7,16 +7,16 @@ import (
 
 // Row is a tuple of values. Rows are passed by reference through the
 // executor, and whether a consumer may keep one depends on its producer.
-// Rows from the store, a plan's Values, the transport (a Receiver's
-// input), a Sort, an aggregate or a finished fragment are stable: nothing
-// overwrites them, and nobody may modify them. Rows from a Project or a
-// pair-emitting join that does not feed a breaker directly live in that
-// operator's scratch arena, which the next batch overwrites; Filter,
-// Limit and semi/anti joins pass their input rows on as stable as they
-// came. The executor says which it is with every batch (internal/exec's
-// stage.push), and an operator that keeps a scratch row past the call — a
-// join's collected side, Sort, the Sender, the fragment result — copies it
-// first.
+// Rows from the store, a plan's Values, a published exchange (a
+// Receiver's input), a Sort, an aggregate or a finished fragment are
+// stable: nothing overwrites them, and nobody may modify them. Rows from
+// a Project or a pair-emitting join that does not feed a breaker directly
+// live in that operator's scratch arena, which the next batch overwrites;
+// Filter, Limit and semi/anti joins pass their input rows on as stable as
+// they came. The executor says which it is with every batch
+// (internal/exec's stage.push), and an operator that keeps a scratch row
+// past the call — a join's collected side, Sort, the Sender, the fragment
+// result — copies it first.
 type Row []Value
 
 // Clone returns a deep copy of the row.
@@ -130,16 +130,6 @@ type Field struct {
 // Fields is an ordered row schema.
 type Fields []Field
 
-// Index returns the offset of the named field, or -1.
-func (fs Fields) Index(name string) int {
-	for i, f := range fs {
-		if strings.EqualFold(f.Name, name) {
-			return i
-		}
-	}
-	return -1
-}
-
 // Names returns the field names in order.
 func (fs Fields) Names() []string {
 	out := make([]string, len(fs))
@@ -154,13 +144,6 @@ func (fs Fields) Concat(other Fields) Fields {
 	out := make(Fields, 0, len(fs)+len(other))
 	out = append(out, fs...)
 	out = append(out, other...)
-	return out
-}
-
-// Clone returns a copy of the schema.
-func (fs Fields) Clone() Fields {
-	out := make(Fields, len(fs))
-	copy(out, fs)
 	return out
 }
 
