@@ -24,11 +24,12 @@ race:
 # The packages with real concurrency (wire sessions, the driver's cancel
 # watcher, the wave scheduler, exchange transport) again at 1, 2 and 4
 # cores, plus the root package's concurrency tests (concurrent clients and
-# ad-hoc planners, the plan-cache hammer, admission and overload races,
-# Close/drain): their ordering bugs depend on GOMAXPROCS.
+# ad-hoc planners, the plan-cache hammer, a plan's text rendered once by
+# racing first executions, admission and overload races, Close/drain):
+# their ordering bugs depend on GOMAXPROCS.
 race-cpu:
 	$(GO) test -race -cpu 1,2,4 ./driver ./internal/server ./internal/cluster ./internal/exec
-	$(GO) test -race -cpu 1,2,4 -run 'Concurrent|Hammer|Admission|Overload|Close' .
+	$(GO) test -race -cpu 1,2,4 -run 'Concurrent|Hammer|PlanText|Admission|Overload|Close' .
 
 # The wall-clock benchmark is a nested module (bench/go.mod), so `./...`
 # skips it; vet and test it against the engine in this checkout.
@@ -39,12 +40,14 @@ bench-build:
 # aggregate, sender routing), the expression kernels' (BenchmarkExprKernels:
 # TPC-H predicates and projection, interpreted vs compiled, ns/row), the
 # planner's (BenchmarkOptimize: one Volcano run per TPC-H join query, with
-# tickets/op) and the served result path's (BenchmarkResultFrames: an
+# tickets/op), the served result path's (BenchmarkResultFrames: an
 # orders-shaped result encoded into RowBatch frames and decoded into
-# database/sql values, ns/row and allocs/row), one iteration each: CI runs
-# them so they keep compiling and running; measure with a larger -benchtime.
+# database/sql values, ns/row and allocs/row) and a prepared statement's
+# fixed cost (BenchmarkPreparedLookup: the served_short lookups in-process,
+# ns/op and allocs/op), one iteration each: CI runs them so they keep
+# compiling and running; measure with a larger -benchtime.
 bench-exec:
-	$(GO) test -run '^$$' -bench 'Pipeline|HashJoin|HashAggregate|SendRows|ExprKernels|Optimize|ResultFrames' -benchmem -benchtime 1x ./internal/exec ./internal/expr ./internal/wire .
+	$(GO) test -run '^$$' -bench 'Pipeline|HashJoin|HashAggregate|SendRows|ExprKernels|Optimize|ResultFrames|PreparedLookup' -benchmem -benchtime 1x ./internal/exec ./internal/expr ./internal/wire .
 
 # The paper-artifact benchmarks (figures/tables) plus the operator and
 # scheduler microbenchmarks. GIGNITE_PARBENCH_SF overrides the

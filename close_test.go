@@ -114,7 +114,7 @@ func TestCloseWaitsForInflightLoad(t *testing.T) {
 	}
 	// Drained means loaded and indexed: rebuilding the index is the load's
 	// last step.
-	if _, err := e.store.IndexScanAt("big", "big_grp", 0, 0); err != nil {
+	if _, _, err := e.store.IndexScanAt("big", "big_grp", 0, 0); err != nil {
 		t.Errorf("Close returned before the load finished: %v", err)
 	}
 	if err := <-loaded; err != nil {

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -912,7 +913,7 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 			}
 			rewrite = func(n expr.Expr) expr.Expr {
 				if p, ok := n.(*expr.Param); ok {
-					return expr.NewLit(bound[p.Ordinal])
+					return p.Bind(bound[p.Ordinal])
 				}
 				return n
 			}
@@ -923,6 +924,9 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 	if e.cfg.RuntimeFilters {
 		fragment.PlanRuntimeFilters(fp)
 	}
+	// Bound arguments render as their placeholders, so the first
+	// execution's rendering of the entry's plan holds for every later one.
+	text := entry.Text(func() *plancache.Text { return renderText(fp) })
 	variants := e.cfg.VariantFragments
 	if variants < 1 {
 		variants = 1
@@ -966,10 +970,21 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 	if qobs != nil {
 		qobs.QueryID = e.queryID.Add(1)
 		qobs.SQL = src
-		qobs.PlanDigest = planDigest(fp)
+		qobs.PlanDigest = text.Digest
+		if res.AdaptiveSwitches > 0 {
+			// The controller rewrote the plan mid-flight: this execution
+			// ran a plan of its own, so it reports that plan's digest.
+			qobs.PlanDigest = planDigest(fp)
+		}
+		// Operator lines describe the plan as deployed, before any switch.
+		for _, fo := range qobs.Fragments {
+			for i, op := range text.Ops[fo.Frag] {
+				fo.Ops[i].Op = op
+			}
+		}
 	}
 	out := &Result{
-		Columns:       res.Fields.Names(),
+		Columns:       slices.Clone(text.Columns),
 		Rows:          res.Rows,
 		Modeled:       res.Modeled,
 		Obs:           qobs,
@@ -1025,6 +1040,19 @@ func (e *Engine) recordQuery(res *Result, qobs *obs.QueryObs, src string) {
 	}
 	logf("slow query: modeled=%v threshold=%v digest=%s top=[%s] sql=%q",
 		res.Modeled, thr, qobs.PlanDigest, tops.String(), src)
+}
+
+// renderText renders what every execution of a plan reports about it:
+// the digest, each fragment's operator lines and the result columns.
+func renderText(fp *fragment.Plan) *plancache.Text {
+	t := &plancache.Text{Digest: planDigest(fp), Ops: make([][]string, len(fp.Fragments))}
+	for _, f := range fp.Fragments {
+		t.Ops[f.ID] = obs.NewFragmentObs(f.ID, f.IsRoot, f.Root).DescribeOps()
+		if f.IsRoot {
+			t.Columns = f.Root.Schema().Names()
+		}
+	}
+	return t
 }
 
 // planDigest is a stable FNV-64a hash of the fragmented plan text,

@@ -54,13 +54,14 @@ type keeper interface{ keepsRows() }
 // slot, its downstream edge, and the node-level runtime filters applied
 // on that edge.
 type op struct {
-	ctx  *Context
-	node physical.Node
-	st   *OpStatsRef // nil when untracked
-	next stage
-	afs  []*AppliedFilter
-	kept []types.Row // runtime-filter scratch
-	sel  []types.Row // splitter scratch
+	ctx    *Context
+	node   physical.Node
+	st     *OpStatsRef // nil when untracked
+	next   stage
+	afs    []*AppliedFilter
+	kept   []types.Row // runtime-filter scratch
+	sel    []types.Row // splitter scratch
+	gather []types.Row // index-order scratch
 	// start and away turn the producer-driven call stack back into the
 	// operator's wall time inclusive of its inputs: everything between
 	// open and close, minus the time spent downstream in next.push.
@@ -339,13 +340,13 @@ func (c *Context) runSource(n physical.Node, next stage) error {
 		return o.emitSource(rows)
 
 	case *physical.IndexScan:
-		rows, err := c.Store.IndexScanAt(t.Table.Name, t.Index.Name, c.Site, c.Host)
+		rows, order, err := c.Store.IndexScanAt(t.Table.Name, t.Index.Name, c.Site, c.Host)
 		if err != nil {
 			return err
 		}
-		o.st.addIn(len(rows))
-		o.work(float64(len(rows)) * cost.RPTC * 1.2)
-		return o.emitSource(rows)
+		o.st.addIn(len(order))
+		o.work(float64(len(order)) * cost.RPTC * 1.2)
+		return o.emitOrdered(rows, order)
 
 	case *physical.Values:
 		return o.emitAll(t.Rows)
@@ -353,6 +354,28 @@ func (c *Context) runSource(n physical.Node, next stage) error {
 	default:
 		return o.receive(n.(*physical.Receiver))
 	}
+}
+
+// emitOrdered streams rows[order[0]], rows[order[1]], … (an index scan)
+// through the splitter, gathering at most a batch of them at a time into
+// the op's scratch: the rows are the store's, so they stay stable.
+func (o *op) emitOrdered(rows []types.Row, order []int) error {
+	o.announce(o.share(len(order)))
+	for len(order) > 0 {
+		n := min(len(order), batchSize)
+		if cap(o.gather) < n {
+			o.gather = make([]types.Row, n)
+		}
+		batch := o.gather[:n]
+		for i, ri := range order[:n] {
+			batch[i] = rows[ri]
+		}
+		order = order[n:]
+		if err := o.emitSource(batch); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // receive streams the batches published to this site, in (sender site,

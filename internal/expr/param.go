@@ -13,8 +13,9 @@ import (
 // hint was derivable and the argument's own kind is used at execution.
 //
 // A Param never evaluates: execution substitutes a Lit for every Param
-// when the (possibly cached) plan is cloned for one run, so reaching Eval
-// means a parameterized plan leaked into the executor unbound.
+// (Bind) when the (possibly cached) plan is cloned for one run, so
+// reaching Eval means a parameterized plan leaked into the executor
+// unbound.
 type Param struct {
 	Ordinal int
 	Typ     types.Kind
@@ -25,6 +26,10 @@ type Param struct {
 func NewParam(ordinal int, typ types.Kind) *Param {
 	return &Param{Ordinal: ordinal, Typ: typ}
 }
+
+// Bind returns the literal that stands for p with value v in one
+// execution. It evaluates to v and renders as p.
+func (p *Param) Bind(v types.Value) *Lit { return &Lit{Val: v, Param: p} }
 
 func (p *Param) Kind() types.Kind { return p.Typ }
 

@@ -147,7 +147,7 @@ func TestSnapshotPrometheus(t *testing.T) {
 // TestFragmentMerge: merging two instance records sums flows and takes
 // the max of the high-water mark.
 func TestFragmentMerge(t *testing.T) {
-	fo := &FragmentObs{Frag: 1, Ops: []*OpStats{{Op: "Scan", EstRows: 100}}}
+	fo := &FragmentObs{Frag: 1, Ops: []OpStats{{Op: "Scan", EstRows: 100}}}
 	a := &InstanceObs{Ops: []OpStats{{RowsIn: 10, RowsOut: 5, Work: 2, PeakRows: 7}}}
 	b := &InstanceObs{Ops: []OpStats{{RowsIn: 20, RowsOut: 15, Work: 3, PeakRows: 4}}}
 	fo.Merge(a)
@@ -164,8 +164,8 @@ func TestFragmentMerge(t *testing.T) {
 // TestTopOperators: ranking is by self work, descending, stable.
 func TestTopOperators(t *testing.T) {
 	q := &QueryObs{Fragments: []*FragmentObs{
-		{Frag: 0, Ops: []*OpStats{{Op: "Sort", Work: 5}, {Op: "Scan", Work: 50}}},
-		{Frag: 1, Ops: []*OpStats{{Op: "Join", Work: 20}}},
+		{Frag: 0, Ops: []OpStats{{Op: "Sort", Work: 5}, {Op: "Scan", Work: 50}}},
+		{Frag: 1, Ops: []OpStats{{Op: "Join", Work: 20}}},
 	}}
 	top := q.TopOperators(2)
 	if len(top) != 2 || top[0].Op != "Scan" || top[1].Op != "Join" {

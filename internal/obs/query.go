@@ -14,7 +14,7 @@ import (
 // executions. Row counts, batches, build sizes and modeled work are
 // deterministic across host worker counts; WallNanos is host measurement.
 type OpStats struct {
-	// Op is the operator's Describe() line.
+	// Op is the operator's Describe() line (arguments as placeholders).
 	Op string `json:"op"`
 	// EstRows is the planner's cardinality estimate for the operator.
 	EstRows float64 `json:"est_rows"`
@@ -59,26 +59,40 @@ type FragmentObs struct {
 	// Instances counts successful fragment instances merged into Ops.
 	Instances int `json:"instances"`
 	// Ops holds the fragment's operators in pre-order walk order.
-	Ops []*OpStats `json:"ops"`
+	Ops []OpStats `json:"ops"`
 	// OpIndex maps the fragment's plan nodes to indices in Ops. It is a
 	// runtime navigation aid (EXPLAIN ANALYZE rendering), not exported.
 	OpIndex map[physical.Node]int `json:"-"`
 }
 
 // NewFragmentObs walks a fragment's operator tree in pre-order, assigning
-// dense operator ids and capturing each operator's description and
-// planner estimate. A DAG-shared node keeps its first id.
+// dense operator ids and capturing each operator's planner estimate. A
+// DAG-shared node keeps its first id. Op is left empty: the engine fills
+// it from the plan's text, rendered once per plan (DescribeOps).
 func NewFragmentObs(frag int, root bool, planRoot physical.Node) *FragmentObs {
 	fo := &FragmentObs{Frag: frag, Root: root, OpIndex: make(map[physical.Node]int)}
 	physical.Walk(planRoot, func(n physical.Node) bool {
 		if _, seen := fo.OpIndex[n]; seen {
 			return false
 		}
-		fo.OpIndex[n] = len(fo.Ops)
-		fo.Ops = append(fo.Ops, &OpStats{Op: n.Describe(), EstRows: n.Props().EstRows})
+		fo.OpIndex[n] = len(fo.OpIndex)
 		return true
 	})
+	fo.Ops = make([]OpStats, len(fo.OpIndex))
+	for n, i := range fo.OpIndex {
+		fo.Ops[i].EstRows = n.Props().EstRows
+	}
 	return fo
+}
+
+// DescribeOps returns the Describe line of each of the fragment's
+// operators, indexed by operator id.
+func (fo *FragmentObs) DescribeOps() []string {
+	ops := make([]string, len(fo.Ops))
+	for n, i := range fo.OpIndex {
+		ops[i] = n.Describe()
+	}
+	return ops
 }
 
 // InstanceObs is the private recorder of one fragment instance attempt:
@@ -109,7 +123,7 @@ func (fo *FragmentObs) MergeExtra(in *InstanceObs) { fo.mergeOps(in) }
 
 func (fo *FragmentObs) mergeOps(in *InstanceObs) {
 	for i := range in.Ops {
-		src, dst := &in.Ops[i], fo.Ops[i]
+		src, dst := &in.Ops[i], &fo.Ops[i]
 		dst.RowsIn += src.RowsIn
 		dst.RowsOut += src.RowsOut
 		dst.Batches += src.Batches
@@ -253,7 +267,9 @@ type QueryObs struct {
 	Label string `json:"label,omitempty"`
 	// SQL is the query text.
 	SQL string `json:"sql,omitempty"`
-	// PlanDigest is a stable hash of the fragmented physical plan text.
+	// PlanDigest is a stable hash of the fragmented physical plan text,
+	// in which prepared-statement arguments appear as their placeholders:
+	// it identifies the plan, not the argument values.
 	PlanDigest string `json:"plan_digest,omitempty"`
 	// Began is the query's wall-clock start (span offsets are relative).
 	Began time.Time `json:"began"`

@@ -27,7 +27,8 @@ import (
 // executing. ParamKinds holds the bind-time type hint for each `?`
 // placeholder (types.KindNull when no hint was derivable). Tickets records
 // the optimizer work the original planning pass spent, so cache hits can
-// report a stable planning-cost figure.
+// report a stable planning-cost figure. The plan's rendered text (Text)
+// is made once per entry, on its first execution.
 type Entry struct {
 	Plan       physical.Node
 	ParamKinds []types.Kind
@@ -35,6 +36,27 @@ type Entry struct {
 	// Version is the catalog version the plan was built against. An entry
 	// whose version no longer matches the live catalog is stale.
 	Version uint64
+
+	textOnce sync.Once
+	text     *Text
+}
+
+// Text is what every execution of an entry reports about its plan: the
+// plan digest, each fragment's operator lines (obs.FragmentObs.DescribeOps,
+// indexed by fragment id) and the result column names. Arguments render as their
+// placeholders, so one rendering holds for every execution.
+type Text struct {
+	Digest  string
+	Ops     [][]string
+	Columns []string
+}
+
+// Text returns the entry's plan text, calling render for the first
+// execution only; concurrent first executions wait for that one
+// rendering. Callers share the result read-only.
+func (e *Entry) Text(render func() *Text) *Text {
+	e.textOnce.Do(func() { e.text = render() })
+	return e.text
 }
 
 // Metrics holds optional observability counters. Any field may be nil.
@@ -76,9 +98,10 @@ type slot struct {
 }
 
 type buildCall struct {
-	done  chan struct{}
-	entry *Entry
-	err   error
+	done    chan struct{}
+	version uint64 // the catalog version the build was asked for
+	entry   *Entry
+	err     error
 }
 
 // New returns a cache holding at most capacity plans. Capacity must be
@@ -100,42 +123,53 @@ func New(capacity int, metrics Metrics) *Cache {
 // miss. version is the live catalog version: a cached entry built against
 // an older version is discarded and rebuilt. hit reports whether planning
 // was skipped — waiters coalesced onto another goroutine's in-flight build
-// count as hits, since they did no planning work themselves.
+// count as hits, since they did no planning work themselves. A waiter
+// whose build ran against another catalog version (DDL landed between the
+// two lookups) does not take its result and looks up afresh.
 func (c *Cache) Get(digest, version uint64, build func() (*Entry, error)) (e *Entry, hit bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.entries[digest]; ok {
-		s := el.Value.(*slot)
-		if s.entry.Version == version {
-			c.ll.MoveToFront(el)
-			c.mu.Unlock()
-			c.recordHit()
-			return s.entry, true, nil
+	for {
+		if el, ok := c.entries[digest]; ok {
+			s := el.Value.(*slot)
+			if s.entry.Version == version {
+				c.ll.MoveToFront(el)
+				c.mu.Unlock()
+				c.recordHit()
+				return s.entry, true, nil
+			}
+			// Stale: schema or stats changed since this plan was built.
+			c.removeLocked(el, false)
 		}
-		// Stale: schema or stats changed since this plan was built.
-		c.removeLocked(el, false)
-	}
-	if call, ok := c.building[digest]; ok {
+		call, ok := c.building[digest]
+		if !ok {
+			break
+		}
 		c.mu.Unlock()
 		<-call.done
-		if call.err != nil {
+		switch {
+		case call.err == nil && call.entry.Version == version:
+			c.recordHit()
+			return call.entry, true, nil
+		case call.err != nil && call.version == version:
 			return nil, false, call.err
 		}
-		c.recordHit()
-		return call.entry, true, nil
+		c.mu.Lock()
 	}
-	call := &buildCall{done: make(chan struct{})}
+	call := &buildCall{done: make(chan struct{}), version: version}
 	c.building[digest] = call
 	c.mu.Unlock()
 
 	call.entry, call.err = build()
-	close(call.done)
 
+	// Waiters are released only once the entry is in place, so one that
+	// looks up afresh finds it rather than this finished build.
 	c.mu.Lock()
 	delete(c.building, digest)
 	if call.err == nil {
 		c.insertLocked(digest, call.entry)
 	}
 	c.mu.Unlock()
+	close(call.done)
 	c.recordMiss()
 	if call.err != nil {
 		return nil, false, call.err
@@ -161,7 +195,9 @@ func (c *Cache) insertLocked(digest uint64, e *Entry) {
 	if el, ok := c.entries[digest]; ok {
 		// A concurrent builder for a different version may have raced us in;
 		// keep the newest.
-		el.Value.(*slot).entry = e
+		if s := el.Value.(*slot); e.Version > s.entry.Version {
+			s.entry = e
+		}
 		c.ll.MoveToFront(el)
 		return
 	}

@@ -2,9 +2,12 @@ package plancache
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gignite/internal/physical"
 	"gignite/internal/sql"
@@ -138,6 +141,88 @@ func TestSingleflightCoalescesConcurrentMisses(t *testing.T) {
 	if misses != 1 {
 		t.Fatalf("%d goroutines reported a miss, want exactly 1", misses)
 	}
+}
+
+// TestWaiterOnOtherVersionBuildsItsOwn: a build started at catalog
+// version 1 is blocked when a lookup at version 2 (DDL landed in between)
+// finds it in flight. The waiter must not take the version-1 plan: it
+// plans its own, and the cache keeps the newer entry.
+func TestWaiterOnOtherVersionBuildsItsOwn(t *testing.T) {
+	c := New(4, Metrics{})
+	started, release := make(chan struct{}), make(chan struct{})
+	old := make(chan *Entry)
+	go func() {
+		e, _, err := c.Get(42, 1, func() (*Entry, error) {
+			close(started)
+			<-release
+			return mkEntry(1), nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		old <- e
+	}()
+	<-started
+	type result struct {
+		e   *Entry
+		hit bool
+		err error
+	}
+	got := make(chan result)
+	go func() {
+		e, hit, err := c.Get(42, 2, func() (*Entry, error) { return mkEntry(2), nil })
+		got <- result{e, hit, err}
+	}()
+	waitForWaiters(t, 1)
+	close(release)
+	r := <-got
+	if r.err != nil || r.hit || r.e.Version != 2 {
+		t.Fatalf("waiter at version 2 got version %d, hit=%v, err=%v; want its own version-2 plan", r.e.Version, r.hit, r.err)
+	}
+	if e := <-old; e.Version != 1 {
+		t.Fatalf("builder got version %d, want 1", e.Version)
+	}
+	if e, hit, _ := c.Get(42, 2, nil); !hit || e != r.e {
+		t.Fatalf("cache does not hold the version-2 entry (hit=%v)", hit)
+	}
+}
+
+// TestInsertKeepsNewestVersion: of two entries for one digest, the cache
+// keeps the one built against the newer catalog version, whichever
+// arrives last.
+func TestInsertKeepsNewestVersion(t *testing.T) {
+	c := New(4, Metrics{})
+	newer, older := mkEntry(3), mkEntry(2)
+	c.mu.Lock()
+	c.insertLocked(7, newer)
+	c.insertLocked(7, older)
+	kept := c.entries[7].Value.(*slot).entry
+	c.mu.Unlock()
+	if kept != newer {
+		t.Fatalf("cache holds version %d, want 3", kept.Version)
+	}
+}
+
+// waitForWaiters blocks until n goroutines are parked in Get waiting for
+// an in-flight build.
+func waitForWaiters(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		waiting := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			// The waiter's innermost frame is Get itself; the blocked
+			// builder's is its build function.
+			if lines := strings.SplitN(g, "\n", 3); len(lines) > 1 &&
+				strings.Contains(lines[0], "[chan receive") && strings.Contains(lines[1], "plancache.(*Cache).Get(") {
+				waiting++
+			}
+		}
+		if waiting >= n {
+			return
+		}
+	}
+	t.Fatalf("no %d goroutine(s) waiting on an in-flight build", n)
 }
 
 func TestDigestNormalization(t *testing.T) {

@@ -230,31 +230,28 @@ func (s *Store) PartitionAt(name string, partition, host int) ([]types.Row, erro
 	return td.partitionLocked(partition), nil
 }
 
-// IndexScanAt returns one logical partition's rows in index order, as read
-// by a host site (see replicaAt). Indexes are per-partition permutations,
+// IndexScanAt returns one logical partition's rows and the index's order
+// over them, as read by a host site (see replicaAt): rows[order[0]],
+// rows[order[1]], … is the partition in index order. Both belong to the
+// store and must not be modified. Indexes are per-partition permutations,
 // so a backup host scans the same index in the same order the owner would
 // have.
-func (s *Store) IndexScanAt(name, index string, partition, host int) ([]types.Row, error) {
+func (s *Store) IndexScanAt(name, index string, partition, host int) (rows []types.Row, order []int, err error) {
 	td, err := s.replicaAt(name, partition, host)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	perm, ok := td.indexes[strings.ToLower(index)]
 	if !ok {
-		return nil, fmt.Errorf("storage: index %s on %s not built", index, name)
+		return nil, nil, fmt.Errorf("storage: index %s on %s not built", index, name)
 	}
-	rowsAt := td.partitionLocked(partition)
-	p := perm[partition]
+	order = perm[partition]
 	if td.Def.Replicated {
-		p = perm[0]
+		order = perm[0]
 	}
-	out := make([]types.Row, len(p))
-	for i, ri := range p {
-		out[i] = rowsAt[ri]
-	}
-	return out, nil
+	return td.partitionLocked(partition), order, nil
 }
 
 // replicaAt returns a table for reading one partition at a host site,

@@ -123,7 +123,7 @@ func TestIndexScanOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for site := 0; site < 2; site++ {
-		got, err := s.IndexScanAt("emp", "EMP_PK", site, site)
+		got, err := scanIndex(s, "emp", "EMP_PK", site, site)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestIndexScanOrder(t *testing.T) {
 		}
 	}
 	// Composite index sorts by (dept, id).
-	got, err := s.IndexScanAt("emp", "emp_dept", 0, 0)
+	got, err := scanIndex(s, "emp", "emp_dept", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,21 +146,61 @@ func TestIndexScanOrder(t *testing.T) {
 	}
 }
 
+// scanIndex reads one partition in index order, as an IndexScan does.
+func scanIndex(s *Store, name, index string, partition, host int) ([]types.Row, error) {
+	rows, order, err := s.IndexScanAt(name, index, partition, host)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]types.Row, len(order))
+	for i, ri := range order {
+		out[i] = rows[ri]
+	}
+	return out, nil
+}
+
+// TestIndexScanSharesPartition: an index scan hands out the partition the
+// store holds and the index's own order, so it copies and allocates
+// nothing per scan.
+func TestIndexScanSharesPartition(t *testing.T) {
+	s := newTestStore(t, 2)
+	if err := s.Load("emp", empRows(50)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BuildIndexes("emp"); err != nil {
+		t.Fatal(err)
+	}
+	part, err := s.PartitionAt("emp", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, order, err := s.IndexScanAt("emp", "emp_pk", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(part) || len(order) != len(part) || &rows[0] != &part[0] {
+		t.Fatalf("index scan returned %d rows / %d positions, not the %d-row partition", len(rows), len(order), len(part))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _, _ = s.IndexScanAt("emp", "emp_pk", 1, 1) }); allocs != 0 {
+		t.Errorf("IndexScanAt allocated %.0f objects per scan, want 0", allocs)
+	}
+}
+
 func TestIndexScanErrors(t *testing.T) {
 	s := newTestStore(t, 2)
 	if err := s.Load("emp", empRows(5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.IndexScanAt("emp", "emp_pk", 0, 0); err == nil {
+	if _, err := scanIndex(s, "emp", "emp_pk", 0, 0); err == nil {
 		t.Error("index scan before BuildIndexes succeeded")
 	}
 	if err := s.BuildIndexes("emp"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.IndexScanAt("emp", "nope", 0, 0); err == nil {
+	if _, err := scanIndex(s, "emp", "nope", 0, 0); err == nil {
 		t.Error("scan of unknown index succeeded")
 	}
-	if _, err := s.IndexScanAt("emp", "emp_pk", 9, 9); err == nil {
+	if _, err := scanIndex(s, "emp", "emp_pk", 9, 9); err == nil {
 		t.Error("scan of out-of-range site succeeded")
 	}
 	if _, err := s.Partition("emp", -1); err == nil {
@@ -179,7 +219,7 @@ func TestLoadInvalidatesIndexes(t *testing.T) {
 	if err := s.Load("emp", empRows(5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.IndexScanAt("emp", "emp_pk", 0, 0); err == nil {
+	if _, err := scanIndex(s, "emp", "emp_pk", 0, 0); err == nil {
 		t.Error("stale index usable after Load")
 	}
 }
@@ -325,11 +365,11 @@ func TestIndexScanAtFromBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < 4; p++ {
-		owner, err := s.IndexScanAt("emp", "emp_pk", p, p)
+		owner, err := scanIndex(s, "emp", "emp_pk", p, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		backup, err := s.IndexScanAt("emp", "emp_pk", p, (p+1)%4)
+		backup, err := scanIndex(s, "emp", "emp_pk", p, (p+1)%4)
 		if err != nil {
 			t.Fatalf("backup index scan of partition %d: %v", p, err)
 		}
@@ -341,7 +381,7 @@ func TestIndexScanAtFromBackup(t *testing.T) {
 				t.Fatalf("partition %d index row %d differs across replicas", p, i)
 			}
 		}
-		if _, err := s.IndexScanAt("emp", "emp_pk", p, (p+2)%4); err == nil {
+		if _, err := scanIndex(s, "emp", "emp_pk", p, (p+2)%4); err == nil {
 			t.Errorf("partition %d index readable from non-replica site", p)
 		}
 	}

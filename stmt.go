@@ -11,8 +11,10 @@ import (
 // Stmt is a prepared SELECT: the statement is parsed, validated and
 // optimized once at Prepare time, and each Query execution clones the
 // retained plan, substitutes the `?` parameter values and runs it —
-// skipping parse, bind and cost-based optimization entirely. A Stmt is
-// safe for concurrent Query calls.
+// skipping parse, bind and cost-based optimization entirely. The plan's
+// text (digest, operator lines, column names) is rendered by the first
+// execution and shared by later ones: arguments appear in it as their
+// placeholders. A Stmt is safe for concurrent Query calls.
 //
 // When the engine's plan cache is enabled the Stmt shares its entries, so
 // an inline Exec of the same (digest-normalized) text also hits the
