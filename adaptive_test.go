@@ -11,7 +11,9 @@
 package gignite_test
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"gignite"
@@ -162,8 +164,8 @@ func TestAdaptiveUnderFaults(t *testing.T) {
 }
 
 // TestAdaptivePlanCacheReAdapts checks the cache contract of DESIGN.md
-// §17: a cached plan is cloned before fragmenting, so the second
-// execution skips planning yet still re-adapts from scratch. If the
+// §17: every execution splits the cached plan into a private copy, so the
+// second execution skips planning yet still re-adapts from scratch. If the
 // cache ever retained a post-adaptation tree, the build-swap trigger
 // (which requires build=right) could not re-fire and switches would
 // drop to zero on the hit.
@@ -192,6 +194,79 @@ func TestAdaptivePlanCacheReAdapts(t *testing.T) {
 	}
 	if rowsChecksum(second.Rows) != rowsChecksum(first.Rows) {
 		t.Error("cache hit returned different rows")
+	}
+}
+
+// TestAdaptiveConcurrentExecutionsShareOneEntry: eight goroutines run one
+// prepared, misestimated join with different arguments through one cached
+// entry, so concurrent Splits read one plan while each execution's
+// adaptive controller rewrites its own copy. Every result must be its
+// sequential cache-off run's, and the entry's plan — its EXPLAIN text,
+// which its plan digest hashes — must be unchanged afterwards.
+func TestAdaptiveConcurrentExecutionsShareOneEntry(t *testing.T) {
+	const q = `SELECT s_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
+FROM lineitem, orders, supplier
+WHERE l_orderkey = o_orderkey AND l_suppkey = s_suppkey AND o_orderdate >= ?
+GROUP BY s_name ORDER BY revenue DESC`
+	dates := []string{"1992-03-01", "1992-09-01", "1993-03-01", "1993-09-01",
+		"1994-03-01", "1994-09-01", "1995-03-01", "1995-09-01"}
+	report := func(res *gignite.Result) string {
+		return fmt.Sprintf("%s modeled=%v switches=%d", rowsChecksum(res.Rows), res.Modeled, res.Stats.AdaptiveSwitches)
+	}
+
+	off := openTPCH(t, adaptiveTestSF, 4, misestimated, adaptiveOn)
+	sequential, err := off.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(dates))
+	switches := 0
+	for i, d := range dates {
+		res, err := sequential.Query(gignite.NewString(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = report(res)
+		switches += res.Stats.AdaptiveSwitches
+	}
+	if switches == 0 {
+		t.Fatal("no adaptive rewrite fired: the test would prove nothing")
+	}
+
+	on := openTPCH(t, adaptiveTestSF, 4, misestimated, adaptiveOn, planCache(16), parallelism(2))
+	stmt, err := on.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := on.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, len(dates))
+	var wg sync.WaitGroup
+	for i, d := range dates {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := stmt.Query(gignite.NewString(d))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !res.Stats.PlanningSkipped {
+				t.Errorf("%s: execution planned instead of sharing the entry", d)
+			}
+			got[i] = report(res)
+		}()
+	}
+	wg.Wait()
+	for i, d := range dates {
+		if got[i] != want[i] {
+			t.Errorf("%s: concurrent cached run differs from its sequential cache-off run:\n%.300s\nvs\n%.300s", d, got[i], want[i])
+		}
+	}
+	if after, err := on.Explain(q); err != nil || after != before {
+		t.Errorf("the cached entry's plan changed (err %v):\n%s\nvs\n%s", err, after, before)
 	}
 }
 

@@ -363,7 +363,7 @@ func TestSharedSubtreeInsideFragment(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			// Twice: the second run executes a clone of the cached plan.
+			// Twice: the second run splits the retained plan again.
 			for run := 0; run < 2; run++ {
 				got, err = stmt.Query()
 				if err != nil {

@@ -6,9 +6,9 @@ import (
 	"gignite/internal/volcano"
 )
 
-// The two halves of Engine.plan, for the package's planner tests and
-// benchmarks: they time, count and inspect the Volcano stage on exactly
-// the plan and planner a statement would get.
+// The two halves of Engine.buildEntry's planning, for the package's
+// planner tests and benchmarks: they time, count and inspect the Volcano
+// stage on exactly the plan and planner a statement would get.
 
 // BindLogical parses and binds a SELECT and runs the stage-1 rules.
 func (e *Engine) BindLogical(query string) (logical.Node, error) {

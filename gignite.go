@@ -33,7 +33,6 @@ import (
 	"gignite/internal/catalog"
 	"gignite/internal/cluster"
 	"gignite/internal/cost"
-	"gignite/internal/expr"
 	"gignite/internal/faults"
 	"gignite/internal/fragment"
 	"gignite/internal/governor"
@@ -234,10 +233,10 @@ type Config struct {
 	// (DESIGN.md §15). Cached plans are keyed by a normalized digest of the
 	// statement text, invalidated whenever the catalog version changes
 	// (DDL, ANALYZE), and shared by Exec and prepared statements; every
-	// execution clones the cached plan, so results are byte-identical with
-	// the cache off. 0 disables caching: each SELECT is planned from
-	// scratch. Off in every preset (an extension beyond the paper's
-	// system, mirroring Ignite's fronting plan cache for Calcite).
+	// execution runs its own split copy of the cached plan, so results are
+	// byte-identical with the cache off. 0 disables caching: each SELECT is
+	// planned from scratch. Off in every preset (an extension beyond the
+	// paper's system, mirroring Ignite's fronting plan cache for Calcite).
 	PlanCacheSize int
 	// ExperimentalViews enables CREATE VIEW and view expansion — an
 	// extension beyond the paper's system (Ignite+Calcite rejects views,
@@ -779,36 +778,26 @@ func (e *Engine) newPlanner() *volcano.Planner {
 	})
 }
 
-// plan runs the full planning pipeline for a bound SELECT. It also
-// returns the bind-time type hint of every `?` placeholder (indexed by
-// ordinal; types.KindNull when no hint was derivable).
-func (e *Engine) plan(sel *sql.SelectStmt) (physical.Node, []types.Kind, *volcano.Planner, error) {
+// buildEntry runs the full planning pipeline for a SELECT — bind, the
+// stage-1 rules, Volcano — and wraps the result as a cache entry with the
+// bind-time type hint of every `?` placeholder, stamped with the catalog
+// version planning started from. Reading the version first is
+// deliberate: a DDL landing mid-plan leaves the entry marked stale, never
+// the reverse. The plan's expressions are compiled before anyone else can
+// see it, so every execution's split copy shares its kernels.
+func (e *Engine) buildEntry(sel *sql.SelectStmt) (*plancache.Entry, error) {
+	version := e.catalog.Version()
 	lp, b, err := e.bindLogical(sel, e.rulesConfig())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	vp := e.newPlanner()
 	pp, err := vp.Optimize(lp)
 	if err != nil {
-		return nil, nil, vp, err
-	}
-	return pp, b.ParamKinds(sel.Params), vp, nil
-}
-
-// buildEntry runs the planning pipeline and wraps the result as a cache
-// entry stamped with the catalog version planning started from. Reading
-// the version first is deliberate: a DDL landing mid-plan leaves the
-// entry marked stale, never the reverse. The plan's expressions are
-// compiled before anyone else can see it, so every clone an execution
-// runs shares its kernels.
-func (e *Engine) buildEntry(sel *sql.SelectStmt) (*plancache.Entry, error) {
-	version := e.catalog.Version()
-	pp, kinds, vp, err := e.plan(sel)
-	if err != nil {
 		return nil, err
 	}
 	physical.Compile(pp)
-	return &plancache.Entry{Plan: pp, ParamKinds: kinds, Tickets: vp.TicketsUsed, Version: version}, nil
+	return &plancache.Entry{Plan: pp, ParamKinds: b.ParamKinds(sel.Params), Tickets: vp.TicketsUsed, Version: version}, nil
 }
 
 // getPlan resolves the optimized plan for a parsed SELECT: through the
@@ -839,16 +828,25 @@ func (e *Engine) query(ctx context.Context, sel *sql.SelectStmt, src string) (*R
 }
 
 // planGetter resolves the plan entry for one execution. skipped reports
-// whether planning was skipped (a cache or prepared-statement hit);
-// shared reports whether the entry outlives this execution (cached or
-// retained by a Stmt), in which case the execution must run a clone.
-type planGetter func() (entry *plancache.Entry, skipped, shared bool, err error)
+// whether planning was skipped (a cache or prepared-statement hit).
+type planGetter func() (entry *plancache.Entry, skipped bool, err error)
+
+// split builds one execution's private fragmented plan from a plan the
+// execution only reads (fragment.Split), with args bound to its
+// placeholders, and plans its runtime filters when they are on.
+func (e *Engine) split(pp physical.Node, args ...types.Value) *fragment.Plan {
+	fp := fragment.Split(pp, args...)
+	if e.cfg.RuntimeFilters {
+		fragment.PlanRuntimeFilters(fp)
+	}
+	return fp
+}
 
 // run is the shared SELECT execution path behind query, explainAnalyze
-// and prepared statements: resolve the plan (cache-aware), substitute
-// parameters into a clone, fragment, execute, then attach the observation
-// record and update the engine's cumulative metrics (including the
-// slow-query log).
+// and prepared statements: resolve the plan (cache-aware), split it into
+// this execution's private copy with the arguments bound, execute, then
+// attach the observation record and update the engine's cumulative
+// metrics (including the slow-query log).
 func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args []types.Value, get planGetter) (*Result, *fragment.Plan, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -883,47 +881,28 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 		return nil, nil, fmt.Errorf("gignite: query has %d parameter(s) but %d argument(s) were supplied", sel.Params, len(args))
 	}
 	if get == nil {
-		get = func() (*plancache.Entry, bool, bool, error) {
-			entry, hit, err := e.getPlan(sel)
-			return entry, hit, e.plans != nil, err
-		}
+		get = func() (*plancache.Entry, bool, error) { return e.getPlan(sel) }
 	}
 	planStart := time.Now()
-	entry, skipped, shared, err := get()
+	entry, skipped, err := get()
 	planNanos := time.Since(planStart).Nanoseconds()
 	if err != nil {
 		e.em.failed.Inc()
 		return nil, nil, err
 	}
-	pp := entry.Plan
-	if shared || len(args) > 0 {
-		// Never fragment a shared plan directly: Split rewires trees in
-		// place and the executor keys state by node pointer. Parameter
-		// values are substituted during the clone.
-		var rewrite func(expr.Expr) expr.Expr
-		if len(args) > 0 {
-			bound := make([]types.Value, len(args))
-			for i, a := range args {
-				v, cerr := binder.CoerceParam(a, entry.ParamKinds[i])
-				if cerr != nil {
-					e.em.failed.Inc()
-					return nil, nil, fmt.Errorf("gignite: parameter %d: %w", i+1, cerr)
-				}
-				bound[i] = v
+	var bound []types.Value
+	if len(args) > 0 {
+		bound = make([]types.Value, len(args))
+		for i, a := range args {
+			v, cerr := binder.CoerceParam(a, entry.ParamKinds[i])
+			if cerr != nil {
+				e.em.failed.Inc()
+				return nil, nil, fmt.Errorf("gignite: parameter %d: %w", i+1, cerr)
 			}
-			rewrite = func(n expr.Expr) expr.Expr {
-				if p, ok := n.(*expr.Param); ok {
-					return p.Bind(bound[p.Ordinal])
-				}
-				return n
-			}
+			bound[i] = v
 		}
-		pp = physical.CloneTree(pp, rewrite)
 	}
-	fp := fragment.Split(pp)
-	if e.cfg.RuntimeFilters {
-		fragment.PlanRuntimeFilters(fp)
-	}
+	fp := e.split(entry.Plan, bound...)
 	// Bound arguments render as their placeholders, so the first
 	// execution's rendering of the entry's plan holds for every later one.
 	text := entry.Text(func() *plancache.Text { return renderText(fp) })
@@ -936,9 +915,9 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 		limit = 0
 	}
 	// The adaptive controller is built per execution over this execution's
-	// private plan tree: cached plans were cloned above, so a barrier
-	// rewrite never leaks into the cache and every execution re-adapts
-	// from its own runtime evidence.
+	// private plan tree: Split copied every operator, so a barrier rewrite
+	// never leaks into the cache and every execution re-adapts from its
+	// own runtime evidence.
 	var ac *adaptive.Controller
 	if e.cfg.AdaptiveExec {
 		ac, err = adaptive.New(fp, adaptive.Config{Sites: e.cfg.Sites, Variants: variants})
@@ -1170,22 +1149,21 @@ func qerror(est, act float64) float64 {
 	return q
 }
 
+// explain renders the fragmented plan of a SELECT, resolved through the
+// plan cache like an execution's, with its placeholders unbound.
 func (e *Engine) explain(sel *sql.SelectStmt) (*Result, error) {
-	pp, _, vp, err := e.plan(sel)
+	entry, _, err := e.getPlan(sel)
 	if err != nil {
 		return nil, err
 	}
-	fp := fragment.Split(pp)
-	if e.cfg.RuntimeFilters {
-		fragment.PlanRuntimeFilters(fp)
-	}
+	fp := e.split(entry.Plan)
 	var sb strings.Builder
 	sb.WriteString(fp.Format())
 	for _, rf := range fp.Filters {
 		sb.WriteString(rf.Describe())
 		sb.WriteByte('\n')
 	}
-	fmt.Fprintf(&sb, "planner tickets: %d\n", vp.TicketsUsed)
+	fmt.Fprintf(&sb, "planner tickets: %d\n", entry.Tickets)
 	return &Result{PlanText: sb.String()}, nil
 }
 

@@ -121,9 +121,9 @@ type Controller struct {
 
 // New builds a controller for a fragmented plan. The plan's senders and
 // receivers may be mutated by later OnBarrier calls, so the plan must be
-// private to this execution (the engine clones cached plans before
-// fragmenting, which also guarantees a cached plan never retains a
-// post-adaptation tree).
+// private to this execution — as fragment.Split's output is: it copies
+// every operator of the plan it splits, so a cached plan never retains a
+// post-adaptation tree.
 func New(plan *fragment.Plan, cfg Config) (*Controller, error) {
 	waves, err := plan.Waves()
 	if err != nil {

@@ -99,7 +99,7 @@ type Result struct {
 	Notes map[physical.Node]string
 	// Compiled counts the expressions compiled for this execution
 	// (physical.Compile): none for a plan that came compiled, only those a
-	// parameter rewrite replaced for a rewritten clone of one.
+	// bound parameter replaced in an execution's copy of one.
 	Compiled int
 }
 

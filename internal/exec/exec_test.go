@@ -539,6 +539,24 @@ func TestWorkLimitAborts(t *testing.T) {
 	}
 }
 
+// TestSortRejectsBeforeFinish: a sort owes n·RPTC + n·log2 n·RCC at
+// finish, so once that would cross the work limit it fails on the push
+// that shows it, without buffering the rest of its input.
+func TestSortRejectsBeforeFinish(t *testing.T) {
+	st := testStore(t, 1)
+	const n = 10000
+	sorted := physical.NewSort(physical.NewValues(kvFields, kvRows(n)), []types.SortKey{{Col: 1}})
+	ctx := ctxAt(st, 0)
+	ctx.WorkLimit = 1e5
+	tracked(ctx, sorted)
+	if _, err := runPlan(sorted, ctx); !errors.Is(err, ErrWorkLimit) {
+		t.Fatalf("err = %v, want work limit", err)
+	}
+	if in := statsOf(ctx, sorted).RowsIn; in >= n {
+		t.Errorf("sort took in %d rows, want it to stop before all %d", in, n)
+	}
+}
+
 func TestRowLimitAborts(t *testing.T) {
 	st := testStore(t, 1)
 	// A join with massive fan-out (all keys equal).

@@ -192,7 +192,18 @@ type sortOp struct {
 
 func (s *sortOp) push(rows []types.Row, stable bool) error {
 	s.st.addIn(len(rows))
-	return s.buf.push(rows, stable)
+	if err := s.buf.push(rows, stable); err != nil {
+		return err
+	}
+	// finish charges n·RPTC + n·log2 n·RCC and then tests the limit. Both
+	// the instance's work and n only grow, so once that test would fail it
+	// fails here, before the buffer grows further — a test, not a charge.
+	c := s.ctx
+	if n := float64(len(s.buf.rows)); c.WorkLimit > 0 && n > 1 &&
+		c.CPUWork+n*cost.RPTC+n*math.Log2(n)*cost.RCC > c.WorkLimit {
+		return ErrWorkLimit
+	}
+	return nil
 }
 
 func (s *sortOp) expect(n int) { s.buf.expect(n) }

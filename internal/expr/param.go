@@ -13,9 +13,9 @@ import (
 // hint was derivable and the argument's own kind is used at execution.
 //
 // A Param never evaluates: execution substitutes a Lit for every Param
-// (Bind) when the (possibly cached) plan is cloned for one run, so
-// reaching Eval means a parameterized plan leaked into the executor
-// unbound.
+// (Bind) when fragmentation copies the (possibly cached) plan for one
+// run, so reaching Eval means a parameterized plan leaked into the
+// executor unbound.
 type Param struct {
 	Ordinal int
 	Typ     types.Kind

@@ -8,8 +8,10 @@ package fragment
 import (
 	"fmt"
 
+	"gignite/internal/expr"
 	"gignite/internal/logical"
 	"gignite/internal/physical"
+	"gignite/internal/types"
 )
 
 // Fragment is one executable subsection of the query tree.
@@ -41,24 +43,37 @@ type Plan struct {
 // Exchange is replaced by a receiver (staying in the current fragment) and
 // a sender (rooting a new fragment over the exchange's child).
 //
+// Split builds one execution's private plan and writes no node reachable
+// from root, so a cached or prepared plan is split as it is. Every
+// operator other than an Exchange becomes a fresh shallow copy
+// (physical.Copy); with args, the copy's expressions have every
+// placeholder bound (expr.Param.Bind) to its argument. Without args,
+// placeholders stay unbound, as EXPLAIN prints them.
+//
 // The optimizer may emit a DAG rather than a tree: a subtree (often a
 // broadcast) shared by two parents. Each Exchange is still split exactly
-// once, and every fragment that reaches it — through the original
-// Exchange node or through an already-substituted Receiver in a shared
-// subtree — records the exchange in its Receivers. Dropping the second
-// consumer's edge would let Waves schedule it alongside its producer.
+// once, keyed by its node, and every fragment that reaches it records the
+// exchange in its Receivers. Dropping the second consumer's edge would
+// let Waves schedule it alongside its producer.
 //
-// Sharing stops at the exchange: every other operator reached a second
-// time (the memo gives two equal join inputs the same subtree) is copied,
-// so that between its receivers and its root a fragment is a tree. The
-// executor and the variant planner key per-operator state — source modes,
-// split counters, row statistics — by node pointer, and one operator
-// standing in two places would have one visit overwrite the other's.
-func Split(root physical.Node) *Plan {
+// Sharing stops at the exchange: every other operator is copied once per
+// visit (the memo gives two equal join inputs the same subtree), so that
+// between its receivers and its root a fragment is a tree. The executor
+// and the variant planner key per-operator state — source modes, split
+// counters, row statistics — by node pointer, and one operator standing
+// in two places would have one visit overwrite the other's.
+func Split(root physical.Node, args ...types.Value) *Plan {
 	p := &Plan{Producer: make(map[int]*Fragment)}
-	nextExchange := 0
 	split := make(map[*physical.Exchange]*physical.Receiver)
-	reached := make(map[physical.Node]bool)
+	var bind func(expr.Expr) expr.Expr
+	if len(args) > 0 {
+		bind = func(e expr.Expr) expr.Expr {
+			if prm, ok := e.(*expr.Param); ok {
+				return prm.Bind(args[prm.Ordinal])
+			}
+			return e
+		}
+	}
 
 	addReceiver := func(frag *Fragment, id int) {
 		for _, ex := range frag.Receivers {
@@ -71,47 +86,33 @@ func Split(root physical.Node) *Plan {
 
 	var splitTree func(n physical.Node, frag *Fragment) physical.Node
 	splitTree = func(n physical.Node, frag *Fragment) physical.Node {
-		switch t := n.(type) {
-		case *physical.Receiver:
-			// A shared subtree already split by an earlier walk.
-			addReceiver(frag, t.ExchangeID)
-			return t
-		case *physical.Exchange:
-			if rv, ok := split[t]; ok {
-				// The same Exchange node reached from a second parent.
-				addReceiver(frag, rv.ExchangeID)
-				return rv
+		t, ok := n.(*physical.Exchange)
+		if !ok {
+			out := physical.Copy(n, bind)
+			if ins := n.Inputs(); len(ins) > 0 {
+				newIns := make([]physical.Node, len(ins))
+				for i, in := range ins {
+					newIns[i] = splitTree(in, frag)
+				}
+				out.SetInputs(newIns)
 			}
-			id := nextExchange
-			nextExchange++
-			child := t.Inputs()[0]
-			sender := physical.NewSender(child, id, t.Target)
-			sub := &Fragment{ID: len(p.Fragments), Root: sender, ExchangeID: id}
+			return out
+		}
+		rv, ok := split[t]
+		if !ok {
+			// The first parent to reach this Exchange splits it; later
+			// parents share its receiver.
+			id := len(p.Producer)
+			sub := &Fragment{ID: len(p.Fragments), ExchangeID: id}
 			p.Fragments = append(p.Fragments, sub)
 			p.Producer[id] = sub
 			// Recurse inside the new fragment for nested exchanges.
-			sender.SetInputs([]physical.Node{splitTree(child, sub)})
-			addReceiver(frag, id)
-			rv := physical.NewReceiver(t, id)
+			sub.Root = physical.NewSender(splitTree(t.Inputs()[0], sub), id, t.Target)
+			rv = physical.NewReceiver(t, id)
 			split[t] = rv
-			return rv
 		}
-		if reached[n] {
-			// The first visit rewired n's inputs in place; the copy starts
-			// from those and gets an input slice of its own below.
-			n = physical.Copy(n)
-		} else {
-			reached[n] = true
-		}
-		ins := n.Inputs()
-		if len(ins) > 0 {
-			newIns := make([]physical.Node, len(ins))
-			for i, in := range ins {
-				newIns[i] = splitTree(in, frag)
-			}
-			n.SetInputs(newIns)
-		}
-		return n
+		addReceiver(frag, rv.ExchangeID)
+		return rv
 	}
 
 	rootFrag := &Fragment{ID: 0, IsRoot: true, ExchangeID: -1}

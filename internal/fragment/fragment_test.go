@@ -1,6 +1,7 @@
 package fragment
 
 import (
+	"slices"
 	"testing"
 
 	"gignite/internal/catalog"
@@ -365,7 +366,9 @@ func TestSplitUnsharesOperatorsInsideAFragment(t *testing.T) {
 		seen[n] = true
 		return true
 	})
-	l, r := join.Inputs()[0], join.Inputs()[1]
+	// Split leaves its input alone: the fragment's own join is the copy.
+	split := plan.Fragments[1].Root.Inputs()[0]
+	l, r := split.Inputs()[0], split.Inputs()[1]
 	if l == r || l.Inputs()[0] == r.Inputs()[0] {
 		t.Error("the join's inputs still share an operator")
 	}
@@ -381,5 +384,83 @@ func TestSplitUnsharesOperatorsInsideAFragment(t *testing.T) {
 	// runs on one thread.
 	if v := BuildVariants(plan.Fragments[1], 2); v != nil {
 		t.Errorf("variants built over a receiver with conflicting modes: %v", v.Modes)
+	}
+}
+
+// TestSplitLeavesItsInputUntouched: Split builds each execution's private
+// tree from a plan it only reads, so a cached plan is split as it is.
+// The plan shares a subtree over a shared Exchange and holds a
+// placeholder in a Filter; two splits with different arguments must leave
+// every input node's inputs and expressions as they were, share no
+// operator with the input or with each other, and each bind the Filter's
+// placeholder to its own argument.
+func TestSplitLeavesItsInputUntouched(t *testing.T) {
+	ex := physical.NewExchange(scan("b"), physical.BroadcastDist)
+	cond := expr.NewBinOp(expr.OpEq,
+		expr.NewColRef(1, types.KindInt, ""), expr.NewParam(0, types.KindInt))
+	shared := physical.NewFilter(ex, cond)
+	join := physical.NewJoin(shared, shared, physical.NestedLoop, logical.JoinInner,
+		expr.True, nil, physical.BroadcastDist, "broadcast", nil)
+	root := physical.NewExchange(join, physical.SingleDist)
+
+	type snapshot struct {
+		inputs []physical.Node
+		exprs  []expr.Expr
+	}
+	exprsOf := func(n physical.Node) []expr.Expr {
+		switch t := n.(type) {
+		case *physical.Filter:
+			return []expr.Expr{t.Cond}
+		case *physical.Join:
+			return []expr.Expr{t.Cond}
+		}
+		return nil
+	}
+	before := make(map[physical.Node]snapshot)
+	physical.Walk(root, func(n physical.Node) bool {
+		before[n] = snapshot{slices.Clone(n.Inputs()), exprsOf(n)}
+		return true
+	})
+
+	plans := []*Plan{Split(root, types.NewInt(7)), Split(root, types.NewInt(9))}
+
+	for n, snap := range before {
+		if !slices.Equal(n.Inputs(), snap.inputs) {
+			t.Errorf("Split rewired the inputs of %s", n.Describe())
+		}
+		if !slices.Equal(exprsOf(n), snap.exprs) {
+			t.Errorf("Split rewrote the expressions of %s", n.Describe())
+		}
+	}
+	owner := make(map[physical.Node]int)
+	for i, plan := range plans {
+		if len(plan.Fragments) != 3 {
+			t.Fatalf("split %d: fragments = %d, want 3", i, len(plan.Fragments))
+		}
+		filters := 0
+		for _, f := range plan.Fragments {
+			physical.Walk(f.Root, func(n physical.Node) bool {
+				if _, ok := before[n]; ok {
+					t.Errorf("split %d runs the input's %s", i, n.Describe())
+				}
+				if prev, ok := owner[n]; ok && prev != i {
+					t.Errorf("splits %d and %d share %s", prev, i, n.Describe())
+				}
+				owner[n] = i
+				flt, ok := n.(*physical.Filter)
+				if !ok {
+					return true
+				}
+				filters++
+				lit, ok := flt.Cond.(*expr.BinOp).R.(*expr.Lit)
+				if want := int64(7 + 2*i); !ok || lit.Val.I != want || lit.Param == nil {
+					t.Errorf("split %d: filter %s, want ?1 bound to %d", i, flt.Cond, want)
+				}
+				return true
+			})
+		}
+		if filters != 2 {
+			t.Errorf("split %d: %d filters, want one per join input", i, filters)
+		}
 	}
 }

@@ -243,8 +243,8 @@ type ExecStats struct {
 	MemPeakBytes int64
 	// PlanNanos is the wall time spent acquiring the optimized plan: the
 	// cache lookup plus, on a miss, bind + heuristic + cost-based
-	// optimization. Parsing, plan cloning and fragmentation are excluded —
-	// they are per-execution costs paid whether or not the plan was cached.
+	// optimization. Parsing and fragmentation are excluded — they are
+	// per-execution costs paid whether or not the plan was cached.
 	PlanNanos int64
 	// PlanningSkipped is true when the plan came from the plan cache (or a
 	// prepared statement's retained plan), so no optimization ran for this

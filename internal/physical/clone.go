@@ -6,62 +6,42 @@ import (
 	"gignite/internal/expr"
 )
 
-// CloneTree deep-copies a physical plan, optionally rewriting every scalar
-// expression through rewrite (nil keeps expressions shared — they are
-// immutable, so sharing is safe). The copy preserves DAG shape exactly: a
-// subtree the optimizer shares between two consumers is cloned once and
-// both clones point at the same copy, because fragmentation's
-// multi-consumer wave scheduling depends on that sharing.
+// CloneTree deep-copies a physical plan through Copy, rewriting every
+// scalar expression through rewrite (nil keeps expressions shared). The
+// copy preserves DAG shape exactly: a subtree shared between two
+// consumers is cloned once and both clones point at the same copy.
 //
-// Cloning exists for the plan cache: fragment.Split rewires trees in place
-// and the executor keys per-query state by node pointer, so a cached plan
-// is never executed directly — each execution runs a fresh clone (with
-// parameter placeholders substituted via rewrite) while the pristine plan
-// stays in the cache.
+// Its last caller is bench's staged mirror of Engine.run; the engine
+// itself splits cached plans directly, because fragment.Split copies
+// what it runs.
 func CloneTree(root Node, rewrite func(expr.Expr) expr.Expr) Node {
-	c := &cloner{memo: make(map[Node]Node), rewrite: rewrite}
-	return c.clone(root)
-}
-
-type cloner struct {
-	memo    map[Node]Node
-	rewrite func(expr.Expr) expr.Expr
-}
-
-func (c *cloner) expr(e expr.Expr) expr.Expr {
-	if e == nil || c.rewrite == nil {
-		return e
+	memo := make(map[Node]Node)
+	var clone func(n Node) Node
+	clone = func(n Node) Node {
+		if m, ok := memo[n]; ok {
+			return m
+		}
+		out := Copy(n, rewrite)
+		memo[n] = out
+		if ins := n.Inputs(); len(ins) > 0 {
+			newIns := make([]Node, len(ins))
+			for i, in := range ins {
+				newIns[i] = clone(in)
+			}
+			out.SetInputs(newIns)
+		}
+		return out
 	}
-	return expr.Transform(e, c.rewrite)
-}
-
-func (c *cloner) exprs(es []expr.Expr) []expr.Expr {
-	if c.rewrite == nil {
-		return es
-	}
-	out := make([]expr.Expr, len(es))
-	for i, e := range es {
-		out[i] = c.expr(e)
-	}
-	return out
-}
-
-func (c *cloner) aggs(as []expr.AggCall) []expr.AggCall {
-	if c.rewrite == nil {
-		return as
-	}
-	out := make([]expr.AggCall, len(as))
-	copy(out, as)
-	for i := range out {
-		out[i].Arg = c.expr(out[i].Arg)
-	}
-	return out
+	return clone(root)
 }
 
 // Copy returns a shallow copy of one operator: a fresh node that shares
-// the original's inputs, expressions and properties. It panics on a node
+// the original's inputs and properties. Its scalar expressions are
+// rewritten through rewrite (expr.Transform), or shared when rewrite is
+// nil — expressions are immutable, and a copy whose expressions are
+// unchanged shares its original's compiled kernels. Copy panics on a node
 // type it does not know, so a new operator cannot be silently shared.
-func Copy(n Node) Node {
+func Copy(n Node, rewrite func(expr.Expr) expr.Expr) Node {
 	switch t := n.(type) {
 	case *TableScan:
 		return shallow(t)
@@ -70,19 +50,35 @@ func Copy(n Node) Node {
 	case *Values:
 		return shallow(t)
 	case *Filter:
-		return shallow(t)
+		t = shallow(t)
+		t.Cond = rewriteExpr(t.Cond, rewrite)
+		return t
 	case *Project:
-		return shallow(t)
+		t = shallow(t)
+		if rewrite != nil {
+			t.Exprs = rewriteAll(t.Exprs, func(e *expr.Expr) { *e = rewriteExpr(*e, rewrite) })
+		}
+		return t
 	case *Sort:
 		return shallow(t)
 	case *Limit:
 		return shallow(t)
 	case *HashAggregate:
-		return shallow(t)
+		t = shallow(t)
+		if rewrite != nil {
+			t.Aggs = rewriteAll(t.Aggs, func(a *expr.AggCall) { a.Arg = rewriteExpr(a.Arg, rewrite) })
+		}
+		return t
 	case *SortAggregate:
-		return shallow(t)
+		t = shallow(t)
+		if rewrite != nil {
+			t.Aggs = rewriteAll(t.Aggs, func(a *expr.AggCall) { a.Arg = rewriteExpr(a.Arg, rewrite) })
+		}
+		return t
 	case *Join:
-		return shallow(t)
+		t = shallow(t)
+		t.Cond = rewriteExpr(t.Cond, rewrite)
+		return t
 	case *Exchange:
 		return shallow(t)
 	case *Sender:
@@ -99,38 +95,20 @@ func shallow[T any](t *T) *T {
 	return &cp
 }
 
-func (c *cloner) clone(n Node) Node {
-	if n == nil {
-		return nil
+func rewriteExpr(e expr.Expr, rewrite func(expr.Expr) expr.Expr) expr.Expr {
+	if e == nil || rewrite == nil {
+		return e
 	}
-	if m, ok := c.memo[n]; ok {
-		return m
+	return expr.Transform(e, rewrite)
+}
+
+// rewriteAll returns a fresh copy of items with fn applied to each
+// element, leaving the shared original slice untouched.
+func rewriteAll[T any](items []T, fn func(*T)) []T {
+	out := make([]T, len(items))
+	copy(out, items)
+	for i := range out {
+		fn(&out[i])
 	}
-	out := Copy(n)
-	switch t := out.(type) {
-	case *Filter:
-		t.Cond = c.expr(t.Cond)
-	case *Project:
-		t.Exprs = c.exprs(t.Exprs)
-	case *HashAggregate:
-		t.Aggs = c.aggs(t.Aggs)
-	case *SortAggregate:
-		t.Aggs = c.aggs(t.Aggs)
-	case *Join:
-		t.Cond = c.expr(t.Cond)
-	}
-	c.memo[n] = out
-	ins := n.Inputs()
-	if len(ins) == 0 {
-		out.SetInputs(nil)
-		return out
-	}
-	// Always allocate a fresh input slice: fragmentation mutates input
-	// slices in place, and the original may still be cached.
-	newIns := make([]Node, len(ins))
-	for i, in := range ins {
-		newIns[i] = c.clone(in)
-	}
-	out.SetInputs(newIns)
 	return out
 }

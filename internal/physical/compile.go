@@ -11,10 +11,9 @@ import (
 // every expression the executor evaluates per row: a Filter's condition, a
 // Project's expressions, a join's residual condition and an aggregate's
 // arguments (expr.CompilePredicate, expr.CompileScalar). It compiles only
-// what is missing or stale — a copy (Copy, or CloneTree without a rewrite)
-// shares its original's kernels, and a rewritten clone recompiles only the
-// expressions the rewrite replaced — and returns how many expressions it
-// compiled.
+// what is missing or stale — a copy (Copy) shares its original's kernels,
+// and recompiles only the expressions its rewrite replaced — and returns
+// how many expressions it compiled.
 //
 // Compile writes the operators, so it runs before a plan is shared: on the
 // plan a cache or a prepared statement keeps, and in cluster.Run before

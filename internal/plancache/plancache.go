@@ -5,9 +5,9 @@
 //
 // This mirrors the Calcite-in-Ignite arrangement the paper studies: Ignite
 // fronts Calcite with a bounded query-plan cache because planning is a
-// significant fraction of short-query latency. Entries store the pristine
-// pre-fragmentation plan; executions clone it (fragmentation rewires trees
-// in place) and substitute parameter values into the clone. Plans are
+// significant fraction of short-query latency. Entries store the
+// pre-fragmentation plan, which executions only read: fragmentation builds
+// each execution's private copy with its parameter values bound. Plans are
 // invalidated by catalog version: any schema or statistics change bumps
 // the version and lazily evicts stale entries on next lookup.
 package plancache
@@ -22,9 +22,9 @@ import (
 	"gignite/internal/types"
 )
 
-// Entry is one cached plan. Plan is the pristine pre-Split physical tree;
-// callers must clone it (physical.CloneTree) before fragmenting or
-// executing. ParamKinds holds the bind-time type hint for each `?`
+// Entry is one cached plan. Plan is the pre-Split physical tree, shared
+// read-only by every execution (fragment.Split copies what it runs).
+// ParamKinds holds the bind-time type hint for each `?`
 // placeholder (types.KindNull when no hint was derivable). Tickets records
 // the optimizer work the original planning pass spent, so cache hits can
 // report a stable planning-cost figure. The plan's rendered text (Text)

@@ -106,7 +106,7 @@ func TestPlanCacheUnderFaults(t *testing.T) {
 }
 
 // TestPlanCacheWithRuntimeFilters checks cached plans re-derive runtime
-// join filters on every execution (filter planning happens post-clone).
+// join filters on every execution (filter planning runs on the split copy).
 func TestPlanCacheWithRuntimeFilters(t *testing.T) {
 	cfgOff := ICPlus(4)
 	cfgOff.RuntimeFilters = true

@@ -1,6 +1,6 @@
 // Tests and the microbenchmark of planning cost on the host: what the
 // Volcano stage allocates and how long it takes, on exactly the plan and
-// planner a statement gets (export_test.go exposes Engine.plan's halves).
+// planner a statement gets (export_test.go exposes buildEntry's halves).
 package gignite_test
 
 import (

@@ -7,6 +7,9 @@ import (
 	"unsafe"
 
 	"gignite"
+	"gignite/internal/harness"
+	"gignite/internal/ssb"
+	"gignite/internal/tpch"
 )
 
 // Plan text (DESIGN.md §12): what an execution reports about its plan —
@@ -147,10 +150,62 @@ func TestPlanTextRenderedOncePerEntry(t *testing.T) {
 	}
 }
 
+// TestExplainSharesPlanCache: plain EXPLAIN resolves its plan through the
+// plan cache, as an execution does. With the cache on, `EXPLAIN q` plans
+// q, so q itself skips planning; and EXPLAIN's text, the planner tickets
+// line included, is the cache-off engine's byte for byte, for every TPC-H
+// and SSB query under IC and IC+M.
+func TestExplainSharesPlanCache(t *testing.T) {
+	const sf = 0.001
+	statements := map[harness.Workload][]string{}
+	for _, q := range tpch.Queries() {
+		if !q.RequiresViews {
+			statements[harness.TPCH] = append(statements[harness.TPCH], q.SQL)
+		}
+	}
+	for _, q := range ssb.Queries() {
+		statements[harness.SSB] = append(statements[harness.SSB], q.SQL)
+	}
+	for w, sqls := range statements {
+		for _, sys := range []harness.System{harness.IC, harness.ICPM} {
+			open := func(size int) *gignite.Engine {
+				e := gignite.Open(gignite.WithConfig(harness.ConfigFor(sys, 4, sf)), planCache(size))
+				if err := w.Setup(e, sf); err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			on, off := open(64), open(0)
+			for i, q := range sqls {
+				want, err := off.Explain(q)
+				if err != nil {
+					t.Fatalf("%s %s statement %d (cache off): %v", w, sys, i, err)
+				}
+				got, err := on.Explain(q)
+				if err != nil {
+					t.Fatalf("%s %s statement %d (cache on): %v", w, sys, i, err)
+				}
+				if got != want || !strings.Contains(got, "planner tickets: ") {
+					t.Errorf("%s %s statement %d: EXPLAIN through the cache\n%s\ncache off\n%s", w, sys, i, got, want)
+				}
+				if sys != harness.ICPM {
+					continue // IC's mis-planned queries fail by design
+				}
+				res, err := on.Query(q)
+				if err != nil {
+					t.Fatalf("%s %s statement %d: %v", w, sys, i, err)
+				}
+				if !res.Stats.PlanningSkipped {
+					t.Errorf("%s %s statement %d: planned again after EXPLAIN", w, sys, i)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkPreparedLookup times one execution of each served_short lookup
 // in-process (IC+M, 4 sites, SF 0.01, plan cache on): the per-statement
-// fixed cost of clone, split, scheduling and observation, without the
-// wire.
+// fixed cost of split, scheduling and observation, without the wire.
 func BenchmarkPreparedLookup(b *testing.B) {
 	const sf = 0.01
 	e := openTPCH(b, sf, 4, icpm(sf), planCache(64))

@@ -9,9 +9,10 @@ import (
 )
 
 // Stmt is a prepared SELECT: the statement is parsed, validated and
-// optimized once at Prepare time, and each Query execution clones the
-// retained plan, substitutes the `?` parameter values and runs it —
-// skipping parse, bind and cost-based optimization entirely. The plan's
+// optimized once at Prepare time, and each Query execution splits the
+// retained plan into a private copy with the `?` parameter values bound
+// and runs it — skipping parse, bind and cost-based optimization
+// entirely. The plan's
 // text (digest, operator lines, column names) is rendered by the first
 // execution and shared by later ones: arguments appear in it as their
 // placeholders. A Stmt is safe for concurrent Query calls.
@@ -90,12 +91,7 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...Value) (*Result, error)
 		return nil, err
 	}
 	defer s.e.endOp()
-	res, _, err := s.e.run(ctx, s.sel, s.src, args, func() (*plancache.Entry, bool, bool, error) {
-		entry, skipped, err := s.entry()
-		// The entry is retained (by the Stmt or the cache), so the
-		// execution must always clone it.
-		return entry, skipped, true, err
-	})
+	res, _, err := s.e.run(ctx, s.sel, s.src, args, s.entry)
 	return res, err
 }
 
