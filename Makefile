@@ -1,5 +1,8 @@
-# Developer entry points. CI (.github/workflows/ci.yml) runs `make ci`,
-# which gates every PR on go vet and the race detector.
+# Developer entry points. `make ci` runs the gates of CI's test job
+# (.github/workflows/ci.yml) in the job's order: vet, tier-1 tests, the
+# race detector, the concurrency tests at 1/2/4 cores, the chaos suite,
+# the benchmark module and the executor microbenchmarks. The job also
+# builds first and exports observability artifacts last.
 
 GO ?= go
 
@@ -85,4 +88,4 @@ fuzz-smoke:
 		done; \
 	done
 
-ci: vet race race-cpu bench-build bench-exec
+ci: vet test race race-cpu chaos bench-build bench-exec

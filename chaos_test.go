@@ -9,11 +9,18 @@ package gignite_test
 import (
 	"context"
 	"errors"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"gignite"
+	"gignite/internal/harness"
 	"gignite/internal/tpch"
 )
 
@@ -216,5 +223,100 @@ func TestChaosClientCancelMidWave(t *testing.T) {
 	// quickly proves the operators observed the cancel mid-execution.
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Errorf("cancel took %v to take effect", elapsed)
+	}
+}
+
+// updateFaults makes TestFaultOutcomesGolden rewrite testdata/faults.golden
+// from the current outcomes instead of comparing against it.
+var updateFaults = flag.Bool("update-faults", false, "TestFaultOutcomesGolden: rewrite testdata/faults.golden")
+
+// faultOutcomeSpec is the fault plan TestFaultOutcomesGolden runs under: a
+// crash in mid-query, flaky sends and a slow site, so the scheduler's
+// retry, failover and hedging paths all fire.
+const faultOutcomeSpec = "seed=7;crash=2@4;sendfail=0.05;slow=1x2.0"
+
+// TestFaultOutcomesGolden pins what every TPC-H query does under one fault
+// plan, field by field: modeled time, the exact bits of Work, shipped
+// bytes, instances, retries, spans, hedges, filters, replans and a hash
+// of the rows. A fault plan addresses instances by ordinal, so a change
+// to the schedule that reshuffles ordinals — which the chaos tests, which
+// compare rows only, would not notice — moves a line here. Rewrite the
+// file with -update-faults only for a change that means to move them.
+func TestFaultOutcomesGolden(t *testing.T) {
+	const (
+		path  = "testdata/faults.golden"
+		sf    = 0.002
+		sites = 4
+	)
+	configs := []struct {
+		name string
+		sys  harness.System
+		opts []gignite.Option
+	}{
+		{"IC+", harness.ICPlus, nil},
+		{"IC+M", harness.ICPM, nil},
+		{"IC+M+filters+adaptive+hedge", harness.ICPM, []gignite.Option{func(c *gignite.Config) {
+			c.RuntimeFilters = true
+			c.AdaptiveExec = true
+			c.StatsMisestimate = 10
+			c.HedgeAfter = 1.5
+		}}},
+	}
+	var out strings.Builder
+	for _, cfg := range configs {
+		opts := append([]gignite.Option{gignite.WithConfig(harness.ConfigFor(cfg.sys, sites, sf)),
+			withFaults(t, 1, faultOutcomeSpec),
+			func(c *gignite.Config) { c.ExperimentalViews = true }}, cfg.opts...)
+		e := gignite.Open(opts...)
+		if err := tpch.Setup(e, sf); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range tpch.Queries() {
+			// Q15's view.
+			for _, stmt := range q.Setup {
+				if _, err := e.Exec(stmt); err != nil {
+					t.Fatalf("Q%d setup: %v", q.ID, err)
+				}
+			}
+			fmt.Fprintf(&out, "%s Q%02d ", cfg.name, q.ID)
+			res, err := e.Query(q.SQL)
+			if err != nil {
+				fmt.Fprintf(&out, "error: %v\n", err)
+				continue
+			}
+			h := fnv.New64a()
+			h.Write([]byte(rowsChecksum(res.Rows)))
+			s := res.Stats
+			fmt.Fprintf(&out, "rows=%d hash=%016x modeled=%d work=%016x bytes=%016x instances=%d retries=%d spans=%d hedges=%d/%d filters=%d/%d/%d replans=%d/%d\n",
+				len(res.Rows), h.Sum64(), s.Modeled.Nanoseconds(), math.Float64bits(s.Work),
+				math.Float64bits(s.BytesShipped), s.Instances, s.Retries, s.Spans, s.Hedges, s.HedgesWon,
+				s.FiltersBuilt, s.FilterBytes, s.RowsPruned, s.AdaptiveReplans, s.AdaptiveSwitches)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *updateFaults {
+		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(gotLines), len(wantLines)) {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Errorf("line %d:\n got %s\nwant %s", i+1, g, w)
+		}
 	}
 }

@@ -920,11 +920,7 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 	// own runtime evidence.
 	var ac *adaptive.Controller
 	if e.cfg.AdaptiveExec {
-		ac, err = adaptive.New(fp, adaptive.Config{Sites: e.cfg.Sites, Variants: variants})
-		if err != nil {
-			e.em.failed.Inc()
-			return nil, nil, fmt.Errorf("gignite: adaptive: %w", err)
-		}
+		ac = adaptive.New(fp, adaptive.Config{Sites: e.cfg.Sites, Variants: variants})
 	}
 	res, err := e.cluster.Run(ctx, fp, cluster.Opts{
 		Variants:   variants,
@@ -1188,7 +1184,7 @@ func (e *Engine) ReferenceQuery(query string) ([]Row, error) {
 }
 
 // LogicalPlan returns the bound + heuristically optimized logical plan
-// text (a debugging aid used by tests and the CLI).
+// text (a debugging aid).
 func (e *Engine) LogicalPlan(query string) (string, error) {
 	if err := e.beginOp(); err != nil {
 		return "", err

@@ -36,6 +36,7 @@ package adaptive
 
 import (
 	"fmt"
+	"slices"
 
 	"gignite/internal/expr"
 	"gignite/internal/fragment"
@@ -104,9 +105,7 @@ type consumerRef struct {
 // concurrent use; the cluster scheduler calls it from barriers only.
 type Controller struct {
 	plan     *fragment.Plan
-	waves    [][]*fragment.Fragment
 	cfg      Config
-	fragWave map[int]int          // fragment ID -> wave index
 	consumer map[int]*consumerRef // exchange -> consuming receiver
 	skeys    map[int][]int        // exchange -> sketch key columns (sender coords)
 
@@ -124,16 +123,10 @@ type Controller struct {
 // private to this execution — as fragment.Split's output is: it copies
 // every operator of the plan it splits, so a cached plan never retains a
 // post-adaptation tree.
-func New(plan *fragment.Plan, cfg Config) (*Controller, error) {
-	waves, err := plan.Waves()
-	if err != nil {
-		return nil, err
-	}
+func New(plan *fragment.Plan, cfg Config) *Controller {
 	c := &Controller{
 		plan:        plan,
-		waves:       waves,
 		cfg:         cfg.withDefaults(),
-		fragWave:    make(map[int]int),
 		consumer:    make(map[int]*consumerRef),
 		skeys:       make(map[int][]int),
 		actRows:     make(map[int]int64),
@@ -141,11 +134,6 @@ func New(plan *fragment.Plan, cfg Config) (*Controller, error) {
 		varOverride: make(map[int]int),
 		touched:     make(map[physical.Node]bool),
 		notes:       make(map[physical.Node]string),
-	}
-	for w, wave := range waves {
-		for _, f := range wave {
-			c.fragWave[f.ID] = w
-		}
 	}
 	for _, f := range plan.Fragments {
 		f := f
@@ -162,7 +150,7 @@ func New(plan *fragment.Plan, cfg Config) (*Controller, error) {
 		})
 	}
 	c.planSketchKeys()
-	return c, nil
+	return c
 }
 
 // planSketchKeys chooses, for every exchange, the columns the sender-side
@@ -179,15 +167,7 @@ func (c *Controller) planSketchKeys() {
 				return true
 			}
 			for side := 0; side < 2; side++ {
-				keys := make([]int, len(j.Keys))
-				for i, k := range j.Keys {
-					if side == 0 {
-						keys[i] = k.Left
-					} else {
-						keys[i] = k.Right
-					}
-				}
-				if rv, mapped, ok := mapKeysDown(j.Inputs()[side], keys); ok {
+				if rv, mapped, ok := mapKeysDown(j.Inputs()[side], j.KeyCols(side)); ok {
 					if _, dup := c.skeys[rv.ExchangeID]; !dup {
 						c.skeys[rv.ExchangeID] = mapped
 					}
@@ -233,8 +213,8 @@ func (c *Controller) OnBarrier(wave int, sketches map[int]*sketch.Sketch) []obs.
 		c.actNDV[ex] = sk.NDV()
 	}
 	before := len(c.replans)
-	for w := wave + 1; w < len(c.waves); w++ {
-		for _, f := range c.waves[w] {
+	for w := wave + 1; w < len(c.plan.Waves); w++ {
+		for _, f := range c.plan.Waves[w] {
 			c.tryDistFlip(f, wave)
 			c.tryBuildSwap(f, wave)
 			c.tryRegrade(f, wave)
@@ -334,16 +314,8 @@ func (c *Controller) correctedDepth(n physical.Node, depth int) float64 {
 // co-located sides joining on their affinity key, conservative
 // otherwise).
 func (c *Controller) sideNDV(j *physical.Join, side int, rows float64) float64 {
-	keys := make([]int, len(j.Keys))
-	for i, k := range j.Keys {
-		if side == 0 {
-			keys[i] = k.Left
-		} else {
-			keys[i] = k.Right
-		}
-	}
-	if rv, mapped, ok := mapKeysDown(j.Inputs()[side], keys); ok {
-		if ndv, has := c.actNDV[rv.ExchangeID]; has && intsEqual(c.skeys[rv.ExchangeID], mapped) {
+	if rv, mapped, ok := mapKeysDown(j.Inputs()[side], j.KeyCols(side)); ok {
+		if ndv, has := c.actNDV[rv.ExchangeID]; has && slices.Equal(c.skeys[rv.ExchangeID], mapped) {
 			return ndv
 		}
 	}
@@ -419,27 +391,22 @@ func (c *Controller) tryDistFlip(p *fragment.Fragment, barrier int) {
 	if j.Algo != physical.HashAlgo || len(j.Keys) == 0 || j.Mapping != "bcast-right" {
 		return
 	}
-	leftKeys := make([]int, len(j.Keys))
-	rightKeys := make([]int, len(j.Keys))
-	for i, k := range j.Keys {
-		leftKeys[i], rightKeys[i] = k.Left, k.Right
-	}
 	// Validity: the left side must already be partitioned on its equi
 	// keys — then hash routing delivers every matching build row to the
 	// site that owns its probe rows, in the same relative order.
 	ld := j.Inputs()[0].Dist()
-	if ld.Type != physical.Hash || !intsEqual(ld.Keys, leftKeys) {
+	if ld.Type != physical.Hash || !slices.Equal(ld.Keys, j.KeyCols(0)) {
 		return
 	}
 	// The sender ships its own child's schema; the receiver chain must
 	// map the join's right keys onto it losslessly.
-	rv, mapped, ok := mapKeysDown(j.Inputs()[1], rightKeys)
+	rv, mapped, ok := mapKeysDown(j.Inputs()[1], j.KeyCols(1))
 	if !ok || rv != ref.recv {
 		return
 	}
 	// Variant safety: a split-mode receiver slices the build rows by a
 	// per-variant counter, and hash routing changes each site's multiset.
-	if vs := fragment.BuildVariants(ref.frag, c.VariantFor(ref.frag.ID, c.cfg.Variants)); vs != nil && vs.Modes[rv] == fragment.SplitMode {
+	if c.VariantFor(ref.frag.ID, c.cfg.Variants) > 1 && ref.frag.Modes[rv] == fragment.SplitMode {
 		return
 	}
 	estR := est(sender)
@@ -555,13 +522,10 @@ func (c *Controller) tryBuildSwap(f *fragment.Fragment, barrier int) {
 // reads the split costs. The rewrite permutes downstream row order, so it
 // only fires when every consumer path washes that order out (orderWashed).
 func (c *Controller) tryRegrade(f *fragment.Fragment, barrier int) {
-	if c.cfg.Variants <= 1 {
+	if c.cfg.Variants <= 1 || f.Modes == nil {
 		return
 	}
 	if _, done := c.varOverride[f.ID]; done {
-		return
-	}
-	if fragment.BuildVariants(f, c.cfg.Variants) == nil {
 		return
 	}
 	sender, ok := f.Root.(*physical.Sender)
@@ -755,18 +719,6 @@ func sortCovers(keys []types.SortKey, group []int) bool {
 	}
 	for _, g := range group {
 		if !have[g] {
-			return false
-		}
-	}
-	return true
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

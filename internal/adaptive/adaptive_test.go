@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,18 +61,16 @@ func flipPlan(t *testing.T, estBuild float64) (*fragment.Plan, *physical.Sender,
 	plan := &fragment.Plan{
 		Fragments: []*fragment.Fragment{f0, f1, f2},
 		Producer:  map[int]*fragment.Fragment{0: f1, 1: f2},
+		Waves:     [][]*fragment.Fragment{{f2}, {f1}, {f0}},
 	}
 	return plan, sender0, join
 }
 
 func TestDistFlipFires(t *testing.T) {
 	plan, sender, join := flipPlan(t, 50)
-	c, err := New(plan, Config{Sites: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(plan, Config{Sites: 4})
 	// The join keys must have mapped down to sketch keys on exchange 0.
-	if got := c.SketchKeys()[0]; !intsEqual(got, []int{0}) {
+	if got := c.SketchKeys()[0]; !slices.Equal(got, []int{0}) {
 		t.Fatalf("skeys[0] = %v, want [0]", got)
 	}
 	// Wave 0 completes with 5000 rows where the planner expected 50.
@@ -83,7 +82,7 @@ func TestDistFlipFires(t *testing.T) {
 	if rp.Kind != "dist-flip" || rp.Frag != 1 || rp.Wave != 0 {
 		t.Fatalf("unexpected replan: %+v", rp)
 	}
-	if sender.Target.Type != physical.Hash || !intsEqual(sender.Target.Keys, []int{0}) {
+	if sender.Target.Type != physical.Hash || !slices.Equal(sender.Target.Keys, []int{0}) {
 		t.Fatalf("sender target = %s, want hash[0]", sender.Target)
 	}
 	if join.Mapping != "hash" {
@@ -106,10 +105,7 @@ func TestDistFlipGuardHoldsSmallBuild(t *testing.T) {
 	// saves 300*(sites-1)=900 shipped rows, under the hysteresis-scaled
 	// shuffle price 1.3*200*4=1040: the broadcast must be retained.
 	plan, sender, _ := flipPlan(t, 50)
-	c, err := New(plan, Config{Sites: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(plan, Config{Sites: 4})
 	if reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(300)}); len(reps) != 0 {
 		t.Fatalf("guard did not hold: %+v", reps)
 	}
@@ -122,10 +118,7 @@ func TestDistFlipNeedsDivergence(t *testing.T) {
 	// The actuals match the estimate, so however profitable the flip
 	// would be, the controller must not second-guess the planner.
 	plan, sender, _ := flipPlan(t, 5000)
-	c, err := New(plan, Config{Sites: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(plan, Config{Sites: 4})
 	if reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(5000)}); len(reps) != 0 {
 		t.Fatalf("replanned without new information: %+v", reps)
 	}
@@ -141,10 +134,7 @@ func TestDistFlipNeedsColocatedProbe(t *testing.T) {
 	// stay above half the probe side, so no build-swap muddies the check.
 	plan, sender, join := flipPlan(t, 50)
 	join.Inputs()[0].Props().Dist = physical.HashDist(1)
-	c, err := New(plan, Config{Sites: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(plan, Config{Sites: 4})
 	if reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(1500)}); len(reps) != 0 {
 		t.Fatalf("flip fired without co-location proof: %+v", reps)
 	}
@@ -172,16 +162,14 @@ func swapPlan(t *testing.T, estL, estR float64) (*fragment.Plan, *physical.Join)
 	plan := &fragment.Plan{
 		Fragments: []*fragment.Fragment{f0, f1, f2},
 		Producer:  map[int]*fragment.Fragment{1: f1, 2: f2},
+		Waves:     [][]*fragment.Fragment{{f1, f2}, {f0}},
 	}
 	return plan, join
 }
 
 func TestBuildSwapFires(t *testing.T) {
 	plan, join := swapPlan(t, 1000, 100)
-	c, err := New(plan, Config{Sites: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(plan, Config{Sites: 4})
 	// Runtime inverts the estimate: the left is 50x smaller than the right.
 	reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(100), 2: filled(5000)})
 	if len(reps) != 1 || reps[0].Kind != "build-swap" {
@@ -200,10 +188,7 @@ func TestBuildSwapMarginHolds(t *testing.T) {
 	// Sides diverge from their estimates but the left is not
 	// swapMargin-times smaller than the right: keep the planned build side.
 	plan, join := swapPlan(t, 1000, 100)
-	c, err := New(plan, Config{Sites: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(plan, Config{Sites: 4})
 	if reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(3000), 2: filled(5000)}); len(reps) != 0 {
 		t.Fatalf("swap fired inside the margin: %+v", reps)
 	}
@@ -216,10 +201,7 @@ func TestBuildSwapNeedsDivergence(t *testing.T) {
 	// Estimates already said left < right; the planner chose build=right
 	// knowingly, so runtime confirmation must not flip it.
 	plan, join := swapPlan(t, 100, 1000)
-	c, err := New(plan, Config{Sites: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(plan, Config{Sites: 4})
 	if reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(100), 2: filled(1000)}); len(reps) != 0 {
 		t.Fatalf("swap fired without misestimation: %+v", reps)
 	}
@@ -230,10 +212,7 @@ func TestBuildSwapNeedsDivergence(t *testing.T) {
 
 func TestCorrectedEngine(t *testing.T) {
 	plan, sender, join := flipPlan(t, 50)
-	c, err := New(plan, Config{Sites: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(plan, Config{Sites: 4})
 	// Before any barrier, corrections are pure estimates.
 	if got := c.corrected(sender.Inputs()[0]); got != 50 {
 		t.Fatalf("corrected(recv1) = %g before barrier, want 50", got)
@@ -304,14 +283,5 @@ func TestSortCovers(t *testing.T) {
 	}
 	if !sortCovers(nil, nil) {
 		t.Error("empty group is covered vacuously")
-	}
-}
-
-func TestIntsEqual(t *testing.T) {
-	if !intsEqual([]int{1, 2}, []int{1, 2}) || intsEqual([]int{1}, []int{2}) || intsEqual([]int{1}, []int{1, 2}) {
-		t.Error("intsEqual misbehaves")
-	}
-	if !intsEqual(nil, nil) || intsEqual(nil, []int{0}) {
-		t.Error("intsEqual nil handling misbehaves")
 	}
 }

@@ -4,14 +4,14 @@
 // publishes their exchanged rows, and feeds the execution trace to the
 // simnet cost clock.
 //
-// Fragments execute wave by wave: Plan.Waves groups them so that every
-// producer finishes before its consumers start, and all instances within
-// one wave run concurrently on a bounded pool of host goroutines
-// (Workers; 1 falls back to the deterministic sequential path). Host
-// parallelism changes only wall-clock time — the modeled response time
-// still comes from the simnet cost clock, which accounts for the paper's
-// per-fragment threads analytically (see DESIGN.md §2 and package
-// simnet).
+// Fragments execute wave by wave, in the Plan.Waves fragment.Split
+// recorded: every producer finishes before its consumers start, and all
+// instances within one wave run concurrently on a bounded pool of host
+// goroutines (Workers; 1 falls back to the deterministic sequential
+// path). Host parallelism changes only wall-clock time — the modeled
+// response time still comes from the simnet cost clock, which accounts
+// for the paper's per-fragment threads analytically (see DESIGN.md §2
+// and package simnet).
 //
 // Instances exchange rows only through the wave barrier: an attempt keeps
 // its shipments private (exec.Context.Sent), and the barrier publishes the
@@ -171,10 +171,7 @@ type run struct {
 
 // Run executes a fragmented plan under the given options.
 func (c *Cluster) Run(ctx context.Context, plan *fragment.Plan, opts Opts) (*Result, error) {
-	r, err := c.newRun(ctx, plan, opts)
-	if err != nil {
-		return nil, err
-	}
+	r := c.newRun(ctx, plan, opts)
 	if err := r.schedule(plan); err != nil {
 		return nil, err
 	}
@@ -209,18 +206,14 @@ func (r *run) schedule(plan *fragment.Plan) error {
 	return nil
 }
 
-// newRun sets one execution up: the wave schedule, the simnet trace
-// skeleton and the observation record.
-func (c *Cluster) newRun(ctx context.Context, plan *fragment.Plan, opts Opts) (*run, error) {
+// newRun sets one execution up: the simnet trace skeleton and the
+// observation record. The wave schedule is the plan's own (Plan.Waves).
+func (c *Cluster) newRun(ctx context.Context, plan *fragment.Plan, opts Opts) *run {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	waves, err := plan.Waves()
-	if err != nil {
-		return nil, err
-	}
 	r := &run{
-		c: c, ctx: ctx, opts: opts, waves: waves,
+		c: c, ctx: ctx, opts: opts, waves: plan.Waves,
 		workers:   c.Workers,
 		began:     time.Now(),
 		exchanges: make(map[int]map[int][]*exec.Batch),
@@ -263,7 +256,7 @@ func (c *Cluster) newRun(ctx context.Context, plan *fragment.Plan, opts Opts) (*
 		}
 		r.qobs.Fragments[f.ID] = obs.NewFragmentObs(f.ID, f.IsRoot, f.Root)
 	}
-	return r, nil
+	return r
 }
 
 // addJobs appends one job per (site × variant) of fragment f, taking the
@@ -288,7 +281,8 @@ func (r *run) addJobs(jobs []instanceJob, proto instanceJob, sites []int) []inst
 }
 
 // waveJobs materializes wave w's jobs in fragment order, with the variant
-// count the adaptive controller currently assigns each fragment.
+// count the adaptive controller currently assigns each fragment. A
+// fragment splits into variants only when Split gave it source modes.
 func (r *run) waveJobs(w int) []instanceJob {
 	var jobs []instanceJob
 	for _, f := range r.waves[w] {
@@ -298,14 +292,13 @@ func (r *run) waveJobs(w int) []instanceJob {
 		if r.opts.Adaptive != nil {
 			nv = r.opts.Adaptive.VariantFor(f.ID, nv)
 		}
-		proto := instanceJob{
-			frag: f, nVariants: 1, wave: w, partitioned: partitioned,
+		if nv < 1 || f.Modes == nil {
+			nv = 1
+		}
+		jobs = r.addJobs(jobs, instanceJob{
+			frag: f, nVariants: nv, wave: w, partitioned: partitioned,
 			fobs: r.qobs.Fragments[f.ID],
-		}
-		if vs := fragment.BuildVariants(f, nv); vs != nil {
-			proto.nVariants, proto.modes = vs.N, vs.Modes
-		}
-		jobs = r.addJobs(jobs, proto, sites)
+		}, sites)
 	}
 	return jobs
 }

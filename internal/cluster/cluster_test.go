@@ -120,6 +120,13 @@ func TestVariantsSameResultsMoreInstances(t *testing.T) {
 	if dual.Instances <= single.Instances {
 		t.Errorf("instances: single=%d dual=%d", single.Instances, dual.Instances)
 	}
+	// One variant runs every fragment on one thread, whatever source
+	// modes Split recorded.
+	for _, s := range single.Obs.Spans {
+		if s.Variant != 0 {
+			t.Errorf("Variants: 1 ran fragment %d variant %d", s.Frag, s.Variant)
+		}
+	}
 }
 
 // TestParallelMatchesSequential: the wave scheduler must produce

@@ -64,8 +64,8 @@ func (r *run) filterJobs(plan *fragment.Plan) []instanceJob {
 	var jobs []instanceJob
 	for _, rf := range plan.Filters {
 		jf := plan.Fragments[rf.JoinFrag]
-		vs := fragment.BuildVariants(jf, r.opts.Variants)
-		if vs != nil && vs.Modes[rf.Receiver] == fragment.SplitMode {
+		variants := r.opts.Variants > 1 && jf.Modes != nil
+		if variants && jf.Modes[rf.Receiver] == fragment.SplitMode {
 			// Variant instances split the probe receiver's rows by a
 			// per-variant counter; pruning ahead of the receiver would
 			// reshuffle that split and change results. Skip the filter.
@@ -86,7 +86,7 @@ func (r *run) filterJobs(plan *fragment.Plan) []instanceJob {
 			// Cache build rows for the join instance only when the join
 			// fragment is variant-free: variant instances re-read split
 			// sources, so their builds differ from the pre-pass's.
-			cache: vs == nil,
+			cache: !variants,
 		}
 		if bf.cache {
 			bf.rows = make(map[int][]types.Row, len(sites))

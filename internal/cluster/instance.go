@@ -37,7 +37,6 @@ type instanceJob struct {
 	site      int
 	variant   int
 	nVariants int
-	modes     map[physical.Node]fragment.SourceMode
 	// ordinal is the instance's deterministic global sequence number (see
 	// run.ordinal); fault plans address instances by it.
 	ordinal int
@@ -197,7 +196,7 @@ func (r *run) attempt(j *instanceJob, host, n int) (outcome, error) {
 		Faults:    c.Faults,
 		Variant:   j.variant,
 		NVariants: j.nVariants,
-		Modes:     j.modes,
+		Modes:     j.frag.Modes,
 		WorkLimit: r.opts.WorkLimit,
 		RowLimit:  c.RowLimit,
 		OpIDs:     j.fobs.OpIndex,

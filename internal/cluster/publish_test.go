@@ -51,10 +51,7 @@ func TestBarrierPublishesOnlySurvivors(t *testing.T) {
 			c.Workers = workers
 			plan := exchangePlan(t, c)
 			opts := Opts{Variants: 2, HedgeAfter: sc.hedgeAfter}
-			r, err := c.newRun(context.Background(), plan, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := c.newRun(context.Background(), plan, opts)
 			if err := r.schedule(plan); err != nil {
 				t.Fatalf("%s workers=%d: %v", sc.name, workers, err)
 			}
@@ -114,10 +111,7 @@ func publishedStreams(t *testing.T, where string, r *run, plan *fragment.Plan) s
 // byte totals.
 func checkLostBytes(t *testing.T, where string, c *Cluster, r *run, plan *fragment.Plan, opts Opts) (resent, lost float64) {
 	t.Helper()
-	q, err := c.newRun(context.Background(), plan, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := c.newRun(context.Background(), plan, opts)
 	q.exchanges = r.exchanges
 	type key struct{ frag, site, variant int }
 	jobs := make(map[key]*instanceJob)

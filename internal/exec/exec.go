@@ -54,8 +54,6 @@ type Batch struct {
 	FromSite    int
 	FromVariant int
 	Bytes       int64
-	// Sorted carries the sender-side collation for merging receivers.
-	Sorted []types.SortKey
 }
 
 // sendScratch is the reusable per-call state of one hash-routing send:
@@ -126,8 +124,8 @@ type Context struct {
 	// single-threaded fragments.
 	Variant   int
 	NVariants int
-	// Modes assigns splitter/duplicator roles to sources (nil when the
-	// fragment is single-threaded).
+	// Modes assigns splitter/duplicator roles to sources
+	// (fragment.Fragment.Modes); they apply only when NVariants > 1.
 	Modes map[physical.Node]fragment.SourceMode
 	// CPUWork accumulates modeled work units for the cost clock.
 	CPUWork float64
@@ -526,7 +524,7 @@ func (c *Context) ship(s *physical.Sender, toSite int, rows []types.Row) error {
 	c.Sent = append(c.Sent, &Batch{
 		Rows: rows, Exchange: s.ExchangeID, ToSite: toSite,
 		FromFrag: c.FragID, FromSite: c.Site, FromVariant: c.Variant,
-		Bytes: bytes, Sorted: s.Collation(),
+		Bytes: bytes,
 	})
 	return nil
 }

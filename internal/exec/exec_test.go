@@ -506,9 +506,9 @@ func TestMergingReceiverOrders(t *testing.T) {
 	keys := []types.SortKey{{Col: 0}}
 	// Two senders ship sorted runs.
 	ex := publish(&Batch{Exchange: 3, Rows: []types.Row{
-		{types.NewInt(1)}, {types.NewInt(4)}, {types.NewInt(9)}}, Sorted: keys},
+		{types.NewInt(1)}, {types.NewInt(4)}, {types.NewInt(9)}}},
 		&Batch{Exchange: 3, FromSite: 1, Rows: []types.Row{
-			{types.NewInt(2)}, {types.NewInt(3)}, {types.NewInt(8)}}, Sorted: keys})
+			{types.NewInt(2)}, {types.NewInt(3)}, {types.NewInt(8)}}})
 	exch := physical.NewExchange(physical.NewSort(
 		physical.NewValues(types.Fields{{Name: "k", Kind: types.KindInt}}, nil), keys),
 		physical.SingleDist)

@@ -438,15 +438,11 @@ func (c *Context) runJoin(t *physical.Join, next stage) error {
 	}
 	j := &joinOp{
 		j:         t,
-		leftCols:  make([]int, len(t.Keys)),
-		rightCols: make([]int, len(t.Keys)),
+		leftCols:  t.KeyCols(0),
+		rightCols: t.KeyCols(1),
 		residual:  t.Residual(),
 		pairs:     t.Type == logical.JoinInner || t.Type == logical.JoinLeft,
 		rightW:    len(t.Inputs()[1].Schema()),
-	}
-	for i, k := range t.Keys {
-		j.leftCols[i] = k.Left
-		j.rightCols[i] = k.Right
 	}
 	c.open(&j.op, t, next)
 	defer j.close()

@@ -199,11 +199,7 @@ func (o *op) emitSource(rows []types.Row) error {
 // of the source's rows.
 func (o *op) splits() bool {
 	c := o.ctx
-	if c.NVariants <= 1 || c.Modes == nil {
-		return false
-	}
-	mode, ok := c.Modes[o.node]
-	return ok && mode != fragment.DuplicateMode
+	return c.NVariants > 1 && c.Modes[o.node] == fragment.SplitMode
 }
 
 // share returns how many of the source's next n rows the splitter passes.

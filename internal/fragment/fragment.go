@@ -1,8 +1,9 @@
 // Package fragment converts an optimized physical plan into an execution
 // plan: a set of fragments, each a subtree executable entirely at one
 // processing site, connected by sender/receiver pairs (§3.2.3,
-// Algorithm 1). It also implements variant fragment creation (§5.3,
-// Algorithm 3) for multi-threaded execution.
+// Algorithm 1). The split plan carries its own schedule: the dependency
+// waves its fragments run in, and each fragment's variant source modes
+// (§5.3, Algorithm 3) for multi-threaded execution.
 package fragment
 
 import (
@@ -27,6 +28,12 @@ type Fragment struct {
 	Receivers []int
 	// ExchangeID is the exchange this fragment feeds (-1 for the root).
 	ExchangeID int
+	// Modes assigns each source operator (TableScan, IndexScan, Receiver)
+	// its splitter or duplicator role when the fragment runs as §5.3
+	// variants. It is nil when the fragment must run on one thread.
+	Modes map[physical.Node]SourceMode
+
+	wave int // the fragment's index in Plan.Waves
 }
 
 // Plan is a fragmented execution plan.
@@ -34,6 +41,16 @@ type Plan struct {
 	Fragments []*Fragment
 	// Producer maps an exchange ID to the fragment that feeds it.
 	Producer map[int]*Fragment
+	// Waves groups the fragments into dependency waves for the scheduler:
+	// wave 0 holds the fragments with no receivers, and a fragment sits
+	// one wave after the latest of its producers. Fragments within one
+	// wave are mutually independent, so a scheduler may run all their
+	// instances concurrently and place a barrier between consecutive
+	// waves. Within a wave, fragments keep the order Split completed them
+	// in — producers before consumers, depth-first — so flattening the
+	// waves yields a dependency order, and wave-by-wave execution with
+	// one worker is deterministic.
+	Waves [][]*Fragment
 	// Filters lists the plan's runtime join-filter edges (DESIGN.md §13),
 	// populated by PlanRuntimeFilters when Config.RuntimeFilters is on.
 	Filters []*physical.RuntimeFilter
@@ -41,7 +58,10 @@ type Plan struct {
 
 // Split implements Algorithm 1: walking the tree depth-first, every
 // Exchange is replaced by a receiver (staying in the current fragment) and
-// a sender (rooting a new fragment over the exchange's child).
+// a sender (rooting a new fragment over the exchange's child). As each
+// fragment completes — after the exchanges below it are split — Split
+// appends it to Plan.Waves and records its Modes (Algorithm 3), so the
+// plan carries its schedule and no executor re-derives it.
 //
 // Split builds one execution's private plan and writes no node reachable
 // from root, so a cached or prepared plan is split as it is. Every
@@ -54,7 +74,7 @@ type Plan struct {
 // broadcast) shared by two parents. Each Exchange is still split exactly
 // once, keyed by its node, and every fragment that reaches it records the
 // exchange in its Receivers. Dropping the second consumer's edge would
-// let Waves schedule it alongside its producer.
+// let the second consumer share a wave with its producer.
 //
 // Sharing stops at the exchange: every other operator is copied once per
 // visit (the memo gives two equal join inputs the same subtree), so that
@@ -83,6 +103,18 @@ func Split(root physical.Node, args ...types.Value) *Plan {
 		}
 		frag.Receivers = append(frag.Receivers, id)
 	}
+	// complete schedules a fragment whose exchanges are all split: every
+	// producer it reads has completed, so its wave is known.
+	complete := func(f *Fragment) {
+		for _, ex := range f.Receivers {
+			f.wave = max(f.wave, p.Producer[ex].wave+1)
+		}
+		if f.wave == len(p.Waves) {
+			p.Waves = append(p.Waves, nil)
+		}
+		p.Waves[f.wave] = append(p.Waves[f.wave], f)
+		f.Modes = variantModes(f)
+	}
 
 	var splitTree func(n physical.Node, frag *Fragment) physical.Node
 	splitTree = func(n physical.Node, frag *Fragment) physical.Node {
@@ -108,6 +140,7 @@ func Split(root physical.Node, args ...types.Value) *Plan {
 			p.Producer[id] = sub
 			// Recurse inside the new fragment for nested exchanges.
 			sub.Root = physical.NewSender(splitTree(t.Inputs()[0], sub), id, t.Target)
+			complete(sub)
 			rv = physical.NewReceiver(t, id)
 			split[t] = rv
 		}
@@ -118,70 +151,8 @@ func Split(root physical.Node, args ...types.Value) *Plan {
 	rootFrag := &Fragment{ID: 0, IsRoot: true, ExchangeID: -1}
 	p.Fragments = append(p.Fragments, rootFrag)
 	rootFrag.Root = splitTree(root, rootFrag)
+	complete(rootFrag)
 	return p
-}
-
-// Ordered returns the fragments in dependency order: every fragment
-// appears after the fragments feeding its receivers.
-func (p *Plan) Ordered() ([]*Fragment, error) {
-	state := make(map[int]int, len(p.Fragments)) // 0 new, 1 visiting, 2 done
-	var out []*Fragment
-	var visit func(f *Fragment) error
-	visit = func(f *Fragment) error {
-		switch state[f.ID] {
-		case 1:
-			return fmt.Errorf("fragment: cycle through fragment %d", f.ID)
-		case 2:
-			return nil
-		}
-		state[f.ID] = 1
-		for _, ex := range f.Receivers {
-			if err := visit(p.Producer[ex]); err != nil {
-				return err
-			}
-		}
-		state[f.ID] = 2
-		out = append(out, f)
-		return nil
-	}
-	for _, f := range p.Fragments {
-		if err := visit(f); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Waves groups fragments into dependency waves for the parallel
-// scheduler: wave 0 holds fragments with no receivers, and wave k holds
-// fragments all of whose producers finished by wave k-1. Fragments
-// within one wave are mutually independent, so a scheduler may run all
-// their instances concurrently and place a barrier between consecutive
-// waves. Flattening the waves in order yields a valid dependency order
-// (every producer precedes its consumers), and within a wave fragments
-// keep the Ordered() sequence, so wave-by-wave execution with one worker
-// is deterministic.
-func (p *Plan) Waves() ([][]*Fragment, error) {
-	order, err := p.Ordered()
-	if err != nil {
-		return nil, err
-	}
-	depth := make(map[int]int, len(order))
-	var waves [][]*Fragment
-	for _, f := range order {
-		d := 0
-		for _, ex := range f.Receivers {
-			if pd := depth[p.Producer[ex].ID]; pd+1 > d {
-				d = pd + 1
-			}
-		}
-		depth[f.ID] = d
-		for len(waves) <= d {
-			waves = append(waves, nil)
-		}
-		waves[d] = append(waves[d], f)
-	}
-	return waves, nil
 }
 
 // PlanRuntimeFilters discovers the plan's runtime join-filter edges and
@@ -233,16 +204,11 @@ func PlanRuntimeFilters(p *Plan) {
 			if prod == nil || prod.ID == f.ID {
 				return true
 			}
-			buildCols := make([]int, len(j.Keys))
-			for i, k := range j.Keys {
-				buildCols[i] = k.Right
-			}
 			rf := &physical.RuntimeFilter{
 				ID:        len(p.Filters),
 				JoinFrag:  f.ID,
-				Join:      j,
 				BuildRoot: build,
-				BuildCols: buildCols,
+				BuildCols: j.KeyCols(1),
 				ProbeFrag: prod.ID,
 				Exchange:  rv.ExchangeID,
 				Receiver:  rv,
@@ -270,46 +236,34 @@ func PlanRuntimeFilters(p *Plan) {
 type SourceMode uint8
 
 const (
+	// DuplicateMode replays all source rows in every variant. It is the
+	// zero value, so a source missing from Fragment.Modes never splits.
+	DuplicateMode SourceMode = iota
 	// SplitMode partitions the source rows across variants
 	// (c % n == vid).
-	SplitMode SourceMode = iota
-	// DuplicateMode replays all source rows in every variant.
-	DuplicateMode
+	SplitMode
 )
 
-// Variants describes the multi-threaded execution of one fragment: N
-// variant copies, with a per-source mode assignment.
-type Variants struct {
-	N int
-	// Modes assigns each source operator (TableScan, IndexScan, Receiver)
-	// its splitter/duplicator role.
-	Modes map[physical.Node]SourceMode
-}
-
-// BuildVariants implements Algorithm 3. It returns nil when the fragment
-// must stay single-threaded: root fragments, fragments containing a
-// reduction operator (single-phase or reduce-phase aggregation), and
-// fragments with no splittable source.
-func BuildVariants(f *Fragment, n int) *Variants {
-	if f.IsRoot || n <= 1 {
+// variantModes implements Algorithm 3: it assigns each of the fragment's
+// sources its splitter or duplicator role. It returns nil when the
+// fragment must run on one thread: the root fragment, a fragment holding
+// a reduction (single-phase or reduce-phase aggregation) or a limit, one
+// whose shared receiver is asked for two modes, and one with no source
+// to split.
+func variantModes(f *Fragment) map[physical.Node]SourceMode {
+	if f.IsRoot {
 		return nil
 	}
-	v := &Variants{N: n, Modes: make(map[physical.Node]SourceMode)}
-	if !assignModes(f.Root, SplitMode, v.Modes) {
+	modes := make(map[physical.Node]SourceMode)
+	if !assignModes(f.Root, SplitMode, modes) {
 		return nil
 	}
-	// At least one source must actually split for variants to be useful.
-	split := false
-	for _, m := range v.Modes {
+	for _, m := range modes {
 		if m == SplitMode {
-			split = true
-			break
+			return modes
 		}
 	}
-	if !split {
-		return nil
-	}
-	return v
+	return nil
 }
 
 // assignModes walks the fragment tree assigning source modes; it returns

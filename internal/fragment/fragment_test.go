@@ -82,15 +82,13 @@ func TestSplitAlgorithm1(t *testing.T) {
 	}
 }
 
+// TestOrderedDependencies: flattening the waves yields a dependency
+// order, every producer before its consumers.
 func TestOrderedDependencies(t *testing.T) {
 	plan := Split(buildJoinPlan())
-	order, err := plan.Ordered()
-	if err != nil {
-		t.Fatal(err)
-	}
 	pos := make(map[int]int)
-	for i, f := range order {
-		pos[f.ID] = i
+	for _, f := range slices.Concat(plan.Waves...) {
+		pos[f.ID] = len(pos)
 	}
 	for _, f := range plan.Fragments {
 		for _, ex := range f.Receivers {
@@ -103,10 +101,7 @@ func TestOrderedDependencies(t *testing.T) {
 
 func TestWavesRespectDependencies(t *testing.T) {
 	plan := Split(buildJoinPlan())
-	waves, err := plan.Waves()
-	if err != nil {
-		t.Fatal(err)
-	}
+	waves := plan.Waves
 	// Every fragment appears in exactly one wave.
 	waveOf := make(map[int]int)
 	total := 0
@@ -141,11 +136,14 @@ func TestWavesRespectDependencies(t *testing.T) {
 	}
 }
 
-func TestBuildVariantsRootAndReductionSkipped(t *testing.T) {
+func TestVariantModesRootAndReductionSkipped(t *testing.T) {
 	plan := Split(buildJoinPlan())
 	root := plan.Fragments[0]
-	if v := BuildVariants(root, 2); v != nil {
+	if m := variantModes(root); m != nil {
 		t.Error("root fragment got variants")
+	}
+	if root.Modes != nil {
+		t.Error("Split gave the root fragment source modes")
 	}
 	// A fragment with a single-phase aggregate is a reduction: skipped.
 	a := scan("a")
@@ -153,36 +151,32 @@ func TestBuildVariantsRootAndReductionSkipped(t *testing.T) {
 		a.Schema()[:1])
 	sender := physical.NewSender(agg, 0, physical.SingleDist)
 	f := &Fragment{ID: 1, Root: sender}
-	if v := BuildVariants(f, 2); v != nil {
+	if m := variantModes(f); m != nil {
 		t.Error("reduction fragment got variants")
 	}
 	// Map-phase aggregates are fine (partials merge downstream).
 	aggMap := physical.NewHashAggregate(scan("a"), []int{0}, nil, physical.AggMap,
 		a.Schema()[:1])
 	f2 := &Fragment{ID: 2, Root: physical.NewSender(aggMap, 0, physical.SingleDist)}
-	if v := BuildVariants(f2, 2); v == nil {
+	if m := variantModes(f2); m == nil {
 		t.Error("map-phase fragment denied variants")
-	}
-	// n <= 1 means no variants.
-	if v := BuildVariants(f2, 1); v != nil {
-		t.Error("n=1 produced variants")
 	}
 }
 
-func TestBuildVariantsJoinModes(t *testing.T) {
+func TestVariantModesOfJoinInputs(t *testing.T) {
 	// Inner join: left source duplicates, right splits (§5.3.1).
 	a, b := scan("a"), scan("b")
 	join := physical.NewJoin(a, b, physical.NestedLoop, logical.JoinInner,
 		expr.True, nil, physical.SingleDist, "single", nil)
 	f := &Fragment{ID: 1, Root: physical.NewSender(join, 0, physical.SingleDist)}
-	v := BuildVariants(f, 2)
-	if v == nil {
+	modes := variantModes(f)
+	if modes == nil {
 		t.Fatal("no variants")
 	}
-	if v.Modes[a] != DuplicateMode {
+	if m, ok := modes[a]; !ok || m != DuplicateMode {
 		t.Error("inner join left source should duplicate")
 	}
-	if v.Modes[b] != SplitMode {
+	if modes[b] != SplitMode {
 		t.Error("inner join right source should split")
 	}
 	// Semi join: left splits, right duplicates (per-left-row decisions
@@ -191,24 +185,24 @@ func TestBuildVariantsJoinModes(t *testing.T) {
 	semi := physical.NewJoin(a2, b2, physical.NestedLoop, logical.JoinSemi,
 		expr.True, nil, physical.SingleDist, "single", nil)
 	f2 := &Fragment{ID: 2, Root: physical.NewSender(semi, 0, physical.SingleDist)}
-	v2 := BuildVariants(f2, 2)
-	if v2 == nil {
+	modes2 := variantModes(f2)
+	if modes2 == nil {
 		t.Fatal("no variants for semi")
 	}
-	if v2.Modes[a2] != SplitMode || v2.Modes[b2] != DuplicateMode {
-		t.Errorf("semi modes = left %v right %v", v2.Modes[a2], v2.Modes[b2])
+	if m, ok := modes2[b2]; modes2[a2] != SplitMode || !ok || m != DuplicateMode {
+		t.Errorf("semi modes = left %v right %v", modes2[a2], modes2[b2])
 	}
 }
 
-func TestBuildVariantsLimitBlocked(t *testing.T) {
+func TestVariantModesLimitBlocked(t *testing.T) {
 	lim := physical.NewLimit(scan("a"), 10)
 	f := &Fragment{ID: 1, Root: physical.NewSender(lim, 0, physical.SingleDist)}
-	if v := BuildVariants(f, 2); v != nil {
+	if m := variantModes(f); m != nil {
 		t.Error("limit fragment got variants")
 	}
 }
 
-func TestBuildVariantsAllDuplicatorsRejected(t *testing.T) {
+func TestVariantModesAllDuplicatorsRejected(t *testing.T) {
 	// If every source would be a duplicator, variants are pointless: a
 	// join of two joins' left spines... simplest: single scan fragment is
 	// split-eligible, so use a left-deep join where the only sources are
@@ -218,7 +212,7 @@ func TestBuildVariantsAllDuplicatorsRejected(t *testing.T) {
 		expr.True, nil, physical.SingleDist, "single", nil)
 	// semi: a splits — still has a splitter, so variants exist.
 	f := &Fragment{ID: 1, Root: physical.NewSender(inner, 0, physical.SingleDist)}
-	if v := BuildVariants(f, 2); v == nil {
+	if m := variantModes(f); m == nil {
 		t.Fatal("expected variants")
 	}
 }
@@ -258,12 +252,8 @@ func TestSplitSharedSubtreeRecordsAllConsumers(t *testing.T) {
 	if consumers != 2 {
 		t.Fatalf("exchange 0 recorded by %d fragments, want 2", consumers)
 	}
-	waves, err := plan.Waves()
-	if err != nil {
-		t.Fatal(err)
-	}
 	waveOf := make(map[int]int)
-	for w, frags := range waves {
+	for w, frags := range plan.Waves {
 		for _, f := range frags {
 			waveOf[f.ID] = w
 		}
@@ -312,8 +302,8 @@ func TestSplitSharedExchangeNodeSplitOnce(t *testing.T) {
 	if consumers != 2 {
 		t.Fatalf("shared exchange recorded by %d fragments, want 2", consumers)
 	}
-	if _, err := plan.Waves(); err != nil {
-		t.Fatal(err)
+	if n := len(slices.Concat(plan.Waves...)); n != len(plan.Fragments) {
+		t.Fatalf("waves hold %d fragments, plan has %d", n, len(plan.Fragments))
 	}
 }
 
@@ -382,8 +372,8 @@ func TestSplitUnsharesOperatorsInsideAFragment(t *testing.T) {
 	// The shared receiver is asked to duplicate (left of an inner join)
 	// and to split (right): no assignment serves both, so the fragment
 	// runs on one thread.
-	if v := BuildVariants(plan.Fragments[1], 2); v != nil {
-		t.Errorf("variants built over a receiver with conflicting modes: %v", v.Modes)
+	if m := plan.Fragments[1].Modes; m != nil {
+		t.Errorf("variants built over a receiver with conflicting modes: %v", m)
 	}
 }
 

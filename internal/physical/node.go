@@ -27,14 +27,13 @@ type Node interface {
 }
 
 // Props carries the common physical properties: traits, the planner's
-// cardinality estimate, and the operator's self cost under the active
-// cost model.
+// cardinality estimate, and the subtree's cost under the active cost
+// model.
 type Props struct {
 	Fields  types.Fields
 	Dist    Distribution
 	Coll    []types.SortKey
 	EstRows float64
-	Self    cost.Cost
 	// Total is the cumulative cost of the subtree, filled by the planner.
 	Total cost.Cost
 }
@@ -373,6 +372,11 @@ type Join struct {
 	// rows and their order are identical either way; only the build-side
 	// memory charge moves to the smaller input.
 	BuildLeft bool
+	// keyCols splits Keys by input side: [0] the left columns, [1] the
+	// right ones (KeyCols). Up to two keys' columns live in keyBuf, so
+	// the planner's many join alternatives allocate nothing for them.
+	keyCols [2][]int
+	keyBuf  [4]int
 	// residual is what the join tests per candidate once the keys
 	// matched, compiled from residualOf (Compile).
 	residual   *expr.Predicate
@@ -386,6 +390,16 @@ type Join struct {
 func NewJoin(left, right Node, algo JoinAlgo, jt logical.JoinType, cond expr.Expr,
 	keys []expr.EquiKey, dist Distribution, mapping string, fields types.Fields) *Join {
 	j := &Join{Algo: algo, Type: jt, Cond: cond, Keys: keys, Mapping: mapping}
+	if n := len(keys); n > 0 {
+		cols := j.keyBuf[:]
+		if 2*n > len(cols) {
+			cols = make([]int, 2*n)
+		}
+		for i, k := range keys {
+			cols[i], cols[n+i] = k.Left, k.Right
+		}
+		j.keyCols = [2][]int{cols[:n:n], cols[n : 2*n : 2*n]}
+	}
 	j.inputs = []Node{left, right}
 	if fields == nil {
 		fields = jt.Fields(left.Schema(), right.Schema())
@@ -397,6 +411,10 @@ func NewJoin(left, right Node, algo JoinAlgo, jt logical.JoinType, cond expr.Exp
 	}
 	return j
 }
+
+// KeyCols returns the equi-key columns of one input side (0 left, 1
+// right), in Keys order. The slice is shared and must not be modified.
+func (j *Join) KeyCols(side int) []int { return j.keyCols[side] }
 
 func (j *Join) Describe() string {
 	build := ""

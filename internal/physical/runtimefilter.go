@@ -21,8 +21,6 @@ type RuntimeFilter struct {
 	ID int
 	// JoinFrag is the fragment containing the consuming hash join.
 	JoinFrag int
-	// Join is the hash join whose build side feeds the filter.
-	Join *Join
 	// BuildRoot is the join's build input (right child) — a receiver-free
 	// subtree executable locally at each of the join's sites.
 	BuildRoot Node
@@ -117,15 +115,11 @@ func SubtreeSelective(n Node) bool {
 // multi-parent node, a computed projection), in which case no filter is
 // planned for this join.
 func ResolveProbeChain(j *Join, parents map[Node]int) (*Receiver, []int) {
-	cols := make([]int, len(j.Keys))
-	for i, k := range j.Keys {
-		cols[i] = k.Left
-	}
 	probe := j.Inputs()[0]
 	if parents[probe] > 1 {
 		return nil, nil
 	}
-	n, cols := PushdownTarget(probe, cols, parents)
+	n, cols := PushdownTarget(probe, j.KeyCols(0), parents)
 	r, ok := n.(*Receiver)
 	if !ok {
 		return nil, nil

@@ -248,11 +248,13 @@ func Makespan(tr *Trace, p Params) time.Duration {
 
 // TotalWork sums all instance work (a parallelism-independent effort
 // metric used by ablation reports), including work lost to failed
-// attempts that were retried.
+// attempts that were retried. Instances are summed in Order, never in map
+// order: float addition is not associative, and the total must be the
+// same bits on every run.
 func (tr *Trace) TotalWork() float64 {
 	var w float64
-	for _, insts := range tr.Instances {
-		for _, in := range insts {
+	for _, f := range tr.Order {
+		for _, in := range tr.Instances[f] {
 			w += in.Work
 		}
 	}

@@ -114,6 +114,7 @@ func TestNetworkBytesMatter(t *testing.T) {
 
 func TestTraceTotals(t *testing.T) {
 	tr := &Trace{
+		Order: []int{0, 1},
 		Instances: map[int][]Instance{
 			0: {{Work: 10}, {Work: 20}},
 			1: {{Work: 5}},
@@ -125,6 +126,30 @@ func TestTraceTotals(t *testing.T) {
 	}
 	if got := tr.TotalBytes(); got != 300 {
 		t.Errorf("TotalBytes = %v", got)
+	}
+}
+
+// TestTotalWorkSumsInOrder: float addition is not associative, so a
+// total summed in map order could change its last bits between runs.
+// 1e16 absorbs a lone 1 but not 1+1, so the three orders of these works
+// give two different sums; TotalWork must give the in-Order one every time.
+func TestTotalWorkSumsInOrder(t *testing.T) {
+	tr := &Trace{
+		Order: []int{2, 0, 1},
+		Instances: map[int][]Instance{
+			0: {{Frag: 0, Work: 1}},
+			1: {{Frag: 1, Work: 1}},
+			2: {{Frag: 2, Work: 1e16}},
+		},
+	}
+	var want float64
+	for _, f := range tr.Order {
+		want += tr.Instances[f][0].Work
+	}
+	for i := 0; i < 100; i++ {
+		if got := tr.TotalWork(); got != want {
+			t.Fatalf("call %d: TotalWork = %v, want the in-Order sum %v", i, got, want)
+		}
 	}
 }
 

@@ -345,12 +345,11 @@ func (p *Planner) finish(n physical.Node, logicalNode logical.Node, self cost.Co
 	return n
 }
 
-// setCost fills an operator's estimate and own cost, and totals the cost
-// over its inputs in order.
+// setCost fills an operator's estimate and its subtree cost: its own
+// cost plus its inputs' totals, added in order.
 func setCost(n physical.Node, rows float64, self cost.Cost) {
 	pr := n.Props()
 	pr.EstRows = rows
-	pr.Self = self
 	pr.Total = self
 	for _, in := range n.Inputs() {
 		pr.Total = pr.Total.Plus(in.Props().Total)
