@@ -2,14 +2,21 @@
 # (.github/workflows/ci.yml) in the job's order: vet, tier-1 tests, the
 # race detector, the concurrency tests at 1/2/4 cores, the chaos suite,
 # the benchmark module and the executor microbenchmarks. The job also
-# builds first and exports observability artifacts last.
+# builds and prints `make loc` first and exports observability artifacts
+# last.
 
 GO ?= go
 
-.PHONY: build test race race-cpu vet bench bench-build bench-exec chaos benchgate benchgate-update fuzz-smoke ci
+.PHONY: build loc test race race-cpu vet bench bench-build bench-exec chaos benchgate benchgate-update fuzz-smoke ci
 
 build:
 	$(GO) build ./...
+
+# The code-size figure CHANGES.md quotes: raw lines (blanks and comments
+# included) of non-test Go outside bench/ (.bench_build/ holds
+# bench/run.sh's build outputs).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 test:
 	$(GO) test ./...

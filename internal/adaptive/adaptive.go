@@ -23,8 +23,13 @@
 //     amortize the duplicate source reads. Re-grading permutes the
 //     (FromSite, FromVariant) concatenation order downstream, so it is
 //     gated behind an order-insensitivity analysis of the consuming plan
-//     (orderWashed): every consumer path must pass through exact,
+//     (orderWashed): from every place that reads the fragment's exchange
+//     (fragment.Fragment.Consumers), every path must pass through exact,
 //     order-insensitive aggregation and end in a total-order sort.
+//
+// The controller finds who reads an exchange in the split plan's recorded
+// edges (Fragment.Receiver and Consumers); it never walks the fragments
+// for them.
 //
 // Decisions are pure functions of merged sketches, which the barrier
 // merges in deterministic job order; no wall-clock input exists, so the
@@ -94,20 +99,12 @@ func (c Config) withDefaults() Config {
 // site in a shuffle, used by the dist-flip guard.
 const exchangePenalty = 200
 
-// consumerRef locates one exchange's consuming side.
-type consumerRef struct {
-	frag *fragment.Fragment
-	recv *physical.Receiver
-	n    int // number of receivers found for the exchange (multi-consumer DAGs)
-}
-
 // Controller drives adaptive execution for one query. It is not safe for
 // concurrent use; the cluster scheduler calls it from barriers only.
 type Controller struct {
-	plan     *fragment.Plan
-	cfg      Config
-	consumer map[int]*consumerRef // exchange -> consuming receiver
-	skeys    map[int][]int        // exchange -> sketch key columns (sender coords)
+	plan  *fragment.Plan
+	cfg   Config
+	skeys map[int][]int // exchange -> sketch key columns (sender coords)
 
 	actRows map[int]int64   // exchange -> observed sender output rows
 	actNDV  map[int]float64 // exchange -> sketch distinct estimate on skeys
@@ -127,27 +124,12 @@ func New(plan *fragment.Plan, cfg Config) *Controller {
 	c := &Controller{
 		plan:        plan,
 		cfg:         cfg.withDefaults(),
-		consumer:    make(map[int]*consumerRef),
 		skeys:       make(map[int][]int),
 		actRows:     make(map[int]int64),
 		actNDV:      make(map[int]float64),
 		varOverride: make(map[int]int),
 		touched:     make(map[physical.Node]bool),
 		notes:       make(map[physical.Node]string),
-	}
-	for _, f := range plan.Fragments {
-		f := f
-		physical.Walk(f.Root, func(n physical.Node) bool {
-			if rv, ok := n.(*physical.Receiver); ok {
-				ref := c.consumer[rv.ExchangeID]
-				if ref == nil {
-					ref = &consumerRef{frag: f, recv: rv}
-					c.consumer[rv.ExchangeID] = ref
-				}
-				ref.n++
-			}
-			return true
-		})
 	}
 	c.planSketchKeys()
 	return c
@@ -380,11 +362,11 @@ func (c *Controller) tryDistFlip(p *fragment.Fragment, barrier int) {
 	if !ok || sender.Target.Type != physical.Broadcast || c.touched[sender] {
 		return
 	}
-	ref := c.consumer[p.ExchangeID]
-	if ref == nil || ref.n != 1 {
+	if len(p.Consumers) != 1 {
 		return
 	}
-	j, side := consumingJoin(ref.frag, ref.recv)
+	cf := p.Consumers[0]
+	j, side := consumingJoin(cf, p.Receiver)
 	if j == nil || side != 1 || c.touched[j] {
 		return
 	}
@@ -401,12 +383,12 @@ func (c *Controller) tryDistFlip(p *fragment.Fragment, barrier int) {
 	// The sender ships its own child's schema; the receiver chain must
 	// map the join's right keys onto it losslessly.
 	rv, mapped, ok := mapKeysDown(j.Inputs()[1], j.KeyCols(1))
-	if !ok || rv != ref.recv {
+	if !ok || rv != p.Receiver {
 		return
 	}
 	// Variant safety: a split-mode receiver slices the build rows by a
 	// per-variant counter, and hash routing changes each site's multiset.
-	if c.VariantFor(ref.frag.ID, c.cfg.Variants) > 1 && ref.frag.Modes[rv] == fragment.SplitMode {
+	if c.VariantFor(cf.ID, c.cfg.Variants) > 1 && cf.Modes[rv] == fragment.SplitMode {
 		return
 	}
 	estR := est(sender)
@@ -449,7 +431,7 @@ func consumingJoin(f *fragment.Fragment, rv *physical.Receiver) (*physical.Join,
 			return found == nil
 		}
 		for s, in := range j.Inputs() {
-			if chainReaches(in, rv) {
+			if r, _, ok := mapKeysDown(in, nil); ok && r == rv {
 				found, side = j, s
 				return false
 			}
@@ -457,21 +439,6 @@ func consumingJoin(f *fragment.Fragment, rv *physical.Receiver) (*physical.Join,
 		return true
 	})
 	return found, side
-}
-
-// chainReaches walks filters and projections from n down to see whether
-// the chain bottoms out at exactly rv.
-func chainReaches(n physical.Node, rv *physical.Receiver) bool {
-	for {
-		switch t := n.(type) {
-		case *physical.Receiver:
-			return t == rv
-		case *physical.Filter, *physical.Project:
-			n = t.(physical.Node).Inputs()[0]
-		default:
-			return false
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -544,7 +511,7 @@ func (c *Controller) tryRegrade(f *fragment.Fragment, barrier int) {
 	if vol >= variantMinRows {
 		return
 	}
-	if !c.orderWashed(f.ID, make(map[int]bool)) {
+	if !orderWashed(f) {
 		return
 	}
 	c.varOverride[f.ID] = 1
@@ -561,42 +528,34 @@ func (c *Controller) tryRegrade(f *fragment.Fragment, barrier int) {
 // Order-insensitivity analysis
 
 // orderWashed reports whether permuting the row order a fragment ships is
-// provably invisible in the final result bytes: every path from the
-// fragment's output to the query root must pass through aggregation whose
-// calls are exact and order-insensitive (COUNT, MIN, MAX, integer SUM),
-// reach a reduction, and then a Sort whose keys cover all of the
-// reduction's group columns — group keys are unique per group, so that
-// sort imposes a total order. Above the sort only row-local,
-// order-preserving operators may appear, and the sort must live in the
-// root fragment (a later exchange would re-perturb the order).
-func (c *Controller) orderWashed(fragID int, visiting map[int]bool) bool {
-	if visiting[fragID] {
-		return false
+// provably invisible in the final result bytes: every path from every
+// place that reads the fragment's output to the query root must pass
+// through aggregation whose calls are exact and order-insensitive (COUNT,
+// MIN, MAX, integer SUM), reach a reduction, and then a Sort whose keys
+// cover all of the reduction's group columns — group keys are unique per
+// group, so that sort imposes a total order. Above the sort only
+// row-local, order-preserving operators may appear, and the sort must live
+// in the root fragment (a later exchange would re-perturb the order).
+func orderWashed(f *fragment.Fragment) bool {
+	if len(f.Consumers) == 0 {
+		return false // f is the root: the perturbed order reached it unwashed
 	}
-	visiting[fragID] = true
-	defer delete(visiting, fragID)
-
-	f := c.plan.Fragments[fragID]
-	if f.IsRoot {
-		return false // perturbed order reached the root unwashed
+	for i, cf := range f.Consumers {
+		if slices.Index(f.Consumers, cf) < i {
+			continue // cf's places were all checked at its first entry
+		}
+		for _, path := range pathsToRoot(cf.Root, f.Receiver) {
+			// The root fragment must wash the order; any other passes
+			// it on unwashed, to be followed through its own exchange.
+			if state, ok := washState(path); !ok || (state == washClean) != cf.IsRoot {
+				return false
+			}
+		}
+		if !cf.IsRoot && !orderWashed(cf) {
+			return false
+		}
 	}
-	ref := c.consumer[f.ExchangeID]
-	if ref == nil {
-		return false
-	}
-	state, ok := washState(ref.frag, ref.recv)
-	switch {
-	case !ok:
-		return false
-	case state == washClean:
-		return ref.frag.IsRoot
-	case ref.frag.IsRoot:
-		return false
-	default:
-		// Order (or partial-aggregate multiset) perturbation continues
-		// into the next fragment; recurse through its exchange.
-		return c.orderWashed(ref.frag.ID, visiting)
-	}
+	return true
 }
 
 type wash uint8
@@ -606,15 +565,11 @@ const (
 	washClean                 // a total-order sort fixed the final order
 )
 
-// washState walks a consumer fragment from the perturbed receiver to the
-// fragment root, tracking whether the perturbation is washed out. ok is
-// false when an operator that bakes arrival order (or arrival grouping)
-// into its output values is encountered before a wash.
-func washState(f *fragment.Fragment, rv *physical.Receiver) (wash, bool) {
-	path, ok := pathToRoot(f.Root, rv)
-	if !ok {
-		return washPerturbed, false
-	}
+// washState walks one path of a consumer fragment from the perturbed
+// receiver to the fragment root, tracking whether the perturbation is
+// washed out. ok is false when an operator that bakes arrival order (or
+// arrival grouping) into its output values is encountered before a wash.
+func washState(path []physical.Node) (wash, bool) {
 	state := washPerturbed
 	var lastGroup []int // reduction group columns awaiting a covering sort
 	for _, n := range path {
@@ -656,7 +611,6 @@ func washState(f *fragment.Fragment, rv *physical.Receiver) (wash, bool) {
 			if state == washClean {
 				state = washPerturbed
 			}
-			_ = t
 		default:
 			return state, false
 		}
@@ -664,18 +618,19 @@ func washState(f *fragment.Fragment, rv *physical.Receiver) (wash, bool) {
 	return state, true
 }
 
-// pathToRoot returns the operator chain from rv up to (and including) the
-// fragment root, or ok=false when rv is not in the fragment.
-func pathToRoot(root physical.Node, rv *physical.Receiver) ([]physical.Node, bool) {
-	if root == rv {
-		return []physical.Node{root}, true
+// pathsToRoot returns, for every place rv stands in, the operator chain
+// from rv up to (and including) the fragment root.
+func pathsToRoot(n physical.Node, rv *physical.Receiver) [][]physical.Node {
+	if n == rv {
+		return [][]physical.Node{{n}}
 	}
-	for _, in := range root.Inputs() {
-		if sub, ok := pathToRoot(in, rv); ok {
-			return append(sub, root), true
+	var paths [][]physical.Node
+	for _, in := range n.Inputs() {
+		for _, sub := range pathsToRoot(in, rv) {
+			paths = append(paths, append(sub, n))
 		}
 	}
-	return nil, false
+	return paths
 }
 
 // aggsOrderInsensitive reports whether every aggregate call produces

@@ -56,8 +56,10 @@ func flipPlan(t *testing.T, estBuild float64) (*fragment.Plan, *physical.Sender,
 		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.HashDist(0), "bcast-right", nil)
 
 	f0 := &fragment.Fragment{ID: 0, Root: join, IsRoot: true, Receivers: []int{0}, ExchangeID: -1}
-	f1 := &fragment.Fragment{ID: 1, Root: sender0, Receivers: []int{1}, ExchangeID: 0}
-	f2 := &fragment.Fragment{ID: 2, Root: sender1, ExchangeID: 1}
+	f1 := &fragment.Fragment{ID: 1, Root: sender0, Receivers: []int{1}, ExchangeID: 0,
+		Receiver: recv0, Consumers: []*fragment.Fragment{f0}}
+	f2 := &fragment.Fragment{ID: 2, Root: sender1, ExchangeID: 1,
+		Receiver: recv1, Consumers: []*fragment.Fragment{f1}}
 	plan := &fragment.Plan{
 		Fragments: []*fragment.Fragment{f0, f1, f2},
 		Producer:  map[int]*fragment.Fragment{0: f1, 1: f2},
@@ -147,24 +149,25 @@ func TestDistFlipNeedsColocatedProbe(t *testing.T) {
 // left-heavy (estL > estR) so the planner builds on the right.
 func swapPlan(t *testing.T, estL, estR float64) (*fragment.Plan, *physical.Join) {
 	t.Helper()
+	f0 := &fragment.Fragment{ID: 0, IsRoot: true, Receivers: []int{1, 2}, ExchangeID: -1}
 	mk := func(ex int, est float64) (*fragment.Fragment, *physical.Receiver) {
 		src := leaf(est, physical.HashDist(0))
 		sender := physical.NewSender(src, ex, physical.HashDist(0))
 		recv := physical.NewReceiver(physical.NewExchange(src, physical.HashDist(0)), ex)
 		recv.Props().EstRows = est
-		return &fragment.Fragment{ID: ex, Root: sender, ExchangeID: ex}, recv
+		return &fragment.Fragment{ID: ex, Root: sender, ExchangeID: ex,
+			Receiver: recv, Consumers: []*fragment.Fragment{f0}}, recv
 	}
 	f1, recv1 := mk(1, estL)
 	f2, recv2 := mk(2, estR)
-	join := physical.NewJoin(recv1, recv2, physical.HashAlgo, logical.JoinInner, nil,
+	f0.Root = physical.NewJoin(recv1, recv2, physical.HashAlgo, logical.JoinInner, nil,
 		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.HashDist(0), "hash", nil)
-	f0 := &fragment.Fragment{ID: 0, Root: join, IsRoot: true, Receivers: []int{1, 2}, ExchangeID: -1}
 	plan := &fragment.Plan{
 		Fragments: []*fragment.Fragment{f0, f1, f2},
 		Producer:  map[int]*fragment.Fragment{1: f1, 2: f2},
 		Waves:     [][]*fragment.Fragment{{f1, f2}, {f0}},
 	}
-	return plan, join
+	return plan, f0.Root.(*physical.Join)
 }
 
 func TestBuildSwapFires(t *testing.T) {
@@ -283,5 +286,82 @@ func TestSortCovers(t *testing.T) {
 	}
 	if !sortCovers(nil, nil) {
 		t.Error("empty group is covered vacuously")
+	}
+}
+
+// sharedExchangePlan builds a variant fragment whose exchange is read in
+// two places:
+//
+//	frag 3 (wave 0): S, Sender #2 over a leaf
+//	frag 2 (wave 1): P, Sender #1 over Receiver #2 in split mode  <- regrade candidate
+//	frag 1 (wave 2): Q, Sender #0 over Receiver #1 (re-ships P's output)
+//	frag 0 (wave 3): R, Sort(COUNT group by k)(Join(Receiver #1, Receiver #0 [under a Limit]))
+//
+// In R, P's rows pass a join, a COUNT reduction and a sort covering its
+// group column, which washes their order. Q's copy reaches R through
+// Receiver #0, under a Limit when limited is set.
+func sharedExchangePlan(limited bool) *fragment.Plan {
+	const rows = 10 // every estimate matches the actuals: only the regrade can fire
+	recv := func(ex int, src physical.Node) *physical.Receiver {
+		rv := physical.NewReceiver(physical.NewExchange(src, physical.HashDist(0)), ex)
+		rv.Props().EstRows = rows
+		return rv
+	}
+	src := leaf(rows, physical.HashDist(0))
+	recvS := recv(2, src)
+	senderP := physical.NewSender(recvS, 1, physical.HashDist(0))
+	recvP := recv(1, recvS)
+	senderQ := physical.NewSender(recvP, 0, physical.HashDist(0))
+	recvQ := recv(0, recvP)
+
+	var right physical.Node = recvQ
+	if limited {
+		right = physical.NewLimit(recvQ, 5)
+		right.Props().EstRows = rows
+	}
+	join := physical.NewJoin(recvP, right, physical.HashAlgo, logical.JoinInner, nil,
+		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.HashDist(0), "hash", nil)
+	join.Props().EstRows = rows
+	agg := physical.NewHashAggregate(join, []int{0}, []expr.AggCall{{Func: expr.AggCount}},
+		physical.AggSinglePhase, types.Fields{{Name: "k", Kind: types.KindInt}, {Name: "n", Kind: types.KindInt}})
+	sort := physical.NewSort(agg, []types.SortKey{{Col: 0}})
+
+	r := &fragment.Fragment{ID: 0, Root: sort, IsRoot: true, Receivers: []int{1, 0}, ExchangeID: -1}
+	q := &fragment.Fragment{ID: 1, Root: senderQ, Receivers: []int{1}, ExchangeID: 0,
+		Receiver: recvQ, Consumers: []*fragment.Fragment{r}}
+	p := &fragment.Fragment{ID: 2, Root: senderP, Receivers: []int{2}, ExchangeID: 1,
+		Receiver: recvP, Consumers: []*fragment.Fragment{r, q},
+		Modes: map[physical.Node]fragment.SourceMode{recvS: fragment.SplitMode}}
+	s := &fragment.Fragment{ID: 3, Root: physical.NewSender(src, 2, physical.HashDist(0)), ExchangeID: 2,
+		Receiver: recvS, Consumers: []*fragment.Fragment{p}}
+	return &fragment.Plan{
+		Fragments: []*fragment.Fragment{r, q, p, s},
+		Producer:  map[int]*fragment.Fragment{0: q, 1: p, 2: s},
+		Waves:     [][]*fragment.Fragment{{s}, {p}, {q}, {r}},
+	}
+}
+
+// TestRegradeChecksEveryConsumer: a regrade perturbs the row order every
+// reader of the fragment's exchange sees, so every place must wash it.
+// P's output is washed where R reads it directly, but its copy through Q
+// reaches a Limit in R, which would keep different rows.
+func TestRegradeChecksEveryConsumer(t *testing.T) {
+	for _, tc := range []struct {
+		limited bool
+		want    int // P's variant count after the barrier
+	}{
+		{limited: false, want: 1}, // both places wash: the regrade fires
+		{limited: true, want: 2},  // Q's place reaches the Limit: refused
+	} {
+		c := New(sharedExchangePlan(tc.limited), Config{Sites: 4, Variants: 2})
+		reps := c.OnBarrier(0, map[int]*sketch.Sketch{2: filled(10)})
+		if got := c.VariantFor(2, 2); got != tc.want {
+			t.Errorf("limited=%t: fragment 2 runs %d variants, want %d (replans %+v)", tc.limited, got, tc.want, reps)
+		}
+		for _, rp := range reps {
+			if rp.Kind != "variant-regrade" {
+				t.Errorf("limited=%t: unexpected replan %+v", tc.limited, rp)
+			}
+		}
 	}
 }

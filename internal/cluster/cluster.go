@@ -73,8 +73,7 @@ type Cluster struct {
 	Workers int
 	// RowLimit bounds the rows one instance's join emission may
 	// materialize (0 = unlimited). It keeps runaway cross products from
-	// exhausting host memory before the work limit trips. This is an
-	// explicit knob — it is no longer derived from the work limit.
+	// exhausting host memory before the work limit trips.
 	RowLimit int64
 	// Faults is the query-fault injector (nil = inject nothing).
 	Faults *faults.Injector
@@ -162,8 +161,8 @@ type run struct {
 	// work; every later ordinal finds the site dead.
 	dying map[int]int
 
-	// fs holds the runtime filters (nil: the plan carries none).
-	fs *filterState
+	// fs holds the runtime filters (empty: the plan carries none).
+	fs filterState
 	// sketches accumulates the per-exchange runtime sketches across
 	// barriers (nil: adaptive off).
 	sketches map[int]*sketch.Sketch
@@ -348,7 +347,7 @@ func (r *run) barrier(jobs []instanceJob, results []instanceResult) error {
 		r.res.Retries += len(ir.retries)
 		r.trace.Retries = append(r.trace.Retries, ir.retries...)
 		if j.filter != nil {
-			r.fs.absorb(j, ir, r.c.Faults.Slowdown(ir.host))
+			j.filter.absorb(j, ir, r.c.Faults.Slowdown(ir.host))
 			continue
 		}
 		if ir.hedge != nil {
@@ -364,9 +363,7 @@ func (r *run) barrier(jobs []instanceJob, results []instanceResult) error {
 		if ir.obs != nil {
 			j.fobs.Merge(ir.obs)
 		}
-		if r.fs != nil {
-			r.fs.count(ir.ftested, ir.fpruned)
-		}
+		r.fs.count(ir.ftested, ir.fpruned)
 		if r.sketches != nil && ir.sketches != nil {
 			mergeSketches(r.sketches, ir.sketches)
 		}
@@ -472,9 +469,7 @@ func (r *run) finish() *Result {
 	if r.opts.Adaptive != nil {
 		res.Notes = r.opts.Adaptive.Notes()
 	}
-	if r.fs != nil {
-		r.fs.report(res)
-	}
+	r.fs.report(res)
 	return res
 }
 

@@ -20,29 +20,25 @@ import (
 // filters into their instances and count what they pruned.
 
 // filterState carries the pre-pass products the wave jobs consume: one
-// builtFilter per planned (and not variant-skipped) RuntimeFilter.
-type filterState struct {
-	built   []*builtFilter
-	bySpec  map[*physical.RuntimeFilter]*builtFilter
-	byJoin  map[int][]*builtFilter
-	byProbe map[int][]*builtFilter
-}
+// builtFilter per planned (and not variant-skipped) RuntimeFilter, in
+// plan order.
+type filterState []*builtFilter
 
 // builtFilter is one runtime filter's state. After the pre-pass barrier
 // it is frozen: perSite holds each join site's build-partition filter
 // (what the probe-side Sender tests per destination); union is their
 // merge (what deeper node-level pushdown tests, since those rows may
 // still route anywhere); rows caches the pre-pass build rows for reuse by
-// the join instance when the join fragment is variant-free.
+// the join instance when the join fragment is variant-free (nil
+// otherwise).
 type builtFilter struct {
-	spec    *physical.RuntimeFilter
+	spec    *fragment.RuntimeFilter
 	perSite map[int]*joinfilter.Filter
 	// keys accumulates every site's build keys until freeze turns them
 	// into union.
 	keys      *joinfilter.Builder
 	union     *joinfilter.Filter
 	rows      map[int][]types.Row
-	cache     bool
 	buildRows int64
 	bytes     int64
 	siteWork  []siteWork
@@ -57,9 +53,9 @@ type siteWork struct {
 }
 
 // filterJobs plans the pre-pass: one job per (planned filter × join
-// site), setting r.fs when any filter survives. Pre-pass ordinals come
-// first, which makes a fault plan's crash point cover them exactly like
-// wave instances.
+// site), appending each filter that survives to r.fs. Pre-pass ordinals
+// come first, which makes a fault plan's crash point cover them exactly
+// like wave instances.
 func (r *run) filterJobs(plan *fragment.Plan) []instanceJob {
 	var jobs []instanceJob
 	for _, rf := range plan.Filters {
@@ -71,61 +67,49 @@ func (r *run) filterJobs(plan *fragment.Plan) []instanceJob {
 			// reshuffle that split and change results. Skip the filter.
 			continue
 		}
-		if r.fs == nil {
-			r.fs = &filterState{
-				bySpec:  make(map[*physical.RuntimeFilter]*builtFilter),
-				byJoin:  make(map[int][]*builtFilter),
-				byProbe: make(map[int][]*builtFilter),
-			}
-		}
 		sites, partitioned := r.c.fragmentSites(jf)
 		bf := &builtFilter{
 			spec:    rf,
 			perSite: make(map[int]*joinfilter.Filter, len(sites)),
 			keys:    joinfilter.NewBuilder(),
+		}
+		if !variants {
 			// Cache build rows for the join instance only when the join
 			// fragment is variant-free: variant instances re-read split
 			// sources, so their builds differ from the pre-pass's.
-			cache: !variants,
-		}
-		if bf.cache {
 			bf.rows = make(map[int][]types.Row, len(sites))
 		}
-		r.fs.built = append(r.fs.built, bf)
-		r.fs.bySpec[rf] = bf
-		r.fs.byJoin[rf.JoinFrag] = append(r.fs.byJoin[rf.JoinFrag], bf)
-		r.fs.byProbe[rf.ProbeFrag] = append(r.fs.byProbe[rf.ProbeFrag], bf)
+		r.fs = append(r.fs, bf)
 		jobs = r.addJobs(jobs, instanceJob{
 			frag: jf, nVariants: 1, wave: -1, partitioned: partitioned,
-			fobs: r.qobs.Fragments[jf.ID], filter: rf,
+			fobs: r.qobs.Fragments[jf.ID], filter: bf,
 		}, sites)
 	}
 	return jobs
 }
 
-// absorb is the barrier's tail for a pre-pass job: the instance's build
+// absorb is the barrier's tail for pre-pass job j: the instance's build
 // rows become its site's filter. slowdown is the serving host's fault
 // factor.
-func (fs *filterState) absorb(j *instanceJob, ir *instanceResult, slowdown float64) {
+func (bf *builtFilter) absorb(j *instanceJob, ir *instanceResult, slowdown float64) {
 	if ir.obs != nil {
 		// Extra-instance merge: operator stats accumulate without bumping
 		// the fragment's Instances count (the pre-pass ran the build
 		// subtree the join instance will now skip).
 		j.fobs.MergeExtra(ir.obs)
 	}
-	bf := fs.bySpec[j.filter]
 	b := joinfilter.NewBuilder()
 	for _, row := range ir.rows {
 		// The hash join never matches a build row with a NULL equi-key, so
 		// the filter must not admit its hash.
-		if !row.HasNull(j.filter.BuildCols) {
-			b.Add(row.Hash(j.filter.BuildCols))
+		if !row.HasNull(bf.spec.BuildCols) {
+			b.Add(row.Hash(bf.spec.BuildCols))
 		}
 	}
 	bf.perSite[j.site] = b.Build()
 	bf.keys.Merge(b)
 	bf.buildRows += int64(len(ir.rows))
-	if bf.cache {
+	if bf.rows != nil {
 		bf.rows[j.site] = ir.rows
 	}
 	// The key-insert work rides on the build subtree's work; both charge
@@ -137,8 +121,8 @@ func (fs *filterState) absorb(j *instanceJob, ir *instanceResult, slowdown float
 
 // freeze closes the pre-pass: every filter's union is built and its work
 // and shipments are charged to the trace as FilterBuild records.
-func (fs *filterState) freeze(trace *simnet.Trace) {
-	for _, bf := range fs.built {
+func (fs filterState) freeze(trace *simnet.Trace) {
+	for _, bf := range fs {
 		bf.union = bf.keys.Build()
 		bf.keys = nil
 		// Each site ships its per-site filter plus its share of the
@@ -158,11 +142,11 @@ func (fs *filterState) freeze(trace *simnet.Trace) {
 // count folds one instance's per-filter probe counters into the state
 // (called at wave barriers only, in job order; sums commute, so the
 // totals are worker-count independent).
-func (fs *filterState) count(tested, pruned map[int]int64) {
+func (fs filterState) count(tested, pruned map[int]int64) {
 	if tested == nil && pruned == nil {
 		return
 	}
-	for _, bf := range fs.built {
+	for _, bf := range fs {
 		bf.tested += tested[bf.spec.ID]
 		bf.pruned += pruned[bf.spec.ID]
 	}
@@ -173,26 +157,24 @@ func (fs *filterState) count(tested, pruned map[int]int64) {
 // filters for probe-side producer instances. The wiring is a pure
 // function of logical identity (fragment ID, site), so retries and
 // replica failover see the same filters.
-func (fs *filterState) inject(j *instanceJob, ectx *exec.Context, nsites int) {
-	for _, bf := range fs.byJoin[j.frag.ID] {
-		if !bf.cache {
+func (fs filterState) inject(j *instanceJob, ectx *exec.Context, nsites int) {
+	for _, bf := range fs {
+		if bf.spec.JoinFrag == j.frag.ID {
+			if rows, ok := bf.rows[j.site]; ok {
+				if ectx.Prebuilt == nil {
+					ectx.Prebuilt = make(map[physical.Node][]types.Row)
+				}
+				ectx.Prebuilt[bf.spec.BuildRoot] = rows
+			}
+		}
+		if bf.spec.ProbeFrag != j.frag.ID {
 			continue
 		}
-		if rows, ok := bf.rows[j.site]; ok {
-			if ectx.Prebuilt == nil {
-				ectx.Prebuilt = make(map[physical.Node][]types.Row)
-			}
-			ectx.Prebuilt[bf.spec.BuildRoot] = rows
+		if ectx.NodeFilters == nil {
+			ectx.NodeFilters = make(map[physical.Node][]*exec.AppliedFilter)
 		}
-	}
-	for _, bf := range fs.byProbe[j.frag.ID] {
-		if bf.spec.ProbeNode != nil {
-			if ectx.NodeFilters == nil {
-				ectx.NodeFilters = make(map[physical.Node][]*exec.AppliedFilter)
-			}
-			ectx.NodeFilters[bf.spec.ProbeNode] = append(ectx.NodeFilters[bf.spec.ProbeNode],
-				&exec.AppliedFilter{ID: bf.spec.ID, Cols: bf.spec.ProbeNodeCols, Filter: bf.union})
-		}
+		ectx.NodeFilters[bf.spec.ProbeNode] = append(ectx.NodeFilters[bf.spec.ProbeNode],
+			&exec.AppliedFilter{ID: bf.spec.ID, Cols: bf.spec.ProbeNodeCols, Filter: bf.union})
 		per := make([]*joinfilter.Filter, nsites)
 		for site, f := range bf.perSite {
 			if site < nsites {
@@ -209,8 +191,8 @@ func (fs *filterState) inject(j *instanceJob, ectx *exec.Context, nsites int) {
 }
 
 // report writes the filters' totals into the finished result.
-func (fs *filterState) report(res *Result) {
-	for _, bf := range fs.built {
+func (fs filterState) report(res *Result) {
+	for _, bf := range fs {
 		res.FiltersBuilt++
 		res.FilterBytes += bf.bytes
 		res.RowsPruned += bf.pruned

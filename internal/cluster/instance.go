@@ -12,7 +12,6 @@ import (
 	"gignite/internal/faults"
 	"gignite/internal/fragment"
 	"gignite/internal/obs"
-	"gignite/internal/physical"
 	"gignite/internal/simnet"
 	"gignite/internal/sketch"
 	"gignite/internal/types"
@@ -54,14 +53,14 @@ type instanceJob struct {
 	// root) at its site, before wave 0. Pre-pass jobs share the join
 	// fragment's identity, so fault plans and failover treat them like
 	// any other instance of that fragment.
-	filter *physical.RuntimeFilter
+	filter *builtFilter
 }
 
 // wrap names the job in a terminal failure.
 func (j *instanceJob) wrap(err error) error {
 	if j.filter != nil {
 		return fmt.Errorf("cluster: filter %d build (fragment %d) at site %d: %w",
-			j.filter.ID, j.frag.ID, j.site, err)
+			j.filter.spec.ID, j.frag.ID, j.site, err)
 	}
 	return fmt.Errorf("cluster: fragment %d at site %d: %w", j.frag.ID, j.site, err)
 }
@@ -210,8 +209,8 @@ func (r *run) attempt(j *instanceJob, host, n int) (outcome, error) {
 	if j.filter != nil {
 		// Pre-pass instance: execute the filter's build subtree in place
 		// of the fragment root.
-		root = j.filter.BuildRoot
-	} else if r.fs != nil {
+		root = j.filter.spec.BuildRoot
+	} else {
 		r.fs.inject(j, ectx, c.Store.Sites())
 	}
 	rows, err := exec.Run(root, ectx)

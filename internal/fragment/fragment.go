@@ -1,9 +1,13 @@
 // Package fragment converts an optimized physical plan into an execution
 // plan: a set of fragments, each a subtree executable entirely at one
 // processing site, connected by sender/receiver pairs (§3.2.3,
-// Algorithm 1). The split plan carries its own schedule: the dependency
+// Algorithm 1). The split plan carries its own schedule — the dependency
 // waves its fragments run in, and each fragment's variant source modes
-// (§5.3, Algorithm 3) for multi-threaded execution.
+// (§5.3, Algorithm 3) for multi-threaded execution — and its exchange
+// edges: the receiver each exchange feeds and every place that receiver
+// stands in. Runtime join-filter planning (PlanRuntimeFilters, DESIGN.md
+// §13) and the adaptive controller read those edges instead of walking
+// the fragments to find them.
 package fragment
 
 import (
@@ -28,6 +32,13 @@ type Fragment struct {
 	Receivers []int
 	// ExchangeID is the exchange this fragment feeds (-1 for the root).
 	ExchangeID int
+	// Receiver is the one receiver node every reader of ExchangeID
+	// shares (nil for the root).
+	Receiver *physical.Receiver
+	// Consumers lists the fragments reading ExchangeID, one entry per
+	// place the receiver stands in: a fragment holding the receiver in
+	// two places is listed twice. A shared exchange has more than one.
+	Consumers []*Fragment
 	// Modes assigns each source operator (TableScan, IndexScan, Receiver)
 	// its splitter or duplicator role when the fragment runs as §5.3
 	// variants. It is nil when the fragment must run on one thread.
@@ -53,7 +64,7 @@ type Plan struct {
 	Waves [][]*Fragment
 	// Filters lists the plan's runtime join-filter edges (DESIGN.md §13),
 	// populated by PlanRuntimeFilters when Config.RuntimeFilters is on.
-	Filters []*physical.RuntimeFilter
+	Filters []*RuntimeFilter
 }
 
 // Split implements Algorithm 1: walking the tree depth-first, every
@@ -61,7 +72,9 @@ type Plan struct {
 // a sender (rooting a new fragment over the exchange's child). As each
 // fragment completes — after the exchanges below it are split — Split
 // appends it to Plan.Waves and records its Modes (Algorithm 3), so the
-// plan carries its schedule and no executor re-derives it.
+// plan carries its schedule and no executor re-derives it. It records
+// each exchange's edge the same way: the producer's Receiver and, for
+// every place the receiver stands in, the reading fragment in Consumers.
 //
 // Split builds one execution's private plan and writes no node reachable
 // from root, so a cached or prepared plan is split as it is. Every
@@ -73,8 +86,9 @@ type Plan struct {
 // The optimizer may emit a DAG rather than a tree: a subtree (often a
 // broadcast) shared by two parents. Each Exchange is still split exactly
 // once, keyed by its node, and every fragment that reaches it records the
-// exchange in its Receivers. Dropping the second consumer's edge would
-// let the second consumer share a wave with its producer.
+// exchange in its Receivers and is listed in the producer's Consumers.
+// Dropping the second consumer's edge would let the second consumer
+// share a wave with its producer.
 //
 // Sharing stops at the exchange: every other operator is copied once per
 // visit (the memo gives two equal join inputs the same subtree), so that
@@ -84,7 +98,7 @@ type Plan struct {
 // in two places would have one visit overwrite the other's.
 func Split(root physical.Node, args ...types.Value) *Plan {
 	p := &Plan{Producer: make(map[int]*Fragment)}
-	split := make(map[*physical.Exchange]*physical.Receiver)
+	split := make(map[*physical.Exchange]*Fragment) // exchange -> producer
 	var bind func(expr.Expr) expr.Expr
 	if len(args) > 0 {
 		bind = func(e expr.Expr) expr.Expr {
@@ -130,22 +144,23 @@ func Split(root physical.Node, args ...types.Value) *Plan {
 			}
 			return out
 		}
-		rv, ok := split[t]
+		sub, ok := split[t]
 		if !ok {
 			// The first parent to reach this Exchange splits it; later
 			// parents share its receiver.
 			id := len(p.Producer)
-			sub := &Fragment{ID: len(p.Fragments), ExchangeID: id}
+			sub = &Fragment{ID: len(p.Fragments), ExchangeID: id}
 			p.Fragments = append(p.Fragments, sub)
 			p.Producer[id] = sub
 			// Recurse inside the new fragment for nested exchanges.
 			sub.Root = physical.NewSender(splitTree(t.Inputs()[0], sub), id, t.Target)
 			complete(sub)
-			rv = physical.NewReceiver(t, id)
-			split[t] = rv
+			sub.Receiver = physical.NewReceiver(t, id)
+			split[t] = sub
 		}
-		addReceiver(frag, rv.ExchangeID)
-		return rv
+		sub.Consumers = append(sub.Consumers, frag)
+		addReceiver(frag, sub.ExchangeID)
+		return sub.Receiver
 	}
 
 	rootFrag := &Fragment{ID: 0, IsRoot: true, ExchangeID: -1}
@@ -153,82 +168,6 @@ func Split(root physical.Node, args ...types.Value) *Plan {
 	rootFrag.Root = splitTree(root, rootFrag)
 	complete(rootFrag)
 	return p
-}
-
-// PlanRuntimeFilters discovers the plan's runtime join-filter edges and
-// records them in p.Filters (DESIGN.md §13). A hash join is eligible when
-//
-//   - its semantics admit probe pruning (inner or semi, with equi keys),
-//   - its build (right) subtree is receiver-free, so a pre-pass can
-//     execute it at the join's sites before wave 0,
-//   - the build subtree applies at least one predicate (a bare-scan build
-//     is a foreign-key target whose filter would prune nothing), and
-//   - its probe (left) input reaches a Receiver through a single-parent
-//     chain of column-transparent operators, and that receiver's exchange
-//     has exactly one consuming fragment.
-//
-// For each eligible join, the producer fragment's sender is annotated as
-// the pruning point, plus the deepest transparent operator below it
-// (scan-level pushdown) when the key columns survive the descent.
-func PlanRuntimeFilters(p *Plan) {
-	// consumers[ex] counts fragments reading the exchange; a shared
-	// broadcast subtree may have several, and pruning rows for one join
-	// would starve the others.
-	consumers := make(map[int]int)
-	for _, f := range p.Fragments {
-		for _, ex := range f.Receivers {
-			consumers[ex]++
-		}
-	}
-	for _, f := range p.Fragments {
-		parents := physical.ParentCounts(f.Root)
-		seen := make(map[physical.Node]bool)
-		physical.Walk(f.Root, func(n physical.Node) bool {
-			if seen[n] {
-				return false
-			}
-			seen[n] = true
-			j, ok := n.(*physical.Join)
-			if !ok || !physical.FilterableJoin(j) {
-				return true
-			}
-			build := j.Inputs()[1]
-			if !physical.SubtreeLocal(build) || !physical.SubtreeSelective(build) {
-				return true
-			}
-			rv, probeCols := physical.ResolveProbeChain(j, parents)
-			if rv == nil || consumers[rv.ExchangeID] != 1 {
-				return true
-			}
-			prod := p.Producer[rv.ExchangeID]
-			if prod == nil || prod.ID == f.ID {
-				return true
-			}
-			rf := &physical.RuntimeFilter{
-				ID:        len(p.Filters),
-				JoinFrag:  f.ID,
-				BuildRoot: build,
-				BuildCols: j.KeyCols(1),
-				ProbeFrag: prod.ID,
-				Exchange:  rv.ExchangeID,
-				Receiver:  rv,
-				ProbeCols: probeCols,
-			}
-			prodParents := physical.ParentCounts(prod.Root)
-			target, targetCols := physical.PushdownTarget(prod.Root.Inputs()[0], probeCols, prodParents)
-			// A node-level filter below the sender is only worthwhile when
-			// the descent moved past at least the sender's child; applying
-			// at the sender child's output would duplicate the send-stage
-			// test. It stays valid at any depth, so keep it whenever the
-			// target differs from the sender itself.
-			if target != nil {
-				rf.ProbeNode = target
-				rf.ProbeNodeCols = targetCols
-			}
-			p.Filters = append(p.Filters, rf)
-			return true
-		})
-	}
 }
 
 // SourceMode is how a source operator behaves inside a variant fragment

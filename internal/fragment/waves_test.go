@@ -2,6 +2,9 @@ package fragment_test
 
 import (
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"gignite"
@@ -27,10 +30,63 @@ import (
 // implementation of that order on every TPC-H and SSB plan under IC, IC+
 // and IC+M.
 func TestSplitWavesMatchDependencyOrder(t *testing.T) {
-	const (
-		sf    = 0.002
-		sites = 4
-	)
+	eachPlan(t, []int{4}, func(label string, pp physical.Node) {
+		fp := fragment.Split(pp)
+		if got, want := waveIDs(fp.Waves), waveIDs(referenceWaves(t, fp)); got != want {
+			t.Errorf("%s: waves %s, want %s", label, got, want)
+		}
+	})
+}
+
+// TestSplitRecordsExchangeEdges: for every exchange, Split records the
+// receiver all its readers share and lists the reading fragment once per
+// place that receiver stands in — checked against a walk of every
+// fragment on every TPC-H and SSB plan under IC, IC+ and IC+M. TPC-H
+// Q11's HAVING subquery reads one exchange in two fragments.
+func TestSplitRecordsExchangeEdges(t *testing.T) {
+	eachPlan(t, []int{4}, func(label string, pp physical.Node) {
+		fp := fragment.Split(pp)
+		places := make(map[int][]int) // exchange -> reading fragment IDs, one per place
+		for _, f := range fp.Fragments {
+			physical.Walk(f.Root, func(n physical.Node) bool {
+				if rv, ok := n.(*physical.Receiver); ok {
+					places[rv.ExchangeID] = append(places[rv.ExchangeID], f.ID)
+					if prod := fp.Producer[rv.ExchangeID]; rv != prod.Receiver {
+						t.Errorf("%s: fragment %d reads exchange %d through another receiver than fragment %d's",
+							label, f.ID, rv.ExchangeID, prod.ID)
+					}
+				}
+				return true
+			})
+		}
+		shared := false
+		for ex, prod := range fp.Producer {
+			var got []int
+			for _, c := range prod.Consumers {
+				got = append(got, c.ID)
+			}
+			slices.Sort(got)
+			if want := places[ex]; !slices.Equal(got, want) {
+				t.Errorf("%s: exchange %d consumers %v, want %v", label, ex, got, want)
+			}
+			shared = shared || len(got) == 2 && got[0] != got[1]
+		}
+		if strings.HasPrefix(label, "tpch/Q11 ") && !shared {
+			t.Errorf("%s: no exchange is read in two fragments", label)
+		}
+	})
+}
+
+var (
+	planEnvOnce sync.Once
+	planEnv     *harness.Env
+)
+
+// eachPlan optimizes every TPC-H and SSB query under IC, IC+ and IC+M at
+// SF 0.002 on each of the given site counts and hands fn the plan,
+// labelled "tpch/Q3 IC+M 4 sites". Q15, which needs its view, is skipped.
+func eachPlan(t *testing.T, sites []int, fn func(label string, pp physical.Node)) {
+	t.Helper()
 	type query struct{ label, sql string }
 	workloads := map[harness.Workload][]query{}
 	for _, q := range tpch.Queries() {
@@ -39,23 +95,22 @@ func TestSplitWavesMatchDependencyOrder(t *testing.T) {
 	for _, q := range ssb.Queries() {
 		workloads[harness.SSB] = append(workloads[harness.SSB], query{"ssb/" + q.ID, q.SQL})
 	}
-	env := harness.NewEnv()
+	planEnvOnce.Do(func() { planEnv = harness.NewEnv() })
 	plans := 0
 	for _, w := range []harness.Workload{harness.TPCH, harness.SSB} {
 		for _, sys := range harness.Systems() {
-			e, err := env.Engine(w, sys, sites, sf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range workloads[w] {
-				pp, err := optimize(e, q.sql)
+			for _, n := range sites {
+				e, err := planEnv.Engine(w, sys, n, 0.002)
 				if err != nil {
-					continue // Q15 needs views
+					t.Fatal(err)
 				}
-				plans++
-				fp := fragment.Split(pp)
-				if got, want := waveIDs(fp.Waves), waveIDs(referenceWaves(t, fp)); got != want {
-					t.Errorf("%s %s: waves %s, want %s", q.label, sys, got, want)
+				for _, q := range workloads[w] {
+					pp, err := optimize(e, q.sql)
+					if err != nil {
+						continue // Q15 needs views
+					}
+					plans++
+					fn(fmt.Sprintf("%s %s %d sites", q.label, sys, n), pp)
 				}
 			}
 		}

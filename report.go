@@ -5,11 +5,9 @@ import "time"
 // QueryReport is the unified per-query report of the v1 API: one
 // JSON-serializable view over everything the engine observed about a
 // SELECT — response times, execution telemetry, the per-operator
-// estimate-vs-actual table and the adaptive replan log. It merges what
-// used to live in three places (Result.Stats, Result.Obs and the
-// benchmark harness's per-query metrics, which now are this report).
-// Every field except Wall is deterministic: identical across hosts,
-// worker counts and fault-free re-runs.
+// estimate-vs-actual table and the adaptive replan log. Every field
+// except Wall is deterministic: identical across hosts, worker counts and
+// fault-free re-runs.
 type QueryReport struct {
 	// Columns names the result columns and RowCount counts the tuples
 	// (the rows themselves stay on the Result).
