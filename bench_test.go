@@ -250,8 +250,8 @@ func aggBenchInput(n, groups int) []types.Row {
 	return rows
 }
 
-// BenchmarkHashAggregate measures the hash-aggregate operator (group map
-// preallocation shows up here).
+// BenchmarkHashAggregate measures the hash-aggregate operator (its group
+// table and chunked group state show up here).
 func BenchmarkHashAggregate(b *testing.B) {
 	fields := types.Fields{
 		{Name: "g", Kind: types.KindInt},
@@ -278,8 +278,8 @@ func BenchmarkHashAggregate(b *testing.B) {
 	}
 }
 
-// BenchmarkHashJoin measures the hash-join operator (build-table and
-// output preallocation show up here).
+// BenchmarkHashJoin measures the hash-join operator (its build table and
+// output batch show up here).
 func BenchmarkHashJoin(b *testing.B) {
 	lFields := types.Fields{{Name: "k", Kind: types.KindInt}, {Name: "a", Kind: types.KindInt}}
 	rFields := types.Fields{{Name: "k2", Kind: types.KindInt}, {Name: "b", Kind: types.KindFloat}}

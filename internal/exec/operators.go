@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"gignite/internal/cost"
@@ -12,46 +13,60 @@ import (
 	"gignite/internal/types"
 )
 
-// group is one aggregation group: its key values and accumulators.
-type group struct {
-	key  types.Row
-	accs []expr.Accumulator
+// aggState is an aggregate's groups, addressed by index in order of first
+// arrival. Group g's output row is rows[g]: its key, then one slot per
+// aggregate, which the accumulators accs[i][g] fill when the group is
+// done. Rows and accumulators are made in chunks that never move — rows
+// are handed downstream as they are, and accs points into its chunks —
+// so an aggregate allocates per chunk, not per group.
+type aggState struct {
+	groupBy []int
+	aggs    []expr.AggCall
+	args    []*expr.Scalar
+	rows    []types.Row
+	free    []types.Value        // the unclaimed rest of the newest row chunk
+	accs    [][]expr.Accumulator // [call][group]; may run ahead of rows
+	ids     []int32              // scratch: each pushed row's group (rowGroups)
 }
 
-func newGroup(r types.Row, groupBy []int, aggs []expr.AggCall) *group {
-	g := &group{key: make(types.Row, len(groupBy)), accs: make([]expr.Accumulator, len(aggs))}
-	for i, c := range groupBy {
-		g.key[i] = r[c]
-	}
-	for i, a := range aggs {
-		g.accs[i] = a.NewAccumulator()
-	}
-	return g
+func newAggState(groupBy []int, aggs []expr.AggCall, args []*expr.Scalar) aggState {
+	return aggState{groupBy: groupBy, aggs: aggs, args: args, accs: make([][]expr.Accumulator, len(aggs))}
 }
 
-// add feeds r's argument values, read through the compiled arguments,
-// to the accumulators.
-func (g *group) add(r types.Row, args []*expr.Scalar) {
-	for i, acc := range g.accs {
-		var v types.Value
-		if a := args[i]; a != nil {
-			v = a.At(r)
-		}
-		acc.Add(v)
+// groups returns the number of groups.
+func (s *aggState) groups() int32 { return int32(len(s.rows)) }
+
+// add makes r's key a new group and returns its index. A new row chunk
+// holds as many groups as there are, so chunks double.
+func (s *aggState) add(r types.Row) int32 {
+	w := len(s.groupBy) + len(s.aggs)
+	if len(s.free) < w {
+		s.free = make([]types.Value, max(1, len(s.rows))*w)
 	}
+	// The capacity limit keeps an append to the row from running into its
+	// neighbour.
+	row := s.free[:w:w]
+	s.free = s.free[w:]
+	for i, c := range s.groupBy {
+		row[i] = r[c]
+	}
+	s.rows = append(grow(s.rows, 1), row)
+	return s.groups() - 1
 }
 
-// result appends the group's output row (key, then aggregates) to row.
-func (g *group) result(row types.Row) types.Row {
-	row = append(row, g.key...)
-	for _, acc := range g.accs {
-		row = append(row, acc.Result())
+// rowGroups returns the scratch that holds each of the next n rows'
+// group.
+func (s *aggState) rowGroups(n int) []int32 {
+	if cap(s.ids) < n {
+		s.ids = make([]int32, n)
 	}
-	return row
+	return s.ids[:n]
 }
 
-func keyMatches(key types.Row, r types.Row, groupBy []int) bool {
-	for i, c := range groupBy {
+// matches reports whether r carries group g's key.
+func (s *aggState) matches(g int32, r types.Row) bool {
+	key := s.rows[g]
+	for i, c := range s.groupBy {
 		if !types.Equal(key[i], r[c]) {
 			return false
 		}
@@ -59,28 +74,151 @@ func keyMatches(key types.Row, r types.Row, groupBy []int) bool {
 	return true
 }
 
-// hashAggOp groups rows with a hash table, a breaker that keeps only its
-// group state. A scalar aggregate (no group columns) always emits exactly
-// one row, even on empty input.
+// feed adds each row's argument values, read through the compiled
+// arguments, to its group's accumulators (ids[k] is rows[k]'s group).
+// Groups without accumulators get a chunk first: exactly as many as are
+// missing the first time — often every group the aggregate will have —
+// and at least as many as exist after that, so the chunks are few
+// whatever the group count.
+func (s *aggState) feed(rows []types.Row, ids []int32) {
+	n := len(s.rows)
+	for i, call := range s.aggs {
+		accs := s.accs[i]
+		if have := len(accs); have < n {
+			size := max(n, 2*have)
+			accs = grow(accs, size-have)[:size]
+			call.NewAccumulators(accs[have:])
+			s.accs[i] = accs
+		}
+		arg := s.args[i]
+		for k, r := range rows {
+			var v types.Value
+			if arg != nil {
+				v = arg.At(r)
+			}
+			accs[ids[k]].Add(v)
+		}
+	}
+}
+
+// done fills in the aggregates of groups [0, n) and returns their rows.
+func (s *aggState) done(n int32) []types.Row {
+	w := len(s.groupBy)
+	for g, row := range s.rows[:n] {
+		for i, accs := range s.accs {
+			row[w+i] = accs[g].Result()
+		}
+	}
+	return s.rows[:n:n]
+}
+
+// chains index items by a 64-bit key hash. heads holds one chain per
+// bucket, a power of two of them; next links each item to the next one in
+// its bucket; hashes holds each item's hash, so a walk skips the other
+// keys sharing its bucket without comparing values. Links are item
+// index + 1; 0 ends a chain.
+type chains struct {
+	hashes []uint64
+	heads  []int32
+	next   []int32
+	shift  uint // 64 − log2(len(heads)): a hash's bucket is its top bits
+}
+
+// maxBucketBits caps a table at 2^maxBucketBits buckets. It is not
+// configuration: only this package's tests lower it, to put every key of
+// a table in one bucket.
+var maxBucketBits = 31
+
+// buckets replaces the heads with at least n empty buckets (fewer only
+// under maxBucketBits).
+func (c *chains) buckets(n int) {
+	b := min(bits.Len(uint(max(n, 1)-1)), maxBucketBits)
+	c.heads = make([]int32, 1<<b)
+	c.shift = 64 - uint(b)
+}
+
+// link pushes item i, whose hash is h, onto the head of its bucket.
+func (c *chains) link(i int, h uint64) {
+	b := h >> c.shift
+	c.next[i] = c.heads[b]
+	c.heads[b] = int32(i + 1)
+}
+
+// push appends an item whose hash is h. When items come to outnumber the
+// buckets, their number doubles and every item is linked anew.
+func (c *chains) push(h uint64) {
+	c.hashes = append(grow(c.hashes, 1), h)
+	c.next = append(grow(c.next, 1), 0)
+	i := len(c.hashes) - 1
+	if i < len(c.heads) {
+		c.link(i, h)
+		return
+	}
+	c.buckets(i + 1)
+	for j, h := range c.hashes {
+		c.link(j, h)
+	}
+}
+
+// first returns the first item of h's bucket whose hash is h (0: none).
+func (c *chains) first(h uint64) int32 { return c.find(c.heads[h>>c.shift], h) }
+
+// find returns the first item at or after link k whose hash is h.
+func (c *chains) find(k int32, h uint64) int32 {
+	for k != 0 && c.hashes[k-1] != h {
+		k = c.next[k-1]
+	}
+	return k
+}
+
+// keyHash hashes a row's key columns a word at a time for the executor's
+// own tables. Values types.Equal calls equal hash alike: ints, dates,
+// bools and integral floats mix as the same int64, other floats by their
+// bits, and strings by Value.Hash. It places rows inside one operator
+// only; rows move between sites by types.Row.Hash, the placement hash.
+func keyHash(r types.Row, cols []int) uint64 {
+	h := uint64(len(cols))
+	for _, c := range cols {
+		h = (h ^ keyWord(r[c])) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
+}
+
+func keyWord(v types.Value) uint64 {
+	switch v.K {
+	case types.KindInt, types.KindDate, types.KindBool:
+		return uint64(v.I)
+	case types.KindFloat:
+		if v.F == math.Trunc(v.F) && v.F >= math.MinInt64 && v.F <= math.MaxInt64 {
+			return uint64(int64(v.F))
+		}
+		return math.Float64bits(v.F)
+	case types.KindString:
+		return v.Hash()
+	}
+	return 0
+}
+
+// hashAggOp groups rows with a hash table over its group state, a breaker
+// that keeps only that state. A scalar aggregate (no group columns) has
+// no table and always emits exactly one row, even on empty input.
 type hashAggOp struct {
 	op
-	groupBy []int
-	aggs    []expr.AggCall
-	args    []*expr.Scalar
+	aggState
+	index chains
 	// perRow is the modeled work charged per input row.
 	perRow float64
-	groups map[uint64][]*group
-	order  []*group
 	// Group state accrues for the whole input; it is charged against the
 	// query's memory budget as the table grows, batch by batch, using the
 	// first input row's width as the per-group estimate (key and
 	// accumulators are built from one row).
 	stateW  int64
-	charged int
+	charged int32
 }
 
 func newHashAgg(groupBy []int, aggs []expr.AggCall, args []*expr.Scalar, perRow float64) *hashAggOp {
-	return &hashAggOp{groupBy: groupBy, aggs: aggs, args: args, perRow: perRow, groups: make(map[uint64][]*group)}
+	return &hashAggOp{aggState: newAggState(groupBy, aggs, args), perRow: perRow}
 }
 
 func (a *hashAggOp) push(rows []types.Row, _ bool) error {
@@ -89,85 +227,99 @@ func (a *hashAggOp) push(rows []types.Row, _ bool) error {
 	if a.stateW == 0 && len(rows) > 0 {
 		a.stateW = rows[0].Width()
 	}
-	for _, r := range rows {
-		h := r.Hash(a.groupBy)
-		var g *group
-		for _, cand := range a.groups[h] {
-			if keyMatches(cand.key, r, a.groupBy) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = newGroup(r, a.groupBy, a.aggs)
-			a.groups[h] = append(a.groups[h], g)
-			a.order = append(a.order, g)
-		}
-		g.add(r, a.args)
+	ids := a.rowGroups(len(rows))
+	for k, r := range rows {
+		ids[k] = a.group(r)
 	}
-	if len(a.order) > a.charged {
-		grown := len(a.order) - a.charged
-		a.charged = len(a.order)
+	a.feed(rows, ids)
+	if n := a.groups(); n > a.charged {
+		grown := n - a.charged
+		a.charged = n
 		return a.ctx.ReserveMem(a.node, int64(grown)*a.stateW)
 	}
 	return nil
 }
 
-func (a *hashAggOp) finish() error {
-	if len(a.groupBy) == 0 && len(a.order) == 0 {
-		a.order = append(a.order, newGroup(nil, nil, a.aggs))
+// group returns r's group, adding it if r is its first row.
+func (a *hashAggOp) group(r types.Row) int32 {
+	if len(a.groupBy) == 0 {
+		if len(a.rows) == 0 {
+			a.add(r)
+		}
+		return 0
 	}
-	a.st.held(len(a.order))
-	w := len(a.groupBy) + len(a.aggs)
-	out := make([]types.Row, len(a.order))
-	vals := make([]types.Value, 0, len(a.order)*w)
-	for i, g := range a.order {
-		vals = g.result(vals)
-		out[i] = vals[len(vals)-w : len(vals) : len(vals)]
+	x := &a.index
+	h := keyHash(r, a.groupBy)
+	if len(a.rows) > 0 {
+		for k := x.first(h); k != 0; k = x.find(x.next[k-1], h) {
+			if a.matches(k-1, r) {
+				return k - 1
+			}
+		}
 	}
-	return a.emitAll(out)
+	x.push(h)
+	return a.add(r)
 }
 
-// sortAggOp streams over input sorted by the group columns. It holds one
-// group's state at a time, so unlike the hash variant it charges no
-// memory.
+func (a *hashAggOp) finish() error {
+	if len(a.groupBy) == 0 && len(a.rows) == 0 {
+		a.add(nil)
+		a.feed(nil, nil)
+	}
+	a.st.held(len(a.rows))
+	return a.emitAll(a.done(a.groups()))
+}
+
+// sortAggOp streams over input sorted by the group columns. Only its last
+// group can still grow, so it emits every other group as soon as a batch
+// is in and holds one group's state between batches; unlike the hash
+// variant it charges no memory.
 type sortAggOp struct {
 	op
-	groupBy []int
-	aggs    []expr.AggCall
-	args    []*expr.Scalar
-	cur     *group
-	out     []types.Row
+	aggState
+	out []types.Row
 }
 
 func (a *sortAggOp) push(rows []types.Row, _ bool) error {
 	a.st.addIn(len(rows))
 	a.work(float64(len(rows)) * (cost.RPTC + cost.RCC))
-	for _, r := range rows {
-		if a.cur == nil || !keyMatches(a.cur.key, r, a.groupBy) {
-			if err := a.flushGroup(); err != nil {
-				return err
-			}
-			a.cur = newGroup(r, a.groupBy, a.aggs)
+	if len(rows) == 0 {
+		return nil
+	}
+	ids := a.rowGroups(len(rows))
+	for k, r := range rows {
+		if g := a.groups() - 1; g < 0 || !a.matches(g, r) {
+			a.add(r)
 		}
-		a.cur.add(r, a.args)
+		ids[k] = a.groups() - 1
+	}
+	a.feed(rows, ids)
+	last := a.groups() - 1
+	if err := a.flushGroups(last); err != nil {
+		return err
+	}
+	// The last group becomes group 0; the accumulators no group uses yet
+	// stay for the next ones.
+	a.rows = append(a.rows[:0], a.rows[last])
+	for i, accs := range a.accs {
+		a.accs[i] = append(accs[:0], accs[last:]...)
 	}
 	return nil
 }
 
-// flushGroup moves the finished group's row to the output batch, emitting
-// the batch when it is full. Output rows are freshly allocated, so they
-// are stable.
-func (a *sortAggOp) flushGroup() error {
-	if a.cur == nil {
-		return nil
+// flushGroups moves the output rows of groups [0, n) to the output batch,
+// emitting it whenever it is full. Nothing overwrites them afterwards, so
+// they are stable.
+func (a *sortAggOp) flushGroups(n int32) error {
+	for _, row := range a.done(n) {
+		a.out = append(a.out, row)
+		if len(a.out) == batchSize {
+			if err := a.flushOut(); err != nil {
+				return err
+			}
+		}
 	}
-	a.out = append(a.out, a.cur.result(make(types.Row, 0, len(a.groupBy)+len(a.aggs))))
-	a.cur = nil
-	if len(a.out) < batchSize {
-		return nil
-	}
-	return a.flushOut()
+	return nil
 }
 
 func (a *sortAggOp) flushOut() error {
@@ -177,7 +329,7 @@ func (a *sortAggOp) flushOut() error {
 }
 
 func (a *sortAggOp) finish() error {
-	if err := a.flushGroup(); err != nil {
+	if err := a.flushGroups(a.groups()); err != nil {
 		return err
 	}
 	return a.flushOut()
@@ -300,28 +452,29 @@ func (j *joinOp) settleGuard() error {
 	return err
 }
 
-// hashTable is a chained index over a join's build rows: heads maps a key
-// hash to the first build row carrying it and next links each row to the
-// following one with the same hash, so a probe walks its candidates in
-// build-input order (the build-left/build-right order identity of
-// DESIGN.md §17 depends on that) and a build allocates two objects,
-// however many distinct keys it holds. Links are row index + 1; 0 ends a
-// chain.
+// hashTable indexes a join's build rows by key hash. A bucket's chain
+// runs in build-input order, so a probe walks its candidates in that
+// order (the build-left/build-right order identity of DESIGN.md §17
+// depends on it), and a build allocates the same few slices however many
+// distinct keys it holds.
 type hashTable struct {
-	rows  []types.Row
-	heads map[uint64]int32
-	next  []int32
+	chains
+	rows []types.Row
 }
 
 // newHashTable indexes rows by the hash of their key columns, skipping
 // rows with a NULL key (they never equi-match) and — when hits is non-nil
-// — rows whose hash no row of hits carries.
+// — rows whose hash no row of hits carries. There are at least as many
+// buckets as rows that can be indexed.
 func newHashTable(rows []types.Row, cols []int, hits *hashTable) *hashTable {
 	size := len(rows)
 	if hits != nil {
-		size = len(hits.heads)
+		size = min(size, len(hits.rows))
 	}
-	t := &hashTable{rows: rows, heads: make(map[uint64]int32, size), next: make([]int32, len(rows))}
+	t := &hashTable{rows: rows}
+	t.buckets(size)
+	t.hashes = make([]uint64, len(rows))
+	t.next = make([]int32, len(rows))
 	// Back to front, so that pushing onto a chain's head leaves it in
 	// input order.
 	for i := len(rows) - 1; i >= 0; i-- {
@@ -329,12 +482,12 @@ func newHashTable(rows []types.Row, cols []int, hits *hashTable) *hashTable {
 		if r.HasNull(cols) {
 			continue
 		}
-		h := r.Hash(cols)
-		if hits != nil && hits.heads[h] == 0 {
+		h := keyHash(r, cols)
+		if hits != nil && hits.first(h) == 0 {
 			continue
 		}
-		t.next[i] = t.heads[h]
-		t.heads[h] = int32(i + 1)
+		t.hashes[i] = h
+		t.link(i, h)
 	}
 	return t
 }
@@ -378,7 +531,10 @@ type joinOp struct {
 	// candidate row is assembled in the next free slot and simply left
 	// there when it matches. Semi and anti joins emit left rows as they
 	// came, so their batch is only as stable as the left input was.
+	// leftBatch is the size of the left batch being joined, which sizes
+	// out when its first row comes.
 	out       []types.Row
+	leftBatch int
 	arena     arena
 	outStable bool
 	// kept: the consumer keeps every row, so the arena's chunks are handed
@@ -529,6 +685,7 @@ func (c *Context) runJoin(t *physical.Join, next stage) error {
 // push joins one batch of left rows against their candidates, in left
 // order.
 func (j *joinOp) push(rows []types.Row, stable bool) error {
+	j.leftBatch = len(rows)
 	j.st.addIn(len(rows))
 	j.work(float64(len(rows)) * j.leftWork)
 	if !j.pairs {
@@ -573,15 +730,16 @@ func (j *joinOp) restable(stable bool) error {
 	return nil
 }
 
-// probeHash walks the chain of build rows sharing l's key hash; they
-// share a hash, not necessarily a key, so each is verified.
+// probeHash walks the build rows sharing l's key hash, in build order;
+// they share a hash, not necessarily a key, so each is verified.
 func (j *joinOp) probeHash(l types.Row) (bool, error) {
 	if l.HasNull(j.leftCols) {
 		return false, nil
 	}
 	t := j.table
+	h := keyHash(l, j.leftCols)
 	matched := false
-	for k := t.heads[l.Hash(j.leftCols)]; k != 0; k = t.next[k-1] {
+	for k := t.first(h); k != 0; k = t.find(t.next[k-1], h) {
 		m, err := j.match(l, t.rows[k-1], true)
 		if err != nil {
 			return false, err
@@ -719,8 +877,14 @@ func (j *joinOp) keep(row types.Row) {
 	j.arena.claim(len(row))
 }
 
-// room emits the pending batch when it is full.
+// room emits the pending batch when it is full. The first row finds no
+// batch yet: it gets room for as many rows as the left batch being joined
+// holds — what a key join most often emits for it — and append grows it
+// from there, up to batchSize.
 func (j *joinOp) room() error {
+	if j.out == nil {
+		j.out = make([]types.Row, 0, j.leftBatch)
+	}
 	if len(j.out) < batchSize {
 		return nil
 	}

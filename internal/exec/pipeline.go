@@ -164,7 +164,7 @@ func (o *op) announce(n int) {
 // the paper's note that every variant reads the full partition.
 func (o *op) emitSource(rows []types.Row) error {
 	c := o.ctx
-	if !o.splits() {
+	if !c.splits(o.node) {
 		return o.emitAll(rows)
 	}
 	o.announce(o.share(len(rows)))
@@ -196,15 +196,14 @@ func (o *op) emitSource(rows []types.Row) error {
 }
 
 // splits reports whether this instance passes only its variant's share
-// of the source's rows.
-func (o *op) splits() bool {
-	c := o.ctx
-	return c.NVariants > 1 && c.Modes[o.node] == fragment.SplitMode
+// of source n's rows.
+func (c *Context) splits(n physical.Node) bool {
+	return c.NVariants > 1 && c.Modes[n] == fragment.SplitMode
 }
 
 // share returns how many of the source's next n rows the splitter passes.
 func (o *op) share(n int) int {
-	if !o.splits() {
+	if !o.ctx.splits(o.node) {
 		return n
 	}
 	// passed(x) counts the counters below x that belong to this variant.
@@ -225,22 +224,29 @@ type rowBuffer struct {
 func (b *rowBuffer) keepsRows() {}
 
 // expect reserves room for n more rows, exactly.
-func (b *rowBuffer) expect(n int) { b.grow(n, len(b.rows)+n) }
-
-// grow makes room for n more rows in a buffer of at least size rows.
-func (b *rowBuffer) grow(n, size int) {
+func (b *rowBuffer) expect(n int) {
 	if cap(b.rows)-len(b.rows) < n {
-		grown := make([]types.Row, len(b.rows), max(size, len(b.rows)+n))
-		copy(grown, b.rows)
-		b.rows = grown
+		b.rows = append(make([]types.Row, 0, len(b.rows)+n), b.rows...)
 	}
 }
 
+// grow returns s with room for n more elements. When s has to move, its
+// capacity doubles, or becomes exactly enough if that is more. append
+// grows a large slice by only 1.25× (and slices.Grow overshoots a
+// doubling): for a slice that grows a batch or a group at a time, that
+// would allocate, and abandon, it about five times over.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	grown := make([]T, len(s), max(len(s)+n, 2*cap(s)))
+	copy(grown, s)
+	return grown
+}
+
 func (b *rowBuffer) push(rows []types.Row, stable bool) error {
-	// Unannounced rows double the buffer — not append's 1.25× for large
-	// slices: headers arrive a batch at a time, and the gentler factor
-	// would reallocate, and abandon, the buffer five times over.
-	b.grow(len(rows), 2*cap(b.rows))
+	// Unannounced rows double the buffer.
+	b.rows = grow(b.rows, len(rows))
 	if stable {
 		b.rows = append(b.rows, rows...)
 		return nil
@@ -261,10 +267,15 @@ func (b *rowBuffer) push(rows []types.Row, stable bool) error {
 }
 
 // collect runs a subtree to completion and returns its rows, which the
-// caller may keep: the build (or collected) side of a join.
+// caller may keep: the build (or collected) side of a join. A pre-built
+// subtree, and a source whose rows would reach the buffer unchanged, give
+// their own slice instead of a copy.
 func (c *Context) collect(n physical.Node) ([]types.Row, error) {
 	if rows, ok := c.Prebuilt[n]; ok {
 		return rows, nil
+	}
+	if c.adoptable(n) {
+		return c.adopt(n)
 	}
 	var buf rowBuffer
 	if err := c.run(n, &buf); err != nil {
@@ -305,7 +316,7 @@ func (c *Context) run(n physical.Node, next stage) error {
 			// hash operator, on top of the sort aggregate's own charge.
 			s = newHashAgg(nil, t.Aggs, t.Args(), (cost.RPTC+cost.RCC)+(cost.RPTC+cost.HAC+cost.RCC))
 		} else {
-			s = &sortAggOp{groupBy: t.GroupBy, aggs: t.Aggs, args: t.Args()}
+			s = &sortAggOp{aggState: newAggState(t.GroupBy, t.Aggs, t.Args())}
 		}
 	default:
 		return fmt.Errorf("exec: no runtime for %T", n)
@@ -319,6 +330,55 @@ func (c *Context) run(n physical.Node, next stage) error {
 	return s.finish()
 }
 
+// adoptable reports whether collecting n may take a source's own rows: n
+// is a Values node or a table scan that passes its whole partition, and
+// no runtime filter stands on its output. Anything else reaches a
+// collector through scratch — a splitter's, an index scan's gather or a
+// runtime filter's.
+func (c *Context) adoptable(n physical.Node) bool {
+	if len(c.NodeFilters[n]) > 0 {
+		return false
+	}
+	switch n.(type) {
+	case *physical.Values:
+		return true
+	case *physical.TableScan:
+		return !c.splits(n)
+	}
+	return false
+}
+
+// adopt runs an adoptable source for a collector and returns its rows as
+// they are. It charges and records what streaming them would have: the
+// scan's read, the boundary checks, and the rows emitted in batches.
+func (c *Context) adopt(n physical.Node) ([]types.Row, error) {
+	var o op
+	c.open(&o, n, nil)
+	defer o.close()
+	var rows []types.Row
+	if t, ok := n.(*physical.TableScan); ok {
+		var err error
+		if rows, err = o.scan(t); err != nil {
+			return nil, err
+		}
+	} else {
+		rows = n.(*physical.Values).Rows
+	}
+	if len(rows) == 0 {
+		return rows, nil
+	}
+	if c.overLimit() {
+		return nil, ErrWorkLimit
+	}
+	if err := c.cancelled(); err != nil {
+		return nil, err
+	}
+	for left := len(rows); left > 0; left -= batchSize {
+		o.st.addOut(min(left, batchSize))
+	}
+	return rows, nil
+}
+
 // runSource reads a leaf's rows — which belong to the store, the plan or
 // the published exchanges, and so are stable — and streams them downstream.
 func (c *Context) runSource(n physical.Node, next stage) error {
@@ -327,12 +387,10 @@ func (c *Context) runSource(n physical.Node, next stage) error {
 	defer o.close()
 	switch t := n.(type) {
 	case *physical.TableScan:
-		rows, err := c.Store.PartitionAt(t.Table.Name, c.Site, c.Host)
+		rows, err := o.scan(t)
 		if err != nil {
 			return err
 		}
-		o.st.addIn(len(rows))
-		o.work(float64(len(rows)) * cost.RPTC)
 		return o.emitSource(rows)
 
 	case *physical.IndexScan:
@@ -350,6 +408,19 @@ func (c *Context) runSource(n physical.Node, next stage) error {
 	default:
 		return o.receive(n.(*physical.Receiver))
 	}
+}
+
+// scan reads a table scan's partition at the instance's site and charges
+// the read.
+func (o *op) scan(t *physical.TableScan) ([]types.Row, error) {
+	c := o.ctx
+	rows, err := c.Store.PartitionAt(t.Table.Name, c.Site, c.Host)
+	if err != nil {
+		return nil, err
+	}
+	o.st.addIn(len(rows))
+	o.work(float64(len(rows)) * cost.RPTC)
+	return rows, nil
 }
 
 // emitOrdered streams rows[order[0]], rows[order[1]], … (an index scan)

@@ -487,3 +487,56 @@ func TestPipelineAllocationBudget(t *testing.T) {
 		t.Errorf("allocations grow with the input: %.0f at 1k rows, %.0f at 10k rows", small, large)
 	}
 }
+
+// TestCollectAdoptsSourceRows: a join's collected side takes an unsplit
+// scan's partition or a Values node's rows as they are, recording the
+// source's rows, peak and work exactly as streaming them into a buffer
+// does; a splitting scan's share still arrives as a copy.
+func TestCollectAdoptsSourceRows(t *testing.T) {
+	defer SetBatchSize(seamBatch)()
+	for _, n := range seamSizes {
+		st, scan := kvStore(t, n)
+		part, err := st.PartitionAt("kv", 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := physical.NewValues(kvFields, kvRows(n))
+		split := func() *Context {
+			return &Context{Store: st, NVariants: 2,
+				Modes: map[physical.Node]fragment.SourceMode{scan: fragment.SplitMode}}
+		}
+		for _, c := range []struct {
+			name    string
+			src     physical.Node
+			own     []types.Row
+			ctx     func() *Context
+			adopted bool
+		}{
+			{"scan", scan, part, func() *Context { return ctxAt(st, 0) }, true},
+			{"values", vals, vals.Rows, func() *Context { return ctxAt(st, 0) }, true},
+			{"splitting scan", scan, part, split, false},
+		} {
+			what := fmt.Sprintf("n=%d %s", n, c.name)
+			streamed := c.ctx()
+			tracked(streamed, c.src)
+			want, err := Run(c.src, streamed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := c.ctx()
+			tracked(ctx, c.src)
+			got, err := ctx.collect(c.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRendered(t, what, got, want)
+			if n > 0 && (&got[0] == &c.own[0]) != c.adopted {
+				t.Errorf("%s: adopted the source's rows = %t, want %t", what, !c.adopted, c.adopted)
+			}
+			if s, w := statsOf(ctx, c.src), statsOf(streamed, c.src); s.RowsIn != w.RowsIn ||
+				s.RowsOut != w.RowsOut || s.PeakRows != w.PeakRows || s.Work != w.Work || ctx.CPUWork != streamed.CPUWork {
+				t.Errorf("%s: collected %+v (work %v), streamed %+v (work %v)", what, s, ctx.CPUWork, w, streamed.CPUWork)
+			}
+		}
+	}
+}

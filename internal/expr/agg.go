@@ -73,38 +73,63 @@ func (a AggCall) String() string {
 }
 
 // Accumulator is the running state of one aggregate over one group. It is
-// created by NewAccumulator and fed one argument value per row by Add —
-// the caller evaluates the argument; COUNT(*) counts every Add, whatever
-// the value — and Result finalizes.
+// created by NewAccumulator, or by NewAccumulators for many groups at
+// once, and fed one argument value per row by Add — the caller evaluates
+// the argument; COUNT(*) counts every Add, whatever the value — and Result
+// finalizes.
 type Accumulator interface {
 	Add(v types.Value)
 	Result() types.Value
-	// Merge folds another accumulator of the same call into this one.
-	// It is used when combining partial aggregates from distributed sites.
+	// Merge folds another accumulator of the same call into this one, as
+	// if this one had also been fed the other's values after its own. The
+	// executor never merges accumulators — a two-phase aggregate's reduce
+	// step re-aggregates the partial results as rows — so Merge states
+	// the property that re-aggregation relies on, and the tests check it.
 	Merge(other Accumulator)
 }
 
 // NewAccumulator builds a fresh accumulator for the call.
 func (a AggCall) NewAccumulator() Accumulator {
-	var base Accumulator
-	switch a.Func {
-	case AggCount:
-		base = &countAcc{star: a.Arg == nil}
-	case AggSum:
-		base = &sumAcc{kind: a.Kind()}
-	case AggAvg:
-		base = &avgAcc{}
-	case AggMin:
-		base = &minMaxAcc{isMin: true}
-	case AggMax:
-		base = &minMaxAcc{}
+	var one [1]Accumulator
+	a.NewAccumulators(one[:])
+	return one[0]
+}
+
+// NewAccumulators fills dst with fresh accumulators for the call, all
+// backed by one allocation.
+func (a AggCall) NewAccumulators(dst []Accumulator) {
+	if len(dst) == 0 {
+		return
+	}
+	switch {
+	case a.Distinct:
+		fill(dst, distinctAcc{call: a})
+	case a.Func == AggCount:
+		fill(dst, countAcc{star: a.Arg == nil})
+	case a.Func == AggSum:
+		fill(dst, sumAcc{kind: a.Kind()})
+	case a.Func == AggAvg:
+		fill(dst, avgAcc{})
+	case a.Func == AggMin:
+		fill(dst, minMaxAcc{isMin: true})
+	case a.Func == AggMax:
+		fill(dst, minMaxAcc{})
 	default:
 		panic(fmt.Sprintf("expr: unknown aggregate %d", a.Func))
 	}
-	if a.Distinct {
-		return &distinctAcc{call: a, index: make(map[uint64][]int)}
+}
+
+// fill points every element of dst at its own copy of proto, the copies
+// living side by side in one backing array.
+func fill[T any, P interface {
+	*T
+	Accumulator
+}](dst []Accumulator, proto T) {
+	backing := make([]T, len(dst))
+	for i := range backing {
+		backing[i] = proto
+		dst[i] = P(&backing[i])
 	}
-	return base
 }
 
 type countAcc struct {
@@ -220,11 +245,11 @@ func (m *minMaxAcc) Merge(other Accumulator) {
 }
 
 // distinctAcc collects the distinct non-NULL argument values in order of
-// first arrival (index maps a value's hash to its positions in vals) and
-// computes the aggregate over them at finalize time, so merging two
-// partial accumulators is a set union. The order is what makes a float
-// SUM or AVG deterministic: the values are added up in arrival order,
-// which the executor keeps fixed, not in map order.
+// first arrival (index, made by the first Add, maps a value's hash to its
+// positions in vals) and computes the aggregate over them at finalize
+// time, so merging two partial accumulators is a set union. The order is
+// what makes a float SUM or AVG deterministic: the values are added up in
+// arrival order, which the executor keeps fixed, not in map order.
 type distinctAcc struct {
 	call  AggCall
 	vals  []types.Value
@@ -234,6 +259,9 @@ type distinctAcc struct {
 func (d *distinctAcc) Add(v types.Value) {
 	if v.IsNull() {
 		return
+	}
+	if d.index == nil {
+		d.index = make(map[uint64][]int)
 	}
 	h := v.Hash()
 	for _, i := range d.index[h] {

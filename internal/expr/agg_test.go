@@ -181,6 +181,39 @@ func TestDistinctFloatSumIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestNewAccumulatorsAllocateOnce: an accumulator is one object, a
+// DISTINCT one included (it used to build the plain accumulator too and
+// throw it away), and NewAccumulators backs any number of them with one.
+func TestNewAccumulatorsAllocateOnce(t *testing.T) {
+	arg := NewColRef(0, types.KindInt, "")
+	dst := make([]Accumulator, 64)
+	for _, call := range []AggCall{
+		{Func: AggCount},
+		{Func: AggSum, Arg: arg},
+		{Func: AggAvg, Arg: arg},
+		{Func: AggMin, Arg: arg},
+		{Func: AggCount, Arg: arg, Distinct: true},
+		{Func: AggSum, Arg: arg, Distinct: true},
+	} {
+		var acc Accumulator
+		if n := testing.AllocsPerRun(100, func() { acc = call.NewAccumulator() }); n != 1 {
+			t.Errorf("%s: NewAccumulator made %.0f objects, want 1", call, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { call.NewAccumulators(dst) }); n != 1 {
+			t.Errorf("%s: NewAccumulators of %d made %.0f objects, want 1", call, len(dst), n)
+		}
+		acc.Add(types.NewInt(2))
+		dst[0].Add(types.NewInt(3))
+		dst[1].Add(types.NewInt(5))
+		if got, want := acc.Result(), runAgg(call, rows(2)); !valEq(got, want) {
+			t.Errorf("%s: fresh accumulator fed 2 = %v, want %v", call, got, want)
+		}
+		if got, want := dst[1].Result(), runAgg(call, rows(5)); !valEq(got, want) {
+			t.Errorf("%s: accumulators share state: second of a batch = %v, want %v", call, got, want)
+		}
+	}
+}
+
 func TestAggCallKinds(t *testing.T) {
 	intArg := NewColRef(0, types.KindInt, "")
 	floatArg := NewColRef(0, types.KindFloat, "")

@@ -245,6 +245,28 @@ func TestFuncs(t *testing.T) {
 	}
 }
 
+// TestFuncEvalAllocatesNothing: a function call evaluates its arguments
+// on the stack, so one whose result is not a new string allocates nothing
+// per row.
+func TestFuncEvalAllocatesNothing(t *testing.T) {
+	row := types.Row{types.DateFromYMD(1995, 3, 15), types.NewInt(-7), types.NewFloat(-2.5), types.NewString("forest green")}
+	date, i, f, s := NewColRef(0, types.KindDate, ""), NewColRef(1, types.KindInt, ""),
+		NewColRef(2, types.KindFloat, ""), NewColRef(3, types.KindString, "")
+	for _, fn := range []*Func{
+		MustFunc(FuncExtractYear, date),
+		MustFunc(FuncExtractMonth, date),
+		MustFunc(FuncAbs, i),
+		MustFunc(FuncAbs, f),
+		MustFunc(FuncLength, s),
+		MustFunc(FuncSubstring, s, intLit(1), intLit(6)),
+	} {
+		var v types.Value
+		if n := testing.AllocsPerRun(100, func() { v = fn.Eval(row) }); n != 0 {
+			t.Errorf("%s allocated %.0f objects per call (result %v)", fn, n, v)
+		}
+	}
+}
+
 func TestAddInterval(t *testing.T) {
 	d := types.DateFromYMD(1995, 1, 31)
 	got, err := AddInterval(d, 1, "month")

@@ -78,8 +78,12 @@ func (f *Func) Kind() types.Kind {
 	}
 }
 
+// Eval evaluates the arguments into a stack array (every function takes
+// at most three), so a call allocates only the new string UPPER and LOWER
+// return.
 func (f *Func) Eval(row types.Row) types.Value {
-	args := make([]types.Value, len(f.Args))
+	var buf [3]types.Value
+	args := buf[:len(f.Args)]
 	for i, a := range f.Args {
 		args[i] = a.Eval(row)
 		if args[i].IsNull() {

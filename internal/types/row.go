@@ -34,7 +34,11 @@ func (r Row) Concat(other Row) Row {
 	return out
 }
 
-// Hash combines the hashes of the values at the given column offsets.
+// Hash is the placement hash: it combines the hashes of the values at the
+// given column offsets. A multi-key exchange routes rows by it, and
+// runtime filters and sketches key on it, so changing it would move rows
+// between sites. An operator's own hash table is free to hash keys its own
+// way.
 func (r Row) Hash(cols []int) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
