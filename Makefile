@@ -59,8 +59,9 @@ bench-build:
 bench-exec:
 	$(GO) test -run '^$$' -bench 'Pipeline|HashJoin|HashAggregate|SendRows|ExprKernels|Optimize|ResultFrames|PreparedLookup' -benchmem -benchtime 1x ./internal/exec ./internal/expr ./internal/wire .
 
-# The paper-artifact benchmarks (figures/tables) plus the operator and
-# scheduler microbenchmarks. GIGNITE_PARBENCH_SF overrides the
+# The per-query benchmarks (host ns/op of every TPC-H and SSB query) and
+# the micro benchmarks (operators, scheduler); the paper's figures and
+# tables come from cmd/benchrunner. GIGNITE_PARBENCH_SF overrides the
 # BenchmarkParallelExecute scale factor.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$'

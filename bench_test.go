@@ -1,12 +1,10 @@
-// Benchmarks regenerating the paper's evaluation artifacts — one
-// benchmark per table and figure of §6 (plus per-query microbenchmarks
-// and ablations). Response-time metrics are the deterministic simnet
-// modeled times (reported via b.ReportMetric as *_modeled_ms); ns/op is
-// the host-side wall time of actually executing the queries.
+// Per-query benchmarks (host ns/op of every TPC-H and SSB query under the
+// system variants, with the deterministic simnet modeled time reported as
+// modeled_ms), operator and scheduler microbenchmarks, and the
+// modeled-time regression gate. The paper's tables and figures come
+// from go run ./cmd/benchrunner -exp all.
 //
-// Run everything:    go test -bench=. -benchmem
-// One figure:        go test -bench=BenchmarkFig7 -benchtime=1x
-// Full tables also come from: go run ./cmd/benchrunner -exp all
+// Run the benchmarks: go test -bench=. -benchmem -run '^$'
 package gignite_test
 
 import (
@@ -46,12 +44,7 @@ func env() *harness.Env {
 	return benchEnv
 }
 
-func benchOpts() harness.Options {
-	return harness.Options{SFs: []float64{benchSF}, Sites: []int{4, 8}, Env: env()}
-}
-
-// reportFirst reports up to n leading report rows' first column as
-// metrics.
+// mustEngine returns the cached engine for one benchmark point.
 func mustEngine(b *testing.B, w harness.Workload, sys harness.System, sites int) *gignite.Engine {
 	b.Helper()
 	e, err := env().Engine(w, sys, sites, benchSF)
@@ -111,77 +104,6 @@ func BenchmarkSSBPerQuery(b *testing.B) {
 				}
 				b.ReportMetric(modeled, "modeled_ms")
 			})
-		}
-	}
-}
-
-// benchReport runs one harness experiment per iteration and reports the
-// mean speedup-style metric parsed from the report (the engines are
-// cached, so iterations after the first only re-run queries).
-func benchReport(b *testing.B, run func(harness.Options) (*harness.Report, error)) *harness.Report {
-	b.Helper()
-	var rep *harness.Report
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = run(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return rep
-}
-
-// BenchmarkFig7 regenerates Figure 7 (IC+ vs IC per-query speedups).
-func BenchmarkFig7(b *testing.B) {
-	rep := benchReport(b, harness.Fig7)
-	reportMeanSpeedup(b, rep, "4 sites")
-	reportMeanSpeedup(b, rep, "8 sites")
-}
-
-// BenchmarkFig8 regenerates Figure 8 (IC+M vs IC).
-func BenchmarkFig8(b *testing.B) {
-	rep := benchReport(b, harness.Fig8)
-	reportMeanSpeedup(b, rep, "4 sites")
-	reportMeanSpeedup(b, rep, "8 sites")
-}
-
-// BenchmarkFig9 regenerates Figure 9 (IC+ vs IC+M, 4 sites).
-func BenchmarkFig9(b *testing.B) { benchReport(b, harness.Fig9) }
-
-// BenchmarkFig10 regenerates Figure 10 (IC+ vs IC+M, 8 sites).
-func BenchmarkFig10(b *testing.B) { benchReport(b, harness.Fig10) }
-
-// BenchmarkTable3 regenerates Table 3 (average query latency).
-func BenchmarkTable3(b *testing.B) { benchReport(b, harness.Table3) }
-
-// BenchmarkFig11 regenerates Figure 11 (SSB, IC vs IC+M).
-func BenchmarkFig11(b *testing.B) {
-	rep := benchReport(b, harness.Fig11)
-	reportMeanSpeedup(b, rep, "speedup")
-}
-
-// grindOpts shrinks the baseline-failure grinds (queries burning their
-// whole work limit) to the smallest scale factor so the full bench suite
-// fits go test's default 10-minute timeout. cmd/benchrunner runs these
-// experiments at the full default scale.
-func grindOpts() harness.Options {
-	return harness.Options{SFs: []float64{0.002}, Sites: []int{4}, Env: env()}
-}
-
-// BenchmarkFailureMatrix regenerates the §1 baseline failure analysis.
-func BenchmarkFailureMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.FailureMatrix(grindOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation regenerates the per-improvement ablation study.
-func BenchmarkAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Ablation(grindOpts()); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -418,37 +340,4 @@ func TestPlanCacheSkipsPlanningWork(t *testing.T) {
 			t.Errorf("Q%d: mean hot plan time %v is over 10%% of cold %v", id, hotPlan, coldPlan)
 		}
 	}
-}
-
-// reportMeanSpeedup averages a speedup column ("1.42x" cells) into a
-// metric.
-func reportMeanSpeedup(b *testing.B, rep *harness.Report, column string) {
-	b.Helper()
-	var sum float64
-	var n int
-	for _, label := range rep.Labels() {
-		cell, ok := rep.Value(label, column)
-		if !ok {
-			continue
-		}
-		var v float64
-		if _, err := fmt.Sscanf(cell, "%fx", &v); err == nil {
-			sum += v
-			n++
-		}
-	}
-	if n > 0 {
-		b.ReportMetric(sum/float64(n), "mean_speedup_"+sanitize(column))
-	}
-}
-
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		if r == ' ' {
-			r = '_'
-		}
-		out = append(out, r)
-	}
-	return string(out)
 }

@@ -1,9 +1,9 @@
 // Command benchrunner regenerates the paper's evaluation artifacts: one
 // experiment per table and figure of §6, printed as aligned text tables,
-// plus two runs that are not paper artifacts (-exp obs, -exp serveaql).
-// It prints and exports; it asserts nothing — every invariant of the
-// engine is a `go test` case (MIGRATION.md maps the former smoke
-// experiments to their tests).
+// plus three runs that are not paper artifacts (-exp sweep, -exp obs,
+// -exp serveaql). It prints and exports; it asserts nothing — every
+// invariant of the engine is a `go test` case (MIGRATION.md maps the
+// former smoke experiments to their tests).
 //
 //	benchrunner -exp NAME [-sf 0.005,0.01] [-sites 4,8] [engine flags]
 //
@@ -16,14 +16,17 @@
 // times include retry recovery cost; with no backups a crashed site turns
 // into clean query errors.
 //
-// The obs experiment runs the selected TPC-H queries (-queries, on the
-// -system variant) once and emits observability artifacts: -metrics
-// writes the per-query and cumulative metrics JSON (schema
-// harness.MetricsSchema), -trace the distributed traces as a Chrome
-// trace_event file (load it in Perfetto or chrome://tracing). It fails
-// when the estimate-vs-actual operator report comes back empty. The
-// serveaql experiment prints wall-clock average query latency for 2 and
-// -clients database/sql clients over loopback TCP.
+// The sweep experiment runs every TPC-H query but Q15 and every SSB query
+// once on IC, IC+ and IC+M and prints their modeled times and speedup
+// ratios side by side, one table per -sf × -sites point. The obs
+// experiment runs the selected TPC-H queries (-queries, on the -system
+// variant) once and emits observability artifacts: -metrics writes the
+// per-query and cumulative metrics JSON (schema harness.MetricsSchema),
+// -trace the distributed traces as a Chrome trace_event file (load it in
+// Perfetto or chrome://tracing). It fails when the estimate-vs-actual
+// operator report comes back empty. The serveaql experiment prints
+// wall-clock average query latency for 2 and -clients database/sql
+// clients over loopback TCP.
 package main
 
 import (
@@ -89,6 +92,7 @@ var experiments = []experiment{
 	report("failures", harness.FailureMatrix),
 	report("ablate", harness.Ablation),
 	report("scaling", harness.Scaling),
+	{"sweep", false, runSweep},
 	{"obs", false, runObs},
 	{"serveaql", false, runServeAQL},
 }
@@ -193,6 +197,20 @@ func (inv *invocation) execute(exp string, ef *engineflags.Values, sfs, sites, q
 	for _, e := range selected {
 		if err := e.run(inv); err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
+		}
+	}
+	return nil
+}
+
+// runSweep prints the side-by-side sweep at every -sf × -sites point.
+func runSweep(inv *invocation) error {
+	for _, sf := range inv.SFs {
+		for _, sites := range inv.Sites {
+			rep, err := harness.Sweep(inv.Env, sf, sites)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(inv.stdout, rep.Render())
 		}
 	}
 	return nil

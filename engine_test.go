@@ -165,6 +165,20 @@ func TestInsertAndQuery(t *testing.T) {
 	}
 }
 
+// TestReportLeavesResultAlone: the report is the caller's to mutate; the
+// Result it came from keeps its column names.
+func TestReportLeavesResultAlone(t *testing.T) {
+	e := Open(WithPreset(ICPlus, 2))
+	mustExec(t, e, `CREATE TABLE t (a BIGINT PRIMARY KEY, b VARCHAR(10))`)
+	mustExec(t, e, `INSERT INTO t (a, b) VALUES (1, 'x')`)
+	res := mustExec(t, e, `SELECT a, b FROM t`)
+	want := strings.Join(res.Columns, ",")
+	res.Report().Columns[0] = "changed"
+	if got := strings.Join(res.Columns, ","); got != want {
+		t.Errorf("mutating the report changed the Result's columns to %s, want %s", got, want)
+	}
+}
+
 func TestExplainOutput(t *testing.T) {
 	e := setupEmployees(t, ICPlusM(4))
 	plan, err := e.Explain(`SELECT e.name FROM emp e, sales s WHERE e.id = s.emp_id AND s.amount > 100`)

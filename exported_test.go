@@ -18,11 +18,8 @@ import (
 // non-test user, each with the reason it has none. A key is a qualified
 // name as the guard reports it, or a package name for a whole package.
 var uncalledAllowed = map[string]string{
-	"storage.NewStore":         "unreplicated store for the packages' unit tests",
-	"catalog.(*Table).Fields":  "a table's full-row schema for the unit tests' hand-built scans",
-	"harness.(*Report).Labels": "row labels for experiment tests and the root benchmarks",
-	"harness.(*Report).Value":  "cell lookup for experiment tests and the root benchmarks",
-	"empdb":                    "the fixture package only tests import",
+	"catalog.(*Table).Fields": "a table's full-row schema for the unit tests' hand-built scans",
+	"empdb":                   "the fixture package only tests import",
 }
 
 // TestExportedNamesHaveCallers keeps code without callers from
@@ -33,6 +30,10 @@ var uncalledAllowed = map[string]string{
 // by object with go/types, so a use of one String says nothing about
 // another. A method also counts as used when its type implements an
 // interface, declared in the module or the standard library, that has it.
+// An exported method of an interface declared in the module (bench/
+// excluded) is itself under guard: it counts as used only when a non-test
+// file calls it, through the interface or on a type implementing it,
+// outside the implementations themselves.
 func TestExportedNamesHaveCallers(t *testing.T) {
 	l, err := loadModule(".")
 	if err != nil {
@@ -90,35 +91,48 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	}
 
 	// The declarations under guard, with the extent of each function's own
-	// declaration: a function's references to itself are not uses.
+	// declaration: a function's references to itself are not uses. iface
+	// is the interface declaring a method under the interface rule.
 	type decl struct {
 		obj      types.Object
 		pkg      string
 		from, to token.Pos
+		iface    *types.Interface
 	}
 	var decls []decl
+	funcs := make(map[types.Object]*ast.FuncDecl)
 	for path, files := range l.files {
 		rel := strings.TrimPrefix(path, "gignite/")
-		if !strings.HasPrefix(rel, "internal/") && rel != "driver" && !strings.HasPrefix(rel, "driver/") && !strings.HasPrefix(rel, "cmd/") {
-			continue
-		}
+		guarded := strings.HasPrefix(rel, "internal/") || rel == "driver" || strings.HasPrefix(rel, "driver/") || strings.HasPrefix(rel, "cmd/")
+		bench := rel == "bench" || strings.HasPrefix(rel, "bench/")
 		pkg := l.pkgs[path].Name()
 		for _, f := range files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
+					funcs[l.info.Defs[d.Name]] = d
 					name := d.Name.Name
-					if d.Name.IsExported() || (d.Recv == nil && name != "init" && name != "main") {
-						decls = append(decls, decl{l.info.Defs[d.Name], pkg, d.Pos(), d.End()})
+					if guarded && (d.Name.IsExported() || (d.Recv == nil && name != "init" && name != "main")) {
+						decls = append(decls, decl{l.info.Defs[d.Name], pkg, d.Pos(), d.End(), nil})
 					}
 				case *ast.GenDecl:
-					if d.Tok != token.CONST && d.Tok != token.VAR {
-						continue
-					}
 					for _, spec := range d.Specs {
-						for _, id := range spec.(*ast.ValueSpec).Names {
-							if id.IsExported() {
-								decls = append(decls, decl{l.info.Defs[id], pkg, id.Pos(), id.End()})
+						switch spec := spec.(type) {
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								if guarded && id.IsExported() {
+									decls = append(decls, decl{l.info.Defs[id], pkg, id.Pos(), id.End(), nil})
+								}
+							}
+						case *ast.TypeSpec:
+							it, ok := l.info.Defs[spec.Name].Type().Underlying().(*types.Interface)
+							if !ok || bench {
+								continue
+							}
+							for i := 0; i < it.NumExplicitMethods(); i++ {
+								if m := it.ExplicitMethod(i); m.Exported() {
+									decls = append(decls, decl{m, pkg, m.Pos(), m.Pos(), it})
+								}
 							}
 						}
 					}
@@ -137,6 +151,35 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		}
 		uses[obj] = append(uses[obj], id.Pos())
 	}
+	// calledThrough reports whether a non-test file calls an interface's
+	// method, through the interface or on a module type implementing it,
+	// outside every implementation: one implementation delegating to
+	// another is not a caller.
+	calledThrough := func(fn *types.Func, it *types.Interface) bool {
+		callees := []types.Object{fn}
+		var impls []*ast.FuncDecl
+		for _, typ := range named {
+			if sel := types.NewMethodSet(typ).Lookup(fn.Pkg(), fn.Name()); sel != nil && types.Implements(typ, it) {
+				callees = append(callees, sel.Obj())
+				if d := funcs[sel.Obj()]; d != nil {
+					impls = append(impls, d)
+				}
+			}
+		}
+		for _, callee := range callees {
+		next:
+			for _, pos := range uses[callee] {
+				for _, d := range impls {
+					if pos >= d.Pos() && pos < d.End() {
+						continue next
+					}
+				}
+				return true
+			}
+		}
+		return false
+	}
+
 	var dead []string
 	for _, d := range decls {
 		name := qualifiedName(d.pkg, d.obj)
@@ -147,14 +190,18 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 			continue
 		}
 		used := false
-		for _, pos := range uses[d.obj] {
-			if pos < d.from || pos >= d.to {
-				used = true
-				break
+		if d.iface != nil {
+			used = calledThrough(d.obj.(*types.Func), d.iface)
+		} else {
+			for _, pos := range uses[d.obj] {
+				if pos < d.from || pos >= d.to {
+					used = true
+					break
+				}
 			}
-		}
-		if fn, ok := d.obj.(*types.Func); !used && ok && fn.Type().(*types.Signature).Recv() != nil {
-			used = implements(fn)
+			if fn, ok := d.obj.(*types.Func); !used && ok && fn.Type().(*types.Signature).Recv() != nil {
+				used = implements(fn)
+			}
 		}
 		if !used {
 			dead = append(dead, name+"  ("+l.fset.Position(d.from).String()+")")
@@ -162,7 +209,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	}
 	sort.Strings(dead)
 	if len(dead) > 0 {
-		t.Errorf("%d declaration(s) no non-test file uses — delete them (with their tests) or give them a caller:\n  %s",
+		t.Errorf("%d declaration(s) no non-test file uses (an interface's method: calls through the interface or on an implementing type, outside the implementations) — delete them (with their tests) or give them a caller:\n  %s",
 			len(dead), strings.Join(dead, "\n  "))
 	}
 	if len(uncalledAllowed) > 12 {

@@ -33,7 +33,7 @@ func testStore(t testing.TB, sites int) *storage.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := storage.NewStore(cat, sites)
+	st := storage.NewReplicatedStore(cat, sites, 0)
 	rows := make([]types.Row, 60)
 	for i := range rows {
 		rows[i] = types.Row{

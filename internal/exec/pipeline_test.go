@@ -135,7 +135,7 @@ func kvStore(t testing.TB, n int) (*storage.Store, *physical.TableScan) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st := storage.NewStore(cat, 1)
+	st := storage.NewReplicatedStore(cat, 1, 0)
 	if err := st.Load("kv", kvRows(n)); err != nil {
 		t.Fatal(err)
 	}

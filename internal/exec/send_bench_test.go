@@ -24,7 +24,7 @@ func benchSendSetup(b *testing.B, dist physical.Distribution, nrows int) (*stora
 	}); err != nil {
 		b.Fatal(err)
 	}
-	st := storage.NewStore(cat, 8)
+	st := storage.NewReplicatedStore(cat, 8, 0)
 	tbl, err := cat.Table("t")
 	if err != nil {
 		b.Fatal(err)

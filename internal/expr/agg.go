@@ -80,12 +80,6 @@ func (a AggCall) String() string {
 type Accumulator interface {
 	Add(v types.Value)
 	Result() types.Value
-	// Merge folds another accumulator of the same call into this one, as
-	// if this one had also been fed the other's values after its own. The
-	// executor never merges accumulators — a two-phase aggregate's reduce
-	// step re-aggregates the partial results as rows — so Merge states
-	// the property that re-aggregation relies on, and the tests check it.
-	Merge(other Accumulator)
 }
 
 // NewAccumulator builds a fresh accumulator for the call.
@@ -146,8 +140,6 @@ func (c *countAcc) Add(v types.Value) {
 
 func (c *countAcc) Result() types.Value { return types.NewInt(c.n) }
 
-func (c *countAcc) Merge(other Accumulator) { c.n += other.(*countAcc).n }
-
 type sumAcc struct {
 	kind    types.Kind
 	sumI    int64
@@ -177,13 +169,6 @@ func (s *sumAcc) Result() types.Value {
 	return types.NewFloat(s.sumF)
 }
 
-func (s *sumAcc) Merge(other Accumulator) {
-	o := other.(*sumAcc)
-	s.sumI += o.sumI
-	s.sumF += o.sumF
-	s.nonNull = s.nonNull || o.nonNull
-}
-
 type avgAcc struct {
 	sum float64
 	n   int64
@@ -202,12 +187,6 @@ func (a *avgAcc) Result() types.Value {
 		return types.Null
 	}
 	return types.NewFloat(a.sum / float64(a.n))
-}
-
-func (a *avgAcc) Merge(other Accumulator) {
-	o := other.(*avgAcc)
-	a.sum += o.sum
-	a.n += o.n
 }
 
 type minMaxAcc struct {
@@ -237,19 +216,12 @@ func (m *minMaxAcc) Result() types.Value {
 	return m.best
 }
 
-func (m *minMaxAcc) Merge(other Accumulator) {
-	o := other.(*minMaxAcc)
-	if o.set {
-		m.Add(o.best)
-	}
-}
-
 // distinctAcc collects the distinct non-NULL argument values in order of
 // first arrival (index, made by the first Add, maps a value's hash to its
 // positions in vals) and computes the aggregate over them at finalize
-// time, so merging two partial accumulators is a set union. The order is
-// what makes a float SUM or AVG deterministic: the values are added up in
-// arrival order, which the executor keeps fixed, not in map order.
+// time. The order is what makes a float SUM or AVG deterministic: the
+// values are added up in arrival order, which the executor keeps fixed,
+// not in map order.
 type distinctAcc struct {
 	call  AggCall
 	vals  []types.Value
@@ -320,14 +292,6 @@ func (d *distinctAcc) Result() types.Value {
 			return types.Null
 		}
 		return best
-	}
-}
-
-// Merge adds the other accumulator's values that are new here, in their
-// arrival order.
-func (d *distinctAcc) Merge(other Accumulator) {
-	for _, v := range other.(*distinctAcc).vals {
-		d.Add(v)
 	}
 }
 

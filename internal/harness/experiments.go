@@ -504,3 +504,52 @@ func Scaling(opts Options) (*Report, error) {
 	}
 	return rep, nil
 }
+
+// Sweep runs every TPC-H query but Q15, then the 13 SSB queries, once on
+// each system at one scale factor and site count, side by side with the
+// speedup ratios — the quick-look diagnostic behind Figures 7, 8 and 11.
+func Sweep(env *Env, sf float64, sites int) (*Report, error) {
+	type spec struct {
+		w          Workload
+		label, sql string
+	}
+	var queries []spec
+	for _, q := range tpch.Queries() {
+		if !q.RequiresViews {
+			queries = append(queries, spec{TPCH, fmt.Sprintf("Q%d", q.ID), q.SQL})
+		}
+	}
+	for _, q := range ssb.Queries() {
+		queries = append(queries, spec{SSB, q.ID, q.SQL})
+	}
+	rep := NewReport(fmt.Sprintf("Sweep: modeled response time (ms), SF %g, %d sites", sf, sites),
+		"IC", "IC+", "IC+M", "IC+/IC", "IC+M/IC", "IC+M/IC+")
+	for _, q := range queries {
+		times := map[System]time.Duration{} // absent: the query failed
+		var cells []string
+		for _, sys := range Systems() {
+			e, err := env.Engine(q.w, sys, sites, sf)
+			if err != nil {
+				return nil, err
+			}
+			res, err := e.Query(q.sql)
+			if err != nil {
+				cells = append(cells, "FAIL")
+				continue
+			}
+			times[sys] = res.Modeled
+			cells = append(cells, fmt.Sprintf("%.2f", float64(res.Modeled)/1e6))
+		}
+		ratio := func(a, b System) string {
+			ta, okA := times[a]
+			tb, okB := times[b]
+			if !okA || !okB || tb == 0 {
+				return "-"
+			}
+			return fmt.Sprintf("%.2fx", float64(ta)/float64(tb))
+		}
+		rep.Add(q.label, append(cells, ratio(IC, ICPlus), ratio(IC, ICPM), ratio(ICPlus, ICPM))...)
+	}
+	rep.Note("rows Q1-Q22 are TPC-H, Q1.1-Q4.3 SSB; one execution per query and system")
+	return rep, nil
+}

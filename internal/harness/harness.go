@@ -87,7 +87,7 @@ func (w Workload) String() string {
 }
 
 // ParseWorkload resolves a benchmark name (tpch or ssb, in any case): the
-// commands' -load and -bench flags.
+// shell's and the daemon's -load flag.
 func ParseWorkload(name string) (Workload, error) {
 	switch strings.ToLower(name) {
 	case "tpch":

@@ -10,10 +10,29 @@ import (
 )
 
 // Harness tests run at a tiny scale factor and a single site pair to stay
-// fast; the full protocol is exercised by cmd/benchrunner and the root
-// benchmarks.
+// fast; the full protocol is exercised by cmd/benchrunner.
 func tinyOpts() Options {
 	return Options{SFs: []float64{0.002}, Sites: []int{4}, Env: NewEnv()}
+}
+
+// Value returns a cell.
+func (r *Report) Value(label, column string) (string, bool) {
+	for _, row := range r.rows {
+		if row.label == label {
+			v, ok := row.values[column]
+			return v, ok
+		}
+	}
+	return "", false
+}
+
+// Labels returns the row labels in order.
+func (r *Report) Labels() []string {
+	out := make([]string, len(r.rows))
+	for i, row := range r.rows {
+		out[i] = row.label
+	}
+	return out
 }
 
 func TestConfigForVariants(t *testing.T) {

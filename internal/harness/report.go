@@ -41,26 +41,6 @@ func (r *Report) Note(format string, args ...interface{}) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// Value returns a cell (for tests).
-func (r *Report) Value(label, column string) (string, bool) {
-	for _, row := range r.rows {
-		if row.label == label {
-			v, ok := row.values[column]
-			return v, ok
-		}
-	}
-	return "", false
-}
-
-// Labels returns the row labels in order.
-func (r *Report) Labels() []string {
-	out := make([]string, len(r.rows))
-	for i, row := range r.rows {
-		out[i] = row.label
-	}
-	return out
-}
-
 // Render formats the report as an aligned text table.
 func (r *Report) Render() string {
 	var sb strings.Builder

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -69,6 +70,81 @@ func TestSplitAggCallsAvg(t *testing.T) {
 	got := split.Finalize[0].Eval(types.Row{types.NewInt(10), types.NewInt(4)})
 	if got.Float() != 2.5 {
 		t.Errorf("finalize(10, 4) = %v", got)
+	}
+}
+
+// TestSplitAggCallsMatchSinglePhase: the map calls run per partition, the
+// reduce calls over the partial rows and Finalize over the reduce row give
+// what single-phase aggregation gives over the whole input — the property
+// a two-phase aggregate relies on. Inputs are random ints with NULLs, cut
+// into random (possibly empty) partitions; a scalar map aggregate emits
+// one partial row per partition, an empty one included.
+func TestSplitAggCallsMatchSinglePhase(t *testing.T) {
+	arg := expr.NewColRef(0, types.KindInt, "x")
+	calls := []expr.AggCall{
+		{Func: expr.AggCount, Arg: arg, Name: "cnt"},
+		{Func: expr.AggCount, Name: "star"},
+		{Func: expr.AggSum, Arg: arg, Name: "sum"},
+		{Func: expr.AggAvg, Arg: arg, Name: "avg"},
+		{Func: expr.AggMin, Arg: arg, Name: "min"},
+		{Func: expr.AggMax, Arg: arg, Name: "max"},
+	}
+	final := make(types.Fields, len(calls))
+	for i, c := range calls {
+		final[i] = types.Field{Name: c.Name, Kind: c.Kind()}
+	}
+	split, err := SplitAggCalls(0, calls, final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// aggregate runs calls over rows as one scalar aggregate: one output row.
+	aggregate := func(calls []expr.AggCall, rows []types.Row) types.Row {
+		out := make(types.Row, len(calls))
+		for i, c := range calls {
+			acc := c.NewAccumulator()
+			for _, r := range rows {
+				var v types.Value
+				if c.Arg != nil {
+					v = c.Arg.Eval(r)
+				}
+				acc.Add(v)
+			}
+			out[i] = acc.Result()
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		input := make([]types.Row, rng.Intn(40))
+		for i := range input {
+			input[i] = types.Row{types.Null}
+			if rng.Intn(4) != 0 {
+				input[i][0] = types.NewInt(int64(rng.Intn(2001) - 1000))
+			}
+		}
+		var partials []types.Row
+		for rest := input; ; {
+			n := rng.Intn(len(rest) + 1)
+			partials = append(partials, aggregate(split.MapCalls, rest[:n]))
+			if rest = rest[n:]; len(rest) == 0 && rng.Intn(2) == 0 {
+				break
+			}
+		}
+		got := aggregate(split.ReduceCalls, partials)
+		if split.Finalize != nil {
+			row := make(types.Row, len(split.Finalize))
+			for i, e := range split.Finalize {
+				row[i] = e.Eval(got)
+			}
+			got = row
+		}
+		want := aggregate(calls, input)
+		for i, c := range calls {
+			if got[i].K != want[i].K || (!want[i].IsNull() && !types.Equal(got[i], want[i])) {
+				t.Fatalf("trial %d, %s over %d rows in %d partitions: two-phase %v, single-phase %v",
+					trial, c, len(input), len(partials), got[i], want[i])
+			}
+		}
 	}
 }
 

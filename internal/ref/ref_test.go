@@ -35,7 +35,7 @@ func fixture(t *testing.T) (*storage.Store, *catalog.Table, *catalog.Table) {
 	if err := cat.AddTable(dept); err != nil {
 		t.Fatal(err)
 	}
-	st := storage.NewStore(cat, 3)
+	st := storage.NewReplicatedStore(cat, 3, 0)
 	var empRows []types.Row
 	for i := 0; i < 20; i++ {
 		empRows = append(empRows, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 3))})

@@ -23,7 +23,6 @@ import (
 // whether anything changed. Rules fire on single nodes; the planner
 // engines walk the tree.
 type Rule interface {
-	Name() string
 	Apply(n logical.Node) (logical.Node, bool)
 }
 
@@ -89,8 +88,6 @@ func LogicalPhaseRules(cfg Config) []Rule {
 
 type constantFold struct{}
 
-func (constantFold) Name() string { return "ConstantFold" }
-
 func (constantFold) Apply(n logical.Node) (logical.Node, bool) {
 	switch t := n.(type) {
 	case *logical.Filter:
@@ -126,8 +123,6 @@ func (constantFold) Apply(n logical.Node) (logical.Node, bool) {
 
 type filterMerge struct{}
 
-func (filterMerge) Name() string { return "FilterMerge" }
-
 func (filterMerge) Apply(n logical.Node) (logical.Node, bool) {
 	f, ok := n.(*logical.Filter)
 	if !ok {
@@ -144,8 +139,6 @@ func (filterMerge) Apply(n logical.Node) (logical.Node, bool) {
 // projectRemove: drop identity projections
 
 type projectRemove struct{}
-
-func (projectRemove) Name() string { return "ProjectRemove" }
 
 func (projectRemove) Apply(n logical.Node) (logical.Node, bool) {
 	p, ok := n.(*logical.Project)
@@ -167,8 +160,6 @@ func (projectRemove) Apply(n logical.Node) (logical.Node, bool) {
 // projectMerge: Project(Project(x)) → Project(x) with substituted exprs
 
 type projectMerge struct{}
-
-func (projectMerge) Name() string { return "ProjectMerge" }
 
 func (projectMerge) Apply(n logical.Node) (logical.Node, bool) {
 	p, ok := n.(*logical.Project)
@@ -202,8 +193,6 @@ func substituteCols(e expr.Expr, defs []expr.Expr) expr.Expr {
 
 type filterProjectTranspose struct{}
 
-func (filterProjectTranspose) Name() string { return "FilterProjectTranspose" }
-
 func (filterProjectTranspose) Apply(n logical.Node) (logical.Node, bool) {
 	f, ok := n.(*logical.Filter)
 	if !ok {
@@ -223,8 +212,6 @@ func (filterProjectTranspose) Apply(n logical.Node) (logical.Node, bool) {
 
 type filterSortTranspose struct{}
 
-func (filterSortTranspose) Name() string { return "FilterSortTranspose" }
-
 func (filterSortTranspose) Apply(n logical.Node) (logical.Node, bool) {
 	f, ok := n.(*logical.Filter)
 	if !ok {
@@ -242,8 +229,6 @@ func (filterSortTranspose) Apply(n logical.Node) (logical.Node, bool) {
 // columns below the aggregate.
 
 type filterAggregateTranspose struct{}
-
-func (filterAggregateTranspose) Name() string { return "FilterAggregateTranspose" }
 
 func (filterAggregateTranspose) Apply(n logical.Node) (logical.Node, bool) {
 	f, ok := n.(*logical.Filter)
@@ -289,8 +274,6 @@ type filterIntoJoin struct {
 	// FILTER_CORRELATE). Without it the rule does not fire on such joins.
 	filterCorrelate bool
 }
-
-func (filterIntoJoin) Name() string { return "FilterIntoJoin" }
 
 func (r filterIntoJoin) Apply(n logical.Node) (logical.Node, bool) {
 	f, ok := n.(*logical.Filter)
@@ -359,8 +342,6 @@ func (r filterIntoJoin) Apply(n logical.Node) (logical.Node, bool) {
 
 type joinConditionSimplify struct{}
 
-func (joinConditionSimplify) Name() string { return "JoinConditionSimplify" }
-
 func (joinConditionSimplify) Apply(n logical.Node) (logical.Node, bool) {
 	j, ok := n.(*logical.Join)
 	if !ok {
@@ -397,8 +378,6 @@ func (joinConditionSimplify) Apply(n logical.Node) (logical.Node, bool) {
 // restrict which rows can match without changing the preserved side).
 
 type joinPushConditions struct{}
-
-func (joinPushConditions) Name() string { return "JoinPushConditions" }
 
 func (joinPushConditions) Apply(n logical.Node) (logical.Node, bool) {
 	j, ok := n.(*logical.Join)

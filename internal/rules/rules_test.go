@@ -24,7 +24,7 @@ func apply(t *testing.T, r Rule, n logical.Node) (logical.Node, bool) {
 	t.Helper()
 	out, changed := r.Apply(n)
 	if changed && out.Digest() == n.Digest() {
-		t.Errorf("%s reported change without changing the plan", r.Name())
+		t.Errorf("%T reported change without changing the plan", r)
 	}
 	return out, changed
 }

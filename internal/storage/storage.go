@@ -47,12 +47,6 @@ type Store struct {
 	tables  map[string]*TableData
 }
 
-// NewStore creates storage for a cluster of the given size with no backup
-// partitions (a single copy of every partition).
-func NewStore(cat *catalog.Catalog, sites int) *Store {
-	return NewReplicatedStore(cat, sites, 0)
-}
-
 // NewReplicatedStore creates storage keeping `backups` extra copies of
 // every hash partition. The count is capped at sites-1 (there is no point
 // replicating a partition onto a site twice).

@@ -35,7 +35,7 @@ func newTestStore(t *testing.T, sites int) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewStore(cat, sites)
+	return NewReplicatedStore(cat, sites, 0)
 }
 
 func empRows(n int) []types.Row {

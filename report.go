@@ -1,6 +1,9 @@
 package gignite
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // QueryReport is the unified per-query report of the v1 API: one
 // JSON-serializable view over everything the engine observed about a
@@ -71,7 +74,7 @@ type ReplanReport struct {
 // does not affect the Result.
 func (r *Result) Report() *QueryReport {
 	rep := &QueryReport{
-		Columns:  r.Columns,
+		Columns:  slices.Clone(r.Columns),
 		RowCount: len(r.Rows),
 		Modeled:  r.Modeled,
 		Stats:    r.Stats,
