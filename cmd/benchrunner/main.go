@@ -9,8 +9,9 @@
 //
 // -exp all runs the §6 tables and figures; -h lists the experiment names
 // and the engine flags (internal/engineflags), which apply to every engine
-// an experiment opens. Response times are deterministic modeled times
-// from the simnet cost clock (DESIGN.md §2): reproducible across hosts and
+// an experiment opens, the ablation's one-improvement-off engines
+// included. Response times are deterministic modeled times from the
+// simnet cost clock (DESIGN.md §2): reproducible across hosts and
 // independent of -par, which only sets how many host goroutines execute
 // fragment instances. With -backups ≥ 1 and a -faults plan the modeled
 // times include retry recovery cost; with no backups a crashed site turns
@@ -26,7 +27,7 @@
 // Perfetto or chrome://tracing). It fails when the estimate-vs-actual
 // operator report comes back empty. The serveaql experiment prints
 // wall-clock average query latency for 2 and -clients database/sql
-// clients over loopback TCP.
+// clients over loopback TCP, at the first -sf and -sites.
 package main
 
 import (
@@ -56,7 +57,6 @@ type invocation struct {
 	queries    []int          // obs: TPC-H ids, nil = paper set
 	metricsOut string         // obs
 	traceOut   string         // obs
-	clients    int            // serveaql
 	stdout     io.Writer
 	stderr     io.Writer
 }
@@ -70,14 +70,19 @@ type experiment struct {
 }
 
 func report(name string, build func(harness.Options) (*harness.Report, error)) experiment {
-	return experiment{name, true, func(inv *invocation) error {
+	return experiment{name, true, printed(build)}
+}
+
+// printed runs a harness experiment and prints its report, also the
+// partial one an experiment returns with its error.
+func printed(build func(harness.Options) (*harness.Report, error)) func(*invocation) error {
+	return func(inv *invocation) error {
 		rep, err := build(inv.Options)
-		if err != nil {
-			return err
+		if rep != nil {
+			fmt.Fprintln(inv.stdout, rep.Render())
 		}
-		fmt.Fprintln(inv.stdout, rep.Render())
-		return nil
-	}}
+		return err
+	}
 }
 
 // experiments is the one dispatch table: the -exp help text, the
@@ -94,7 +99,7 @@ var experiments = []experiment{
 	report("scaling", harness.Scaling),
 	{"sweep", false, runSweep},
 	{"obs", false, runObs},
-	{"serveaql", false, runServeAQL},
+	{"serveaql", false, printed(harness.ServeAQL)},
 }
 
 // experimentNames lists the table's names plus "all", for messages.
@@ -142,7 +147,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	inv := &invocation{
-		metricsOut: *metricsOut, traceOut: *traceOut, clients: *clients,
+		Options:    harness.Options{Clients: []int{2, *clients}},
+		metricsOut: *metricsOut, traceOut: *traceOut,
 		stdout: stdout, stderr: stderr,
 	}
 	if err := inv.execute(*exp, ef, *sfs, *sites, *queries, *timeout); err != nil {
@@ -161,7 +167,7 @@ func (inv *invocation) execute(exp string, ef *engineflags.Values, sfs, sites, q
 	if err != nil {
 		return err
 	}
-	system, _, err := ef.Preset()
+	system, err := ef.Preset()
 	if err != nil {
 		return err
 	}
@@ -264,18 +270,4 @@ func writeArtifact(inv *invocation, path string, data []byte) error {
 	}
 	fmt.Fprintf(inv.stderr, "benchrunner: wrote %s\n", path)
 	return nil
-}
-
-// runServeAQL prints the harness's multi-client-over-TCP AQL report.
-func runServeAQL(inv *invocation) error {
-	rep, err := harness.ServeAQL(harness.ServeAQLOptions{
-		Clients: []int{2, inv.clients},
-		SF:      inv.SFs[0],
-		Sites:   inv.Sites[0],
-		Env:     inv.Env,
-	})
-	if rep != nil {
-		fmt.Fprintln(inv.stdout, rep.Render())
-	}
-	return err
 }

@@ -36,13 +36,12 @@ func main() {
 	slow := flag.Duration("slowquery", 0, "log queries whose modeled time reaches this threshold (0 disables)")
 	flag.Parse()
 
-	opts, err := ef.Options(*sites)
+	opts, err := ef.Options(*sites, *sf)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gignite: %v\n", err)
 		os.Exit(1)
 	}
 	opts = append(opts, func(c *gignite.Config) {
-		c.ExecWorkLimit = harness.WorkLimitFor(*sf)
 		if *slow > 0 {
 			c.SlowQueryThreshold = *slow
 			c.Logger = func(format string, args ...interface{}) {

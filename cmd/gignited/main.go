@@ -53,7 +53,7 @@ func run() int {
 	quiet := flag.Bool("quiet", false, "suppress per-connection logging")
 	flag.Parse()
 
-	opts, err := ef.Options(*sites)
+	opts, err := ef.Options(*sites, *sf)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gignited: %v\n", err)
 		return 2
@@ -63,7 +63,6 @@ func run() int {
 		log = server.NewLogger(os.Stderr)
 	}
 	opts = append(opts, func(c *gignite.Config) {
-		c.ExecWorkLimit = harness.WorkLimitFor(*sf)
 		// Engine logs (slow queries etc.) share the serialized writer.
 		if log != nil {
 			c.Logger = log.Func("engine")

@@ -20,14 +20,8 @@ func main() {
 	)
 	fmt.Printf("loading TPC-H SF %g on %d sites for IC, IC+ and IC+M...\n\n", sf, sites)
 
-	engines := map[harness.System]*gignite.Engine{}
-	for _, sys := range harness.Systems() {
-		e := gignite.Open(gignite.WithConfig(harness.ConfigFor(sys, sites, sf)))
-		if err := tpch.Setup(e, sf); err != nil {
-			log.Fatal(err)
-		}
-		engines[sys] = e
-	}
+	// The Env loads each system's engine on first use and keeps it.
+	env := harness.NewEnv()
 
 	// Q3 (shipping priority), Q14 (promotion effect — the sort-order /
 	// index-scan improvement), Q19 (the §5.2 join-condition
@@ -36,7 +30,7 @@ func main() {
 		q := tpch.QueryByID(id)
 		fmt.Printf("Q%d (%s):\n", q.ID, q.Name)
 		for _, sys := range harness.Systems() {
-			d, err := harness.ResponseTime(engines[sys], q.SQL)
+			d, err := env.ResponseTime(harness.TPCH, sys, sites, sf, q.SQL)
 			switch {
 			case errors.Is(err, gignite.ErrQueryTimeout):
 				fmt.Printf("  %-5s exceeded the runtime limit (the paper's >4h timeout)\n", sys)
@@ -52,7 +46,11 @@ func main() {
 	// Show what changed for Q19: the §5.2 rewrite exposes the equi key
 	// inside the OR-of-ANDs predicate, enabling a distributed hash join.
 	q19 := tpch.QueryByID(19)
-	plan, err := engines[harness.ICPlus].Explain(q19.SQL)
+	e, err := env.Engine(harness.TPCH, harness.ICPlus, sites, sf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	plan, err := e.Explain(q19.SQL)
 	if err != nil {
 		log.Fatal(err)
 	}

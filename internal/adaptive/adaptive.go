@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"slices"
 
+	"gignite/internal/cost"
 	"gignite/internal/expr"
 	"gignite/internal/fragment"
 	"gignite/internal/logical"
@@ -84,21 +85,6 @@ const (
 	maxCorrection float64 = 1000
 )
 
-func (c Config) withDefaults() Config {
-	if c.Variants < 1 {
-		c.Variants = 1
-	}
-	if c.Sites < 1 {
-		c.Sites = 1
-	}
-	return c
-}
-
-// exchangePenalty mirrors the planner's per-target exchange setup cost
-// (cost.Exchange's 200-per-target term): the fixed price of involving a
-// site in a shuffle, used by the dist-flip guard.
-const exchangePenalty = 200
-
 // Controller drives adaptive execution for one query. It is not safe for
 // concurrent use; the cluster scheduler calls it from barriers only.
 type Controller struct {
@@ -121,9 +107,10 @@ type Controller struct {
 // every operator of the plan it splits, so a cached plan never retains a
 // post-adaptation tree.
 func New(plan *fragment.Plan, cfg Config) *Controller {
+	cfg.Sites, cfg.Variants = max(cfg.Sites, 1), max(cfg.Variants, 1)
 	c := &Controller{
 		plan:        plan,
-		cfg:         cfg.withDefaults(),
+		cfg:         cfg,
 		skeys:       make(map[int][]int),
 		actRows:     make(map[int]int64),
 		actNDV:      make(map[int]float64),
@@ -400,7 +387,7 @@ func (c *Controller) tryDistFlip(p *fragment.Fragment, barrier int) {
 	// side; the flip must buy more than the hysteresis-scaled fixed cost
 	// of the shuffle.
 	sites := float64(c.cfg.Sites)
-	if actR*(sites-1) <= flipMargin*exchangePenalty*sites {
+	if actR*(sites-1) <= flipMargin*cost.ExchangePerTargetCost*sites {
 		return
 	}
 	from := sender.Target.String()

@@ -237,7 +237,7 @@ func TestCorrectedEngine(t *testing.T) {
 }
 
 func TestDiverged(t *testing.T) {
-	c := &Controller{cfg: Config{}.withDefaults()}
+	c := &Controller{}
 	for _, tc := range []struct {
 		est, act float64
 		want     bool

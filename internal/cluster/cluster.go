@@ -358,7 +358,7 @@ func (r *run) barrier(jobs []instanceJob, results []instanceResult) error {
 			}
 		}
 		r.trace.Instances[j.frag.ID] = append(r.trace.Instances[j.frag.ID], simnet.Instance{
-			Frag: j.frag.ID, Site: j.site, Variant: j.variant, Work: ir.work,
+			Site: j.site, Variant: j.variant, Work: ir.work,
 		})
 		if ir.obs != nil {
 			j.fobs.Merge(ir.obs)

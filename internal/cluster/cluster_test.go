@@ -51,7 +51,7 @@ func scanT(t *testing.T, c *Cluster) *physical.TableScan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := physical.NewTableScan(td.Def, "t", td.Def.Fields())
+	scan := physical.NewTableScan(td.Def, td.Def.Fields())
 	scan.Props().EstRows = 100
 	return scan
 }

@@ -132,8 +132,7 @@ func (fs filterState) freeze(trace *simnet.Trace) {
 			bytes := float64(bf.perSite[sw.site].SizeBytes()) + unionShare
 			bf.bytes += int64(bytes)
 			trace.Filters = append(trace.Filters, simnet.FilterBuild{
-				Exchange: bf.spec.Exchange, JoinFrag: bf.spec.JoinFrag,
-				Site: sw.site, Work: sw.work, Bytes: bytes,
+				Exchange: bf.spec.Exchange, Work: sw.work, Bytes: bytes,
 			})
 		}
 	}

@@ -190,10 +190,11 @@ func (p Params) HashJoin(left, right, rightWidth, dfRight float64) Cost {
 	}
 }
 
-// exchangePerTargetCost is the fixed per-target penalty of a multi-target
+// ExchangePerTargetCost is the fixed per-target penalty of a multi-target
 // exchange: each additional destination site costs one more batched
-// message stream regardless of volume.
-const exchangePerTargetCost = 200.0
+// message stream regardless of volume. The adaptive controller's
+// dist-flip guard prices involving a site in a shuffle with it too.
+const ExchangePerTargetCost = 200.0
 
 // Exchange returns the cost of shipping rows. copies is the replication
 // factor of the shipment (1 for single/hash targets, the site count for
@@ -213,7 +214,7 @@ func (p Params) Exchange(rows, width, copies float64, targets int) Cost {
 	}
 	penalty := 0.0
 	if targets > 1 {
-		penalty = exchangePerTargetCost * float64(targets)
+		penalty = ExchangePerTargetCost * float64(targets)
 	}
 	return Cost{
 		CPU:     rows * RPTC,

@@ -78,21 +78,22 @@ func (v *Values) BindGovernance(fs *flag.FlagSet) {
 	fs.Float64Var(&v.Hedge, "hedge", 0, "hedge stragglers past this multiple of the wave median (0 = off)")
 }
 
-// Preset resolves the -system flag to the system variant and its Config
-// constructor (harness.PresetFor's name matching).
-func (v *Values) Preset() (harness.System, func(sites int) gignite.Config, error) {
-	sys, preset, ok := harness.PresetFor(v.System)
+// Preset resolves the -system flag to the system variant
+// (harness.PresetFor's name matching).
+func (v *Values) Preset() (harness.System, error) {
+	sys, _, ok := harness.PresetFor(v.System)
 	if !ok {
-		return "", nil, fmt.Errorf("unknown -system %q (want ic, ic+ or ic+m)", v.System)
+		return "", fmt.Errorf("unknown -system %q (want ic, ic+ or ic+m)", v.System)
 	}
-	return sys, preset, nil
+	return sys, nil
 }
 
 // Options resolves the bound values into functional options for a
-// cluster of the given size, preset first so command-specific options
-// appended after them still win.
-func (v *Values) Options(sites int) ([]gignite.Option, error) {
-	_, preset, err := v.Preset()
+// cluster of the given size loading data at scale factor sf: the -system
+// variant's harness.ConfigFor configuration (execution limits scaled to
+// sf) first, so command-specific options appended after them still win.
+func (v *Values) Options(sites int, sf float64) ([]gignite.Option, error) {
+	sys, err := v.Preset()
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +101,7 @@ func (v *Values) Options(sites int) ([]gignite.Option, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []gignite.Option{gignite.WithPreset(preset, sites), rest}, nil
+	return []gignite.Option{gignite.WithConfig(harness.ConfigFor(sys, sites, sf)), rest}, nil
 }
 
 // EngineOptions resolves every bound flag except -system into one option

@@ -12,7 +12,7 @@ import (
 
 // resolve parses one flag line the way cmd/gignite and cmd/gignited bind
 // the registry (plan cache 64, governance flags bound) and applies the
-// resulting options to a zero Config.
+// options resolved for 4 sites at SF 0.01 to a zero Config.
 func resolve(line string) (gignite.Config, error) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
@@ -21,7 +21,7 @@ func resolve(line string) (gignite.Config, error) {
 	if err := fs.Parse(strings.Fields(line)); err != nil {
 		return gignite.Config{}, err
 	}
-	opts, err := v.Options(4)
+	opts, err := v.Options(4, 0.01)
 	if err != nil {
 		return gignite.Config{}, err
 	}
@@ -33,7 +33,8 @@ func resolve(line string) (gignite.Config, error) {
 }
 
 // TestFlagLinesResolveToConfig pins flag → Config: each flag sets exactly
-// its field over the -system preset, and nothing else moves.
+// its field over the -system preset with its execution limits scaled to
+// the scale factor, and nothing else moves.
 func TestFlagLinesResolveToConfig(t *testing.T) {
 	crash, err := gignite.ParseFaults("seed=7;crash=2@4")
 	if err != nil {
@@ -45,6 +46,7 @@ func TestFlagLinesResolveToConfig(t *testing.T) {
 		want   func(*gignite.Config)
 	}{
 		{"", gignite.ICPlusM, func(c *gignite.Config) {}},
+		{"-system ic", gignite.IC, func(c *gignite.Config) {}},
 		{"-system ic -backups 1 -par 2", gignite.IC, func(c *gignite.Config) {
 			c.Backups, c.ExecParallelism = 1, 2
 		}},
@@ -66,6 +68,9 @@ func TestFlagLinesResolveToConfig(t *testing.T) {
 	} {
 		want := tc.preset(4)
 		want.PlanCacheSize = 64
+		// harness.ConfigFor's limits at SF 0.01: both scale, the row limit
+		// from the presets' 25,000,000 down to 5,000,000.
+		want.ExecWorkLimit, want.ExecRowLimit = 5e8, 5e6
 		tc.want(&want)
 		got, err := resolve(tc.line)
 		if err != nil {

@@ -57,7 +57,7 @@ func scanNode(t *testing.T, st *storage.Store) *physical.TableScan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return physical.NewTableScan(td.Def, "t", td.Def.Fields())
+	return physical.NewTableScan(td.Def, td.Def.Fields())
 }
 
 func ctxAt(st *storage.Store, site int) *Context {

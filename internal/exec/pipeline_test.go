@@ -143,7 +143,7 @@ func kvStore(t testing.TB, n int) (*storage.Store, *physical.TableScan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, physical.NewTableScan(tbl, "kv", tbl.Fields())
+	return st, physical.NewTableScan(tbl, tbl.Fields())
 }
 
 // TestSplitterAcrossBatches: the §5.3.2 splitter hands variant v every

@@ -29,7 +29,7 @@ func benchSendSetup(b *testing.B, dist physical.Distribution, nrows int) (*stora
 	if err != nil {
 		b.Fatal(err)
 	}
-	scan := physical.NewTableScan(tbl, "t", tbl.Fields())
+	scan := physical.NewTableScan(tbl, tbl.Fields())
 	sender := physical.NewSender(scan, 0, dist)
 	rows := make([]types.Row, nrows)
 	for i := range rows {

@@ -21,7 +21,7 @@ func scan(name string) *physical.TableScan {
 		PrimaryKey:  []string{"id"},
 		AffinityKey: "id",
 	}
-	return physical.NewTableScan(t, name, t.Fields())
+	return physical.NewTableScan(t, t.Fields())
 }
 
 // buildJoinPlan assembles: scanA ⋈ Exchange(scanB → hash) under an

@@ -10,26 +10,17 @@ import (
 	"gignite/internal/tpch"
 )
 
-// Options configures the experiment drivers. Scale factors are relative to
-// TPC-H SF 1 (the paper runs 0.5–3; this laptop-scale reproduction
-// defaults to 0.005 and 0.01, preserving relative table sizes).
+// Options configures the experiment drivers. No field has a default:
+// benchrunner sets each from its flags, and an experiment reads the ones
+// it needs. Scale factors are relative to TPC-H SF 1 (the paper runs
+// 0.5–3; this laptop-scale reproduction runs 0.005 and 0.01 by default,
+// preserving relative table sizes).
 type Options struct {
 	SFs   []float64
 	Sites []int
-	Env   *Env
-}
-
-func (o Options) withDefaults() Options {
-	if len(o.SFs) == 0 {
-		o.SFs = []float64{0.005, 0.01}
-	}
-	if len(o.Sites) == 0 {
-		o.Sites = []int{4, 8}
-	}
-	if o.Env == nil {
-		o.Env = NewEnv()
-	}
-	return o
+	// Clients are ServeAQL's concurrent terminal counts.
+	Clients []int
+	Env     *Env
 }
 
 // paperExcluded is the TPC-H query set the paper's Figures 7/8 and the
@@ -50,54 +41,36 @@ func tpchComparable() []tpch.Query {
 	return out
 }
 
-// speedupPerQuery measures avg-over-SFs speedup base/improved per query at
-// one site count.
-func speedupPerQuery(opts Options, w Workload, base, improved System, sites int,
-	queries []struct{ label, sql string }) (map[string]float64, error) {
-
-	out := make(map[string]float64, len(queries))
-	for _, q := range queries {
-		var sum float64
-		var n int
+// meanSpeedup runs query on base and improved at every site count × scale
+// factor of opts and returns the mean base/improved response-time ratio
+// over the points where improved took time (0 when none did).
+func meanSpeedup(opts Options, w Workload, base, improved System, label, query string) (float64, error) {
+	var sum float64
+	var n int
+	for _, sites := range opts.Sites {
 		for _, sf := range opts.SFs {
-			eb, err := opts.Env.Engine(w, base, sites, sf)
+			tb, err := opts.Env.ResponseTime(w, base, sites, sf, query)
 			if err != nil {
-				return nil, err
+				return 0, fmt.Errorf("%s on %s: %w", label, base, err)
 			}
-			ei, err := opts.Env.Engine(w, improved, sites, sf)
+			ti, err := opts.Env.ResponseTime(w, improved, sites, sf, query)
 			if err != nil {
-				return nil, err
-			}
-			tb, err := ResponseTime(eb, q.sql)
-			if err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", q.label, base, err)
-			}
-			ti, err := ResponseTime(ei, q.sql)
-			if err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", q.label, improved, err)
+				return 0, fmt.Errorf("%s on %s: %w", label, improved, err)
 			}
 			if ti > 0 {
 				sum += float64(tb) / float64(ti)
 				n++
 			}
 		}
-		if n > 0 {
-			out[q.label] = sum / float64(n)
-		}
 	}
-	return out, nil
+	if n == 0 {
+		return 0, nil
+	}
+	return sum / float64(n), nil
 }
 
-func tpchQuerySpecs(qs []tpch.Query) []struct{ label, sql string } {
-	out := make([]struct{ label, sql string }, len(qs))
-	for i, q := range qs {
-		out[i] = struct{ label, sql string }{fmt.Sprintf("Q%d", q.ID), q.SQL}
-	}
-	return out
-}
-
-// Fig7 reproduces Figure 7: per-query TPC-H speedup of IC+ over IC at 4
-// and 8 sites (join optimizations + query planner improvements).
+// Fig7 reproduces Figure 7: per-query TPC-H speedup of IC+ over IC at each
+// site count (join optimizations + query planner improvements).
 func Fig7(opts Options) (*Report, error) {
 	return tpchSpeedupFigure(opts, "Figure 7: IC+ speedup over IC (TPC-H)", IC, ICPlus)
 }
@@ -108,23 +81,22 @@ func Fig8(opts Options) (*Report, error) {
 }
 
 func tpchSpeedupFigure(opts Options, title string, base, improved System) (*Report, error) {
-	opts = opts.withDefaults()
-	rep := NewReport(title, "4 sites", "8 sites")
-	specs := tpchQuerySpecs(tpchComparable())
-	bySites := make(map[int]map[string]float64)
+	rep := NewReport(title)
 	for _, sites := range opts.Sites {
-		m, err := speedupPerQuery(opts, TPCH, base, improved, sites, specs)
-		if err != nil {
-			return nil, err
-		}
-		bySites[sites] = m
+		rep.Columns = append(rep.Columns, fmt.Sprintf("%d sites", sites))
 	}
-	for _, q := range specs {
+	for _, q := range tpchComparable() {
+		label := fmt.Sprintf("Q%d", q.ID)
 		var cells []string
 		for _, sites := range opts.Sites {
-			cells = append(cells, fmtSpeedup(bySites[sites][q.label]))
+			at := Options{SFs: opts.SFs, Sites: []int{sites}, Env: opts.Env}
+			s, err := meanSpeedup(at, TPCH, base, improved, label, q.SQL)
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, fmtSpeedup(s))
 		}
-		rep.Add(q.label, cells...)
+		rep.Add(label, cells...)
 	}
 	rep.Note("excluded per the paper's protocol: Q15, Q20 (disabled) and Q2, Q5, Q9, Q17, Q19, Q21 (not runnable on the IC baseline)")
 	rep.Note("values average scale factors %v", opts.SFs)
@@ -140,7 +112,6 @@ func Fig9(opts Options) (*Report, error) { return multithreadingFigure(opts, 4) 
 func Fig10(opts Options) (*Report, error) { return multithreadingFigure(opts, 8) }
 
 func multithreadingFigure(opts Options, sites int) (*Report, error) {
-	opts = opts.withDefaults()
 	title := fmt.Sprintf("Figure %d: multithreading incremental difference, IC+ vs IC+M (%d sites)",
 		map[int]int{4: 9, 8: 10}[sites], sites)
 	rep := NewReport(title, "IC+ (ms)", "IC+M (ms)", "delta")
@@ -151,17 +122,12 @@ func multithreadingFigure(opts Options, sites int) (*Report, error) {
 		var sumPlus, sumM time.Duration
 		var n int
 		for _, sf := range opts.SFs {
-			ep, err := opts.Env.Engine(TPCH, ICPlus, sites, sf)
-			if err != nil {
-				return nil, err
-			}
-			em, err := opts.Env.Engine(TPCH, ICPM, sites, sf)
-			if err != nil {
-				return nil, err
-			}
-			tp, err1 := ResponseTime(ep, q.SQL)
-			tm, err2 := ResponseTime(em, q.SQL)
-			if err1 != nil || err2 != nil {
+			tp, errPlus := opts.Env.ResponseTime(TPCH, ICPlus, sites, sf, q.SQL)
+			tm, errM := opts.Env.ResponseTime(TPCH, ICPM, sites, sf, q.SQL)
+			if err := errors.Join(errPlus, errM); err != nil {
+				if errors.As(err, new(loadError)) {
+					return nil, err
+				}
 				continue
 			}
 			sumPlus += tp
@@ -219,7 +185,6 @@ func aqlContention(sys System, clients int) float64 {
 // {IC, IC+, IC+M}, with clients submitting randomized queries for 300
 // simulated seconds.
 func Table3(opts Options) (*Report, error) {
-	opts = opts.withDefaults()
 	sf := opts.SFs[len(opts.SFs)-1]
 	rep := NewReport("Table 3: average query latency (modeled seconds)")
 	for _, sites := range opts.Sites {
@@ -235,16 +200,9 @@ func Table3(opts Options) (*Report, error) {
 	base := make(map[key][]time.Duration)
 	for _, sites := range opts.Sites {
 		for _, sys := range Systems() {
-			e, err := opts.Env.Engine(TPCH, sys, sites, sf)
-			if err != nil {
-				return nil, err
-			}
 			var times []time.Duration
-			for _, q := range tpch.Queries() {
-				if paperExcluded[q.ID] {
-					continue
-				}
-				d, err := ResponseTime(e, q.SQL)
+			for _, q := range tpchComparable() {
+				d, err := opts.Env.ResponseTime(TPCH, sys, sites, sf, q.SQL)
 				if err != nil {
 					return nil, fmt.Errorf("AQL %s Q%d: %w", sys, q.ID, err)
 				}
@@ -302,44 +260,17 @@ func simulateAQL(baseTimes []time.Duration, clients int, contention float64) flo
 // IC+M relative to IC, averaged over scale factors and site counts, for
 // the paper-included flights (QS1 and QS3).
 func Fig11(opts Options) (*Report, error) {
-	opts = opts.withDefaults()
 	rep := NewReport("Figure 11: SSB per-query performance, IC vs IC+M", "speedup")
 	excluded := ssb.ExcludedFlights()
 	for _, q := range ssb.Queries() {
 		if excluded[q.Flight] {
 			continue
 		}
-		var sum float64
-		var n int
-		for _, sites := range opts.Sites {
-			for _, sf := range opts.SFs {
-				eb, err := opts.Env.Engine(SSB, IC, sites, sf)
-				if err != nil {
-					return nil, err
-				}
-				em, err := opts.Env.Engine(SSB, ICPM, sites, sf)
-				if err != nil {
-					return nil, err
-				}
-				tb, err := ResponseTime(eb, q.SQL)
-				if err != nil {
-					return nil, fmt.Errorf("%s on IC: %w", q.ID, err)
-				}
-				tm, err := ResponseTime(em, q.SQL)
-				if err != nil {
-					return nil, fmt.Errorf("%s on IC+M: %w", q.ID, err)
-				}
-				if tm > 0 {
-					sum += float64(tb) / float64(tm)
-					n++
-				}
-			}
+		s, err := meanSpeedup(opts, SSB, IC, ICPM, q.ID, q.SQL)
+		if err != nil {
+			return nil, err
 		}
-		if n > 0 {
-			rep.Add(q.ID, fmtSpeedup(sum/float64(n)))
-		} else {
-			rep.Add(q.ID, "n/a")
-		}
+		rep.Add(q.ID, fmtSpeedup(s))
 	}
 	rep.Note("QS2 and QS4 excluded per the paper's §6.4 protocol (Calcite planner search-space timeouts; this reproduction's planner handles them — see the failure-matrix experiment)")
 	return rep, nil
@@ -349,7 +280,6 @@ func Fig11(opts Options) (*Report, error) {
 // of every TPC-H query on the IC baseline, next to the paper's reported
 // status.
 func FailureMatrix(opts Options) (*Report, error) {
-	opts = opts.withDefaults()
 	sf := opts.SFs[0]
 	e, err := opts.Env.Engine(TPCH, IC, 4, sf)
 	if err != nil {
@@ -418,13 +348,12 @@ var ablationQueries = []int{3, 4, 7, 10, 12, 14, 16, 17, 18, 19, 21, 22}
 // Ablation measures IC+ with each improvement disabled one at a time: the
 // total modeled time over the ablation query subset, relative to full IC+.
 func Ablation(opts Options) (*Report, error) {
-	opts = opts.withDefaults()
 	sf := opts.SFs[0]
 	const sites = 4
 
 	run := func(cfg gignite.Config) (time.Duration, int, error) {
-		e := gignite.Open(gignite.WithConfig(cfg))
-		if err := tpch.Setup(e, sf); err != nil {
+		e := opts.Env.open(cfg)
+		if err := TPCH.Setup(e, sf); err != nil {
 			return 0, 0, err
 		}
 		var total time.Duration
@@ -474,7 +403,6 @@ func Ablation(opts Options) (*Report, error) {
 // away. It makes growth trends visible: baseline NLJ plans grow
 // quadratically while the improved plans grow roughly linearly.
 func Scaling(opts Options) (*Report, error) {
-	opts = opts.withDefaults()
 	const sites = 4
 	queryIDs := []int{1, 3, 6, 12, 14}
 	rep := NewReport("Scaling: modeled response time (ms) by scale factor, 4 sites")
@@ -488,11 +416,10 @@ func Scaling(opts Options) (*Report, error) {
 		var cells []string
 		for _, sys := range Systems() {
 			for _, sf := range opts.SFs {
-				e, err := opts.Env.Engine(TPCH, sys, sites, sf)
-				if err != nil {
+				d, err := opts.Env.ResponseTime(TPCH, sys, sites, sf, q.SQL)
+				if errors.As(err, new(loadError)) {
 					return nil, err
 				}
-				d, err := ResponseTime(e, q.SQL)
 				if err != nil {
 					cells = append(cells, "fail")
 					continue

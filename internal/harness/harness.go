@@ -134,13 +134,30 @@ func (env *Env) Engine(w Workload, sys System, sites int, sf float64) (*gignite.
 	if e, ok := env.engines[key]; ok {
 		return e, nil
 	}
-	opts := append([]gignite.Option{gignite.WithConfig(ConfigFor(sys, sites, sf))}, env.opts...)
-	e := gignite.Open(opts...)
+	e := env.open(ConfigFor(sys, sites, sf))
 	if err := w.Setup(e, sf); err != nil {
 		return nil, err
 	}
 	env.engines[key] = e
 	return e, nil
+}
+
+// open builds an uncached, empty engine: cfg, then the Env's options.
+func (env *Env) open(cfg gignite.Config) *gignite.Engine {
+	return gignite.Open(append([]gignite.Option{gignite.WithConfig(cfg)}, env.opts...)...)
+}
+
+// loadError is a point's engine failing to load, which aborts an
+// experiment; a query's own failure may instead become a report cell.
+type loadError struct{ error }
+
+// ResponseTime runs the §6.2 protocol for one query on the point's engine.
+func (env *Env) ResponseTime(w Workload, sys System, sites int, sf float64, query string) (time.Duration, error) {
+	e, err := env.Engine(w, sys, sites, sf)
+	if err != nil {
+		return 0, loadError{err}
+	}
+	return ResponseTime(e, query)
 }
 
 // measuredRuns is the paper's per-query protocol: one warm-up execution

@@ -12,7 +12,7 @@ import (
 // Harness tests run at a tiny scale factor and a single site pair to stay
 // fast; the full protocol is exercised by cmd/benchrunner.
 func tinyOpts() Options {
-	return Options{SFs: []float64{0.002}, Sites: []int{4}, Env: NewEnv()}
+	return Options{SFs: []float64{0.002}, Sites: []int{4}, Clients: []int{2}, Env: NewEnv()}
 }
 
 // Value returns a cell.
@@ -243,5 +243,137 @@ func TestFig7Shape(t *testing.T) {
 	}
 	if big < 4 {
 		t.Errorf("only %d queries improved >1.3x; the paper's large-gain set is missing", big)
+	}
+}
+
+// checkShape fails unless rep has exactly the given columns and row
+// labels and every cell passes ok.
+func checkShape(t *testing.T, rep *Report, columns, labels []string, ok func(cell string) bool) {
+	t.Helper()
+	if strings.Join(rep.Columns, "|") != strings.Join(columns, "|") {
+		t.Errorf("columns %q, want %q", rep.Columns, columns)
+	}
+	if strings.Join(rep.Labels(), "|") != strings.Join(labels, "|") {
+		t.Errorf("rows %q, want %q", rep.Labels(), labels)
+	}
+	for _, label := range rep.Labels() {
+		for _, c := range rep.Columns {
+			if cell, _ := rep.Value(label, c); !ok(cell) {
+				t.Errorf("%s/%s: cell %q", label, c, cell)
+			}
+		}
+	}
+}
+
+// positive reports whether cell is a number (with an optional x suffix)
+// above zero.
+func positive(cell string) bool {
+	var v float64
+	_, err := fmt.Sscanf(strings.TrimSuffix(cell, "x"), "%g", &v)
+	return err == nil && v > 0
+}
+
+// queryLabels returns "Q<id>" for each id.
+func queryLabels(ids ...int) []string {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = fmt.Sprintf("Q%d", id)
+	}
+	return out
+}
+
+// TestFig8ColumnsFollowSites: the speedup figures head one column per
+// requested site count, so an 8-site run is not printed under "4 sites".
+func TestFig8ColumnsFollowSites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads two 8-site TPC-H engines")
+	}
+	rep, err := Fig8(Options{SFs: []float64{0.002}, Sites: []int{8}, Env: NewEnv()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShape(t, rep, []string{"8 sites"}, queryLabels(1, 3, 4, 6, 7, 8, 10, 11, 12, 13, 14, 16, 18, 22), positive)
+}
+
+func TestFig9Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads two TPC-H engines")
+	}
+	rep, err := Fig9(tinyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShape(t, rep, []string{"IC+ (ms)", "IC+M (ms)", "delta"},
+		queryLabels(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 18, 19, 21, 22),
+		func(cell string) bool { return cell != "n/a" && cell != "" })
+}
+
+func TestTable3Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads three TPC-H engines")
+	}
+	rep, err := Table3(tinyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShape(t, rep, []string{"IC/4 sites", "IC+/4 sites", "IC+M/4 sites"},
+		[]string{"2 clients", "4 clients", "8 clients"}, positive)
+}
+
+func TestScalingShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads three TPC-H engines")
+	}
+	rep, err := Scaling(tinyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShape(t, rep, []string{"IC@0.002", "IC+@0.002", "IC+M@0.002"}, queryLabels(1, 3, 6, 12, 14), positive)
+}
+
+// TestServeAQLShape drives two database/sql clients over loopback TCP:
+// every submitted query must come back without an error.
+func TestServeAQLShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads a TPC-H engine and serves it over TCP")
+	}
+	rep, err := ServeAQL(tinyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShape(t, rep, []string{"AQL", "queries", "errors"}, []string{"2 clients"},
+		func(cell string) bool { return cell != "" })
+	if v, _ := rep.Value("2 clients", "queries"); v != fmt.Sprint(2*queriesPerClient) {
+		t.Errorf("completed queries %q, want %d", v, 2*queriesPerClient)
+	}
+	if v, _ := rep.Value("2 clients", "errors"); v != "0" {
+		t.Errorf("errors %q", v)
+	}
+}
+
+// TestAblationOpensEnginesThroughEnv: the ablation's engines take the
+// Env's options like every other experiment's. The option here runs once
+// per engine and sets a work limit no query fits in, so every ablation
+// row must count every query as a failure.
+func TestAblationOpensEnginesThroughEnv(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads ten TPC-H engines")
+	}
+	opened := 0
+	env := NewEnv(func(c *gignite.Config) {
+		opened++
+		c.ExecWorkLimit = 1
+	})
+	rep, err := Ablation(Options{SFs: []float64{0.002}, Env: env})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + len(AblationFlags()); opened != want {
+		t.Errorf("the Env option ran %d times, want once for each of %d engines", opened, want)
+	}
+	for _, label := range rep.Labels() {
+		if v, _ := rep.Value(label, "failures"); v != fmt.Sprint(len(ablationQueries)) {
+			t.Errorf("%s: %s failures, want all %d queries over the work limit", label, v, len(ablationQueries))
+		}
 	}
 }

@@ -12,55 +12,23 @@ import (
 	"gignite/internal/tpch"
 )
 
-// ServeAQLOptions configures the multi-client-over-TCP AQL mode: unlike
-// Table3's analytic terminal simulation, this drives real database/sql
-// clients against a real gignite server on a loopback socket, so the
-// measured latency includes the wire protocol, the driver and the
-// serving layer.
-type ServeAQLOptions struct {
-	// Clients are the terminal counts to sweep (default {2, 4, 8}).
-	Clients []int
-	// QueriesPerClient bounds each terminal's randomized submissions
-	// (default 6; the wall-clock analogue of the paper's 300 s window,
-	// kept small so CI stays fast).
-	QueriesPerClient int
-	// SF is the scale factor (default 0.005).
-	SF float64
-	// Sites is the simulated site count (default 4).
-	Sites int
-	// Env supplies the engine (default: fresh).
-	Env *Env
-}
+// queriesPerClient bounds each ServeAQL terminal's randomized
+// submissions: the wall-clock analogue of the paper's 300 s window, kept
+// small so CI stays fast.
+const queriesPerClient = 6
 
-func (o ServeAQLOptions) withDefaults() ServeAQLOptions {
-	if len(o.Clients) == 0 {
-		o.Clients = []int{2, 4, 8}
-	}
-	if o.QueriesPerClient <= 0 {
-		o.QueriesPerClient = 6
-	}
-	if o.SF == 0 {
-		o.SF = 0.005
-	}
-	if o.Sites == 0 {
-		o.Sites = 4
-	}
-	if o.Env == nil {
-		o.Env = NewEnv()
-	}
-	return o
-}
-
-// ServeAQL measures average query latency for N concurrent network
-// clients: a wire-protocol server is started on an ephemeral loopback
-// port in front of the IC+M engine, and each terminal submits randomized
-// paper-included TPC-H queries back-to-back through database/sql. The
-// report's AQL cells are wall-clock means; the modeled-time columns of
-// Table 3 remain the paper-faithful numbers, this mode exercises the
-// serving stack end to end.
-func ServeAQL(opts ServeAQLOptions) (*Report, error) {
-	opts = opts.withDefaults()
-	eng, err := opts.Env.Engine(TPCH, ICPM, opts.Sites, opts.SF)
+// ServeAQL measures average query latency for each of opts.Clients
+// concurrent network clients: a wire-protocol server is started on an
+// ephemeral loopback port in front of the IC+M engine at the first scale
+// factor and site count, and each terminal submits randomized
+// paper-included TPC-H queries back-to-back through database/sql. Unlike
+// Table3's analytic terminal simulation, the measured latency includes
+// the wire protocol, the driver and the serving layer: the report's AQL
+// cells are wall-clock means, while the modeled-time columns of Table 3
+// remain the paper-faithful numbers.
+func ServeAQL(opts Options) (*Report, error) {
+	sf, sites := opts.SFs[0], opts.Sites[0]
+	eng, err := opts.Env.Engine(TPCH, ICPM, sites, sf)
 	if err != nil {
 		return nil, err
 	}
@@ -77,12 +45,12 @@ func ServeAQL(opts ServeAQLOptions) (*Report, error) {
 
 	queries := tpchComparable()
 	rep := NewReport(
-		fmt.Sprintf("Network AQL: %d-site IC+M over TCP at SF %g (wall-clock seconds)", opts.Sites, opts.SF),
+		fmt.Sprintf("Network AQL: %d-site IC+M over TCP at SF %g (wall-clock seconds)", sites, sf),
 		"AQL", "queries", "errors")
 	for _, clients := range opts.Clients {
 		db := sql.OpenDB(&driver.Connector{Addr: srv.Addr().String()})
 		db.SetMaxOpenConns(clients)
-		aql, completed, failed := runTerminals(db, queries, clients, opts.QueriesPerClient)
+		aql, completed, failed := runTerminals(db, queries, clients)
 		if err := db.Close(); err != nil {
 			return nil, err
 		}
@@ -98,10 +66,10 @@ func ServeAQL(opts ServeAQLOptions) (*Report, error) {
 	return rep, nil
 }
 
-// runTerminals drives `clients` goroutines, each submitting `perClient`
-// randomized queries sequentially, and returns the mean wall latency in
-// seconds plus completion counts.
-func runTerminals(db *sql.DB, queries []tpch.Query, clients, perClient int) (aql float64, completed, failed int) {
+// runTerminals drives `clients` goroutines, each submitting
+// queriesPerClient randomized queries sequentially, and returns the mean
+// wall latency in seconds plus completion counts.
+func runTerminals(db *sql.DB, queries []tpch.Query, clients int) (aql float64, completed, failed int) {
 	var mu sync.Mutex
 	var latencySum float64
 	var wg sync.WaitGroup
@@ -112,7 +80,7 @@ func runTerminals(db *sql.DB, queries []tpch.Query, clients, perClient int) (aql
 			// Same splitmix-style draw as simulateAQL, seeded per terminal,
 			// so runs are reproducible.
 			state := uint64(c)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-			for i := 0; i < perClient; i++ {
+			for i := 0; i < queriesPerClient; i++ {
 				state = state*6364136223846793005 + 1442695040888963407
 				q := queries[(state>>33)%uint64(len(queries))]
 				start := time.Now()

@@ -350,10 +350,8 @@ func (f *FilterObs) Selectivity() float64 {
 type TopOp struct {
 	Frag int
 	Op   string
-	// Work is the operator's own modeled work; WallNanos its inclusive
-	// host wall time.
-	Work      float64
-	WallNanos int64
+	// Work is the operator's own modeled work.
+	Work float64
 }
 
 // TopOperators returns the k operators with the most self modeled work
@@ -366,7 +364,7 @@ func (q *QueryObs) TopOperators(k int) []TopOp {
 			continue
 		}
 		for _, op := range fo.Ops {
-			all = append(all, TopOp{Frag: fo.Frag, Op: op.Op, Work: op.Work, WallNanos: op.WallNanos})
+			all = append(all, TopOp{Frag: fo.Frag, Op: op.Op, Work: op.Work})
 		}
 	}
 	sort.SliceStable(all, func(a, b int) bool { return all[a].Work > all[b].Work })

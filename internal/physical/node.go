@@ -59,12 +59,11 @@ func (b *base) Props() *Props              { return &b.props }
 type TableScan struct {
 	base
 	Table *catalog.Table
-	Alias string
 }
 
 // NewTableScan builds a table scan with the table's natural traits.
-func NewTableScan(t *catalog.Table, alias string, fields types.Fields) *TableScan {
-	s := &TableScan{Table: t, Alias: alias}
+func NewTableScan(t *catalog.Table, fields types.Fields) *TableScan {
+	s := &TableScan{Table: t}
 	s.props.Fields = fields
 	if t.Replicated {
 		s.props.Dist = BroadcastDist
@@ -84,13 +83,12 @@ func (s *TableScan) Describe() string {
 type IndexScan struct {
 	base
 	Table *catalog.Table
-	Alias string
 	Index *catalog.Index
 }
 
 // NewIndexScan builds an index scan; its collation is the index key order.
-func NewIndexScan(t *catalog.Table, alias string, idx *catalog.Index, fields types.Fields) *IndexScan {
-	s := &IndexScan{Table: t, Alias: alias, Index: idx}
+func NewIndexScan(t *catalog.Table, idx *catalog.Index, fields types.Fields) *IndexScan {
+	s := &IndexScan{Table: t, Index: idx}
 	s.props.Fields = fields
 	if t.Replicated {
 		s.props.Dist = BroadcastDist

@@ -20,7 +20,7 @@ func scanFixture() *TableScan {
 		PrimaryKey:  []string{"id"},
 		AffinityKey: "id",
 	}
-	return NewTableScan(t, "emp", t.Fields())
+	return NewTableScan(t, t.Fields())
 }
 
 // TestSatisfactionMatrix verifies Table 1 of the paper.
@@ -68,7 +68,7 @@ func TestScanNaturalDistributions(t *testing.T) {
 		Columns:    []catalog.Column{{Name: "n_nationkey", Kind: types.KindInt}},
 		Replicated: true,
 	}
-	rs := NewTableScan(rep, "nation", rep.Fields())
+	rs := NewTableScan(rep, rep.Fields())
 	if rs.Dist().Type != Broadcast {
 		t.Errorf("replicated scan dist = %s", rs.Dist())
 	}
@@ -85,7 +85,7 @@ func TestIndexScanCollation(t *testing.T) {
 		AffinityKey: "id",
 		Indexes:     []catalog.Index{{Name: "by_dept", Columns: []string{"dept", "id"}}},
 	}
-	s := NewIndexScan(tbl, "emp", &tbl.Indexes[0], tbl.Fields())
+	s := NewIndexScan(tbl, &tbl.Indexes[0], tbl.Fields())
 	coll := s.Collation()
 	if len(coll) != 2 || coll[0].Col != 1 || coll[1].Col != 0 {
 		t.Errorf("index collation = %v", coll)

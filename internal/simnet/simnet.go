@@ -56,7 +56,6 @@ func DefaultParams() Params {
 
 // Instance is one executed fragment instance.
 type Instance struct {
-	Frag    int
 	Site    int
 	Variant int
 	Work    float64
@@ -108,7 +107,7 @@ type Hedge struct {
 }
 
 // FilterBuild is one site's share of a runtime join filter (DESIGN.md
-// §13): the pre-pass ran the join's build subtree at Site before wave 0,
+// §13): the pre-pass ran the join's build subtree at one site before wave 0,
 // spent Work units constructing the key filter, and shipped Bytes of
 // filter state to the probe-side producer. Probe-side sends over Exchange
 // are released only after every site's filter arrived, which is how the
@@ -117,8 +116,6 @@ type Hedge struct {
 // cannot leave earlier than the filter handoff.
 type FilterBuild struct {
 	Exchange int
-	JoinFrag int
-	Site     int
 	Work     float64
 	Bytes    float64
 }

@@ -18,7 +18,7 @@ func params() Params {
 func TestSingleFragmentMakespan(t *testing.T) {
 	tr := &Trace{
 		Order:     []int{0},
-		Instances: map[int][]Instance{0: {{Frag: 0, Site: 0, Work: 1000}}},
+		Instances: map[int][]Instance{0: {{Site: 0, Work: 1000}}},
 		Consumers: map[int][]int{},
 		RootFrag:  0,
 	}
@@ -35,8 +35,8 @@ func TestParallelSitesDoNotAdd(t *testing.T) {
 	tr := &Trace{
 		Order: []int{1, 0},
 		Instances: map[int][]Instance{
-			1: {{Frag: 1, Site: 0, Work: 500}, {Frag: 1, Site: 1, Work: 1000}},
-			0: {{Frag: 0, Site: 0, Work: 100}},
+			1: {{Site: 0, Work: 500}, {Site: 1, Work: 1000}},
+			0: {{Site: 0, Work: 100}},
 		},
 		Sends: []Send{
 			{Exchange: 0, FromFrag: 1, FromSite: 0, ToSite: 0, Bytes: 1000},
@@ -58,7 +58,7 @@ func TestVariantsReduceMakespan(t *testing.T) {
 	mk := func(variants int) float64 {
 		insts := make([]Instance, variants)
 		for v := 0; v < variants; v++ {
-			insts[v] = Instance{Frag: 0, Site: 0, Variant: v, Work: 1000 / float64(variants)}
+			insts[v] = Instance{Site: 0, Variant: v, Work: 1000 / float64(variants)}
 		}
 		tr := &Trace{
 			Order:     []int{0},
@@ -78,7 +78,7 @@ func TestContentionAboveCores(t *testing.T) {
 	// 8 variants on a 4-core site: each instance slowed by 2x.
 	insts := make([]Instance, 8)
 	for v := range insts {
-		insts[v] = Instance{Frag: 0, Site: 0, Variant: v, Work: 125}
+		insts[v] = Instance{Site: 0, Variant: v, Work: 125}
 	}
 	tr := &Trace{
 		Order:     []int{0},
@@ -98,8 +98,8 @@ func TestNetworkBytesMatter(t *testing.T) {
 		tr := &Trace{
 			Order: []int{1, 0},
 			Instances: map[int][]Instance{
-				1: {{Frag: 1, Site: 1, Work: 10}},
-				0: {{Frag: 0, Site: 0, Work: 10}},
+				1: {{Site: 1, Work: 10}},
+				0: {{Site: 0, Work: 10}},
 			},
 			Sends:     []Send{{Exchange: 0, FromFrag: 1, FromSite: 1, ToSite: 0, Bytes: bytes}},
 			Consumers: map[int][]int{0: {0}},
@@ -137,9 +137,9 @@ func TestTotalWorkSumsInOrder(t *testing.T) {
 	tr := &Trace{
 		Order: []int{2, 0, 1},
 		Instances: map[int][]Instance{
-			0: {{Frag: 0, Work: 1}},
-			1: {{Frag: 1, Work: 1}},
-			2: {{Frag: 2, Work: 1e16}},
+			0: {{Work: 1}},
+			1: {{Work: 1}},
+			2: {{Work: 1e16}},
 		},
 	}
 	var want float64
@@ -175,7 +175,7 @@ func TestDefaultParamsSane(t *testing.T) {
 func TestRetryChargesRecoveringInstance(t *testing.T) {
 	base := &Trace{
 		Order:     []int{0},
-		Instances: map[int][]Instance{0: {{Frag: 0, Site: 0, Work: 1000}}},
+		Instances: map[int][]Instance{0: {{Site: 0, Work: 1000}}},
 		Consumers: map[int][]int{},
 		RootFrag:  0,
 	}

@@ -20,7 +20,7 @@ func widthOf(n physical.Node) float64 { return float64(len(n.Schema())) }
 func (p *Planner) scanAlternatives(t *logical.Scan, req Req) ([]physical.Node, error) {
 	var alts []physical.Node
 
-	ts := physical.NewTableScan(t.Table, t.Alias, t.Schema())
+	ts := physical.NewTableScan(t.Table, t.Schema())
 	rows := p.cfg.Est.RowCount(t)
 	dfScan := float64(p.cfg.Sites)
 	if t.Table.Replicated {
@@ -32,7 +32,7 @@ func (p *Planner) scanAlternatives(t *logical.Scan, req Req) ([]physical.Node, e
 	if len(req.Coll) > 0 {
 		for i := range t.Table.Indexes {
 			idx := &t.Table.Indexes[i]
-			is := physical.NewIndexScan(t.Table, t.Alias, idx, t.Schema())
+			is := physical.NewIndexScan(t.Table, idx, t.Schema())
 			if !physical.CollationSatisfies(is.Collation(), req.Coll) {
 				continue
 			}
