@@ -168,7 +168,8 @@ func (r *rows) fail(err error) error {
 }
 
 // finish ends the stream client-side: the cancel watcher stops, and the
-// conn drops the stream's values and a frame buffer grown past
+// conn drops the stream's values, the box tables past the first
+// wire.IdleFrameBytes of them and a frame buffer grown past
 // wire.IdleFrameBytes, so an idle conn retains a constant amount.
 func (r *rows) finish() {
 	if r.stop != nil {
@@ -177,6 +178,7 @@ func (r *rows) finish() {
 	}
 	r.n, r.next = 0, 0
 	r.c.batch.Reset(0)
+	r.c.batch.Trim(wire.IdleFrameBytes)
 	if cap(r.c.rbuf) > wire.IdleFrameBytes {
 		r.c.rbuf = nil
 	}

@@ -2,6 +2,9 @@ package wire
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"reflect"
 	"slices"
 
 	"gignite/internal/types"
@@ -236,26 +239,58 @@ func nullBitmap(e *Encoder, rows []types.Row, c int) {
 	}
 }
 
+// maxBoxSlots caps a column's box table (see BatchDecoder).
+const maxBoxSlots = 2048
+
 // A BatchDecoder reads one result stream's RowBatch payloads into
 // per-column vectors of T, the caller's value type; box maps one decoded
-// cell onto a T. A dictionary entry is boxed once per stream and shared by
-// every row that carries its code. Strings are copied out of the payload,
-// so the payload's buffer may be reused once Decode returns, and a T the
-// caller keeps stays valid while later batches overwrite the vectors.
+// cell onto a T. Two kinds of cell are boxed once per stream and shared by
+// every row that carries them: a dictionary entry, and a plain int, date or
+// float cell its column's box table still holds.
+//
+// A box table is direct-mapped: a cell's slot is its 8-byte payload (an
+// int or date, a float's IEEE bits) masked to the table's power-of-two
+// size, the slot matches only the same kind and payload, and a miss boxes
+// the cell and overwrites the slot. A column's table holds the smallest
+// power of two at least the cells the column has decoded through it this
+// stream, at most maxBoxSlots, so what a peer's bytes make the decoder
+// allocate stays proportional to them. Tables outlive Reset; Trim bounds
+// what they keep between streams.
+//
+// Strings are copied out of the payload, so the payload's buffer may be
+// reused once Decode returns, and a T the caller keeps stays valid while
+// later batches overwrite the vectors.
 type BatchDecoder[T any] struct {
-	box   func(types.Value) T
-	null  T
-	vecs  [][]T // per column: the current batch's values
-	dicts [][]T // per column: the stream dictionary, boxed
+	box    func(types.Value) T
+	null   T
+	vecs   [][]T         // per column: the current batch's values
+	dicts  [][]T         // per column: the stream dictionary, boxed
+	tables []boxTable[T] // per column position, kept across streams
+	stream uint32        // stamps the slots this stream fills; never 0
+	slot   int           // bytes of one box slot
+}
+
+type boxTable[T any] struct {
+	slots []boxSlot[T]
+	cells int // cells of this stream decoded through the table
+}
+
+type boxSlot[T any] struct {
+	stream  uint32 // the stream that filled the slot: any other's is empty
+	kind    types.Kind
+	payload uint64
+	box     T
 }
 
 // NewBatchDecoder returns a decoder boxing cells with box.
 func NewBatchDecoder[T any](box func(types.Value) T) *BatchDecoder[T] {
-	return &BatchDecoder[T]{box: box, null: box(types.Null)}
+	return &BatchDecoder[T]{box: box, null: box(types.Null), stream: 1, slot: int(reflect.TypeFor[boxSlot[T]]().Size())}
 }
 
 // Reset starts a stream of ncols columns and drops the previous stream's
-// values and dictionaries.
+// values and dictionaries. The box tables keep their slots, whose
+// contents the new stream's stamp makes stale without clearing them, so a
+// one-row stream pays nothing for a table an earlier stream grew.
 func (d *BatchDecoder[T]) Reset(ncols int) {
 	for i := range d.vecs {
 		clear(d.vecs[i][:cap(d.vecs[i])])
@@ -267,6 +302,30 @@ func (d *BatchDecoder[T]) Reset(ncols int) {
 	}
 	d.vecs = slices.Grow(d.vecs[:0], ncols)[:ncols]
 	d.dicts = slices.Grow(d.dicts[:0], ncols)[:ncols]
+	if d.stream++; d.stream == 0 { // the stamps wrapped: a slot's may recur
+		for i := range d.tables {
+			clear(d.tables[i].slots)
+		}
+		d.stream = 1
+	}
+	for i := range d.tables {
+		d.tables[i].cells = 0
+	}
+	if n := ncols - len(d.tables); n > 0 {
+		d.tables = append(d.tables, make([]boxTable[T], n)...)
+	}
+}
+
+// Trim keeps the box tables, first column first, only while their slots
+// total at most limit bytes, and drops the rest: what an idle decoder
+// retains is bounded by limit, not by the widest result it decoded.
+func (d *BatchDecoder[T]) Trim(limit int) {
+	for i := range d.tables {
+		t := &d.tables[i]
+		if limit -= len(t.slots) * d.slot; limit < 0 {
+			t.slots = nil
+		}
+	}
 }
 
 // Columns returns the current batch's values, one vector per column, each
@@ -321,7 +380,7 @@ func (d *BatchDecoder[T]) column(dec *Decoder, c, rows int) error {
 	}
 	switch layout {
 	case colPlain:
-		return d.plain(dec, kind, vec, nulls)
+		return d.plain(dec, c, kind, vec, nulls)
 	case colDict:
 		return d.dictionary(dec, c, vec, nulls)
 	case colTagged:
@@ -342,9 +401,14 @@ func isNull(nulls []byte, r int) bool {
 	return nulls != nil && nulls[r>>3]&(1<<(r&7)) != 0
 }
 
-func (d *BatchDecoder[T]) plain(dec *Decoder, kind types.Kind, vec []T, nulls []byte) error {
-	if kind == types.KindNull && nulls == nil {
-		return fmt.Errorf("wire: NULL column without a null bitmap")
+func (d *BatchDecoder[T]) plain(dec *Decoder, c int, kind types.Kind, vec []T, nulls []byte) error {
+	switch kind {
+	case types.KindNull:
+		if nulls == nil {
+			return fmt.Errorf("wire: NULL column without a null bitmap")
+		}
+	case types.KindInt, types.KindDate, types.KindFloat:
+		return d.fixed(dec, c, kind, vec, nulls)
 	}
 	for r := range vec {
 		if isNull(nulls, r) {
@@ -353,12 +417,6 @@ func (d *BatchDecoder[T]) plain(dec *Decoder, kind types.Kind, vec []T, nulls []
 		}
 		var v types.Value
 		switch kind {
-		case types.KindInt:
-			v = types.NewInt(dec.I64())
-		case types.KindDate:
-			v = types.NewDate(dec.I64())
-		case types.KindFloat:
-			v = types.NewFloat(dec.F64())
 		case types.KindBool:
 			v = types.NewBool(dec.U8() != 0)
 		case types.KindString:
@@ -372,6 +430,78 @@ func (d *BatchDecoder[T]) plain(dec *Decoder, kind types.Kind, vec []T, nulls []
 		vec[r] = d.box(v)
 	}
 	return dec.err
+}
+
+// fixed decodes a plain int, date or float column through column c's box
+// table.
+func (d *BatchDecoder[T]) fixed(dec *Decoder, c int, kind types.Kind, vec []T, nulls []byte) error {
+	// A column's cells are the payload's: no more than its bytes can hold.
+	// A cell that decodes was among them, so its table has a slot.
+	slots := d.table(c, min(nonNull(nulls, len(vec)), dec.Remaining()/8))
+	mask := uint64(len(slots) - 1)
+	for r := range vec {
+		if isNull(nulls, r) {
+			vec[r] = d.null
+			continue
+		}
+		payload := dec.U64()
+		if dec.err != nil {
+			return dec.err
+		}
+		s := &slots[payload&mask]
+		if s.stream != d.stream || s.kind != kind || s.payload != payload {
+			*s = boxSlot[T]{stream: d.stream, kind: kind, payload: payload, box: d.box(fixedValue(kind, payload))}
+		}
+		vec[r] = s.box
+	}
+	return nil
+}
+
+// table returns column c's box slots, grown for n more cells of this
+// stream. Growing moves this stream's boxes into the larger table; no two
+// land in one slot, since they held distinct slots of the smaller one.
+func (d *BatchDecoder[T]) table(c, n int) []boxSlot[T] {
+	t := &d.tables[c]
+	if t.cells += n; t.cells == 0 {
+		return t.slots
+	}
+	size := min(maxBoxSlots, 1<<bits.Len(uint(t.cells-1)))
+	if len(t.slots) >= size {
+		return t.slots
+	}
+	slots := make([]boxSlot[T], size)
+	for _, s := range t.slots {
+		if s.stream == d.stream {
+			slots[s.payload&uint64(size-1)] = s
+		}
+	}
+	t.slots = slots
+	return slots
+}
+
+func fixedValue(kind types.Kind, payload uint64) types.Value {
+	switch kind {
+	case types.KindInt:
+		return types.NewInt(int64(payload))
+	case types.KindDate:
+		return types.NewDate(int64(payload))
+	}
+	return types.NewFloat(math.Float64frombits(payload))
+}
+
+// nonNull counts the rows the null bitmap leaves non-NULL.
+func nonNull(nulls []byte, rows int) int {
+	if nulls == nil {
+		return rows
+	}
+	n := rows
+	for i, b := range nulls {
+		if i == rows>>3 { // the last byte's bits past the rows
+			b &= 1<<(rows&7) - 1
+		}
+		n -= bits.OnesCount8(b)
+	}
+	return n
 }
 
 func (d *BatchDecoder[T]) dictionary(dec *Decoder, c int, vec []T, nulls []byte) error {

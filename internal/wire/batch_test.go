@@ -29,12 +29,21 @@ func sameValue(a, b types.Value) bool {
 
 func identity(v types.Value) types.Value { return v }
 
+// boxValue boxes a cell the way the driver does, in an interface, but
+// behind a pointer: two cells share a box exactly when they hold the same
+// pointer.
+func boxValue(v types.Value) any { return &v }
+
+func unbox(b any) types.Value { return *b.(*types.Value) }
+
 // streamLayouts records the tag byte of every column of every batch.
 type streamLayouts [][]uint8
 
 // roundTrip encodes rows as one result stream of batches of at most
 // maxRows rows, decodes every batch, and checks the decoded cells against
-// the rows. It returns each batch's column tags.
+// the rows. It then decodes the stream twice more through one boxing
+// decoder, the second time into the box tables the first left behind
+// (boxStream). It returns each batch's column tags.
 func roundTrip(t testing.TB, rows []types.Row, ncols, maxRows int) streamLayouts {
 	t.Helper()
 	var (
@@ -68,6 +77,9 @@ func roundTrip(t testing.TB, rows []types.Row, ncols, maxRows int) streamLayouts
 			break
 		}
 	}
+	boxed := NewBatchDecoder(boxValue)
+	boxStream(t, boxed, rows, ncols, maxRows)
+	boxStream(t, boxed, rows, ncols, maxRows)
 	return layouts
 }
 
@@ -146,6 +158,162 @@ func TestDictionaryCap(t *testing.T) {
 		if tags := columnTags(t, dec, e.Bytes()); tags[0] != colDict {
 			t.Fatalf("second stream: tags %#x", tags)
 		}
+	}
+}
+
+// boxStream decodes rows as one stream of ncols columns in batches of at
+// most maxRows rows through dec, checks every cell against the rows by
+// kind and bits, and returns the boxes row by row.
+func boxStream(t testing.TB, dec *BatchDecoder[any], rows []types.Row, ncols, maxRows int) [][]any {
+	t.Helper()
+	var (
+		enc BatchEncoder
+		e   Encoder
+		out [][]any
+	)
+	enc.Reset(ncols)
+	dec.Reset(ncols)
+	for lo := 0; lo < len(rows); {
+		e.Reset()
+		n := enc.Append(&e, rows[lo:], maxRows)
+		if _, err := dec.Decode(e.Bytes()); err != nil {
+			t.Fatalf("batch at row %d: %v", lo, err)
+		}
+		for r := range n {
+			row := make([]any, ncols)
+			for c, vec := range dec.Columns() {
+				if got, want := unbox(vec[r]), rows[lo+r][c]; !sameValue(got, want) {
+					t.Fatalf("row %d col %d: got %#v, want %#v", lo+r, c, got, want)
+				}
+				row[c] = vec[r]
+			}
+			out = append(out, row)
+		}
+		lo += n
+	}
+	return out
+}
+
+// TestBoxTables: plain int, date and float cells decode through their
+// column's box table to what boxing each cell gives, kind and bits; a
+// stream boxes each distinct (kind, payload) of a column once while the
+// column fits its slots, and never hands out a box of another kind or of
+// an earlier stream.
+func TestBoxTables(t *testing.T) {
+	calls := 0
+	dec := NewBatchDecoder(func(v types.Value) any { calls++; return &v })
+	nan1, nan2 := math.Float64frombits(0x7ff8_0000_0000_0001), math.Float64frombits(0xfff8_0000_dead_beef)
+	negZero := math.Copysign(0, -1)
+
+	// Edge values, NULLs, and payloads congruent modulo every table size
+	// the columns pass through (batches of 8 rows grow them 8 → 64 slots,
+	// then the stream goes on past maxBoxSlots cells).
+	var rows []types.Row
+	for i := range 3000 {
+		k := int64(i % 5 * maxBoxSlots)
+		row := types.Row{types.NewInt(k + 5), types.NewDate(k - 3), types.NewFloat(math.Float64frombits(uint64(k) + math.Float64bits(1.5)))}
+		switch i % 7 {
+		case 1:
+			row = types.Row{types.NewInt(math.MinInt64), types.NewDate(-719_162), types.NewFloat(negZero)}
+		case 2:
+			row = types.Row{types.NewInt(math.MaxInt64), types.DateFromYMD(1969, 12, 31), types.NewFloat(0)}
+		case 3:
+			row = types.Row{types.Null, types.Null, types.NewFloat(nan1)}
+		case 4:
+			row[2] = types.NewFloat(nan2)
+		}
+		rows = append(rows, row)
+	}
+	boxes := boxStream(t, dec, rows[:64], 3, 8)
+	boxes = append(boxes, boxStream(t, dec, rows, 3, 256)...)
+	if boxes[1][2] == boxes[2][2] || boxes[3][2] == boxes[4][2] {
+		t.Error("-0.0 and 0, or two NaN payloads, share a box")
+	}
+
+	// Every value in [0, 600) of each kind, cyclically over 1,000 rows in
+	// batches of 256, into new tables: they grow 256 → 1,024 slots, and no
+	// two values of a column ever share a slot.
+	rows = rows[:0]
+	for i := range 1000 {
+		v := int64(i % 600)
+		rows = append(rows, types.Row{types.NewInt(1<<40 + v), types.NewDate(8000 + v), types.NewFloat(math.Float64frombits(math.Float64bits(1.5) + uint64(v)))})
+	}
+	dec.tables = nil
+	calls = 0
+	boxes = boxStream(t, dec, rows, 3, 256)
+	if calls != 3*600 {
+		t.Errorf("boxed %d cells for 3 columns of 600 distinct values", calls)
+	}
+	for r := 600; r < len(rows); r++ {
+		for c := range 3 {
+			if boxes[r][c] != boxes[r-600][c] {
+				t.Fatalf("rows %d and %d of column %d hold one value in two boxes", r-600, r, c)
+			}
+		}
+	}
+
+	// After Reset no box of the earlier stream is handed out, even when the
+	// stream stamps wrap.
+	if again := boxStream(t, dec, rows[:1], 3, 256); again[0][0] == boxes[0][0] {
+		t.Error("a new stream reused a box of the previous one")
+	}
+	fresh := NewBatchDecoder(boxValue)
+	first := boxStream(t, fresh, rows[:2], 3, 256) // two slots, stamped 2
+	fresh.stream = math.MaxUint32
+	boxStream(t, fresh, rows[1:2], 3, 256) // wraps the stamps to 1; refills slot 1
+	if wrapped := boxStream(t, fresh, rows[:1], 3, 256); wrapped[0][0] == first[0][0] {
+		t.Error("the stream stamped 2 after the stamps wrapped reused a box")
+	}
+
+	// A bitmap's bits past the last row are no row's NULLs.
+	var e Encoder
+	e.U16(1) // rows
+	e.U16(1) // columns
+	e.U8(colPlain | colNulls)
+	e.U8(uint8(types.KindInt))
+	e.U8(0xfe)
+	e.I64(1 << 40)
+	fresh.tables = nil
+	fresh.Reset(1)
+	if n, err := fresh.Decode(e.Bytes()); err != nil || n != 1 || unbox(fresh.Columns()[0][0]) != types.NewInt(1<<40) {
+		t.Errorf("padding bits in the bitmap: %d rows, %v", n, err)
+	}
+
+	// A column that is int in one batch and date in the next, with equal
+	// payloads, shares no box between them.
+	kinds := boxStream(t, dec, []types.Row{{types.NewInt(7 << 40)}, {types.NewDate(7 << 40)}, {types.NewInt(7 << 40)}}, 1, 1)
+	if kinds[0][0] == kinds[1][0] || kinds[1][0] == kinds[2][0] {
+		t.Error("an int and a date of one payload share a box")
+	}
+}
+
+// TestTrimBoundsIdleTables: Trim keeps the first columns' box tables while
+// they fit its limit, and a one-row stream afterwards allocates no table.
+func TestTrimBoundsIdleTables(t *testing.T) {
+	rows := make([]types.Row, 3*maxBoxSlots)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(-i)), types.NewInt(int64(i) << 20)}
+	}
+	dec := NewBatchDecoder(boxValue)
+	boxStream(t, dec, rows, 3, 256)
+	table := maxBoxSlots * dec.slot
+	dec.Trim(2*table + table/2)
+	for c, want := range []int{maxBoxSlots, maxBoxSlots, 0} {
+		if got := len(dec.tables[c].slots); got != want {
+			t.Errorf("column %d keeps %d slots, want %d", c, got, want)
+		}
+	}
+	var e Encoder
+	var enc BatchEncoder
+	enc.Reset(1)
+	enc.Append(&e, []types.Row{{types.NewInt(1 << 40)}}, 256)
+	if bytes := allocated(func() {
+		dec.Reset(1)
+		if _, err := dec.Decode(e.Bytes()); err != nil {
+			t.Error(err)
+		}
+	}); bytes > 1<<10 {
+		t.Errorf("a one-row stream allocated %d bytes", bytes)
 	}
 }
 
