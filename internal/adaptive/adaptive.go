@@ -294,22 +294,18 @@ func (c *Controller) sideNDV(j *physical.Join, side int, rows float64) float64 {
 // mapKeysDown maps column ordinals from a node down a row-local chain
 // (filters and pass-through projections) to the receiver at its bottom.
 // ok is false when the chain contains any other operator or a computed
-// projection over a key column.
+// projection over a key column. Without a projection the result is keys.
 func mapKeysDown(n physical.Node, keys []int) (*physical.Receiver, []int, bool) {
-	ks := append([]int(nil), keys...)
 	for {
 		switch t := n.(type) {
 		case *physical.Receiver:
-			return t, ks, true
+			return t, keys, true
 		case *physical.Filter:
 			n = t.Inputs()[0]
 		case *physical.Project:
-			for i, k := range ks {
-				cr, ok := t.Exprs[k].(*expr.ColRef)
-				if !ok {
-					return nil, nil, false
-				}
-				ks[i] = cr.Index
+			var ok bool
+			if keys, ok = t.InputCols(keys); !ok {
+				return nil, nil, false
 			}
 			n = t.Inputs()[0]
 		default:

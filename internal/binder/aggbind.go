@@ -2,6 +2,7 @@ package binder
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gignite/internal/expr"
@@ -11,16 +12,15 @@ import (
 
 // bindAggregation plans GROUP BY / aggregate queries:
 //
-//	input → Project(group exprs ++ agg args) → Aggregate → [HAVING filters
-//	and scalar-subquery joins] → (select items become the caller's final
-//	projection)
+//	input → buildAggregate → [HAVING filters and scalar-subquery joins] →
+//	(select items become the caller's final projection)
 //
 // It returns the plan under the final projection and the rewritten select
 // item expressions over that plan's schema.
 func (b *Binder) bindAggregation(plan logical.Node, sc *scope, sel *sql.SelectStmt) (
 	logical.Node, []expr.Expr, []string, error) {
 
-	collector := newAggCollector()
+	collector := &aggCollector{}
 
 	// Bind GROUP BY expressions over the input scope.
 	groupExprs := make([]expr.Expr, 0, len(sel.GroupBy))
@@ -57,116 +57,42 @@ func (b *Binder) bindAggregation(plan logical.Node, sc *scope, sel *sql.SelectSt
 		itemNames[i] = itemName(item)
 	}
 
-	// HAVING conjuncts: scalar-subquery comparisons keep their subquery for
-	// later expansion; everything else binds now (with collection).
+	// HAVING conjuncts: a scalar-subquery comparison binds its left
+	// operand now and keeps its subquery for later expansion; anything
+	// else binds whole (a scalarCompare with no subquery).
 	type havingConjunct struct {
-		plain    expr.Expr // non-nil for ordinary predicates
-		lhs      expr.Expr // non-nil for scalar-subquery comparisons
-		op       string
-		sub      *sql.SelectStmt
-		reversed bool
+		e   expr.Expr // the predicate, or cmp's left operand
+		cmp scalarCompare
 	}
 	var having []havingConjunct
 	if sel.Having != nil {
 		for _, conj := range splitASTConjuncts(sel.Having) {
-			if cmp, ok := conj.(*sql.BinaryExpr); ok && isComparisonOp(cmp.Op) {
-				if sub, ok := cmp.R.(*sql.SubqueryExpr); ok {
-					eb := &exprBinder{b: b, inner: sc, aggs: collector}
-					lhs, err := eb.bind(cmp.L)
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					having = append(having, havingConjunct{lhs: lhs, op: cmp.Op, sub: sub.Select})
-					continue
-				}
-				if sub, ok := cmp.L.(*sql.SubqueryExpr); ok {
-					eb := &exprBinder{b: b, inner: sc, aggs: collector}
-					lhs, err := eb.bind(cmp.R)
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					having = append(having, havingConjunct{lhs: lhs, op: cmp.Op, sub: sub.Select, reversed: true})
-					continue
-				}
+			cmp, ok := asScalarCompare(conj)
+			if !ok {
+				cmp = scalarCompare{lhs: conj}
 			}
 			eb := &exprBinder{b: b, inner: sc, aggs: collector}
-			e, err := eb.bind(conj)
+			e, err := eb.bind(cmp.lhs)
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			having = append(having, havingConjunct{plain: e})
+			having = append(having, havingConjunct{e: e, cmp: cmp})
 		}
 	}
 
-	// Build the pre-projection: group expressions then deduplicated
-	// aggregate arguments.
-	preExprs := append([]expr.Expr{}, groupExprs...)
-	preNames := append([]string{}, groupNames...)
-	argPos := make([]int, len(collector.calls)) // call → pre-projection column (-1 for COUNT(*))
-	argDigests := make(map[string]int)
-	for i, call := range collector.calls {
-		if call.Arg == nil {
-			argPos[i] = -1
-			continue
-		}
-		d := expr.Digest(call.Arg)
-		if p, ok := argDigests[d]; ok {
-			argPos[i] = p
-			continue
-		}
-		p := len(preExprs)
-		preExprs = append(preExprs, call.Arg)
-		preNames = append(preNames, fmt.Sprintf("__aggarg%d", i))
-		argDigests[d] = p
-		argPos[i] = p
-	}
-	pre := logical.NewProject(plan, preExprs, preNames)
-
-	// Build the aggregate: group columns are the leading pre-projection
-	// columns; each call's argument becomes a column reference.
-	groupCols := make([]int, len(groupExprs))
-	for i := range groupCols {
-		groupCols[i] = i
-	}
-	calls := make([]expr.AggCall, len(collector.calls))
-	preSchema := pre.Schema()
-	for i, call := range collector.calls {
-		nc := call
-		if argPos[i] >= 0 {
-			p := argPos[i]
-			nc.Arg = expr.NewColRef(p, preSchema[p].Kind, preSchema[p].Name)
-		}
-		nc.Name = fmt.Sprintf("__agg%d", i)
-		calls[i] = nc
-	}
-	var out logical.Node = logical.NewAggregate(pre, groupCols, calls)
-
-	// Digest table for rewriting post-aggregation expressions.
-	groupDigests := make(map[string]int, len(groupExprs))
-	for i, g := range groupExprs {
-		groupDigests[expr.Digest(g)] = i
-	}
-	aggOffset := len(groupExprs)
-	rewrite := func(e expr.Expr) (expr.Expr, error) {
-		return rewritePostAggRec(e, groupDigests, aggOffset)
-	}
+	var out logical.Node = buildAggregate(plan, groupExprs, groupNames, collector.calls)
 
 	// Apply HAVING.
 	for _, h := range having {
-		if h.plain != nil {
-			cond, err := rewrite(h.plain)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			out = logical.NewFilter(out, cond)
-			continue
-		}
-		lhs, err := rewrite(h.lhs)
+		e, err := rewritePostAggRec(h.e, groupExprs)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		aggScope := newScope(out.Schema())
-		out, err = b.bindScalarCompareBound(out, aggScope, lhs, h.op, h.sub, h.reversed)
+		if h.cmp.sub == nil {
+			out = logical.NewFilter(out, e)
+			continue
+		}
+		out, err = b.bindScalarCompare(out, newScope(out.Schema()), e, h.cmp)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -175,13 +101,44 @@ func (b *Binder) bindAggregation(plan logical.Node, sc *scope, sel *sql.SelectSt
 	// Rewrite the select items over the aggregate output.
 	itemExprs := make([]expr.Expr, len(boundItems))
 	for i, e := range boundItems {
-		r, err := rewrite(e)
+		r, err := rewritePostAggRec(e, groupExprs)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		itemExprs[i] = r
 	}
 	return out, itemExprs, itemNames, nil
+}
+
+// buildAggregate is the one place an aggregate is planned:
+//
+//	input → Project(groups ++ distinct call arguments) → Aggregate
+//
+// The group expressions lead the projection and are the aggregate's group
+// columns; each distinct argument (by expr.Equal) follows once, and call i
+// reads it as a column and is named __agg<i>. The output is the groups
+// then the calls in order, which rewritePostAggRec addresses.
+func buildAggregate(input logical.Node, groups []expr.Expr, groupNames []string, calls []expr.AggCall) *logical.Aggregate {
+	var args []expr.Expr
+	var argNames []string
+	out := make([]expr.AggCall, len(calls))
+	for i, call := range calls {
+		out[i] = call
+		out[i].Name = fmt.Sprintf("__agg%d", i)
+		if call.Arg == nil { // COUNT(*)
+			continue
+		}
+		a := slices.IndexFunc(args, func(e expr.Expr) bool { return expr.Equal(e, call.Arg) })
+		if a < 0 {
+			a = len(args)
+			args = append(args, call.Arg)
+			argNames = append(argNames, fmt.Sprintf("__aggarg%d", i))
+		}
+		out[i].Arg = expr.NewColRef(len(groups)+a, call.Arg.Kind(), argNames[a])
+	}
+	pre := logical.NewProject(input, append(slices.Clone(groups), args...),
+		append(slices.Clone(groupNames), argNames...))
+	return logical.NewAggregate(pre, seq(len(groups)), out)
 }
 
 // groupByAlias resolves a GROUP BY item that names a select-item alias.
@@ -213,14 +170,14 @@ func groupExprName(e expr.Expr) string {
 
 // rewritePostAggRec rewrites a bound expression (which may contain
 // aggregate placeholders and references to input columns) into an
-// expression over the aggregate operator's output. It matches group
-// expressions top-down by digest so that a grouped expression like
-// EXTRACT(YEAR FROM d) maps to its group column as a whole.
-func rewritePostAggRec(e expr.Expr, groupDigests map[string]int, aggOffset int) (expr.Expr, error) {
+// expression over the output of buildAggregate(…, groups, …). It matches
+// group expressions top-down by expr.Equal so that a grouped expression
+// like EXTRACT(YEAR FROM d) maps to its group column as a whole.
+func rewritePostAggRec(e expr.Expr, groups []expr.Expr) (expr.Expr, error) {
 	if p, ok := e.(*aggPlaceholder); ok {
-		return expr.NewColRef(aggOffset+p.idx, p.kind, ""), nil
+		return expr.NewColRef(len(groups)+p.idx, p.kind, ""), nil
 	}
-	if g, ok := groupDigests[expr.Digest(e)]; ok {
+	if g := slices.IndexFunc(groups, func(g expr.Expr) bool { return expr.Equal(g, e) }); g >= 0 {
 		name := ""
 		if c, ok := e.(*expr.ColRef); ok {
 			name = c.Name
@@ -236,7 +193,7 @@ func rewritePostAggRec(e expr.Expr, groupDigests map[string]int, aggOffset int) 
 	}
 	newChildren := make([]expr.Expr, len(children))
 	for i, ch := range children {
-		r, err := rewritePostAggRec(ch, groupDigests, aggOffset)
+		r, err := rewritePostAggRec(ch, groups)
 		if err != nil {
 			return nil, err
 		}

@@ -140,11 +140,7 @@ func (b *Binder) bindQuery(sel *sql.SelectStmt, outer *scope) (logical.Node, *sc
 	var out logical.Node = proj
 
 	if sel.Distinct {
-		groupAll := make([]int, len(proj.Schema()))
-		for i := range groupAll {
-			groupAll[i] = i
-		}
-		out = logical.NewAggregate(out, groupAll, nil)
+		out = logical.NewAggregate(out, seq(len(proj.Schema())), nil)
 	}
 
 	if len(keys) > 0 {
@@ -296,35 +292,23 @@ func (b *Binder) bindWhere(plan logical.Node, sc *scope, where sql.Node) (logica
 	return plan, sc, nil
 }
 
-// bindConjunct processes one WHERE/HAVING conjunct, expanding subqueries.
+// bindConjunct expands one subquery conjunct (isSubqueryConjunct holds
+// for it) into joins over plan: [NOT] EXISTS, [NOT] IN (SELECT …) or a
+// scalar-subquery comparison.
 func (b *Binder) bindConjunct(plan logical.Node, sc *scope, conj sql.Node) (logical.Node, error) {
-	// [NOT] EXISTS.
 	if ex, negate, ok := asExists(conj); ok {
 		return b.bindExists(plan, sc, ex, negate)
 	}
-	// [NOT] IN (SELECT ...).
 	if in, ok := conj.(*sql.InExpr); ok && in.Select != nil {
 		return b.bindInSubquery(plan, sc, in)
 	}
-	// expr op (SELECT ...) or (SELECT ...) op expr.
-	if cmp, ok := conj.(*sql.BinaryExpr); ok && isComparisonOp(cmp.Op) {
-		if sub, ok := cmp.R.(*sql.SubqueryExpr); ok {
-			return b.bindScalarCompare(plan, sc, cmp.L, cmp.Op, sub.Select, false)
-		}
-		if sub, ok := cmp.L.(*sql.SubqueryExpr); ok {
-			return b.bindScalarCompare(plan, sc, cmp.R, cmp.Op, sub.Select, true)
-		}
-	}
-	// Plain predicate.
+	cmp, _ := asScalarCompare(conj)
 	eb := &exprBinder{b: b, inner: sc}
-	cond, err := eb.bind(conj)
+	lhs, err := eb.bind(cmp.lhs)
 	if err != nil {
 		return nil, err
 	}
-	if cond.Kind() != types.KindBool && cond.Kind() != types.KindNull {
-		return nil, fmt.Errorf("binder: WHERE condition has type %s, not BOOLEAN", cond.Kind())
-	}
-	return logical.NewFilter(plan, cond), nil
+	return b.bindScalarCompare(plan, sc, lhs, cmp)
 }
 
 func asExists(n sql.Node) (*sql.ExistsExpr, bool, bool) {

@@ -2,6 +2,7 @@ package binder
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -20,8 +21,8 @@ import (
 //
 // When aggs is non-nil, aggregate function calls are permitted: their
 // arguments are bound against the input scope, the calls are collected
-// (deduplicated by digest), and a placeholder node stands in for the value
-// until rewritePostAgg maps it to the aggregate operator's output.
+// (deduplicated by AggCall.Equal), and a placeholder node stands in for the
+// value until rewritePostAggRec maps it to the aggregate operator's output.
 type exprBinder struct {
 	b     *Binder
 	inner *scope
@@ -31,23 +32,17 @@ type exprBinder struct {
 
 // aggCollector accumulates aggregate calls found while binding.
 type aggCollector struct {
-	calls   []expr.AggCall
-	digests map[string]int
+	calls []expr.AggCall
 }
 
-func newAggCollector() *aggCollector {
-	return &aggCollector{digests: make(map[string]int)}
-}
-
+// add returns call's index, collecting it unless an AggCall.Equal call is
+// already there.
 func (c *aggCollector) add(call expr.AggCall) int {
-	d := call.String()
-	if i, ok := c.digests[d]; ok {
+	if i := slices.IndexFunc(c.calls, call.Equal); i >= 0 {
 		return i
 	}
-	i := len(c.calls)
 	c.calls = append(c.calls, call)
-	c.digests[d] = i
-	return i
+	return len(c.calls) - 1
 }
 
 // aggPlaceholder stands in for the value of collected aggregate call i
@@ -60,7 +55,7 @@ type aggPlaceholder struct {
 func (a *aggPlaceholder) Kind() types.Kind { return a.kind }
 
 func (a *aggPlaceholder) Eval(types.Row) types.Value {
-	panic("binder: aggregate placeholder evaluated; rewritePostAgg was not applied")
+	panic("binder: aggregate placeholder evaluated; rewritePostAggRec was not applied")
 }
 
 func (a *aggPlaceholder) String() string        { return fmt.Sprintf("#agg%d", a.idx) }

@@ -73,45 +73,55 @@ func (b *Binder) bindInSubquery(plan logical.Node, sc *scope, in *sql.InExpr) (l
 	return logical.NewJoin(plan, inner, jt, cond), nil
 }
 
-// bindScalarCompare expands `lhs op (SELECT ...)` (or the reversed form)
-// by joining the subquery result and filtering on the comparison.
-func (b *Binder) bindScalarCompare(plan logical.Node, sc *scope, lhsAST sql.Node,
-	op string, sub *sql.SelectStmt, reversed bool) (logical.Node, error) {
-	eb := &exprBinder{b: b, inner: sc}
-	lhs, err := eb.bind(lhsAST)
-	if err != nil {
-		return nil, err
-	}
-	return b.bindScalarCompareBound(plan, sc, lhs, op, sub, reversed)
+// scalarCompare is a `lhs op (SELECT …)` conjunct, or with reversed set
+// the `(SELECT …) op lhs` form.
+type scalarCompare struct {
+	lhs      sql.Node
+	op       string
+	sub      *sql.SelectStmt
+	reversed bool
 }
 
-// bindScalarCompareBound is bindScalarCompare with an already-bound left
-// operand (used by HAVING, whose operands must be aggregate-rewritten
-// first).
-func (b *Binder) bindScalarCompareBound(plan logical.Node, sc *scope, lhs expr.Expr,
-	op string, sub *sql.SelectStmt, reversed bool) (logical.Node, error) {
+// asScalarCompare recognises a comparison with a scalar subquery on
+// either side.
+func asScalarCompare(n sql.Node) (scalarCompare, bool) {
+	cmp, ok := n.(*sql.BinaryExpr)
+	if !ok || !isComparisonOp(cmp.Op) {
+		return scalarCompare{}, false
+	}
+	if sub, ok := cmp.R.(*sql.SubqueryExpr); ok {
+		return scalarCompare{lhs: cmp.L, op: cmp.Op, sub: sub.Select}, true
+	}
+	if sub, ok := cmp.L.(*sql.SubqueryExpr); ok {
+		return scalarCompare{lhs: cmp.R, op: cmp.Op, sub: sub.Select, reversed: true}, true
+	}
+	return scalarCompare{}, false
+}
 
-	joined, scalarCol, err := b.joinScalarSubquery(plan, sc, sub)
+// bindScalarCompare expands a scalar-subquery comparison whose left
+// operand is already bound (HAVING rewrites it over the aggregate first)
+// by joining the subquery result and filtering on the comparison.
+func (b *Binder) bindScalarCompare(plan logical.Node, sc *scope, lhs expr.Expr, cmp scalarCompare) (logical.Node, error) {
+	joined, scalarCol, err := b.joinScalarSubquery(plan, sc, cmp.sub)
 	if err != nil {
 		return nil, err
 	}
-	opE, err := opOf(op)
+	opE, err := opOf(cmp.op)
 	if err != nil {
 		return nil, err
 	}
 	schema := joined.Schema()
 	ref := expr.NewColRef(scalarCol, schema[scalarCol].Kind, "")
-	var cond expr.Expr
-	if reversed {
-		cond = expr.NewBinOp(opE, ref, lhs)
-	} else {
-		cond = expr.NewBinOp(opE, lhs, ref)
+	if cmp.reversed {
+		return logical.NewFilter(joined, expr.NewBinOp(opE, ref, lhs)), nil
 	}
-	return logical.NewFilter(joined, cond), nil
+	return logical.NewFilter(joined, expr.NewBinOp(opE, lhs, ref)), nil
 }
 
-// joinScalarSubquery joins the scalar subquery's (possibly grouped) result
-// onto plan and returns the widened plan plus the scalar value's column.
+// joinScalarSubquery joins the scalar subquery's result onto plan and
+// returns the widened plan plus the scalar value's column. A correlated
+// subquery is aggregated by buildAggregate, grouped by its correlation
+// columns, and joined on them.
 func (b *Binder) joinScalarSubquery(plan logical.Node, sc *scope, sub *sql.SelectStmt) (logical.Node, int, error) {
 	leftW := len(plan.Schema())
 
@@ -129,9 +139,7 @@ func (b *Binder) joinScalarSubquery(plan logical.Node, sc *scope, sub *sql.Selec
 	}
 
 	// Correlated: supported form is a single aggregate select item with
-	// equi-correlation conjuncts (the TPC-H Q2/Q17/Q20 pattern). The
-	// subquery decorrelates into Aggregate grouped by the correlation
-	// columns, joined on them.
+	// equi-correlation conjuncts (the TPC-H Q2/Q17/Q20 pattern).
 	if len(sub.Items) != 1 || sub.Items[0].Star {
 		return nil, 0, fmt.Errorf("binder: correlated scalar subquery must select a single expression")
 	}
@@ -165,8 +173,9 @@ func (b *Binder) joinScalarSubquery(plan logical.Node, sc *scope, sub *sql.Selec
 		return nil, 0, fmt.Errorf("binder: correlated scalar subquery has no correlation conjuncts")
 	}
 
-	// Bind the aggregate select item over the inner scope.
-	collector := newAggCollector()
+	// Bind the aggregate select item over the inner scope and aggregate
+	// it grouped by the correlation columns.
+	collector := &aggCollector{}
 	eb := &exprBinder{b: b, inner: innerSc, aggs: collector}
 	item, err := eb.bind(sub.Items[0].Expr)
 	if err != nil {
@@ -175,49 +184,21 @@ func (b *Binder) joinScalarSubquery(plan logical.Node, sc *scope, sub *sql.Selec
 	if len(collector.calls) == 0 {
 		return nil, 0, fmt.Errorf("binder: correlated scalar subquery must aggregate")
 	}
-
-	// Pre-project: correlation group columns then aggregate arguments.
 	innerSchema := innerPlan.Schema()
-	preExprs := make([]expr.Expr, 0, len(pairs)+len(collector.calls))
-	preNames := make([]string, 0, len(pairs)+len(collector.calls))
-	for _, p := range pairs {
-		preExprs = append(preExprs, expr.NewColRef(p.inner, innerSchema[p.inner].Kind, innerSchema[p.inner].Name))
-		preNames = append(preNames, innerSchema[p.inner].Name)
+	groups := make([]expr.Expr, len(pairs))
+	groupNames := make([]string, len(pairs))
+	for i, p := range pairs {
+		groups[i] = expr.NewColRef(p.inner, innerSchema[p.inner].Kind, innerSchema[p.inner].Name)
+		groupNames[i] = innerSchema[p.inner].Name
 	}
-	k := len(pairs)
-	argPos := make([]int, len(collector.calls))
-	for i, call := range collector.calls {
-		if call.Arg == nil {
-			argPos[i] = -1
-			continue
-		}
-		argPos[i] = len(preExprs)
-		preExprs = append(preExprs, call.Arg)
-		preNames = append(preNames, fmt.Sprintf("__aggarg%d", i))
-	}
-	pre := logical.NewProject(innerPlan, preExprs, preNames)
-	preSchema := pre.Schema()
-	groupCols := make([]int, k)
-	for i := range groupCols {
-		groupCols[i] = i
-	}
-	calls := make([]expr.AggCall, len(collector.calls))
-	for i, call := range collector.calls {
-		nc := call
-		if argPos[i] >= 0 {
-			p := argPos[i]
-			nc.Arg = expr.NewColRef(p, preSchema[p].Kind, preSchema[p].Name)
-		}
-		nc.Name = fmt.Sprintf("__agg%d", i)
-		calls[i] = nc
-	}
-	agg := logical.NewAggregate(pre, groupCols, calls)
+	agg := buildAggregate(innerPlan, groups, groupNames, collector.calls)
 
 	// Post-project: group columns plus the scalar expression.
-	scalar, err := rewritePostAggRec(item, map[string]int{}, k)
+	scalar, err := rewritePostAggRec(item, groups)
 	if err != nil {
 		return nil, 0, err
 	}
+	k := len(pairs)
 	aggSchema := agg.Schema()
 	postExprs := make([]expr.Expr, 0, k+1)
 	postNames := make([]string, 0, k+1)
@@ -312,13 +293,6 @@ func isSubqueryConjunct(n sql.Node) bool {
 	if in, ok := n.(*sql.InExpr); ok && in.Select != nil {
 		return true
 	}
-	if cmp, ok := n.(*sql.BinaryExpr); ok && isComparisonOp(cmp.Op) {
-		if _, ok := cmp.R.(*sql.SubqueryExpr); ok {
-			return true
-		}
-		if _, ok := cmp.L.(*sql.SubqueryExpr); ok {
-			return true
-		}
-	}
-	return false
+	_, ok := asScalarCompare(n)
+	return ok
 }

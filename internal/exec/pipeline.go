@@ -269,7 +269,9 @@ func (b *rowBuffer) push(rows []types.Row, stable bool) error {
 // collect runs a subtree to completion and returns its rows, which the
 // caller may keep: the build (or collected) side of a join. A pre-built
 // subtree, and a source whose rows would reach the buffer unchanged, give
-// their own slice instead of a copy.
+// their own slice instead of a copy. A pre-built subtree is a join's build
+// side, which only collect reaches; its work and operator stats were
+// charged by the pre-pass instance, so it is served, not re-run.
 func (c *Context) collect(n physical.Node) ([]types.Row, error) {
 	if rows, ok := c.Prebuilt[n]; ok {
 		return rows, nil
@@ -286,14 +288,6 @@ func (c *Context) collect(n physical.Node) ([]types.Row, error) {
 
 // run executes the subtree rooted at n, pushing its output into next.
 func (c *Context) run(n physical.Node, next stage) error {
-	// A subtree the runtime-filter pre-pass already executed at this
-	// logical site is served from the cache: its work and operator stats
-	// were charged by the pre-pass instance, so re-recording them here
-	// would double-count.
-	if rows, ok := c.Prebuilt[n]; ok {
-		served := op{ctx: c, next: next}
-		return served.emitAll(rows)
-	}
 	var s operator
 	switch t := n.(type) {
 	case *physical.TableScan, *physical.IndexScan, *physical.Values, *physical.Receiver:

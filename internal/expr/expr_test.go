@@ -318,7 +318,7 @@ func TestWithChildrenRoundTrip(t *testing.T) {
 	}
 	for _, e := range exprs {
 		rebuilt := e.WithChildren(e.Children())
-		if Digest(rebuilt) != Digest(e) {
+		if !Equal(rebuilt, e) {
 			t.Errorf("WithChildren round trip changed %s to %s", e, rebuilt)
 		}
 	}

@@ -178,13 +178,6 @@ func IsConstant(e Expr) bool {
 	return true
 }
 
-// Digest returns the expression's rendering for use as a map key by the
-// binder's bind-time matching of GROUP BY and aggregate expressions. It is
-// a label, not an identity: literals of different kinds can render alike
-// (`1` and `1.0`). Use Equal to decide whether two expressions are the
-// same.
-func Digest(e Expr) string { return e.String() }
-
 // ExtractCommonConjuncts implements the paper's §5.2 join-condition
 // simplification. Given a predicate that is an OR of AND-bundles
 //

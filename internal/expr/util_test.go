@@ -17,7 +17,7 @@ func TestSplitConjunctsAndRebuild(t *testing.T) {
 		t.Fatalf("SplitConjuncts = %d parts", len(parts))
 	}
 	rebuilt := Conjunction(parts)
-	if Digest(rebuilt) != Digest(e) {
+	if !Equal(rebuilt, e) {
 		t.Errorf("Conjunction round trip: %s vs %s", rebuilt, e)
 	}
 	if got := Conjunction(nil); !IsLiteralTrue(got) {
@@ -111,7 +111,7 @@ func TestFold(t *testing.T) {
 	}
 	// TRUE AND x folds to x.
 	x := NewBinOp(OpGt, col(0), intLit(1))
-	if got := Fold(NewBinOp(OpAnd, True, x)); Digest(got) != Digest(x) {
+	if got := Fold(NewBinOp(OpAnd, True, x)); !Equal(got, x) {
 		t.Errorf("Fold(TRUE AND x) = %s", got)
 	}
 	// x AND FALSE folds to FALSE.
@@ -119,16 +119,16 @@ func TestFold(t *testing.T) {
 		t.Errorf("Fold(x AND FALSE) = %s", got)
 	}
 	// FALSE OR x folds to x.
-	if got := Fold(NewBinOp(OpOr, False, x)); Digest(got) != Digest(x) {
+	if got := Fold(NewBinOp(OpOr, False, x)); !Equal(got, x) {
 		t.Errorf("Fold(FALSE OR x) = %s", got)
 	}
 	// NOT NOT x folds to x.
-	if got := Fold(NewNot(NewNot(x))); Digest(got) != Digest(x) {
+	if got := Fold(NewNot(NewNot(x))); !Equal(got, x) {
 		t.Errorf("Fold(NOT NOT x) = %s", got)
 	}
 	// Nested constant folding.
 	nested := NewBinOp(OpAnd, NewBinOp(OpLt, intLit(1), intLit(2)), x)
-	if got := Fold(nested); Digest(got) != Digest(x) {
+	if got := Fold(nested); !Equal(got, x) {
 		t.Errorf("Fold((1<2) AND x) = %s", got)
 	}
 }
@@ -142,11 +142,11 @@ func TestExtractCommonConjuncts(t *testing.T) {
 		NewBinOp(OpAnd, c1, c2),
 		NewBinOp(OpAnd, c1, c3))
 	common, residual := ExtractCommonConjuncts(pred)
-	if len(common) != 1 || Digest(common[0]) != Digest(c1) {
+	if len(common) != 1 || !Equal(common[0], c1) {
 		t.Fatalf("common = %v", common)
 	}
 	wantResidual := NewBinOp(OpOr, c2, c3)
-	if Digest(residual) != Digest(wantResidual) {
+	if !Equal(residual, wantResidual) {
 		t.Errorf("residual = %s, want %s", residual, wantResidual)
 	}
 }
@@ -161,7 +161,7 @@ func TestExtractCommonConjunctsThreeWay(t *testing.T) {
 		Conjunction([]Expr{c1, mk(6), mk(7)}),
 	})
 	common, residual := ExtractCommonConjuncts(pred)
-	if len(common) != 1 || Digest(common[0]) != Digest(c1) {
+	if len(common) != 1 || !Equal(common[0], c1) {
 		t.Fatalf("common = %v", common)
 	}
 	if len(SplitDisjuncts(residual)) != 3 {
@@ -177,12 +177,12 @@ func TestExtractCommonConjunctsNone(t *testing.T) {
 	if common != nil {
 		t.Errorf("common = %v on disjoint OR", common)
 	}
-	if Digest(residual) != Digest(pred) {
+	if !Equal(residual, pred) {
 		t.Errorf("residual changed: %s", residual)
 	}
 	// Not an OR at all.
 	common, residual = ExtractCommonConjuncts(c2)
-	if common != nil || Digest(residual) != Digest(c2) {
+	if common != nil || !Equal(residual, c2) {
 		t.Error("non-OR input was rewritten")
 	}
 }

@@ -3,7 +3,6 @@ package fragment
 import (
 	"fmt"
 
-	"gignite/internal/expr"
 	"gignite/internal/logical"
 	"gignite/internal/physical"
 )
@@ -142,7 +141,7 @@ func pushdownTarget(n physical.Node, cols []int) (physical.Node, []int) {
 		switch t := n.(type) {
 		case *physical.Filter, *physical.Sort:
 		case *physical.Project:
-			remapped, ok := remapThroughProject(t, cols)
+			remapped, ok := t.InputCols(cols)
 			if !ok {
 				return n, cols
 			}
@@ -152,21 +151,4 @@ func pushdownTarget(n physical.Node, cols []int) (physical.Node, []int) {
 		}
 		n, cols = n.Inputs()[0], next
 	}
-}
-
-// remapThroughProject translates output column offsets to input offsets;
-// it fails when a needed column is computed (not a bare ColRef).
-func remapThroughProject(p *physical.Project, cols []int) ([]int, bool) {
-	out := make([]int, len(cols))
-	for i, c := range cols {
-		if c < 0 || c >= len(p.Exprs) {
-			return nil, false
-		}
-		ref, ok := p.Exprs[c].(*expr.ColRef)
-		if !ok {
-			return nil, false
-		}
-		out[i] = ref.Index
-	}
-	return out, true
 }

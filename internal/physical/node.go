@@ -188,6 +188,23 @@ func remapCollation(coll []types.SortKey, mapping []int) []types.SortKey {
 	return out
 }
 
+// InputCols maps output column ordinals to the input columns they pass
+// through unchanged; ok is false when one is out of range or computed.
+func (p *Project) InputCols(cols []int) (in []int, ok bool) {
+	in = make([]int, len(cols))
+	for i, c := range cols {
+		if c < 0 || c >= len(p.Exprs) {
+			return nil, false
+		}
+		ref, isRef := p.Exprs[c].(*expr.ColRef)
+		if !isRef {
+			return nil, false
+		}
+		in[i] = ref.Index
+	}
+	return in, true
+}
+
 func (p *Project) Describe() string {
 	parts := make([]string, len(p.Exprs))
 	for i, e := range p.Exprs {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"gignite/internal/types"
 )
@@ -129,10 +130,10 @@ func WriteFrame(w io.Writer, typ uint8, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, bounding the announced length by max
-// (DefaultMaxFrame when max <= 0).
-func ReadFrame(r io.Reader, max int) (typ uint8, payload []byte, err error) {
-	frame, err := ReadFrameInto(r, max, nil)
+// ReadFrame reads one frame, bounding the announced length by limit
+// (DefaultMaxFrame when limit <= 0).
+func ReadFrame(r io.Reader, limit int) (typ uint8, payload []byte, err error) {
+	frame, err := ReadFrameInto(r, limit, nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -143,10 +144,12 @@ func ReadFrame(r io.Reader, max int) (typ uint8, payload []byte, err error) {
 // fits its capacity: a reader that passes the returned frame back as its
 // next buf allocates only when a frame outgrows every earlier one.
 // frame[0] is the type byte and frame[1:] the payload; both alias buf
-// until it is read into again.
-func ReadFrameInto(r io.Reader, max int, buf []byte) (frame []byte, err error) {
-	if max <= 0 {
-		max = DefaultMaxFrame
+// until it is read into again. A frame larger than buf grows as its bytes
+// arrive, by what has arrived and at least frameStep, so a peer that
+// announces a large frame and stalls costs the reader one frameStep.
+func ReadFrameInto(r io.Reader, limit int, buf []byte) (frame []byte, err error) {
+	if limit <= 0 {
+		limit = DefaultMaxFrame
 	}
 	if cap(buf) < 4 {
 		buf = make([]byte, 4)
@@ -159,18 +162,30 @@ func ReadFrameInto(r io.Reader, max int, buf []byte) (frame []byte, err error) {
 	if n < 1 {
 		return nil, fmt.Errorf("wire: zero-length frame")
 	}
-	if int(n) > max {
-		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
+	if int(n) > limit {
+		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, limit)
 	}
-	if int(n) > cap(buf) {
-		buf = make([]byte, n)
-	}
-	frame = buf[:n]
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return nil, err
+	frame = buf[:0]
+	for len(frame) < int(n) {
+		if len(frame) == cap(frame) {
+			step := max(len(frame), frameStep)
+			frame = slices.Grow(frame, min(step, int(n)-len(frame)))
+		}
+		end := min(cap(frame), int(n))
+		if _, err := io.ReadFull(r, frame[len(frame):end]); err != nil {
+			if err == io.EOF && len(frame) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		frame = frame[:end]
 	}
 	return frame, nil
 }
+
+// frameStep is the most ReadFrameInto allocates beyond the bytes of a
+// frame that have arrived.
+const frameStep = 64 << 10
 
 // IdleFrameBytes bounds the frame buffer a peer keeps between statements:
 // one that grew past it, for a row too wide to share a batch, is dropped

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"gignite/internal/types"
 )
@@ -56,6 +58,59 @@ func TestFrameTruncated(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-2]
 	if _, _, err := ReadFrame(bytes.NewReader(trunc), 0); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("want ErrUnexpectedEOF, got %v", err)
+	}
+}
+
+// TestStalledFrameAllocatesLittle: a peer that announces a 16 MiB frame
+// and sends nothing more used to make the reader allocate all of it, on
+// the server before the handshake was read. A frame grows as its bytes
+// arrive.
+func TestStalledFrameAllocatesLittle(t *testing.T) {
+	header := []byte{0x00, 0xff, 0xff, 0xff, 0x83}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrameInto(bytes.NewReader(header), 0, nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("want ErrUnexpectedEOF, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 128<<10 {
+		t.Fatalf("reading a stalled frame header allocated %d bytes, want <= %d", got, 128<<10)
+	}
+}
+
+// TestLargeFrameGrowsAsItArrives: a frame several steps larger than buf
+// reads whole however its bytes are split, and one that is cut off at a
+// step boundary is truncated, not a clean end of stream. A frame that
+// fits buf allocates nothing.
+func TestLargeFrameGrowsAsItArrives(t *testing.T) {
+	payload := make([]byte, 5*frameStep+17)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, FrameQuery, payload); err != nil {
+		t.Fatal(err)
+	}
+	whole := buf.Bytes()
+	frame, err := ReadFrameInto(iotest.HalfReader(bytes.NewReader(whole)), 0, make([]byte, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame[0] != FrameQuery || !bytes.Equal(frame[1:], payload) {
+		t.Fatal("large frame read back differently")
+	}
+	if _, err := ReadFrameInto(bytes.NewReader(whole[:4+frameStep]), 0, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("frame cut at a step: want ErrUnexpectedEOF, got %v", err)
+	}
+	r := bytes.NewReader(whole)
+	if allocs := testing.AllocsPerRun(10, func() {
+		r.Reset(whole)
+		if _, err := ReadFrameInto(r, 0, frame); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a frame that fits buf allocated %v objects", allocs)
 	}
 }
 
