@@ -32,13 +32,15 @@ race:
 	$(GO) test -race ./...
 
 # The packages with real concurrency (wire sessions, the driver's cancel
-# watcher, the wave scheduler, exchange transport) again at 1, 2 and 4
-# cores, plus the root package's concurrency tests (concurrent clients and
-# ad-hoc planners, the plan-cache hammer, a plan's text rendered once by
-# racing first executions, admission and overload races, Close/drain):
-# their ordering bugs depend on GOMAXPROCS.
+# watcher, the wave scheduler, exchange transport, the governor's FIFO
+# admission queue, the plan cache's single-flight build, the metric
+# registry's atomic counters) again at 1, 2 and 4 cores, plus the root
+# package's concurrency tests (concurrent clients and ad-hoc planners,
+# DDL, INSERT and ANALYZE beside planning, the plan-cache hammer, a plan's
+# text rendered once by racing first executions, admission and overload
+# races, Close/drain): their ordering bugs depend on GOMAXPROCS.
 race-cpu:
-	$(GO) test -race -cpu 1,2,4 ./driver ./internal/server ./internal/cluster ./internal/exec
+	$(GO) test -race -cpu 1,2,4 ./driver ./internal/server ./internal/cluster ./internal/exec ./internal/governor ./internal/plancache ./internal/obs
 	$(GO) test -race -cpu 1,2,4 -run 'Concurrent|Hammer|PlanText|Admission|Overload|Close' .
 
 # The wall-clock benchmark is a nested module (bench/go.mod), so `./...`

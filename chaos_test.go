@@ -237,7 +237,7 @@ const faultOutcomeSpec = "seed=7;crash=2@4;sendfail=0.05;slow=1x2.0"
 
 // TestFaultOutcomesGolden pins what every TPC-H query does under one fault
 // plan, field by field: modeled time, the exact bits of Work, shipped
-// bytes, instances, retries, spans, hedges, filters, replans and a hash
+// bytes, instances, retries, spans, hedges, replans and a hash
 // of the rows. A fault plan addresses instances by ordinal, so a change
 // to the schedule that reshuffles ordinals — which the chaos tests, which
 // compare rows only, would not notice — moves a line here. Rewrite the
@@ -255,8 +255,7 @@ func TestFaultOutcomesGolden(t *testing.T) {
 	}{
 		{"IC+", harness.ICPlus, nil},
 		{"IC+M", harness.ICPM, nil},
-		{"IC+M+filters+adaptive+hedge", harness.ICPM, []gignite.Option{func(c *gignite.Config) {
-			c.RuntimeFilters = true
+		{"IC+M+adaptive+hedge", harness.ICPM, []gignite.Option{func(c *gignite.Config) {
 			c.AdaptiveExec = true
 			c.StatsMisestimate = 10
 			c.HedgeAfter = 1.5
@@ -287,10 +286,10 @@ func TestFaultOutcomesGolden(t *testing.T) {
 			h := fnv.New64a()
 			h.Write([]byte(rowsChecksum(res.Rows)))
 			s := res.Stats
-			fmt.Fprintf(&out, "rows=%d hash=%016x modeled=%d work=%016x bytes=%016x instances=%d retries=%d spans=%d hedges=%d/%d filters=%d/%d/%d replans=%d/%d\n",
+			fmt.Fprintf(&out, "rows=%d hash=%016x modeled=%d work=%016x bytes=%016x instances=%d retries=%d spans=%d hedges=%d/%d replans=%d/%d\n",
 				len(res.Rows), h.Sum64(), s.Modeled.Nanoseconds(), math.Float64bits(s.Work),
 				math.Float64bits(s.BytesShipped), s.Instances, s.Retries, s.Spans, s.Hedges, s.HedgesWon,
-				s.FiltersBuilt, s.FilterBytes, s.RowsPruned, s.AdaptiveReplans, s.AdaptiveSwitches)
+				s.AdaptiveReplans, s.AdaptiveSwitches)
 		}
 		if err := e.Close(); err != nil {
 			t.Fatal(err)

@@ -9,7 +9,7 @@
 //	         [-system ic|ic+|ic+m] [-sites 4] [-load tpch|ssb] [-sf 0.01]
 //	         [-maxconns N] [-token SECRET] [-idle 5m]
 //	         [-admission N] [-maxmem BYTES] [-querymem BYTES]
-//	         [-plancache N] [-filters] [-drain 30s] [-quiet]
+//	         [-plancache N] [-drain 30s] [-quiet]
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: the listener closes,
 // in-flight queries finish and stream out, then the engine closes. A

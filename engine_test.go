@@ -415,3 +415,65 @@ func TestMemoSeparatesLiteralKinds(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentDDLAndSelect plans and runs SELECTs (one of them an index
+// scan) on two goroutines while the test goroutine inserts rows, creates
+// indexes and collects statistics. Every SELECT must succeed: planning
+// must never see a half-written index list or statistics record (the race
+// detector reports one), and an INSERT must never leave a declared index
+// unbuilt for a concurrent index scan to trip over.
+func TestConcurrentDDLAndSelect(t *testing.T) {
+	e := Open(WithPreset(ICPlus, 2))
+	mustExec(t, e, `CREATE TABLE t (id BIGINT PRIMARY KEY, a BIGINT, b BIGINT)`)
+	mustExec(t, e, `CREATE INDEX ia ON t (a)`)
+	for i := 0; i < 20; i++ {
+		mustExec(t, e, fmt.Sprintf(`INSERT INTO t VALUES (%d, %d, %d)`, i, 100-i, i%3))
+	}
+	if err := e.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		`SELECT id, a FROM t ORDER BY a`,
+		`SELECT b, COUNT(*) FROM t WHERE a > 50 GROUP BY b`,
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, len(queries))
+	for _, q := range queries {
+		go func() {
+			for {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				if _, err := e.Query(q); err != nil {
+					errs <- fmt.Errorf("%s: %w", q, err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 30; i++ {
+		if _, err := e.Exec(fmt.Sprintf(`INSERT INTO t VALUES (%d, %d, %d)`, 20+i, i, i%3)); err != nil {
+			t.Error(err)
+			break
+		}
+		if i%10 == 0 {
+			if _, err := e.Exec(fmt.Sprintf(`CREATE INDEX ib%d ON t (b)`, i)); err != nil {
+				t.Error(err)
+				break
+			}
+			if err := e.Analyze(); err != nil {
+				t.Error(err)
+				break
+			}
+		}
+	}
+	close(stop)
+	for range queries {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -16,6 +16,8 @@ func (e *Engine) BindLogical(query string) (logical.Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	lp, _, err := e.bindLogical(sel, e.rulesConfig())
 	return lp, err
 }

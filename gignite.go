@@ -147,14 +147,6 @@ type Config struct {
 	// VariantFragments is the §5.3 per-fragment thread count; values <= 1
 	// disable multithreading. The paper found 2 performed best.
 	VariantFragments int
-	// RuntimeFilters enables runtime join-filter pushdown (DESIGN.md §13):
-	// a hash join's build keys are computed in a pre-pass and shipped
-	// sideways to the probe-side producer fragment, which drops rows that
-	// cannot match before they are batched and sent. Results are
-	// byte-identical with the feature off; it trades a small filter
-	// build/ship cost for reduced network volume. Off in every preset (an
-	// extension beyond the paper's system).
-	RuntimeFilters bool
 
 	// --- limits and modeling ---
 
@@ -303,8 +295,12 @@ type Engine struct {
 	catalog *catalog.Catalog
 	store   *storage.Store
 	cluster *cluster.Cluster
-	mu      sync.RWMutex
-	views   map[string]*sql.SelectStmt
+	// mu guards the metadata planning reads beyond the catalog's table
+	// map: the views and each table's Indexes and Stats. Planning (bind
+	// through Volcano) and loads, which rebuild the declared indexes, hold
+	// it shared; CREATE INDEX, CREATE VIEW and ANALYZE hold it exclusively.
+	mu    sync.RWMutex
+	views map[string]*sql.SelectStmt
 
 	metrics *obs.Registry
 	em      engineMetrics
@@ -327,7 +323,6 @@ type engineMetrics struct {
 	queries, failed, slow       *obs.Counter
 	rows, work, bytes           *obs.Counter
 	instances, retries, spans   *obs.Counter
-	filters, pruned             *obs.Counter
 	hedges, hedgesWon           *obs.Counter
 	planHits, planMisses        *obs.Counter
 	planEvictions               *obs.Counter
@@ -399,8 +394,6 @@ func Open(opts ...Option) *Engine {
 		instances:      reg.Counter("fragment_instances_total"),
 		retries:        reg.Counter("retries_total"),
 		spans:          reg.Counter("trace_spans_total"),
-		filters:        reg.Counter("filters_built_total"),
-		pruned:         reg.Counter("filter_rows_pruned_total"),
 		hedges:         reg.Counter("hedges_launched_total"),
 		hedgesWon:      reg.Counter("hedges_won_total"),
 		planHits:       reg.Counter("plan_cache_hits_total"),
@@ -592,6 +585,8 @@ func (e *Engine) ExecContext(ctx context.Context, query string) (*Result, error)
 		}
 		return &Result{}, nil
 	case *sql.CreateIndexStmt:
+		e.mu.Lock()
+		defer e.mu.Unlock()
 		tbl, err := e.catalog.Table(s.Table)
 		if err != nil {
 			return nil, err
@@ -640,10 +635,7 @@ func (e *Engine) ExecContext(ctx context.Context, query string) (*Result, error)
 		if err != nil {
 			return nil, err
 		}
-		if err := e.store.Load(tbl.Name, rows); err != nil {
-			return nil, err
-		}
-		if err := e.store.BuildIndexes(tbl.Name); err != nil {
+		if err := e.load(tbl.Name, rows); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
@@ -701,10 +693,16 @@ func (e *Engine) LoadTable(name string, rows []Row) error {
 		return err
 	}
 	defer e.endOp()
-	if err := e.store.Load(name, rows); err != nil {
-		return err
-	}
-	return e.store.BuildIndexes(name)
+	return e.load(name, rows)
+}
+
+// load appends rows to a table; the store rebuilds its declared indexes
+// before it releases them to readers. It holds e.mu shared, since the
+// store reads the table's index list, which CREATE INDEX writes.
+func (e *Engine) load(name string, rows []types.Row) error {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.store.Load(name, rows)
 }
 
 // Analyze collects table statistics (row counts, per-column NDV and
@@ -715,6 +713,9 @@ func (e *Engine) Analyze() error {
 		return err
 	}
 	defer e.endOp()
+	// Planners read the statistics this writes.
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for _, t := range e.catalog.Tables() {
 		if err := e.store.ComputeStats(t); err != nil {
 			return err
@@ -728,14 +729,6 @@ func (e *Engine) Analyze() error {
 // Catalog exposes the metadata layer (read-mostly; used by tooling).
 func (e *Engine) Catalog() *catalog.Catalog { return e.catalog }
 
-// newBinder builds a binder with the engine's view registry attached
-// (views are only populated when ExperimentalViews is on).
-func (e *Engine) newBinder() *binder.Binder {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return binder.New(e.catalog).WithViews(e.views)
-}
-
 // rulesConfig is the rule-set selection Config implies, shared by the
 // planner and LogicalPlan.
 func (e *Engine) rulesConfig() rules.Config {
@@ -745,11 +738,12 @@ func (e *Engine) rulesConfig() rules.Config {
 	}
 }
 
-// bindLogical binds a SELECT and runs the stage-1 heuristic rules rc
-// selects — the front half of planning, shared with LogicalPlan and
-// ReferenceQuery.
+// bindLogical binds a SELECT, with the engine's views attached (only
+// populated when ExperimentalViews is on), and runs the stage-1 heuristic
+// rules rc selects — the front half of planning, shared with LogicalPlan
+// and ReferenceQuery. The caller holds e.mu shared.
 func (e *Engine) bindLogical(sel *sql.SelectStmt, rc rules.Config) (logical.Node, *binder.Binder, error) {
-	b := e.newBinder()
+	b := binder.New(e.catalog).WithViews(e.views)
 	lp, err := b.BindSelect(sel)
 	if err != nil {
 		return nil, nil, err
@@ -783,10 +777,13 @@ func (e *Engine) newPlanner() *volcano.Planner {
 // bind-time type hint of every `?` placeholder, stamped with the catalog
 // version planning started from. Reading the version first is
 // deliberate: a DDL landing mid-plan leaves the entry marked stale, never
-// the reverse. The plan's expressions are compiled before anyone else can
-// see it, so every execution's split copy shares its kernels.
+// the reverse. Planning holds e.mu shared throughout, so CREATE INDEX and
+// ANALYZE wait for it. The plan's expressions are compiled before anyone
+// else can see it, so every execution's split copy shares its kernels.
 func (e *Engine) buildEntry(sel *sql.SelectStmt) (*plancache.Entry, error) {
 	version := e.catalog.Version()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	lp, b, err := e.bindLogical(sel, e.rulesConfig())
 	if err != nil {
 		return nil, err
@@ -830,17 +827,6 @@ func (e *Engine) query(ctx context.Context, sel *sql.SelectStmt, src string) (*R
 // planGetter resolves the plan entry for one execution. skipped reports
 // whether planning was skipped (a cache or prepared-statement hit).
 type planGetter func() (entry *plancache.Entry, skipped bool, err error)
-
-// split builds one execution's private fragmented plan from a plan the
-// execution only reads (fragment.Split), with args bound to its
-// placeholders, and plans its runtime filters when they are on.
-func (e *Engine) split(pp physical.Node, args ...types.Value) *fragment.Plan {
-	fp := fragment.Split(pp, args...)
-	if e.cfg.RuntimeFilters {
-		fragment.PlanRuntimeFilters(fp)
-	}
-	return fp
-}
 
 // run is the shared SELECT execution path behind query, explainAnalyze
 // and prepared statements: resolve the plan (cache-aware), split it into
@@ -902,7 +888,7 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 			bound[i] = v
 		}
 	}
-	fp := e.split(entry.Plan, bound...)
+	fp := fragment.Split(entry.Plan, bound...)
 	// Bound arguments render as their placeholders, so the first
 	// execution's rendering of the entry's plan holds for every later one.
 	text := entry.Text(func() *plancache.Text { return renderText(fp) })
@@ -984,8 +970,6 @@ func (e *Engine) recordQuery(res *Result, qobs *obs.QueryObs, src string) {
 	e.em.instances.Add(float64(res.Stats.Instances))
 	e.em.retries.Add(float64(res.Stats.Retries))
 	e.em.spans.Add(float64(res.Stats.Spans))
-	e.em.filters.Add(float64(res.Stats.FiltersBuilt))
-	e.em.pruned.Add(float64(res.Stats.RowsPruned))
 	e.em.hedges.Add(float64(res.Stats.Hedges))
 	e.em.hedgesWon.Add(float64(res.Stats.HedgesWon))
 	e.em.replans.Add(float64(res.Stats.AdaptiveReplans))
@@ -1074,11 +1058,6 @@ func formatAnalyzed(fp *fragment.Plan, q *obs.QueryObs, st *ExecStats, notes map
 		formatAnalyzedNode(&sb, f.Root, fo, notes, 0)
 	}
 	if q != nil {
-		for _, f := range q.Filters {
-			fmt.Fprintf(&sb, "runtime filter #%d: join frag %d <- exchange %d (probe frag %d) keys=%d build_rows=%d bytes=%d tested=%d pruned=%d (%.1f%% pruned)\n",
-				f.ID, f.JoinFrag, f.Exchange, f.ProbeFrag,
-				f.Keys, f.BuildRows, f.Bytes, f.RowsTested, f.RowsPruned, 100*(1-f.Selectivity()))
-		}
 		for _, rp := range q.Replans {
 			fmt.Fprintf(&sb, "adaptive replan: wave=%d frag=%d %s %s %s -> %s (est=%.0f act=%d)\n",
 				rp.Wave, rp.Frag, rp.Kind, rp.Op, rp.From, rp.To, rp.EstRows, rp.ActRows)
@@ -1086,9 +1065,6 @@ func formatAnalyzed(fp *fragment.Plan, q *obs.QueryObs, st *ExecStats, notes map
 		fmt.Fprintf(&sb, "modeled=%v wall=%v work=%.0f bytes=%.0f instances=%d retries=%d spans=%d",
 			time.Duration(q.ModeledNanos), time.Duration(q.WallNanos),
 			st.Work, st.BytesShipped, st.Instances, st.Retries, st.Spans)
-		if st.FiltersBuilt > 0 {
-			fmt.Fprintf(&sb, " filters=%d rows_pruned=%d", st.FiltersBuilt, st.RowsPruned)
-		}
 		if st.Hedges > 0 {
 			fmt.Fprintf(&sb, " hedges=%d won=%d", st.Hedges, st.HedgesWon)
 		}
@@ -1120,9 +1096,6 @@ func formatAnalyzedNode(sb *strings.Builder, n physical.Node, fo *obs.FragmentOb
 			if op.Batches > 0 {
 				fmt.Fprintf(sb, " batches=%d", op.Batches)
 			}
-			if op.RowsPruned > 0 {
-				fmt.Fprintf(sb, " pruned=%d", op.RowsPruned)
-			}
 			if op.PeakMemBytes > 0 {
 				fmt.Fprintf(sb, " mem=%d", op.PeakMemBytes)
 			}
@@ -1152,13 +1125,9 @@ func (e *Engine) explain(sel *sql.SelectStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp := e.split(entry.Plan)
+	fp := fragment.Split(entry.Plan)
 	var sb strings.Builder
 	sb.WriteString(fp.Format())
-	for _, rf := range fp.Filters {
-		sb.WriteString(rf.Describe())
-		sb.WriteByte('\n')
-	}
 	fmt.Fprintf(&sb, "planner tickets: %d\n", entry.Tickets)
 	return &Result{PlanText: sb.String()}, nil
 }
@@ -1176,7 +1145,9 @@ func (e *Engine) ReferenceQuery(query string) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.mu.RLock()
 	lp, _, err := e.bindLogical(sel, rules.Config{FilterCorrelate: true})
+	e.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
@@ -1194,7 +1165,9 @@ func (e *Engine) LogicalPlan(query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	e.mu.RLock()
 	lp, _, err := e.bindLogical(sel, e.rulesConfig())
+	e.mu.RUnlock()
 	if err != nil {
 		return "", err
 	}

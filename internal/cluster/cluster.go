@@ -20,13 +20,12 @@
 // visible, so recovery has nothing to undo.
 //
 // Cluster.Run is the whole scheduler, as a list of named steps over one
-// per-execution run value (DESIGN.md "Scheduler anatomy"): set-up, the
-// runtime-filter pre-pass, then per wave build jobs → execute → hedge →
-// barrier → adaptive replan, then finish. There is one of each: one
-// barrier merges worker results (filter pre-pass and waves alike), one
+// per-execution run value (DESIGN.md "Scheduler anatomy"): set-up, then
+// per wave build jobs → execute → hedge → barrier → adaptive replan, then
+// finish. There is one of each: one barrier merges worker results, one
 // attempt runs an instance (first tries, retries and hedges alike). The
-// optional steps live next to their state — filters.go (§13), hedge.go
-// (§14), replan below (§17) — and are no-ops when their feature is off.
+// optional steps live next to their state — hedge.go (§14), replan below
+// (§17) — and are no-ops when their feature is off.
 //
 // The scheduler is fault-tolerant: when an instance fails with an
 // injected fault (site crash, transport send failure — see package
@@ -150,10 +149,10 @@ type run struct {
 	res *Result
 
 	// ordinal is the next instance's deterministic global sequence number.
-	// Jobs are created in strictly increasing ordinal order — pre-pass
-	// first, then wave by wave — and fault plans and failure reports
-	// address instances by it, never by arrival order, so outcomes are
-	// identical at every worker count.
+	// Jobs are created in strictly increasing ordinal order, wave by
+	// wave, and fault plans and failure reports address instances by it,
+	// never by arrival order, so outcomes are identical at every worker
+	// count.
 	ordinal int
 	// dying[site] is the ordinal of the one instance that is in flight at
 	// that site when the fault plan crashes it: the smallest ordinal at the
@@ -161,8 +160,6 @@ type run struct {
 	// work; every later ordinal finds the site dead.
 	dying map[int]int
 
-	// fs holds the runtime filters (empty: the plan carries none).
-	fs filterState
 	// sketches accumulates the per-exchange runtime sketches across
 	// barriers (nil: adaptive off).
 	sketches map[int]*sketch.Sketch
@@ -171,24 +168,14 @@ type run struct {
 // Run executes a fragmented plan under the given options.
 func (c *Cluster) Run(ctx context.Context, plan *fragment.Plan, opts Opts) (*Result, error) {
 	r := c.newRun(ctx, plan, opts)
-	if err := r.schedule(plan); err != nil {
+	if err := r.schedule(); err != nil {
 		return nil, err
 	}
 	return r.finish(), nil
 }
 
-// schedule runs the runtime-filter pre-pass and then every wave, each up
-// to and through its barrier.
-func (r *run) schedule(plan *fragment.Plan) error {
-	// Runtime-filter pre-pass (DESIGN.md §13): the planned filters' build
-	// subtrees run as ordinary instances before wave 0 and freeze at their
-	// barrier.
-	if jobs := r.filterJobs(plan); len(jobs) > 0 {
-		if err := r.barrier(jobs, r.execute(jobs)); err != nil {
-			return err
-		}
-		r.fs.freeze(r.trace)
-	}
+// schedule runs every wave, each up to and through its barrier.
+func (r *run) schedule() error {
 	for w := range r.waves {
 		// Jobs are built only now, after the previous barrier, so the
 		// adaptive controller's rewrites take effect on them.
@@ -317,10 +304,9 @@ func (r *run) execute(jobs []instanceJob) []instanceResult {
 // reported errors are identical at every worker count. All of a failed
 // batch's distinct failures are reported together. It is the only place
 // worker results meet shared state: a surviving attempt's shipments are
-// published for later waves' receivers and priced on the trace, a
-// pre-pass result is absorbed into its filter, a wave result into the
-// trace, the fragment's operator statistics, the filter counters, the
-// exchange sketches and — for the root fragment — the query's rows.
+// published for later waves' receivers and priced on the trace, and the
+// result is merged into the trace, the fragment's operator statistics,
+// the exchange sketches and — for the root fragment — the query's rows.
 func (r *run) barrier(jobs []instanceJob, results []instanceResult) error {
 	if err := r.ctx.Err(); err != nil {
 		return err
@@ -346,10 +332,6 @@ func (r *run) barrier(jobs []instanceJob, results []instanceResult) error {
 		r.res.Instances++
 		r.res.Retries += len(ir.retries)
 		r.trace.Retries = append(r.trace.Retries, ir.retries...)
-		if j.filter != nil {
-			j.filter.absorb(j, ir, r.c.Faults.Slowdown(ir.host))
-			continue
-		}
 		if ir.hedge != nil {
 			r.trace.Hedges = append(r.trace.Hedges, *ir.hedge)
 			r.res.Hedges++
@@ -363,7 +345,6 @@ func (r *run) barrier(jobs []instanceJob, results []instanceResult) error {
 		if ir.obs != nil {
 			j.fobs.Merge(ir.obs)
 		}
-		r.fs.count(ir.ftested, ir.fpruned)
 		if r.sketches != nil && ir.sketches != nil {
 			mergeSketches(r.sketches, ir.sketches)
 		}
@@ -469,7 +450,6 @@ func (r *run) finish() *Result {
 	if r.opts.Adaptive != nil {
 		res.Notes = r.opts.Adaptive.Notes()
 	}
-	r.fs.report(res)
 	return res
 }
 

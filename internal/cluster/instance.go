@@ -40,7 +40,7 @@ type instanceJob struct {
 	// run.ordinal); fault plans address instances by it.
 	ordinal int
 	// wave is the scheduler wave the instance belongs to (trace spans
-	// carry it); -1 for the filter pre-pass.
+	// carry it).
 	wave int
 	// partitioned marks hash-content fragments, which may fail over
 	// across their partition's replica chain.
@@ -48,20 +48,10 @@ type instanceJob struct {
 	// fobs is the fragment's observation view; instances record into a
 	// private obs.InstanceObs sized from it.
 	fobs *obs.FragmentObs
-	// filter, when non-nil, marks a runtime-filter pre-pass job: the
-	// instance executes the filter's build subtree (not the fragment
-	// root) at its site, before wave 0. Pre-pass jobs share the join
-	// fragment's identity, so fault plans and failover treat them like
-	// any other instance of that fragment.
-	filter *builtFilter
 }
 
 // wrap names the job in a terminal failure.
 func (j *instanceJob) wrap(err error) error {
-	if j.filter != nil {
-		return fmt.Errorf("cluster: filter %d build (fragment %d) at site %d: %w",
-			j.filter.spec.ID, j.frag.ID, j.site, err)
-	}
 	return fmt.Errorf("cluster: fragment %d at site %d: %w", j.frag.ID, j.site, err)
 }
 
@@ -95,9 +85,6 @@ type outcome struct {
 	work float64
 	// obs is the attempt's per-operator record.
 	obs *obs.InstanceObs
-	// ftested/fpruned are the per-filter probe counts (nil when the
-	// attempt applied no runtime filters).
-	ftested, fpruned map[int]int64
 	// sketches are the attempt's exchange sketches (nil when adaptive
 	// execution is off or the instance shipped nothing).
 	sketches map[int]*sketch.Sketch
@@ -205,24 +192,15 @@ func (r *run) attempt(j *instanceJob, host, n int) (outcome, error) {
 	if r.opts.Adaptive != nil {
 		ectx.SketchKeys = r.opts.Adaptive.SketchKeys()
 	}
-	root := j.frag.Root
-	if j.filter != nil {
-		// Pre-pass instance: execute the filter's build subtree in place
-		// of the fragment root.
-		root = j.filter.spec.BuildRoot
-	} else {
-		r.fs.inject(j, ectx, c.Store.Sites())
-	}
-	rows, err := exec.Run(root, ectx)
+	rows, err := exec.Run(j.frag.Root, ectx)
 	// The attempt's operator state is gone either way; return its
 	// reservation to the shared pool (the per-query budget still
 	// remembers the cumulative charge).
 	r.opts.Mem.Release(ectx.ChargedMem())
 	return outcome{
 		rows: rows, sent: ectx.Sent, host: host,
-		work:    ectx.CPUWork * c.Faults.Slowdown(host),
-		obs:     ectx.Obs,
-		ftested: ectx.FilterTested, fpruned: ectx.FilterPruned,
+		work:     ectx.CPUWork * c.Faults.Slowdown(host),
+		obs:      ectx.Obs,
 		sketches: ectx.Sketches,
 	}, err
 }

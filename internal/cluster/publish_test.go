@@ -52,7 +52,7 @@ func TestBarrierPublishesOnlySurvivors(t *testing.T) {
 			plan := exchangePlan(t, c)
 			opts := Opts{Variants: 2, HedgeAfter: sc.hedgeAfter}
 			r := c.newRun(context.Background(), plan, opts)
-			if err := r.schedule(plan); err != nil {
+			if err := r.schedule(); err != nil {
 				t.Fatalf("%s workers=%d: %v", sc.name, workers, err)
 			}
 			where := fmt.Sprintf("%s workers=%d", sc.name, workers)

@@ -31,16 +31,6 @@ const (
 	AFS  = 8.0
 )
 
-// Runtime join-filter constants (DESIGN.md §13): BFIC is the work to
-// insert one build key into a bloom/exact filter, BFTC the work to test
-// one probe row against it. Both are one key hash plus a handful of bit
-// operations — cheaper than copying a row through an exchange (RPTC), and
-// far cheaper than a hash-table insert (HAC, which allocates).
-const (
-	BFIC = 0.5
-	BFTC = 0.5
-)
-
 // Cost is the four-component cost vector of §3.2 (Equation 2).
 type Cost struct {
 	CPU     float64

@@ -33,8 +33,6 @@ type Values struct {
 	Parallelism int
 	// Faults is the deterministic fault-plan spec ("" = none).
 	Faults string
-	// Filters toggles runtime join-filter pushdown.
-	Filters bool
 	// Admission, MaxMem, QueryMem and Hedge are the resource-governance
 	// group: bound by BindGovernance, zero (ungoverned) otherwise.
 	// Admission bounds concurrent queries (0 = unbounded).
@@ -62,7 +60,6 @@ func Bind(fs *flag.FlagSet, planCache int) *Values {
 	fs.IntVar(&v.Backups, "backups", 0, "backup replicas per partition (0 = none)")
 	fs.IntVar(&v.Parallelism, "par", 0, "host execution parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	fs.StringVar(&v.Faults, "faults", "", `deterministic fault plan, e.g. "seed=1;crash=2@5;slow=1x4;sendfail=0.01"`)
-	fs.BoolVar(&v.Filters, "filters", false, "enable runtime join-filter pushdown (DESIGN.md §13)")
 	fs.IntVar(&v.PlanCache, "plancache", planCache, "plan cache capacity in plans (0 = off)")
 	fs.BoolVar(&v.Adaptive, "adaptive", false, "enable adaptive mid-query re-optimization (DESIGN.md §17)")
 	fs.Float64Var(&v.Misestimate, "misestimate", 0, "multiply the planner's join estimates by this factor (stats fault injection)")
@@ -118,7 +115,6 @@ func (v *Values) EngineOptions() (gignite.Option, error) {
 		c.Backups = bound.Backups
 		c.ExecParallelism = bound.Parallelism
 		c.Faults = fp
-		c.RuntimeFilters = bound.Filters
 		c.MaxConcurrentQueries = bound.Admission
 		c.MemoryBudgetBytes = bound.MaxMem
 		c.QueryMemLimitBytes = bound.QueryMem

@@ -50,8 +50,8 @@ func TestFlagLinesResolveToConfig(t *testing.T) {
 		{"-system ic -backups 1 -par 2", gignite.IC, func(c *gignite.Config) {
 			c.Backups, c.ExecParallelism = 1, 2
 		}},
-		{"-system ICPlus -plancache 0 -filters", gignite.ICPlus, func(c *gignite.Config) {
-			c.PlanCacheSize, c.RuntimeFilters = 0, true
+		{"-system ICPlus -plancache 0", gignite.ICPlus, func(c *gignite.Config) {
+			c.PlanCacheSize = 0
 		}},
 		{"-adaptive -misestimate 10", gignite.ICPlusM, func(c *gignite.Config) {
 			c.AdaptiveExec, c.StatsMisestimate = true, 10

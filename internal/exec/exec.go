@@ -10,10 +10,9 @@
 //
 // Execution inside a fragment is pipelined (pipeline.go): rows flow in
 // batches of at most batchSize from a source (table or index scan,
-// Values, Receiver, a pre-built subtree) through the streaming operators
-// — splitter, runtime filters, Filter, Project, Limit and the probe side
-// of every join — which write into per-operator scratch buffers reused
-// for the next batch. Only the pipeline breakers keep rows: a join's
+// Values, Receiver) through the streaming operators — splitter, Filter,
+// Project, Limit and the probe side of every join — which write into
+// per-operator scratch buffers reused for the next batch. Only the pipeline breakers keep rows: a join's
 // build (or collected) side, Sort, the aggregates' group state, the
 // Sender, a merging Receiver and the fragment's result. A row that dies
 // in a downstream filter or probe is never allocated. The modeled cost
@@ -37,7 +36,6 @@ import (
 	"gignite/internal/faults"
 	"gignite/internal/fragment"
 	"gignite/internal/governor"
-	"gignite/internal/joinfilter"
 	"gignite/internal/obs"
 	"gignite/internal/physical"
 	"gignite/internal/sketch"
@@ -158,24 +156,6 @@ type Context struct {
 	OpIDs map[physical.Node]int
 	Obs   *obs.InstanceObs
 
-	// --- runtime join filters (DESIGN.md §13) ---
-
-	// Prebuilt maps a hash join's build-side root to the rows the filter
-	// pre-pass already computed at this instance's logical site; they are
-	// served instead of re-executing the subtree (work and operator stats
-	// for the build were recorded by the pre-pass instance).
-	Prebuilt map[physical.Node][]types.Row
-	// NodeFilters maps producer-fragment operators to the runtime filters
-	// applied at their output (scan-level pushdown, union filter).
-	NodeFilters map[physical.Node][]*AppliedFilter
-	// SendFilters maps exchange IDs to the per-destination-site filters
-	// the Sender tests rows against before batching them.
-	SendFilters map[int]*SendFilter
-	// FilterTested/FilterPruned aggregate per-filter probe counts for the
-	// query's FilterObs records (keyed by filter ID).
-	FilterTested map[int]int64
-	FilterPruned map[int]int64
-
 	// --- adaptive execution sketches (DESIGN.md §17) ---
 
 	// SketchKeys, when non-nil, maps exchange IDs whose senders build a
@@ -191,45 +171,6 @@ type Context struct {
 	// ID. The scheduler collects them from the winning attempt only, so
 	// retries and hedge losers never double-count.
 	Sketches map[int]*sketch.Sketch
-}
-
-// AppliedFilter is one node-level runtime-filter application: rows whose
-// key hash fails the filter are dropped from the node's output. The union
-// filter is used because a node-level row may still route to any site.
-type AppliedFilter struct {
-	ID     int
-	Cols   []int
-	Filter *joinfilter.Filter
-}
-
-// SendFilter is the sender-level application: each destination site gets
-// the filter built from that site's hash-join build partition, which is
-// far more selective than the union (a probe row only matches the build
-// rows co-located with it).
-type SendFilter struct {
-	ID   int
-	Cols []int
-	// PerSite is indexed by destination site; nil entries pass all rows.
-	PerSite []*joinfilter.Filter
-}
-
-// countFilter records one filter application's probe counts.
-func (c *Context) countFilter(id int, tested, pruned int64) {
-	if c.FilterTested == nil {
-		c.FilterTested = make(map[int]int64)
-		c.FilterPruned = make(map[int]int64)
-	}
-	c.FilterTested[id] += tested
-	c.FilterPruned[id] += pruned
-}
-
-// testRow evaluates one row against a filter: rows with NULL keys can
-// never equi-match and are pruned outright.
-func filterTestRow(f *joinfilter.Filter, cols []int, r types.Row) bool {
-	if r.HasNull(cols) {
-		return false
-	}
-	return f.Test(r.Hash(cols))
 }
 
 // ErrWorkLimit reports an execution exceeding its work limit.
@@ -349,12 +290,6 @@ func (o *OpStatsRef) addBuild(n int) {
 	}
 }
 
-func (o *OpStatsRef) addPruned(n int) {
-	if o != nil {
-		o.RowsPruned += int64(n)
-	}
-}
-
 func (o *OpStatsRef) addMem(n int64) {
 	if o != nil {
 		o.PeakMemBytes += n
@@ -430,35 +365,20 @@ func (s *senderOp) keepsRows()                               {}
 func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 	sites := ctx.Store.Sites()
 	st := ctx.opstat(s)
-	var sf *SendFilter
-	if ctx.SendFilters != nil {
-		sf = ctx.SendFilters[s.ExchangeID]
-	}
 	ctx.work(st, float64(len(rows))*cost.RPTC)
 	ctx.sketchRows(s, rows)
 	switch s.Target.Type {
 	case physical.Single:
-		out := rows
-		if sf != nil {
-			out = ctx.filterToSite(st, sf, rows, 0)
-		}
-		return ctx.ship(s, 0, out)
+		return ctx.ship(s, 0, rows)
 	case physical.Broadcast:
 		for site := 0; site < sites; site++ {
-			out := rows
-			if sf != nil {
-				// Each destination's copy is pruned against that site's
-				// build filter independently: a broadcast row only needs to
-				// reach the sites whose build partition could match it.
-				out = ctx.filterToSite(st, sf, rows, site)
-			}
-			if err := ctx.ship(s, site, out); err != nil {
+			if err := ctx.ship(s, site, rows); err != nil {
 				return err
 			}
 		}
 	case physical.Hash:
 		// Two-pass routing over a pooled scratch: compute every row's
-		// destination (and filter verdict) once, then carve exact-size
+		// destination once, then carve exact-size
 		// per-site slices out of one backing array. This keeps the hot
 		// send path free of append-growth reallocations.
 		sc := getScratch(len(rows), sites)
@@ -469,25 +389,12 @@ func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 			keys = allCols(len(rows[0]))
 		}
 		placed := len(s.Target.Keys) == 1
-		var pruned int
 		for i, r := range rows {
 			site := routeRow(r, keys, placed, sites)
-			if sf != nil {
-				if siteF := sf.PerSite[site]; !filterTestRow(siteF, sf.Cols, r) {
-					sc.routes[i] = -1
-					pruned++
-					continue
-				}
-			}
 			sc.routes[i] = site
 			sc.counts[site]++
 		}
-		if sf != nil {
-			ctx.work(st, float64(len(rows))*cost.BFTC)
-			ctx.countFilter(sf.ID, int64(len(rows)), int64(pruned))
-			st.addPruned(pruned)
-		}
-		backing := make([]types.Row, len(rows)-pruned)
+		backing := make([]types.Row, len(rows))
 		buckets := make([][]types.Row, sites)
 		off := 0
 		for site, n := range sc.counts {
@@ -495,9 +402,8 @@ func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 			off += n
 		}
 		for i, r := range rows {
-			if site := sc.routes[i]; site >= 0 {
-				buckets[site] = append(buckets[site], r)
-			}
+			site := sc.routes[i]
+			buckets[site] = append(buckets[site], r)
 		}
 		for site, b := range buckets {
 			if err := ctx.ship(s, site, b); err != nil {
@@ -531,7 +437,7 @@ func (c *Context) ship(s *physical.Sender, toSite int, rows []types.Row) error {
 
 // sketchRows feeds a sender's output into the exchange's runtime sketch
 // when adaptive execution asked for one. The sketch summarizes the rows
-// the sender produced (pre-routing, pre-runtime-filter), keyed by the
+// the sender produced (pre-routing), keyed by the
 // columns the controller requested — falling back to the target's
 // distribution keys, then the whole row — so merged sketches estimate
 // the exchange's key cardinality and skew.
@@ -560,24 +466,6 @@ func (c *Context) sketchRows(s *physical.Sender, rows []types.Row) {
 	for _, r := range rows {
 		sk.Add(r.Hash(keys))
 	}
-}
-
-// filterToSite returns the rows passing one destination site's runtime
-// filter, charging test work and recording pruned counts against the
-// sender's operator slot.
-func (c *Context) filterToSite(st *OpStatsRef, sf *SendFilter, rows []types.Row, site int) []types.Row {
-	f := sf.PerSite[site]
-	c.work(st, float64(len(rows))*cost.BFTC)
-	out := make([]types.Row, 0, len(rows))
-	for _, r := range rows {
-		if filterTestRow(f, sf.Cols, r) {
-			out = append(out, r)
-		}
-	}
-	pruned := len(rows) - len(out)
-	c.countFilter(sf.ID, int64(len(rows)), int64(pruned))
-	st.addPruned(pruned)
-	return out
 }
 
 // routeRow picks the target partition for a row under a hash target.

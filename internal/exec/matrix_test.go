@@ -12,10 +12,10 @@ import (
 
 // TestDifferentialFeatureMatrix runs the random-query generator of the
 // engine's TestRandomQueryDifferential through every combination of the
-// features added on top of the paper's system — runtime filters ×
-// adaptive re-planning × plan cache × host parallelism {1, 2, 8} × {no
-// faults, a site crash recovered from a backup replica} — and checks
-// every result against the reference interpreter. It lives here, not next
+// features added on top of the paper's system — adaptive re-planning ×
+// plan cache × host parallelism {1, 2, 8} × {no faults, a site crash
+// recovered from a backup replica} — and checks every result against the
+// reference interpreter. It lives here, not next
 // to the generator's other user, because only this package's tests can
 // shrink the pipeline's batch size: every other query runs with batches
 // of 3 rows, so that on the 100/500-row fixture each streaming operator,
@@ -24,33 +24,30 @@ import (
 func TestDifferentialFeatureMatrix(t *testing.T) {
 	const queriesPerLeg = 24
 	leg := 0
-	for _, filters := range []bool{false, true} {
-		for _, adaptive := range []bool{false, true} {
-			for _, planCache := range []int{0, 64} {
-				for _, par := range []int{1, 2, 8} {
-					for _, faults := range []string{"", "seed=7;crash=2@4"} {
-						leg++
-						name := fmt.Sprintf("filters=%t/adaptive=%t/cache=%d/par=%d/faults=%q",
-							filters, adaptive, planCache, par, faults)
-						cfg := gignite.ICPlusM(4)
-						cfg.RuntimeFilters = filters
-						cfg.AdaptiveExec = adaptive
-						if adaptive {
-							// The re-planner only acts on misestimation.
-							cfg.StatsMisestimate = 10
-						}
-						cfg.PlanCacheSize = planCache
-						cfg.ExecParallelism = par
-						if faults != "" {
-							plan, err := gignite.ParseFaults(faults)
-							if err != nil {
-								t.Fatal(err)
-							}
-							cfg.Faults = plan
-							cfg.Backups = 1
-						}
-						runMatrixLeg(t, name, cfg, uint64(0xD1FF+leg), queriesPerLeg)
+	for _, adaptive := range []bool{false, true} {
+		for _, planCache := range []int{0, 64} {
+			for _, par := range []int{1, 2, 8} {
+				for _, faults := range []string{"", "seed=7;crash=2@4"} {
+					leg++
+					name := fmt.Sprintf("adaptive=%t/cache=%d/par=%d/faults=%q",
+						adaptive, planCache, par, faults)
+					cfg := gignite.ICPlusM(4)
+					cfg.AdaptiveExec = adaptive
+					if adaptive {
+						// The re-planner only acts on misestimation.
+						cfg.StatsMisestimate = 10
 					}
+					cfg.PlanCacheSize = planCache
+					cfg.ExecParallelism = par
+					if faults != "" {
+						plan, err := gignite.ParseFaults(faults)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.Faults = plan
+						cfg.Backups = 1
+					}
+					runMatrixLeg(t, name, cfg, uint64(0xD1FF+leg), queriesPerLeg)
 				}
 			}
 		}

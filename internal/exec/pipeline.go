@@ -51,15 +51,12 @@ type sizer interface {
 type keeper interface{ keepsRows() }
 
 // op is the part of a running operator every stage shares: its recorder
-// slot, its downstream edge, and the node-level runtime filters applied
-// on that edge.
+// slot and its downstream edge.
 type op struct {
 	ctx    *Context
 	node   physical.Node
 	st     *OpStatsRef // nil when untracked
 	next   stage
-	afs    []*AppliedFilter
-	kept   []types.Row // runtime-filter scratch
 	sel    []types.Row // splitter scratch
 	gather []types.Row // index-order scratch
 	// start and away turn the producer-driven call stack back into the
@@ -77,9 +74,6 @@ func (c *Context) open(o *op, n physical.Node, next stage) {
 	if o.st = c.opstat(n); o.st != nil {
 		o.start = time.Now()
 	}
-	if c.NodeFilters != nil {
-		o.afs = c.NodeFilters[n]
-	}
 }
 
 func (o *op) close() {
@@ -90,11 +84,8 @@ func (o *op) close() {
 
 func (o *op) work(units float64) { o.ctx.work(o.st, units) }
 
-// emit passes one batch downstream, through the node's runtime filters.
+// emit passes one batch downstream.
 func (o *op) emit(rows []types.Row, stable bool) error {
-	for _, af := range o.afs {
-		rows = o.applyFilter(af, rows)
-	}
 	if len(rows) == 0 {
 		return nil
 	}
@@ -106,27 +97,6 @@ func (o *op) emit(rows []types.Row, stable bool) error {
 	err := o.next.push(rows, stable)
 	o.away += time.Since(t)
 	return err
-}
-
-// applyFilter drops the rows failing one runtime filter, charging test
-// work and recording pruned counts against the node. The first filter
-// copies the survivors into the op's scratch; later ones compact it in
-// place.
-func (o *op) applyFilter(af *AppliedFilter, rows []types.Row) []types.Row {
-	o.work(float64(len(rows)) * cost.BFTC)
-	if cap(o.kept) < len(rows) {
-		o.kept = make([]types.Row, 0, len(rows))
-	}
-	kept := o.kept[:0]
-	for _, r := range rows {
-		if filterTestRow(af.Filter, af.Cols, r) {
-			kept = append(kept, r)
-		}
-	}
-	pruned := len(rows) - len(kept)
-	o.ctx.countFilter(af.ID, int64(len(rows)), int64(pruned))
-	o.st.addPruned(pruned)
-	return kept
 }
 
 // emitAll streams rows the op holds for good (a source's, a breaker's
@@ -150,10 +120,9 @@ func (o *op) emitAll(rows []types.Row) error {
 	return nil
 }
 
-// announce tells the consumer that n rows are certain to follow — unless
-// a runtime filter stands in between.
+// announce tells the consumer that n rows are certain to follow.
 func (o *op) announce(n int) {
-	if s, ok := o.next.(sizer); ok && n > 0 && len(o.afs) == 0 {
+	if s, ok := o.next.(sizer); ok && n > 0 {
 		s.expect(n)
 	}
 }
@@ -267,15 +236,10 @@ func (b *rowBuffer) push(rows []types.Row, stable bool) error {
 }
 
 // collect runs a subtree to completion and returns its rows, which the
-// caller may keep: the build (or collected) side of a join. A pre-built
-// subtree, and a source whose rows would reach the buffer unchanged, give
-// their own slice instead of a copy. A pre-built subtree is a join's build
-// side, which only collect reaches; its work and operator stats were
-// charged by the pre-pass instance, so it is served, not re-run.
+// caller may keep: the build (or collected) side of a join. A source
+// whose rows would reach the buffer unchanged gives its own slice instead
+// of a copy.
 func (c *Context) collect(n physical.Node) ([]types.Row, error) {
-	if rows, ok := c.Prebuilt[n]; ok {
-		return rows, nil
-	}
 	if c.adoptable(n) {
 		return c.adopt(n)
 	}
@@ -325,14 +289,10 @@ func (c *Context) run(n physical.Node, next stage) error {
 }
 
 // adoptable reports whether collecting n may take a source's own rows: n
-// is a Values node or a table scan that passes its whole partition, and
-// no runtime filter stands on its output. Anything else reaches a
-// collector through scratch — a splitter's, an index scan's gather or a
-// runtime filter's.
+// is a Values node or a table scan that passes its whole partition.
+// Anything else reaches a collector through scratch — a splitter's or an
+// index scan's gather.
 func (c *Context) adoptable(n physical.Node) bool {
-	if len(c.NodeFilters[n]) > 0 {
-		return false
-	}
 	switch n.(type) {
 	case *physical.Values:
 		return true

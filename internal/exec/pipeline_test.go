@@ -10,7 +10,6 @@ import (
 	"gignite/internal/cost"
 	"gignite/internal/expr"
 	"gignite/internal/fragment"
-	"gignite/internal/joinfilter"
 	"gignite/internal/logical"
 	"gignite/internal/obs"
 	"gignite/internal/physical"
@@ -189,55 +188,6 @@ func TestSplitterAcrossBatches(t *testing.T) {
 						n, src, v, s.RowsIn, s.RowsOut, n, len(want))
 				}
 			}
-		}
-	}
-}
-
-// TestNodeFiltersAcrossBatches: two node-level runtime filters on one
-// operator prune exactly the rows either rejects, and count them.
-func TestNodeFiltersAcrossBatches(t *testing.T) {
-	defer SetBatchSize(seamBatch)()
-	st := testStore(t, 1)
-	build := func(keys ...int64) *joinfilter.Filter {
-		b := joinfilter.NewBuilder()
-		for _, k := range keys {
-			b.Add(types.Row{types.NewInt(k)}.Hash([]int{0}))
-		}
-		return b.Build()
-	}
-	onK := &AppliedFilter{ID: 1, Cols: []int{0}, Filter: build(0, 2, 4, 6)}
-	onV := &AppliedFilter{ID: 2, Cols: []int{1}, Filter: build(0, 2, 8, 9, 16, 28, 30)}
-	for _, n := range seamSizes {
-		in := kvRows(n)
-		vals := physical.NewValues(kvFields, in)
-		var afterK, want []types.Row
-		for _, r := range in {
-			if filterTestRow(onK.Filter, onK.Cols, r) {
-				afterK = append(afterK, r)
-				if filterTestRow(onV.Filter, onV.Cols, r) {
-					want = append(want, r)
-				}
-			}
-		}
-		ctx := ctxAt(st, 0)
-		ctx.NodeFilters = map[physical.Node][]*AppliedFilter{vals: {onK, onV}}
-		tracked(ctx, vals)
-		got, err := runPlan(vals, ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRendered(t, fmt.Sprintf("n=%d", n), got, want)
-		s := statsOf(ctx, vals)
-		if s.RowsOut != int64(len(want)) || s.RowsPruned != int64(n-len(want)) {
-			t.Errorf("n=%d: out=%d pruned=%d, want out=%d pruned=%d",
-				n, s.RowsOut, s.RowsPruned, len(want), n-len(want))
-		}
-		if wantWork := float64(n+len(afterK)) * cost.BFTC; s.Work != wantWork {
-			t.Errorf("n=%d: filter work %v, want %v", n, s.Work, wantWork)
-		}
-		if n > 0 && (ctx.FilterTested[1] != int64(n) || ctx.FilterTested[2] != int64(len(afterK)) ||
-			ctx.FilterPruned[2] != int64(len(afterK)-len(want))) {
-			t.Errorf("n=%d: tested=%v pruned=%v", n, ctx.FilterTested, ctx.FilterPruned)
 		}
 	}
 }

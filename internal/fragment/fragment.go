@@ -5,8 +5,7 @@
 // waves its fragments run in, and each fragment's variant source modes
 // (§5.3, Algorithm 3) for multi-threaded execution — and its exchange
 // edges: the receiver each exchange feeds and every place that receiver
-// stands in. Runtime join-filter planning (PlanRuntimeFilters, DESIGN.md
-// §13) and the adaptive controller read those edges instead of walking
+// stands in. The adaptive controller reads those edges instead of walking
 // the fragments to find them.
 package fragment
 
@@ -62,9 +61,6 @@ type Plan struct {
 	// waves yields a dependency order, and wave-by-wave execution with
 	// one worker is deterministic.
 	Waves [][]*Fragment
-	// Filters lists the plan's runtime join-filter edges (DESIGN.md §13),
-	// populated by PlanRuntimeFilters when Config.RuntimeFilters is on.
-	Filters []*RuntimeFilter
 }
 
 // Split implements Algorithm 1: walking the tree depth-first, every

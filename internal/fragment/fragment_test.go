@@ -457,50 +457,3 @@ func TestSplitLeavesItsInputUntouched(t *testing.T) {
 		}
 	}
 }
-
-// TestRuntimeFilterNeedsOnePlace: a filter prunes the probe exchange at
-// its producer, so the probe receiver must stand in exactly one place.
-// The probe exchange is read once, then also by a second fragment, then
-// twice in the join's own fragment.
-func TestRuntimeFilterNeedsOnePlace(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		build func(join, probeEx physical.Node) physical.Node
-		want  int
-	}{
-		{"one place", func(join, _ physical.Node) physical.Node { return join }, 1},
-		{"two fragments", func(join, probeEx physical.Node) physical.Node {
-			side := physical.NewExchange(physical.NewFilter(probeEx, expr.True), physical.SingleDist)
-			return physical.NewJoin(join, side, physical.NestedLoop, logical.JoinInner,
-				expr.True, nil, physical.SingleDist, "single", nil)
-		}, 0},
-		{"two places of one fragment", func(join, probeEx physical.Node) physical.Node {
-			return physical.NewJoin(join, probeEx, physical.NestedLoop, logical.JoinInner,
-				expr.True, nil, physical.SingleDist, "single", nil)
-		}, 0},
-	} {
-		a := scan("a")
-		probeEx := physical.NewExchange(physical.NewFilter(a, expr.True), physical.HashDist(0))
-		join := physical.NewJoin(physical.NewFilter(probeEx, expr.True), physical.NewFilter(scan("c"), expr.True),
-			physical.HashAlgo, logical.JoinInner,
-			expr.NewBinOp(expr.OpEq, expr.NewColRef(0, types.KindInt, ""), expr.NewColRef(2, types.KindInt, "")),
-			[]expr.EquiKey{{Left: 0, Right: 0}}, physical.HashDist(0), "hash", nil)
-		plan := Split(tc.build(join, probeEx))
-		PlanRuntimeFilters(plan)
-		if len(plan.Filters) != tc.want {
-			t.Fatalf("%s: %d filters, want %d", tc.name, len(plan.Filters), tc.want)
-		}
-		if tc.want == 0 {
-			continue
-		}
-		rf := plan.Filters[0]
-		prod := plan.Producer[rf.Exchange]
-		if rf.Receiver != prod.Receiver || rf.ProbeFrag != prod.ID || rf.JoinFrag != plan.Fragments[0].ID {
-			t.Errorf("%s: filter edge %s does not guard the probe exchange", tc.name, rf.Describe())
-		}
-		// The pushdown passes the producer's Filter down to its scan.
-		if scan, ok := rf.ProbeNode.(*physical.TableScan); !ok || scan.Describe() != a.Describe() {
-			t.Errorf("%s: probe node %v, want the producer's scan of a", tc.name, rf.ProbeNode)
-		}
-	}
-}

@@ -34,10 +34,6 @@ type OpStats struct {
 	// operator emitted, the rows a breaker kept (a join's collected
 	// inputs, a sort buffer, a merging receiver's input).
 	PeakRows int64 `json:"peak_rows"`
-	// RowsPruned counts rows a runtime join filter dropped at this
-	// operator's output before they were batched or shipped (DESIGN.md
-	// §13). RowsOut already excludes them.
-	RowsPruned int64 `json:"rows_pruned,omitempty"`
 	// PeakMemBytes is the governed-memory high-water mark: the most
 	// estimated state bytes any one instance of this operator charged
 	// against its query's memory lease (DESIGN.md §14). Zero when the
@@ -111,24 +107,12 @@ func NewInstanceObs(fo *FragmentObs) *InstanceObs {
 // Merge folds one successful instance's records into the fragment view.
 func (fo *FragmentObs) Merge(in *InstanceObs) {
 	fo.Instances++
-	fo.mergeOps(in)
-}
-
-// MergeExtra folds an auxiliary execution's records (the runtime-filter
-// pre-pass running a fragment's build subtree) into the fragment view
-// without counting a fragment instance: the build operators' actuals show
-// up in EXPLAIN ANALYZE, but Instances keeps meaning "full fragment
-// executions".
-func (fo *FragmentObs) MergeExtra(in *InstanceObs) { fo.mergeOps(in) }
-
-func (fo *FragmentObs) mergeOps(in *InstanceObs) {
 	for i := range in.Ops {
 		src, dst := &in.Ops[i], &fo.Ops[i]
 		dst.RowsIn += src.RowsIn
 		dst.RowsOut += src.RowsOut
 		dst.Batches += src.Batches
 		dst.BuildRows += src.BuildRows
-		dst.RowsPruned += src.RowsPruned
 		dst.Work += src.Work
 		dst.WallNanos += src.WallNanos
 		if src.PeakRows > dst.PeakRows {
@@ -200,7 +184,6 @@ type Edge struct {
 	ToFrag   int `json:"to_frag"`
 	// Rows/Bytes total the exchange's published volume (resends excluded:
 	// a failed or losing attempt's batches are never published).
-	// Runtime-filter pruning shows up here as fewer shipped rows.
 	Rows  int64 `json:"rows"`
 	Bytes int64 `json:"bytes"`
 }
@@ -228,12 +211,6 @@ type ExecStats struct {
 	Modeled time.Duration
 	// PlanTickets is the planner search effort.
 	PlanTickets int
-	// FiltersBuilt counts runtime join filters the pre-pass constructed;
-	// FilterBytes is their total modeled shipment and RowsPruned the
-	// probe-side rows they dropped before shipping (DESIGN.md §13).
-	FiltersBuilt int
-	FilterBytes  int64
-	RowsPruned   int64
 	// Hedges / HedgesWon count hedged straggler attempts launched and won
 	// (DESIGN.md §14).
 	Hedges    int
@@ -284,9 +261,6 @@ type QueryObs struct {
 	Spans []Span `json:"spans"`
 	// Edges lists the exchange edges of the fragment DAG.
 	Edges []Edge `json:"edges"`
-	// Filters holds one record per runtime join filter the query built
-	// (empty when Config.RuntimeFilters is off or no join was eligible).
-	Filters []FilterObs `json:"filters,omitempty"`
 	// Replans lists the adaptive plan changes applied at wave barriers,
 	// in barrier order (empty when AdaptiveExec is off or no trigger
 	// fired). Each re-planning pass also adds one SpanReplan span.
@@ -314,36 +288,6 @@ type Replan struct {
 	// that fired the trigger (est-vs-act in EXPLAIN ANALYZE).
 	EstRows float64 `json:"est_rows"`
 	ActRows int64   `json:"act_rows"`
-}
-
-// FilterObs is the runtime record of one join filter: what was built in
-// the pre-pass and what it pruned on the probe side (DESIGN.md §13).
-type FilterObs struct {
-	ID int `json:"id"`
-	// JoinFrag/ProbeFrag/Exchange key the filter to plan identity.
-	JoinFrag  int `json:"join_frag"`
-	ProbeFrag int `json:"probe_frag"`
-	Exchange  int `json:"exchange"`
-	// Keys is the distinct build-key count across all sites (the union
-	// filter's population); BuildRows the build rows consumed.
-	Keys      int   `json:"keys"`
-	BuildRows int64 `json:"build_rows"`
-	// Bytes is the modeled control-plane shipment: every per-site filter
-	// plus the union filter.
-	Bytes int64 `json:"bytes"`
-	// RowsTested/RowsPruned aggregate the probe-side filter applications
-	// (node-level and sender-level).
-	RowsTested int64 `json:"rows_tested"`
-	RowsPruned int64 `json:"rows_pruned"`
-}
-
-// Selectivity is the fraction of tested rows that passed (1.0 when
-// nothing was tested).
-func (f *FilterObs) Selectivity() float64 {
-	if f.RowsTested == 0 {
-		return 1
-	}
-	return float64(f.RowsTested-f.RowsPruned) / float64(f.RowsTested)
 }
 
 // TopOp identifies one operator in a ranking.

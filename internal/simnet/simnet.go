@@ -106,20 +106,6 @@ type Hedge struct {
 	Won bool
 }
 
-// FilterBuild is one site's share of a runtime join filter (DESIGN.md
-// §13): the pre-pass ran the join's build subtree at one site before wave 0,
-// spent Work units constructing the key filter, and shipped Bytes of
-// filter state to the probe-side producer. Probe-side sends over Exchange
-// are released only after every site's filter arrived, which is how the
-// clock charges the rendezvous: the build runs off the critical path
-// (it starts at t=0, overlapped with the producers), but pruned shipments
-// cannot leave earlier than the filter handoff.
-type FilterBuild struct {
-	Exchange int
-	Work     float64
-	Bytes    float64
-}
-
 // Trace is the execution record the clock consumes.
 type Trace struct {
 	// Order lists fragment IDs in dependency order (producers first).
@@ -135,9 +121,6 @@ type Trace struct {
 	// normally has one consumer, but an optimizer-shared subtree can give
 	// it several; each consumer's start then waits on the arrival.
 	Consumers map[int][]int
-	// Filters records runtime join-filter builds; sends over a filtered
-	// exchange are floored at the filter's ready time.
-	Filters []FilterBuild
 	// Hedges records hedged straggler attempts; a won hedge replaces the
 	// straggler's elapsed time with the speculative attempt's launch delay
 	// plus its (fast-replica) work.
@@ -165,20 +148,6 @@ func Makespan(tr *Trace, p Params) time.Duration {
 			pen += p.LatencySec + r.Bytes/p.BytesPerSec
 		}
 		recovery[instKey{r.Frag, r.Site, r.Variant}] += pen
-	}
-
-	// A runtime filter's ready time: its build subtrees run from t=0 at
-	// the join's sites (the pre-pass), then the filter state crosses the
-	// network to the probe-side producer. Sends over the guarded exchange
-	// are floored at this time — the producer may compute concurrently,
-	// but pruned rows cannot leave before the filter arrived.
-	filterReady := make(map[int]float64)
-	for _, fb := range tr.Filters {
-		t := p.ThreadOverheadSec + fb.Work/p.WorkPerSec +
-			p.LatencySec + fb.Bytes/p.BytesPerSec
-		if t > filterReady[fb.Exchange] {
-			filterReady[fb.Exchange] = t
-		}
 	}
 
 	// A won hedge changes how its instance's elapsed time is computed: the
@@ -215,9 +184,6 @@ func Makespan(tr *Trace, p Params) time.Duration {
 			ready := 0.0
 			for _, s := range arrivals[edgeKey{fid, in.Site}] {
 				sf := finish[instKey{s.FromFrag, s.FromSite, s.FromVariant}]
-				if fl := filterReady[s.Exchange]; fl > sf {
-					sf = fl
-				}
 				arr := sf + p.LatencySec + s.Bytes/p.BytesPerSec
 				if arr > ready {
 					ready = arr
@@ -258,9 +224,6 @@ func (tr *Trace) TotalWork() float64 {
 	for _, r := range tr.Retries {
 		w += r.Work
 	}
-	for _, fb := range tr.Filters {
-		w += fb.Work
-	}
 	// Speculation waste: the losing side of every hedge race.
 	for _, h := range tr.Hedges {
 		w += h.LostWork
@@ -277,11 +240,6 @@ func (tr *Trace) TotalBytes() float64 {
 	}
 	for _, r := range tr.Retries {
 		b += r.Bytes
-	}
-	// Filter state is real network volume too (it is what makes oversized
-	// filters a net loss).
-	for _, fb := range tr.Filters {
-		b += fb.Bytes
 	}
 	for _, h := range tr.Hedges {
 		b += h.LostBytes

@@ -135,8 +135,9 @@ func (s *Store) Table(name string) (*TableData, error) {
 }
 
 // Load bulk-inserts rows into a table, distributing partitioned tables by
-// affinity-key hash and copying replicated tables to all sites. Indexes
-// must be built afterwards with BuildIndexes; Load invalidates them.
+// affinity-key hash and copying replicated tables to all sites. Every
+// catalog-declared index is rebuilt before the lock is released, so a
+// concurrent index scan never finds one missing.
 func (s *Store) Load(name string, rows []types.Row) error {
 	td, err := s.ensureTable(name)
 	if err != nil {
@@ -162,12 +163,14 @@ func (s *Store) Load(name string, rows []types.Row) error {
 			td.partitions[p] = append(td.partitions[p], r)
 		}
 	}
-	// Any previously built indexes are stale now.
-	td.indexes = make(map[string][][]int)
+	// Every built index is stale now.
+	td.indexes = make(map[string][][]int, len(td.Def.Indexes))
+	s.buildIndexesLocked(td)
 	return nil
 }
 
-// BuildIndexes (re)builds all catalog-declared indexes for a table.
+// BuildIndexes builds the catalog-declared indexes of a table that are
+// not built yet (one declared since the last Load).
 func (s *Store) BuildIndexes(name string) error {
 	td, err := s.Table(name)
 	if err != nil {
@@ -175,7 +178,18 @@ func (s *Store) BuildIndexes(name string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.buildIndexesLocked(td)
+	return nil
+}
+
+// buildIndexesLocked sorts each declared index missing from td.indexes
+// (caller holds s.mu).
+func (s *Store) buildIndexesLocked(td *TableData) {
 	for _, idx := range td.Def.Indexes {
+		name := strings.ToLower(idx.Name)
+		if _, built := td.indexes[name]; built {
+			continue
+		}
 		keys := make([]types.SortKey, len(idx.Columns))
 		for i, cn := range idx.Columns {
 			keys[i] = types.SortKey{Col: td.Def.ColumnIndex(cn)}
@@ -192,9 +206,8 @@ func (s *Store) BuildIndexes(name string) error {
 			})
 			perSite[site] = perm
 		}
-		td.indexes[strings.ToLower(idx.Name)] = perSite
+		td.indexes[name] = perSite
 	}
-	return nil
 }
 
 // partitionLocked returns the rows visible at a site (caller holds s.mu).

@@ -191,11 +191,20 @@ func TestIndexScanErrors(t *testing.T) {
 	if err := s.Load("emp", empRows(5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := scanIndex(s, "emp", "emp_pk", 0, 0); err == nil {
+	// An index declared after the load is unusable until BuildIndexes.
+	td, err := s.Table("emp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	td.Def.Indexes = append(td.Def.Indexes, catalog.Index{Name: "emp_name", Columns: []string{"name"}})
+	if _, err := scanIndex(s, "emp", "emp_name", 0, 0); err == nil {
 		t.Error("index scan before BuildIndexes succeeded")
 	}
 	if err := s.BuildIndexes("emp"); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := scanIndex(s, "emp", "emp_name", 0, 0); err != nil {
+		t.Errorf("index scan after BuildIndexes: %v", err)
 	}
 	if _, err := scanIndex(s, "emp", "nope", 0, 0); err == nil {
 		t.Error("scan of unknown index succeeded")
@@ -208,19 +217,66 @@ func TestIndexScanErrors(t *testing.T) {
 	}
 }
 
+// TestLoadInvalidatesIndexes: a Load replaces every declared index with
+// one over the table's new content before it returns, so no reader finds
+// a stale index or none at all, and no BuildIndexes call is needed.
 func TestLoadInvalidatesIndexes(t *testing.T) {
 	s := newTestStore(t, 1)
 	if err := s.Load("emp", empRows(5)); err != nil {
 		t.Fatal(err)
 	}
+	more := empRows(10)[5:]
+	for i := range more {
+		more[i][0] = types.NewInt(int64(-i))
+	}
+	if err := s.Load("emp", more); err != nil {
+		t.Fatal(err)
+	}
+	for _, index := range []string{"emp_pk", "emp_dept"} {
+		got, err := scanIndex(s, "emp", index, 0, 0)
+		if err != nil {
+			t.Fatalf("%s after Load: %v", index, err)
+		}
+		if len(got) != 10 {
+			t.Fatalf("%s covers %d rows, want 10", index, len(got))
+		}
+	}
+	got, _ := scanIndex(s, "emp", "emp_pk", 0, 0)
+	for i := 1; i < len(got); i++ {
+		if got[i-1][0].Int() > got[i][0].Int() {
+			t.Fatalf("emp_pk out of order at %d after the second Load", i)
+		}
+	}
+}
+
+// TestBuildIndexesBuildsOnlyMissing: BuildIndexes sorts the indexes
+// declared since the last Load and leaves the built ones alone.
+func TestBuildIndexesBuildsOnlyMissing(t *testing.T) {
+	s := newTestStore(t, 2)
+	if err := s.Load("emp", empRows(20)); err != nil {
+		t.Fatal(err)
+	}
+	_, before, err := s.IndexScanAt("emp", "emp_pk", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	td, err := s.Table("emp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	td.Def.Indexes = append(td.Def.Indexes, catalog.Index{Name: "emp_name", Columns: []string{"name"}})
 	if err := s.BuildIndexes("emp"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Load("emp", empRows(5)); err != nil {
+	_, after, err := s.IndexScanAt("emp", "emp_pk", 0, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := scanIndex(s, "emp", "emp_pk", 0, 0); err == nil {
-		t.Error("stale index usable after Load")
+	if &after[0] != &before[0] {
+		t.Error("BuildIndexes rebuilt emp_pk, which was already built")
+	}
+	if _, _, err := s.IndexScanAt("emp", "emp_name", 0, 0); err != nil {
+		t.Errorf("emp_name after BuildIndexes: %v", err)
 	}
 }
 

@@ -36,8 +36,7 @@ func (r Row) Concat(other Row) Row {
 
 // Hash is the placement hash: it combines the hashes of the values at the
 // given column offsets. A multi-key exchange routes rows by it, and
-// runtime filters and sketches key on it, so changing it would move rows
-// between sites. An operator's own hash table is free to hash keys its own
+// sketches key on it, so changing it would move rows between sites. An operator's own hash table is free to hash keys its own
 // way.
 func (r Row) Hash(cols []int) uint64 {
 	const prime64 = 1099511628211

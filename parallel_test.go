@@ -53,6 +53,17 @@ func withFaults(tb testing.TB, backups int, spec string) gignite.Option {
 	}
 }
 
+// rowsChecksum renders a result set to a comparable string (row order
+// included: the engine's results are deterministic and ordered).
+func rowsChecksum(rows []gignite.Row) string {
+	var sb strings.Builder
+	for _, r := range rows {
+		sb.WriteString(r.String())
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
 func rowStrings(res *gignite.Result) []string {
 	out := make([]string, len(res.Rows))
 	for i, r := range res.Rows {

@@ -105,37 +105,6 @@ func TestPlanCacheUnderFaults(t *testing.T) {
 	}
 }
 
-// TestPlanCacheWithRuntimeFilters checks cached plans re-derive runtime
-// join filters on every execution (filter planning runs on the split copy).
-func TestPlanCacheWithRuntimeFilters(t *testing.T) {
-	cfgOff := ICPlus(4)
-	cfgOff.RuntimeFilters = true
-	cfgOn := cfgOff
-	cfgOn.PlanCacheSize = 16
-	off := setupEmployees(t, cfgOff)
-	on := setupEmployees(t, cfgOn)
-	q := `SELECT e.name, d.dname FROM emp e, dept d WHERE e.dept_id = d.dept_id AND e.salary > 1900`
-	want, err := off.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := on.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot, err := on.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exactRows(cold) != exactRows(want) || exactRows(hot) != exactRows(want) {
-		t.Fatal("runtime-filtered results differ cache on/off")
-	}
-	if hot.Stats.FiltersBuilt != want.Stats.FiltersBuilt {
-		t.Fatalf("hot run built %d filters, cache-off built %d",
-			hot.Stats.FiltersBuilt, want.Stats.FiltersBuilt)
-	}
-}
-
 // TestPlanCacheWithGovernance checks cached executions still pass through
 // admission control and charge the memory pool.
 func TestPlanCacheWithGovernance(t *testing.T) {
