@@ -172,11 +172,14 @@ func NewProject(input Node, exprs []expr.Expr, fields types.Fields) *Project {
 		}
 	}
 	p.props.Dist = input.Dist().RemapKeys(mapping)
-	p.props.Coll = remapCollation(input.Collation(), mapping)
+	p.props.Coll = RemapCollation(input.Collation(), mapping)
 	return p
 }
 
-func remapCollation(coll []types.SortKey, mapping []int) []types.SortKey {
+// RemapCollation rewrites a collation through a column mapping (old
+// ordinal → new ordinal, -1 = dropped), as a projection does: the prefix
+// up to the first dropped key survives.
+func RemapCollation(coll []types.SortKey, mapping []int) []types.SortKey {
 	out := make([]types.SortKey, 0, len(coll))
 	for _, k := range coll {
 		if k.Col >= len(mapping) || mapping[k.Col] < 0 {

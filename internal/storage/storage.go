@@ -136,8 +136,8 @@ func (s *Store) Table(name string) (*TableData, error) {
 
 // Load bulk-inserts rows into a table, distributing partitioned tables by
 // affinity-key hash and copying replicated tables to all sites. Every
-// catalog-declared index is rebuilt before the lock is released, so a
-// concurrent index scan never finds one missing.
+// catalog-declared index covers the new rows before the lock is released,
+// so a concurrent index scan never finds one missing or stale.
 func (s *Store) Load(name string, rows []types.Row) error {
 	td, err := s.ensureTable(name)
 	if err != nil {
@@ -152,6 +152,10 @@ func (s *Store) Load(name string, rows []types.Row) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	had := make([]int, len(td.partitions))
+	for site, part := range td.partitions {
+		had[site] = len(part)
+	}
 	if td.Def.Replicated {
 		// Store the single copy in partition 0; readers at any site read
 		// partition 0 via Partition().
@@ -163,8 +167,16 @@ func (s *Store) Load(name string, rows []types.Row) error {
 			td.partitions[p] = append(td.partitions[p], r)
 		}
 	}
-	// Every built index is stale now.
-	td.indexes = make(map[string][][]int, len(td.Def.Indexes))
+	// Extend every built index over the appended rows; one no longer
+	// declared is dropped.
+	indexes := make(map[string][][]int, len(td.Def.Indexes))
+	for _, idx := range td.Def.Indexes {
+		name := strings.ToLower(idx.Name)
+		if perSite, built := td.indexes[name]; built {
+			indexes[name] = s.indexSites(td, idx, perSite, had)
+		}
+	}
+	td.indexes = indexes
 	s.buildIndexesLocked(td)
 	return nil
 }
@@ -190,24 +202,70 @@ func (s *Store) buildIndexesLocked(td *TableData) {
 		if _, built := td.indexes[name]; built {
 			continue
 		}
-		keys := make([]types.SortKey, len(idx.Columns))
-		for i, cn := range idx.Columns {
-			keys[i] = types.SortKey{Col: td.Def.ColumnIndex(cn)}
-		}
-		perSite := make([][]int, s.sites)
-		for site := 0; site < s.sites; site++ {
-			rowsAt := td.partitionLocked(site)
-			perm := make([]int, len(rowsAt))
-			for i := range perm {
-				perm[i] = i
-			}
-			sort.SliceStable(perm, func(a, b int) bool {
-				return types.CompareRows(rowsAt[perm[a]], rowsAt[perm[b]], keys) < 0
-			})
-			perSite[site] = perm
-		}
-		td.indexes[name] = perSite
+		td.indexes[name] = s.indexSites(td, idx, nil, nil)
 	}
+}
+
+// indexSites orders one index's positions per site: from scratch when
+// prev is nil, else by extending prev[site] over the rows appended past
+// had[site]. A replicated table's sites all read partition 0, so they
+// share one permutation.
+func (s *Store) indexSites(td *TableData, idx catalog.Index, prev [][]int, had []int) [][]int {
+	keys := make([]types.SortKey, len(idx.Columns))
+	for i, cn := range idx.Columns {
+		keys[i] = types.SortKey{Col: td.Def.ColumnIndex(cn)}
+	}
+	perSite := make([][]int, s.sites)
+	for site := range perSite {
+		rows := td.partitionLocked(site)
+		switch {
+		case td.Def.Replicated && site > 0:
+			perSite[site] = perSite[0]
+		case prev == nil:
+			perSite[site] = sortPositions(rows, keys, 0)
+		default:
+			perSite[site] = extendIndex(rows, keys, prev[site], had[site])
+		}
+	}
+	return perSite
+}
+
+// sortPositions returns the positions from, from+1, … of rows, stably
+// sorted by keys.
+func sortPositions(rows []types.Row, keys []types.SortKey, from int) []int {
+	perm := make([]int, len(rows)-from)
+	for i := range perm {
+		perm[i] = from + i
+	}
+	sort.SliceStable(perm, func(a, b int) bool {
+		return types.CompareRows(rows[perm[a]], rows[perm[b]], keys) < 0
+	})
+	return perm
+}
+
+// extendIndex returns the stable sort by keys of rows' positions, given
+// perm, the one of its first had positions: the appended positions are
+// sorted alone and merged in, old entries first on ties — what a full
+// stable sort gives, since every old position precedes every appended
+// one. perm itself is left as it is: readers may still hold it.
+func extendIndex(rows []types.Row, keys []types.SortKey, perm []int, had int) []int {
+	if had == len(rows) {
+		return perm
+	}
+	added := sortPositions(rows, keys, had)
+	out := make([]int, 0, len(rows))
+	i, j := 0, 0
+	for i < len(perm) && j < len(added) {
+		if types.CompareRows(rows[added[j]], rows[perm[i]], keys) < 0 {
+			out = append(out, added[j])
+			j++
+		} else {
+			out = append(out, perm[i])
+			i++
+		}
+	}
+	out = append(out, perm[i:]...)
+	return append(out, added[j:]...)
 }
 
 // partitionLocked returns the rows visible at a site (caller holds s.mu).

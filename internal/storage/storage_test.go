@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -245,6 +247,107 @@ func TestLoadInvalidatesIndexes(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if got[i-1][0].Int() > got[i][0].Int() {
 			t.Fatalf("emp_pk out of order at %d after the second Load", i)
+		}
+	}
+}
+
+// TestLoadExtendsIndexesAsARebuildWould: after every one of many random
+// batches — duplicate keys, NULL keys, an index on a replicated table,
+// some batches empty — each index's permutation at each site equals a
+// from-scratch stable sort of the partition, and a permutation a reader
+// took before the batch still reads as it did.
+func TestLoadExtendsIndexesAsARebuildWould(t *testing.T) {
+	const sites = 3
+	cat := catalog.New()
+	cols := []catalog.Column{
+		{Name: "k", Kind: types.KindInt},
+		{Name: "g", Kind: types.KindInt},
+		{Name: "s", Kind: types.KindString},
+	}
+	indexes := []catalog.Index{
+		{Name: "by_g", Columns: []string{"g"}},
+		{Name: "by_s_g", Columns: []string{"s", "g"}},
+	}
+	tables := map[string]*catalog.Table{
+		"part": {Name: "part", Columns: cols, PrimaryKey: []string{"k"}, Indexes: indexes},
+		"repl": {Name: "repl", Columns: cols, Replicated: true, Indexes: indexes},
+	}
+	for _, tbl := range tables {
+		if err := cat.AddTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewReplicatedStore(cat, sites, 0)
+	rng := rand.New(rand.NewSource(7))
+	group := func() types.Value {
+		if rng.Intn(5) == 0 {
+			return types.Null
+		}
+		return types.NewInt(int64(rng.Intn(6)))
+	}
+	next := 0
+	for batch := 0; batch < 40; batch++ {
+		rows := make([]types.Row, rng.Intn(4)*rng.Intn(12))
+		for i := range rows {
+			str := types.NewString(string(rune('a' + rng.Intn(3))))
+			if rng.Intn(6) == 0 {
+				str = types.Null
+			}
+			rows[i] = types.Row{types.NewInt(int64(next)), group(), str}
+			next++
+		}
+		for _, table := range []string{"part", "repl"} {
+			type held struct {
+				rows  []types.Row
+				order []int
+				want  []int
+			}
+			var before []held
+			for _, idx := range indexes {
+				for site := 0; site < sites; site++ {
+					if r, o, err := s.IndexScanAt(table, idx.Name, site, site); err == nil {
+						before = append(before, held{r, o, append([]int(nil), o...)})
+					}
+				}
+			}
+			if err := s.Load(table, rows); err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range before {
+				for i, pos := range h.order {
+					if pos != h.want[i] {
+						t.Fatalf("batch %d: %s: Load rewrote a permutation a reader held", batch, table)
+					}
+				}
+			}
+			for _, idx := range indexes {
+				keys := make([]types.SortKey, len(idx.Columns))
+				for i, c := range idx.Columns {
+					keys[i] = types.SortKey{Col: tables[table].ColumnIndex(c)}
+				}
+				for site := 0; site < sites; site++ {
+					part, order, err := s.IndexScanAt(table, idx.Name, site, site)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := make([]int, len(part))
+					for i := range want {
+						want[i] = i
+					}
+					sort.SliceStable(want, func(a, b int) bool {
+						return types.CompareRows(part[want[a]], part[want[b]], keys) < 0
+					})
+					if len(order) != len(want) {
+						t.Fatalf("batch %d: %s.%s site %d: %d positions for %d rows", batch, table, idx.Name, site, len(order), len(want))
+					}
+					for i := range want {
+						if order[i] != want[i] {
+							t.Fatalf("batch %d: %s.%s site %d: position %d is row %d, a rebuild gives row %d",
+								batch, table, idx.Name, site, i, order[i], want[i])
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -21,6 +21,9 @@ type group struct {
 	// entries holds one result per distinct requirement asked of the
 	// group. A group sees a handful of requirements, so a scan beats a map.
 	entries []memoEntry
+	// join holds a join group's requirement-independent derivations and
+	// priced alternatives, made on its first search.
+	join *joinGroup
 }
 
 // memoEntry is the outcome of optimizing a group under one requirement.
@@ -32,7 +35,7 @@ type memoEntry struct {
 	hasDist bool
 	dist    physical.Distribution
 	coll    []types.SortKey
-	node    physical.Node
+	plan    plan
 	err     error
 }
 
@@ -66,8 +69,8 @@ func (p *Planner) lookup(g int, req Req) *memoEntry {
 }
 
 // remember records the outcome of (group, req).
-func (p *Planner) remember(g int, req Req, node physical.Node, err error) {
-	e := memoEntry{coll: req.Coll, node: node, err: err}
+func (p *Planner) remember(g int, req Req, best plan, err error) {
+	e := memoEntry{coll: req.Coll, plan: best, err: err}
 	if req.Dist != nil {
 		e.hasDist, e.dist = true, *req.Dist
 	}

@@ -91,11 +91,11 @@ func TestMemoEntriesCompareRequirementsByValue(t *testing.T) {
 	dist := physical.HashDist(0, 1)
 	coll := []types.SortKey{{Col: 1}}
 	node := physical.NewValues(nil, nil)
-	p.remember(g, Req{Dist: &dist, Coll: coll}, node, nil)
+	p.remember(g, Req{Dist: &dist, Coll: coll}, plan{node: node}, nil)
 	dist = physical.SingleDist // the caller's variable moves on
 
 	same := physical.HashDist(0, 1)
-	if e := p.lookup(g, Req{Dist: &same, Coll: []types.SortKey{{Col: 1}}}); e == nil || e.node != node {
+	if e := p.lookup(g, Req{Dist: &same, Coll: []types.SortKey{{Col: 1}}}); e == nil || e.plan.node != node {
 		t.Error("an equal requirement was not found")
 	}
 	otherKeys, single := physical.HashDist(1, 0), physical.SingleDist

@@ -3,23 +3,71 @@ package volcano
 import (
 	"math"
 
+	"gignite/internal/cost"
 	"gignite/internal/expr"
 	"gignite/internal/logical"
 	"gignite/internal/physical"
 	"gignite/internal/types"
 )
 
-// This file generates the physical alternatives per logical operator. Each
-// generator returns candidate plans; optimize() charges tickets for them,
-// enforces the caller's requirement and keeps the cheapest.
+// This file generates the physical alternatives per logical operator as
+// priced values (alt): estimated rows, subtree cost and output traits.
+// optimizeImpl charges a ticket per alternative, prices the enforcers the
+// caller's requirement needs on each and builds only the cheapest. A
+// non-join alternative is one node over memo winners and arrives built; a
+// join alternative — algorithm, distribution mapping, orientation and its
+// two input winners — is built only when it wins. A join group's
+// alternatives do not depend on the requirement, so they are derived and
+// priced once per group (joinGroup) and every requirement re-prices only
+// its enforcers.
+
+// plan is a memo winner: a built physical subtree and its reach, the
+// least partition-site count over the base-table scans its root reaches
+// without crossing an Exchange (0 when it reaches none) — what
+// Algorithm 2's distribution factor of an operator above it is (dfOf).
+type plan struct {
+	node  physical.Node
+	reach float64
+}
+
+// alt is one priced physical alternative.
+type alt struct {
+	// node is a built (non-join) alternative.
+	node physical.Node
+	// A join alternative (o != nil) is built by buildJoin from these.
+	o           *orientation
+	m           *physical.DistMapping
+	algo        physical.JoinAlgo
+	left, right plan
+
+	rows  float64
+	total cost.Cost
+	dist  physical.Distribution
+	coll  []types.SortKey
+	width int
+	reach float64
+}
+
+// add pushes a built alternative of the given reach.
+func (p *Planner) add(n physical.Node, reach float64) {
+	pr := n.Props()
+	p.alts = append(p.alts, alt{node: n, rows: pr.EstRows, total: pr.Total,
+		dist: pr.Dist, coll: pr.Coll, width: len(pr.Fields), reach: reach})
+}
 
 func widthOf(n physical.Node) float64 { return float64(len(n.Schema())) }
 
+// minReach is the reach of an operator over two subtrees.
+func minReach(a, b float64) float64 {
+	if a == 0 || b != 0 && b < a {
+		return b
+	}
+	return a
+}
+
 // scanAlternatives offers the table scan and, when a collation is wanted,
 // index scans that can provide it.
-func (p *Planner) scanAlternatives(t *logical.Scan, req Req) ([]physical.Node, error) {
-	var alts []physical.Node
-
+func (p *Planner) scanAlternatives(t *logical.Scan, req Req) {
 	ts := physical.NewTableScan(t.Table, t.Schema())
 	rows := p.cfg.Est.RowCount(t)
 	dfScan := float64(p.cfg.Sites)
@@ -27,7 +75,7 @@ func (p *Planner) scanAlternatives(t *logical.Scan, req Req) ([]physical.Node, e
 		dfScan = 1
 	}
 	p.finish(ts, t, p.cfg.CostParams.Scan(rows, float64(len(t.Schema())), dfScan))
-	alts = append(alts, ts)
+	p.add(ts, dfScan)
 
 	if len(req.Coll) > 0 {
 		for i := range t.Table.Indexes {
@@ -41,52 +89,49 @@ func (p *Planner) scanAlternatives(t *logical.Scan, req Req) ([]physical.Node, e
 			c := p.cfg.CostParams.Scan(rows, float64(len(t.Schema())), dfScan)
 			c.CPU *= 1.2
 			p.finish(is, t, c)
-			alts = append(alts, is)
+			p.add(is, dfScan)
 		}
 	}
-	return alts, nil
 }
 
 // filterAlternatives pushes the requirement through (filters preserve
 // traits) and also tries the unconstrained input.
-func (p *Planner) filterAlternatives(t *logical.Filter, req Req) ([]physical.Node, error) {
-	var alts []physical.Node
-	reqs := []Req{anyReq}
-	if req.Dist != nil || len(req.Coll) > 0 {
-		reqs = append(reqs, req)
+func (p *Planner) filterAlternatives(t *logical.Filter, req Req) error {
+	reqs := []Req{anyReq, req}
+	if req.Dist == nil && len(req.Coll) == 0 {
+		reqs = reqs[:1]
 	}
 	for _, r := range reqs {
 		in, err := p.optimize(t.Input, r)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		f := physical.NewFilter(in, t.Cond)
-		p.finish(f, t, p.cfg.CostParams.Filter(in.Props().EstRows, p.df(in)))
-		alts = append(alts, f)
+		f := physical.NewFilter(in.node, t.Cond)
+		p.finish(f, t, p.cfg.CostParams.Filter(in.node.Props().EstRows, p.dfOf(in.reach)))
+		p.add(f, in.reach)
 	}
-	return alts, nil
+	return nil
 }
 
 // projectAlternatives translates the requirement through the projection
 // when possible.
-func (p *Planner) projectAlternatives(t *logical.Project, req Req) ([]physical.Node, error) {
-	var reqs []Req
-	if translated, ok := translateReqThroughProject(req, t); ok {
-		reqs = append(reqs, translated)
+func (p *Planner) projectAlternatives(t *logical.Project, req Req) error {
+	translated, ok := translateReqThroughProject(req, t)
+	reqs := []Req{translated, anyReq}
+	if !ok {
+		reqs = reqs[1:]
 	}
-	reqs = append(reqs, anyReq)
-	var alts []physical.Node
 	for _, r := range reqs {
 		in, err := p.optimize(t.Input, r)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		proj := physical.NewProject(in, t.Exprs, t.Schema())
+		proj := physical.NewProject(in.node, t.Exprs, t.Schema())
 		p.finish(proj, t, p.cfg.CostParams.Project(
-			in.Props().EstRows, float64(len(t.Schema())), p.df(in)))
-		alts = append(alts, proj)
+			in.node.Props().EstRows, float64(len(t.Schema())), p.dfOf(in.reach)))
+		p.add(proj, in.reach)
 	}
-	return alts, nil
+	return nil
 }
 
 // translateReqThroughProject maps output-column requirements to input
@@ -137,27 +182,29 @@ func translateReqThroughProject(req Req, t *logical.Project) (Req, bool) {
 // input, so a Sort logical node physicalizes to its input optimized for
 // {Single, keys} — the enforcer inserts the physical sort exactly when the
 // input cannot deliver the order (index scans can).
-func (p *Planner) sortAlternatives(t *logical.Sort, req Req) ([]physical.Node, error) {
+func (p *Planner) sortAlternatives(t *logical.Sort, req Req) error {
 	dist := physical.SingleDist
 	if req.Dist != nil {
 		dist = *req.Dist
 	}
 	in, err := p.optimize(t.Input, Req{Dist: &dist, Coll: t.Keys})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []physical.Node{in}, nil
+	p.add(in.node, in.reach)
+	return nil
 }
 
 // limitAlternatives: a limit needs the complete stream at one site.
-func (p *Planner) limitAlternatives(t *logical.Limit, req Req) ([]physical.Node, error) {
+func (p *Planner) limitAlternatives(t *logical.Limit, req Req) error {
 	in, err := p.optimize(t.Input, Req{Dist: &physical.SingleDist, Coll: req.Coll})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	l := physical.NewLimit(in, t.N)
-	p.finish(l, t, p.cfg.CostParams.Limit(math.Min(float64(t.N), in.Props().EstRows)))
-	return []physical.Node{l}, nil
+	l := physical.NewLimit(in.node, t.N)
+	p.finish(l, t, p.cfg.CostParams.Limit(math.Min(float64(t.N), in.node.Props().EstRows)))
+	p.add(l, in.reach)
+	return nil
 }
 
 // aggregateAlternatives generates the aggregation strategies:
@@ -167,8 +214,7 @@ func (p *Planner) limitAlternatives(t *logical.Limit, req Req) ([]physical.Node,
 //	(c) two-phase map/reduce aggregation (non-DISTINCT only)
 //	(d) co-located per-partition aggregation when the input is hash
 //	    distributed on a subset of the group columns
-func (p *Planner) aggregateAlternatives(t *logical.Aggregate, req Req) ([]physical.Node, error) {
-	var alts []physical.Node
+func (p *Planner) aggregateAlternatives(t *logical.Aggregate) error {
 	est := p.cfg.Est
 	inRows := est.RowCount(t.Input)
 	outRows := est.RowCount(t)
@@ -177,11 +223,11 @@ func (p *Planner) aggregateAlternatives(t *logical.Aggregate, req Req) ([]physic
 	// (a) single-site hash aggregation.
 	inSingle, err := p.optimize(t.Input, Req{Dist: &physical.SingleDist})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ha := physical.NewHashAggregate(inSingle, t.GroupBy, t.Aggs, physical.AggSinglePhase, t.Schema())
-	p.finish(ha, t, p.cfg.CostParams.HashAggregate(inRows, outRows, width, p.df(inSingle)))
-	alts = append(alts, ha)
+	ha := physical.NewHashAggregate(inSingle.node, t.GroupBy, t.Aggs, physical.AggSinglePhase, t.Schema())
+	p.finish(ha, t, p.cfg.CostParams.HashAggregate(inRows, outRows, width, p.dfOf(inSingle.reach)))
+	p.add(ha, inSingle.reach)
 
 	// (b) single-site sort-based aggregation.
 	if len(t.GroupBy) > 0 {
@@ -191,11 +237,11 @@ func (p *Planner) aggregateAlternatives(t *logical.Aggregate, req Req) ([]physic
 		}
 		inSorted, err := p.optimize(t.Input, Req{Dist: &physical.SingleDist, Coll: coll})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sa := physical.NewSortAggregate(inSorted, t.GroupBy, t.Aggs, physical.AggSinglePhase, t.Schema())
-		p.finish(sa, t, p.cfg.CostParams.SortAggregate(inRows, p.df(inSorted)))
-		alts = append(alts, sa)
+		sa := physical.NewSortAggregate(inSorted.node, t.GroupBy, t.Aggs, physical.AggSinglePhase, t.Schema())
+		p.finish(sa, t, p.cfg.CostParams.SortAggregate(inRows, p.dfOf(inSorted.reach)))
+		p.add(sa, inSorted.reach)
 	}
 
 	// (c) two-phase map/reduce.
@@ -203,10 +249,11 @@ func (p *Planner) aggregateAlternatives(t *logical.Aggregate, req Req) ([]physic
 		if split, err2 := physical.SplitAggCalls(len(t.GroupBy), t.Aggs, t.Schema()); err2 == nil {
 			inAny, err := p.optimize(t.Input, anyReq)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if inAny.Dist().Type != physical.Single {
-				alts = append(alts, p.buildTwoPhaseAgg(t, inAny, split, inRows, outRows))
+			if inAny.node.Dist().Type != physical.Single {
+				// The reduce side reads an Exchange: it reaches no scan.
+				p.add(p.buildTwoPhaseAgg(t, inAny, split, inRows, outRows), 0)
 			}
 		}
 	}
@@ -215,16 +262,16 @@ func (p *Planner) aggregateAlternatives(t *logical.Aggregate, req Req) ([]physic
 	if len(t.GroupBy) > 0 {
 		inAny, err := p.optimize(t.Input, anyReq)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		d := inAny.Dist()
+		d := inAny.node.Dist()
 		if d.Type == physical.Hash && len(d.Keys) > 0 && keysSubset(d.Keys, t.GroupBy) {
-			la := physical.NewHashAggregate(inAny, t.GroupBy, t.Aggs, physical.AggSinglePhase, t.Schema())
-			p.finish(la, t, p.cfg.CostParams.HashAggregate(inRows, outRows, width, p.df(inAny)))
-			alts = append(alts, la)
+			la := physical.NewHashAggregate(inAny.node, t.GroupBy, t.Aggs, physical.AggSinglePhase, t.Schema())
+			p.finish(la, t, p.cfg.CostParams.HashAggregate(inRows, outRows, width, p.dfOf(inAny.reach)))
+			p.add(la, inAny.reach)
 		}
 	}
-	return alts, nil
+	return nil
 }
 
 func keysSubset(keys, groupBy []int) bool {
@@ -245,14 +292,14 @@ func keysSubset(keys, groupBy []int) bool {
 
 // buildTwoPhaseAgg assembles MapAgg → Exchange(single) → ReduceAgg
 // [→ finalize Project].
-func (p *Planner) buildTwoPhaseAgg(t *logical.Aggregate, in physical.Node,
+func (p *Planner) buildTwoPhaseAgg(t *logical.Aggregate, in plan,
 	split *physical.AggSplit, inRows, outRows float64) physical.Node {
 
 	sites := float64(p.cfg.Sites)
 	mapRows := math.Min(inRows, outRows*sites)
 
-	mapAgg := physical.NewHashAggregate(in, t.GroupBy, split.MapCalls, physical.AggMap, split.MapFields)
-	setCost(mapAgg, mapRows, p.cfg.CostParams.HashAggregate(inRows, mapRows, float64(len(split.MapFields)), p.df(in)))
+	mapAgg := physical.NewHashAggregate(in.node, t.GroupBy, split.MapCalls, physical.AggMap, split.MapFields)
+	setCost(mapAgg, mapRows, p.cfg.CostParams.HashAggregate(inRows, mapRows, float64(len(split.MapFields)), p.dfOf(in.reach)))
 
 	ex := p.newExchange(mapAgg, physical.SingleDist)
 
@@ -271,33 +318,59 @@ func (p *Planner) buildTwoPhaseAgg(t *logical.Aggregate, in physical.Node,
 	return proj
 }
 
-// joinAlternatives enumerates algorithm × distribution-mapping ×
-// orientation alternatives for one join.
-func (p *Planner) joinAlternatives(t *logical.Join, req Req) ([]physical.Node, error) {
-	leftW := len(t.Left.Schema())
-	keys, _ := expr.SplitJoinCondition(t.Cond, leftW)
+// joinGroup is what a join group's search derives without looking at the
+// requirement: its orientations and its priced alternatives in both.
+type joinGroup struct {
+	alts   []alt
+	orient [2]orientation
+}
 
-	var alts []physical.Node
-	add, err := p.orientationAlternatives(t, t.Left, t.Right, t.Type, t.Cond, keys)
-	if err != nil {
+// orientation is one input order of a join: the condition and equi-keys
+// over that order's layout, its distribution mappings and its output
+// schema. The commuted one also keeps the expressions of its restore
+// projection, built for the join schema restoreFor.
+type orientation struct {
+	swapped    bool
+	cond       expr.Expr
+	keys       []expr.EquiKey
+	mappings   []physical.DistMapping
+	schema     joinSchema
+	restore    []expr.Expr
+	restoreFor types.Fields
+}
+
+// joinAlternatives returns a join group's alternatives, enumerating and
+// pricing them on the group's first search: algorithm × distribution
+// mapping × orientation, with the §5.1.3 commuted orientation (hash-join
+// input swap and friends) restored to the original column order by a
+// projection.
+func (p *Planner) joinAlternatives(t *logical.Join, g int) ([]alt, error) {
+	if jg := p.groups[g].join; jg != nil {
+		return jg.alts, nil
+	}
+	leftW, rightW := len(t.Left.Schema()), len(t.Right.Schema())
+	jg := &joinGroup{}
+	o := &jg.orient[0]
+	o.cond = t.Cond
+	o.keys, _ = expr.SplitJoinCondition(t.Cond, leftW)
+	o.schema = joinSchema{left: t.Left.Schema(), right: t.Right.Schema(), out: t.Schema()}
+	if err := p.orientationAlternatives(t, jg, o); err != nil {
 		return nil, err
 	}
-	alts = append(alts, add...)
-
-	// §5.1.3: the commuted orientation (hash-join input swap and friends).
 	if p.allowCommute && t.Type == logical.JoinInner {
-		swKeys := make([]expr.EquiKey, len(keys))
-		for i, k := range keys {
-			swKeys[i] = expr.EquiKey{Left: k.Right, Right: k.Left}
+		sw := &jg.orient[1]
+		sw.swapped = true
+		sw.keys = make([]expr.EquiKey, len(o.keys))
+		for i, k := range o.keys {
+			sw.keys[i] = expr.EquiKey{Left: k.Right, Right: k.Left}
 		}
-		swCond := commuteCond(t.Cond, leftW, len(t.Right.Schema()))
-		add, err = p.orientationAlternativesSwapped(t, swCond, swKeys)
-		if err != nil {
+		sw.cond = commuteCond(t.Cond, leftW, rightW)
+		if err := p.orientationAlternatives(t, jg, sw); err != nil {
 			return nil, err
 		}
-		alts = append(alts, add...)
 	}
-	return alts, nil
+	p.groups[g].join = jg
+	return jg.alts, nil
 }
 
 // commuteCond rewrites a condition over [L ++ R] to the [R ++ L] layout.
@@ -312,44 +385,6 @@ func commuteCond(cond expr.Expr, leftW, rightW int) expr.Expr {
 		}
 		return expr.NewColRef(c.Index-leftW, c.Typ, c.Name)
 	})
-}
-
-// orientationAlternativesSwapped builds the commuted join and restores the
-// original column order with a projection.
-func (p *Planner) orientationAlternativesSwapped(t *logical.Join, swCond expr.Expr,
-	swKeys []expr.EquiKey) ([]physical.Node, error) {
-
-	raw, err := p.orientationAlternatives(t, t.Right, t.Left, t.Type, swCond, swKeys)
-	if err != nil {
-		return nil, err
-	}
-	leftW := len(t.Left.Schema())
-	rightW := len(t.Right.Schema())
-	fields := t.Schema()
-	out := make([]physical.Node, 0, len(raw))
-	// The restore-projection expressions depend only on the commuted
-	// join's schema, which the alternatives share (see joinSchema): build
-	// them once per distinct schema, not once per alternative.
-	var exprs []expr.Expr
-	var exprsFor types.Fields
-	for _, j := range raw {
-		if js := j.Schema(); exprs == nil || !sameFields(js, exprsFor) {
-			// Restore [L ++ R] order.
-			exprs = make([]expr.Expr, 0, leftW+rightW)
-			for i := 0; i < leftW; i++ {
-				exprs = append(exprs, expr.NewColRef(rightW+i, js[rightW+i].Kind, js[rightW+i].Name))
-			}
-			for i := 0; i < rightW; i++ {
-				exprs = append(exprs, expr.NewColRef(i, js[i].Kind, js[i].Name))
-			}
-			exprsFor = js
-		}
-		proj := physical.NewProject(j, exprs, fields)
-		rows := j.Props().EstRows
-		setCost(proj, rows, p.cfg.CostParams.Project(rows, float64(len(fields)), 1))
-		out = append(out, proj)
-	}
-	return out, nil
 }
 
 // joinSchema hands out the output schema of one join's alternatives,
@@ -371,53 +406,69 @@ func (s *joinSchema) of(jt logical.JoinType, left, right types.Fields) types.Fie
 	return s.out
 }
 
-// orientationAlternatives enumerates algorithm × mapping for one input
-// orientation. t carries the estimates; left/right/cond/keys describe the
-// (possibly swapped) orientation.
-func (p *Planner) orientationAlternatives(t *logical.Join, left, right logical.Node,
-	jt logical.JoinType, cond expr.Expr, keys []expr.EquiKey) ([]physical.Node, error) {
-
-	leftW := len(left.Schema())
+// orientationAlternatives prices algorithm × mapping for one input
+// orientation and appends them to the group's alternatives. t carries the
+// estimates; o describes the (possibly swapped) orientation.
+func (p *Planner) orientationAlternatives(t *logical.Join, jg *joinGroup, o *orientation) error {
+	left, right := t.Left, t.Right
+	if o.swapped {
+		left, right = right, left
+	}
+	leftW, rightW := len(left.Schema()), len(right.Schema())
 	leftNat, err := p.optimize(left, anyReq)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rightNat, err := p.optimize(right, anyReq)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	mappings := physical.DeriveJoinDistributions(jt, keys, leftW,
-		leftNat.Dist(), rightNat.Dist(), p.cfg.FullyDistributedJoins)
+	o.mappings = physical.DeriveJoinDistributions(t.Type, o.keys, leftW,
+		leftNat.node.Dist(), rightNat.node.Dist(), p.cfg.FullyDistributedJoins)
 
-	// What no alternative changes is built once: the algorithm list, the
-	// merge-join input collations and (through schema) the output fields.
+	// What no alternative changes is built once: the algorithm list and
+	// the merge-join input collations.
 	algos := make([]physical.JoinAlgo, 1, 3)
 	algos[0] = physical.NestedLoop
 	var lc, rc []types.SortKey
-	if len(keys) > 0 {
+	if len(o.keys) > 0 {
 		algos = append(algos, physical.Merge)
 		if p.cfg.EnableHashJoin {
 			algos = append(algos, physical.HashAlgo)
 		}
-		lc = make([]types.SortKey, len(keys))
-		rc = make([]types.SortKey, len(keys))
-		for i, k := range keys {
+		lc = make([]types.SortKey, len(o.keys))
+		rc = make([]types.SortKey, len(o.keys))
+		for i, k := range o.keys {
 			lc[i] = types.SortKey{Col: k.Left}
 			rc[i] = types.SortKey{Col: k.Right}
 		}
 	}
-	// In t's own orientation the logical join already holds the schema.
-	var schema joinSchema
-	if left == t.Left {
-		schema = joinSchema{left: left.Schema(), right: right.Schema(), out: t.Schema()}
+	// The commuted orientation's restore projection moves every column of
+	// the [R ++ L] layout (here left = R): R's columns after L's, L's to
+	// the front.
+	var restore []int
+	if o.swapped {
+		restore = make([]int, leftW+rightW)
+		for i := range restore {
+			if i < leftW {
+				restore[i] = rightW + i
+			} else {
+				restore[i] = i - leftW
+			}
+		}
 	}
 
-	est := p.cfg.Est
-	outRows := est.RowCount(t)
-
-	alts := make([]physical.Node, 0, len(mappings)*len(algos))
-	for i := range mappings {
-		m := &mappings[i]
+	outRows := p.cfg.Est.RowCount(t)
+	width := len(t.Schema())
+	if jg.alts == nil {
+		jg.alts = make([]alt, 0, 2*len(o.mappings)*len(algos))
+	}
+	for i := range o.mappings {
+		m := &o.mappings[i]
+		var restDist physical.Distribution
+		if o.swapped {
+			restDist = m.Target.RemapKeys(restore)
+		}
 		for _, algo := range algos {
 			lReq := Req{Dist: &m.Left}
 			rReq := Req{Dist: &m.Right}
@@ -426,25 +477,67 @@ func (p *Planner) orientationAlternatives(t *logical.Join, left, right logical.N
 			}
 			lp, err := p.optimize(left, lReq)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			rp, err := p.optimize(right, rReq)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			j := physical.NewJoin(lp, rp, algo, jt, cond, keys, m.Target, m.Name,
-				schema.of(jt, lp.Schema(), rp.Schema()))
-			lRows, rRows := lp.Props().EstRows, rp.Props().EstRows
-			var self = p.cfg.CostParams.NestedLoopJoin(lRows, rRows, widthOf(rp), p.df(lp))
-			switch algo {
-			case physical.Merge:
-				self = p.cfg.CostParams.MergeJoin(lRows, rRows, p.df(lp), p.df(rp))
-			case physical.HashAlgo:
-				self = p.cfg.CostParams.HashJoin(lRows, rRows, widthOf(rp), p.df(rp))
+			a := alt{o: o, m: m, algo: algo, left: lp, right: rp, rows: outRows,
+				total: p.joinCost(algo, lp, rp).Plus(lp.node.Props().Total).Plus(rp.node.Props().Total),
+				dist:  m.Target, width: width, reach: minReach(lp.reach, rp.reach)}
+			if algo == physical.Merge {
+				a.coll = lp.node.Collation()
 			}
-			setCost(j, outRows, self)
-			alts = append(alts, j)
+			if o.swapped {
+				a.total = p.cfg.CostParams.Project(outRows, float64(width), 1).Plus(a.total)
+				a.dist = restDist
+				a.coll = physical.RemapCollation(a.coll, restore)
+			}
+			jg.alts = append(jg.alts, a)
 		}
 	}
-	return alts, nil
+	return nil
+}
+
+// joinCost is a join's own cost over its two input winners.
+func (p *Planner) joinCost(algo physical.JoinAlgo, lp, rp plan) cost.Cost {
+	lRows, rRows := lp.node.Props().EstRows, rp.node.Props().EstRows
+	switch algo {
+	case physical.Merge:
+		return p.cfg.CostParams.MergeJoin(lRows, rRows, p.dfOf(lp.reach), p.dfOf(rp.reach))
+	case physical.HashAlgo:
+		return p.cfg.CostParams.HashJoin(lRows, rRows, widthOf(rp.node), p.dfOf(rp.reach))
+	}
+	return p.cfg.CostParams.NestedLoopJoin(lRows, rRows, widthOf(rp.node), p.dfOf(lp.reach))
+}
+
+// buildJoin materializes a winning join alternative at the rows and cost
+// it was priced at; the commuted orientation gets its restore projection.
+func (p *Planner) buildJoin(t *logical.Join, a *alt) physical.Node {
+	o := a.o
+	lp, rp := a.left.node, a.right.node
+	j := physical.NewJoin(lp, rp, a.algo, t.Type, o.cond, o.keys, a.m.Target, a.m.Name,
+		o.schema.of(t.Type, lp.Schema(), rp.Schema()))
+	setCost(j, a.rows, p.joinCost(a.algo, a.left, a.right))
+	if !o.swapped {
+		return j
+	}
+	js := j.Schema()
+	if o.restore == nil || !sameFields(js, o.restoreFor) {
+		// Restore [L ++ R] order.
+		leftW, rightW := len(t.Left.Schema()), len(t.Right.Schema())
+		o.restore = make([]expr.Expr, 0, leftW+rightW)
+		for i := 0; i < leftW; i++ {
+			o.restore = append(o.restore, expr.NewColRef(rightW+i, js[rightW+i].Kind, js[rightW+i].Name))
+		}
+		for i := 0; i < rightW; i++ {
+			o.restore = append(o.restore, expr.NewColRef(i, js[i].Kind, js[i].Name))
+		}
+		o.restoreFor = js
+	}
+	fields := t.Schema()
+	proj := physical.NewProject(j, o.restore, fields)
+	setCost(proj, a.rows, p.cfg.CostParams.Project(a.rows, float64(len(fields)), 1))
+	return proj
 }

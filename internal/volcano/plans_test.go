@@ -67,10 +67,29 @@ func planStatements() []planStatement {
 	return out
 }
 
+// explainLine explains one statement and renders its golden line: the
+// FNV-64a hash of the EXPLAIN text (which ends in its `planner tickets:`
+// line) plus the ticket count in clear, or the error text of a statement
+// that does not plan (Q15 needs views). It also returns the tickets.
+func explainLine(tb testing.TB, e *gignite.Engine, label, query string) (string, int) {
+	tb.Helper()
+	text, err := e.Explain(query)
+	if err != nil {
+		return fmt.Sprintf("%s error: %v\n", label, err), 0
+	}
+	h := fnv.New64a()
+	h.Write([]byte(text))
+	lines := strings.Split(strings.TrimSpace(text), "\n")
+	last := lines[len(lines)-1]
+	var n int
+	if _, err := fmt.Sscanf(last, "planner tickets: %d", &n); err != nil {
+		tb.Fatalf("%s: EXPLAIN ends in %q, not its ticket line", label, last)
+	}
+	return fmt.Sprintf("%s %016x %s\n", label, h.Sum64(), last), n
+}
+
 // renderPlanGolden explains every statement on every system and renders
-// one line per pair: the FNV-64a hash of the EXPLAIN text (which ends in
-// its `planner tickets:` line) plus the ticket count in clear, or the
-// error text of a statement that does not plan (Q15 needs views).
+// one explainLine per pair.
 func renderPlanGolden(tb testing.TB) string {
 	tb.Helper()
 	var sb strings.Builder
@@ -80,21 +99,9 @@ func renderPlanGolden(tb testing.TB) string {
 		for _, sys := range harness.Systems() {
 			e := planEngine(tb, st.workload, sys)
 			start := time.Now()
-			text, err := e.Explain(st.sql)
+			line, n := explainLine(tb, e, fmt.Sprintf("%s %s", st.label, sys), st.sql)
 			wall[sys] += time.Since(start)
-			if err != nil {
-				fmt.Fprintf(&sb, "%s %s error: %v\n", st.label, sys, err)
-				continue
-			}
-			h := fnv.New64a()
-			h.Write([]byte(text))
-			lines := strings.Split(strings.TrimSpace(text), "\n")
-			last := lines[len(lines)-1]
-			fmt.Fprintf(&sb, "%s %s %016x %s\n", st.label, sys, h.Sum64(), last)
-			var n int
-			if _, err := fmt.Sscanf(last, "planner tickets: %d", &n); err != nil {
-				tb.Fatalf("%s %s: EXPLAIN ends in %q, not its ticket line", st.label, sys, last)
-			}
+			sb.WriteString(line)
 			tickets[sys] += n
 		}
 	}
@@ -107,9 +114,9 @@ func renderPlanGolden(tb testing.TB) string {
 
 // checkPlanGolden compares the rendered golden with the committed one,
 // line by line so a failure names the (query, system) pairs that moved.
-func checkPlanGolden(t *testing.T, got string) {
+func checkPlanGolden(t *testing.T, path, got string) {
 	t.Helper()
-	data, err := os.ReadFile(plansGolden)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +143,7 @@ func TestPlanGolden(t *testing.T) {
 		}
 		return
 	}
-	checkPlanGolden(t, got)
+	checkPlanGolden(t, plansGolden, got)
 }
 
 // TestPlanGoldenUnderHashCollisions plans the whole golden set with every
@@ -145,7 +152,61 @@ func TestPlanGolden(t *testing.T) {
 // groups — same plans, same tickets.
 func TestPlanGoldenUnderHashCollisions(t *testing.T) {
 	defer volcano.SetConstantHash()()
-	checkPlanGolden(t, renderPlanGolden(t))
+	checkPlanGolden(t, plansGolden, renderPlanGolden(t))
+}
+
+// plansCornersGolden pins the planner away from the presets: every
+// TPC-H/SSB statement on IC+M with one planner setting flipped from its
+// IC+M value, and on IC+M at 1 and at 8 sites. Rewritten with
+// -update-plans, like plans.golden.
+const plansCornersGolden = "../../testdata/plans_corners.golden"
+
+// planCorners are the corners: a label, the site count and the one edit
+// applied to the IC+M configuration.
+var planCorners = []struct {
+	label string
+	sites int
+	edit  func(*gignite.Config)
+}{
+	{"misestimate10", plansSites, func(c *gignite.Config) { c.StatsMisestimate = 10 }},
+	{"legacy-estimator", plansSites, func(c *gignite.Config) { c.SwamiSchieferEstimation = false }},
+	{"legacy-units", plansSites, func(c *gignite.Config) { c.StandardCostUnits = false }},
+	{"exchange-penalty-bug", plansSites, func(c *gignite.Config) { c.FixExchangePenalty = false }},
+	{"no-df", plansSites, func(c *gignite.Config) { c.DistributionFactor = false }},
+	{"no-hashjoin", plansSites, func(c *gignite.Config) { c.HashJoin = false }},
+	{"no-bcast", plansSites, func(c *gignite.Config) { c.FullyDistributedJoins = false }},
+	{"sites1", 1, func(*gignite.Config) {}},
+	{"sites8", 8, func(*gignite.Config) {}},
+}
+
+// TestPlanCornersGolden fails when any (corner, query) plan or its ticket
+// count differs from testdata/plans_corners.golden.
+func TestPlanCornersGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, c := range planCorners {
+		cfg := harness.ConfigFor(harness.ICPM, c.sites, plansSF)
+		c.edit(&cfg)
+		engines := make(map[harness.Workload]*gignite.Engine)
+		for _, st := range planStatements() {
+			e := engines[st.workload]
+			if e == nil {
+				e = gignite.Open(gignite.WithConfig(cfg))
+				if err := st.workload.Setup(e, plansSF); err != nil {
+					t.Fatal(err)
+				}
+				engines[st.workload] = e
+			}
+			line, _ := explainLine(t, e, fmt.Sprintf("%s %s", st.label, c.label), st.sql)
+			sb.WriteString(line)
+		}
+	}
+	if *updatePlans {
+		if err := os.WriteFile(plansCornersGolden, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	checkPlanGolden(t, plansCornersGolden, sb.String())
 }
 
 // empEngine loads the differential tests' emp/dept/sales fixture.

@@ -91,6 +91,9 @@ type Planner struct {
 	byNode       map[logical.Node]int
 	byHash       map[uint64][]int
 	allowCommute bool
+	// alts is the stack the non-join generators push their alternatives
+	// on; each search pops its own before it returns.
+	alts []alt
 	// TicketsUsed counts tickets consumed (exposed for tests/telemetry).
 	TicketsUsed int
 }
@@ -158,7 +161,7 @@ func (p *Planner) Optimize(plan logical.Node) (physical.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return root, nil
+	return root.node, nil
 }
 
 // Req is the physical property requirement passed down the search: an
@@ -181,98 +184,130 @@ func (r Req) String() string {
 // anyReq requires nothing.
 var anyReq = Req{}
 
-// optimize is the memoized core.
-func (p *Planner) optimize(n logical.Node, req Req) (physical.Node, error) {
+// optimize is the memoized core: it returns the winner of (n's group,
+// req), searching for it on first use.
+func (p *Planner) optimize(n logical.Node, req Req) (plan, error) {
 	g := p.groupOf(n)
 	if e := p.lookup(g, req); e != nil {
-		return e.node, e.err
+		return e.plan, e.err
 	}
-	node, err := p.optimizeImpl(n, req)
-	p.remember(g, req, node, err)
-	return node, err
+	best, err := p.optimizeImpl(n, g, req)
+	p.remember(g, req, best, err)
+	return best, err
 }
 
-func (p *Planner) optimizeImpl(n logical.Node, req Req) (physical.Node, error) {
+// optimizeImpl generates n's alternatives as priced values, charges a
+// ticket for each, prices the enforcers req needs on top of every one,
+// and builds physical nodes only for the cheapest: its join (and the
+// commuted orientation's restore Project) and its enforcers.
+func (p *Planner) optimizeImpl(n logical.Node, g int, req Req) (plan, error) {
+	base := len(p.alts)
+	defer func() { p.alts = p.alts[:base] }()
 	var (
-		alts []physical.Node
+		alts []alt
 		err  error
 	)
 	switch t := n.(type) {
 	case *logical.Scan:
-		alts, err = p.scanAlternatives(t, req)
+		p.scanAlternatives(t, req)
 	case *logical.Values:
 		v := physical.NewValues(t.Schema(), t.Rows)
 		v.Props().EstRows = float64(len(t.Rows))
-		alts = []physical.Node{v}
+		p.add(v, 0)
 	case *logical.Filter:
-		alts, err = p.filterAlternatives(t, req)
+		err = p.filterAlternatives(t, req)
 	case *logical.Project:
-		alts, err = p.projectAlternatives(t, req)
+		err = p.projectAlternatives(t, req)
 	case *logical.Join:
-		alts, err = p.joinAlternatives(t, req)
+		alts, err = p.joinAlternatives(t, g)
 	case *logical.Aggregate:
-		alts, err = p.aggregateAlternatives(t, req)
+		err = p.aggregateAlternatives(t)
 	case *logical.Sort:
-		alts, err = p.sortAlternatives(t, req)
+		err = p.sortAlternatives(t, req)
 	case *logical.Limit:
-		alts, err = p.limitAlternatives(t, req)
+		err = p.limitAlternatives(t, req)
 	default:
-		return nil, fmt.Errorf("volcano: no physical implementation for %T", n)
+		return plan{}, fmt.Errorf("volcano: no physical implementation for %T", n)
 	}
 	if err != nil {
-		return nil, err
+		return plan{}, err
+	}
+	if alts == nil { // a non-join generator pushed its alternatives
+		alts = p.alts[base:]
 	}
 	if err := p.charge(len(alts)); err != nil {
-		return nil, err
+		return plan{}, err
 	}
-	best := p.pickBest(alts, req)
-	if best == nil {
-		return nil, fmt.Errorf("volcano: no alternative satisfies %s for %s", req, n.Digest())
+	best, ok := p.pickBest(alts, req)
+	if !ok {
+		return plan{}, fmt.Errorf("volcano: no alternative satisfies %s for %s", req, n.Digest())
 	}
-	return best, nil
+	return p.build(best, n, req), nil
 }
 
-// pickBest enforces the requirement on every alternative and returns the
-// cheapest.
-func (p *Planner) pickBest(alts []physical.Node, req Req) physical.Node {
-	var best physical.Node
-	for _, a := range alts {
-		if a == nil {
-			continue
-		}
-		a = p.enforce(a, req)
-		if a == nil {
-			continue
-		}
-		if best == nil || a.Props().Total.Less(best.Props().Total) {
-			best = a
-		}
-	}
-	return best
+// choice is an alternative with the enforcers its requirement needs,
+// priced but not built.
+type choice struct {
+	alt            *alt
+	exchange, sort bool
+	total          cost.Cost
 }
 
-// enforce repairs trait mismatches with Exchange (distribution) and Sort
-// (collation) enforcers, pricing them.
-func (p *Planner) enforce(n physical.Node, req Req) physical.Node {
-	if req.Dist != nil && !n.Dist().Satisfies(*req.Dist, p.cfg.Sites) {
-		n = p.newExchange(n, *req.Dist)
+// pickBest prices the enforcers of the requirement on every alternative
+// and returns the cheapest; the first of equally cheap ones wins.
+func (p *Planner) pickBest(alts []alt, req Req) (best choice, ok bool) {
+	for i := range alts {
+		c, sat := p.enforce(&alts[i], req)
+		if sat && (!ok || c.total.Less(best.total)) {
+			best, ok = c, true
+		}
 	}
-	if len(req.Coll) > 0 && !physical.CollationSatisfies(n.Collation(), req.Coll) {
-		n = p.newEnforcerSort(n, req.Coll)
+	return best, ok
+}
+
+// enforce prices the repairs of an alternative's trait mismatches: an
+// Exchange for distribution, then a Sort for collation. Each enforcer's
+// cost is its own plus its input's total, as setCost adds them.
+func (p *Planner) enforce(a *alt, req Req) (choice, bool) {
+	c := choice{alt: a, total: a.total}
+	dist, reach := a.dist, a.reach
+	if req.Dist != nil && !dist.Satisfies(*req.Dist, p.cfg.Sites) {
+		c.exchange = true
+		c.total = p.exchangeCost(a.rows, a.width, *req.Dist).Plus(c.total)
+		dist, reach = *req.Dist, 0 // an exchange ends every df path
 	}
-	if req.Dist != nil && !n.Dist().Satisfies(*req.Dist, p.cfg.Sites) {
+	if len(req.Coll) > 0 && !physical.CollationSatisfies(a.coll, req.Coll) {
+		c.sort = true
+		c.total = p.cfg.CostParams.Sort(a.rows, float64(a.width), p.dfOf(reach)).Plus(c.total)
+	}
+	if req.Dist != nil && !dist.Satisfies(*req.Dist, p.cfg.Sites) {
 		// A sort enforcer cannot change distribution; unreachable with the
 		// current enforcer order but kept as a guard.
-		return nil
+		return choice{}, false
 	}
-	return n
+	return c, true
 }
 
-// newExchange builds a costed Exchange to the target distribution.
-func (p *Planner) newExchange(input physical.Node, target physical.Distribution) physical.Node {
-	ex := physical.NewExchange(input, target)
-	rows := input.Props().EstRows
-	width := float64(len(input.Schema()))
+// build materializes a chosen alternative and its enforcers — the only
+// physical nodes a search creates besides the cheap non-join
+// alternatives. Their costs are the ones enforce priced.
+func (p *Planner) build(c choice, n logical.Node, req Req) plan {
+	a := c.alt
+	node, reach := a.node, a.reach
+	if a.o != nil {
+		node = p.buildJoin(n.(*logical.Join), a)
+	}
+	if c.exchange {
+		node, reach = p.newExchange(node, *req.Dist), 0
+	}
+	if c.sort {
+		node = p.newEnforcerSort(node, req.Coll, reach)
+	}
+	return plan{node: node, reach: reach}
+}
+
+// exchangeCost prices an Exchange of rows × width to the target.
+func (p *Planner) exchangeCost(rows float64, width int, target physical.Distribution) cost.Cost {
 	copies := 1.0
 	targets := 1
 	switch target.Type {
@@ -282,22 +317,30 @@ func (p *Planner) newExchange(input physical.Node, target physical.Distribution)
 	case physical.Hash:
 		targets = p.cfg.Sites
 	}
-	setCost(ex, rows, p.cfg.CostParams.Exchange(rows, width, copies, targets))
+	return p.cfg.CostParams.Exchange(rows, float64(width), copies, targets)
+}
+
+// newExchange builds a costed Exchange to the target distribution.
+func (p *Planner) newExchange(input physical.Node, target physical.Distribution) physical.Node {
+	ex := physical.NewExchange(input, target)
+	rows := input.Props().EstRows
+	setCost(ex, rows, p.exchangeCost(rows, len(input.Schema()), target))
 	return ex
 }
 
-// newEnforcerSort builds a costed Sort enforcer.
-func (p *Planner) newEnforcerSort(input physical.Node, keys []types.SortKey) physical.Node {
+// newEnforcerSort builds a costed Sort enforcer over an input of the
+// given reach.
+func (p *Planner) newEnforcerSort(input physical.Node, keys []types.SortKey, reach float64) physical.Node {
 	s := physical.NewSort(input, keys)
 	rows := input.Props().EstRows
-	width := float64(len(input.Schema()))
-	setCost(s, rows, p.cfg.CostParams.Sort(rows, width, p.df(input)))
+	setCost(s, rows, p.cfg.CostParams.Sort(rows, widthOf(input), p.dfOf(reach)))
 	return s
 }
 
-// df computes the Algorithm 2 distribution factor for an operator whose
-// child subtree is given: the partition-site count of a base relation the
-// operator can reach without crossing an exchange, else 1.
+// dfOf is the Algorithm 2 distribution factor of an operator over a
+// subtree of the given reach (plan.reach): the least partition-site count
+// over the base relations the operator reaches without crossing an
+// exchange, or 1 when it reaches none.
 //
 // Note: the paper's Algorithm 2 pseudocode returns 1 whenever *any*
 // exchange exists in the subtree, but its §4.2 text says an operator
@@ -306,37 +349,12 @@ func (p *Planner) newEnforcerSort(input physical.Node, keys []types.SortKey) phy
 // the distributed plans the paper reports cost-competitive (an operator
 // above a co-located join still runs partition-parallel even though the
 // join's other input was exchanged). This reproduction follows the text:
-// the walk simply does not descend through Exchange operators.
-func (p *Planner) df(child physical.Node) float64 {
-	if !p.cfg.CostParams.UseDistributionFactor {
+// reach does not extend through Exchange operators.
+func (p *Planner) dfOf(reach float64) float64 {
+	if !p.cfg.CostParams.UseDistributionFactor || reach == 0 {
 		return 1
 	}
-	df := 0.0
-	physical.Walk(child, func(m physical.Node) bool {
-		var replicated bool
-		switch s := m.(type) {
-		case *physical.Exchange:
-			return false // paths through exchanges do not qualify
-		case *physical.TableScan:
-			replicated = s.Table.Replicated
-		case *physical.IndexScan:
-			replicated = s.Table.Replicated
-		default:
-			return true
-		}
-		sites := float64(p.cfg.Sites)
-		if replicated {
-			sites = 1
-		}
-		if df == 0 || sites < df {
-			df = sites
-		}
-		return true
-	})
-	if df == 0 {
-		return 1
-	}
-	return df
+	return reach
 }
 
 // finish costs an operator at its logical node's estimated row count.
