@@ -232,13 +232,14 @@ var updateFaults = flag.Bool("update-faults", false, "TestFaultOutcomesGolden: r
 
 // faultOutcomeSpec is the fault plan TestFaultOutcomesGolden runs under: a
 // crash in mid-query, flaky sends and a slow site, so the scheduler's
-// retry, failover and hedging paths all fire.
+// retry and failover paths both fire.
 const faultOutcomeSpec = "seed=7;crash=2@4;sendfail=0.05;slow=1x2.0"
 
 // TestFaultOutcomesGolden pins what every TPC-H query does under one fault
 // plan, field by field: modeled time, the exact bits of Work, shipped
-// bytes, instances, retries, spans, hedges, replans and a hash
-// of the rows. A fault plan addresses instances by ordinal, so a change
+// bytes, instances, retries, spans, replans and a hash of the rows, and
+// holds every line to the span ledger spans == instances + retries +
+// replans. A fault plan addresses instances by ordinal, so a change
 // to the schedule that reshuffles ordinals — which the chaos tests, which
 // compare rows only, would not notice — moves a line here. Rewrite the
 // file with -update-faults only for a change that means to move them.
@@ -255,10 +256,9 @@ func TestFaultOutcomesGolden(t *testing.T) {
 	}{
 		{"IC+", harness.ICPlus, nil},
 		{"IC+M", harness.ICPM, nil},
-		{"IC+M+adaptive+hedge", harness.ICPM, []gignite.Option{func(c *gignite.Config) {
+		{"IC+M+adaptive", harness.ICPM, []gignite.Option{func(c *gignite.Config) {
 			c.AdaptiveExec = true
 			c.StatsMisestimate = 10
-			c.HedgeAfter = 1.5
 		}}},
 	}
 	var out strings.Builder
@@ -286,9 +286,14 @@ func TestFaultOutcomesGolden(t *testing.T) {
 			h := fnv.New64a()
 			h.Write([]byte(rowsChecksum(res.Rows)))
 			s := res.Stats
-			fmt.Fprintf(&out, "rows=%d hash=%016x modeled=%d work=%016x bytes=%016x instances=%d retries=%d spans=%d hedges=%d/%d replans=%d/%d\n",
+			// Every attempt is one span, and so is every adaptive pass.
+			if s.Spans != s.Instances+s.Retries+s.AdaptiveReplans {
+				t.Errorf("%s Q%02d: span ledger broken: spans=%d instances=%d retries=%d replans=%d",
+					cfg.name, q.ID, s.Spans, s.Instances, s.Retries, s.AdaptiveReplans)
+			}
+			fmt.Fprintf(&out, "rows=%d hash=%016x modeled=%d work=%016x bytes=%016x instances=%d retries=%d spans=%d replans=%d/%d\n",
 				len(res.Rows), h.Sum64(), s.Modeled.Nanoseconds(), math.Float64bits(s.Work),
-				math.Float64bits(s.BytesShipped), s.Instances, s.Retries, s.Spans, s.Hedges, s.HedgesWon,
+				math.Float64bits(s.BytesShipped), s.Instances, s.Retries, s.Spans,
 				s.AdaptiveReplans, s.AdaptiveSwitches)
 		}
 		if err := e.Close(); err != nil {
