@@ -323,8 +323,8 @@ func TestAdaptiveSpansAndReport(t *testing.T) {
 			t.Fatal("static run emitted a SpanReplan span")
 		}
 	}
-	if sres.Stats.Spans != sres.Stats.Instances+sres.Stats.Retries+sres.Stats.Hedges {
-		t.Errorf("static span invariant broken: spans=%d instances=%d retries=%d hedges=%d",
-			sres.Stats.Spans, sres.Stats.Instances, sres.Stats.Retries, sres.Stats.Hedges)
+	if sres.Stats.Spans != sres.Stats.Instances+sres.Stats.Retries {
+		t.Errorf("static span invariant broken: spans=%d instances=%d retries=%d",
+			sres.Stats.Spans, sres.Stats.Instances, sres.Stats.Retries)
 	}
 }

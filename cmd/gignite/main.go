@@ -6,7 +6,7 @@
 //
 //	gignite [-system ic|ic+|ic+m] [-sites 4] [-backups 0] [-load tpch|ssb]
 //	        [-sf 0.01] [-slowquery 100ms] [-admission N] [-maxmem BYTES]
-//	        [-querymem BYTES] [-hedge FACTOR] [-plancache N]
+//	        [-querymem BYTES] [-plancache N]
 //
 // Then type SQL statements terminated by semicolons;
 // \q quits, \t toggles timing output, \m prints the engine metrics

@@ -152,7 +152,7 @@ type Config struct {
 
 	// ExecParallelism bounds how many fragment instances execute
 	// concurrently on host goroutines. 0 uses runtime.GOMAXPROCS(0); 1
-	// forces the deterministic sequential path (plan-diff tooling).
+	// forces the deterministic sequential path (determinism tests, -par 1).
 	// Results and modeled times are identical at every setting — host
 	// parallelism changes wall-clock time only, while the paper's
 	// per-fragment threads stay accounted for by the simnet cost clock.
@@ -199,13 +199,6 @@ type Config struct {
 	// AdmissionTimeout bounds the admission-queue wait (0 = the
 	// governor's 2s default; < 0 = wait as long as the context allows).
 	AdmissionTimeout time.Duration
-	// HedgeAfter, when > 0, enables hedged straggler attempts: a fragment
-	// instance whose modeled work exceeds HedgeAfter× its wave's median is
-	// speculatively re-executed at the next replica of its partition, the
-	// modeled-faster attempt wins, and the loser's outputs are discarded.
-	// Results stay byte-identical; only the makespan (and the hedge
-	// counters) change. Requires Backups >= 1 to have anywhere to run.
-	HedgeAfter float64
 	// AdaptiveExec enables mid-query re-optimization from runtime
 	// sketches (DESIGN.md §17): exchange senders summarize the rows they
 	// ship, and at every wave barrier the engine may rewrite the
@@ -323,7 +316,6 @@ type engineMetrics struct {
 	queries, failed, slow       *obs.Counter
 	rows, work, bytes           *obs.Counter
 	instances, retries, spans   *obs.Counter
-	hedges, hedgesWon           *obs.Counter
 	planHits, planMisses        *obs.Counter
 	planEvictions               *obs.Counter
 	planSkipped                 *obs.Counter
@@ -394,8 +386,6 @@ func Open(opts ...Option) *Engine {
 		instances:      reg.Counter("fragment_instances_total"),
 		retries:        reg.Counter("retries_total"),
 		spans:          reg.Counter("trace_spans_total"),
-		hedges:         reg.Counter("hedges_launched_total"),
-		hedgesWon:      reg.Counter("hedges_won_total"),
 		planHits:       reg.Counter("plan_cache_hits_total"),
 		planMisses:     reg.Counter("plan_cache_misses_total"),
 		planEvictions:  reg.Counter("plan_cache_evictions_total"),
@@ -909,11 +899,10 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 		ac = adaptive.New(fp, adaptive.Config{Sites: e.cfg.Sites, Variants: variants})
 	}
 	res, err := e.cluster.Run(ctx, fp, cluster.Opts{
-		Variants:   variants,
-		WorkLimit:  limit,
-		Mem:        lease,
-		HedgeAfter: e.cfg.HedgeAfter,
-		Adaptive:   ac,
+		Variants:  variants,
+		WorkLimit: limit,
+		Mem:       lease,
+		Adaptive:  ac,
 	})
 	if err != nil {
 		e.em.failed.Inc()
@@ -970,8 +959,6 @@ func (e *Engine) recordQuery(res *Result, qobs *obs.QueryObs, src string) {
 	e.em.instances.Add(float64(res.Stats.Instances))
 	e.em.retries.Add(float64(res.Stats.Retries))
 	e.em.spans.Add(float64(res.Stats.Spans))
-	e.em.hedges.Add(float64(res.Stats.Hedges))
-	e.em.hedgesWon.Add(float64(res.Stats.HedgesWon))
 	e.em.replans.Add(float64(res.Stats.AdaptiveReplans))
 	e.em.planSwitches.Add(float64(res.Stats.AdaptiveSwitches))
 	if res.Stats.PlanningSkipped {
@@ -1065,9 +1052,6 @@ func formatAnalyzed(fp *fragment.Plan, q *obs.QueryObs, st *ExecStats, notes map
 		fmt.Fprintf(&sb, "modeled=%v wall=%v work=%.0f bytes=%.0f instances=%d retries=%d spans=%d",
 			time.Duration(q.ModeledNanos), time.Duration(q.WallNanos),
 			st.Work, st.BytesShipped, st.Instances, st.Retries, st.Spans)
-		if st.Hedges > 0 {
-			fmt.Fprintf(&sb, " hedges=%d won=%d", st.Hedges, st.HedgesWon)
-		}
 		if st.MemPeakBytes > 0 {
 			fmt.Fprintf(&sb, " mem_peak=%d", st.MemPeakBytes)
 		}

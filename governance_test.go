@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"gignite/internal/types"
 )
 
 // governedConfig is ICPlus(4) with the admission gate enabled: one query
@@ -237,97 +235,6 @@ func TestDeadlineMapsToErrQueryTimeout(t *testing.T) {
 		}
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("governed=%v: deadline error must still match context.DeadlineExceeded: %v", governed, err)
-		}
-	}
-}
-
-// TestHedgingCutsStragglerMakespan runs an aggregation with one site
-// slowed 8x and backup replicas available. With hedging on, the modeled
-// makespan must drop versus waiting the straggler out, at least one
-// hedge must launch and win, results must stay byte-identical at every
-// parallelism, and the span ledger must account for every attempt.
-func TestHedgingCutsStragglerMakespan(t *testing.T) {
-	base := ICPlus(4)
-	base.Backups = 1
-	var err error
-	base.Faults, err = ParseFaults("slow=1x8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hedged := base
-	hedged.HedgeAfter = 2
-
-	// The straggler must dominate the modeled makespan for hedging to
-	// pay, so use enough rows per site that per-instance work dwarfs the
-	// fixed thread overhead.
-	loadBig := func(cfg Config) *Engine {
-		e := Open(WithConfig(cfg))
-		mustExec(t, e, `CREATE TABLE big (id BIGINT PRIMARY KEY, grp BIGINT, val DOUBLE)`)
-		rows := make([]Row, 20000)
-		for i := range rows {
-			rows[i] = Row{
-				types.NewInt(int64(i)),
-				types.NewInt(int64(i % 16)),
-				types.NewFloat(float64(i%251) * 1.25),
-			}
-		}
-		if err := e.LoadTable("big", rows); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Analyze(); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	slow := loadBig(base)
-	fast := loadBig(hedged)
-
-	const q = `SELECT grp, COUNT(*), SUM(val) FROM big GROUP BY grp ORDER BY grp`
-	want, err := slow.Query(q)
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	if want.Stats.Hedges != 0 {
-		t.Fatalf("baseline hedged %d times with HedgeAfter=0", want.Stats.Hedges)
-	}
-
-	got, err := fast.Query(q)
-	if err != nil {
-		t.Fatalf("hedged: %v", err)
-	}
-	sameRows(t, q, want.Rows, got.Rows)
-	if got.Stats.Hedges < 1 || got.Stats.HedgesWon < 1 {
-		t.Fatalf("hedges=%d won=%d, want both >= 1", got.Stats.Hedges, got.Stats.HedgesWon)
-	}
-	if got.Modeled >= want.Modeled {
-		t.Errorf("hedging did not cut makespan: %v (hedged) vs %v (baseline)", got.Modeled, want.Modeled)
-	}
-	if got.Stats.Spans != got.Stats.Instances+got.Stats.Retries+got.Stats.Hedges {
-		t.Errorf("span ledger broken: spans=%d instances=%d retries=%d hedges=%d",
-			got.Stats.Spans, got.Stats.Instances, got.Stats.Retries, got.Stats.Hedges)
-	}
-
-	snap := fast.Metrics()
-	if snap.Counters["hedges_launched_total"] < 1 || snap.Counters["hedges_won_total"] < 1 {
-		t.Errorf("hedge counters = launch %v / won %v, want both >= 1",
-			snap.Counters["hedges_launched_total"], snap.Counters["hedges_won_total"])
-	}
-
-	// Hedging must be deterministic: identical rows, modeled time and
-	// hedge counts at every worker-pool width.
-	for _, workers := range []int{1, 2, 0} {
-		fast.SetExecParallelism(workers)
-		again, err := fast.Query(q)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		sameRows(t, q, want.Rows, again.Rows)
-		if again.Modeled != got.Modeled {
-			t.Errorf("workers=%d: modeled %v, want %v", workers, again.Modeled, got.Modeled)
-		}
-		if again.Stats.Hedges != got.Stats.Hedges || again.Stats.HedgesWon != got.Stats.HedgesWon {
-			t.Errorf("workers=%d: hedges=%d/%d, want %d/%d", workers,
-				again.Stats.Hedges, again.Stats.HedgesWon, got.Stats.Hedges, got.Stats.HedgesWon)
 		}
 	}
 }

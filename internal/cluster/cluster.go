@@ -16,16 +16,15 @@
 // Instances exchange rows only through the wave barrier: an attempt keeps
 // its shipments private (exec.Context.Sent), and the barrier publishes the
 // surviving attempt's into the run's exchanges, in job order, for later
-// waves' receivers. Nothing a failed or losing attempt shipped is ever
-// visible, so recovery has nothing to undo.
+// waves' receivers. Nothing a failed attempt shipped is ever visible, so
+// recovery has nothing to undo.
 //
 // Cluster.Run is the whole scheduler, as a list of named steps over one
 // per-execution run value (DESIGN.md "Scheduler anatomy"): set-up, then
-// per wave build jobs → execute → hedge → barrier → adaptive replan, then
-// finish. There is one of each: one barrier merges worker results, one
-// attempt runs an instance (first tries, retries and hedges alike). The
-// optional steps live next to their state — hedge.go (§14), replan below
-// (§17) — and are no-ops when their feature is off.
+// per wave build jobs → execute → barrier → adaptive replan, then finish.
+// There is one of each: one barrier merges worker results, one attempt
+// runs an instance (first tries and retries alike). The optional replan
+// step (§17) is a no-op when adaptive execution is off.
 //
 // The scheduler is fault-tolerant: when an instance fails with an
 // injected fault (site crash, transport send failure — see package
@@ -67,7 +66,7 @@ type Cluster struct {
 	Sim simnet.Params
 	// Workers bounds how many fragment instances execute concurrently on
 	// the host. 0 means runtime.GOMAXPROCS(0); 1 keeps the sequential
-	// path (used by plan-diff tooling and determinism tests). Results
+	// path (used by determinism tests and the commands' -par 1). Results
 	// and modeled times are identical at every setting.
 	Workers int
 	// RowLimit bounds the rows one instance's join emission may
@@ -115,12 +114,6 @@ type Opts struct {
 	// query's budget aborts the query with governor.ErrMemoryExceeded.
 	// nil runs ungoverned.
 	Mem *governor.Lease
-	// HedgeAfter, when > 0, enables hedged straggler attempts (DESIGN.md
-	// §14): after each wave, an instance whose modeled work exceeded
-	// HedgeAfter× the wave median is speculatively re-executed at the
-	// next live replica of its partition; the modeled-faster attempt's
-	// outputs are published and the loser's never are.
-	HedgeAfter float64
 	// Adaptive, when non-nil, enables mid-query re-optimization
 	// (DESIGN.md §17): exchange senders build runtime sketches, and at
 	// every wave barrier the controller may rewrite the not-yet-deployed
@@ -181,9 +174,6 @@ func (r *run) schedule() error {
 		// adaptive controller's rewrites take effect on them.
 		jobs := r.waveJobs(w)
 		results := r.execute(jobs)
-		// Stragglers are hedged before the barrier, so it publishes only
-		// the race's winner.
-		r.hedge(jobs, results)
 		if err := r.barrier(jobs, results); err != nil {
 			return err
 		}
@@ -242,15 +232,24 @@ func (c *Cluster) newRun(ctx context.Context, plan *fragment.Plan, opts Opts) *r
 		}
 		r.qobs.Fragments[f.ID] = obs.NewFragmentObs(f.ID, f.IsRoot, f.Root)
 	}
+	// One span per instance of the plan as it stands, so a run without
+	// retries or re-plans appends its spans without regrowing the list.
+	n := 0
+	for _, f := range plan.Fragments {
+		sites, _ := c.fragmentSites(f)
+		n += sites * r.variants(f)
+	}
+	r.qobs.Spans = make([]obs.Span, 0, n)
 	return r
 }
 
-// addJobs appends one job per (site × variant) of fragment f, taking the
-// next ordinals and recording the fault plan's dying instance per site.
-// An instance only ever consults the liveness of ordinals ≤ its own, so
-// later jobs' dying entries need not exist yet when earlier ones run.
-func (r *run) addJobs(jobs []instanceJob, proto instanceJob, sites []int) []instanceJob {
-	for _, site := range sites {
+// addJobs appends one job per (site × variant) of fragment f, at sites
+// 0..sites-1, taking the next ordinals and recording the fault plan's
+// dying instance per site. An instance only ever consults the liveness of
+// ordinals ≤ its own, so later jobs' dying entries need not exist yet
+// when earlier ones run.
+func (r *run) addJobs(jobs []instanceJob, proto instanceJob, sites int) []instanceJob {
+	for site := range sites {
 		for v := 0; v < proto.nVariants; v++ {
 			j := proto
 			j.site, j.variant, j.ordinal = site, v, r.ordinal
@@ -266,27 +265,32 @@ func (r *run) addJobs(jobs []instanceJob, proto instanceJob, sites []int) []inst
 	return jobs
 }
 
-// waveJobs materializes wave w's jobs in fragment order, with the variant
-// count the adaptive controller currently assigns each fragment. A
-// fragment splits into variants only when Split gave it source modes.
+// waveJobs materializes wave w's jobs in fragment order.
 func (r *run) waveJobs(w int) []instanceJob {
 	var jobs []instanceJob
 	for _, f := range r.waves[w] {
 		r.trace.Order = append(r.trace.Order, f.ID)
 		sites, partitioned := r.c.fragmentSites(f)
-		nv := r.opts.Variants
-		if r.opts.Adaptive != nil {
-			nv = r.opts.Adaptive.VariantFor(f.ID, nv)
-		}
-		if nv < 1 || f.Modes == nil {
-			nv = 1
-		}
 		jobs = r.addJobs(jobs, instanceJob{
-			frag: f, nVariants: nv, wave: w, partitioned: partitioned,
+			frag: f, nVariants: r.variants(f), wave: w, partitioned: partitioned,
 			fobs: r.qobs.Fragments[f.ID],
 		}, sites)
 	}
 	return jobs
+}
+
+// variants is fragment f's instance count per site: the configured count
+// as the adaptive controller currently grades it. A fragment splits into
+// variants only when Split gave it source modes.
+func (r *run) variants(f *fragment.Fragment) int {
+	nv := r.opts.Variants
+	if r.opts.Adaptive != nil {
+		nv = r.opts.Adaptive.VariantFor(f.ID, nv)
+	}
+	if nv < 1 || f.Modes == nil {
+		return 1
+	}
+	return nv
 }
 
 // execute runs one batch of jobs on at most r.workers goroutines. Every
@@ -332,13 +336,6 @@ func (r *run) barrier(jobs []instanceJob, results []instanceResult) error {
 		r.res.Instances++
 		r.res.Retries += len(ir.retries)
 		r.trace.Retries = append(r.trace.Retries, ir.retries...)
-		if ir.hedge != nil {
-			r.trace.Hedges = append(r.trace.Hedges, *ir.hedge)
-			r.res.Hedges++
-			if ir.hedge.Won {
-				r.res.HedgesWon++
-			}
-		}
 		r.trace.Instances[j.frag.ID] = append(r.trace.Instances[j.frag.ID], simnet.Instance{
 			Site: j.site, Variant: j.variant, Work: ir.work,
 		})
@@ -374,8 +371,7 @@ func (r *run) publish(sent []*exec.Batch) {
 	}
 }
 
-// sentBytes totals an attempt's shipped bytes: what a retry must resend
-// or a lost hedge race wasted.
+// sentBytes totals an attempt's shipped bytes: what a retry must resend.
 func sentBytes(sent []*exec.Batch) float64 {
 	var n float64
 	for _, b := range sent {
@@ -405,8 +401,8 @@ func mergeSketches(into, from map[int]*sketch.Sketch) {
 // replan is the adaptive barrier step (DESIGN.md §17): with later waves
 // still pending, hand the accumulated sketches to the controller, which
 // may rewrite the not-yet-built part of the schedule. The pass is
-// recorded as a replan span so static runs keep the spans == instances +
-// retries + hedges invariant untouched.
+// recorded as a replan span, so every run keeps spans == instances +
+// retries + replans.
 func (r *run) replan(w int) {
 	if r.opts.Adaptive == nil || w+1 >= len(r.waves) {
 		return
@@ -455,24 +451,21 @@ func (r *run) finish() *Result {
 
 // fragmentSites determines where a fragment executes, from the
 // distribution trait of its content (§3.2.3: "the distribution traits
-// from the operators in each fragment determine the processing sites").
-// partitioned reports whether the fragment's instances cover hash
-// partitions (and may therefore fail over across replica sites).
-func (c *Cluster) fragmentSites(f *fragment.Fragment) (sites []int, partitioned bool) {
+// from the operators in each fragment determine the processing sites"):
+// at sites 0..sites-1. partitioned reports whether the fragment's
+// instances cover hash partitions (and may therefore fail over across
+// replica sites).
+func (c *Cluster) fragmentSites(f *fragment.Fragment) (sites int, partitioned bool) {
 	if f.IsRoot {
-		return []int{0}, false
+		return 1, false
 	}
 	content := f.Root.Inputs()[0] // the sender's child
 	switch content.Dist().Type {
 	case physical.Hash:
-		sites := make([]int, c.Store.Sites())
-		for i := range sites {
-			sites[i] = i
-		}
-		return sites, true
+		return c.Store.Sites(), true
 	default:
 		// Single-distributed content runs at the coordinator; broadcast
 		// content is identical everywhere, so one canonical copy executes.
-		return []int{0}, false
+		return 1, false
 	}
 }

@@ -195,14 +195,14 @@ func TestFragmentSitesByDistribution(t *testing.T) {
 	for _, f := range plan.Fragments {
 		sites, _ := c.fragmentSites(f)
 		if f.IsRoot {
-			if len(sites) != 1 || sites[0] != 0 {
-				t.Errorf("root sites = %v", sites)
+			if sites != 1 {
+				t.Errorf("root runs at %d sites, want site 0 alone", sites)
 			}
 			continue
 		}
 		// The scan fragment is hash-distributed: all sites.
-		if len(sites) != 4 {
-			t.Errorf("scan fragment sites = %v", sites)
+		if sites != 4 {
+			t.Errorf("scan fragment runs at %d sites, want 4", sites)
 		}
 	}
 }

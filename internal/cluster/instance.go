@@ -94,16 +94,13 @@ type outcome struct {
 // barrier. Workers never touch shared trace state: each writes only its
 // own slot, and the barrier merges slots in deterministic job order.
 type instanceResult struct {
-	// outcome is the surviving attempt's: the successful primary, or the
-	// hedge that beat it (zero when the instance failed terminally).
+	// outcome is the last, successful attempt's (zero when the instance
+	// failed terminally).
 	outcome
 	retries []simnet.Retry
 	// spans records one trace span per attempt of this instance
 	// (including zero-cost dead-host skips).
 	spans []obs.Span
-	// hedge records the instance's speculative straggler attempt, if one
-	// was launched (win or lose).
-	hedge *simnet.Hedge
 	err   error
 }
 
@@ -167,8 +164,8 @@ func runPool(n, workers int, run func(i int)) {
 
 // attempt executes job j once, as attempt n at host, in a private exec
 // context (so work counters accumulate without sharing). It is the one
-// way an instance runs — first tries, retries, failovers and hedges
-// alike. The outcome's work is valid even when the attempt fails.
+// way an instance runs — first tries, retries and failovers alike. The
+// outcome's work is valid even when the attempt fails.
 func (r *run) attempt(j *instanceJob, host, n int) (outcome, error) {
 	c := r.c
 	ectx := &exec.Context{

@@ -16,9 +16,9 @@ import (
 )
 
 // exchangePlan: scan t → hash exchange on grp → filter → single exchange →
-// root. Both shipping fragments are hash-content (so they fail over and
-// hedge) and run as variants at every site, so every published stream has
-// several (site, variant) senders.
+// root. Both shipping fragments are hash-content (so they fail over) and
+// run as variants at every site, so every published stream has several
+// (site, variant) senders.
 func exchangePlan(t *testing.T, c *Cluster) *fragment.Plan {
 	t.Helper()
 	hash := physical.NewExchange(scanT(t, c), physical.HashDist(1))
@@ -31,47 +31,35 @@ func exchangePlan(t *testing.T, c *Cluster) *fragment.Plan {
 	return fragment.Split(single)
 }
 
-// TestBarrierPublishesOnlySurvivors: with retried sends, a crash failover
-// and won hedges in the run, every published (exchange, site) stream holds
+// TestBarrierPublishesOnlySurvivors: with retried sends and a crash
+// failover in the run, every published (exchange, site) stream holds
 // exactly one batch per surviving sender instance, in (site, variant)
-// order, identical at every worker count; every retry's resend bytes are
-// what its failed attempt shipped, and every hedge's lost bytes what its
-// losing attempt shipped.
+// order, identical at every worker count, and every retry's resend bytes
+// are what its failed attempt shipped.
 func TestBarrierPublishesOnlySurvivors(t *testing.T) {
-	for _, sc := range []struct {
-		name, spec string
-		hedgeAfter float64
-	}{
-		{"sendfail+crash", "seed=97;crash=2@5;sendfail=0.3", 0},
-		{"hedge", "slow=1x8", 1.5},
-	} {
-		var want string
-		for _, workers := range []int{1, 2, 8} {
-			c := replicatedTestCluster(t, 4, 1, sc.spec)
-			c.Workers = workers
-			plan := exchangePlan(t, c)
-			opts := Opts{Variants: 2, HedgeAfter: sc.hedgeAfter}
-			r := c.newRun(context.Background(), plan, opts)
-			if err := r.schedule(); err != nil {
-				t.Fatalf("%s workers=%d: %v", sc.name, workers, err)
-			}
-			where := fmt.Sprintf("%s workers=%d", sc.name, workers)
-			if n := len(r.res.Rows); n != 100 {
-				t.Errorf("%s: %d rows, want 100", where, n)
-			}
-			got := publishedStreams(t, where, r, plan)
-			if want == "" {
-				want = got
-			} else if got != want {
-				t.Errorf("%s: published streams differ from workers=1:\n%s\nwant\n%s", where, got, want)
-			}
-			resent, lost := checkLostBytes(t, where, c, r, plan, opts)
-			if sc.hedgeAfter == 0 && resent == 0 {
-				t.Errorf("%s: no retry resent bytes; the scenario tests nothing", where)
-			}
-			if sc.hedgeAfter > 0 && lost == 0 {
-				t.Errorf("%s: no hedge lost bytes; the scenario tests nothing", where)
-			}
+	const spec = "seed=97;crash=2@5;sendfail=0.3"
+	var want string
+	for _, workers := range []int{1, 2, 8} {
+		c := replicatedTestCluster(t, 4, 1, spec)
+		c.Workers = workers
+		plan := exchangePlan(t, c)
+		opts := Opts{Variants: 2}
+		r := c.newRun(context.Background(), plan, opts)
+		if err := r.schedule(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		where := fmt.Sprintf("workers=%d", workers)
+		if n := len(r.res.Rows); n != 100 {
+			t.Errorf("%s: %d rows, want 100", where, n)
+		}
+		got := publishedStreams(t, where, r, plan)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("%s: published streams differ from workers=1:\n%s\nwant\n%s", where, got, want)
+		}
+		if checkResentBytes(t, where, c, r, plan, opts) == 0 {
+			t.Errorf("%s: no retry resent bytes; the scenario tests nothing", where)
 		}
 	}
 }
@@ -105,11 +93,10 @@ func publishedStreams(t *testing.T, where string, r *run, plan *fragment.Plan) s
 	return sb.String()
 }
 
-// checkLostBytes replays, against the run's published exchanges, every
+// checkResentBytes replays, against the run's published exchanges, every
 // attempt whose shipments the run dropped, and compares what it ships
-// with the trace's retry and hedge records. It returns the resent and lost
-// byte totals.
-func checkLostBytes(t *testing.T, where string, c *Cluster, r *run, plan *fragment.Plan, opts Opts) (resent, lost float64) {
+// with the trace's retry records. It returns the resent byte total.
+func checkResentBytes(t *testing.T, where string, c *Cluster, r *run, plan *fragment.Plan, opts Opts) (resent float64) {
 	t.Helper()
 	q := c.newRun(context.Background(), plan, opts)
 	q.exchanges = r.exchanges
@@ -126,17 +113,10 @@ func checkLostBytes(t *testing.T, where string, c *Cluster, r *run, plan *fragme
 	}
 
 	failed := make(map[key][]obs.Span)
-	primary := make(map[key]obs.Span)
-	hedged := make(map[key]obs.Span)
 	for _, s := range r.qobs.Spans {
-		k := key{s.Frag, s.Site, s.Variant}
-		switch {
-		case s.Hedge:
-			hedged[k] = s
-		case s.Status == obs.SpanRetried || s.Status == obs.SpanSkipped:
+		if s.Status == obs.SpanRetried || s.Status == obs.SpanSkipped {
+			k := key{s.Frag, s.Site, s.Variant}
 			failed[k] = append(failed[k], s)
-		default:
-			primary[k] = s
 		}
 	}
 	for _, rt := range r.trace.Retries {
@@ -153,23 +133,7 @@ func checkLostBytes(t *testing.T, where string, c *Cluster, r *run, plan *fragme
 		}
 		resent += rt.Bytes
 	}
-	for _, h := range r.trace.Hedges {
-		k := key{h.Frag, h.Site, h.Variant}
-		loser := hedged[k]
-		if h.Won {
-			loser = primary[k]
-		}
-		want := 0.0
-		if hedged[k].Status != obs.SpanFailed {
-			want = shipped(k, loser)
-		}
-		if h.LostBytes != want {
-			t.Errorf("%s: hedge of %v (won=%v) lost %v bytes, the losing attempt %d shipped %v",
-				where, k, h.Won, h.LostBytes, loser.Attempt, want)
-		}
-		lost += h.LostBytes
-	}
-	return resent, lost
+	return resent
 }
 
 func sortedKeys[V any](m map[int]V) []int {

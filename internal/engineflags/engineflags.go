@@ -33,7 +33,7 @@ type Values struct {
 	Parallelism int
 	// Faults is the deterministic fault-plan spec ("" = none).
 	Faults string
-	// Admission, MaxMem, QueryMem and Hedge are the resource-governance
+	// Admission, MaxMem and QueryMem are the resource-governance
 	// group: bound by BindGovernance, zero (ungoverned) otherwise.
 	// Admission bounds concurrent queries (0 = unbounded).
 	Admission int
@@ -41,8 +41,6 @@ type Values struct {
 	MaxMem int64
 	// QueryMem is the per-query memory cap in bytes (0 = unlimited).
 	QueryMem int64
-	// Hedge is the straggler-hedging threshold (0 = off).
-	Hedge float64
 	// PlanCache is the plan-cache capacity in plans (0 = off).
 	PlanCache int
 	// Adaptive toggles mid-query re-optimization from runtime sketches.
@@ -72,7 +70,6 @@ func (v *Values) BindGovernance(fs *flag.FlagSet) {
 	fs.IntVar(&v.Admission, "admission", 0, "max concurrent queries (0 = unbounded)")
 	fs.Int64Var(&v.MaxMem, "maxmem", 0, "engine-wide memory budget in bytes (0 = no pool)")
 	fs.Int64Var(&v.QueryMem, "querymem", 0, "per-query memory cap in bytes (0 = unlimited)")
-	fs.Float64Var(&v.Hedge, "hedge", 0, "hedge stragglers past this multiple of the wave median (0 = off)")
 }
 
 // Preset resolves the -system flag to the system variant
@@ -118,7 +115,6 @@ func (v *Values) EngineOptions() (gignite.Option, error) {
 		c.MaxConcurrentQueries = bound.Admission
 		c.MemoryBudgetBytes = bound.MaxMem
 		c.QueryMemLimitBytes = bound.QueryMem
-		c.HedgeAfter = bound.Hedge
 		c.PlanCacheSize = bound.PlanCache
 		c.AdaptiveExec = bound.Adaptive
 		c.StatsMisestimate = bound.Misestimate

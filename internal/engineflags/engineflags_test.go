@@ -59,8 +59,8 @@ func TestFlagLinesResolveToConfig(t *testing.T) {
 		{"-misestimate 10", gignite.ICPlusM, func(c *gignite.Config) {
 			c.StatsMisestimate = 10
 		}},
-		{"-admission 3 -maxmem 1048576 -querymem 4096 -hedge 2.5", gignite.ICPlusM, func(c *gignite.Config) {
-			c.MaxConcurrentQueries, c.MemoryBudgetBytes, c.QueryMemLimitBytes, c.HedgeAfter = 3, 1<<20, 4096, 2.5
+		{"-admission 3 -maxmem 1048576 -querymem 4096", gignite.ICPlusM, func(c *gignite.Config) {
+			c.MaxConcurrentQueries, c.MemoryBudgetBytes, c.QueryMemLimitBytes = 3, 1<<20, 4096
 		}},
 		{"-backups 1 -faults seed=7;crash=2@4", gignite.ICPlusM, func(c *gignite.Config) {
 			c.Backups, c.Faults = 1, crash

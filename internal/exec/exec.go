@@ -5,8 +5,8 @@
 // instance never writes shared state: a Sender appends its batches to its
 // own attempt's Context.Sent, and the scheduler's wave barrier publishes
 // the surviving attempt's batches into the query's Exchanges, which later
-// waves' Receivers read without locks, copies or sorting. A failed retry
-// or a losing hedge is simply never published.
+// waves' Receivers read without locks, copies or sorting. A failed
+// attempt is simply never published.
 //
 // Execution inside a fragment is pipelined (pipeline.go): rows flow in
 // batches of at most batchSize from a source (table or index scan,
@@ -168,8 +168,8 @@ type Context struct {
 	// enabling sketches never changes the cost clock.
 	SketchKeys map[int][]int
 	// Sketches holds the sketches this attempt built, keyed by exchange
-	// ID. The scheduler collects them from the winning attempt only, so
-	// retries and hedge losers never double-count.
+	// ID. The scheduler collects them from the surviving attempt only, so
+	// retried attempts never double-count.
 	Sketches map[int]*sketch.Sketch
 }
 

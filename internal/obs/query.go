@@ -139,16 +139,11 @@ const (
 	SpanSkipped SpanStatus = "skipped"
 	// SpanFailed: the attempt failed terminally.
 	SpanFailed SpanStatus = "failed"
-	// SpanHedged: the attempt lost a hedged race — either the primary
-	// superseded by a faster speculative replica attempt, or the
-	// speculative attempt the primary outran. Its shipments were never
-	// published (DESIGN.md §14).
-	SpanHedged SpanStatus = "hedged"
 	// SpanReplan: not an instance attempt — an adaptive re-planning pass
 	// at a wave barrier (DESIGN.md §17). Frag/Site/Host are -1; Wave is
 	// the completed wave; Ordinal counts the re-plan passes. Emitted only
-	// when AdaptiveExec is on, so static executions keep the invariant
-	// spans == instances + retries + hedges.
+	// when AdaptiveExec is on; every execution keeps the invariant
+	// spans == instances + retries + replans.
 	SpanReplan SpanStatus = "replan"
 )
 
@@ -169,11 +164,7 @@ type Span struct {
 	StartNanos int64      `json:"start_ns"`
 	EndNanos   int64      `json:"end_ns"`
 	Status     SpanStatus `json:"status"`
-	// Hedge marks a speculative straggler attempt launched by the hedging
-	// scheduler. Each launched hedge adds exactly one Hedge span, keeping
-	// the invariant spans == instances + retries + hedges.
-	Hedge bool   `json:"hedge,omitempty"`
-	Error string `json:"error,omitempty"`
+	Error      string     `json:"error,omitempty"`
 }
 
 // Edge is one exchange edge of the fragment DAG: producer fragment →
@@ -183,7 +174,7 @@ type Edge struct {
 	FromFrag int `json:"from_frag"`
 	ToFrag   int `json:"to_frag"`
 	// Rows/Bytes total the exchange's published volume (resends excluded:
-	// a failed or losing attempt's batches are never published).
+	// a failed attempt's batches are never published).
 	Rows  int64 `json:"rows"`
 	Bytes int64 `json:"bytes"`
 }
@@ -211,10 +202,6 @@ type ExecStats struct {
 	Modeled time.Duration
 	// PlanTickets is the planner search effort.
 	PlanTickets int
-	// Hedges / HedgesWon count hedged straggler attempts launched and won
-	// (DESIGN.md §14).
-	Hedges    int
-	HedgesWon int
 	// MemPeakBytes is the query's high-water mark of estimated operator
 	// state reserved against the engine's memory pool (0 when ungoverned).
 	MemPeakBytes int64

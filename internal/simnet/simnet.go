@@ -85,27 +85,6 @@ type Retry struct {
 	Bytes float64
 }
 
-// Hedge is one hedged straggler mitigation (DESIGN.md §14): when an
-// instance's charged work exceeded the wave median by the configured
-// factor, a speculative attempt launched on the next replica site after
-// DelayWork work-units of modeled time. Exactly one attempt's outputs
-// were kept; the loser's work (LostWork) and discarded shipments
-// (LostBytes) are charged to the totals as speculation waste.
-type Hedge struct {
-	Frag    int
-	Site    int
-	Variant int
-	// DelayWork is the straggler-detection threshold in work units: how
-	// much modeled work elapsed before the speculative attempt launched.
-	DelayWork float64
-	// LostWork / LostBytes are the losing attempt's wasted effort.
-	LostWork  float64
-	LostBytes float64
-	// Won reports that the speculative attempt beat the primary (the
-	// instance's recorded Work is then the hedge attempt's work).
-	Won bool
-}
-
 // Trace is the execution record the clock consumes.
 type Trace struct {
 	// Order lists fragment IDs in dependency order (producers first).
@@ -121,10 +100,6 @@ type Trace struct {
 	// normally has one consumer, but an optimizer-shared subtree can give
 	// it several; each consumer's start then waits on the arrival.
 	Consumers map[int][]int
-	// Hedges records hedged straggler attempts; a won hedge replaces the
-	// straggler's elapsed time with the speculative attempt's launch delay
-	// plus its (fast-replica) work.
-	Hedges []Hedge
 	// RootFrag is the fragment whose finish time is the query time.
 	RootFrag int
 }
@@ -148,18 +123,6 @@ func Makespan(tr *Trace, p Params) time.Duration {
 			pen += p.LatencySec + r.Bytes/p.BytesPerSec
 		}
 		recovery[instKey{r.Frag, r.Site, r.Variant}] += pen
-	}
-
-	// A won hedge changes how its instance's elapsed time is computed: the
-	// kept attempt only started after the detection delay (plus one extra
-	// instance start for the speculative thread), but then ran at the
-	// replica's speed — which is what cuts a slow site's straggler tail.
-	hedged := make(map[instKey]*Hedge)
-	for i := range tr.Hedges {
-		h := &tr.Hedges[i]
-		if h.Won {
-			hedged[instKey{h.Frag, h.Site, h.Variant}] = h
-		}
 	}
 
 	// Index sends by (consumer fragment, site).
@@ -194,10 +157,6 @@ func Makespan(tr *Trace, p Params) time.Duration {
 				contention = float64(t) / float64(p.CoresPerSite)
 			}
 			elapsed := p.ThreadOverheadSec + in.Work/p.WorkPerSec*contention
-			if h := hedged[instKey{fid, in.Site, in.Variant}]; h != nil {
-				elapsed = 2*p.ThreadOverheadSec + h.DelayWork/p.WorkPerSec +
-					in.Work/p.WorkPerSec*contention
-			}
 			elapsed += recovery[instKey{fid, in.Site, in.Variant}]
 			f := ready + elapsed
 			finish[instKey{fid, in.Site, in.Variant}] = f
@@ -224,10 +183,6 @@ func (tr *Trace) TotalWork() float64 {
 	for _, r := range tr.Retries {
 		w += r.Work
 	}
-	// Speculation waste: the losing side of every hedge race.
-	for _, h := range tr.Hedges {
-		w += h.LostWork
-	}
 	return w
 }
 
@@ -240,9 +195,6 @@ func (tr *Trace) TotalBytes() float64 {
 	}
 	for _, r := range tr.Retries {
 		b += r.Bytes
-	}
-	for _, h := range tr.Hedges {
-		b += h.LostBytes
 	}
 	return b
 }
