@@ -202,12 +202,11 @@ type Config struct {
 	// AdaptiveExec enables mid-query re-optimization from runtime
 	// sketches (DESIGN.md §17): exchange senders summarize the rows they
 	// ship, and at every wave barrier the engine may rewrite the
-	// not-yet-deployed fragments — flip a broadcast build side to hash
-	// routing, swap a hash join's build side, or collapse a variant split
-	// — when the observed cardinalities contradict the planner's
-	// estimates. Results stay byte-identical to the static plan; only the
-	// modeled time (and the adaptive counters) change. Off in every
-	// preset.
+	// not-yet-deployed fragments — swap a hash join's build side or
+	// collapse a variant split — when the observed cardinalities
+	// contradict the planner's estimates. Results stay byte-identical to
+	// the static plan; only the modeled time (and the adaptive counters)
+	// change. Off in every preset.
 	AdaptiveExec bool
 	// StatsMisestimate, when not 0 or 1, multiplies the planner's
 	// join-output estimates by the factor — a fault-injection knob for
@@ -896,7 +895,7 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 	// own runtime evidence.
 	var ac *adaptive.Controller
 	if e.cfg.AdaptiveExec {
-		ac = adaptive.New(fp, adaptive.Config{Sites: e.cfg.Sites, Variants: variants})
+		ac = adaptive.New(fp, variants)
 	}
 	res, err := e.cluster.Run(ctx, fp, cluster.Opts{
 		Variants:  variants,

@@ -13,11 +13,6 @@
 //     (Join.BuildLeft). The executor's build-left operator emits rows in
 //     exactly the order of the build-right operator, so output bytes are
 //     identical unconditionally.
-//   - dist-flip: retarget a pending broadcast build-side sender to hash
-//     routing on the join keys. Valid when the consuming join's left side
-//     is partitioned on its equi keys (the mapping target coincides), in
-//     which case every probe row meets exactly the same matching build
-//     rows in the same relative receiver order under either routing.
 //   - variant-regrade: collapse a pending fragment's §5.3 variant split
 //     back to one thread when the corrected input volume is too small to
 //     amortize the duplicate source reads. Re-grading permutes the
@@ -35,15 +30,13 @@
 // merges in deterministic job order; no wall-clock input exists, so the
 // same query under the same fault plan re-plans identically at every
 // ExecParallelism. The guards' thresholds are constants of this package
-// (flipMargin, swapMargin, infoMargin, variantMinRows, maxCorrection);
-// Config carries only the cluster's shape.
+// (swapMargin, infoMargin, variantMinRows, maxCorrection).
 package adaptive
 
 import (
 	"fmt"
 	"slices"
 
-	"gignite/internal/cost"
 	"gignite/internal/expr"
 	"gignite/internal/fragment"
 	"gignite/internal/logical"
@@ -53,23 +46,10 @@ import (
 	"gignite/internal/types"
 )
 
-// Config describes the cluster the controller re-plans for. Values below
-// 1 mean 1.
-type Config struct {
-	// Sites is the cluster's site count (drives the dist-flip guard).
-	Sites int
-	// Variants is the configured §5.3 variant count (drives variant
-	// safety checks and the re-grade baseline).
-	Variants int
-}
-
-// The rewrite guards. They are constants, not Config fields: no caller
-// ever ran the controller with other values, and every engine-level
-// expectation (replans, switches, modeled times) is calibrated to them.
+// The rewrite guards. They are constants, not options: no caller ever ran
+// the controller with other values, and every engine-level expectation
+// (replans, switches, modeled times) is calibrated to them.
 const (
-	// flipMargin is the hysteresis factor a dist-flip's modeled benefit
-	// must exceed its cost by.
-	flipMargin float64 = 1.3
 	// swapMargin is how many times smaller the left input must be than
 	// the right before the build side swaps.
 	swapMargin float64 = 2
@@ -88,34 +68,32 @@ const (
 // Controller drives adaptive execution for one query. It is not safe for
 // concurrent use; the cluster scheduler calls it from barriers only.
 type Controller struct {
-	plan  *fragment.Plan
-	cfg   Config
-	skeys map[int][]int // exchange -> sketch key columns (sender coords)
+	plan     *fragment.Plan
+	variants int           // the configured §5.3 variant count, at least 1
+	skeys    map[int][]int // exchange -> sketch key columns (sender coords)
 
 	actRows map[int]int64   // exchange -> observed sender output rows
 	actNDV  map[int]float64 // exchange -> sketch distinct estimate on skeys
 
 	varOverride map[int]int // fragment ID -> forced variant count
-	touched     map[physical.Node]bool
 	notes       map[physical.Node]string
 	replans     []obs.Replan
 }
 
-// New builds a controller for a fragmented plan. The plan's senders and
-// receivers may be mutated by later OnBarrier calls, so the plan must be
-// private to this execution — as fragment.Split's output is: it copies
-// every operator of the plan it splits, so a cached plan never retains a
-// post-adaptation tree.
-func New(plan *fragment.Plan, cfg Config) *Controller {
-	cfg.Sites, cfg.Variants = max(cfg.Sites, 1), max(cfg.Variants, 1)
+// New builds a controller for a fragmented plan. The plan's joins may be
+// mutated by later OnBarrier calls, so the plan must be private to this
+// execution — as fragment.Split's output is: it copies every operator of
+// the plan it splits, so a cached plan never retains a post-adaptation
+// tree. variants is the configured §5.3 variant count (the re-grade's
+// baseline); values below 1 mean 1.
+func New(plan *fragment.Plan, variants int) *Controller {
 	c := &Controller{
 		plan:        plan,
-		cfg:         cfg,
+		variants:    max(variants, 1),
 		skeys:       make(map[int][]int),
 		actRows:     make(map[int]int64),
 		actNDV:      make(map[int]float64),
 		varOverride: make(map[int]int),
-		touched:     make(map[physical.Node]bool),
 		notes:       make(map[physical.Node]string),
 	}
 	c.planSketchKeys()
@@ -184,7 +162,6 @@ func (c *Controller) OnBarrier(wave int, sketches map[int]*sketch.Sketch) []obs.
 	before := len(c.replans)
 	for w := wave + 1; w < len(c.plan.Waves); w++ {
 		for _, f := range c.plan.Waves[w] {
-			c.tryDistFlip(f, wave)
 			c.tryBuildSwap(f, wave)
 			c.tryRegrade(f, wave)
 		}
@@ -325,107 +302,7 @@ func (c *Controller) diverged(estimate, correctedV float64) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Trigger (a): distribution flip
-
-// tryDistFlip retargets a pending broadcast build-side sender to hash
-// routing when the observed build side crossed the distribution-trait
-// threshold: shipping sites× copies of a large build input loses to
-// partitioning it once. Validity (the byte-identity proof in the package
-// comment) requires the consuming join's left side to be partitioned on
-// its equi keys, so the mapping target — and with it the join's site set
-// and output placement — is unchanged by the flip.
-//
-// The reverse rewrite (hash → broadcast) carries the same proof but is
-// strictly dominated under the cost model — same site set, sites× the
-// network volume, sites× the per-site build rows — so the guard never
-// selects it; "flipping back" is the hash routing simply being retained
-// when the corrected build side stays small.
-func (c *Controller) tryDistFlip(p *fragment.Fragment, barrier int) {
-	sender, ok := p.Root.(*physical.Sender)
-	if !ok || sender.Target.Type != physical.Broadcast || c.touched[sender] {
-		return
-	}
-	if len(p.Consumers) != 1 {
-		return
-	}
-	cf := p.Consumers[0]
-	j, side := consumingJoin(cf, p.Receiver)
-	if j == nil || side != 1 || c.touched[j] {
-		return
-	}
-	if j.Algo != physical.HashAlgo || len(j.Keys) == 0 || j.Mapping != "bcast-right" {
-		return
-	}
-	// Validity: the left side must already be partitioned on its equi
-	// keys — then hash routing delivers every matching build row to the
-	// site that owns its probe rows, in the same relative order.
-	ld := j.Inputs()[0].Dist()
-	if ld.Type != physical.Hash || !slices.Equal(ld.Keys, j.KeyCols(0)) {
-		return
-	}
-	// The sender ships its own child's schema; the receiver chain must
-	// map the join's right keys onto it losslessly.
-	rv, mapped, ok := mapKeysDown(j.Inputs()[1], j.KeyCols(1))
-	if !ok || rv != p.Receiver {
-		return
-	}
-	// Variant safety: a split-mode receiver slices the build rows by a
-	// per-variant counter, and hash routing changes each site's multiset.
-	if c.VariantFor(cf.ID, c.cfg.Variants) > 1 && cf.Modes[rv] == fragment.SplitMode {
-		return
-	}
-	estR := est(sender)
-	actR := c.corrected(sender.Inputs()[0])
-	if !c.diverged(estR, actR) {
-		return
-	}
-	// Guard: partitioning saves (sites-1) shipped copies of the build
-	// side; the flip must buy more than the hysteresis-scaled fixed cost
-	// of the shuffle.
-	sites := float64(c.cfg.Sites)
-	if actR*(sites-1) <= flipMargin*cost.ExchangePerTargetCost*sites {
-		return
-	}
-	from := sender.Target.String()
-	target := physical.HashDist(mapped...)
-	sender.Target = target
-	sender.Props().Dist = target
-	rv.Props().Dist = target
-	j.Mapping = "hash"
-	c.touched[sender], c.touched[j] = true, true
-	note := fmt.Sprintf("adaptive: dist-flip %s→%s (est=%.0f act=%.0f)", from, target, estR, actR)
-	c.notes[sender] = note
-	c.notes[j] = note
-	c.replans = append(c.replans, obs.Replan{
-		Wave: barrier, Frag: p.ID, Kind: "dist-flip", Op: "Sender",
-		From: from, To: target.String(), EstRows: estR, ActRows: int64(actR),
-	})
-}
-
-// consumingJoin finds the join whose input chain (row-local operators
-// only) reaches the given receiver, and which side of the join it feeds.
-// side is -1 when no such join exists.
-func consumingJoin(f *fragment.Fragment, rv *physical.Receiver) (*physical.Join, int) {
-	var found *physical.Join
-	side := -1
-	physical.Walk(f.Root, func(n physical.Node) bool {
-		j, ok := n.(*physical.Join)
-		if !ok || found != nil {
-			return found == nil
-		}
-		for s, in := range j.Inputs() {
-			if r, _, ok := mapKeysDown(in, nil); ok && r == rv {
-				found, side = j, s
-				return false
-			}
-		}
-		return true
-	})
-	return found, side
-}
-
-// ---------------------------------------------------------------------------
-// Trigger (b): build-side swap
+// Trigger (a): build-side swap
 
 // tryBuildSwap flips a pending hash join's build side to the left input
 // when the corrected sizes invert the planner's estimate: the build side
@@ -435,12 +312,7 @@ func consumingJoin(f *fragment.Fragment, rv *physical.Receiver) (*physical.Join,
 func (c *Controller) tryBuildSwap(f *fragment.Fragment, barrier int) {
 	physical.Walk(f.Root, func(n physical.Node) bool {
 		j, ok := n.(*physical.Join)
-		if !ok || j.Algo != physical.HashAlgo || len(j.Keys) == 0 || j.BuildLeft || c.touched[j] {
-			return true
-		}
-		switch j.Type {
-		case logical.JoinInner, logical.JoinLeft, logical.JoinSemi, logical.JoinAnti:
-		default:
+		if !ok || j.Algo != physical.HashAlgo || len(j.Keys) == 0 || j.BuildLeft {
 			return true
 		}
 		estL, estR := est(j.Inputs()[0]), est(j.Inputs()[1])
@@ -454,7 +326,6 @@ func (c *Controller) tryBuildSwap(f *fragment.Fragment, barrier int) {
 			return true
 		}
 		j.BuildLeft = true
-		c.touched[j] = true
 		c.notes[j] = fmt.Sprintf("adaptive: build-swap right→left (est L=%.0f R=%.0f, act L=%.0f R=%.0f)", estL, estR, l, r)
 		c.replans = append(c.replans, obs.Replan{
 			Wave: barrier, Frag: f.ID, Kind: "build-swap", Op: "Join",
@@ -465,14 +336,14 @@ func (c *Controller) tryBuildSwap(f *fragment.Fragment, barrier int) {
 }
 
 // ---------------------------------------------------------------------------
-// Trigger (c): variant re-grade
+// Trigger (b): variant re-grade
 
 // tryRegrade collapses a pending fragment's variant split to one thread
 // when the corrected input volume cannot amortize the duplicate source
 // reads the split costs. The rewrite permutes downstream row order, so it
 // only fires when every consumer path washes that order out (orderWashed).
 func (c *Controller) tryRegrade(f *fragment.Fragment, barrier int) {
-	if c.cfg.Variants <= 1 || f.Modes == nil {
+	if c.variants <= 1 || f.Modes == nil {
 		return
 	}
 	if _, done := c.varOverride[f.ID]; done {
@@ -498,11 +369,10 @@ func (c *Controller) tryRegrade(f *fragment.Fragment, barrier int) {
 		return
 	}
 	c.varOverride[f.ID] = 1
-	c.touched[sender] = true
-	c.notes[sender] = fmt.Sprintf("adaptive: variant-regrade %d→1 (act=%.0f rows)", c.cfg.Variants, vol)
+	c.notes[sender] = fmt.Sprintf("adaptive: variant-regrade %d→1 (act=%.0f rows)", c.variants, vol)
 	c.replans = append(c.replans, obs.Replan{
 		Wave: barrier, Frag: f.ID, Kind: "variant-regrade", Op: "Fragment",
-		From: fmt.Sprintf("variants=%d", c.cfg.Variants), To: "variants=1",
+		From: fmt.Sprintf("variants=%d", c.variants), To: "variants=1",
 		EstRows: est(sender), ActRows: int64(vol),
 	})
 }

@@ -2,7 +2,6 @@ package adaptive
 
 import (
 	"slices"
-	"strings"
 	"testing"
 
 	"gignite/internal/expr"
@@ -30,15 +29,16 @@ func filled(rows int) *sketch.Sketch {
 	return sk
 }
 
-// flipPlan builds the minimal three-fragment shape the dist-flip targets:
+// pendingExchangePlan builds three fragments whose middle exchange is
+// still pending when the first completes:
 //
 //	frag 2 (wave 0): Sender #1 hash[0] over a leaf
-//	frag 1 (wave 1): Sender #0 broadcast over Receiver #1   <- flip candidate
+//	frag 1 (wave 1): Sender #0 broadcast over Receiver #1
 //	frag 0 (wave 2): Join[hash] bcast-right, probe side partitioned on its key
 //
 // estBuild is the planner's estimate of the build side (what Receiver #1
 // and Sender #0 inherit).
-func flipPlan(t *testing.T, estBuild float64) (*fragment.Plan, *physical.Sender, *physical.Join) {
+func pendingExchangePlan(t *testing.T, estBuild float64) (*fragment.Plan, *physical.Sender, *physical.Join) {
 	t.Helper()
 	src := leaf(estBuild, physical.HashDist(0))
 	sender1 := physical.NewSender(src, 1, physical.HashDist(0))
@@ -68,83 +68,6 @@ func flipPlan(t *testing.T, estBuild float64) (*fragment.Plan, *physical.Sender,
 	return plan, sender0, join
 }
 
-func TestDistFlipFires(t *testing.T) {
-	plan, sender, join := flipPlan(t, 50)
-	c := New(plan, Config{Sites: 4})
-	// The join keys must have mapped down to sketch keys on exchange 0.
-	if got := c.SketchKeys()[0]; !slices.Equal(got, []int{0}) {
-		t.Fatalf("skeys[0] = %v, want [0]", got)
-	}
-	// Wave 0 completes with 5000 rows where the planner expected 50.
-	reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(5000)})
-	if len(reps) != 1 {
-		t.Fatalf("got %d replans, want 1: %+v", len(reps), reps)
-	}
-	rp := reps[0]
-	if rp.Kind != "dist-flip" || rp.Frag != 1 || rp.Wave != 0 {
-		t.Fatalf("unexpected replan: %+v", rp)
-	}
-	if sender.Target.Type != physical.Hash || !slices.Equal(sender.Target.Keys, []int{0}) {
-		t.Fatalf("sender target = %s, want hash[0]", sender.Target)
-	}
-	if join.Mapping != "hash" {
-		t.Fatalf("join mapping = %q, want hash", join.Mapping)
-	}
-	if n := c.Notes()[sender]; !strings.Contains(n, "dist-flip") {
-		t.Fatalf("sender note = %q, want dist-flip annotation", n)
-	}
-	// A later barrier must not rewrite the same sender again.
-	if again := c.OnBarrier(1, map[int]*sketch.Sketch{1: filled(5000)}); len(again) != 0 {
-		t.Fatalf("second barrier re-fired: %+v", again)
-	}
-	if len(c.replans) != 1 {
-		t.Fatalf("replan log grew to %d entries", len(c.replans))
-	}
-}
-
-func TestDistFlipGuardHoldsSmallBuild(t *testing.T) {
-	// 300 actual rows diverge from the estimate of 50, but partitioning
-	// saves 300*(sites-1)=900 shipped rows, under the hysteresis-scaled
-	// shuffle price 1.3*200*4=1040: the broadcast must be retained.
-	plan, sender, _ := flipPlan(t, 50)
-	c := New(plan, Config{Sites: 4})
-	if reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(300)}); len(reps) != 0 {
-		t.Fatalf("guard did not hold: %+v", reps)
-	}
-	if sender.Target.Type != physical.Broadcast {
-		t.Fatalf("sender target mutated to %s", sender.Target)
-	}
-}
-
-func TestDistFlipNeedsDivergence(t *testing.T) {
-	// The actuals match the estimate, so however profitable the flip
-	// would be, the controller must not second-guess the planner.
-	plan, sender, _ := flipPlan(t, 5000)
-	c := New(plan, Config{Sites: 4})
-	if reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(5000)}); len(reps) != 0 {
-		t.Fatalf("replanned without new information: %+v", reps)
-	}
-	if sender.Target.Type != physical.Broadcast {
-		t.Fatalf("sender target mutated to %s", sender.Target)
-	}
-}
-
-func TestDistFlipNeedsColocatedProbe(t *testing.T) {
-	// Probe side partitioned on a different column: hash routing would
-	// send build rows away from their probe rows, so the flip is invalid.
-	// 1500 actual rows clear the flip's divergence and profit guards but
-	// stay above half the probe side, so no build-swap muddies the check.
-	plan, sender, join := flipPlan(t, 50)
-	join.Inputs()[0].Props().Dist = physical.HashDist(1)
-	c := New(plan, Config{Sites: 4})
-	if reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(1500)}); len(reps) != 0 {
-		t.Fatalf("flip fired without co-location proof: %+v", reps)
-	}
-	if sender.Target.Type != physical.Broadcast {
-		t.Fatalf("sender target mutated to %s", sender.Target)
-	}
-}
-
 // swapPlan builds a root join over two hash exchanges, estimated
 // left-heavy (estL > estR) so the planner builds on the right.
 func swapPlan(t *testing.T, estL, estR float64) (*fragment.Plan, *physical.Join) {
@@ -172,7 +95,7 @@ func swapPlan(t *testing.T, estL, estR float64) (*fragment.Plan, *physical.Join)
 
 func TestBuildSwapFires(t *testing.T) {
 	plan, join := swapPlan(t, 1000, 100)
-	c := New(plan, Config{Sites: 4})
+	c := New(plan, 1)
 	// Runtime inverts the estimate: the left is 50x smaller than the right.
 	reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(100), 2: filled(5000)})
 	if len(reps) != 1 || reps[0].Kind != "build-swap" {
@@ -191,7 +114,7 @@ func TestBuildSwapMarginHolds(t *testing.T) {
 	// Sides diverge from their estimates but the left is not
 	// swapMargin-times smaller than the right: keep the planned build side.
 	plan, join := swapPlan(t, 1000, 100)
-	c := New(plan, Config{Sites: 4})
+	c := New(plan, 1)
 	if reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(3000), 2: filled(5000)}); len(reps) != 0 {
 		t.Fatalf("swap fired inside the margin: %+v", reps)
 	}
@@ -204,7 +127,7 @@ func TestBuildSwapNeedsDivergence(t *testing.T) {
 	// Estimates already said left < right; the planner chose build=right
 	// knowingly, so runtime confirmation must not flip it.
 	plan, join := swapPlan(t, 100, 1000)
-	c := New(plan, Config{Sites: 4})
+	c := New(plan, 1)
 	if reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(100), 2: filled(1000)}); len(reps) != 0 {
 		t.Fatalf("swap fired without misestimation: %+v", reps)
 	}
@@ -214,8 +137,12 @@ func TestBuildSwapNeedsDivergence(t *testing.T) {
 }
 
 func TestCorrectedEngine(t *testing.T) {
-	plan, sender, join := flipPlan(t, 50)
-	c := New(plan, Config{Sites: 4})
+	plan, sender, join := pendingExchangePlan(t, 50)
+	c := New(plan, 1)
+	// The join keys must have mapped down to sketch keys on exchange 0.
+	if got := c.SketchKeys()[0]; !slices.Equal(got, []int{0}) {
+		t.Fatalf("skeys[0] = %v, want [0]", got)
+	}
 	// Before any barrier, corrections are pure estimates.
 	if got := c.corrected(sender.Inputs()[0]); got != 50 {
 		t.Fatalf("corrected(recv1) = %g before barrier, want 50", got)
@@ -353,7 +280,7 @@ func TestRegradeChecksEveryConsumer(t *testing.T) {
 		{limited: false, want: 1}, // both places wash: the regrade fires
 		{limited: true, want: 2},  // Q's place reaches the Limit: refused
 	} {
-		c := New(sharedExchangePlan(tc.limited), Config{Sites: 4, Variants: 2})
+		c := New(sharedExchangePlan(tc.limited), 2)
 		reps := c.OnBarrier(0, map[int]*sketch.Sketch{2: filled(10)})
 		if got := c.VariantFor(2, 2); got != tc.want {
 			t.Errorf("limited=%t: fragment 2 runs %d variants, want %d (replans %+v)", tc.limited, got, tc.want, reps)

@@ -299,6 +299,12 @@ func (r *run) variants(f *fragment.Fragment) int {
 // only context cancellation stops it early.
 func (r *run) execute(jobs []instanceJob) []instanceResult {
 	results := make([]instanceResult, len(jobs))
+	// One backing array holds every instance's first span; only an
+	// instance that retries regrows its own slice.
+	spans := make([]obs.Span, len(jobs))
+	for i := range results {
+		results[i].spans = spans[i : i : i+1]
+	}
 	runPool(len(jobs), r.workers, func(i int) { r.runInstance(&jobs[i], &results[i]) })
 	return results
 }
@@ -409,11 +415,12 @@ func (r *run) replan(w int) {
 	}
 	passStart := time.Now()
 	applied := r.opts.Adaptive.OnBarrier(w, r.sketches)
+	pass := r.res.AdaptiveReplans
 	r.res.AdaptiveReplans++
 	r.res.AdaptiveSwitches += len(applied)
 	r.qobs.Replans = append(r.qobs.Replans, applied...)
 	r.qobs.Spans = append(r.qobs.Spans, obs.Span{
-		Frag: -1, Site: -1, Host: -1, Wave: w,
+		Frag: -1, Site: -1, Host: -1, Wave: w, Ordinal: pass,
 		StartNanos: passStart.Sub(r.began).Nanoseconds(),
 		EndNanos:   time.Since(r.began).Nanoseconds(),
 		Status:     obs.SpanReplan,

@@ -182,8 +182,7 @@ func (p Params) HashJoin(left, right, rightWidth, dfRight float64) Cost {
 
 // ExchangePerTargetCost is the fixed per-target penalty of a multi-target
 // exchange: each additional destination site costs one more batched
-// message stream regardless of volume. The adaptive controller's
-// dist-flip guard prices involving a site in a shuffle with it too.
+// message stream regardless of volume.
 const ExchangePerTargetCost = 200.0
 
 // Exchange returns the cost of shipping rows. copies is the replication

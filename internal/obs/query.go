@@ -141,9 +141,9 @@ const (
 	SpanFailed SpanStatus = "failed"
 	// SpanReplan: not an instance attempt — an adaptive re-planning pass
 	// at a wave barrier (DESIGN.md §17). Frag/Site/Host are -1; Wave is
-	// the completed wave; Ordinal counts the re-plan passes. Emitted only
-	// when AdaptiveExec is on; every execution keeps the invariant
-	// spans == instances + retries + replans.
+	// the completed wave; Ordinal is the pass's index in the query (0, 1,
+	// …). Emitted only when AdaptiveExec is on; every execution keeps the
+	// invariant spans == instances + retries + replans.
 	SpanReplan SpanStatus = "replan"
 )
 
@@ -262,9 +262,8 @@ type Replan struct {
 	Wave int `json:"wave"`
 	// Frag is the pending fragment whose plan changed.
 	Frag int `json:"frag"`
-	// Kind names the trigger: "dist-flip" (partitioned↔broadcast),
-	// "build-swap" (hash-join build side), "variant-regrade" (parallelism
-	// split).
+	// Kind names the trigger: "build-swap" (hash-join build side) or
+	// "variant-regrade" (parallelism split).
 	Kind string `json:"kind"`
 	// Op describes the operator after the change.
 	Op string `json:"op"`

@@ -55,9 +55,9 @@ type ReplanReport struct {
 	// Frag the pending fragment whose plan changed.
 	Wave int `json:"wave"`
 	Frag int `json:"frag"`
-	// Kind names the trigger: "dist-flip", "build-swap" or
-	// "variant-regrade". Op describes the rewritten operator; From/To
-	// the strategy before and after.
+	// Kind names the trigger: "build-swap" or "variant-regrade". Op
+	// describes the rewritten operator; From/To the strategy before and
+	// after.
 	Kind string `json:"kind"`
 	Op   string `json:"op"`
 	From string `json:"from"`
