@@ -12,6 +12,7 @@ package gignite_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -171,11 +172,11 @@ func TestAdaptiveUnderFaults(t *testing.T) {
 }
 
 // TestAdaptivePlanCacheReAdapts checks the cache contract of DESIGN.md
-// §17: every execution splits the cached plan into a private copy, so the
-// second execution skips planning yet still re-adapts from scratch. If the
-// cache ever retained a post-adaptation tree, the build-swap trigger
-// (which requires build=right) could not re-fire and switches would
-// drop to zero on the hit.
+// §17: every adaptive execution splits the cached plan again into a
+// private copy, so the second execution skips planning yet still
+// re-adapts from scratch. If the cache ever retained a post-adaptation
+// tree, the build-swap trigger (which requires build=right) could not
+// re-fire and switches would drop to zero on the hit.
 func TestAdaptivePlanCacheReAdapts(t *testing.T) {
 	e := openTPCH(t, adaptiveTestSF, 4, misestimated, adaptiveOn, func(c *gignite.Config) { c.PlanCacheSize = 16 })
 	first, err := e.Query(adaptiveTestSQL)
@@ -201,6 +202,50 @@ func TestAdaptivePlanCacheReAdapts(t *testing.T) {
 	}
 	if rowsChecksum(second.Rows) != rowsChecksum(first.Rows) {
 		t.Error("cache hit returned different rows")
+	}
+}
+
+// TestSharedEntryUnderFaultsAndAdaptivity: a prepared Q5-shaped
+// statement runs under a crash and send-failure plan (retries and replica
+// failover) on the entry's one split, and then with adaptive execution
+// on, where each execution's controller rewrites a private split. Either
+// way the entry's split reads as before afterwards: its text, its
+// operators and their kernels (run under -race by make race-cpu).
+func TestSharedEntryUnderFaultsAndAdaptivity(t *testing.T) {
+	const spec = "seed=7;crash=2@4;sendfail=0.05"
+	for _, adaptive := range []bool{false, true} {
+		opts := []gignite.Option{misestimated, withFaults(t, 1, spec), planCache(16)}
+		if adaptive {
+			opts = append(opts, adaptiveOn)
+		}
+		e := openTPCH(t, adaptiveTestSF, 4, opts...)
+		stmt, err := e.Prepare(adaptiveTestSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := stmt.CachedSplit()
+		text, state := splitState(fp)
+		retries, switches := 0, 0
+		for run := 0; run < 3; run++ {
+			res, err := stmt.Query()
+			if err != nil {
+				t.Fatalf("adaptive=%v run %d: %v", adaptive, run, err)
+			}
+			retries += res.Stats.Retries
+			switches += res.Stats.AdaptiveSwitches
+		}
+		if retries == 0 {
+			t.Errorf("adaptive=%v: the fault plan caused no retry", adaptive)
+		}
+		if adaptive && switches == 0 {
+			t.Error("no adaptive rewrite fired: the test would prove nothing")
+		}
+		if stmt.CachedSplit() != fp {
+			t.Fatalf("adaptive=%v: the entry's split was replaced", adaptive)
+		}
+		if gotText, gotState := splitState(fp); gotText != text || !slices.Equal(gotState, state) {
+			t.Errorf("adaptive=%v: executions changed the entry's split:\n%s\nwas\n%s", adaptive, gotText, text)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package gignite
 
 import (
+	"gignite/internal/fragment"
 	"gignite/internal/logical"
 	"gignite/internal/sql"
 	"gignite/internal/volcano"
@@ -27,3 +28,13 @@ func (e *Engine) NewPlanner() *volcano.Planner { return e.newPlanner() }
 
 // Compiled is how many expressions the execution behind r compiled.
 func (r *Result) Compiled() int { return r.compiled }
+
+// CachedSplit is the split plan every execution of s runs: its plan-cache
+// entry's, or the statement's own with the cache off.
+func (s *Stmt) CachedSplit() *fragment.Plan {
+	entry, _, err := s.entry()
+	if err != nil {
+		panic(err)
+	}
+	return entry.Split
+}

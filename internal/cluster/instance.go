@@ -12,6 +12,7 @@ import (
 	"gignite/internal/faults"
 	"gignite/internal/fragment"
 	"gignite/internal/obs"
+	"gignite/internal/physical"
 	"gignite/internal/simnet"
 	"gignite/internal/sketch"
 	"gignite/internal/types"
@@ -102,6 +103,10 @@ type instanceResult struct {
 	// (including zero-cost dead-host skips).
 	spans []obs.Span
 	err   error
+	// first is the first attempt's context, a slot of the wave's slab
+	// holding its recorder and splitter counters; the attempt that takes
+	// it clears it.
+	first *exec.Context
 }
 
 // siteState is a site's condition from the perspective of one instance
@@ -166,9 +171,18 @@ func runPool(n, workers int, run func(i int)) {
 // context (so work counters accumulate without sharing). It is the one
 // way an instance runs — first tries, retries and failovers alike. The
 // outcome's work is valid even when the attempt fails.
-func (r *run) attempt(j *instanceJob, host, n int) (outcome, error) {
+func (r *run) attempt(j *instanceJob, ir *instanceResult, host, n int) (outcome, error) {
 	c := r.c
-	ectx := &exec.Context{
+	ectx := ir.first
+	if ectx == nil {
+		ectx = &exec.Context{Obs: obs.NewInstanceObs(j.fobs)}
+	}
+	ir.first = nil
+	var bound []*physical.Kernels
+	if r.bound != nil {
+		bound = r.bound[j.frag.ID]
+	}
+	*ectx = exec.Context{
 		Store:     c.Store,
 		Exchanges: r.exchanges,
 		FragID:    j.frag.ID,
@@ -182,8 +196,10 @@ func (r *run) attempt(j *instanceJob, host, n int) (outcome, error) {
 		Modes:     j.frag.Modes,
 		WorkLimit: r.opts.WorkLimit,
 		RowLimit:  c.RowLimit,
-		OpIDs:     j.fobs.OpIndex,
-		Obs:       obs.NewInstanceObs(j.fobs),
+		Counters:  ectx.Counters,
+		OpIDs:     j.frag.OpIDs,
+		Obs:       ectx.Obs,
+		Bound:     bound,
 		Mem:       r.opts.Mem,
 	}
 	if r.opts.Adaptive != nil {
@@ -252,7 +268,7 @@ func (r *run) runInstance(j *instanceJob, ir *instanceResult) {
 		}
 
 		start := time.Now()
-		out, err := r.attempt(j, host, n)
+		out, err := r.attempt(j, ir, host, n)
 		if err == nil && state == siteDying {
 			err = fmt.Errorf("site %d died mid-instance: %w", host, faults.ErrSiteCrash)
 		}

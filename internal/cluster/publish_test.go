@@ -108,7 +108,7 @@ func checkResentBytes(t *testing.T, where string, c *Cluster, r *run, plan *frag
 		}
 	}
 	shipped := func(k key, s obs.Span) float64 {
-		out, _ := q.attempt(jobs[k], s.Host, s.Attempt)
+		out, _ := q.attempt(jobs[k], &instanceResult{}, s.Host, s.Attempt)
 		return sentBytes(out.sent)
 	}
 

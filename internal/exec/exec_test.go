@@ -387,6 +387,7 @@ func TestSplitterPartitionProperty(t *testing.T) {
 		seen := map[int64]int{}
 		for v := 0; v < n; v++ {
 			ctx := &Context{Store: st, Site: 0, Variant: v, NVariants: n, Modes: modes}
+			tracked(ctx, scan)
 			rows, err := runPlan(scan, ctx)
 			if err != nil {
 				return false

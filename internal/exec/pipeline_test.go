@@ -45,12 +45,11 @@ func col(i int) expr.Expr                      { return expr.NewColRef(i, types.
 func lit(v int64) expr.Expr                    { return expr.NewLit(types.NewInt(v)) }
 func bin(op expr.Op, l, r expr.Expr) expr.Expr { return expr.NewBinOp(op, l, r) }
 
-// tracked wires per-operator recording for the plan rooted at n.
-func tracked(ctx *Context, root physical.Node) *obs.FragmentObs {
-	fo := obs.NewFragmentObs(0, true, root)
-	ctx.OpIDs = fo.OpIndex
-	ctx.Obs = obs.NewInstanceObs(fo)
-	return fo
+// tracked wires per-operator ids and recording for the plan rooted at n.
+func tracked(ctx *Context, root physical.Node) {
+	ops, ids := physical.Number(root)
+	ctx.OpIDs = ids
+	ctx.Obs = &obs.InstanceObs{Ops: make([]obs.OpStats, len(ops))}
 }
 
 func statsOf(ctx *Context, n physical.Node) obs.OpStats { return ctx.Obs.Ops[ctx.OpIDs[n]] }

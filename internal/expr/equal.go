@@ -13,9 +13,8 @@ import (
 // a literal's kind (`1` and `1.0` render alike), a column reference's
 // kind and a parameter's kind hint. A ColRef's advisory name takes part,
 // so Equal separates exactly what the rendering separates plus those
-// cases — except a literal bound to a placeholder (Lit.Param), which
-// renders as the placeholder but compares by its value. An Expr
-// implementation from outside this package is equal only to itself.
+// cases. An Expr implementation from outside this package is equal only
+// to itself.
 func Equal(a, b Expr) bool {
 	if a == b {
 		return true

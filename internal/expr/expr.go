@@ -66,13 +66,9 @@ func (c *ColRef) WithChildren(children []Expr) Expr {
 	return c
 }
 
-// Lit is a constant. A literal an execution substituted for a prepared
-// statement's placeholder keeps that placeholder in Param and renders as
-// it (`?N`), so plan text does not depend on the argument; evaluation,
-// kernels, Equal and Hash see only Val.
+// Lit is a constant.
 type Lit struct {
-	Val   types.Value
-	Param *Param
+	Val types.Value
 }
 
 // NewLit constructs a literal expression.
@@ -87,9 +83,6 @@ func (l *Lit) WithChildren(children []Expr) Expr {
 }
 
 func (l *Lit) String() string {
-	if l.Param != nil {
-		return l.Param.String()
-	}
 	if l.Val.K == types.KindString {
 		return "'" + l.Val.S + "'"
 	}

@@ -12,10 +12,10 @@ import (
 // comparison, the tested expression of an IN list, ...); KindNull means no
 // hint was derivable and the argument's own kind is used at execution.
 //
-// A Param never evaluates: execution substitutes a Lit for every Param
-// (Bind) when fragmentation copies the (possibly cached) plan for one
-// run, so reaching Eval means a parameterized plan leaked into the
-// executor unbound.
+// A Param never evaluates: an execution runs the kernels of every
+// operator holding one compiled with its argument in the Param's place
+// (physical.Bind), so reaching Eval means a parameterized plan leaked into
+// the executor unbound.
 type Param struct {
 	Ordinal int
 	Typ     types.Kind
@@ -26,10 +26,6 @@ type Param struct {
 func NewParam(ordinal int, typ types.Kind) *Param {
 	return &Param{Ordinal: ordinal, Typ: typ}
 }
-
-// Bind returns the literal that stands for p with value v in one
-// execution. It evaluates to v and renders as p.
-func (p *Param) Bind(v types.Value) *Lit { return &Lit{Val: v, Param: p} }
 
 func (p *Param) Kind() types.Kind { return p.Typ }
 
@@ -43,4 +39,20 @@ func (p *Param) Children() []Expr { return nil }
 func (p *Param) WithChildren(children []Expr) Expr {
 	mustArity("Param", children, 0)
 	return p
+}
+
+// HasParam reports whether e (nil allowed) holds a placeholder.
+func HasParam(e Expr) bool {
+	if _, ok := e.(*Param); ok {
+		return true
+	}
+	if e == nil {
+		return false
+	}
+	for _, ch := range e.Children() {
+		if HasParam(ch) {
+			return true
+		}
+	}
+	return false
 }

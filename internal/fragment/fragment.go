@@ -3,19 +3,19 @@
 // processing site, connected by sender/receiver pairs (§3.2.3,
 // Algorithm 1). The split plan carries its own schedule — the dependency
 // waves its fragments run in, and each fragment's variant source modes
-// (§5.3, Algorithm 3) for multi-threaded execution — and its exchange
-// edges: the receiver each exchange feeds and every place that receiver
-// stands in. The adaptive controller reads those edges instead of walking
-// the fragments to find them.
+// (§5.3, Algorithm 3) for multi-threaded execution — its exchange edges
+// (the receiver each exchange feeds and every place that receiver stands
+// in) and its operator ids. The scheduler, the executor, the observation
+// record and the adaptive controller read these instead of walking the
+// fragments to derive them, so a plan split once serves every execution.
 package fragment
 
 import (
 	"fmt"
+	"strings"
 
-	"gignite/internal/expr"
 	"gignite/internal/logical"
 	"gignite/internal/physical"
-	"gignite/internal/types"
 )
 
 // Fragment is one executable subsection of the query tree.
@@ -42,8 +42,23 @@ type Fragment struct {
 	// its splitter or duplicator role when the fragment runs as §5.3
 	// variants. It is nil when the fragment must run on one thread.
 	Modes map[physical.Node]SourceMode
+	// Ops lists the fragment's operators in pre-order, root first, each
+	// once (physical.Number): an operator's index is its id, by which
+	// executions address per-operator state. OpIDs maps each back.
+	Ops   []physical.Node
+	OpIDs map[physical.Node]int
+	// Params lists the ids of the operators whose expressions hold a
+	// placeholder: the only ones an execution's arguments reach
+	// (physical.Bind).
+	Params []int
 
 	wave int // the fragment's index in Plan.Waves
+}
+
+// Edge is one exchange edge: fragment To reads exchange Exchange, which
+// fragment From feeds.
+type Edge struct {
+	Exchange, From, To int
 }
 
 // Plan is a fragmented execution plan.
@@ -61,23 +76,32 @@ type Plan struct {
 	// waves yields a dependency order, and wave-by-wave execution with
 	// one worker is deterministic.
 	Waves [][]*Fragment
+	// Edges lists every exchange edge once per reading fragment, in
+	// fragment order and, within a fragment, in Receivers order. Readers
+	// maps each exchange ID to the IDs of its edges' reading fragments, in
+	// the same order.
+	Edges   []Edge
+	Readers map[int][]int
 }
 
 // Split implements Algorithm 1: walking the tree depth-first, every
 // Exchange is replaced by a receiver (staying in the current fragment) and
 // a sender (rooting a new fragment over the exchange's child). As each
 // fragment completes — after the exchanges below it are split — Split
-// appends it to Plan.Waves and records its Modes (Algorithm 3), so the
-// plan carries its schedule and no executor re-derives it. It records
-// each exchange's edge the same way: the producer's Receiver and, for
-// every place the receiver stands in, the reading fragment in Consumers.
+// appends it to Plan.Waves and records its Modes (Algorithm 3) and
+// operator ids, so the plan carries its schedule and no executor
+// re-derives it. It records each exchange's edge the same way: the
+// producer's Receiver and, for every place the receiver stands in, the
+// reading fragment in Consumers.
 //
-// Split builds one execution's private plan and writes no node reachable
-// from root, so a cached or prepared plan is split as it is. Every
-// operator other than an Exchange becomes a fresh shallow copy
-// (physical.Copy); with args, the copy's expressions have every
-// placeholder bound (expr.Param.Bind) to its argument. Without args,
-// placeholders stay unbound, as EXPLAIN prints them.
+// Split writes no node reachable from root: every operator other than an
+// Exchange becomes a fresh shallow copy (physical.Copy) sharing its
+// expressions and compiled kernels, and placeholders stay placeholders.
+// The engine splits a plan once, when it is planned, and keeps the split
+// in the plan-cache entry (or the prepared statement): every execution
+// runs that one split read-only, binding its arguments into kernels of
+// its own (physical.Bind). Only an adaptive execution splits again, for
+// a private tree its controller may rewrite.
 //
 // The optimizer may emit a DAG rather than a tree: a subtree (often a
 // broadcast) shared by two parents. Each Exchange is still split exactly
@@ -90,20 +114,11 @@ type Plan struct {
 // visit (the memo gives two equal join inputs the same subtree), so that
 // between its receivers and its root a fragment is a tree. The executor
 // and the variant planner key per-operator state — source modes, split
-// counters, row statistics — by node pointer, and one operator standing
-// in two places would have one visit overwrite the other's.
-func Split(root physical.Node, args ...types.Value) *Plan {
-	p := &Plan{Producer: make(map[int]*Fragment)}
+// counters, row statistics — by node or operator id, and one operator
+// standing in two places would have one visit overwrite the other's.
+func Split(root physical.Node) *Plan {
+	p := &Plan{Producer: make(map[int]*Fragment), Readers: make(map[int][]int)}
 	split := make(map[*physical.Exchange]*Fragment) // exchange -> producer
-	var bind func(expr.Expr) expr.Expr
-	if len(args) > 0 {
-		bind = func(e expr.Expr) expr.Expr {
-			if prm, ok := e.(*expr.Param); ok {
-				return prm.Bind(args[prm.Ordinal])
-			}
-			return e
-		}
-	}
 
 	addReceiver := func(frag *Fragment, id int) {
 		for _, ex := range frag.Receivers {
@@ -124,13 +139,19 @@ func Split(root physical.Node, args ...types.Value) *Plan {
 		}
 		p.Waves[f.wave] = append(p.Waves[f.wave], f)
 		f.Modes = variantModes(f)
+		f.Ops, f.OpIDs = physical.Number(f.Root)
+		for id, n := range f.Ops {
+			if physical.HoldsParam(n) {
+				f.Params = append(f.Params, id)
+			}
+		}
 	}
 
 	var splitTree func(n physical.Node, frag *Fragment) physical.Node
 	splitTree = func(n physical.Node, frag *Fragment) physical.Node {
 		t, ok := n.(*physical.Exchange)
 		if !ok {
-			out := physical.Copy(n, bind)
+			out := physical.Copy(n, nil)
 			if ins := n.Inputs(); len(ins) > 0 {
 				newIns := make([]physical.Node, len(ins))
 				for i, in := range ins {
@@ -163,6 +184,12 @@ func Split(root physical.Node, args ...types.Value) *Plan {
 	p.Fragments = append(p.Fragments, rootFrag)
 	rootFrag.Root = splitTree(root, rootFrag)
 	complete(rootFrag)
+	for _, f := range p.Fragments {
+		for _, ex := range f.Receivers {
+			p.Edges = append(p.Edges, Edge{Exchange: ex, From: p.Producer[ex].ID, To: f.ID})
+			p.Readers[ex] = append(p.Readers[ex], f.ID)
+		}
+	}
 	return p
 }
 
@@ -253,13 +280,14 @@ func assignModes(n physical.Node, mode SourceMode, modes map[physical.Node]Sourc
 
 // Format renders the fragmented plan for EXPLAIN output.
 func (p *Plan) Format() string {
-	out := ""
+	var sb strings.Builder
 	for _, f := range p.Fragments {
 		role := "fragment"
 		if f.IsRoot {
 			role = "root fragment"
 		}
-		out += fmt.Sprintf("--- %s %d ---\n%s", role, f.ID, physical.Format(f.Root))
+		fmt.Fprintf(&sb, "--- %s %d ---\n", role, f.ID)
+		sb.WriteString(physical.Format(f.Root))
 	}
-	return out
+	return sb.String()
 }

@@ -380,13 +380,13 @@ func TestSplitUnsharesOperatorsInsideAFragment(t *testing.T) {
 	}
 }
 
-// TestSplitLeavesItsInputUntouched: Split builds each execution's private
-// tree from a plan it only reads, so a cached plan is split as it is.
-// The plan shares a subtree over a shared Exchange and holds a
-// placeholder in a Filter; two splits with different arguments must leave
-// every input node's inputs and expressions as they were, share no
-// operator with the input or with each other, and each bind the Filter's
-// placeholder to its own argument.
+// TestSplitLeavesItsInputUntouched: Split builds a plan from one it only
+// reads, so a cached plan is split as it is. The plan shares a subtree
+// over a shared Exchange and holds a placeholder in a Filter; two splits
+// must leave every input node's inputs and expressions as they were,
+// share no operator with the input or with each other, keep the Filter's
+// placeholder (executions bind it into kernels of their own, never into
+// the plan) and list the Filter among its fragment's Params.
 func TestSplitLeavesItsInputUntouched(t *testing.T) {
 	ex := physical.NewExchange(scan("b"), physical.BroadcastDist)
 	cond := expr.NewBinOp(expr.OpEq,
@@ -415,7 +415,7 @@ func TestSplitLeavesItsInputUntouched(t *testing.T) {
 		return true
 	})
 
-	plans := []*Plan{Split(root, types.NewInt(7)), Split(root, types.NewInt(9))}
+	plans := []*Plan{Split(root), Split(root)}
 
 	for n, snap := range before {
 		if !slices.Equal(n.Inputs(), snap.inputs) {
@@ -432,6 +432,7 @@ func TestSplitLeavesItsInputUntouched(t *testing.T) {
 		}
 		filters := 0
 		for _, f := range plan.Fragments {
+			var params []int
 			physical.Walk(f.Root, func(n physical.Node) bool {
 				if _, ok := before[n]; ok {
 					t.Errorf("split %d runs the input's %s", i, n.Describe())
@@ -440,20 +441,50 @@ func TestSplitLeavesItsInputUntouched(t *testing.T) {
 					t.Errorf("splits %d and %d share %s", prev, i, n.Describe())
 				}
 				owner[n] = i
-				flt, ok := n.(*physical.Filter)
-				if !ok {
-					return true
-				}
-				filters++
-				lit, ok := flt.Cond.(*expr.BinOp).R.(*expr.Lit)
-				if want := int64(7 + 2*i); !ok || lit.Val.I != want || lit.Param == nil {
-					t.Errorf("split %d: filter %s, want ?1 bound to %d", i, flt.Cond, want)
+				if flt, ok := n.(*physical.Filter); ok {
+					filters++
+					params = append(params, f.OpIDs[n])
+					if flt.Cond != cond {
+						t.Errorf("split %d: filter %s, want the input's %s", i, flt.Cond, cond)
+					}
 				}
 				return true
 			})
+			if !slices.Equal(f.Params, params) {
+				t.Errorf("split %d fragment %d: Params %v, want the filters' ids %v", i, f.ID, f.Params, params)
+			}
 		}
 		if filters != 2 {
 			t.Errorf("split %d: %d filters, want one per join input", i, filters)
+		}
+	}
+}
+
+// TestSplitNumbersOperators: each fragment's Ops lists its operators in
+// pre-order, root first, each once, and OpIDs is its inverse.
+func TestSplitNumbersOperators(t *testing.T) {
+	plan := Split(buildJoinPlan())
+	for _, f := range plan.Fragments {
+		var want []physical.Node
+		seen := make(map[physical.Node]bool)
+		physical.Walk(f.Root, func(n physical.Node) bool {
+			if seen[n] {
+				return false
+			}
+			seen[n] = true
+			want = append(want, n)
+			return true
+		})
+		if !slices.Equal(f.Ops, want) {
+			t.Errorf("fragment %d: Ops %v, want the pre-order walk %v", f.ID, f.Ops, want)
+		}
+		if len(f.OpIDs) != len(f.Ops) {
+			t.Errorf("fragment %d: %d OpIDs for %d Ops", f.ID, len(f.OpIDs), len(f.Ops))
+		}
+		for id, n := range f.Ops {
+			if f.OpIDs[n] != id {
+				t.Errorf("fragment %d: %s has id %d, want %d", f.ID, n.Describe(), f.OpIDs[n], id)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"gignite/internal/fragment"
 	"gignite/internal/physical"
 )
 
@@ -56,39 +57,36 @@ type FragmentObs struct {
 	Instances int `json:"instances"`
 	// Ops holds the fragment's operators in pre-order walk order.
 	Ops []OpStats `json:"ops"`
-	// OpIndex maps the fragment's plan nodes to indices in Ops. It is a
-	// runtime navigation aid (EXPLAIN ANALYZE rendering), not exported.
+	// OpIndex maps the fragment's plan nodes to indices in Ops
+	// (fragment.Fragment.OpIDs, shared read-only by every execution of
+	// the plan). It is a runtime navigation aid (EXPLAIN ANALYZE
+	// rendering), not exported.
 	OpIndex map[physical.Node]int `json:"-"`
 }
 
-// NewFragmentObs walks a fragment's operator tree in pre-order, assigning
-// dense operator ids and capturing each operator's planner estimate. A
-// DAG-shared node keeps its first id. Op is left empty: the engine fills
-// it from the plan's text, rendered once per plan (DescribeOps).
-func NewFragmentObs(frag int, root bool, planRoot physical.Node) *FragmentObs {
-	fo := &FragmentObs{Frag: frag, Root: root, OpIndex: make(map[physical.Node]int)}
-	physical.Walk(planRoot, func(n physical.Node) bool {
-		if _, seen := fo.OpIndex[n]; seen {
-			return false
+// NewFragmentObs returns one execution's views of a split plan's
+// fragments, indexed by fragment id: the fragment's operator ids and each
+// operator's planner estimate. Op is left empty: the engine fills it from
+// the plan's text, rendered once per plan. The views and their records
+// are allocated together, so a plan of any size costs three objects.
+func NewFragmentObs(plan *fragment.Plan) []*FragmentObs {
+	n := 0
+	for _, f := range plan.Fragments {
+		n += len(f.Ops)
+	}
+	views := make([]FragmentObs, len(plan.Fragments))
+	ops := make([]OpStats, n)
+	out := make([]*FragmentObs, len(plan.Fragments))
+	for _, f := range plan.Fragments {
+		fo := &views[f.ID]
+		fo.Frag, fo.Root, fo.OpIndex = f.ID, f.IsRoot, f.OpIDs
+		fo.Ops, ops = ops[:len(f.Ops):len(f.Ops)], ops[len(f.Ops):]
+		for i, op := range f.Ops {
+			fo.Ops[i].EstRows = op.Props().EstRows
 		}
-		fo.OpIndex[n] = len(fo.OpIndex)
-		return true
-	})
-	fo.Ops = make([]OpStats, len(fo.OpIndex))
-	for n, i := range fo.OpIndex {
-		fo.Ops[i].EstRows = n.Props().EstRows
+		out[f.ID] = fo
 	}
-	return fo
-}
-
-// DescribeOps returns the Describe line of each of the fragment's
-// operators, indexed by operator id.
-func (fo *FragmentObs) DescribeOps() []string {
-	ops := make([]string, len(fo.Ops))
-	for n, i := range fo.OpIndex {
-		ops[i] = n.Describe()
-	}
-	return ops
+	return out
 }
 
 // InstanceObs is the private recorder of one fragment instance attempt:

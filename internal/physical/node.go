@@ -484,6 +484,23 @@ func Walk(n Node, fn func(Node) bool) {
 	}
 }
 
+// Number gives the operators of the tree rooted at n dense ids in
+// pre-order, root first: ops[id] is the operator, and ids maps it back. A
+// node reached twice keeps its first id, and its inputs are not
+// revisited.
+func Number(n Node) (ops []Node, ids map[Node]int) {
+	ids = make(map[Node]int)
+	Walk(n, func(n Node) bool {
+		if _, seen := ids[n]; seen {
+			return false
+		}
+		ids[n] = len(ops)
+		ops = append(ops, n)
+		return true
+	})
+	return ops, ids
+}
+
 // CollationSatisfies reports whether actual ordering satisfies the wanted
 // prefix.
 func CollationSatisfies(actual, wanted []types.SortKey) bool {

@@ -5,11 +5,12 @@
 //
 // This mirrors the Calcite-in-Ignite arrangement the paper studies: Ignite
 // fronts Calcite with a bounded query-plan cache because planning is a
-// significant fraction of short-query latency. Entries store the
-// pre-fragmentation plan, which executions only read: fragmentation builds
-// each execution's private copy with its parameter values bound. Plans are
-// invalidated by catalog version: any schema or statistics change bumps
-// the version and lazily evicts stale entries on next lookup.
+// significant fraction of short-query latency. An entry stores the
+// compiled plan already split into fragments, which executions only read,
+// so a hit pays for execution alone: parameter values are bound into
+// per-execution kernels, never into the plan. Plans are invalidated by
+// catalog version: any schema or statistics change bumps the version and
+// lazily evicts stale entries on next lookup.
 package plancache
 
 import (
@@ -17,20 +18,25 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gignite/internal/fragment"
 	"gignite/internal/obs"
 	"gignite/internal/physical"
 	"gignite/internal/types"
 )
 
-// Entry is one cached plan. Plan is the pre-Split physical tree, shared
-// read-only by every execution (fragment.Split copies what it runs).
-// ParamKinds holds the bind-time type hint for each `?`
-// placeholder (types.KindNull when no hint was derivable). Tickets records
-// the optimizer work the original planning pass spent, so cache hits can
-// report a stable planning-cost figure. The plan's rendered text (Text)
-// is made once per entry, on its first execution.
+// Entry is one cached plan, shared read-only by every execution. Plan is
+// the compiled physical tree and Split its fragmentation (fragment.Split),
+// made once when the entry is built: an execution runs Split as it is,
+// with its `?` values bound into kernels of its own (physical.Bind), and
+// only an adaptive execution splits Plan again, for a private tree its
+// controller may rewrite. ParamKinds holds the bind-time type hint for
+// each `?` placeholder (types.KindNull when no hint was derivable).
+// Tickets records the optimizer work the original planning pass spent, so
+// cache hits can report a stable planning-cost figure. The plan's
+// rendered text (Text) is made once per entry, on its first execution.
 type Entry struct {
 	Plan       physical.Node
+	Split      *fragment.Plan
 	ParamKinds []types.Kind
 	Tickets    int
 	// Version is the catalog version the plan was built against. An entry
@@ -42,9 +48,9 @@ type Entry struct {
 }
 
 // Text is what every execution of an entry reports about its plan: the
-// plan digest, each fragment's operator lines (obs.FragmentObs.DescribeOps,
-// indexed by fragment id) and the result column names. Arguments render as their
-// placeholders, so one rendering holds for every execution.
+// plan digest, each fragment's operator lines (indexed by fragment id,
+// then operator id) and the result column names. Arguments render as
+// their placeholders, so one rendering holds for every execution.
 type Text struct {
 	Digest  string
 	Ops     [][]string

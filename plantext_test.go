@@ -74,11 +74,12 @@ func TestPlanTextIgnoresArguments(t *testing.T) {
 // lookupAllocs is the per-execution allocation budget of each lookup (IC+M,
 // 4 sites, SF 0.001, plan cache on, one worker): about 10% above the
 // measured value in the comment. Rendering the plan text per execution
-// made 115, 323 and 327 objects.
+// made 115, 323 and 327 objects; splitting the plan per execution, with
+// each instance allocating its own fixed state, 51, 203 and 203.
 var lookupAllocs = map[string]float64{
-	"nation":   60,  // 55
-	"supplier": 242, // 222
-	"customer": 242, // 222
+	"nation":   44,  // 40
+	"supplier": 134, // 122
+	"customer": 134, // 122
 }
 
 func TestPreparedLookupAllocations(t *testing.T) {
