@@ -82,8 +82,9 @@ type Controller struct {
 
 // New builds a controller for a fragmented plan. The plan's joins may be
 // mutated by later OnBarrier calls, so the plan must be private to this
-// execution — as fragment.Split's output is: it copies every operator of
-// the plan it splits, so a cached plan never retains a post-adaptation
+// execution — as a fresh fragment.Split of the cached plan is: it copies
+// every operator of the plan it splits, so a cached plan, and the split
+// every non-adaptive execution shares, never retains a post-adaptation
 // tree. variants is the configured §5.3 variant count (the re-grade's
 // baseline); values below 1 mean 1.
 func New(plan *fragment.Plan, variants int) *Controller {

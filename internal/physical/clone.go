@@ -12,8 +12,8 @@ import (
 // consumers is cloned once and both clones point at the same copy.
 //
 // Its last caller is bench's staged mirror of Engine.run; the engine
-// itself splits cached plans directly, because fragment.Split copies
-// what it runs.
+// splits a plan once, when it plans it, and binds arguments into
+// per-execution kernels (Bind), never into a copy of the plan.
 func CloneTree(root Node, rewrite func(expr.Expr) expr.Expr) Node {
 	memo := make(map[Node]Node)
 	var clone func(n Node) Node

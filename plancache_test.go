@@ -319,6 +319,53 @@ func TestPreparedStatements(t *testing.T) {
 	}
 }
 
+// TestPreparedParametersOutsideFilters: a placeholder in a projection
+// (an aggregate's argument is computed by one) or in a join's residual
+// condition is bound into that operator's per-execution kernels like one
+// in a filter: each execution returns what the statement with its
+// arguments inlined returns, and compiles only the expression holding the
+// placeholder — with the plan cache both off and on.
+func TestPreparedParametersOutsideFilters(t *testing.T) {
+	for _, cacheSize := range []int{0, 16} {
+		cfg := ICPlus(4)
+		cfg.PlanCacheSize = cacheSize
+		e := setupEmployees(t, cfg)
+		for _, c := range []struct {
+			sql, inline string
+			args        []Value
+		}{
+			{`SELECT id, salary * ? FROM emp WHERE dept_id = 1`,
+				`SELECT id, salary * 2.5 FROM emp WHERE dept_id = 1`, []Value{types.NewFloat(2.5)}},
+			{`SELECT dept_id, SUM(salary + ?) FROM emp GROUP BY dept_id`,
+				`SELECT dept_id, SUM(salary + 100) FROM emp GROUP BY dept_id`, []Value{types.NewInt(100)}},
+			{`SELECT e.id, d.dname FROM emp e JOIN dept d ON e.dept_id = d.dept_id AND e.id + d.dept_id > ?`,
+				`SELECT e.id, d.dname FROM emp e JOIN dept d ON e.dept_id = d.dept_id AND e.id + d.dept_id > 30`, []Value{types.NewInt(30)}},
+		} {
+			stmt, err := e.Prepare(c.sql)
+			if err != nil {
+				t.Fatalf("cache=%d %s: %v", cacheSize, c.sql, err)
+			}
+			for run := 0; run < 2; run++ {
+				res, err := stmt.Query(c.args...)
+				if err != nil {
+					t.Fatalf("cache=%d %s: %v", cacheSize, c.sql, err)
+				}
+				want, err := e.Query(c.inline)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want.Rows) == 0 {
+					t.Fatalf("%s returns no rows: the test would compare nothing", c.inline)
+				}
+				sameRows(t, c.sql, want.Rows, res.Rows)
+				if res.compiled != 1 {
+					t.Errorf("cache=%d %s: compiled %d expressions, want the one holding ?1", cacheSize, c.sql, res.compiled)
+				}
+			}
+		}
+	}
+}
+
 // TestParameterErrors covers the rejection paths: executing parameterized
 // SQL without arguments, argument-count mismatches, and parameters where
 // the dialect cannot accept them.
