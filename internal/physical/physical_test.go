@@ -261,3 +261,46 @@ func TestFormatIncludesTraits(t *testing.T) {
 		t.Errorf("format = %q", out)
 	}
 }
+
+// TestBindLeavesTheOperatorAlone: Bind compiles an operator's
+// placeholder-holding expressions with the arguments in place, reuses
+// the operator's own kernels for the rest, and writes nothing of the
+// operator, so two executions binding different arguments each get
+// their own.
+func TestBindLeavesTheOperatorAlone(t *testing.T) {
+	scan := scanFixture()
+	id := expr.NewColRef(0, types.KindInt, "id")
+	cond := expr.NewBinOp(expr.OpEq, id, expr.NewParam(0, types.KindInt))
+	flt := NewFilter(scan, cond)
+	proj := NewProject(flt, []expr.Expr{id, expr.NewBinOp(expr.OpAdd, id, expr.NewParam(0, types.KindInt))},
+		types.Fields{{Name: "id", Kind: types.KindInt}, {Name: "x", Kind: types.KindInt}})
+	Compile(proj)
+	if !HoldsParam(flt) || !HoldsParam(proj) || HoldsParam(scan) {
+		t.Fatal("HoldsParam misses a placeholder or finds one in a scan")
+	}
+	pred, cols := flt.Predicate(), proj.Kernels()
+
+	rows := []types.Row{{types.NewInt(7)}, {types.NewInt(9)}}
+	for _, arg := range []int64{7, 9} {
+		args := []types.Value{types.NewInt(arg)}
+		fk, n := Bind(flt, args)
+		if n != 1 {
+			t.Errorf("filter bound to %d: compiled %d expressions, want 1", arg, n)
+		}
+		if got := fk.Pred.Select(nil, rows); len(got) != 1 || got[0][0].Int() != arg {
+			t.Errorf("filter bound to %d selects %v", arg, got)
+		}
+		pk, n := Bind(proj, args)
+		if n != 1 || pk.Cols[0] != cols[0] || pk.Cols[1] == cols[1] {
+			t.Errorf("project bound to %d: compiled %d, want only the placeholder's expression", arg, n)
+		}
+		out := make([]types.Value, 1)
+		pk.Cols[1].Fill(rows[:1], out, 1)
+		if out[0].Int() != 7+arg {
+			t.Errorf("project bound to %d computes %v, want %d", arg, out[0], 7+arg)
+		}
+	}
+	if flt.Cond != cond || flt.Predicate() != pred || proj.Kernels()[1] != cols[1] {
+		t.Error("Bind wrote the operator it bound")
+	}
+}
