@@ -38,13 +38,15 @@ race:
 # package's concurrency tests (concurrent clients and ad-hoc planners,
 # DDL, INSERT and ANALYZE beside planning, the plan-cache hammer, a plan's
 # text rendered once by racing first executions, admission and overload
-# races, Close/drain) and its shared-entry tests (concurrent executions,
+# races, Close/drain), its shared-entry tests (concurrent executions,
 # with and without arguments, and executions under faults and adaptivity
-# all reading one cached split plan): their ordering bugs depend on
-# GOMAXPROCS.
+# all reading one cached split plan) and the fault outcomes golden (the
+# one with retries: GOMAXPROCS workers write retried attempts' ledger
+# rows, which must price the same at every worker count): their ordering
+# bugs depend on GOMAXPROCS.
 race-cpu:
 	$(GO) test -race -cpu 1,2,4 ./driver ./internal/server ./internal/cluster ./internal/exec ./internal/governor ./internal/plancache ./internal/obs
-	$(GO) test -race -cpu 1,2,4 -run 'Concurrent|Hammer|PlanText|Admission|Overload|Close|SharedEntry' .
+	$(GO) test -race -cpu 1,2,4 -run 'Concurrent|Hammer|PlanText|Admission|Overload|Close|SharedEntry|FaultOutcomesGolden' .
 
 # The wall-clock benchmark is a nested module (bench/go.mod), so `./...`
 # skips it; vet and test it against the engine in this checkout.

@@ -13,8 +13,6 @@ import (
 	"gignite/internal/fragment"
 	"gignite/internal/obs"
 	"gignite/internal/physical"
-	"gignite/internal/simnet"
-	"gignite/internal/sketch"
 	"gignite/internal/types"
 )
 
@@ -56,16 +54,22 @@ func (j *instanceJob) wrap(err error) error {
 	return fmt.Errorf("cluster: fragment %d at site %d: %w", j.frag.ID, j.site, err)
 }
 
-// span describes one attempt of job j, ending now. Offsets are wall-clock
-// (outside the determinism contract); the span set and its order are
-// deterministic.
-func (r *run) span(j *instanceJob, host, attempt int, start time.Time, status obs.SpanStatus, err error) obs.Span {
+// span records attempt n of job j at host, ending now, as a ledger row:
+// with the work and bytes of the attempt's context ectx (nil for a skip).
+// A slow host's work is charged proportionally more, so the slowdown
+// lands in the modeled response time. Offsets are wall-clock (outside the
+// determinism contract); the span set, its order and its work and bytes
+// are deterministic.
+func (r *run) span(j *instanceJob, ectx *exec.Context, host, n int, start time.Time, status obs.SpanStatus, err error) obs.Span {
 	s := obs.Span{
 		Frag: j.frag.ID, Site: j.site, Host: host, Variant: j.variant,
-		Attempt: attempt, Ordinal: j.ordinal, Wave: j.wave,
+		Attempt: n, Ordinal: j.ordinal, Wave: j.wave,
 		StartNanos: start.Sub(r.began).Nanoseconds(),
 		EndNanos:   time.Since(r.began).Nanoseconds(),
 		Status:     status,
+	}
+	if ectx != nil {
+		s.Work, s.Bytes = ectx.CPUWork*r.c.Faults.Slowdown(host), ectx.SentBytes
 	}
 	if err != nil {
 		s.Error = err.Error()
@@ -73,40 +77,21 @@ func (r *run) span(j *instanceJob, host, attempt int, start time.Time, status ob
 	return s
 }
 
-// outcome is what one attempt of an instance produced.
-type outcome struct {
-	rows []types.Row
-	// sent is the attempt's private shipments; the barrier publishes them
-	// only for the attempt that survives.
-	sent []*exec.Batch
-	host int
-	// work is the attempt's CPU work as charged to the cost clock: a slow
-	// site is charged proportionally more, so the slowdown lands in the
-	// modeled response time.
-	work float64
-	// obs is the attempt's per-operator record.
-	obs *obs.InstanceObs
-	// sketches are the attempt's exchange sketches (nil when adaptive
-	// execution is off or the instance shipped nothing).
-	sketches map[int]*sketch.Sketch
-}
-
 // instanceResult is the per-instance outcome a worker hands back to the
-// barrier. Workers never touch shared trace state: each writes only its
+// barrier. Workers never touch the run's ledger: each writes only its
 // own slot, and the barrier merges slots in deterministic job order.
 type instanceResult struct {
-	// outcome is the last, successful attempt's (zero when the instance
+	// rows is the surviving attempt's output (nil when the instance
 	// failed terminally).
-	outcome
-	retries []simnet.Retry
-	// spans records one trace span per attempt of this instance
+	rows []types.Row
+	// ctx is the latest attempt's context: its private shipments,
+	// operator record and sketch. Before the first attempt it is a slot
+	// of the wave's slab, holding a recorder and splitter counters.
+	ctx *exec.Context
+	// spans records one ledger row per attempt of this instance
 	// (including zero-cost dead-host skips).
 	spans []obs.Span
 	err   error
-	// first is the first attempt's context, a slot of the wave's slab
-	// holding its recorder and splitter counters; the attempt that takes
-	// it clears it.
-	first *exec.Context
 }
 
 // siteState is a site's condition from the perspective of one instance
@@ -168,16 +153,17 @@ func runPool(n, workers int, run func(i int)) {
 }
 
 // attempt executes job j once, as attempt n at host, in a private exec
-// context (so work counters accumulate without sharing). It is the one
-// way an instance runs — first tries, retries and failovers alike. The
-// outcome's work is valid even when the attempt fails.
-func (r *run) attempt(j *instanceJob, ir *instanceResult, host, n int) (outcome, error) {
+// context (so work counters accumulate without sharing), which it leaves
+// in ir.ctx. It is the one way an instance runs — first tries, retries
+// and failovers alike. The context's counters are valid even when the
+// attempt fails.
+func (r *run) attempt(j *instanceJob, ir *instanceResult, host, n int) ([]types.Row, error) {
 	c := r.c
-	ectx := ir.first
-	if ectx == nil {
-		ectx = &exec.Context{Obs: obs.NewInstanceObs(j.fobs)}
+	if n > 0 {
+		// A retry records afresh: only the first attempt has a slab slot.
+		ir.ctx = &exec.Context{Obs: obs.NewInstanceObs(j.fobs)}
 	}
-	ir.first = nil
+	ectx := ir.ctx
 	var bound []*physical.Kernels
 	if r.bound != nil {
 		bound = r.bound[j.frag.ID]
@@ -210,12 +196,7 @@ func (r *run) attempt(j *instanceJob, ir *instanceResult, host, n int) (outcome,
 	// reservation to the shared pool (the per-query budget still
 	// remembers the cumulative charge).
 	r.opts.Mem.Release(ectx.ChargedMem())
-	return outcome{
-		rows: rows, sent: ectx.Sent, host: host,
-		work:     ectx.CPUWork * c.Faults.Slowdown(host),
-		obs:      ectx.Obs,
-		sketches: ectx.Sketches,
-	}, err
+	return rows, err
 }
 
 // runInstance executes one instance with retry and replica failover. The
@@ -247,10 +228,7 @@ func (r *run) runInstance(j *instanceJob, ir *instanceResult) {
 				host, state = h, st
 				break
 			}
-			ir.retries = append(ir.retries, simnet.Retry{
-				Frag: j.frag.ID, Site: j.site, Variant: j.variant, Host: h,
-			})
-			ir.spans = append(ir.spans, r.span(j, h, n, time.Now(), obs.SpanSkipped, faults.ErrSiteCrash))
+			ir.spans = append(ir.spans, r.span(j, nil, h, n, time.Now(), obs.SpanSkipped, faults.ErrSiteCrash))
 			hostIdx++
 		}
 		if host < 0 {
@@ -268,29 +246,26 @@ func (r *run) runInstance(j *instanceJob, ir *instanceResult) {
 		}
 
 		start := time.Now()
-		out, err := r.attempt(j, ir, host, n)
+		rows, err := r.attempt(j, ir, host, n)
 		if err == nil && state == siteDying {
 			err = fmt.Errorf("site %d died mid-instance: %w", host, faults.ErrSiteCrash)
 		}
 		if err == nil {
-			ir.outcome = out
-			ir.spans = append(ir.spans, r.span(j, host, n, start, obs.SpanOK, nil))
+			ir.rows = rows
+			ir.spans = append(ir.spans, r.span(j, ir.ctx, host, n, start, obs.SpanOK, nil))
 			return
 		}
 
 		if !faults.Injected(err) || n == maxAttempts-1 {
-			ir.spans = append(ir.spans, r.span(j, host, n, start, obs.SpanFailed, err))
+			ir.spans = append(ir.spans, r.span(j, ir.ctx, host, n, start, obs.SpanFailed, err))
 			ir.err = err
 			return
 		}
-		// Retryable fault: charge the lost attempt (its CPU work and the
-		// bytes that must be resent) and fail over. Its shipments are
-		// dropped with it: only a surviving attempt's are published.
-		ir.spans = append(ir.spans, r.span(j, host, n, start, obs.SpanRetried, err))
-		ir.retries = append(ir.retries, simnet.Retry{
-			Frag: j.frag.ID, Site: j.site, Variant: j.variant, Host: host,
-			Work: out.work, Bytes: sentBytes(out.sent),
-		})
+		// Retryable fault: the lost attempt's span charges its CPU work and
+		// the bytes that must be resent, and the instance fails over. Its
+		// shipments are dropped with it: only a surviving attempt's are
+		// published.
+		ir.spans = append(ir.spans, r.span(j, ir.ctx, host, n, start, obs.SpanRetried, err))
 		if errors.Is(err, faults.ErrSiteCrash) || errors.Is(err, faults.ErrSiteMem) {
 			// This replica cannot serve the instance (gone, or its memory
 			// pool deterministically too small); move down the chain.

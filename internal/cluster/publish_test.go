@@ -4,14 +4,15 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
+	"gignite/internal/exec"
 	"gignite/internal/expr"
 	"gignite/internal/fragment"
 	"gignite/internal/obs"
 	"gignite/internal/physical"
+	"gignite/internal/simnet"
 	"gignite/internal/types"
 )
 
@@ -34,8 +35,8 @@ func exchangePlan(t *testing.T, c *Cluster) *fragment.Plan {
 // TestBarrierPublishesOnlySurvivors: with retried sends and a crash
 // failover in the run, every published (exchange, site) stream holds
 // exactly one batch per surviving sender instance, in (site, variant)
-// order, identical at every worker count, and every retry's resend bytes
-// are what its failed attempt shipped.
+// order, identical at every worker count, and every retried attempt's
+// span carries the bytes that attempt shipped.
 func TestBarrierPublishesOnlySurvivors(t *testing.T) {
 	const spec = "seed=97;crash=2@5;sendfail=0.3"
 	var want string
@@ -65,24 +66,49 @@ func TestBarrierPublishesOnlySurvivors(t *testing.T) {
 }
 
 // publishedStreams checks that every published stream holds one batch per
-// surviving instance of its producer, in (site, variant) order, and
+// surviving instance of its producer, in (site, variant) order, and that
+// the ledger's ships name those senders and total their batches. It
 // renders the streams for comparison across worker counts.
 func publishedStreams(t *testing.T, where string, r *run, plan *fragment.Plan) string {
 	t.Helper()
+	survivor := make(map[int]obs.Span) // by ordinal
+	for _, s := range r.ledger.Spans {
+		if s.Status == obs.SpanOK {
+			survivor[s.Ordinal] = s
+		}
+	}
 	var sb strings.Builder
-	for _, ex := range sortedKeys(r.exchanges) {
+	for ex, streams := range r.exchanges {
 		var senders [][2]int
-		for _, in := range r.trace.Instances[plan.Producer[ex].ID] {
-			senders = append(senders, [2]int{in.Site, in.Variant})
+		for _, s := range r.ledger.Spans {
+			if s.Status == obs.SpanOK && s.Frag == plan.Producer[ex].ID {
+				senders = append(senders, [2]int{s.Site, s.Variant})
+			}
 		}
 		slices.SortFunc(senders, func(a, b [2]int) int { return slices.Compare(a[:], b[:]) })
-		for _, site := range sortedKeys(r.exchanges[ex]) {
-			stream := r.exchanges[ex][site]
+		for site, stream := range streams {
+			if len(stream) == 0 {
+				continue
+			}
+			var ships []simnet.Ship
+			for _, sh := range r.ledger.Ships {
+				if sh.Exchange == ex && sh.ToSite == site {
+					ships = append(ships, sh)
+				}
+			}
+			if len(ships) != len(stream) {
+				t.Fatalf("%s: exchange %d -> site %d: %d batches, %d ships", where, ex, site, len(stream), len(ships))
+			}
 			var from [][2]int
 			fmt.Fprintf(&sb, "exchange %d -> site %d:\n", ex, site)
-			for _, b := range stream {
-				from = append(from, [2]int{b.FromSite, b.FromVariant})
-				fmt.Fprintf(&sb, "  %d/%d %v\n", b.FromSite, b.FromVariant, b.Rows)
+			for i, b := range stream {
+				s := survivor[ships[i].Ordinal]
+				from = append(from, [2]int{s.Site, s.Variant})
+				fmt.Fprintf(&sb, "  %d/%d %v\n", s.Site, s.Variant, b.Rows)
+				if sh := ships[i]; sh.Rows != int64(len(b.Rows)) || sh.Bytes != b.Bytes || sh.MaxBatch != b.Bytes {
+					t.Errorf("%s: exchange %d -> site %d: ship %+v for a batch of %d rows, %d bytes",
+						where, ex, site, sh, len(b.Rows), b.Bytes)
+				}
 			}
 			if !slices.Equal(from, senders) {
 				t.Errorf("%s: exchange %d -> site %d published senders %v, want %v",
@@ -95,52 +121,61 @@ func publishedStreams(t *testing.T, where string, r *run, plan *fragment.Plan) s
 
 // checkResentBytes replays, against the run's published exchanges, every
 // attempt whose shipments the run dropped, and compares what it ships
-// with the trace's retry records. It returns the resent byte total.
-func checkResentBytes(t *testing.T, where string, c *Cluster, r *run, plan *fragment.Plan, opts Opts) (resent float64) {
+// with its span's bytes. It returns the resent byte total.
+func checkResentBytes(t *testing.T, where string, c *Cluster, r *run, plan *fragment.Plan, opts Opts) (resent int64) {
 	t.Helper()
 	q := c.newRun(context.Background(), plan, opts)
 	q.exchanges = r.exchanges
 	type key struct{ frag, site, variant int }
 	jobs := make(map[key]*instanceJob)
-	for w := range q.waves {
+	for w := range q.plan.Waves {
 		for _, j := range q.waveJobs(w) {
 			jobs[key{j.frag.ID, j.site, j.variant}] = &j
 		}
 	}
-	shipped := func(k key, s obs.Span) float64 {
-		out, _ := q.attempt(jobs[k], &instanceResult{}, s.Host, s.Attempt)
-		return sentBytes(out.sent)
-	}
-
-	failed := make(map[key][]obs.Span)
-	for _, s := range r.qobs.Spans {
-		if s.Status == obs.SpanRetried || s.Status == obs.SpanSkipped {
-			k := key{s.Frag, s.Site, s.Variant}
-			failed[k] = append(failed[k], s)
+	for _, s := range r.ledger.Spans {
+		var want int64
+		switch s.Status {
+		case obs.SpanRetried:
+			j := jobs[key{s.Frag, s.Site, s.Variant}]
+			ir := &instanceResult{ctx: &exec.Context{Obs: obs.NewInstanceObs(j.fobs)}}
+			q.attempt(j, ir, s.Host, s.Attempt)
+			for _, b := range ir.ctx.Sent {
+				want += b.Bytes
+			}
+		case obs.SpanSkipped:
+		default:
+			continue
 		}
-	}
-	for _, rt := range r.trace.Retries {
-		k := key{rt.Frag, rt.Site, rt.Variant}
-		s := failed[k][0]
-		failed[k] = failed[k][1:]
-		want := 0.0
-		if s.Status == obs.SpanRetried {
-			want = shipped(k, s)
+		if s.Bytes != want {
+			t.Errorf("%s: %s attempt %d of fragment %d site %d variant %d on host %d charged %d bytes, shipped %d",
+				where, s.Status, s.Attempt, s.Frag, s.Site, s.Variant, s.Host, s.Bytes, want)
 		}
-		if rt.Host != s.Host || rt.Bytes != want {
-			t.Errorf("%s: retry of %v on host %d charged %v bytes, its attempt %d on host %d shipped %v",
-				where, k, rt.Host, rt.Bytes, s.Attempt, s.Host, want)
-		}
-		resent += rt.Bytes
+		resent += s.Bytes
 	}
 	return resent
 }
 
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// TestPublishTotalsPerSite: a sender instance's batches to one site make
+// one ship on the ledger, holding their rows and bytes and the larger
+// batch, which is what the cost clock's arrival waits for.
+func TestPublishTotalsPerSite(t *testing.T) {
+	c := testCluster(t, 4, 0)
+	r := c.newRun(context.Background(), exchangePlan(t, c), Opts{})
+	row := types.Row{types.NewInt(1)}
+	r.publish(&instanceJob{ordinal: 3}, []*exec.Batch{
+		{Rows: []types.Row{row}, Exchange: 0, ToSite: 1, Bytes: 1000},
+		{Rows: []types.Row{row, row}, Exchange: 0, ToSite: 2, Bytes: 500},
+		{Rows: []types.Row{row, row}, Exchange: 0, ToSite: 1, Bytes: 2000},
+	})
+	want := []simnet.Ship{
+		{Ordinal: 3, Exchange: 0, ToSite: 1, Rows: 3, Bytes: 3000, MaxBatch: 2000},
+		{Ordinal: 3, Exchange: 0, ToSite: 2, Rows: 2, Bytes: 500, MaxBatch: 500},
 	}
-	sort.Ints(keys)
-	return keys
+	if !slices.Equal(r.ledger.Ships, want) {
+		t.Errorf("ships %+v, want %+v", r.ledger.Ships, want)
+	}
+	if n := len(r.exchanges[0][1]); n != 2 {
+		t.Errorf("exchange 0 -> site 1 holds %d batches, want 2", n)
+	}
 }

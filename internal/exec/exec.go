@@ -45,13 +45,10 @@ import (
 
 // Batch is one shipment of rows from a sender instance to a target site.
 type Batch struct {
-	Rows        []types.Row
-	Exchange    int
-	ToSite      int
-	FromFrag    int
-	FromSite    int
-	FromVariant int
-	Bytes       int64
+	Rows     []types.Row
+	Exchange int
+	ToSite   int
+	Bytes    int64
 }
 
 // sendScratch is the reusable per-call state of one hash-routing send:
@@ -96,15 +93,18 @@ type Context struct {
 	// batches[exchangeID][targetSite], in sender job order — (site,
 	// variant). Receivers index it directly; nothing writes it while the
 	// instance runs.
-	Exchanges map[int]map[int][]*Batch
-	// Sent collects this attempt's own shipments. They stay private to the
-	// attempt: the scheduler publishes them into Exchanges at the wave
-	// barrier only if the attempt survives.
-	Sent   []*Batch
-	FragID int
+	Exchanges [][][]*Batch
+	// Sent collects this attempt's own shipments, and SentBytes totals
+	// their bytes. They stay private to the attempt: the scheduler
+	// publishes them into Exchanges at the wave barrier only if the
+	// attempt survives.
+	Sent      []*Batch
+	SentBytes int64
+	FragID    int
 	// Site is the instance's logical site: the partition slot it covers
-	// and the identity its shipments carry. It never changes across
-	// retries, which is what keeps failover results byte-identical.
+	// and the identity fault plans address its sends by. It never
+	// changes across retries, which is what keeps failover results
+	// byte-identical.
 	Site int
 	// Host is the physical site executing this attempt — equal to Site
 	// until a failover moves the instance onto a backup replica. Scans
@@ -177,10 +177,10 @@ type Context struct {
 	// the existing per-row send charge (no extra modeled work), so
 	// enabling sketches never changes the cost clock.
 	SketchKeys map[int][]int
-	// Sketches holds the sketches this attempt built, keyed by exchange
-	// ID. The scheduler collects them from the surviving attempt only, so
-	// retried attempts never double-count.
-	Sketches map[int]*sketch.Sketch
+	// Sketch is the sketch this attempt built over its fragment's one
+	// exchange. The scheduler collects it from the surviving attempt only,
+	// so retried attempts never double-count.
+	Sketch *sketch.Sketch
 }
 
 // ErrWorkLimit reports an execution exceeding its work limit.
@@ -441,10 +441,10 @@ func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 }
 
 // ship records one batch for a target site as this attempt's shipment,
-// unless the fault plan fails the send. Batches carry the instance's
-// logical coordinates (Site, not Host), so a failed-over sender ships
-// under the same identity the owner would have, and a retry draws a fresh
-// fault outcome from its attempt number.
+// unless the fault plan fails the send. The fault plan draws on the
+// instance's logical coordinates (Site, not Host) and its attempt number,
+// so a failed-over sender ships as the owner would have, and a retry
+// draws a fresh outcome.
 func (c *Context) ship(s *physical.Sender, toSite int, rows []types.Row) error {
 	if c.Faults.SendFails(s.ExchangeID, c.FragID, c.Site, c.Variant, toSite, c.Attempt) {
 		return fmt.Errorf("exchange %d send %d→%d: %w", s.ExchangeID, c.Site, toSite, faults.ErrSendFail)
@@ -453,11 +453,8 @@ func (c *Context) ship(s *physical.Sender, toSite int, rows []types.Row) error {
 	for _, r := range rows {
 		bytes += r.Width()
 	}
-	c.Sent = append(c.Sent, &Batch{
-		Rows: rows, Exchange: s.ExchangeID, ToSite: toSite,
-		FromFrag: c.FragID, FromSite: c.Site, FromVariant: c.Variant,
-		Bytes: bytes,
-	})
+	c.Sent = append(c.Sent, &Batch{Rows: rows, Exchange: s.ExchangeID, ToSite: toSite, Bytes: bytes})
+	c.SentBytes += bytes
 	return nil
 }
 
@@ -475,14 +472,7 @@ func (c *Context) sketchRows(s *physical.Sender, rows []types.Row) {
 	if !enabled {
 		return
 	}
-	if c.Sketches == nil {
-		c.Sketches = make(map[int]*sketch.Sketch)
-	}
-	sk := c.Sketches[s.ExchangeID]
-	if sk == nil {
-		sk = sketch.New()
-		c.Sketches[s.ExchangeID] = sk
-	}
+	c.Sketch = sketch.New() // an instance's one Sender sends once
 	if len(keys) == 0 {
 		keys = s.Target.Keys
 	}
@@ -490,7 +480,7 @@ func (c *Context) sketchRows(s *physical.Sender, rows []types.Row) {
 		keys = allCols(len(rows[0]))
 	}
 	for _, r := range rows {
-		sk.Add(r.Hash(keys))
+		c.Sketch.Add(r.Hash(keys))
 	}
 }
 

@@ -64,13 +64,14 @@ func ctxAt(st *storage.Store, site int) *Context {
 	return &Context{Store: st, Site: site, Host: site, NVariants: 1}
 }
 
-// publish groups batches by exchange and target site in the order given,
-// as the scheduler's wave barrier does with surviving attempts' Sent.
-func publish(batches ...*Batch) map[int]map[int][]*Batch {
-	ex := make(map[int]map[int][]*Batch)
+// publish lays batches out by exchange and target site, over the given
+// number of sites, in the order given, as the scheduler's wave barrier
+// does with surviving attempts' Sent.
+func publish(sites int, batches ...*Batch) [][][]*Batch {
+	var ex [][][]*Batch
 	for _, b := range batches {
-		if ex[b.Exchange] == nil {
-			ex[b.Exchange] = make(map[int][]*Batch)
+		for len(ex) <= b.Exchange {
+			ex = append(ex, make([][]*Batch, sites))
 		}
 		ex[b.Exchange][b.ToSite] = append(ex[b.Exchange][b.ToSite], b)
 	}
@@ -328,7 +329,7 @@ func TestSenderRouting(t *testing.T) {
 	if _, err := runPlan(s, ctx); err != nil {
 		t.Fatal(err)
 	}
-	sent := publish(ctx.Sent...)
+	sent := publish(4, ctx.Sent...)
 	if got := len(sent[7][0]); got != 1 {
 		t.Errorf("single target batches at site 0 = %d", got)
 	}
@@ -344,7 +345,7 @@ func TestSenderRouting(t *testing.T) {
 	if _, err := runPlan(s, ctx); err != nil {
 		t.Fatal(err)
 	}
-	sent = publish(ctx.Sent...)
+	sent = publish(4, ctx.Sent...)
 	for site := 0; site < 4; site++ {
 		batches := sent[8][site]
 		if len(batches) != 1 || len(batches[0].Rows) != 40 {
@@ -359,7 +360,7 @@ func TestSenderRouting(t *testing.T) {
 	if _, err := runPlan(s, ctx); err != nil {
 		t.Fatal(err)
 	}
-	sent = publish(ctx.Sent...)
+	sent = publish(4, ctx.Sent...)
 	seen := 0
 	for site := 0; site < 4; site++ {
 		for _, b := range sent[9][site] {
@@ -436,8 +437,8 @@ func TestReceiveReturnsCopy(t *testing.T) {
 	st := testStore(t, 1)
 	fields := types.Fields{{Name: "k", Kind: types.KindInt}}
 	b0 := &Batch{Exchange: 1, Rows: []types.Row{{types.NewInt(1)}, {types.NewInt(3)}}}
-	b1 := &Batch{Exchange: 1, FromSite: 1, Rows: []types.Row{{types.NewInt(2)}, {types.NewInt(4)}}}
-	ex := publish(b0, b1)
+	b1 := &Batch{Exchange: 1, Rows: []types.Row{{types.NewInt(2)}, {types.NewInt(4)}}}
+	ex := publish(1, b0, b1)
 
 	desc := []types.SortKey{{Col: 0, Desc: true}}
 	plain := physical.NewReceiver(physical.NewExchange(physical.NewValues(fields, nil), physical.SingleDist), 1)
@@ -481,12 +482,12 @@ func TestReceiveDeterministicOrder(t *testing.T) {
 	fields := types.Fields{{Name: "k", Kind: types.KindInt}}
 	var batches []*Batch
 	for _, from := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {2, 0}} {
-		batches = append(batches, &Batch{Exchange: 5, FromSite: from[0], FromVariant: from[1],
+		batches = append(batches, &Batch{Exchange: 5,
 			Rows: []types.Row{{types.NewInt(int64(10*from[0] + from[1]))}}})
 	}
 	recv := physical.NewReceiver(physical.NewExchange(physical.NewValues(fields, nil), physical.SingleDist), 5)
 	for run := 0; run < 3; run++ {
-		rows, err := runPlan(recv, &Context{Store: st, Exchanges: publish(batches...), Site: 0, NVariants: 1})
+		rows, err := runPlan(recv, &Context{Store: st, Exchanges: publish(1, batches...), Site: 0, NVariants: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,9 +507,9 @@ func TestMergingReceiverOrders(t *testing.T) {
 	st := testStore(t, 1)
 	keys := []types.SortKey{{Col: 0}}
 	// Two senders ship sorted runs.
-	ex := publish(&Batch{Exchange: 3, Rows: []types.Row{
+	ex := publish(1, &Batch{Exchange: 3, Rows: []types.Row{
 		{types.NewInt(1)}, {types.NewInt(4)}, {types.NewInt(9)}}},
-		&Batch{Exchange: 3, FromSite: 1, Rows: []types.Row{
+		&Batch{Exchange: 3, Rows: []types.Row{
 			{types.NewInt(2)}, {types.NewInt(3)}, {types.NewInt(8)}}})
 	exch := physical.NewExchange(physical.NewSort(
 		physical.NewValues(types.Fields{{Name: "k", Kind: types.KindInt}}, nil), keys),

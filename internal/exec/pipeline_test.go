@@ -159,11 +159,11 @@ func TestSplitterAcrossBatches(t *testing.T) {
 
 		// The same rows again, shipped in three uneven batches.
 		var batches []*Batch
-		for i, cut := range [][2]int{{0, n / 3}, {n / 3, n/3 + 1}, {n/3 + 1, n}} {
+		for _, cut := range [][2]int{{0, n / 3}, {n / 3, n/3 + 1}, {n/3 + 1, n}} {
 			lo, hi := min(cut[0], n), min(cut[1], n)
-			batches = append(batches, &Batch{Exchange: 1, Rows: part[lo:hi], FromSite: i})
+			batches = append(batches, &Batch{Exchange: 1, Rows: part[lo:hi]})
 		}
-		ex := publish(batches...)
+		ex := publish(1, batches...)
 		recv := physical.NewReceiver(physical.NewExchange(scan, physical.SingleDist), 1)
 
 		for _, src := range []physical.Node{scan, recv} {

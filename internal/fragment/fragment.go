@@ -30,6 +30,8 @@ type Fragment struct {
 	// dependencies).
 	Receivers []int
 	// ExchangeID is the exchange this fragment feeds (-1 for the root).
+	// Split numbers exchanges densely, 0 to len(Plan.Fragments)-2, so
+	// per-exchange state can live in slices.
 	ExchangeID int
 	// Receiver is the one receiver node every reader of ExchangeID
 	// shares (nil for the root).
@@ -77,11 +79,8 @@ type Plan struct {
 	// one worker is deterministic.
 	Waves [][]*Fragment
 	// Edges lists every exchange edge once per reading fragment, in
-	// fragment order and, within a fragment, in Receivers order. Readers
-	// maps each exchange ID to the IDs of its edges' reading fragments, in
-	// the same order.
-	Edges   []Edge
-	Readers map[int][]int
+	// fragment order and, within a fragment, in Receivers order.
+	Edges []Edge
 }
 
 // Split implements Algorithm 1: walking the tree depth-first, every
@@ -117,7 +116,7 @@ type Plan struct {
 // counters, row statistics — by node or operator id, and one operator
 // standing in two places would have one visit overwrite the other's.
 func Split(root physical.Node) *Plan {
-	p := &Plan{Producer: make(map[int]*Fragment), Readers: make(map[int][]int)}
+	p := &Plan{Producer: make(map[int]*Fragment)}
 	split := make(map[*physical.Exchange]*Fragment) // exchange -> producer
 
 	addReceiver := func(frag *Fragment, id int) {
@@ -187,7 +186,6 @@ func Split(root physical.Node) *Plan {
 	for _, f := range p.Fragments {
 		for _, ex := range f.Receivers {
 			p.Edges = append(p.Edges, Edge{Exchange: ex, From: p.Producer[ex].ID, To: f.ID})
-			p.Readers[ex] = append(p.Readers[ex], f.ID)
 		}
 	}
 	return p

@@ -43,24 +43,19 @@ func TestSplitWavesMatchDependencyOrder(t *testing.T) {
 // place that receiver stands in — checked against a walk of every
 // fragment on every TPC-H and SSB plan under IC, IC+ and IC+M. TPC-H
 // Q11's HAVING subquery reads one exchange in two fragments. The plan's
-// Edges and Readers list each (reading fragment, exchange) pair once, in
-// fragment and Receivers order.
+// Edges list each (reading fragment, exchange) pair once, in fragment and
+// Receivers order.
 func TestSplitRecordsExchangeEdges(t *testing.T) {
 	eachPlan(t, []int{4}, func(label string, pp physical.Node) {
 		fp := fragment.Split(pp)
 		var edges []fragment.Edge
-		readers := make(map[int][]int)
 		for _, f := range fp.Fragments {
 			for _, ex := range f.Receivers {
 				edges = append(edges, fragment.Edge{Exchange: ex, From: fp.Producer[ex].ID, To: f.ID})
-				readers[ex] = append(readers[ex], f.ID)
 			}
 		}
 		if !slices.Equal(fp.Edges, edges) {
 			t.Errorf("%s: edges %v, want %v", label, fp.Edges, edges)
-		}
-		if fmt.Sprint(fp.Readers) != fmt.Sprint(readers) {
-			t.Errorf("%s: readers %v, want %v", label, fp.Readers, readers)
 		}
 		places := make(map[int][]int) // exchange -> reading fragment IDs, one per place
 		for _, f := range fp.Fragments {

@@ -146,8 +146,9 @@ const (
 )
 
 // Span is one fragment-instance attempt in the per-query distributed
-// trace. Start/End are wall-clock offsets from the query's start; the
-// span set and its ordering are deterministic, the offsets are not.
+// trace, and the row the cost clock prices (simnet.Ledger). Start/End
+// are wall-clock offsets from the query's start; the span set, its
+// ordering, Work and Bytes are deterministic, the offsets are not.
 type Span struct {
 	Frag    int `json:"frag"`
 	Site    int `json:"site"`
@@ -163,6 +164,12 @@ type Span struct {
 	EndNanos   int64      `json:"end_ns"`
 	Status     SpanStatus `json:"status"`
 	Error      string     `json:"error,omitempty"`
+	// Work is the attempt's CPU work as charged to the cost clock (a
+	// slow host's scaled up; zero for a skip or a replan).
+	Work float64 `json:"work"`
+	// Bytes is what the attempt shipped: published if it survived, sent
+	// again by the next attempt if it was retried.
+	Bytes int64 `json:"bytes"`
 }
 
 // Edge is one exchange edge of the fragment DAG: producer fragment →
@@ -193,8 +200,8 @@ type ExecStats struct {
 	// Retries counts fault-recovery events (failed attempts retried or
 	// failed over onto a replica site).
 	Retries int
-	// Spans counts trace spans (fragment-instance attempts, including
-	// retried and skipped ones).
+	// Spans counts trace spans: fragment-instance attempts, including
+	// retried and skipped ones, and adaptive replan passes.
 	Spans int
 	// Modeled is the simnet cost-clock response time.
 	Modeled time.Duration

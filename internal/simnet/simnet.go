@@ -1,6 +1,7 @@
-// Package simnet is the cost clock: it converts the work counters and
-// shipment records of a real query execution into a modeled response time
-// for a cluster the paper's testbed shape (N sites × C cores, 10 GbE).
+// Package simnet is the cost clock: it converts the ledger of a real
+// query execution — its attempts' work and its shipments — into a modeled
+// response time for a cluster the paper's testbed shape (N sites × C
+// cores, 10 GbE).
 //
 // This is the substitution for the paper's physical machines (see
 // DESIGN.md §2): the host running this reproduction is not the paper's
@@ -16,13 +17,16 @@
 // Host-side parallelism is a separate axis: package cluster's wave
 // scheduler runs fragment instances on real goroutines
 // (Config.ExecParallelism), which changes how fast the reproduction
-// itself executes but never the modeled times computed here — a Trace is
-// merged at wave barriers in deterministic order, so Makespan sees the
-// same record at any worker count.
+// itself executes but never the modeled times computed here — a Ledger
+// is filled at wave barriers in deterministic job order, so Makespan sees
+// the same record at any worker count.
 package simnet
 
 import (
 	"time"
+
+	"gignite/internal/fragment"
+	"gignite/internal/obs"
 )
 
 // Params is the modeled hardware profile. Defaults approximate one of the
@@ -54,147 +58,120 @@ func DefaultParams() Params {
 	}
 }
 
-// Instance is one executed fragment instance.
-type Instance struct {
-	Site    int
-	Variant int
-	Work    float64
+// Ship totals what one surviving sender instance shipped over its
+// exchange to one target site.
+type Ship struct {
+	// Ordinal is the sender instance's (obs.Span.Ordinal).
+	Ordinal  int
+	Exchange int
+	ToSite   int
+	Rows     int64
+	Bytes    int64
+	// MaxBatch is the largest single batch: the one that arrives last.
+	MaxBatch int64
 }
 
-// Send is one recorded shipment.
-type Send struct {
-	Exchange    int
-	FromFrag    int
-	FromSite    int
-	FromVariant int
-	ToSite      int
-	Bytes       float64
+// Ledger is one execution's record, the clock's only input. Spans holds
+// one row per instance attempt (and per adaptive replan pass) in job
+// order, each carrying its work and shipped bytes; Ships holds the
+// surviving instances' shipments per target site, in the same order.
+type Ledger struct {
+	Spans []obs.Span
+	Ships []Ship
 }
 
-// Retry is one recovery event: a failed attempt of an instance whose
-// work (and already-shipped bytes) were lost and had to be redone at
-// another replica host. Work and Bytes are zero for a pure failover
-// (the host was already known dead, so nothing was attempted there).
-type Retry struct {
-	Frag    int
-	Site    int
-	Variant int
-	// Host is the physical site the failed attempt ran at.
-	Host  int
-	Work  float64
-	Bytes float64
-}
-
-// Trace is the execution record the clock consumes.
-type Trace struct {
-	// Order lists fragment IDs in dependency order (producers first).
-	Order []int
-	// Instances grouped by fragment ID.
-	Instances map[int][]Instance
-	// Sends is every shipment.
-	Sends []Send
-	// Retries records recovery events; each charges its lost work and
-	// resent bytes to the recovering instance's elapsed time.
-	Retries []Retry
-	// Consumers maps exchange ID → consuming fragment IDs. An exchange
-	// normally has one consumer, but an optimizer-shared subtree can give
-	// it several; each consumer's start then waits on the arrival.
-	Consumers map[int][]int
-	// RootFrag is the fragment whose finish time is the query time.
-	RootFrag int
-}
-
-type instKey struct{ frag, site, variant int }
-
-// Makespan computes the modeled query response time.
-func Makespan(tr *Trace, p Params) time.Duration {
+// Makespan computes the modeled query response time of one execution of
+// plan. An instance starts when the last batch of every exchange its
+// fragment reads has arrived at its site, and runs its work slowed by
+// its site's contention (more of its fragment's threads there than
+// cores), plus one instance start and, for each failed attempt before
+// it, the attempt's start, lost work and resent bytes.
+func Makespan(plan *fragment.Plan, l *Ledger, p Params) time.Duration {
 	if p.WorkPerSec <= 0 {
 		p = DefaultParams()
 	}
-	finish := make(map[instKey]float64)
-
-	// A recovery event delays the instance that eventually succeeded: the
-	// failed attempt's work was spent, its shipped bytes must be resent,
-	// and the failover itself costs one instance start.
-	recovery := make(map[instKey]float64)
-	for _, r := range tr.Retries {
-		pen := p.ThreadOverheadSec + r.Work/p.WorkPerSec
-		if r.Bytes > 0 {
-			pen += p.LatencySec + r.Bytes/p.BytesPerSec
-		}
-		recovery[instKey{r.Frag, r.Site, r.Variant}] += pen
+	sites := 0
+	for _, sh := range l.Ships {
+		sites = max(sites, sh.ToSite+1)
 	}
-
-	// Index sends by (consumer fragment, site).
-	type edgeKey struct{ frag, site int }
-	arrivals := make(map[edgeKey][]Send)
-	for _, s := range tr.Sends {
-		for _, cons := range tr.Consumers[s.Exchange] {
-			k := edgeKey{cons, s.ToSite}
-			arrivals[k] = append(arrivals[k], s)
+	// arrive[ex*sites+site] is when exchange ex's last batch reaches site.
+	// Exchange ids are dense (fragment.Split), one per non-root fragment.
+	arrive := make([]float64, (len(plan.Fragments)-1)*sites)
+	var rootFinish, recovery float64
+	threads, next, frag, site := 0, 0, -1, -1
+	for i, s := range l.Spans {
+		switch s.Status {
+		case obs.SpanRetried, obs.SpanSkipped:
+			// A failed attempt precedes its instance's surviving one.
+			pen := p.ThreadOverheadSec + s.Work/p.WorkPerSec
+			if s.Bytes > 0 {
+				pen += p.LatencySec + float64(s.Bytes)/p.BytesPerSec
+			}
+			recovery += pen
+			continue
+		case obs.SpanOK:
+		default:
+			continue
 		}
-	}
-
-	var rootFinish float64
-	for _, fid := range tr.Order {
-		insts := tr.Instances[fid]
-		// Per-site thread count of this fragment (variants).
-		threads := make(map[int]int)
-		for _, in := range insts {
-			threads[in.Site]++
-		}
-		for _, in := range insts {
-			ready := 0.0
-			for _, s := range arrivals[edgeKey{fid, in.Site}] {
-				sf := finish[instKey{s.FromFrag, s.FromSite, s.FromVariant}]
-				arr := sf + p.LatencySec + s.Bytes/p.BytesPerSec
-				if arr > ready {
-					ready = arr
+		// A fragment's instances at one site run as threads together; job
+		// order keeps them adjacent.
+		if s.Frag != frag || s.Site != site {
+			frag, site, threads = s.Frag, s.Site, 0
+			for _, t := range l.Spans[i:] {
+				if t.Frag != s.Frag || t.Site != s.Site {
+					break
+				}
+				if t.Status == obs.SpanOK {
+					threads++
 				}
 			}
-			contention := 1.0
-			if t := threads[in.Site]; t > p.CoresPerSite {
-				contention = float64(t) / float64(p.CoresPerSite)
+		}
+		f := plan.Fragments[s.Frag]
+		ready := 0.0
+		if s.Site < sites {
+			for _, ex := range f.Receivers {
+				ready = max(ready, arrive[ex*sites+s.Site])
 			}
-			elapsed := p.ThreadOverheadSec + in.Work/p.WorkPerSec*contention
-			elapsed += recovery[instKey{fid, in.Site, in.Variant}]
-			f := ready + elapsed
-			finish[instKey{fid, in.Site, in.Variant}] = f
-			if fid == tr.RootFrag && f > rootFinish {
-				rootFinish = f
-			}
+		}
+		contention := 1.0
+		if threads > p.CoresPerSite {
+			contention = float64(threads) / float64(p.CoresPerSite)
+		}
+		elapsed := p.ThreadOverheadSec + s.Work/p.WorkPerSec*contention
+		elapsed += recovery
+		recovery = 0
+		finish := ready + elapsed
+		if f.IsRoot {
+			rootFinish = max(rootFinish, finish)
+		}
+		// Arrival time grows with the batch, so the largest one is the last.
+		for ; next < len(l.Ships) && l.Ships[next].Ordinal == s.Ordinal; next++ {
+			sh := &l.Ships[next]
+			k := sh.Exchange*sites + sh.ToSite
+			arrive[k] = max(arrive[k], finish+p.LatencySec+float64(sh.MaxBatch)/p.BytesPerSec)
 		}
 	}
 	return time.Duration(rootFinish * float64(time.Second))
 }
 
-// TotalWork sums all instance work (a parallelism-independent effort
-// metric used by ablation reports), including work lost to failed
-// attempts that were retried. Instances are summed in Order, never in map
-// order: float addition is not associative, and the total must be the
-// same bits on every run.
-func (tr *Trace) TotalWork() float64 {
-	var w float64
-	for _, f := range tr.Order {
-		for _, in := range tr.Instances[f] {
-			w += in.Work
+// Totals sums the work and the shipped bytes of every attempt, failed
+// ones included (parallelism-independent effort metrics used by
+// ablation reports). Float addition is not associative, so the order is
+// fixed: the surviving attempts in job order, then the retried and
+// skipped ones in job order.
+func (l *Ledger) Totals() (work, bytes float64) {
+	var b int64
+	for _, s := range l.Spans {
+		if s.Status == obs.SpanOK {
+			work += s.Work
+			b += s.Bytes
 		}
 	}
-	for _, r := range tr.Retries {
-		w += r.Work
+	for _, s := range l.Spans {
+		if s.Status == obs.SpanRetried || s.Status == obs.SpanSkipped {
+			work += s.Work
+			b += s.Bytes
+		}
 	}
-	return w
-}
-
-// TotalBytes sums shipped bytes, including bytes that were discarded on
-// a failed attempt and shipped again by the retry.
-func (tr *Trace) TotalBytes() float64 {
-	var b float64
-	for _, s := range tr.Sends {
-		b += s.Bytes
-	}
-	for _, r := range tr.Retries {
-		b += r.Bytes
-	}
-	return b
+	return work, float64(b)
 }

@@ -3,6 +3,9 @@ package simnet
 import (
 	"testing"
 	"time"
+
+	"gignite/internal/fragment"
+	"gignite/internal/obs"
 )
 
 func params() Params {
@@ -15,14 +18,35 @@ func params() Params {
 	}
 }
 
+// rootOnly is a one-fragment plan.
+func rootOnly() *fragment.Plan {
+	return &fragment.Plan{Fragments: []*fragment.Fragment{{ID: 0, IsRoot: true, ExchangeID: -1}}}
+}
+
+// chain is a two-fragment plan: fragment 1 feeds exchange 0, which the
+// root fragment reads.
+func chain() *fragment.Plan {
+	return &fragment.Plan{Fragments: []*fragment.Fragment{
+		{ID: 0, IsRoot: true, Receivers: []int{0}, ExchangeID: -1},
+		{ID: 1, ExchangeID: 0},
+	}}
+}
+
+// ok is the span of a surviving attempt.
+func ok(ordinal, frag, site, variant int, work float64) obs.Span {
+	return obs.Span{Ordinal: ordinal, Frag: frag, Site: site, Variant: variant, Work: work, Status: obs.SpanOK}
+}
+
+// ship is one sender instance's single batch to a site.
+func ship(ordinal, toSite int, bytes int64) Ship {
+	return Ship{Ordinal: ordinal, ToSite: toSite, Bytes: bytes, MaxBatch: bytes}
+}
+
+func near(a, b float64) bool { return a-b < 1e-6 && b-a < 1e-6 }
+
 func TestSingleFragmentMakespan(t *testing.T) {
-	tr := &Trace{
-		Order:     []int{0},
-		Instances: map[int][]Instance{0: {{Site: 0, Work: 1000}}},
-		Consumers: map[int][]int{},
-		RootFrag:  0,
-	}
-	got := Makespan(tr, params())
+	l := &Ledger{Spans: []obs.Span{ok(0, 0, 0, 0, 1000)}}
+	got := Makespan(rootOnly(), l, params())
 	want := time.Duration((0.0001 + 1.0) * float64(time.Second))
 	if got != want {
 		t.Errorf("makespan = %v, want %v", got, want)
@@ -32,41 +56,25 @@ func TestSingleFragmentMakespan(t *testing.T) {
 func TestParallelSitesDoNotAdd(t *testing.T) {
 	// Two sender instances at different sites run in parallel; the root
 	// waits for the slower one plus the network edge.
-	tr := &Trace{
-		Order: []int{1, 0},
-		Instances: map[int][]Instance{
-			1: {{Site: 0, Work: 500}, {Site: 1, Work: 1000}},
-			0: {{Site: 0, Work: 100}},
-		},
-		Sends: []Send{
-			{Exchange: 0, FromFrag: 1, FromSite: 0, ToSite: 0, Bytes: 1000},
-			{Exchange: 0, FromFrag: 1, FromSite: 1, ToSite: 0, Bytes: 1000},
-		},
-		Consumers: map[int][]int{0: {0}},
-		RootFrag:  0,
+	l := &Ledger{
+		Spans: []obs.Span{ok(0, 1, 0, 0, 500), ok(1, 1, 1, 0, 1000), ok(2, 0, 0, 0, 100)},
+		Ships: []Ship{ship(0, 0, 1000), ship(1, 0, 1000)},
 	}
-	p := params()
-	got := Makespan(tr, p).Seconds()
+	got := Makespan(chain(), l, params()).Seconds()
 	// Slower sender: 0.0001 + 1.0; edge: 0.001 + 0.001; root: 0.0001 + 0.1.
 	want := 0.0001 + 1.0 + 0.001 + 0.001 + 0.0001 + 0.1
-	if diff := got - want; diff > 1e-6 || diff < -1e-6 {
+	if !near(got, want) {
 		t.Errorf("makespan = %v, want %v", got, want)
 	}
 }
 
 func TestVariantsReduceMakespan(t *testing.T) {
 	mk := func(variants int) float64 {
-		insts := make([]Instance, variants)
+		l := &Ledger{}
 		for v := 0; v < variants; v++ {
-			insts[v] = Instance{Site: 0, Variant: v, Work: 1000 / float64(variants)}
+			l.Spans = append(l.Spans, ok(v, 0, 0, v, 1000/float64(variants)))
 		}
-		tr := &Trace{
-			Order:     []int{0},
-			Instances: map[int][]Instance{0: insts},
-			Consumers: map[int][]int{},
-			RootFrag:  0,
-		}
-		return Makespan(tr, params()).Seconds()
+		return Makespan(rootOnly(), l, params()).Seconds()
 	}
 	single, dual := mk(1), mk(2)
 	if dual >= single {
@@ -76,80 +84,84 @@ func TestVariantsReduceMakespan(t *testing.T) {
 
 func TestContentionAboveCores(t *testing.T) {
 	// 8 variants on a 4-core site: each instance slowed by 2x.
-	insts := make([]Instance, 8)
-	for v := range insts {
-		insts[v] = Instance{Site: 0, Variant: v, Work: 125}
+	l := &Ledger{}
+	for v := 0; v < 8; v++ {
+		l.Spans = append(l.Spans, ok(v, 0, 0, v, 125))
 	}
-	tr := &Trace{
-		Order:     []int{0},
-		Instances: map[int][]Instance{0: insts},
-		Consumers: map[int][]int{},
-		RootFrag:  0,
-	}
-	got := Makespan(tr, params()).Seconds()
+	got := Makespan(rootOnly(), l, params()).Seconds()
 	want := 0.0001 + (125.0/1000)*2 // contention = 8/4
-	if diff := got - want; diff > 1e-6 || diff < -1e-6 {
+	if !near(got, want) {
 		t.Errorf("contended makespan = %v, want %v", got, want)
 	}
 }
 
 func TestNetworkBytesMatter(t *testing.T) {
-	mk := func(bytes float64) float64 {
-		tr := &Trace{
-			Order: []int{1, 0},
-			Instances: map[int][]Instance{
-				1: {{Site: 1, Work: 10}},
-				0: {{Site: 0, Work: 10}},
-			},
-			Sends:     []Send{{Exchange: 0, FromFrag: 1, FromSite: 1, ToSite: 0, Bytes: bytes}},
-			Consumers: map[int][]int{0: {0}},
-			RootFrag:  0,
+	mk := func(bytes int64) float64 {
+		l := &Ledger{
+			Spans: []obs.Span{ok(0, 1, 1, 0, 10), ok(1, 0, 0, 0, 10)},
+			Ships: []Ship{ship(0, 0, bytes)},
 		}
-		return Makespan(tr, params()).Seconds()
+		return Makespan(chain(), l, params()).Seconds()
 	}
 	if mk(1e6) <= mk(1000) {
 		t.Error("bytes shipped did not increase makespan")
 	}
 }
 
-func TestTraceTotals(t *testing.T) {
-	tr := &Trace{
-		Order: []int{0, 1},
-		Instances: map[int][]Instance{
-			0: {{Work: 10}, {Work: 20}},
-			1: {{Work: 5}},
-		},
-		Sends: []Send{{Bytes: 100}, {Bytes: 200}},
+// TestArrivalWaitsForLargestBatch: a sender instance that ships two
+// batches to one site, of 1000 and 2000 bytes, is waited for until its
+// larger batch arrives — not for its 3000 bytes in total, which is what
+// it shipped but no single batch's transfer time.
+func TestArrivalWaitsForLargestBatch(t *testing.T) {
+	sender := ok(0, 1, 1, 0, 10)
+	sender.Bytes = 3000
+	l := &Ledger{
+		Spans: []obs.Span{sender, ok(1, 0, 0, 0, 10)},
+		Ships: []Ship{{Ordinal: 0, ToSite: 0, Rows: 2, Bytes: 3000, MaxBatch: 2000}},
 	}
-	if got := tr.TotalWork(); got != 35 {
-		t.Errorf("TotalWork = %v", got)
+	got := Makespan(chain(), l, params()).Seconds()
+	// Sender: 0.0001 + 0.01; larger batch: 0.001 + 0.002; root: 0.0001 + 0.01.
+	want := 0.0001 + 0.01 + 0.001 + 0.002 + 0.0001 + 0.01
+	if !near(got, want) {
+		t.Errorf("makespan = %v, want %v (arrival of the 2000-byte batch)", got, want)
 	}
-	if got := tr.TotalBytes(); got != 300 {
-		t.Errorf("TotalBytes = %v", got)
+	if _, b := l.Totals(); b != 3000 {
+		t.Errorf("total bytes = %v, want both batches' 3000", b)
 	}
 }
 
-// TestTotalWorkSumsInOrder: float addition is not associative, so a
-// total summed in map order could change its last bits between runs.
-// 1e16 absorbs a lone 1 but not 1+1, so the three orders of these works
-// give two different sums; TotalWork must give the in-Order one every time.
+func TestLedgerTotals(t *testing.T) {
+	l := &Ledger{Spans: []obs.Span{
+		{Work: 10, Bytes: 100, Status: obs.SpanOK},
+		{Work: 20, Bytes: 200, Status: obs.SpanOK},
+		{Work: 5, Status: obs.SpanOK},
+		{Frag: -1, Status: obs.SpanReplan},
+	}}
+	if w, b := l.Totals(); w != 35 || b != 300 {
+		t.Errorf("Totals = %v work, %v bytes; want 35, 300", w, b)
+	}
+}
+
+// TestTotalWorkSumsInOrder: float addition is not associative, so the
+// order Totals adds work in is part of its result: the surviving attempts
+// in job order, then the retried ones. 1e16 absorbs a lone 1 but not
+// 1+1, so adding these works in span order would give another sum.
 func TestTotalWorkSumsInOrder(t *testing.T) {
-	tr := &Trace{
-		Order: []int{2, 0, 1},
-		Instances: map[int][]Instance{
-			0: {{Work: 1}},
-			1: {{Work: 1}},
-			2: {{Work: 1e16}},
-		},
-	}
+	l := &Ledger{Spans: []obs.Span{
+		{Ordinal: 0, Work: 1, Status: obs.SpanRetried},
+		{Ordinal: 0, Work: 1, Status: obs.SpanOK, Attempt: 1},
+		{Ordinal: 1, Work: 1e16, Status: obs.SpanOK},
+	}}
 	var want float64
-	for _, f := range tr.Order {
-		want += tr.Instances[f][0].Work
+	want += 1
+	want += 1e16
+	want += 1
+	inSpanOrder := 1 + 1 + 1e16
+	if want == inSpanOrder {
+		t.Fatal("the two orders give one sum; the case tests nothing")
 	}
-	for i := 0; i < 100; i++ {
-		if got := tr.TotalWork(); got != want {
-			t.Fatalf("call %d: TotalWork = %v, want the in-Order sum %v", i, got, want)
-		}
+	if got, _ := l.Totals(); got != want {
+		t.Fatalf("total work = %v, want the survivors-first sum %v", got, want)
 	}
 }
 
@@ -159,12 +171,8 @@ func TestDefaultParamsSane(t *testing.T) {
 		t.Errorf("defaults invalid: %+v", p)
 	}
 	// Zero-value params fall back to defaults rather than dividing by 0.
-	tr := &Trace{
-		Order:     []int{0},
-		Instances: map[int][]Instance{0: {{Work: 100}}},
-		Consumers: map[int][]int{},
-	}
-	if Makespan(tr, Params{}) <= 0 {
+	l := &Ledger{Spans: []obs.Span{ok(0, 0, 0, 0, 100)}}
+	if Makespan(rootOnly(), l, Params{}) <= 0 {
 		t.Error("zero params produced non-positive makespan")
 	}
 }
@@ -173,23 +181,15 @@ func TestDefaultParamsSane(t *testing.T) {
 // instance it belongs to (lost work + resend bytes + one instance
 // start) and is included in the effort totals.
 func TestRetryChargesRecoveringInstance(t *testing.T) {
-	base := &Trace{
-		Order:     []int{0},
-		Instances: map[int][]Instance{0: {{Site: 0, Work: 1000}}},
-		Consumers: map[int][]int{},
-		RootFrag:  0,
-	}
 	p := params()
-	clean := Makespan(base, p)
+	final := ok(0, 0, 0, 0, 1000)
+	final.Attempt = 1
+	clean := Makespan(rootOnly(), &Ledger{Spans: []obs.Span{final}}, p)
 
-	withRetry := &Trace{
-		Order:     base.Order,
-		Instances: base.Instances,
-		Retries:   []Retry{{Frag: 0, Site: 0, Variant: 0, Host: 1, Work: 500, Bytes: 2000}},
-		Consumers: base.Consumers,
-		RootFrag:  0,
-	}
-	got := Makespan(withRetry, p)
+	withRetry := &Ledger{Spans: []obs.Span{
+		{Ordinal: 0, Host: 1, Work: 500, Bytes: 2000, Status: obs.SpanRetried}, final,
+	}}
+	got := Makespan(rootOnly(), withRetry, p)
 	// Penalty: thread start + 500 work + latency + 2000 bytes.
 	penalty := 0.0001 + 500/1000.0 + 0.001 + 2000/1e6
 	want := clean + time.Duration(penalty*float64(time.Second))
@@ -197,24 +197,15 @@ func TestRetryChargesRecoveringInstance(t *testing.T) {
 		t.Errorf("makespan = %v, want %v (clean %v)", got, want, clean)
 	}
 
-	if w := withRetry.TotalWork(); w != 1500 {
-		t.Errorf("TotalWork = %v, want 1500 (retry work included)", w)
-	}
-	if b := withRetry.TotalBytes(); b != 2000 {
-		t.Errorf("TotalBytes = %v, want 2000 (resend bytes included)", b)
+	if w, b := withRetry.Totals(); w != 1500 || b != 2000 {
+		t.Errorf("Totals = %v work, %v bytes; want 1500, 2000 (retry work and resend bytes included)", w, b)
 	}
 
 	// A zero-cost failover (host already known dead) adds nothing but the
 	// instance start.
-	pure := &Trace{
-		Order:     base.Order,
-		Instances: base.Instances,
-		Retries:   []Retry{{Frag: 0, Site: 0, Variant: 0, Host: 1}},
-		Consumers: base.Consumers,
-		RootFrag:  0,
-	}
+	pure := &Ledger{Spans: []obs.Span{{Ordinal: 0, Host: 1, Status: obs.SpanSkipped}, final}}
 	want = clean + time.Duration(0.0001*float64(time.Second))
-	if got := Makespan(pure, p); got != want {
+	if got := Makespan(rootOnly(), pure, p); got != want {
 		t.Errorf("pure failover makespan = %v, want %v", got, want)
 	}
 }

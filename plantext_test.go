@@ -75,11 +75,13 @@ func TestPlanTextIgnoresArguments(t *testing.T) {
 // 4 sites, SF 0.001, plan cache on, one worker): about 10% above the
 // measured value in the comment. Rendering the plan text per execution
 // made 115, 323 and 327 objects; splitting the plan per execution, with
-// each instance allocating its own fixed state, 51, 203 and 203.
+// each instance allocating its own fixed state, 51, 203 and 203; the
+// simnet trace's maps and per-exchange maps beside the spans, 40, 122
+// and 122.
 var lookupAllocs = map[string]float64{
-	"nation":   44,  // 40
-	"supplier": 134, // 122
-	"customer": 134, // 122
+	"nation":   37,  // 34
+	"supplier": 111, // 101
+	"customer": 111, // 101
 }
 
 func TestPreparedLookupAllocations(t *testing.T) {
