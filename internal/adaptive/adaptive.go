@@ -16,7 +16,7 @@
 //   - variant-regrade: collapse a pending fragment's §5.3 variant split
 //     back to one thread when the corrected input volume is too small to
 //     amortize the duplicate source reads. Re-grading permutes the
-//     (FromSite, FromVariant) concatenation order downstream, so it is
+//     (sender site, variant) concatenation order downstream, so it is
 //     gated behind an order-insensitivity analysis of the consuming plan
 //     (orderWashed): from every place that reads the fragment's exchange
 //     (fragment.Fragment.Consumers), every path must pass through exact,
