@@ -34,7 +34,8 @@ race:
 # The packages with real concurrency (wire sessions, the driver's cancel
 # watcher, the wave scheduler, exchange transport, the governor's FIFO
 # admission queue, the plan cache's single-flight build, the metric
-# registry's atomic counters) again at 1, 2 and 4 cores, plus the root
+# registry's atomic counters, the store's loads beside partition and
+# index scans) again at 1, 2 and 4 cores, plus the root
 # package's concurrency tests (concurrent clients and ad-hoc planners,
 # DDL, INSERT and ANALYZE beside planning, the plan-cache hammer, a plan's
 # text rendered once by racing first executions, admission and overload
@@ -45,7 +46,7 @@ race:
 # rows, which must price the same at every worker count): their ordering
 # bugs depend on GOMAXPROCS.
 race-cpu:
-	$(GO) test -race -cpu 1,2,4 ./driver ./internal/server ./internal/cluster ./internal/exec ./internal/governor ./internal/plancache ./internal/obs
+	$(GO) test -race -cpu 1,2,4 ./driver ./internal/server ./internal/cluster ./internal/exec ./internal/governor ./internal/plancache ./internal/obs ./internal/storage
 	$(GO) test -race -cpu 1,2,4 -run 'Concurrent|Hammer|PlanText|Admission|Overload|Close|SharedEntry|FaultOutcomesGolden' .
 
 # The wall-clock benchmark is a nested module (bench/go.mod), so `./...`

@@ -676,7 +676,8 @@ func (e *Engine) Explain(query string) (string, error) {
 }
 
 // LoadTable bulk-loads rows and rebuilds the table's indexes. It is the
-// fast path the benchmark generators use.
+// fast path the benchmark generators use. The store copies the rows, so
+// the caller may reuse or drop them afterwards.
 func (e *Engine) LoadTable(name string, rows []Row) error {
 	if err := e.beginOp(); err != nil {
 		return err

@@ -121,7 +121,8 @@ func (r *run) siteStateAt(site, ordinal int) siteState {
 	return siteDead
 }
 
-// runPool fans run(i) for i in [0, n) over at most `workers` goroutines
+// runPool fans run(i) for i in [0, n) over at most `workers` goroutines,
+// the caller's among them: it starts workers-1 and claims jobs itself
 // (sequentially when workers <= 1).
 func runPool(n, workers int, run func(i int)) {
 	if workers > n {
@@ -135,20 +136,24 @@ func runPool(n, workers int, run func(i int)) {
 	}
 	var next atomic.Int64
 	next.Store(-1)
+	claim := func() {
+		for {
+			i := int(next.Add(1))
+			if i >= n {
+				return
+			}
+			run(i)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				run(i)
-			}
+			claim()
 		}()
 	}
+	claim()
 	wg.Wait()
 }
 

@@ -9,6 +9,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -93,8 +94,11 @@ func (s *Store) HoldsReplica(partition, site int) bool {
 type TableData struct {
 	Def *catalog.Table
 	// partitions[site] is the rows stored at that site. For replicated
-	// tables every site holds an identical full copy (stored once,
-	// aliased), so reads at any site see all rows.
+	// tables every site holds an identical full copy (stored once, in
+	// partition 0), so reads at any site see all rows. Each Load copies
+	// the rows a partition receives into one value slab of its own, in
+	// arrival order, and stores views of width values into it (capacity
+	// = width); an earlier Load's slab is never copied again.
 	partitions [][]types.Row
 	// indexes[name][site] is a row-ordinal permutation of partitions[site]
 	// sorted by the index key columns.
@@ -135,9 +139,11 @@ func (s *Store) Table(name string) (*TableData, error) {
 }
 
 // Load bulk-inserts rows into a table, distributing partitioned tables by
-// affinity-key hash and copying replicated tables to all sites. Every
-// catalog-declared index covers the new rows before the lock is released,
-// so a concurrent index scan never finds one missing or stale.
+// affinity-key hash and storing replicated tables once for all sites. It
+// copies the rows (see TableData.partitions), so the caller may reuse or
+// drop them afterwards. Every catalog-declared index covers the new rows
+// before the lock is released, so a concurrent index scan never finds one
+// missing or stale.
 func (s *Store) Load(name string, rows []types.Row) error {
 	td, err := s.ensureTable(name)
 	if err != nil {
@@ -156,16 +162,34 @@ func (s *Store) Load(name string, rows []types.Row) error {
 	for site, part := range td.partitions {
 		had[site] = len(part)
 	}
-	if td.Def.Replicated {
-		// Store the single copy in partition 0; readers at any site read
-		// partition 0 via Partition().
-		td.partitions[0] = append(td.partitions[0], rows...)
-	} else {
-		aff := td.Def.AffinityOrdinal()
-		for _, r := range rows {
-			p := PartitionOf(r[aff], s.sites)
-			td.partitions[p] = append(td.partitions[p], r)
+	// dest[i] is row i's partition. A replicated table keeps its single
+	// copy in partition 0; readers at any site read partition 0.
+	dest := make([]int, len(rows))
+	counts := make([]int, len(td.partitions))
+	aff := td.Def.AffinityOrdinal()
+	for i, r := range rows {
+		if !td.Def.Replicated {
+			dest[i] = PartitionOf(r[aff], s.sites)
 		}
+		counts[dest[i]]++
+	}
+	// Copy the rows into one value slab per receiving partition, each
+	// stored row a view of exactly width values (so an append to one
+	// cannot write into its neighbour). The collector then marks one
+	// object per slab instead of one per row.
+	slabs := make([][]types.Value, len(td.partitions))
+	for p, n := range counts {
+		if n > 0 {
+			slabs[p] = make([]types.Value, n*width)
+			td.partitions[p] = slices.Grow(td.partitions[p], n)
+		}
+	}
+	for i, r := range rows {
+		p := dest[i]
+		row := slabs[p][:width:width]
+		slabs[p] = slabs[p][width:]
+		copy(row, r)
+		td.partitions[p] = append(td.partitions[p], row)
 	}
 	// Extend every built index over the appended rows; one no longer
 	// declared is dropped.
