@@ -172,11 +172,12 @@ func TestAdaptiveUnderFaults(t *testing.T) {
 }
 
 // TestAdaptivePlanCacheReAdapts checks the cache contract of DESIGN.md
-// §17: every adaptive execution splits the cached plan again into a
-// private copy, so the second execution skips planning yet still
-// re-adapts from scratch. If the cache ever retained a post-adaptation
-// tree, the build-swap trigger (which requires build=right) could not
-// re-fire and switches would drop to zero on the hit.
+// §17: every adaptive execution runs the cached split with a controller
+// of its own, whose decisions live beside the plan, so the second
+// execution skips planning yet still re-adapts from scratch. If a
+// decision ever outlived its execution, the build-swap trigger (which
+// skips a join already swapped) could not re-fire and switches would
+// drop to zero on the hit.
 func TestAdaptivePlanCacheReAdapts(t *testing.T) {
 	e := openTPCH(t, adaptiveTestSF, 4, misestimated, adaptiveOn, func(c *gignite.Config) { c.PlanCacheSize = 16 })
 	first, err := e.Query(adaptiveTestSQL)
@@ -207,10 +208,11 @@ func TestAdaptivePlanCacheReAdapts(t *testing.T) {
 
 // TestSharedEntryUnderFaultsAndAdaptivity: a prepared Q5-shaped
 // statement runs under a crash and send-failure plan (retries and replica
-// failover) on the entry's one split, and then with adaptive execution
-// on, where each execution's controller rewrites a private split. Either
-// way the entry's split reads as before afterwards: its text, its
-// operators and their kernels (run under -race by make race-cpu).
+// failover) on the entry's one split, first with adaptive execution off
+// and then on, where each execution's controller decides rewrites of
+// that same split that its instances read beside it. Either way the
+// entry's split reads as before afterwards: its text, its operators and
+// their kernels (run under -race by make race-cpu).
 func TestSharedEntryUnderFaultsAndAdaptivity(t *testing.T) {
 	const spec = "seed=7;crash=2@4;sendfail=0.05"
 	for _, adaptive := range []bool{false, true} {
@@ -251,10 +253,11 @@ func TestSharedEntryUnderFaultsAndAdaptivity(t *testing.T) {
 
 // TestAdaptiveConcurrentExecutionsShareOneEntry: eight goroutines run one
 // prepared, misestimated join with different arguments through one cached
-// entry, so concurrent Splits read one plan while each execution's
-// adaptive controller rewrites its own copy. Every result must be its
-// sequential cache-off run's, and the entry's plan — its EXPLAIN text,
-// which its plan digest hashes — must be unchanged afterwards.
+// entry, so concurrent executions run one split while each execution's
+// adaptive controller decides rewrites of it for that execution alone.
+// Every result must be its sequential cache-off run's, and the entry's
+// plan — its EXPLAIN text, which its plan digest hashes — must be
+// unchanged afterwards.
 func TestAdaptiveConcurrentExecutionsShareOneEntry(t *testing.T) {
 	const q = `SELECT s_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
 FROM lineitem, orders, supplier
@@ -323,16 +326,32 @@ GROUP BY s_name ORDER BY revenue DESC`
 }
 
 // TestAdaptiveExplainAnalyze checks the observability surface: EXPLAIN
-// ANALYZE must carry the per-rewrite "adaptive replan:" lines and the
-// replans=/switches= summary counters.
+// ANALYZE must carry the per-rewrite "adaptive replan:" lines, mark each
+// rewritten operator's line once from its replan — a build-swap on a
+// hash join's — and print the replans=/switches= summary counters.
 func TestAdaptiveExplainAnalyze(t *testing.T) {
 	e := openTPCH(t, adaptiveTestSF, 4, misestimated, adaptiveOn)
 	res, err := e.Exec("EXPLAIN ANALYZE " + adaptiveTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.PlanText, "adaptive replan:") {
+	replans := strings.Count(res.PlanText, "adaptive replan:")
+	if replans == 0 {
 		t.Errorf("EXPLAIN ANALYZE lacks adaptive replan lines:\n%s", res.PlanText)
+	}
+	marks := 0
+	for _, line := range strings.Split(res.PlanText, "\n") {
+		if strings.Contains(line, "[adaptive: build-swap") {
+			marks++
+			if !strings.HasPrefix(strings.TrimSpace(line), "Join[hash]") {
+				t.Errorf("build-swap marks a line that is no hash join: %s", line)
+			}
+		} else if strings.Contains(line, "[adaptive: ") {
+			marks++
+		}
+	}
+	if marks != replans {
+		t.Errorf("%d operator lines marked for %d replans:\n%s", marks, replans, res.PlanText)
 	}
 	if !strings.Contains(res.PlanText, "replans=") {
 		t.Errorf("EXPLAIN ANALYZE summary lacks replans= counter:\n%s", res.PlanText)
@@ -378,6 +397,12 @@ func TestAdaptiveSpansAndReport(t *testing.T) {
 		if sp.Status == obs.SpanReplan {
 			t.Fatal("static run emitted a SpanReplan span")
 		}
+	}
+	// The rewrites are decisions beside the plan, not a plan of the
+	// execution's own: the adapted execution reports its statement's
+	// digest.
+	if res.Obs.PlanDigest != sres.Obs.PlanDigest {
+		t.Errorf("adapted execution reports plan digest %s, the statement's is %s", res.Obs.PlanDigest, sres.Obs.PlanDigest)
 	}
 	if sres.Stats.Spans != sres.Stats.Instances+sres.Stats.Retries {
 		t.Errorf("static span invariant broken: spans=%d instances=%d retries=%d",

@@ -530,10 +530,6 @@ type Result struct {
 	// (obs.ChromeTrace) and span-level inspection.
 	Obs *obs.QueryObs
 
-	// adaptiveNotes carries the adaptive controller's per-node rewrite
-	// annotations into the EXPLAIN ANALYZE renderer (nil unless
-	// Config.AdaptiveExec rewrote something).
-	adaptiveNotes map[physical.Node]string
 	// compiled counts the expressions this execution compiled (the
 	// package's tests check that a cached plan's kernels are reused).
 	compiled int
@@ -769,8 +765,9 @@ func (e *Engine) newPlanner() *volcano.Planner {
 // deliberate: a DDL landing mid-plan leaves the entry marked stale, never
 // the reverse. Planning holds e.mu shared throughout, so CREATE INDEX and
 // ANALYZE wait for it. The plan's expressions are compiled, and the plan
-// split, before anyone else can see it: every execution runs that one
-// split, read-only.
+// split (the engine's only fragment.Split), before anyone else can see
+// it: every execution, adaptive or not, runs that one split, read-only.
+// Entry.Plan stays nil: its last reader, bench/staged.go, fills its own.
 func (e *Engine) buildEntry(sel *sql.SelectStmt) (*plancache.Entry, error) {
 	version := e.catalog.Version()
 	e.mu.RLock()
@@ -786,7 +783,7 @@ func (e *Engine) buildEntry(sel *sql.SelectStmt) (*plancache.Entry, error) {
 	}
 	physical.Compile(pp)
 	return &plancache.Entry{
-		Plan: pp, Split: fragment.Split(pp),
+		Split:      fragment.Split(pp),
 		ParamKinds: b.ParamKinds(sel.Params), Tickets: vp.TicketsUsed, Version: version,
 	}, nil
 }
@@ -893,15 +890,13 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 	if limit < 0 {
 		limit = 0
 	}
-	// Every execution runs the entry's split, which nothing writes, except
-	// an adaptive one: its controller rewrites the tree it runs, so it
-	// gets a private split of its own (Split copies every operator), a
-	// barrier rewrite never leaks into the cache, and every execution
-	// re-adapts from its own runtime evidence.
+	// Every execution runs the entry's split, which nothing writes. An
+	// adaptive one gets a controller of its own, whose decisions live
+	// beside the split, so every execution re-adapts from its own runtime
+	// evidence and none leaks into the cache.
 	fp := entry.Split
 	var ac *adaptive.Controller
 	if e.cfg.AdaptiveExec {
-		fp = fragment.Split(entry.Plan)
 		ac = adaptive.New(fp, variants)
 	}
 	res, err := e.cluster.Run(ctx, fp, cluster.Opts{
@@ -928,12 +923,8 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 		qobs.QueryID = e.queryID.Add(1)
 		qobs.SQL = src
 		qobs.PlanDigest = text.Digest
-		if res.AdaptiveSwitches > 0 {
-			// The controller rewrote the plan mid-flight: this execution
-			// ran a plan of its own, so it reports that plan's digest.
-			qobs.PlanDigest = planDigest(fp)
-		}
-		// Operator lines describe the plan as deployed, before any switch.
+		// Operator lines describe the plan as planned; an adaptive switch
+		// is recorded once, in qobs.Replans.
 		for _, fo := range qobs.Fragments {
 			for i, op := range text.Ops[fo.Frag] {
 				fo.Ops[i].Op = op
@@ -941,13 +932,12 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 		}
 	}
 	out := &Result{
-		Columns:       slices.Clone(text.Columns),
-		Rows:          res.Rows,
-		Modeled:       res.Modeled,
-		Obs:           qobs,
-		Stats:         res.ExecStats,
-		adaptiveNotes: res.Notes,
-		compiled:      res.Compiled,
+		Columns:  slices.Clone(text.Columns),
+		Rows:     res.Rows,
+		Modeled:  res.Modeled,
+		Obs:      qobs,
+		Stats:    res.ExecStats,
+		compiled: res.Compiled,
 	}
 	out.Stats.PlanTickets = entry.Tickets
 	out.Stats.PlanNanos = planNanos
@@ -1027,16 +1017,17 @@ func (e *Engine) explainAnalyze(ctx context.Context, sel *sql.SelectStmt, src st
 	if err != nil {
 		return nil, err
 	}
-	res.PlanText = formatAnalyzed(fp, res.Obs, &res.Stats, res.adaptiveNotes)
+	res.PlanText = formatAnalyzed(fp, res.Obs, &res.Stats)
 	res.Columns = nil
 	res.Rows = nil
 	return res, nil
 }
 
 // formatAnalyzed renders the EXPLAIN ANALYZE report: the fragmented plan
-// with one "[est=... act=... err=...]" annotation per operator, followed
-// by a query-level summary.
-func formatAnalyzed(fp *fragment.Plan, q *obs.QueryObs, st *ExecStats, notes map[physical.Node]string) string {
+// with one "[est=... act=... err=...]" annotation per operator, and an
+// "[adaptive: ...]" mark on each operator an adaptive replan changed,
+// followed by the replans and a query-level summary.
+func formatAnalyzed(fp *fragment.Plan, q *obs.QueryObs, st *ExecStats) string {
 	var sb strings.Builder
 	for _, f := range fp.Fragments {
 		role := "fragment"
@@ -1052,7 +1043,11 @@ func formatAnalyzed(fp *fragment.Plan, q *obs.QueryObs, st *ExecStats, notes map
 			inst = fo.Instances
 		}
 		fmt.Fprintf(&sb, "--- %s %d (instances=%d) ---\n", role, f.ID, inst)
-		formatAnalyzedNode(&sb, f.Root, fo, notes, 0)
+		var replans []obs.Replan
+		if q != nil {
+			replans = q.Replans
+		}
+		formatAnalyzedNode(&sb, f, f.Root, fo, replans, 0)
 	}
 	if q != nil {
 		for _, rp := range q.Replans {
@@ -1073,10 +1068,12 @@ func formatAnalyzed(fp *fragment.Plan, q *obs.QueryObs, st *ExecStats, notes map
 	return sb.String()
 }
 
-func formatAnalyzedNode(sb *strings.Builder, n physical.Node, fo *obs.FragmentObs, notes map[physical.Node]string, depth int) {
+func formatAnalyzedNode(sb *strings.Builder, f *fragment.Fragment, n physical.Node, fo *obs.FragmentObs, replans []obs.Replan, depth int) {
 	fmt.Fprintf(sb, "%s%s", strings.Repeat("  ", depth), n.Describe())
-	if note, ok := notes[n]; ok {
-		fmt.Fprintf(sb, "  [%s]", note)
+	for _, rp := range replans {
+		if rp.Frag == f.ID && rp.OpID == f.OpIDs[n] {
+			fmt.Fprintf(sb, "  [adaptive: %s %s→%s]", rp.Kind, rp.From, rp.To)
+		}
 	}
 	if fo != nil {
 		if i, ok := fo.OpIndex[n]; ok {
@@ -1098,7 +1095,7 @@ func formatAnalyzedNode(sb *strings.Builder, n physical.Node, fo *obs.FragmentOb
 	}
 	sb.WriteByte('\n')
 	for _, in := range n.Inputs() {
-		formatAnalyzedNode(sb, in, fo, notes, depth+1)
+		formatAnalyzedNode(sb, f, in, fo, replans, depth+1)
 	}
 }
 

@@ -4,13 +4,15 @@
 // row counts plus distinct-count sketches built incrementally in the
 // exchange senders — and the controller re-derives cardinalities for the
 // fragments that have not been deployed yet. When the corrected numbers
-// cross a rewrite's profitability guard, the controller mutates the
-// pending part of the physical plan in place.
+// cross a rewrite's profitability guard, the controller decides it for
+// this execution, by fragment and operator id, and records it once, as an
+// obs.Replan. It never writes the plan, so every execution of a cached
+// plan, adaptive or not, runs the one split read-only.
 //
 // Only rewrites with a result-stability proof are admissible:
 //
 //   - build-swap: flip a hash join's build side to the left input
-//     (Join.BuildLeft). The executor's build-left operator emits rows in
+//     (BuildLeft). The executor's build-left operator emits rows in
 //     exactly the order of the build-right operator, so output bytes are
 //     identical unconditionally.
 //   - variant-regrade: collapse a pending fragment's §5.3 variant split
@@ -66,36 +68,45 @@ const (
 )
 
 // Controller drives adaptive execution for one query. It is not safe for
-// concurrent use; the cluster scheduler calls it from barriers only.
+// concurrent use; the cluster scheduler calls it from barriers only, and
+// reads its decisions between them. Its state is indexed by exchange or
+// fragment id, which fragment.Split numbers densely.
 type Controller struct {
 	plan     *fragment.Plan
-	variants int           // the configured §5.3 variant count, at least 1
-	skeys    map[int][]int // exchange -> sketch key columns (sender coords)
+	variants int     // the configured §5.3 variant count, at least 1
+	skeys    [][]int // exchange -> sketch key columns (sender coords)
 
-	actRows map[int]int64   // exchange -> observed sender output rows
-	actNDV  map[int]float64 // exchange -> sketch distinct estimate on skeys
+	// actRows and actNDV hold, by exchange, the merged sketch's row count
+	// and distinct estimate on skeys; actRows is -1 until one was seen.
+	actRows []int64
+	actNDV  []float64
 
-	varOverride map[int]int // fragment ID -> forced variant count
-	notes       map[physical.Node]string
-	replans     []obs.Replan
+	decided []decision // fragment -> what earlier barriers decided for it
+	replans []obs.Replan
 }
 
-// New builds a controller for a fragmented plan. The plan's joins may be
-// mutated by later OnBarrier calls, so the plan must be private to this
-// execution — as a fresh fragment.Split of the cached plan is: it copies
-// every operator of the plan it splits, so a cached plan, and the split
-// every non-adaptive execution shares, never retains a post-adaptation
-// tree. variants is the configured §5.3 variant count (the re-grade's
+// decision is one fragment's rewrites for this execution.
+type decision struct {
+	variants  int    // a re-grade's variant count (0: none)
+	buildLeft []bool // operator id -> hash join swapped (nil: none)
+}
+
+// New builds a controller for one execution of a fragmented plan, which
+// it only reads: every concurrent execution of a cached plan may share
+// it. variants is the configured §5.3 variant count (the re-grade's
 // baseline); values below 1 mean 1.
 func New(plan *fragment.Plan, variants int) *Controller {
+	exchanges := len(plan.Fragments) - 1
 	c := &Controller{
-		plan:        plan,
-		variants:    max(variants, 1),
-		skeys:       make(map[int][]int),
-		actRows:     make(map[int]int64),
-		actNDV:      make(map[int]float64),
-		varOverride: make(map[int]int),
-		notes:       make(map[physical.Node]string),
+		plan:     plan,
+		variants: max(variants, 1),
+		skeys:    make([][]int, exchanges),
+		actRows:  make([]int64, exchanges),
+		actNDV:   make([]float64, exchanges),
+		decided:  make([]decision, len(plan.Fragments)),
+	}
+	for ex := range c.actRows {
+		c.actRows[ex] = -1
 	}
 	c.planSketchKeys()
 	return c
@@ -104,9 +115,10 @@ func New(plan *fragment.Plan, variants int) *Controller {
 // planSketchKeys chooses, for every exchange, the columns the sender-side
 // sketch keys on: the consuming join's equi keys mapped down to the
 // sender schema, so the sketch's distinct estimate is usable as the
-// Swami-Schiefer divisor when join sizes are re-derived. Exchanges with
-// no (mappable) consuming join sketch on the exchange's own target keys
-// (the exec layer's fallback) — their row counts still feed corrections.
+// Swami-Schiefer divisor when join sizes are re-derived. Every exchange
+// sketches (row counts are always wanted); one with no (mappable)
+// consuming join keeps a nil entry and sketches on its own target keys
+// (the exec layer's fallback).
 func (c *Controller) planSketchKeys() {
 	for _, f := range c.plan.Fragments {
 		physical.Walk(f.Root, func(n physical.Node) bool {
@@ -115,50 +127,46 @@ func (c *Controller) planSketchKeys() {
 				return true
 			}
 			for side := 0; side < 2; side++ {
-				if rv, mapped, ok := mapKeysDown(j.Inputs()[side], j.KeyCols(side)); ok {
-					if _, dup := c.skeys[rv.ExchangeID]; !dup {
-						c.skeys[rv.ExchangeID] = mapped
-					}
+				if rv, mapped, ok := mapKeysDown(j.Inputs()[side], j.KeyCols(side)); ok && c.skeys[rv.ExchangeID] == nil {
+					c.skeys[rv.ExchangeID] = mapped
 				}
 			}
 			return true
 		})
 	}
-	// Every exchange sketches (row counts are always wanted); exchanges
-	// without a join-derived key set get a nil entry (fallback keys).
-	for ex := range c.plan.Producer {
-		if _, ok := c.skeys[ex]; !ok {
-			c.skeys[ex] = nil
-		}
-	}
 }
 
-// SketchKeys returns the per-exchange sketch key columns for the exec
-// layer. An entry with a nil value means "sketch this exchange on its
-// target keys". The map must not be mutated.
-func (c *Controller) SketchKeys() map[int][]int { return c.skeys }
+// SketchKeys returns the sketch key columns by exchange id for the exec
+// layer (exec.Context.SketchKeys); a nil entry means "sketch this
+// exchange on its target keys". The slice must not be mutated.
+func (c *Controller) SketchKeys() [][]int { return c.skeys }
 
 // VariantFor resolves the §5.3 variant count for a fragment, applying any
 // re-grade decided at an earlier barrier.
 func (c *Controller) VariantFor(fragID, configured int) int {
-	if n, ok := c.varOverride[fragID]; ok {
+	if n := c.decided[fragID].variants; n > 0 {
 		return n
 	}
 	return configured
 }
 
-// Notes exposes the per-node rewrite annotations for EXPLAIN ANALYZE.
-func (c *Controller) Notes() map[physical.Node]string { return c.notes }
+// BuildLeft returns, by operator id, the hash joins of a fragment that
+// earlier barriers swapped to build on their left input, for the exec
+// layer (exec.Context.BuildLeft); nil when none was. The slice must not
+// be mutated.
+func (c *Controller) BuildLeft(fragID int) []bool { return c.decided[fragID].buildLeft }
 
-// OnBarrier ingests the merged sketches of all completed exchanges and
-// re-plans the pending waves (every wave after `wave`). It returns the
-// rewrites applied at this barrier. sketches is cumulative: the caller
-// passes the same map every barrier, grown and merged in deterministic
-// job order.
-func (c *Controller) OnBarrier(wave int, sketches map[int]*sketch.Sketch) []obs.Replan {
+// OnBarrier ingests the merged sketches of all completed exchanges, by
+// exchange id, and re-plans the pending waves (every wave after `wave`).
+// It returns the rewrites applied at this barrier. sketches is
+// cumulative: the caller passes the same slice every barrier, filled and
+// merged in deterministic job order.
+func (c *Controller) OnBarrier(wave int, sketches []*sketch.Sketch) []obs.Replan {
 	for ex, sk := range sketches {
-		c.actRows[ex] = sk.Rows()
-		c.actNDV[ex] = sk.NDV()
+		if sk != nil {
+			c.actRows[ex] = sk.Rows()
+			c.actNDV[ex] = sk.NDV()
+		}
 	}
 	before := len(c.replans)
 	for w := wave + 1; w < len(c.plan.Waves); w++ {
@@ -198,7 +206,7 @@ func (c *Controller) correctedDepth(n physical.Node, depth int) float64 {
 	}
 	switch t := n.(type) {
 	case *physical.Receiver:
-		if rows, ok := c.actRows[t.ExchangeID]; ok {
+		if rows := c.actRows[t.ExchangeID]; rows >= 0 {
 			if rows < 1 {
 				return 0
 			}
@@ -262,8 +270,8 @@ func (c *Controller) correctedDepth(n physical.Node, depth int) float64 {
 // otherwise).
 func (c *Controller) sideNDV(j *physical.Join, side int, rows float64) float64 {
 	if rv, mapped, ok := mapKeysDown(j.Inputs()[side], j.KeyCols(side)); ok {
-		if ndv, has := c.actNDV[rv.ExchangeID]; has && slices.Equal(c.skeys[rv.ExchangeID], mapped) {
-			return ndv
+		if ex := rv.ExchangeID; c.actRows[ex] >= 0 && slices.Equal(c.skeys[ex], mapped) {
+			return c.actNDV[ex]
 		}
 	}
 	return rows
@@ -313,7 +321,11 @@ func (c *Controller) diverged(estimate, correctedV float64) bool {
 func (c *Controller) tryBuildSwap(f *fragment.Fragment, barrier int) {
 	physical.Walk(f.Root, func(n physical.Node) bool {
 		j, ok := n.(*physical.Join)
-		if !ok || j.Algo != physical.HashAlgo || len(j.Keys) == 0 || j.BuildLeft {
+		if !ok || j.Algo != physical.HashAlgo || len(j.Keys) == 0 {
+			return true
+		}
+		id, d := f.OpIDs[j], &c.decided[f.ID]
+		if d.buildLeft != nil && d.buildLeft[id] {
 			return true
 		}
 		estL, estR := est(j.Inputs()[0]), est(j.Inputs()[1])
@@ -326,10 +338,12 @@ func (c *Controller) tryBuildSwap(f *fragment.Fragment, barrier int) {
 		if l*swapMargin >= r {
 			return true
 		}
-		j.BuildLeft = true
-		c.notes[j] = fmt.Sprintf("adaptive: build-swap right→left (est L=%.0f R=%.0f, act L=%.0f R=%.0f)", estL, estR, l, r)
+		if d.buildLeft == nil {
+			d.buildLeft = make([]bool, len(f.Ops))
+		}
+		d.buildLeft[id] = true
 		c.replans = append(c.replans, obs.Replan{
-			Wave: barrier, Frag: f.ID, Kind: "build-swap", Op: "Join",
+			Wave: barrier, Frag: f.ID, OpID: id, Kind: "build-swap", Op: "Join",
 			From: "build=right", To: "build=left", EstRows: estR, ActRows: int64(r),
 		})
 		return true
@@ -347,7 +361,7 @@ func (c *Controller) tryRegrade(f *fragment.Fragment, barrier int) {
 	if c.variants <= 1 || f.Modes == nil {
 		return
 	}
-	if _, done := c.varOverride[f.ID]; done {
+	if c.decided[f.ID].variants > 0 {
 		return
 	}
 	sender, ok := f.Root.(*physical.Sender)
@@ -369,10 +383,9 @@ func (c *Controller) tryRegrade(f *fragment.Fragment, barrier int) {
 	if !orderWashed(f) {
 		return
 	}
-	c.varOverride[f.ID] = 1
-	c.notes[sender] = fmt.Sprintf("adaptive: variant-regrade %d→1 (act=%.0f rows)", c.variants, vol)
+	c.decided[f.ID].variants = 1
 	c.replans = append(c.replans, obs.Replan{
-		Wave: barrier, Frag: f.ID, Kind: "variant-regrade", Op: "Fragment",
+		Wave: barrier, Frag: f.ID, OpID: f.OpIDs[sender], Kind: "variant-regrade", Op: "Fragment",
 		From: fmt.Sprintf("variants=%d", c.variants), To: "variants=1",
 		EstRows: est(sender), ActRows: int64(vol),
 	})

@@ -65,6 +65,7 @@ func pendingExchangePlan(t *testing.T, estBuild float64) (*fragment.Plan, *physi
 		Producer:  map[int]*fragment.Fragment{0: f1, 1: f2},
 		Waves:     [][]*fragment.Fragment{{f2}, {f1}, {f0}},
 	}
+	number(plan)
 	return plan, sender0, join
 }
 
@@ -72,40 +73,63 @@ func pendingExchangePlan(t *testing.T, estBuild float64) (*fragment.Plan, *physi
 // left-heavy (estL > estR) so the planner builds on the right.
 func swapPlan(t *testing.T, estL, estR float64) (*fragment.Plan, *physical.Join) {
 	t.Helper()
-	f0 := &fragment.Fragment{ID: 0, IsRoot: true, Receivers: []int{1, 2}, ExchangeID: -1}
+	f0 := &fragment.Fragment{ID: 0, IsRoot: true, Receivers: []int{0, 1}, ExchangeID: -1}
 	mk := func(ex int, est float64) (*fragment.Fragment, *physical.Receiver) {
 		src := leaf(est, physical.HashDist(0))
 		sender := physical.NewSender(src, ex, physical.HashDist(0))
 		recv := physical.NewReceiver(physical.NewExchange(src, physical.HashDist(0)), ex)
 		recv.Props().EstRows = est
-		return &fragment.Fragment{ID: ex, Root: sender, ExchangeID: ex,
+		return &fragment.Fragment{ID: ex + 1, Root: sender, ExchangeID: ex,
 			Receiver: recv, Consumers: []*fragment.Fragment{f0}}, recv
 	}
-	f1, recv1 := mk(1, estL)
-	f2, recv2 := mk(2, estR)
+	f1, recv1 := mk(0, estL)
+	f2, recv2 := mk(1, estR)
 	f0.Root = physical.NewJoin(recv1, recv2, physical.HashAlgo, logical.JoinInner, nil,
 		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.HashDist(0), "hash", nil)
 	plan := &fragment.Plan{
 		Fragments: []*fragment.Fragment{f0, f1, f2},
-		Producer:  map[int]*fragment.Fragment{1: f1, 2: f2},
+		Producer:  map[int]*fragment.Fragment{0: f1, 1: f2},
 		Waves:     [][]*fragment.Fragment{{f1, f2}, {f0}},
 	}
+	number(plan)
 	return plan, f0.Root.(*physical.Join)
+}
+
+// number gives a hand-built plan's fragments their operator ids, as
+// fragment.Split does.
+func number(plan *fragment.Plan) {
+	for _, f := range plan.Fragments {
+		f.Ops, f.OpIDs = physical.Number(f.Root)
+	}
+}
+
+// swapped reports whether c decided that the root fragment's join builds
+// on its left input.
+func swapped(c *Controller, plan *fragment.Plan, join *physical.Join) bool {
+	ids := c.BuildLeft(0)
+	return ids != nil && ids[plan.Fragments[0].OpIDs[join]]
 }
 
 func TestBuildSwapFires(t *testing.T) {
 	plan, join := swapPlan(t, 1000, 100)
+	text := plan.Format()
 	c := New(plan, 1)
 	// Runtime inverts the estimate: the left is 50x smaller than the right.
-	reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(100), 2: filled(5000)})
+	reps := c.OnBarrier(0, []*sketch.Sketch{filled(100), filled(5000)})
 	if len(reps) != 1 || reps[0].Kind != "build-swap" {
 		t.Fatalf("got %+v, want one build-swap", reps)
 	}
-	if !join.BuildLeft {
-		t.Fatal("join.BuildLeft not set")
+	if id := plan.Fragments[0].OpIDs[join]; reps[0].Frag != 0 || reps[0].OpID != id {
+		t.Fatalf("replan names fragment %d operator %d, want the join, 0/%d", reps[0].Frag, reps[0].OpID, id)
+	}
+	if !swapped(c, plan, join) {
+		t.Fatal("the swap was not recorded against the join's id")
+	}
+	if plan.Format() != text {
+		t.Fatalf("the controller wrote the plan:\n%s\nwas\n%s", plan.Format(), text)
 	}
 	// Idempotent across barriers.
-	if again := c.OnBarrier(1, map[int]*sketch.Sketch{1: filled(100), 2: filled(5000)}); len(again) != 0 {
+	if again := c.OnBarrier(1, []*sketch.Sketch{filled(100), filled(5000)}); len(again) != 0 {
 		t.Fatalf("swap re-fired: %+v", again)
 	}
 }
@@ -115,11 +139,11 @@ func TestBuildSwapMarginHolds(t *testing.T) {
 	// swapMargin-times smaller than the right: keep the planned build side.
 	plan, join := swapPlan(t, 1000, 100)
 	c := New(plan, 1)
-	if reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(3000), 2: filled(5000)}); len(reps) != 0 {
+	if reps := c.OnBarrier(0, []*sketch.Sketch{filled(3000), filled(5000)}); len(reps) != 0 {
 		t.Fatalf("swap fired inside the margin: %+v", reps)
 	}
-	if join.BuildLeft {
-		t.Fatal("join.BuildLeft set inside the margin")
+	if swapped(c, plan, join) {
+		t.Fatal("swap recorded inside the margin")
 	}
 }
 
@@ -128,11 +152,11 @@ func TestBuildSwapNeedsDivergence(t *testing.T) {
 	// knowingly, so runtime confirmation must not flip it.
 	plan, join := swapPlan(t, 100, 1000)
 	c := New(plan, 1)
-	if reps := c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(100), 2: filled(1000)}); len(reps) != 0 {
+	if reps := c.OnBarrier(0, []*sketch.Sketch{filled(100), filled(1000)}); len(reps) != 0 {
 		t.Fatalf("swap fired without misestimation: %+v", reps)
 	}
-	if join.BuildLeft {
-		t.Fatal("join.BuildLeft set without misestimation")
+	if swapped(c, plan, join) {
+		t.Fatal("swap recorded without misestimation")
 	}
 }
 
@@ -147,7 +171,7 @@ func TestCorrectedEngine(t *testing.T) {
 	if got := c.corrected(sender.Inputs()[0]); got != 50 {
 		t.Fatalf("corrected(recv1) = %g before barrier, want 50", got)
 	}
-	c.OnBarrier(0, map[int]*sketch.Sketch{1: filled(5000)})
+	c.OnBarrier(0, []*sketch.Sketch{1: filled(5000)})
 	// Completed exchange: exact actual, reached through the pending
 	// exchange 0 (receiver -> producer sender -> its receiver child).
 	if got := c.corrected(sender.Inputs()[0]); got != 5000 {
@@ -261,11 +285,13 @@ func sharedExchangePlan(limited bool) *fragment.Plan {
 		Modes: map[physical.Node]fragment.SourceMode{recvS: fragment.SplitMode}}
 	s := &fragment.Fragment{ID: 3, Root: physical.NewSender(src, 2, physical.HashDist(0)), ExchangeID: 2,
 		Receiver: recvS, Consumers: []*fragment.Fragment{p}}
-	return &fragment.Plan{
+	plan := &fragment.Plan{
 		Fragments: []*fragment.Fragment{r, q, p, s},
 		Producer:  map[int]*fragment.Fragment{0: q, 1: p, 2: s},
 		Waves:     [][]*fragment.Fragment{{s}, {p}, {q}, {r}},
 	}
+	number(plan)
+	return plan
 }
 
 // TestRegradeChecksEveryConsumer: a regrade perturbs the row order every
@@ -281,7 +307,7 @@ func TestRegradeChecksEveryConsumer(t *testing.T) {
 		{limited: true, want: 2},  // Q's place reaches the Limit: refused
 	} {
 		c := New(sharedExchangePlan(tc.limited), 2)
-		reps := c.OnBarrier(0, map[int]*sketch.Sketch{2: filled(10)})
+		reps := c.OnBarrier(0, []*sketch.Sketch{2: filled(10)})
 		if got := c.VariantFor(2, 2); got != tc.want {
 			t.Errorf("limited=%t: fragment 2 runs %d variants, want %d (replans %+v)", tc.limited, got, tc.want, reps)
 		}

@@ -25,10 +25,12 @@
 // totals, ExecStats' counts and the exchange edges' volumes all read it.
 //
 // Run only reads the plan it is given — its waves, operator ids, edges
-// and compiled kernels — unless an adaptive controller rewrites it, so
-// one split plan serves every concurrent execution of a cached entry. An
-// execution's arguments reach its instances as kernels bound for the
-// operators holding a placeholder (Opts.Args, physical.Bind).
+// and compiled kernels — so one split plan serves every concurrent
+// execution of a cached entry, adaptive or not. What is particular to an
+// execution reaches its instances by operator id beside the plan: its
+// arguments as kernels bound for the operators holding a placeholder
+// (Opts.Args, physical.Bind), and an adaptive controller's build-side
+// swaps (exec.Context.BuildLeft).
 //
 // Cluster.Run is the whole scheduler, as a list of named steps over one
 // per-execution run value (DESIGN.md "Scheduler anatomy"): set-up, then
@@ -101,9 +103,6 @@ type Result struct {
 	// statistics per fragment, and one trace span per fragment-instance
 	// attempt, in deterministic job order.
 	Obs *obs.QueryObs
-	// Notes carries the adaptive controller's per-node rewrite
-	// annotations for EXPLAIN ANALYZE (nil when adaptive is off).
-	Notes map[physical.Node]string
 	// Compiled counts the expressions compiled for this execution: none
 	// for a plan that came compiled (physical.Compile), only those holding
 	// a placeholder, bound to Opts.Args (physical.Bind).
@@ -126,9 +125,10 @@ type Opts struct {
 	Mem *governor.Lease
 	// Adaptive, when non-nil, enables mid-query re-optimization
 	// (DESIGN.md §17): exchange senders build runtime sketches, and at
-	// every wave barrier the controller may rewrite the not-yet-deployed
-	// fragments. The controller must have been built from this exact
-	// plan, which must then be private to this execution.
+	// every wave barrier the controller may decide rewrites of the
+	// not-yet-deployed fragments, which their instances read from it. The
+	// controller must have been built from this exact plan, for this
+	// execution alone; the plan itself is only read.
 	Adaptive *adaptive.Controller
 	// Args are the execution's `?` values, in ordinal order: the plan's
 	// operators holding a placeholder (fragment.Fragment.Params) run
@@ -170,9 +170,9 @@ type run struct {
 	// work; every later ordinal finds the site dead.
 	dying map[int]int
 
-	// sketches accumulates the per-exchange runtime sketches across
-	// barriers (nil: adaptive off).
-	sketches map[int]*sketch.Sketch
+	// sketches accumulates the runtime sketches across barriers, by
+	// exchange id (nil: adaptive off).
+	sketches []*sketch.Sketch
 	// bound holds each fragment's kernels bound to Opts.Args, by fragment
 	// id, then operator id (nil: the plan holds no placeholder).
 	bound [][]*physical.Kernels
@@ -191,7 +191,7 @@ func (c *Cluster) Run(ctx context.Context, plan *fragment.Plan, opts Opts) (*Res
 func (r *run) schedule() error {
 	for w := range r.plan.Waves {
 		// Jobs are built only now, after the previous barrier, so the
-		// adaptive controller's rewrites take effect on them.
+		// adaptive controller's decisions take effect on them.
 		jobs := r.waveJobs(w)
 		results := r.execute(jobs)
 		if err := r.barrier(jobs, results); err != nil {
@@ -248,7 +248,7 @@ func (c *Cluster) newRun(ctx context.Context, plan *fragment.Plan, opts Opts) *r
 		r.dying = make(map[int]int)
 	}
 	if opts.Adaptive != nil {
-		r.sketches = make(map[int]*sketch.Sketch)
+		r.sketches = make([]*sketch.Sketch, len(r.exchanges))
 	}
 	// The observation record: per-fragment operator views.
 	r.qobs = &obs.QueryObs{Began: r.began, Fragments: obs.NewFragmentObs(plan)}
@@ -425,8 +425,8 @@ func (r *run) publish(j *instanceJob, sent []*exec.Batch) {
 
 // replan is the adaptive barrier step (DESIGN.md §17): with later waves
 // still pending, hand the accumulated sketches to the controller, which
-// may rewrite the not-yet-built part of the schedule. The pass is
-// recorded as a replan span, so every run keeps spans == instances +
+// may decide rewrites of the not-yet-built part of the schedule. The pass
+// is recorded as a replan span, so every run keeps spans == instances +
 // retries + replans.
 func (r *run) replan(w int) {
 	if r.opts.Adaptive == nil || w+1 >= len(r.plan.Waves) {
@@ -478,9 +478,6 @@ func (r *run) finish() *Result {
 	r.qobs.Spans = l.Spans
 	r.qobs.WallNanos = time.Since(r.began).Nanoseconds()
 	r.qobs.ModeledNanos = res.Modeled.Nanoseconds()
-	if r.opts.Adaptive != nil {
-		res.Notes = r.opts.Adaptive.Notes()
-	}
 	return res
 }
 

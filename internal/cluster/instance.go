@@ -195,6 +195,7 @@ func (r *run) attempt(j *instanceJob, ir *instanceResult, host, n int) ([]types.
 	}
 	if r.opts.Adaptive != nil {
 		ectx.SketchKeys = r.opts.Adaptive.SketchKeys()
+		ectx.BuildLeft = r.opts.Adaptive.BuildLeft(j.frag.ID)
 	}
 	rows, err := exec.Run(j.frag.Root, ectx)
 	// The attempt's operator state is gone either way; return its

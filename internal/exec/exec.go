@@ -23,7 +23,7 @@
 // left row's candidate right rows — every right row, a hash chain, a
 // sorted run; matching the candidates and emitting per join type is one
 // shared joinOp. There is one hash join, parameterised by build side
-// (physical.Join.BuildLeft), with order-identical output either way.
+// (Context.BuildLeft), with order-identical output either way.
 package exec
 
 import (
@@ -166,17 +166,20 @@ type Context struct {
 	// Bound is nil, run the plan's own kernels.
 	Bound []*physical.Kernels
 
-	// --- adaptive execution sketches (DESIGN.md §17) ---
+	// --- adaptive execution (DESIGN.md §17) ---
 
-	// SketchKeys, when non-nil, maps exchange IDs whose senders build a
-	// runtime sketch over the rows they ship to the key columns the
-	// sketch hashes (nil value: the exchange target's distribution keys,
-	// or the whole row for non-hash targets). The adaptive controller
-	// picks the consuming join's equi keys so sketch distinct counts are
-	// directly usable for join re-estimation. Sketch maintenance rides
-	// the existing per-row send charge (no extra modeled work), so
-	// enabling sketches never changes the cost clock.
-	SketchKeys map[int][]int
+	// BuildLeft marks, by operator id, the hash joins the adaptive
+	// controller swapped to build on their left input (nil: none).
+	BuildLeft []bool
+	// SketchKeys, when non-nil, has every exchange's sender build a
+	// runtime sketch over the rows it ships, hashing the key columns at
+	// the exchange's id (nil there: the exchange target's distribution
+	// keys, or the whole row for non-hash targets). The adaptive
+	// controller picks the consuming join's equi keys so sketch distinct
+	// counts are directly usable for join re-estimation. Sketch
+	// maintenance rides the existing per-row send charge (no extra
+	// modeled work), so enabling sketches never changes the cost clock.
+	SketchKeys [][]int
 	// Sketch is the sketch this attempt built over its fragment's one
 	// exchange. The scheduler collects it from the surviving attempt only,
 	// so retried attempts never double-count.
@@ -468,10 +471,7 @@ func (c *Context) sketchRows(s *physical.Sender, rows []types.Row) {
 	if c.SketchKeys == nil {
 		return
 	}
-	keys, enabled := c.SketchKeys[s.ExchangeID]
-	if !enabled {
-		return
-	}
+	keys := c.SketchKeys[s.ExchangeID]
 	c.Sketch = sketch.New() // an instance's one Sender sends once
 	if len(keys) == 0 {
 		keys = s.Target.Keys

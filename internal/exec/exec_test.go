@@ -230,8 +230,7 @@ func hashBothSides(t testing.TB, st *storage.Store, jt logical.JoinType, left, r
 		t.Fatal(err)
 	}
 	swapped := mkJoin(physical.HashAlgo, jt)
-	swapped.BuildLeft = true
-	bl, err := runJoin(swapped, left, right, ctxAt(st, 0))
+	bl, err := runJoin(swapped, left, right, swapBuild(ctxAt(st, 0), swapped))
 	if err != nil {
 		t.Fatal(err)
 	}

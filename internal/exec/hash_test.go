@@ -55,8 +55,11 @@ func TestHashJoinCandidatesInBuildOrder(t *testing.T) {
 		for _, jt := range []logical.JoinType{logical.JoinInner, logical.JoinLeft,
 			logical.JoinSemi, logical.JoinAnti} {
 			j := mkJoin(physical.HashAlgo, jt)
-			j.BuildLeft = buildLeft
-			got, err := runJoin(j, left, right, ctxAt(st, 0))
+			ctx := ctxAt(st, 0)
+			if buildLeft {
+				swapBuild(ctx, j)
+			}
+			got, err := runJoin(j, left, right, ctx)
 			if err != nil {
 				t.Fatal(err)
 			}

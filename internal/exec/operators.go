@@ -604,7 +604,8 @@ func (c *Context) runJoin(t *physical.Join, next stage) error {
 	defer j.close()
 	_, j.kept = next.(keeper)
 
-	streamLeft := t.Algo == physical.Merge || (t.Algo == physical.HashAlgo && !t.BuildLeft)
+	buildLeft := t.Algo == physical.HashAlgo && c.BuildLeft != nil && c.BuildLeft[c.OpIDs[t]]
+	streamLeft := t.Algo == physical.Merge || (t.Algo == physical.HashAlgo && !buildLeft)
 	var left []types.Row
 	var err error
 	if !streamLeft {
@@ -639,7 +640,7 @@ func (c *Context) runJoin(t *physical.Join, next stage) error {
 		j.work(float64(len(j.right)) * (cost.RCC + cost.RPTC + cost.HAC))
 		j.leftWork = cost.RCC + cost.RPTC + cost.HAC
 
-	case !t.BuildLeft:
+	case !buildLeft:
 		// §5.1.2: build a hash table on the right input, probe it with the
 		// left, emitting in left-input order.
 		j.work(float64(len(j.right)) * buildWork)
@@ -653,15 +654,15 @@ func (c *Context) runJoin(t *physical.Join, next stage) error {
 		j.leftWork = probeWork
 
 	default:
-		// The adaptive re-planner set BuildLeft (DESIGN.md §17): the table
-		// is built on the left input instead, only the right rows whose
-		// hash hits it are indexed, and the same left-order emission runs
-		// over those. Either way a left row's candidates are the right
-		// rows sharing its key hash, in right-input order, so the output
-		// is byte-identical for both build sides — which is what lets the
-		// re-planner flip the side mid-query without breaking the
-		// determinism contract. Only the work split and the memory charge
-		// move.
+		// The adaptive re-planner swapped the build side (DESIGN.md §17,
+		// Context.BuildLeft): the table is built on the left input
+		// instead, only the right rows whose hash hits it are indexed, and
+		// the same left-order emission runs over those. Either way a left
+		// row's candidates are the right rows sharing its key hash, in
+		// right-input order, so the output is byte-identical for both
+		// build sides — which is what lets the re-planner flip the side
+		// mid-query without breaking the determinism contract. Only the
+		// work split and the memory charge move.
 		j.work(float64(len(j.right))*probeWork + float64(len(left))*buildWork)
 		j.st.addBuild(len(left))
 		if err := c.ReserveMem(t, estRowBytes(left)); err != nil {

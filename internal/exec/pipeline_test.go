@@ -54,6 +54,18 @@ func tracked(ctx *Context, root physical.Node) {
 
 func statsOf(ctx *Context, n physical.Node) obs.OpStats { return ctx.Obs.Ops[ctx.OpIDs[n]] }
 
+// swapBuild has the instance ctx runs build hash join j on its left
+// input, as an adaptive controller's swap decision does. ctx's operator
+// ids must cover j; when it has none, j is taken for the plan's root.
+func swapBuild(ctx *Context, j *physical.Join) *Context {
+	if ctx.OpIDs == nil {
+		_, ctx.OpIDs = physical.Number(j)
+	}
+	ctx.BuildLeft = make([]bool, len(ctx.OpIDs))
+	ctx.BuildLeft[ctx.OpIDs[j]] = true
+	return ctx
+}
+
 func sameRendered(t *testing.T, what string, got, want []types.Row) {
 	t.Helper()
 	if g, w := renderRows(got), renderRows(want); !slices.Equal(g, w) {
@@ -270,7 +282,6 @@ func TestJoinsAcrossBatches(t *testing.T) {
 					for _, leftScratch := range []bool{false, true} {
 						left, right := joinInputs(nl, nr, a.algo == physical.Merge)
 						j := mkJoin(a.algo, jt)
-						j.BuildLeft = a.buildLeft
 						j.Inputs()[0].(*physical.Values).Rows = left
 						j.Inputs()[1].(*physical.Values).Rows = right
 						if leftScratch {
@@ -278,6 +289,9 @@ func TestJoinsAcrossBatches(t *testing.T) {
 						}
 						ctx := ctxAt(st, 0)
 						tracked(ctx, j)
+						if a.buildLeft {
+							swapBuild(ctx, j)
+						}
 						got, err := runPlan(j, ctx)
 						if err != nil {
 							t.Fatal(err)

@@ -97,10 +97,10 @@ type Plan struct {
 // Exchange becomes a fresh shallow copy (physical.Copy) sharing its
 // expressions and compiled kernels, and placeholders stay placeholders.
 // The engine splits a plan once, when it is planned, and keeps the split
-// in the plan-cache entry (or the prepared statement): every execution
-// runs that one split read-only, binding its arguments into kernels of
-// its own (physical.Bind). Only an adaptive execution splits again, for
-// a private tree its controller may rewrite.
+// in the plan-cache entry (or the prepared statement): every execution,
+// adaptive or not, runs that one split read-only, binding its arguments
+// into kernels of its own (physical.Bind) and keeping an adaptive
+// controller's decisions beside it, by operator id.
 //
 // The optimizer may emit a DAG rather than a tree: a subtree (often a
 // broadcast) shared by two parents. Each Exchange is still split exactly

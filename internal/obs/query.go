@@ -260,17 +260,22 @@ type QueryObs struct {
 }
 
 // Replan is one adaptive plan change applied at a wave barrier
-// (DESIGN.md §17): a pending fragment's operator switched strategy based
-// on observed runtime statistics from completed fragments.
+// (DESIGN.md §17): a pending fragment's operator switched strategy, for
+// this execution only, based on observed runtime statistics from
+// completed fragments. It is the one record of the change: the plan is
+// never rewritten, and EXPLAIN ANALYZE marks the operator from it.
 type Replan struct {
 	// Wave is the completed wave whose barrier triggered the change.
 	Wave int `json:"wave"`
-	// Frag is the pending fragment whose plan changed.
+	// Frag is the pending fragment whose plan changed, and OpID the
+	// changed operator's id within it (fragment.Fragment.Ops): the join
+	// of a build-swap, the fragment's root sender of a variant-regrade.
 	Frag int `json:"frag"`
+	OpID int `json:"op_id"`
 	// Kind names the trigger: "build-swap" (hash-join build side) or
 	// "variant-regrade" (parallelism split).
 	Kind string `json:"kind"`
-	// Op describes the operator after the change.
+	// Op names the changed operator's class.
 	Op string `json:"op"`
 	// From/To are the strategy labels before and after.
 	From string `json:"from"`

@@ -384,12 +384,6 @@ type Join struct {
 	// Mapping records which Table 2 / §5.1.1 distribution mapping produced
 	// this join (for EXPLAIN and tests).
 	Mapping string
-	// BuildLeft, when true, builds the hash table on the left input
-	// instead of the right (set by the adaptive re-planner when observed
-	// input sizes invert the planner's estimate, DESIGN.md §17). Output
-	// rows and their order are identical either way; only the build-side
-	// memory charge moves to the smaller input.
-	BuildLeft bool
 	// keyCols splits Keys by input side: [0] the left columns, [1] the
 	// right ones (KeyCols). Up to two keys' columns live in keyBuf, so
 	// the planner's many join alternatives allocate nothing for them.
@@ -435,12 +429,8 @@ func NewJoin(left, right Node, algo JoinAlgo, jt logical.JoinType, cond expr.Exp
 func (j *Join) KeyCols(side int) []int { return j.keyCols[side] }
 
 func (j *Join) Describe() string {
-	build := ""
-	if j.BuildLeft {
-		build = ", build=left"
-	}
-	return fmt.Sprintf("Join[%s] %s on %s (dist=%s, mapping=%s%s)",
-		j.Algo, j.Type, j.Cond, j.props.Dist, j.Mapping, build)
+	return fmt.Sprintf("Join[%s] %s on %s (dist=%s, mapping=%s)",
+		j.Algo, j.Type, j.Cond, j.props.Dist, j.Mapping)
 }
 
 // ---------------------------------------------------------------------------

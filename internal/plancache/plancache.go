@@ -24,13 +24,15 @@ import (
 	"gignite/internal/types"
 )
 
-// Entry is one cached plan, shared read-only by every execution. Plan is
-// the compiled physical tree and Split its fragmentation (fragment.Split),
-// made once when the entry is built: an execution runs Split as it is,
-// with its `?` values bound into kernels of its own (physical.Bind), and
-// only an adaptive execution splits Plan again, for a private tree its
-// controller may rewrite. ParamKinds holds the bind-time type hint for
-// each `?` placeholder (types.KindNull when no hint was derivable).
+// Entry is one cached plan, shared read-only by every execution. Split is
+// the compiled plan's fragmentation (fragment.Split), made once when the
+// entry is built: every execution, adaptive or not, runs Split as it is,
+// with its `?` values bound into kernels of its own (physical.Bind) and
+// an adaptive controller's decisions kept beside it. Plan is the
+// unsplit physical tree, which the engine leaves nil; only the
+// benchmark's staged pipeline (bench/staged.go) fills and reads it.
+// ParamKinds holds the bind-time type hint for each `?` placeholder
+// (types.KindNull when no hint was derivable).
 // Tickets records the optimizer work the original planning pass spent, so
 // cache hits can report a stable planning-cost figure. The plan's
 // rendered text (Text) is made once per entry, on its first execution.

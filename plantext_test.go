@@ -84,23 +84,42 @@ var lookupAllocs = map[string]float64{
 	"customer": 111, // 101
 }
 
+// adaptiveLookupAllocs is the same budget with adaptive execution on. An
+// adaptive execution used to split the cached plan again for its
+// controller to rewrite, at 59, 161 and 161 objects; the controller's
+// state and each sender instance's sketch remain.
+var adaptiveLookupAllocs = map[string]float64{
+	"nation":   40,  // 36
+	"supplier": 134, // 122
+	"customer": 134, // 122
+}
+
+// TestPreparedLookupAllocations holds each lookup's per-execution
+// objects to its budget, with adaptive execution off and on.
 func TestPreparedLookupAllocations(t *testing.T) {
-	e := openTPCH(t, 0.001, 4, icpm(0.001), planCache(64), parallelism(1))
-	for _, l := range lookups {
-		stmt, err := e.Prepare(l.sql)
-		if err != nil {
-			t.Fatal(err)
+	for _, adaptive := range []bool{false, true} {
+		budgets := lookupAllocs
+		if adaptive {
+			budgets = adaptiveLookupAllocs
 		}
-		key := int64(0)
-		got := testing.AllocsPerRun(20, func() {
-			key++
-			if _, err := stmt.Query(gignite.NewInt(key%5 + 1)); err != nil {
+		e := openTPCH(t, 0.001, 4, icpm(0.001), planCache(64), parallelism(1),
+			func(c *gignite.Config) { c.AdaptiveExec = adaptive })
+		for _, l := range lookups {
+			stmt, err := e.Prepare(l.sql)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		t.Logf("%s: %.0f allocs per execution (budget %.0f)", l.name, got, lookupAllocs[l.name])
-		if got > lookupAllocs[l.name] {
-			t.Errorf("%s lookup allocated %.0f objects per execution, budget %.0f", l.name, got, lookupAllocs[l.name])
+			key := int64(0)
+			got := testing.AllocsPerRun(20, func() {
+				key++
+				if _, err := stmt.Query(gignite.NewInt(key%5 + 1)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s adaptive=%t: %.0f allocs per execution (budget %.0f)", l.name, adaptive, got, budgets[l.name])
+			if got > budgets[l.name] {
+				t.Errorf("%s lookup (adaptive=%t) allocated %.0f objects per execution, budget %.0f", l.name, adaptive, got, budgets[l.name])
+			}
 		}
 	}
 }

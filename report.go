@@ -3,6 +3,8 @@ package gignite
 import (
 	"slices"
 	"time"
+
+	"gignite/internal/obs"
 )
 
 // QueryReport is the unified per-query report of the v1 API: one
@@ -49,24 +51,10 @@ type OperatorReport struct {
 	Work float64 `json:"work"`
 }
 
-// ReplanReport is one adaptive plan change (DESIGN.md §17).
-type ReplanReport struct {
-	// Wave is the completed wave whose barrier triggered the change and
-	// Frag the pending fragment whose plan changed.
-	Wave int `json:"wave"`
-	Frag int `json:"frag"`
-	// Kind names the trigger: "build-swap" or "variant-regrade". Op
-	// describes the rewritten operator; From/To the strategy before and
-	// after.
-	Kind string `json:"kind"`
-	Op   string `json:"op"`
-	From string `json:"from"`
-	To   string `json:"to"`
-	// EstRows is the planner's estimate and ActRows the runtime actual
-	// that fired the trigger.
-	EstRows float64 `json:"est_rows"`
-	ActRows int64   `json:"act_rows"`
-}
+// ReplanReport is one adaptive plan change (DESIGN.md §17): the
+// observation record's own, which names the changed operator by fragment
+// and operator id.
+type ReplanReport = obs.Replan
 
 // Report assembles the unified QueryReport for a SELECT result. For
 // DDL/DML and plain EXPLAIN results the report carries only the column
@@ -97,11 +85,6 @@ func (r *Result) Report() *QueryReport {
 			})
 		}
 	}
-	for _, rp := range q.Replans {
-		rep.Replans = append(rep.Replans, ReplanReport{
-			Wave: rp.Wave, Frag: rp.Frag, Kind: rp.Kind, Op: rp.Op,
-			From: rp.From, To: rp.To, EstRows: rp.EstRows, ActRows: rp.ActRows,
-		})
-	}
+	rep.Replans = slices.Clone(q.Replans)
 	return rep
 }

@@ -13,12 +13,11 @@ import (
 // each Query execution runs that split plan as it is — skipping parse,
 // bind, cost-based optimization and fragmentation entirely. The `?`
 // parameter values reach only kernels the execution compiles for itself,
-// for the operators whose expressions hold a placeholder; nothing an
-// execution does writes the shared plan, except that an adaptive
-// execution splits a private copy for its controller to rewrite. The
-// plan's text (digest, operator lines, column names) is rendered by the
-// first execution and shared by later ones: arguments appear in it as
-// their placeholders. A Stmt is safe for concurrent Query calls.
+// for the operators whose expressions hold a placeholder, and an adaptive
+// execution's rewrites are decisions kept beside the plan: nothing an
+// execution does writes the shared plan. The plan's text (digest,
+// operator lines, column names) is rendered by the first execution and
+// shared by later ones: arguments appear in it as their placeholders. A Stmt is safe for concurrent Query calls.
 //
 // When the engine's plan cache is enabled the Stmt shares its entries, so
 // an inline Exec of the same (digest-normalized) text also hits the
@@ -32,7 +31,7 @@ type Stmt struct {
 	digest uint64
 
 	mu    sync.Mutex
-	local *plancache.Entry // retained plan and split when the engine cache is disabled
+	local *plancache.Entry // retained split when the engine cache is disabled
 }
 
 // Prepare parses and plans a SELECT once for repeated execution.
