@@ -150,8 +150,9 @@ func TestAdaptiveRecoversMisestimate(t *testing.T) {
 
 // TestAdaptiveUnderFaults checks byte identity while the fault injector
 // crashes, slows and drops sends: the re-planning decisions are pure
-// functions of merged sketches, so recovery machinery must not change
-// what the adaptive run returns.
+// functions of what the surviving attempts shipped, so recovery
+// machinery must change neither what the adaptive run returns nor which
+// rewrites it makes, on which operator, from which estimate and actual.
 func TestAdaptiveUnderFaults(t *testing.T) {
 	static := openTPCH(t, adaptiveTestSF, 4, misestimated, withFaults(t, 1, ""))
 	base, err := static.Query(adaptiveTestSQL)
@@ -159,6 +160,27 @@ func TestAdaptiveUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := rowsChecksum(base.Rows)
+	clean, err := openTPCH(t, adaptiveTestSF, 4, misestimated, adaptiveOn, withFaults(t, 1, "")).Query(adaptiveTestSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type decision struct {
+		kind     string
+		frag, op int
+		est      float64
+		act      int64
+	}
+	decisions := func(res *gignite.Result) []decision {
+		var out []decision
+		for _, rp := range res.Report().Replans {
+			out = append(out, decision{rp.Kind, rp.Frag, rp.OpID, rp.EstRows, rp.ActRows})
+		}
+		return out
+	}
+	wantReplans := decisions(clean)
+	if len(wantReplans) == 0 {
+		t.Fatal("the fault-free adaptive run rewrote nothing; the comparison tests nothing")
+	}
 	for _, spec := range []string{"seed=7;crash=2@4", "seed=7;slow=1x4", "seed=7;sendfail=0.05"} {
 		ad := openTPCH(t, adaptiveTestSF, 4, misestimated, adaptiveOn, withFaults(t, 1, spec))
 		res, err := ad.Query(adaptiveTestSQL)
@@ -167,6 +189,9 @@ func TestAdaptiveUnderFaults(t *testing.T) {
 		}
 		if rowsChecksum(res.Rows) != want {
 			t.Errorf("faults=%q: adaptive rows diverge from the clean static run", spec)
+		}
+		if got := decisions(res); !slices.Equal(got, wantReplans) {
+			t.Errorf("faults=%q: replans %+v, the fault-free run's %+v", spec, got, wantReplans)
 		}
 	}
 }

@@ -200,13 +200,15 @@ type Config struct {
 	// governor's 2s default; < 0 = wait as long as the context allows).
 	AdmissionTimeout time.Duration
 	// AdaptiveExec enables mid-query re-optimization from runtime
-	// sketches (DESIGN.md §17): exchange senders summarize the rows they
-	// ship, and at every wave barrier the engine may rewrite the
-	// not-yet-deployed fragments — swap a hash join's build side or
-	// collapse a variant split — when the observed cardinalities
-	// contradict the planner's estimates. Results stay byte-identical to
-	// the static plan; only the modeled time (and the adaptive counters)
-	// change. Off in every preset.
+	// statistics (DESIGN.md §17): the rows each completed exchange
+	// published, and sketches of the distinct join keys its surviving
+	// sender instances shipped. At every wave barrier the engine may then
+	// decide, for this execution, to change the not-yet-deployed
+	// fragments — swap a hash join's build side or collapse a variant
+	// split — when the observed cardinalities contradict the planner's
+	// estimates. Results stay byte-identical to the static plan; only the
+	// modeled time (and the adaptive counters) change. Off in every
+	// preset.
 	AdaptiveExec bool
 	// StatsMisestimate, when not 0 or 1, multiplies the planner's
 	// join-output estimates by the factor — a fault-injection knob for

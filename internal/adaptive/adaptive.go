@@ -1,13 +1,13 @@
 // Package adaptive implements mid-query re-optimization from runtime
-// sketches (DESIGN.md §17). At every wave barrier the cluster scheduler
-// hands the controller the per-exchange actuals observed so far — exact
-// row counts plus distinct-count sketches built incrementally in the
-// exchange senders — and the controller re-derives cardinalities for the
-// fragments that have not been deployed yet. When the corrected numbers
-// cross a rewrite's profitability guard, the controller decides it for
-// this execution, by fragment and operator id, and records it once, as an
-// obs.Replan. It never writes the plan, so every execution of a cached
-// plan, adaptive or not, runs the one split read-only.
+// sketches (DESIGN.md §17). The executor only ships: workers have the
+// controller sketch what surviving attempts shipped (Sketch), and at
+// every wave barrier it takes in the merged sketches and the published
+// rows, and re-derives cardinalities for the fragments that have not
+// been deployed yet. When the corrected numbers cross a rewrite's
+// profitability guard, the controller decides it for this execution, by
+// fragment and operator id, and records it once, as an obs.Replan. It
+// never writes the plan, so every execution of a cached plan, adaptive
+// or not, runs the one split read-only.
 //
 // Only rewrites with a result-stability proof are admissible:
 //
@@ -28,23 +28,24 @@
 // edges (Fragment.Receiver and Consumers); it never walks the fragments
 // for them.
 //
-// Decisions are pure functions of merged sketches, which the barrier
-// merges in deterministic job order; no wall-clock input exists, so the
-// same query under the same fault plan re-plans identically at every
-// ExecParallelism. The guards' thresholds are constants of this package
-// (swapMargin, infoMargin, variantMinRows, maxCorrection).
+// Decisions are pure functions of what surviving attempts shipped, whose
+// sketches the barrier merges in deterministic job order; no wall-clock
+// input exists, so the same query re-plans identically at every
+// ExecParallelism and under every fault plan. The guards' thresholds are
+// constants of this package (swapMargin, infoMargin, variantMinRows,
+// maxCorrection).
 package adaptive
 
 import (
 	"fmt"
 	"slices"
 
+	"gignite/internal/exec"
 	"gignite/internal/expr"
 	"gignite/internal/fragment"
 	"gignite/internal/logical"
 	"gignite/internal/obs"
 	"gignite/internal/physical"
-	"gignite/internal/sketch"
 	"gignite/internal/types"
 )
 
@@ -67,22 +68,27 @@ const (
 	maxCorrection float64 = 1000
 )
 
-// Controller drives adaptive execution for one query. It is not safe for
-// concurrent use; the cluster scheduler calls it from barriers only, and
-// reads its decisions between them. Its state is indexed by exchange or
-// fragment id, which fragment.Split numbers densely.
+// Controller drives adaptive execution for one query. Only Sketch is
+// safe for concurrent use: the cluster scheduler's workers call it, and
+// its barriers call the rest and read its decisions between them. Its
+// state is indexed by exchange or fragment id, which fragment.Split
+// numbers densely.
 type Controller struct {
 	plan     *fragment.Plan
-	variants int     // the configured §5.3 variant count, at least 1
-	skeys    [][]int // exchange -> sketch key columns (sender coords)
-
-	// actRows and actNDV hold, by exchange, the merged sketch's row count
-	// and distinct estimate on skeys; actRows is -1 until one was seen.
-	actRows []int64
-	actNDV  []float64
+	variants int        // the configured §5.3 variant count, at least 1
+	ex       []exchange // by exchange id
 
 	decided []decision // fragment -> what earlier barriers decided for it
 	replans []obs.Replan
+}
+
+// exchange is what the controller knows of one exchange: the sketch key
+// columns (sender coords; nil: never sketched), the published row count
+// (-1 until the producer completed) and the merged sketch.
+type exchange struct {
+	keys []int
+	rows int64
+	sk   *Sketch
 }
 
 // decision is one fragment's rewrites for this execution.
@@ -96,29 +102,26 @@ type decision struct {
 // it. variants is the configured §5.3 variant count (the re-grade's
 // baseline); values below 1 mean 1.
 func New(plan *fragment.Plan, variants int) *Controller {
-	exchanges := len(plan.Fragments) - 1
 	c := &Controller{
 		plan:     plan,
 		variants: max(variants, 1),
-		skeys:    make([][]int, exchanges),
-		actRows:  make([]int64, exchanges),
-		actNDV:   make([]float64, exchanges),
+		ex:       make([]exchange, len(plan.Fragments)-1),
 		decided:  make([]decision, len(plan.Fragments)),
 	}
-	for ex := range c.actRows {
-		c.actRows[ex] = -1
+	for i := range c.ex {
+		c.ex[i].rows = -1
 	}
 	c.planSketchKeys()
 	return c
 }
 
-// planSketchKeys chooses, for every exchange, the columns the sender-side
-// sketch keys on: the consuming join's equi keys mapped down to the
-// sender schema, so the sketch's distinct estimate is usable as the
-// Swami-Schiefer divisor when join sizes are re-derived. Every exchange
-// sketches (row counts are always wanted); one with no (mappable)
-// consuming join keeps a nil entry and sketches on its own target keys
-// (the exec layer's fallback).
+// planSketchKeys chooses, for every exchange a join reads, the columns
+// its sketches key on: the join's equi keys mapped down to the sender
+// schema, so the sketch's distinct estimate is usable as the
+// Swami-Schiefer divisor when join sizes are re-derived. sideNDV reads
+// an exchange's estimate only for a join keyed on exactly these columns,
+// so an exchange no join reads on mappable keys keeps nil keys and is
+// never sketched.
 func (c *Controller) planSketchKeys() {
 	for _, f := range c.plan.Fragments {
 		physical.Walk(f.Root, func(n physical.Node) bool {
@@ -127,19 +130,14 @@ func (c *Controller) planSketchKeys() {
 				return true
 			}
 			for side := 0; side < 2; side++ {
-				if rv, mapped, ok := mapKeysDown(j.Inputs()[side], j.KeyCols(side)); ok && c.skeys[rv.ExchangeID] == nil {
-					c.skeys[rv.ExchangeID] = mapped
+				if rv, mapped, ok := mapKeysDown(j.Inputs()[side], j.KeyCols(side)); ok && c.ex[rv.ExchangeID].keys == nil {
+					c.ex[rv.ExchangeID].keys = mapped
 				}
 			}
 			return true
 		})
 	}
 }
-
-// SketchKeys returns the sketch key columns by exchange id for the exec
-// layer (exec.Context.SketchKeys); a nil entry means "sketch this
-// exchange on its target keys". The slice must not be mutated.
-func (c *Controller) SketchKeys() [][]int { return c.skeys }
 
 // VariantFor resolves the §5.3 variant count for a fragment, applying any
 // re-grade decided at an earlier barrier.
@@ -156,16 +154,34 @@ func (c *Controller) VariantFor(fragID, configured int) int {
 // be mutated.
 func (c *Controller) BuildLeft(fragID int) []bool { return c.decided[fragID].buildLeft }
 
-// OnBarrier ingests the merged sketches of all completed exchanges, by
-// exchange id, and re-plans the pending waves (every wave after `wave`).
-// It returns the rewrites applied at this barrier. sketches is
-// cumulative: the caller passes the same slice every barrier, filled and
-// merged in deterministic job order.
-func (c *Controller) OnBarrier(wave int, sketches []*sketch.Sketch) []obs.Replan {
-	for ex, sk := range sketches {
-		if sk != nil {
-			c.actRows[ex] = sk.Rows()
-			c.actNDV[ex] = sk.NDV()
+// Merge folds a surviving sender instance's sketch (Sketch) into its
+// exchange's. The barrier calls it in job order.
+func (c *Controller) Merge(ex int, sk *Sketch) {
+	if cur := c.ex[ex].sk; cur != nil {
+		cur.merge(sk)
+	} else {
+		c.ex[ex].sk = sk
+	}
+}
+
+// OnBarrier counts the rows of the exchanges wave `wave` completed, from
+// the published batches ([exchange][target site]; one site's for a
+// broadcast, which ships every row to each), and re-plans the pending
+// waves. It returns the rewrites applied at this barrier.
+func (c *Controller) OnBarrier(wave int, exchanges [][][]*exec.Batch) []obs.Replan {
+	for _, f := range c.plan.Waves[wave] {
+		if f.IsRoot {
+			continue
+		}
+		e, published := &c.ex[f.ExchangeID], exchanges[f.ExchangeID]
+		if f.Root.(*physical.Sender).Target.Type == physical.Broadcast {
+			published = published[:1]
+		}
+		e.rows = 0
+		for _, batches := range published {
+			for _, b := range batches {
+				e.rows += int64(len(b.Rows))
+			}
 		}
 	}
 	before := len(c.replans)
@@ -206,7 +222,7 @@ func (c *Controller) correctedDepth(n physical.Node, depth int) float64 {
 	}
 	switch t := n.(type) {
 	case *physical.Receiver:
-		if rows := c.actRows[t.ExchangeID]; rows >= 0 {
+		if rows := c.ex[t.ExchangeID].rows; rows >= 0 {
 			if rows < 1 {
 				return 0
 			}
@@ -270,8 +286,8 @@ func (c *Controller) correctedDepth(n physical.Node, depth int) float64 {
 // otherwise).
 func (c *Controller) sideNDV(j *physical.Join, side int, rows float64) float64 {
 	if rv, mapped, ok := mapKeysDown(j.Inputs()[side], j.KeyCols(side)); ok {
-		if ex := rv.ExchangeID; c.actRows[ex] >= 0 && slices.Equal(c.skeys[ex], mapped) {
-			return c.actNDV[ex]
+		if e := &c.ex[rv.ExchangeID]; e.rows >= 0 && slices.Equal(e.keys, mapped) {
+			return e.sk.ndv()
 		}
 	}
 	return rows

@@ -4,11 +4,12 @@ import (
 	"slices"
 	"testing"
 
+	"gignite/internal/exec"
 	"gignite/internal/expr"
 	"gignite/internal/fragment"
 	"gignite/internal/logical"
+	"gignite/internal/obs"
 	"gignite/internal/physical"
-	"gignite/internal/sketch"
 	"gignite/internal/types"
 )
 
@@ -21,12 +22,73 @@ func leaf(est float64, dist physical.Distribution) *physical.Values {
 	return v
 }
 
-func filled(rows int) *sketch.Sketch {
-	sk := sketch.New()
-	for i := 0; i < rows; i++ {
-		sk.Add(uint64(i) * 0x9E3779B97F4A7C15)
+// keyed returns n rows with distinct keys in column 0.
+func keyed(n int) []types.Row {
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(1)}
 	}
-	return sk
+	return rows
+}
+
+// sites is the cluster size the tests' barriers publish to.
+const sites = 4
+
+// testRun plays the cluster's part for a controller: it holds the
+// published exchanges, [exchange][target site], across barriers.
+type testRun struct {
+	c         *Controller
+	plan      *fragment.Plan
+	exchanges [][][]*exec.Batch
+}
+
+func newTestRun(plan *fragment.Plan, variants int) *testRun {
+	r := &testRun{c: New(plan, variants), plan: plan, exchanges: make([][][]*exec.Batch, len(plan.Fragments)-1)}
+	for ex := range r.exchanges {
+		r.exchanges[ex] = make([][]*exec.Batch, sites)
+	}
+	return r
+}
+
+// barrier completes wave w: out holds, by fragment id, the rows each of
+// the fragment's sender instances shipped, in job order. Each instance's
+// rows go to every site for a broadcast, to site 0 for a single target
+// and by key otherwise, one batch per target; its worker sketches its
+// batches, and the barrier merges the sketches and publishes the batches
+// in job order before calling OnBarrier.
+func (r *testRun) barrier(w int, out map[int][][]types.Row) []obs.Replan {
+	for _, f := range r.plan.Waves[w] {
+		target := f.Root.(*physical.Sender).Target.Type
+		for _, rows := range out[f.ID] {
+			var sent []exec.Batch
+			switch target {
+			case physical.Broadcast:
+				for site := range sites {
+					sent = append(sent, exec.Batch{Rows: rows, ToSite: site})
+				}
+			case physical.Single:
+				sent = append(sent, exec.Batch{Rows: rows})
+			default:
+				for site := range sites {
+					b := exec.Batch{ToSite: site}
+					for _, row := range rows {
+						if int(row[0].Int())%sites == site {
+							b.Rows = append(b.Rows, row)
+						}
+					}
+					sent = append(sent, b)
+				}
+			}
+			if sk := r.c.Sketch(f, sent); sk != nil {
+				r.c.Merge(f.ExchangeID, sk)
+			}
+			for i := range sent {
+				b := &sent[i]
+				r.exchanges[f.ExchangeID][b.ToSite] = append(r.exchanges[f.ExchangeID][b.ToSite], b)
+			}
+		}
+	}
+	return r.c.OnBarrier(w, r.exchanges)
 }
 
 // pendingExchangePlan builds three fragments whose middle exchange is
@@ -113,9 +175,10 @@ func swapped(c *Controller, plan *fragment.Plan, join *physical.Join) bool {
 func TestBuildSwapFires(t *testing.T) {
 	plan, join := swapPlan(t, 1000, 100)
 	text := plan.Format()
-	c := New(plan, 1)
+	r := newTestRun(plan, 1)
+	c := r.c
 	// Runtime inverts the estimate: the left is 50x smaller than the right.
-	reps := c.OnBarrier(0, []*sketch.Sketch{filled(100), filled(5000)})
+	reps := r.barrier(0, map[int][][]types.Row{1: {keyed(100)}, 2: {keyed(5000)}})
 	if len(reps) != 1 || reps[0].Kind != "build-swap" {
 		t.Fatalf("got %+v, want one build-swap", reps)
 	}
@@ -128,8 +191,8 @@ func TestBuildSwapFires(t *testing.T) {
 	if plan.Format() != text {
 		t.Fatalf("the controller wrote the plan:\n%s\nwas\n%s", plan.Format(), text)
 	}
-	// Idempotent across barriers.
-	if again := c.OnBarrier(1, []*sketch.Sketch{filled(100), filled(5000)}); len(again) != 0 {
+	// Idempotent: the same actuals again decide nothing new.
+	if again := c.OnBarrier(0, r.exchanges); len(again) != 0 {
 		t.Fatalf("swap re-fired: %+v", again)
 	}
 }
@@ -138,11 +201,11 @@ func TestBuildSwapMarginHolds(t *testing.T) {
 	// Sides diverge from their estimates but the left is not
 	// swapMargin-times smaller than the right: keep the planned build side.
 	plan, join := swapPlan(t, 1000, 100)
-	c := New(plan, 1)
-	if reps := c.OnBarrier(0, []*sketch.Sketch{filled(3000), filled(5000)}); len(reps) != 0 {
+	r := newTestRun(plan, 1)
+	if reps := r.barrier(0, map[int][][]types.Row{1: {keyed(3000)}, 2: {keyed(5000)}}); len(reps) != 0 {
 		t.Fatalf("swap fired inside the margin: %+v", reps)
 	}
-	if swapped(c, plan, join) {
+	if swapped(r.c, plan, join) {
 		t.Fatal("swap recorded inside the margin")
 	}
 }
@@ -151,27 +214,32 @@ func TestBuildSwapNeedsDivergence(t *testing.T) {
 	// Estimates already said left < right; the planner chose build=right
 	// knowingly, so runtime confirmation must not flip it.
 	plan, join := swapPlan(t, 100, 1000)
-	c := New(plan, 1)
-	if reps := c.OnBarrier(0, []*sketch.Sketch{filled(100), filled(1000)}); len(reps) != 0 {
+	r := newTestRun(plan, 1)
+	if reps := r.barrier(0, map[int][][]types.Row{1: {keyed(100)}, 2: {keyed(1000)}}); len(reps) != 0 {
 		t.Fatalf("swap fired without misestimation: %+v", reps)
 	}
-	if swapped(c, plan, join) {
+	if swapped(r.c, plan, join) {
 		t.Fatal("swap recorded without misestimation")
 	}
 }
 
 func TestCorrectedEngine(t *testing.T) {
 	plan, sender, join := pendingExchangePlan(t, 50)
-	c := New(plan, 1)
-	// The join keys must have mapped down to sketch keys on exchange 0.
-	if got := c.SketchKeys()[0]; !slices.Equal(got, []int{0}) {
-		t.Fatalf("skeys[0] = %v, want [0]", got)
+	r := newTestRun(plan, 1)
+	c := r.c
+	// The join keys must have mapped down to sketch keys on exchange 0;
+	// exchange 1 feeds no join.
+	if got := c.ex[0].keys; !slices.Equal(got, []int{0}) {
+		t.Fatalf("exchange 0 keys = %v, want [0]", got)
+	}
+	if got := c.ex[1].keys; got != nil {
+		t.Fatalf("exchange 1 keys = %v, want none", got)
 	}
 	// Before any barrier, corrections are pure estimates.
 	if got := c.corrected(sender.Inputs()[0]); got != 50 {
 		t.Fatalf("corrected(recv1) = %g before barrier, want 50", got)
 	}
-	c.OnBarrier(0, []*sketch.Sketch{1: filled(5000)})
+	r.barrier(0, map[int][][]types.Row{2: {keyed(2000), keyed(3000)}})
 	// Completed exchange: exact actual, reached through the pending
 	// exchange 0 (receiver -> producer sender -> its receiver child).
 	if got := c.corrected(sender.Inputs()[0]); got != 5000 {
@@ -184,6 +252,47 @@ func TestCorrectedEngine(t *testing.T) {
 	// fallback = side rows, so 1000*5000/5000.
 	if got := c.corrected(join); got != 1000 {
 		t.Fatalf("corrected(join) = %g, want 1000", got)
+	}
+}
+
+// TestBroadcastCountsRowsOnce: a broadcast ships every row to every site,
+// so an exchange's rows are those published to one site, and its sketch
+// reads one target's batch per sender instance. Four instances ship 25
+// distinct keys each to all four sites: the exchange holds 100 rows with
+// 100 keys, not 400.
+func TestBroadcastCountsRowsOnce(t *testing.T) {
+	plan, _, join := pendingExchangePlan(t, 50)
+	r := newTestRun(plan, 1)
+	r.barrier(0, map[int][][]types.Row{2: {keyed(100)}})
+	all := keyed(100)
+	r.barrier(1, map[int][][]types.Row{1: {all[:25], all[25:50], all[50:75], all[75:]}})
+	if n := len(r.exchanges[0][sites-1]); n != 4 {
+		t.Fatalf("site %d holds %d batches of the broadcast, want one per sender instance", sites-1, n)
+	}
+	if e := r.c.ex[0]; e.rows != 100 || e.sk.ndv() != 100 {
+		t.Errorf("broadcast exchange: %d rows, %g keys; want 100 of each", e.rows, e.sk.ndv())
+	}
+	if got := r.c.corrected(join.Inputs()[1]); got != 100 {
+		t.Errorf("corrected(broadcast receiver) = %g, want 100", got)
+	}
+}
+
+// TestSketchesOnlyJoinedExchanges: the controller sketches an exchange
+// only when a join reads it on mapped keys, since sideNDV reads nothing
+// else; every completed exchange still gets its row count.
+func TestSketchesOnlyJoinedExchanges(t *testing.T) {
+	plan, _, _ := pendingExchangePlan(t, 50)
+	r := newTestRun(plan, 1)
+	sent := []exec.Batch{{Rows: keyed(10)}}
+	if sk := r.c.Sketch(plan.Fragments[2], sent); sk != nil {
+		t.Errorf("exchange 1 feeds only a sender, yet was sketched: %+v", sk)
+	}
+	if sk := r.c.Sketch(plan.Fragments[1], sent); sk == nil || sk.ndv() != 10 {
+		t.Errorf("exchange 0 feeds the join: sketch %+v, want one of 10 keys", sk)
+	}
+	r.barrier(0, map[int][][]types.Row{2: {keyed(30), keyed(20)}})
+	if e := r.c.ex[1]; e.sk != nil || e.rows != 50 {
+		t.Errorf("exchange 1 after its barrier: sketch %+v, %d rows; want none and 50", e.sk, e.rows)
 	}
 }
 
@@ -306,9 +415,9 @@ func TestRegradeChecksEveryConsumer(t *testing.T) {
 		{limited: false, want: 1}, // both places wash: the regrade fires
 		{limited: true, want: 2},  // Q's place reaches the Limit: refused
 	} {
-		c := New(sharedExchangePlan(tc.limited), 2)
-		reps := c.OnBarrier(0, []*sketch.Sketch{2: filled(10)})
-		if got := c.VariantFor(2, 2); got != tc.want {
+		r := newTestRun(sharedExchangePlan(tc.limited), 2)
+		reps := r.barrier(0, map[int][][]types.Row{3: {keyed(10)}})
+		if got := r.c.VariantFor(2, 2); got != tc.want {
 			t.Errorf("limited=%t: fragment 2 runs %d variants, want %d (replans %+v)", tc.limited, got, tc.want, reps)
 		}
 		for _, rp := range reps {

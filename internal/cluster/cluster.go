@@ -20,9 +20,10 @@
 // recovery has nothing to undo.
 //
 // An execution is recorded once, in one ledger (simnet.Ledger): one span
-// per attempt, carrying its work and shipped bytes, and per surviving
-// sender instance and target site what it shipped. The cost clock, the
-// totals, ExecStats' counts and the exchange edges' volumes all read it.
+// per attempt, carrying its work and shipped bytes, and one ship per
+// published batch — a surviving sender instance's one shipment to a
+// target site. The cost clock, the totals, ExecStats' counts and the
+// exchange edges' volumes all read it.
 //
 // Run only reads the plan it is given — its waves, operator ids, edges
 // and compiled kernels — so one split plan serves every concurrent
@@ -37,7 +38,9 @@
 // per wave build jobs → execute → barrier → adaptive replan, then finish.
 // There is one of each: one barrier merges worker results, one attempt
 // runs an instance (first tries and retries alike). The optional replan
-// step (§17) is a no-op when adaptive execution is off.
+// step (§17) is a no-op when adaptive execution is off; with it on, a
+// worker also has the controller sketch its surviving attempt's
+// shipments, and the barrier merges the sketches in job order.
 //
 // The scheduler is fault-tolerant: when an instance fails with an
 // injected fault (site crash, transport send failure — see package
@@ -66,7 +69,6 @@ import (
 	"gignite/internal/obs"
 	"gignite/internal/physical"
 	"gignite/internal/simnet"
-	"gignite/internal/sketch"
 	"gignite/internal/storage"
 	"gignite/internal/types"
 )
@@ -124,11 +126,12 @@ type Opts struct {
 	// nil runs ungoverned.
 	Mem *governor.Lease
 	// Adaptive, when non-nil, enables mid-query re-optimization
-	// (DESIGN.md §17): exchange senders build runtime sketches, and at
-	// every wave barrier the controller may decide rewrites of the
-	// not-yet-deployed fragments, which their instances read from it. The
-	// controller must have been built from this exact plan, for this
-	// execution alone; the plan itself is only read.
+	// (DESIGN.md §17): each sender instance's worker has the controller
+	// sketch what the surviving attempt shipped, and at every wave barrier
+	// the controller reads the published exchanges and may decide rewrites
+	// of the not-yet-deployed fragments, which their instances read from
+	// it. The controller must have been built from this exact plan, for
+	// this execution alone; the plan itself is only read.
 	Adaptive *adaptive.Controller
 	// Args are the execution's `?` values, in ordinal order: the plan's
 	// operators holding a placeholder (fragment.Fragment.Params) run
@@ -170,9 +173,6 @@ type run struct {
 	// work; every later ordinal finds the site dead.
 	dying map[int]int
 
-	// sketches accumulates the runtime sketches across barriers, by
-	// exchange id (nil: adaptive off).
-	sketches []*sketch.Sketch
 	// bound holds each fragment's kernels bound to Opts.Args, by fragment
 	// id, then operator id (nil: the plan holds no placeholder).
 	bound [][]*physical.Kernels
@@ -247,20 +247,22 @@ func (c *Cluster) newRun(ctx context.Context, plan *fragment.Plan, opts Opts) *r
 	if c.Faults != nil {
 		r.dying = make(map[int]int)
 	}
-	if opts.Adaptive != nil {
-		r.sketches = make([]*sketch.Sketch, len(r.exchanges))
-	}
 	// The observation record: per-fragment operator views.
 	r.qobs = &obs.QueryObs{Began: r.began, Fragments: obs.NewFragmentObs(plan)}
-	// One span per instance of the plan as it stands, and one ship per
-	// sender instance (all but the root's one) and site, so a run without
-	// retries or re-plans fills its ledger without regrowing it.
+	// One span per instance of the plan as it stands and per adaptive
+	// replan pass, and one ship per sender instance (all but the root's
+	// one) and site, so a run without retries fills its ledger without
+	// regrowing it.
 	n := 0
 	for _, f := range plan.Fragments {
 		k, _ := c.fragmentSites(f)
 		n += k * r.variants(f)
 	}
-	r.ledger.Spans = make([]obs.Span, 0, n)
+	passes := 0
+	if opts.Adaptive != nil {
+		passes = len(plan.Waves) - 1
+	}
+	r.ledger.Spans = make([]obs.Span, 0, n+passes)
 	r.ledger.Ships = make([]simnet.Ship, 0, (n-1)*sites)
 	return r
 }
@@ -361,7 +363,7 @@ func (r *run) execute(jobs []instanceJob) []instanceResult {
 // worker results meet shared state: every attempt's span joins the
 // ledger, a surviving attempt's shipments are published for later waves'
 // receivers and totalled on the ledger, and its result is merged into
-// the fragment's operator statistics, the exchange sketches and — for
+// the fragment's operator statistics, its exchange's sketch and — for
 // the root fragment — the query's rows.
 func (r *run) barrier(jobs []instanceJob, results []instanceResult) error {
 	if err := r.ctx.Err(); err != nil {
@@ -386,12 +388,8 @@ func (r *run) barrier(jobs []instanceJob, results []instanceResult) error {
 		}
 		r.publish(j, ir.ctx.Sent)
 		j.fobs.Merge(ir.ctx.Obs)
-		if sk := ir.ctx.Sketch; sk != nil {
-			if cur := r.sketches[j.frag.ExchangeID]; cur != nil {
-				cur.Merge(sk)
-			} else {
-				r.sketches[j.frag.ExchangeID] = sk
-			}
+		if ir.sketch != nil {
+			r.opts.Adaptive.Merge(j.frag.ExchangeID, ir.sketch)
 		}
 		if j.frag.IsRoot {
 			r.res.Rows = ir.rows
@@ -402,29 +400,23 @@ func (r *run) barrier(jobs []instanceJob, results []instanceResult) error {
 }
 
 // publish makes surviving instance j's shipments visible to later waves'
-// receivers and totals them on the ledger, one ship per target site.
-// Barriers call it in job order — sender site, then variant — which is
-// the order receivers read.
-func (r *run) publish(j *instanceJob, sent []*exec.Batch) {
-	first := len(r.ledger.Ships)
-	for _, b := range sent {
-		r.exchanges[b.Exchange][b.ToSite] = append(r.exchanges[b.Exchange][b.ToSite], b)
-		i := first
-		for i < len(r.ledger.Ships) && r.ledger.Ships[i].ToSite != b.ToSite {
-			i++
-		}
-		if i == len(r.ledger.Ships) {
-			r.ledger.Ships = append(r.ledger.Ships, simnet.Ship{Ordinal: j.ordinal, Exchange: b.Exchange, ToSite: b.ToSite})
-		}
-		sh := &r.ledger.Ships[i]
-		sh.Rows += int64(len(b.Rows))
-		sh.Bytes += b.Bytes
-		sh.MaxBatch = max(sh.MaxBatch, b.Bytes)
+// receivers, on its fragment's exchange, and records each on the ledger
+// as one ship. A Sender ships once per target site, so each batch is its
+// instance's whole shipment to that site. Barriers call it in job order —
+// sender site, then variant — which is the order receivers read.
+func (r *run) publish(j *instanceJob, sent []exec.Batch) {
+	ex := j.frag.ExchangeID
+	for i := range sent {
+		b := &sent[i]
+		r.exchanges[ex][b.ToSite] = append(r.exchanges[ex][b.ToSite], b)
+		r.ledger.Ships = append(r.ledger.Ships, simnet.Ship{
+			Ordinal: j.ordinal, Exchange: ex, ToSite: b.ToSite, Rows: int64(len(b.Rows)), Bytes: b.Bytes,
+		})
 	}
 }
 
 // replan is the adaptive barrier step (DESIGN.md §17): with later waves
-// still pending, hand the accumulated sketches to the controller, which
+// still pending, hand the published exchanges to the controller, which
 // may decide rewrites of the not-yet-built part of the schedule. The pass
 // is recorded as a replan span, so every run keeps spans == instances +
 // retries + replans.
@@ -433,7 +425,7 @@ func (r *run) replan(w int) {
 		return
 	}
 	passStart := time.Now()
-	applied := r.opts.Adaptive.OnBarrier(w, r.sketches)
+	applied := r.opts.Adaptive.OnBarrier(w, r.exchanges)
 	pass := r.res.AdaptiveReplans
 	r.res.AdaptiveReplans++
 	r.res.AdaptiveSwitches += len(applied)

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gignite/internal/adaptive"
 	"gignite/internal/exec"
 	"gignite/internal/faults"
 	"gignite/internal/fragment"
@@ -84,10 +85,13 @@ type instanceResult struct {
 	// rows is the surviving attempt's output (nil when the instance
 	// failed terminally).
 	rows []types.Row
-	// ctx is the latest attempt's context: its private shipments,
-	// operator record and sketch. Before the first attempt it is a slot
-	// of the wave's slab, holding a recorder and splitter counters.
+	// ctx is the latest attempt's context: its private shipments and
+	// operator record. Before the first attempt it is a slot of the
+	// wave's slab, holding a recorder and splitter counters.
 	ctx *exec.Context
+	// sketch is the adaptive controller's sketch of what the surviving
+	// attempt shipped (nil: adaptive off, or the controller wants none).
+	sketch *adaptive.Sketch
 	// spans records one ledger row per attempt of this instance
 	// (including zero-cost dead-host skips).
 	spans []obs.Span
@@ -194,7 +198,6 @@ func (r *run) attempt(j *instanceJob, ir *instanceResult, host, n int) ([]types.
 		Mem:       r.opts.Mem,
 	}
 	if r.opts.Adaptive != nil {
-		ectx.SketchKeys = r.opts.Adaptive.SketchKeys()
 		ectx.BuildLeft = r.opts.Adaptive.BuildLeft(j.frag.ID)
 	}
 	rows, err := exec.Run(j.frag.Root, ectx)
@@ -259,6 +262,9 @@ func (r *run) runInstance(j *instanceJob, ir *instanceResult) {
 		if err == nil {
 			ir.rows = rows
 			ir.spans = append(ir.spans, r.span(j, ir.ctx, host, n, start, obs.SpanOK, nil))
+			if r.opts.Adaptive != nil {
+				ir.sketch = r.opts.Adaptive.Sketch(j.frag, ir.ctx.Sent)
+			}
 			return
 		}
 

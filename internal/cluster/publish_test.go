@@ -67,8 +67,9 @@ func TestBarrierPublishesOnlySurvivors(t *testing.T) {
 
 // publishedStreams checks that every published stream holds one batch per
 // surviving instance of its producer, in (site, variant) order, and that
-// the ledger's ships name those senders and total their batches. It
-// renders the streams for comparison across worker counts.
+// the ledger holds one ship per published batch, naming its sender and
+// carrying its rows and bytes. It renders the streams for comparison
+// across worker counts.
 func publishedStreams(t *testing.T, where string, r *run, plan *fragment.Plan) string {
 	t.Helper()
 	survivor := make(map[int]obs.Span) // by ordinal
@@ -105,7 +106,7 @@ func publishedStreams(t *testing.T, where string, r *run, plan *fragment.Plan) s
 				s := survivor[ships[i].Ordinal]
 				from = append(from, [2]int{s.Site, s.Variant})
 				fmt.Fprintf(&sb, "  %d/%d %v\n", s.Site, s.Variant, b.Rows)
-				if sh := ships[i]; sh.Rows != int64(len(b.Rows)) || sh.Bytes != b.Bytes || sh.MaxBatch != b.Bytes {
+				if sh := ships[i]; sh.Rows != int64(len(b.Rows)) || sh.Bytes != b.Bytes {
 					t.Errorf("%s: exchange %d -> site %d: ship %+v for a batch of %d rows, %d bytes",
 						where, ex, site, sh, len(b.Rows), b.Bytes)
 				}
@@ -154,28 +155,4 @@ func checkResentBytes(t *testing.T, where string, c *Cluster, r *run, plan *frag
 		resent += s.Bytes
 	}
 	return resent
-}
-
-// TestPublishTotalsPerSite: a sender instance's batches to one site make
-// one ship on the ledger, holding their rows and bytes and the larger
-// batch, which is what the cost clock's arrival waits for.
-func TestPublishTotalsPerSite(t *testing.T) {
-	c := testCluster(t, 4, 0)
-	r := c.newRun(context.Background(), exchangePlan(t, c), Opts{})
-	row := types.Row{types.NewInt(1)}
-	r.publish(&instanceJob{ordinal: 3}, []*exec.Batch{
-		{Rows: []types.Row{row}, Exchange: 0, ToSite: 1, Bytes: 1000},
-		{Rows: []types.Row{row, row}, Exchange: 0, ToSite: 2, Bytes: 500},
-		{Rows: []types.Row{row, row}, Exchange: 0, ToSite: 1, Bytes: 2000},
-	})
-	want := []simnet.Ship{
-		{Ordinal: 3, Exchange: 0, ToSite: 1, Rows: 3, Bytes: 3000, MaxBatch: 2000},
-		{Ordinal: 3, Exchange: 0, ToSite: 2, Rows: 2, Bytes: 500, MaxBatch: 500},
-	}
-	if !slices.Equal(r.ledger.Ships, want) {
-		t.Errorf("ships %+v, want %+v", r.ledger.Ships, want)
-	}
-	if n := len(r.exchanges[0][1]); n != 2 {
-		t.Errorf("exchange 0 -> site 1 holds %d batches, want 2", n)
-	}
 }

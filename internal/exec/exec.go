@@ -2,11 +2,13 @@
 // instance (fragment × site × variant) over the partitioned store.
 //
 // Fragments exchange rows only through Sender/Receiver pairs, and an
-// instance never writes shared state: a Sender appends its batches to its
-// own attempt's Context.Sent, and the scheduler's wave barrier publishes
-// the surviving attempt's batches into the query's Exchanges, which later
-// waves' Receivers read without locks, copies or sorting. A failed
-// attempt is simply never published.
+// instance never writes shared state: a Sender leaves one batch per
+// target site in its own attempt's Context.Sent, and the scheduler's wave
+// barrier publishes the surviving attempt's batches into the query's
+// Exchanges, which later waves' Receivers read without locks, copies or
+// sorting. A failed attempt is simply never published. The executor only
+// ships: what adaptive execution learns from the shipments, it reads
+// from the surviving attempt's batches once the attempt is over.
 //
 // Execution inside a fragment is pipelined (pipeline.go): rows flow in
 // batches of at most batchSize from a source (table or index scan,
@@ -38,17 +40,16 @@ import (
 	"gignite/internal/governor"
 	"gignite/internal/obs"
 	"gignite/internal/physical"
-	"gignite/internal/sketch"
 	"gignite/internal/storage"
 	"gignite/internal/types"
 )
 
-// Batch is one shipment of rows from a sender instance to a target site.
+// Batch is one shipment of rows from a sender instance, over its
+// fragment's exchange, to a target site.
 type Batch struct {
-	Rows     []types.Row
-	Exchange int
-	ToSite   int
-	Bytes    int64
+	Rows   []types.Row
+	ToSite int
+	Bytes  int64
 }
 
 // sendScratch is the reusable per-call state of one hash-routing send:
@@ -94,11 +95,11 @@ type Context struct {
 	// variant). Receivers index it directly; nothing writes it while the
 	// instance runs.
 	Exchanges [][][]*Batch
-	// Sent collects this attempt's own shipments, and SentBytes totals
-	// their bytes. They stay private to the attempt: the scheduler
-	// publishes them into Exchanges at the wave barrier only if the
-	// attempt survives.
-	Sent      []*Batch
+	// Sent holds this attempt's shipments, one per target site its
+	// Sender reached, and SentBytes totals their bytes. They stay private
+	// to the attempt: the scheduler publishes them into Exchanges at the
+	// wave barrier only if the attempt survives.
+	Sent      []Batch
 	SentBytes int64
 	FragID    int
 	// Site is the instance's logical site: the partition slot it covers
@@ -169,21 +170,10 @@ type Context struct {
 	// --- adaptive execution (DESIGN.md §17) ---
 
 	// BuildLeft marks, by operator id, the hash joins the adaptive
-	// controller swapped to build on their left input (nil: none).
+	// controller swapped to build on their left input (nil: none). It is
+	// the executor's only adaptive input: the controller reads what the
+	// surviving attempts shipped (Sent) after they finish.
 	BuildLeft []bool
-	// SketchKeys, when non-nil, has every exchange's sender build a
-	// runtime sketch over the rows it ships, hashing the key columns at
-	// the exchange's id (nil there: the exchange target's distribution
-	// keys, or the whole row for non-hash targets). The adaptive
-	// controller picks the consuming join's equi keys so sketch distinct
-	// counts are directly usable for join re-estimation. Sketch
-	// maintenance rides the existing per-row send charge (no extra
-	// modeled work), so enabling sketches never changes the cost clock.
-	SketchKeys [][]int
-	// Sketch is the sketch this attempt built over its fragment's one
-	// exchange. The scheduler collects it from the surviving attempt only,
-	// so retried attempts never double-count.
-	Sketch *sketch.Sketch
 }
 
 // ErrWorkLimit reports an execution exceeding its work limit.
@@ -338,7 +328,7 @@ func (c *Context) cancelled() error {
 }
 
 // Run executes a fragment instance rooted at n and returns its output
-// rows, which the caller may keep. Sender roots append their batches to
+// rows, which the caller may keep. Sender roots leave their batches in
 // ctx.Sent and return nil.
 func Run(n physical.Node, ctx *Context) ([]types.Row, error) {
 	var rows []types.Row
@@ -390,12 +380,16 @@ func (s *senderOp) expect(n int)                             { s.buf.expect(n) }
 func (s *senderOp) keepsRows()                               {}
 
 // sendRows routes a sender's output per its target distribution into the
-// attempt's Sent list.
+// attempt's Sent list, one batch per target site.
 func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 	sites := ctx.Store.Sites()
 	st := ctx.opstat(s)
 	ctx.work(st, float64(len(rows))*cost.RPTC)
-	ctx.sketchRows(s, rows)
+	targets := sites
+	if s.Target.Type == physical.Single {
+		targets = 1
+	}
+	ctx.Sent = make([]Batch, 0, targets)
 	switch s.Target.Type {
 	case physical.Single:
 		return ctx.ship(s, 0, rows)
@@ -456,32 +450,9 @@ func (c *Context) ship(s *physical.Sender, toSite int, rows []types.Row) error {
 	for _, r := range rows {
 		bytes += r.Width()
 	}
-	c.Sent = append(c.Sent, &Batch{Rows: rows, Exchange: s.ExchangeID, ToSite: toSite, Bytes: bytes})
+	c.Sent = append(c.Sent, Batch{Rows: rows, ToSite: toSite, Bytes: bytes})
 	c.SentBytes += bytes
 	return nil
-}
-
-// sketchRows feeds a sender's output into the exchange's runtime sketch
-// when adaptive execution asked for one. The sketch summarizes the rows
-// the sender produced (pre-routing), keyed by the
-// columns the controller requested — falling back to the target's
-// distribution keys, then the whole row — so merged sketches estimate
-// the exchange's key cardinality and skew.
-func (c *Context) sketchRows(s *physical.Sender, rows []types.Row) {
-	if c.SketchKeys == nil {
-		return
-	}
-	keys := c.SketchKeys[s.ExchangeID]
-	c.Sketch = sketch.New() // an instance's one Sender sends once
-	if len(keys) == 0 {
-		keys = s.Target.Keys
-	}
-	if len(keys) == 0 && len(rows) > 0 {
-		keys = allCols(len(rows[0]))
-	}
-	for _, r := range rows {
-		c.Sketch.Add(r.Hash(keys))
-	}
 }
 
 // routeRow picks the target partition for a row under a hash target.

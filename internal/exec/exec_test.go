@@ -64,18 +64,18 @@ func ctxAt(st *storage.Store, site int) *Context {
 	return &Context{Store: st, Site: site, Host: site, NVariants: 1}
 }
 
-// publish lays batches out by exchange and target site, over the given
+// publish lays batches out on exchange ex by target site, over the given
 // number of sites, in the order given, as the scheduler's wave barrier
-// does with surviving attempts' Sent.
-func publish(sites int, batches ...*Batch) [][][]*Batch {
-	var ex [][][]*Batch
-	for _, b := range batches {
-		for len(ex) <= b.Exchange {
-			ex = append(ex, make([][]*Batch, sites))
-		}
-		ex[b.Exchange][b.ToSite] = append(ex[b.Exchange][b.ToSite], b)
+// does with surviving attempts' Sent: the published batches point into
+// batches.
+func publish(sites, ex int, batches ...Batch) [][][]*Batch {
+	out := make([][][]*Batch, ex+1)
+	out[ex] = make([][]*Batch, sites)
+	for i := range batches {
+		b := &batches[i]
+		out[ex][b.ToSite] = append(out[ex][b.ToSite], b)
 	}
-	return ex
+	return out
 }
 
 // runPlan compiles a hand-built plan's expressions, as cluster.Run does
@@ -320,6 +320,14 @@ func TestSenderRouting(t *testing.T) {
 		rows = append(rows, types.Row{types.NewInt(int64(i)), types.NewInt(1)})
 	}
 	fields := types.Fields{{Name: "k", Kind: types.KindInt}, {Name: "v", Kind: types.KindInt}}
+	// A Sender ships one batch per target site, into a Sent sized for
+	// exactly that many.
+	perTarget := func(ctx *Context, targets int) {
+		t.Helper()
+		if len(ctx.Sent) != targets || cap(ctx.Sent) != targets {
+			t.Errorf("sent %d batches (capacity %d), want one per target, %d", len(ctx.Sent), cap(ctx.Sent), targets)
+		}
+	}
 
 	// Single: everything to site 0.
 	vals := physical.NewValues(fields, rows)
@@ -328,7 +336,8 @@ func TestSenderRouting(t *testing.T) {
 	if _, err := runPlan(s, ctx); err != nil {
 		t.Fatal(err)
 	}
-	sent := publish(4, ctx.Sent...)
+	perTarget(ctx, 1)
+	sent := publish(4, 7, ctx.Sent...)
 	if got := len(sent[7][0]); got != 1 {
 		t.Errorf("single target batches at site 0 = %d", got)
 	}
@@ -344,7 +353,8 @@ func TestSenderRouting(t *testing.T) {
 	if _, err := runPlan(s, ctx); err != nil {
 		t.Fatal(err)
 	}
-	sent = publish(4, ctx.Sent...)
+	perTarget(ctx, 4)
+	sent = publish(4, 8, ctx.Sent...)
 	for site := 0; site < 4; site++ {
 		batches := sent[8][site]
 		if len(batches) != 1 || len(batches[0].Rows) != 40 {
@@ -359,7 +369,8 @@ func TestSenderRouting(t *testing.T) {
 	if _, err := runPlan(s, ctx); err != nil {
 		t.Fatal(err)
 	}
-	sent = publish(4, ctx.Sent...)
+	perTarget(ctx, 4)
+	sent = publish(4, 9, ctx.Sent...)
 	seen := 0
 	for site := 0; site < 4; site++ {
 		for _, b := range sent[9][site] {
@@ -435,9 +446,11 @@ func TestDuplicatorReplaysAll(t *testing.T) {
 func TestReceiveReturnsCopy(t *testing.T) {
 	st := testStore(t, 1)
 	fields := types.Fields{{Name: "k", Kind: types.KindInt}}
-	b0 := &Batch{Exchange: 1, Rows: []types.Row{{types.NewInt(1)}, {types.NewInt(3)}}}
-	b1 := &Batch{Exchange: 1, Rows: []types.Row{{types.NewInt(2)}, {types.NewInt(4)}}}
-	ex := publish(1, b0, b1)
+	batches := []Batch{
+		{Rows: []types.Row{{types.NewInt(1)}, {types.NewInt(3)}}},
+		{Rows: []types.Row{{types.NewInt(2)}, {types.NewInt(4)}}},
+	}
+	ex := publish(1, 1, batches...)
 
 	desc := []types.SortKey{{Col: 0, Desc: true}}
 	plain := physical.NewReceiver(physical.NewExchange(physical.NewValues(fields, nil), physical.SingleDist), 1)
@@ -454,7 +467,7 @@ func TestReceiveReturnsCopy(t *testing.T) {
 	}
 
 	stream := ex[1][0]
-	if len(stream) != 2 || stream[0] != b0 || stream[1] != b1 {
+	if len(stream) != 2 || stream[0] != &batches[0] || stream[1] != &batches[1] {
 		t.Fatalf("published stream changed: %v", stream)
 	}
 	rows, err := runPlan(plain, &Context{Store: st, Exchanges: ex, Site: 0, Variant: 1, NVariants: 2})
@@ -479,14 +492,13 @@ func TestReceiveReturnsCopy(t *testing.T) {
 func TestReceiveDeterministicOrder(t *testing.T) {
 	st := testStore(t, 1)
 	fields := types.Fields{{Name: "k", Kind: types.KindInt}}
-	var batches []*Batch
+	var batches []Batch
 	for _, from := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {2, 0}} {
-		batches = append(batches, &Batch{Exchange: 5,
-			Rows: []types.Row{{types.NewInt(int64(10*from[0] + from[1]))}}})
+		batches = append(batches, Batch{Rows: []types.Row{{types.NewInt(int64(10*from[0] + from[1]))}}})
 	}
 	recv := physical.NewReceiver(physical.NewExchange(physical.NewValues(fields, nil), physical.SingleDist), 5)
 	for run := 0; run < 3; run++ {
-		rows, err := runPlan(recv, &Context{Store: st, Exchanges: publish(1, batches...), Site: 0, NVariants: 1})
+		rows, err := runPlan(recv, &Context{Store: st, Exchanges: publish(1, 5, batches...), Site: 0, NVariants: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,9 +518,9 @@ func TestMergingReceiverOrders(t *testing.T) {
 	st := testStore(t, 1)
 	keys := []types.SortKey{{Col: 0}}
 	// Two senders ship sorted runs.
-	ex := publish(1, &Batch{Exchange: 3, Rows: []types.Row{
+	ex := publish(1, 3, Batch{Rows: []types.Row{
 		{types.NewInt(1)}, {types.NewInt(4)}, {types.NewInt(9)}}},
-		&Batch{Exchange: 3, Rows: []types.Row{
+		Batch{Rows: []types.Row{
 			{types.NewInt(2)}, {types.NewInt(3)}, {types.NewInt(8)}}})
 	exch := physical.NewExchange(physical.NewSort(
 		physical.NewValues(types.Fields{{Name: "k", Kind: types.KindInt}}, nil), keys),

@@ -170,12 +170,12 @@ func TestSplitterAcrossBatches(t *testing.T) {
 		}
 
 		// The same rows again, shipped in three uneven batches.
-		var batches []*Batch
+		var batches []Batch
 		for _, cut := range [][2]int{{0, n / 3}, {n / 3, n/3 + 1}, {n/3 + 1, n}} {
 			lo, hi := min(cut[0], n), min(cut[1], n)
-			batches = append(batches, &Batch{Exchange: 1, Rows: part[lo:hi]})
+			batches = append(batches, Batch{Rows: part[lo:hi]})
 		}
-		ex := publish(1, batches...)
+		ex := publish(1, 1, batches...)
 		recv := physical.NewReceiver(physical.NewExchange(scan, physical.SingleDist), 1)
 
 		for _, src := range []physical.Node{scan, recv} {

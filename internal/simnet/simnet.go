@@ -58,7 +58,7 @@ func DefaultParams() Params {
 	}
 }
 
-// Ship totals what one surviving sender instance shipped over its
+// Ship is the one batch a surviving sender instance shipped over its
 // exchange to one target site.
 type Ship struct {
 	// Ordinal is the sender instance's (obs.Span.Ordinal).
@@ -67,14 +67,12 @@ type Ship struct {
 	ToSite   int
 	Rows     int64
 	Bytes    int64
-	// MaxBatch is the largest single batch: the one that arrives last.
-	MaxBatch int64
 }
 
 // Ledger is one execution's record, the clock's only input. Spans holds
 // one row per instance attempt (and per adaptive replan pass) in job
 // order, each carrying its work and shipped bytes; Ships holds the
-// surviving instances' shipments per target site, in the same order.
+// surviving instances' batches, one per target site, in the same order.
 type Ledger struct {
 	Spans []obs.Span
 	Ships []Ship
@@ -144,11 +142,10 @@ func Makespan(plan *fragment.Plan, l *Ledger, p Params) time.Duration {
 		if f.IsRoot {
 			rootFinish = max(rootFinish, finish)
 		}
-		// Arrival time grows with the batch, so the largest one is the last.
 		for ; next < len(l.Ships) && l.Ships[next].Ordinal == s.Ordinal; next++ {
 			sh := &l.Ships[next]
 			k := sh.Exchange*sites + sh.ToSite
-			arrive[k] = max(arrive[k], finish+p.LatencySec+float64(sh.MaxBatch)/p.BytesPerSec)
+			arrive[k] = max(arrive[k], finish+p.LatencySec+float64(sh.Bytes)/p.BytesPerSec)
 		}
 	}
 	return time.Duration(rootFinish * float64(time.Second))

@@ -37,9 +37,9 @@ func ok(ordinal, frag, site, variant int, work float64) obs.Span {
 	return obs.Span{Ordinal: ordinal, Frag: frag, Site: site, Variant: variant, Work: work, Status: obs.SpanOK}
 }
 
-// ship is one sender instance's single batch to a site.
+// ship is one sender instance's batch to a site.
 func ship(ordinal, toSite int, bytes int64) Ship {
-	return Ship{Ordinal: ordinal, ToSite: toSite, Bytes: bytes, MaxBatch: bytes}
+	return Ship{Ordinal: ordinal, ToSite: toSite, Bytes: bytes}
 }
 
 func near(a, b float64) bool { return a-b < 1e-6 && b-a < 1e-6 }
@@ -105,28 +105,6 @@ func TestNetworkBytesMatter(t *testing.T) {
 	}
 	if mk(1e6) <= mk(1000) {
 		t.Error("bytes shipped did not increase makespan")
-	}
-}
-
-// TestArrivalWaitsForLargestBatch: a sender instance that ships two
-// batches to one site, of 1000 and 2000 bytes, is waited for until its
-// larger batch arrives — not for its 3000 bytes in total, which is what
-// it shipped but no single batch's transfer time.
-func TestArrivalWaitsForLargestBatch(t *testing.T) {
-	sender := ok(0, 1, 1, 0, 10)
-	sender.Bytes = 3000
-	l := &Ledger{
-		Spans: []obs.Span{sender, ok(1, 0, 0, 0, 10)},
-		Ships: []Ship{{Ordinal: 0, ToSite: 0, Rows: 2, Bytes: 3000, MaxBatch: 2000}},
-	}
-	got := Makespan(chain(), l, params()).Seconds()
-	// Sender: 0.0001 + 0.01; larger batch: 0.001 + 0.002; root: 0.0001 + 0.01.
-	want := 0.0001 + 0.01 + 0.001 + 0.002 + 0.0001 + 0.01
-	if !near(got, want) {
-		t.Errorf("makespan = %v, want %v (arrival of the 2000-byte batch)", got, want)
-	}
-	if _, b := l.Totals(); b != 3000 {
-		t.Errorf("total bytes = %v, want both batches' 3000", b)
 	}
 }
 

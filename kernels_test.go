@@ -58,11 +58,13 @@ func TestPreparedExecutionCompilesNothing(t *testing.T) {
 
 // q6Allocs is the most heap objects one execution of prepared TPC-H Q6
 // may make (IC+M, 4 sites, SF 0.001, one worker): about 10% above the
-// measured 217. The kernels and the split plan live with the cached
-// entry, an instance's fixed state comes from its wave's slabs, and the
-// execution is recorded once, in its ledger. The interpreter made 561,
-// splitting the plan per execution 328, and the simnet trace's maps 238.
-const q6Allocs = 239
+// measured 209. The kernels and the split plan live with the cached
+// entry, an instance's fixed state comes from its wave's slabs, the
+// execution is recorded once, in its ledger, and an attempt's batches
+// are values in one slice. The interpreter made 561, splitting the plan
+// per execution 328, the simnet trace's maps 238, and a heap batch per
+// shipment 217.
+const q6Allocs = 230
 
 func TestPreparedQ6Allocations(t *testing.T) {
 	e := openTPCH(t, 0.001, 4, icpm(0.001), parallelism(1))

@@ -77,21 +77,23 @@ func TestPlanTextIgnoresArguments(t *testing.T) {
 // made 115, 323 and 327 objects; splitting the plan per execution, with
 // each instance allocating its own fixed state, 51, 203 and 203; the
 // simnet trace's maps and per-exchange maps beside the spans, 40, 122
-// and 122.
+// and 122; a heap batch per shipment, 34, 101 and 101.
 var lookupAllocs = map[string]float64{
 	"nation":   37,  // 34
-	"supplier": 111, // 101
-	"customer": 111, // 101
+	"supplier": 102, // 93
+	"customer": 102, // 93
 }
 
 // adaptiveLookupAllocs is the same budget with adaptive execution on. An
 // adaptive execution used to split the cached plan again for its
-// controller to rewrite, at 59, 161 and 161 objects; the controller's
-// state and each sender instance's sketch remain.
+// controller to rewrite, at 59, 161 and 161 objects, and to have every
+// sender instance of every attempt sketch what it shipped, at 36, 122
+// and 122; the controller's state and the sketches of the exchanges a
+// join reads remain.
 var adaptiveLookupAllocs = map[string]float64{
 	"nation":   40,  // 36
-	"supplier": 134, // 122
-	"customer": 134, // 122
+	"supplier": 106, // 96
+	"customer": 106, // 96
 }
 
 // TestPreparedLookupAllocations holds each lookup's per-execution
@@ -228,22 +230,30 @@ func TestExplainSharesPlanCache(t *testing.T) {
 // BenchmarkPreparedLookup times one execution of each served_short lookup
 // in-process (IC+M, 4 sites, SF 0.01, plan cache on): the per-statement
 // fixed cost of split, scheduling and observation, without the wire.
+// The adaptive/ sub-benchmarks run the same lookups with adaptive
+// execution on, which is what its fixed cost is measured against.
 func BenchmarkPreparedLookup(b *testing.B) {
 	const sf = 0.01
-	e := openTPCH(b, sf, 4, icpm(sf), planCache(64))
-	for _, l := range lookups {
-		stmt, err := e.Prepare(l.sql)
-		if err != nil {
-			b.Fatal(err)
+	for _, adaptive := range []bool{false, true} {
+		e := openTPCH(b, sf, 4, icpm(sf), planCache(64), func(c *gignite.Config) { c.AdaptiveExec = adaptive })
+		prefix := ""
+		if adaptive {
+			prefix = "adaptive/"
 		}
-		b.Run(l.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				// Keys 1..24 exist in all three tables.
-				if _, err := stmt.Query(gignite.NewInt(int64(i%24) + 1)); err != nil {
-					b.Fatal(err)
-				}
+		for _, l := range lookups {
+			stmt, err := e.Prepare(l.sql)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			b.Run(prefix+l.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					// Keys 1..24 exist in all three tables.
+					if _, err := stmt.Query(gignite.NewInt(int64(i%24) + 1)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
