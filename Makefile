@@ -62,10 +62,12 @@ bench-build:
 # orders-shaped result encoded into RowBatch frames and decoded into
 # database/sql values, ns/row and allocs/row) and a prepared statement's
 # fixed cost (BenchmarkPreparedLookup: the served_short lookups in-process,
-# ns/op and allocs/op), one iteration each: CI runs them so they keep
-# compiling and running; measure with a larger -benchtime.
+# ns/op and allocs/op) and the store's set-up passes (BenchmarkAnalyze and
+# BenchmarkBuildIndexes: ANALYZE and the index builds of TPC-H at SF 0.01
+# on 4 sites), one iteration each: CI runs them so they keep compiling and
+# running; measure with a larger -benchtime.
 bench-exec:
-	$(GO) test -run '^$$' -bench 'Pipeline|HashJoin|HashAggregate|SendRows|ExprKernels|Optimize|ResultFrames|PreparedLookup' -benchmem -benchtime 1x ./internal/exec ./internal/expr ./internal/wire .
+	$(GO) test -run '^$$' -bench 'Pipeline|HashJoin|HashAggregate|SendRows|ExprKernels|Optimize|ResultFrames|PreparedLookup|Analyze|BuildIndexes' -benchmem -benchtime 1x ./internal/exec ./internal/expr ./internal/wire ./internal/storage .
 
 # The per-query benchmarks (host ns/op of every TPC-H and SSB query) and
 # the micro benchmarks (operators, scheduler); the paper's figures and

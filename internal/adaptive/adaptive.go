@@ -80,6 +80,7 @@ type Controller struct {
 
 	decided []decision // fragment -> what earlier barriers decided for it
 	replans []obs.Replan
+	scratch []uint64 // Merge's spare KMV buffer (Sketch.merge)
 }
 
 // exchange is what the controller knows of one exchange: the sketch key
@@ -158,7 +159,7 @@ func (c *Controller) BuildLeft(fragID int) []bool { return c.decided[fragID].bui
 // exchange's. The barrier calls it in job order.
 func (c *Controller) Merge(ex int, sk *Sketch) {
 	if cur := c.ex[ex].sk; cur != nil {
-		cur.merge(sk)
+		cur.merge(sk, &c.scratch)
 	} else {
 		c.ex[ex].sk = sk
 	}

@@ -98,9 +98,14 @@ func (s *Sketch) ndv() float64 {
 }
 
 // merge folds another sketch into this one: the union of the two sorted
-// distinct lists, of which the k smallest stay.
-func (s *Sketch) merge(o *Sketch) {
-	merged := make([]uint64, 0, min(len(s.kmv)+len(o.kmv), k))
+// distinct lists, of which the k smallest stay. The union is written into
+// *scratch, which then swaps with s.kmv; it is reallocated only when too
+// small, so merges that share a scratch make few objects.
+func (s *Sketch) merge(o *Sketch, scratch *[]uint64) {
+	merged := (*scratch)[:0]
+	if need := min(len(s.kmv)+len(o.kmv), k); cap(merged) < need {
+		merged = make([]uint64, 0, k)
+	}
 	i, j := 0, 0
 	for (i < len(s.kmv) || j < len(o.kmv)) && len(merged) < k {
 		switch {
@@ -115,5 +120,5 @@ func (s *Sketch) merge(o *Sketch) {
 			i, j = i+1, j+1
 		}
 	}
-	s.kmv = merged
+	s.kmv, *scratch = merged, s.kmv
 }

@@ -61,20 +61,23 @@ func TestMergeAssociativity(t *testing.T) {
 		return build(0, 4000, 700), build(4000, 9000, 1300), build(9000, 20000, 90)
 	}
 
+	// One scratch serves every merge, as a controller's does.
+	var scratch []uint64
+
 	// (a ⊔ b) ⊔ c
 	a1, b1, c1 := mk()
-	a1.merge(b1)
-	a1.merge(c1)
+	a1.merge(b1, &scratch)
+	a1.merge(c1, &scratch)
 
 	// a ⊔ (b ⊔ c)
 	a2, b2, c2 := mk()
-	b2.merge(c2)
-	a2.merge(b2)
+	b2.merge(c2, &scratch)
+	a2.merge(b2, &scratch)
 
 	// (c ⊔ a) ⊔ b — commutativity too
 	a3, b3, c3 := mk()
-	c3.merge(a3)
-	c3.merge(b3)
+	c3.merge(a3, &scratch)
+	c3.merge(b3, &scratch)
 
 	if !sameState(a1, a2) {
 		t.Fatal("merge is not associative: (a+b)+c != a+(b+c)")

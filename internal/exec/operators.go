@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"gignite/internal/cost"
 	"gignite/internal/expr"
@@ -383,8 +383,8 @@ type sortCancelled struct{ err error }
 
 // sortRowsCancellable stably sorts rows under keys, observing the query's
 // cancellation signal every 64Ki comparisons. A comparator cannot return
-// early, so the abort travels out of sort.SliceStable as a sentinel panic
-// recovered here; big sorts stop promptly instead of running to
+// early, so the abort travels out of slices.SortStableFunc as a sentinel
+// panic recovered here; big sorts stop promptly instead of running to
 // completion after a deadline fires.
 func sortRowsCancellable(rows []types.Row, keys []types.SortKey, ctx *Context) (err error) {
 	defer func() {
@@ -397,14 +397,14 @@ func sortRowsCancellable(rows []types.Row, keys []types.SortKey, ctx *Context) (
 		}
 	}()
 	cmps := 0
-	sort.SliceStable(rows, func(a, b int) bool {
+	slices.SortStableFunc(rows, func(a, b types.Row) int {
 		cmps++
 		if cmps&0xFFFF == 0 {
 			if cerr := ctx.cancelled(); cerr != nil {
 				panic(sortCancelled{err: cerr})
 			}
 		}
-		return types.CompareRows(rows[a], rows[b], keys) < 0
+		return types.CompareRows(a, b, keys)
 	})
 	return nil
 }

@@ -8,11 +8,14 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"gignite/internal/catalog"
 	"gignite/internal/types"
@@ -232,39 +235,111 @@ func (s *Store) buildIndexesLocked(td *TableData) {
 
 // indexSites orders one index's positions per site: from scratch when
 // prev is nil, else by extending prev[site] over the rows appended past
-// had[site]. A replicated table's sites all read partition 0, so they
-// share one permutation.
+// had[site]. The sites sort on up to GOMAXPROCS goroutines. A replicated
+// table's sites all read partition 0, so they share one permutation.
 func (s *Store) indexSites(td *TableData, idx catalog.Index, prev [][]int, had []int) [][]int {
 	keys := make([]types.SortKey, len(idx.Columns))
 	for i, cn := range idx.Columns {
 		keys[i] = types.SortKey{Col: td.Def.ColumnIndex(cn)}
 	}
 	perSite := make([][]int, s.sites)
-	for site := range perSite {
+	sorted := s.sites
+	if td.Def.Replicated {
+		sorted = 1
+	}
+	parallel(sorted, func(site int) {
 		rows := td.partitionLocked(site)
-		switch {
-		case td.Def.Replicated && site > 0:
-			perSite[site] = perSite[0]
-		case prev == nil:
+		if prev == nil {
 			perSite[site] = sortPositions(rows, keys, 0)
-		default:
+		} else {
 			perSite[site] = extendIndex(rows, keys, prev[site], had[site])
 		}
+	})
+	for site := sorted; site < s.sites; site++ {
+		perSite[site] = perSite[0]
 	}
 	return perSite
 }
 
-// sortPositions returns the positions from, from+1, … of rows, stably
-// sorted by keys.
+// sortPositions returns the positions from, from+1, … of rows sorted by
+// keys, equal keys in position order: the permutation a stable sort
+// gives, from an unstable O(n log n) sort with a tie-break on position.
+// Int-like keys sort as packed words (packKeys); others compare rows.
+// Input already in key order costs one pass.
 func sortPositions(rows []types.Row, keys []types.SortKey, from int) []int {
 	perm := make([]int, len(rows)-from)
+	if packed, posBits := packKeys(rows, keys, from); packed != nil {
+		if !slices.IsSorted(packed) {
+			slices.Sort(packed)
+		}
+		mask := uint64(1)<<posBits - 1
+		for i, w := range packed {
+			perm[i] = from + int(w&mask)
+		}
+		return perm
+	}
 	for i := range perm {
 		perm[i] = from + i
 	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		return types.CompareRows(rows[perm[a]], rows[perm[b]], keys) < 0
-	})
+	byKeys := func(a, b int) int {
+		if c := types.CompareRows(rows[a], rows[b], keys); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	if !slices.IsSortedFunc(perm, byKeys) {
+		slices.SortFunc(perm, byKeys)
+	}
 	return perm
+}
+
+// packKeys packs each of rows from, from+1, … into one word: every key
+// column's offset from the column's least value, then the row's offset
+// from from, each in as many bits as its range needs, most significant
+// first. The words then order as CompareRows orders the rows, ties by
+// position. That holds when every key is ascending and its column holds
+// one of the kinds KindInt, KindDate and KindBool, the same in every such
+// row, with no NULL: within one such kind types.Compare orders by the int
+// payload. It returns nil when they do not, or the fields need more than
+// 64 bits.
+func packKeys(rows []types.Row, keys []types.SortKey, from int) (packed []uint64, posBits int) {
+	rows = rows[from:]
+	if len(rows) == 0 {
+		return nil, 0
+	}
+	lo := make([]int64, len(keys))
+	width := make([]int, len(keys))
+	posBits = bits.Len(uint(len(rows) - 1))
+	total := posBits
+	for i, k := range keys {
+		kind := rows[0][k.Col].K
+		if k.Desc || k.NullsLast || (kind != types.KindInt && kind != types.KindDate && kind != types.KindBool) {
+			return nil, 0
+		}
+		hi := rows[0][k.Col].I
+		lo[i] = hi
+		for _, r := range rows {
+			v := r[k.Col]
+			if v.K != kind {
+				return nil, 0
+			}
+			lo[i], hi = min(lo[i], v.I), max(hi, v.I)
+		}
+		width[i] = bits.Len64(uint64(hi) - uint64(lo[i]))
+		total += width[i]
+	}
+	if total > 64 {
+		return nil, 0
+	}
+	packed = make([]uint64, len(rows))
+	for p, r := range rows {
+		var w uint64
+		for i, k := range keys {
+			w = w<<width[i] | (uint64(r[k.Col].I) - uint64(lo[i]))
+		}
+		packed[p] = w<<posBits | uint64(p)
+	}
+	return packed, posBits
 }
 
 // extendIndex returns the stable sort by keys of rows' positions, given
@@ -365,73 +440,24 @@ func (s *Store) replicaAt(name string, partition, host int) (*TableData, error) 
 	return td, nil
 }
 
-// ComputeStats scans a table and fills its catalog statistics: row count,
-// per-column NDV and min/max. It mirrors Ignite running with statistics
-// collection enabled.
-func (s *Store) ComputeStats(name string) error {
-	td, err := s.Table(name)
-	if err != nil {
-		return err
-	}
-	// Full lock, not RLock: the scan is a read, but the final assignment
-	// publishes td.Def.Stats, which concurrent planners read.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cols := td.Def.Columns
-	distinct := make([]map[uint64][]types.Value, len(cols))
-	for i := range distinct {
-		distinct[i] = make(map[uint64][]types.Value)
-	}
-	mins := make([]types.Value, len(cols))
-	maxs := make([]types.Value, len(cols))
-	var count int64
-	limit := s.sites
-	if td.Def.Replicated {
-		limit = 1
-	}
-	for site := 0; site < limit; site++ {
-		for _, r := range td.partitionLocked(site) {
-			count++
-			for i, v := range r {
-				if v.IsNull() {
-					continue
-				}
-				h := v.Hash()
-				found := false
-				for _, ex := range distinct[i][h] {
-					if types.Equal(ex, v) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					distinct[i][h] = append(distinct[i][h], v)
-				}
-				if mins[i].IsNull() || types.Compare(v, mins[i]) < 0 {
-					mins[i] = v
-				}
-				if maxs[i].IsNull() || types.Compare(v, maxs[i]) > 0 {
-					maxs[i] = v
-				}
-			}
+// parallel calls f(0), …, f(n-1) on up to GOMAXPROCS goroutines, the
+// calling one among them, and returns when every call has returned.
+func parallel(n int, f func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var next atomic.Int64
+	claim := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			f(i)
 		}
 	}
-	stats := &catalog.TableStats{
-		RowCount: count,
-		NDV:      make(map[string]int64, len(cols)),
-		Min:      make(map[string]types.Value, len(cols)),
-		Max:      make(map[string]types.Value, len(cols)),
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
 	}
-	for i, c := range cols {
-		var ndv int64
-		for _, bucket := range distinct[i] {
-			ndv += int64(len(bucket))
-		}
-		lc := strings.ToLower(c.Name)
-		stats.NDV[lc] = ndv
-		stats.Min[lc] = mins[i]
-		stats.Max[lc] = maxs[i]
-	}
-	td.Def.Stats = stats
-	return nil
+	claim()
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"fmt"
+	"strings"
 
 	"gignite/internal/types"
 )
@@ -145,15 +146,15 @@ var (
 	currentDate = epochDay(1995, 6, 17)
 )
 
+// comment joins n words drawn from commentWords into one string,
+// allocated once at its exact length instead of once per word.
 func (r *rng) comment(n int) string {
-	out := ""
+	var buf [12]string // the longest comment's words, kept on the stack
+	words := buf[:0]
 	for i := 0; i < n; i++ {
-		if i > 0 {
-			out += " "
-		}
-		out += r.pick(commentWords)
+		words = append(words, r.pick(commentWords))
 	}
-	return out
+	return strings.Join(words, " ")
 }
 
 // Table generates the full content of one table.
