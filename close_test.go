@@ -34,7 +34,6 @@ func TestCloseRejectsNewWork(t *testing.T) {
 		"LoadTable":      func() error { return e.LoadTable("emp", nil) },
 		"Analyze":        e.Analyze,
 		"ReferenceQuery": func() error { _, err := e.ReferenceQuery(`SELECT id FROM emp`); return err },
-		"LogicalPlan":    func() error { _, err := e.LogicalPlan(`SELECT id FROM emp`); return err },
 	} {
 		if err := call(); !errors.Is(err, ErrEngineClosed) {
 			t.Errorf("%s after Close: want ErrEngineClosed, got %v", name, err)

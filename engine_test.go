@@ -242,18 +242,19 @@ func TestWorkLimitTriggersTimeout(t *testing.T) {
 	}
 }
 
-func TestLogicalPlanDebugOutput(t *testing.T) {
+func TestBoundLogicalPlanDigest(t *testing.T) {
 	e := setupEmployees(t, ICPlus(2))
-	out, err := e.LogicalPlan(`SELECT name FROM emp WHERE salary > 100 AND dept_id = 1`)
+	lp, err := e.BindLogical(`SELECT name FROM emp WHERE salary > 100 AND dept_id = 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Project", "Filter", "Scan emp"} {
+	out := lp.Digest()
+	for _, want := range []string{"Project(", "Filter(", "Scan(emp as emp)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("logical plan missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := e.LogicalPlan("SELECT nope FROM emp"); err == nil {
+	if _, err := e.BindLogical("SELECT nope FROM emp"); err == nil {
 		t.Error("bad query accepted")
 	}
 }

@@ -23,10 +23,11 @@ var uncalledAllowed = map[string]string{
 }
 
 // TestExportedNamesHaveCallers keeps code without callers from
-// accumulating. Every exported top-level function, method, constant and
-// variable, and every unexported top-level function, declared under
+// accumulating. Every exported top-level function, method, type, constant
+// and variable, and every unexported top-level function, declared under
 // internal/, driver/ or cmd/ must be used by some non-test file of the
-// module (bench/ included) outside its own declaration. Uses are resolved
+// module (bench/ included) outside its own declaration; a method's
+// receiver naming its type is not a use of the type. Uses are resolved
 // by object with go/types, so a use of one String says nothing about
 // another. A method also counts as used when its type implements an
 // interface, declared in the module or the standard library, that has it.
@@ -101,6 +102,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	}
 	var decls []decl
 	funcs := make(map[types.Object]*ast.FuncDecl)
+	var receivers []*ast.FieldList
 	for path, files := range l.files {
 		rel := strings.TrimPrefix(path, "gignite/")
 		guarded := strings.HasPrefix(rel, "internal/") || rel == "driver" || strings.HasPrefix(rel, "driver/") || strings.HasPrefix(rel, "cmd/")
@@ -111,6 +113,9 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					funcs[l.info.Defs[d.Name]] = d
+					if d.Recv != nil {
+						receivers = append(receivers, d.Recv)
+					}
 					name := d.Name.Name
 					if guarded && (d.Name.IsExported() || (d.Recv == nil && name != "init" && name != "main")) {
 						decls = append(decls, decl{l.info.Defs[d.Name], pkg, d.Pos(), d.End(), nil})
@@ -125,6 +130,9 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 								}
 							}
 						case *ast.TypeSpec:
+							if guarded && spec.Name.IsExported() {
+								decls = append(decls, decl{l.info.Defs[spec.Name], pkg, spec.Pos(), spec.End(), nil})
+							}
 							it, ok := l.info.Defs[spec.Name].Type().Underlying().(*types.Interface)
 							if !ok || bench {
 								continue
@@ -141,6 +149,14 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		}
 	}
 
+	inReceiver := func(pos token.Pos) bool {
+		for _, r := range receivers {
+			if pos >= r.Pos() && pos < r.End() {
+				return true
+			}
+		}
+		return false
+	}
 	uses := make(map[types.Object][]token.Pos)
 	for id, obj := range l.info.Uses {
 		switch o := obj.(type) {
@@ -148,6 +164,10 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 			obj = o.Origin()
 		case *types.Var:
 			obj = o.Origin()
+		case *types.TypeName:
+			if inReceiver(id.Pos()) {
+				continue
+			}
 		}
 		uses[obj] = append(uses[obj], id.Pos())
 	}

@@ -431,7 +431,7 @@ func (e *Engine) Registry() *obs.Registry { return e.metrics }
 // beginOp admits one operation into the engine's lifecycle accounting;
 // it fails once Close has been called. Every entry point that touches the
 // catalog or the store — statements, Explain, LoadTable, Analyze,
-// ReferenceQuery, LogicalPlan — pairs it with endOp, which lets Close
+// ReferenceQuery — pairs it with endOp, which lets Close
 // wait for in-flight work (a bulk load included) to drain.
 func (e *Engine) beginOp() error {
 	e.shutMu.Lock()
@@ -717,8 +717,7 @@ func (e *Engine) Analyze() error {
 // Catalog exposes the metadata layer (read-mostly; used by tooling).
 func (e *Engine) Catalog() *catalog.Catalog { return e.catalog }
 
-// rulesConfig is the rule-set selection Config implies, shared by the
-// planner and LogicalPlan.
+// rulesConfig is the rule-set selection Config implies.
 func (e *Engine) rulesConfig() rules.Config {
 	return rules.Config{
 		FilterCorrelate:             e.cfg.FilterCorrelate,
@@ -728,8 +727,8 @@ func (e *Engine) rulesConfig() rules.Config {
 
 // bindLogical binds a SELECT, with the engine's views attached (only
 // populated when ExperimentalViews is on), and runs the stage-1 heuristic
-// rules rc selects — the front half of planning, shared with LogicalPlan
-// and ReferenceQuery. The caller holds e.mu shared.
+// rules rc selects — the front half of planning, shared with
+// ReferenceQuery. The caller holds e.mu shared.
 func (e *Engine) bindLogical(sel *sql.SelectStmt, rc rules.Config) (logical.Node, *binder.Binder, error) {
 	b := binder.New(e.catalog).WithViews(e.views)
 	lp, err := b.BindSelect(sel)
@@ -1007,7 +1006,7 @@ func renderText(fp *fragment.Plan) *plancache.Text {
 // identifying the plan shape across runs of the same query.
 func planDigest(fp *fragment.Plan) string {
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(fp.Format()))
+	_, _ = h.Write([]byte(fp.Format(nil, fragment.Estimates)))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -1026,79 +1025,53 @@ func (e *Engine) explainAnalyze(ctx context.Context, sel *sql.SelectStmt, src st
 }
 
 // formatAnalyzed renders the EXPLAIN ANALYZE report: the fragmented plan
-// with one "[est=... act=... err=...]" annotation per operator, and an
-// "[adaptive: ...]" mark on each operator an adaptive replan changed,
-// followed by the replans and a query-level summary.
+// with each fragment's instance count in its header, an "[adaptive: ...]"
+// mark on each operator an adaptive replan changed and one "[est=...
+// act=... err=...]" annotation per operator, followed by the replans and
+// a query-level summary.
 func formatAnalyzed(fp *fragment.Plan, q *obs.QueryObs, st *ExecStats) string {
-	var sb strings.Builder
-	for _, f := range fp.Fragments {
-		role := "fragment"
-		if f.IsRoot {
-			role = "root fragment"
-		}
-		var fo *obs.FragmentObs
-		if q != nil && f.ID < len(q.Fragments) {
-			fo = q.Fragments[f.ID]
-		}
-		inst := 0
-		if fo != nil {
-			inst = fo.Instances
-		}
-		fmt.Fprintf(&sb, "--- %s %d (instances=%d) ---\n", role, f.ID, inst)
-		var replans []obs.Replan
-		if q != nil {
-			replans = q.Replans
-		}
-		formatAnalyzedNode(&sb, f, f.Root, fo, replans, 0)
+	header := func(sb *strings.Builder, f *fragment.Fragment) {
+		fmt.Fprintf(sb, " (instances=%d)", q.Fragments[f.ID].Instances)
 	}
-	if q != nil {
+	note := func(sb *strings.Builder, f *fragment.Fragment, n physical.Node) {
+		id := f.OpIDs[n]
 		for _, rp := range q.Replans {
-			fmt.Fprintf(&sb, "adaptive replan: wave=%d frag=%d %s %s %s -> %s (est=%.0f act=%d)\n",
-				rp.Wave, rp.Frag, rp.Kind, rp.Op, rp.From, rp.To, rp.EstRows, rp.ActRows)
+			if rp.Frag == f.ID && rp.OpID == id {
+				fmt.Fprintf(sb, "  [adaptive: %s %s→%s]", rp.Kind, rp.From, rp.To)
+			}
 		}
-		fmt.Fprintf(&sb, "modeled=%v wall=%v work=%.0f bytes=%.0f instances=%d retries=%d spans=%d",
-			time.Duration(q.ModeledNanos), time.Duration(q.WallNanos),
-			st.Work, st.BytesShipped, st.Instances, st.Retries, st.Spans)
-		if st.MemPeakBytes > 0 {
-			fmt.Fprintf(&sb, " mem_peak=%d", st.MemPeakBytes)
+		op := q.Fragments[f.ID].Ops[id]
+		fmt.Fprintf(sb, "  [est=%.0f act=%d err=%.1fx work=%.0f wall=%v",
+			op.EstRows, op.RowsOut, qerror(op.EstRows, float64(op.RowsOut)),
+			op.Work, time.Duration(op.WallNanos))
+		if op.BuildRows > 0 {
+			fmt.Fprintf(sb, " build=%d", op.BuildRows)
 		}
-		if st.AdaptiveReplans > 0 {
-			fmt.Fprintf(&sb, " replans=%d switches=%d", st.AdaptiveReplans, st.AdaptiveSwitches)
+		if op.Batches > 0 {
+			fmt.Fprintf(sb, " batches=%d", op.Batches)
 		}
-		sb.WriteByte('\n')
+		if op.PeakMemBytes > 0 {
+			fmt.Fprintf(sb, " mem=%d", op.PeakMemBytes)
+		}
+		sb.WriteString("]")
 	}
-	return sb.String()
-}
-
-func formatAnalyzedNode(sb *strings.Builder, f *fragment.Fragment, n physical.Node, fo *obs.FragmentObs, replans []obs.Replan, depth int) {
-	fmt.Fprintf(sb, "%s%s", strings.Repeat("  ", depth), n.Describe())
-	for _, rp := range replans {
-		if rp.Frag == f.ID && rp.OpID == f.OpIDs[n] {
-			fmt.Fprintf(sb, "  [adaptive: %s %s→%s]", rp.Kind, rp.From, rp.To)
-		}
+	var sb strings.Builder
+	sb.WriteString(fp.Format(header, note))
+	for _, rp := range q.Replans {
+		fmt.Fprintf(&sb, "adaptive replan: wave=%d frag=%d %s %s %s -> %s (est=%.0f act=%d)\n",
+			rp.Wave, rp.Frag, rp.Kind, rp.Op, rp.From, rp.To, rp.EstRows, rp.ActRows)
 	}
-	if fo != nil {
-		if i, ok := fo.OpIndex[n]; ok {
-			op := fo.Ops[i]
-			fmt.Fprintf(sb, "  [est=%.0f act=%d err=%.1fx work=%.0f wall=%v",
-				op.EstRows, op.RowsOut, qerror(op.EstRows, float64(op.RowsOut)),
-				op.Work, time.Duration(op.WallNanos))
-			if op.BuildRows > 0 {
-				fmt.Fprintf(sb, " build=%d", op.BuildRows)
-			}
-			if op.Batches > 0 {
-				fmt.Fprintf(sb, " batches=%d", op.Batches)
-			}
-			if op.PeakMemBytes > 0 {
-				fmt.Fprintf(sb, " mem=%d", op.PeakMemBytes)
-			}
-			sb.WriteString("]")
-		}
+	fmt.Fprintf(&sb, "modeled=%v wall=%v work=%.0f bytes=%.0f instances=%d retries=%d spans=%d",
+		time.Duration(q.ModeledNanos), time.Duration(q.WallNanos),
+		st.Work, st.BytesShipped, st.Instances, st.Retries, st.Spans)
+	if st.MemPeakBytes > 0 {
+		fmt.Fprintf(&sb, " mem_peak=%d", st.MemPeakBytes)
+	}
+	if st.AdaptiveReplans > 0 {
+		fmt.Fprintf(&sb, " replans=%d switches=%d", st.AdaptiveReplans, st.AdaptiveSwitches)
 	}
 	sb.WriteByte('\n')
-	for _, in := range n.Inputs() {
-		formatAnalyzedNode(sb, f, in, fo, replans, depth+1)
-	}
+	return sb.String()
 }
 
 // qerror is the symmetric q-error of an estimate, smoothed by +1 on both
@@ -1119,7 +1092,7 @@ func (e *Engine) explain(sel *sql.SelectStmt) (*Result, error) {
 		return nil, err
 	}
 	var sb strings.Builder
-	sb.WriteString(entry.Split.Format())
+	sb.WriteString(entry.Split.Format(nil, fragment.Estimates))
 	fmt.Fprintf(&sb, "planner tickets: %d\n", entry.Tickets)
 	return &Result{PlanText: sb.String()}, nil
 }
@@ -1144,24 +1117,4 @@ func (e *Engine) ReferenceQuery(query string) ([]Row, error) {
 		return nil, err
 	}
 	return ref.Execute(lp, e.store)
-}
-
-// LogicalPlan returns the bound + heuristically optimized logical plan
-// text (a debugging aid).
-func (e *Engine) LogicalPlan(query string) (string, error) {
-	if err := e.beginOp(); err != nil {
-		return "", err
-	}
-	defer e.endOp()
-	sel, err := sql.ParseSelect(query)
-	if err != nil {
-		return "", err
-	}
-	e.mu.RLock()
-	lp, _, err := e.bindLogical(sel, e.rulesConfig())
-	e.mu.RUnlock()
-	if err != nil {
-		return "", err
-	}
-	return logical.Format(lp), nil
 }

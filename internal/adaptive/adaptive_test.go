@@ -174,7 +174,7 @@ func swapped(c *Controller, plan *fragment.Plan, join *physical.Join) bool {
 
 func TestBuildSwapFires(t *testing.T) {
 	plan, join := swapPlan(t, 1000, 100)
-	text := plan.Format()
+	text := plan.Format(nil, fragment.Estimates)
 	r := newTestRun(plan, 1)
 	c := r.c
 	// Runtime inverts the estimate: the left is 50x smaller than the right.
@@ -188,8 +188,8 @@ func TestBuildSwapFires(t *testing.T) {
 	if !swapped(c, plan, join) {
 		t.Fatal("the swap was not recorded against the join's id")
 	}
-	if plan.Format() != text {
-		t.Fatalf("the controller wrote the plan:\n%s\nwas\n%s", plan.Format(), text)
+	if plan.Format(nil, fragment.Estimates) != text {
+		t.Fatalf("the controller wrote the plan:\n%s\nwas\n%s", plan.Format(nil, fragment.Estimates), text)
 	}
 	// Idempotent: the same actuals again decide nothing new.
 	if again := c.OnBarrier(0, r.exchanges); len(again) != 0 {

@@ -194,7 +194,7 @@ func TestBindAggregation(t *testing.T) {
 		return true
 	})
 	if !sawAgg || !sawFilterAboveAgg {
-		t.Errorf("agg=%v having-filter=%v\n%s", sawAgg, sawFilterAboveAgg, logical.Format(plan))
+		t.Errorf("agg=%v having-filter=%v\n%s", sawAgg, sawFilterAboveAgg, plan.Digest())
 	}
 }
 
@@ -291,7 +291,7 @@ func TestBindInSubquery(t *testing.T) {
 	plan := bind(t, "SELECT name FROM emp WHERE id IN (SELECT emp_id FROM sales)")
 	j := findJoin(plan)
 	if j == nil || j.Type != logical.JoinSemi {
-		t.Fatalf("join = %+v\n%s", j, logical.Format(plan))
+		t.Fatalf("join = %+v\n%s", j, plan.Digest())
 	}
 	// Uncorrelated IN joins are not correlations: pushdown may cross them
 	// without FILTER_CORRELATE.
@@ -321,7 +321,7 @@ func TestBindCorrelatedExists(t *testing.T) {
 		(SELECT 1 FROM sales s WHERE s.emp_id = e.id AND s.amount > 100)`)
 	j := findJoin(plan)
 	if j == nil || j.Type != logical.JoinSemi {
-		t.Fatalf("join = %+v\n%s", j, logical.Format(plan))
+		t.Fatalf("join = %+v\n%s", j, plan.Digest())
 	}
 	// The local predicate (amount > 100) must be a filter inside the right
 	// input, and the correlation must be the join condition.
@@ -336,7 +336,7 @@ func TestBindCorrelatedExists(t *testing.T) {
 		return true
 	})
 	if !rightHasFilter {
-		t.Errorf("local predicate not pushed into subquery plan:\n%s", logical.Format(plan))
+		t.Errorf("local predicate not pushed into subquery plan:\n%s", plan.Digest())
 	}
 }
 
@@ -353,7 +353,7 @@ func TestBindUncorrelatedScalarSubquery(t *testing.T) {
 	plan := bind(t, "SELECT name FROM emp WHERE salary > (SELECT AVG(salary) FROM emp)")
 	j := findJoin(plan)
 	if j == nil || j.Type != logical.JoinInner {
-		t.Fatalf("join = %+v\n%s", j, logical.Format(plan))
+		t.Fatalf("join = %+v\n%s", j, plan.Digest())
 	}
 	// Output schema must still be 1 column (scalar col projected away).
 	if len(plan.Schema()) != 1 {
@@ -367,12 +367,12 @@ func TestBindCorrelatedScalarAggSubquery(t *testing.T) {
 		(SELECT 0.5 * AVG(s.amount) FROM sales s WHERE s.emp_id = e.id)`)
 	j := findJoin(plan)
 	if j == nil || j.Type != logical.JoinInner || !j.FromCorrelate {
-		t.Fatalf("join = %+v\n%s", j, logical.Format(plan))
+		t.Fatalf("join = %+v\n%s", j, plan.Digest())
 	}
 	// The right side must aggregate grouped by the correlation column.
 	agg := findAggregate(j.Right)
 	if agg == nil || len(agg.GroupBy) != 1 || len(agg.Aggs) != 1 {
-		t.Fatalf("decorrelated agg = %+v\n%s", agg, logical.Format(plan))
+		t.Fatalf("decorrelated agg = %+v\n%s", agg, plan.Digest())
 	}
 }
 
@@ -398,7 +398,7 @@ func TestBindHavingScalarSubquery(t *testing.T) {
 		return true
 	})
 	if sawInner != 2 {
-		t.Errorf("expected 2 aggregates (outer + subquery), got %d\n%s", sawInner, logical.Format(plan))
+		t.Errorf("expected 2 aggregates (outer + subquery), got %d\n%s", sawInner, plan.Digest())
 	}
 }
 
@@ -593,7 +593,7 @@ func TestBindCorrelatedNonEquiExists(t *testing.T) {
 		(SELECT 1 FROM emp e2 WHERE e2.dept_id = e.dept_id AND e2.id <> e.id)`)
 	j := findJoin(plan)
 	if j == nil || j.Type != logical.JoinSemi || !j.FromCorrelate {
-		t.Fatalf("join = %+v\n%s", j, logical.Format(plan))
+		t.Fatalf("join = %+v\n%s", j, plan.Digest())
 	}
 	if !strings.Contains(j.Cond.String(), "<>") {
 		t.Errorf("non-equi correlation lost: %s", j.Cond)

@@ -249,18 +249,3 @@ func (c *Catalog) MinMax(table, column string) (types.Value, types.Value, bool) 
 	}
 	return mn, mx, true
 }
-
-// NoopStats is the Calcite-style NO-OP provider: it knows nothing. Using
-// it exercises the planner's fallback paths.
-type NoopStats struct{}
-
-// RowCount always reports unknown.
-func (NoopStats) RowCount(string) int64 { return 0 }
-
-// NDV always reports unknown.
-func (NoopStats) NDV(string, string) int64 { return 0 }
-
-// MinMax always reports unknown.
-func (NoopStats) MinMax(string, string) (types.Value, types.Value, bool) {
-	return types.Null, types.Null, false
-}

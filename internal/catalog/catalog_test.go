@@ -130,10 +130,6 @@ func TestStatsProviders(t *testing.T) {
 	if got := c.RowCount("missing"); got != 0 {
 		t.Errorf("RowCount(missing) = %d", got)
 	}
-	var noop NoopStats
-	if noop.RowCount("emp") != 0 || noop.NDV("emp", "id") != 0 {
-		t.Error("NoopStats returned non-zero")
-	}
 	// Nil-stats fallback.
 	var ts *TableStats
 	if ts.NDVOf("x") != 0 {

@@ -59,6 +59,8 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"gignite/internal/adaptive"
@@ -140,8 +142,9 @@ type Opts struct {
 }
 
 // run is one execution's state: everything the steps of Cluster.Run
-// share. Workers never touch it beyond reading — each writes only its own
-// instanceResult slot, and the barrier folds the slots in.
+// share. Workers never touch it beyond reading and claiming jobs off next
+// — each writes only its own instanceResult slot, and the barrier folds
+// the slots in.
 type run struct {
 	c       *Cluster
 	ctx     context.Context
@@ -176,6 +179,11 @@ type run struct {
 	// bound holds each fragment's kernels bound to Opts.Args, by fragment
 	// id, then operator id (nil: the plan holds no placeholder).
 	bound [][]*physical.Kernels
+
+	// next is the index of the next job a batch's workers claim, and pool
+	// waits for the goroutines runPool started (see runPool).
+	next atomic.Int64
+	pool sync.WaitGroup
 }
 
 // Run executes a fragmented plan under the given options.
@@ -352,7 +360,7 @@ func (r *run) execute(jobs []instanceJob) []instanceResult {
 		results[i].spans = spans[i : i : i+1]
 		results[i].ctx = ctx
 	}
-	runPool(len(jobs), r.workers, func(i int) { r.runInstance(&jobs[i], &results[i]) })
+	r.runPool(len(jobs), func(i int) { r.runInstance(&jobs[i], &results[i]) })
 	return results
 }
 

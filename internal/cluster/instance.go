@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"gignite/internal/adaptive"
@@ -125,40 +123,31 @@ func (r *run) siteStateAt(site, ordinal int) siteState {
 	return siteDead
 }
 
-// runPool fans run(i) for i in [0, n) over at most `workers` goroutines,
-// the caller's among them: it starts workers-1 and claims jobs itself
-// (sequentially when workers <= 1).
-func runPool(n, workers int, run func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	claim := func() {
-		for {
-			i := int(next.Add(1))
-			if i >= n {
-				return
-			}
-			run(i)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
+// runPool fans job(i) for i in [0, n) over at most r.workers
+// goroutines, the caller's among them: it starts the others and claims
+// jobs itself, so with one worker the jobs run in order on the caller's
+// goroutine. The claim counter and the wait group live on the run, which
+// is on the heap already, so a batch that starts no goroutine allocates
+// nothing for them.
+func (r *run) runPool(n int, job func(i int)) {
+	workers := max(1, min(r.workers, n))
+	r.next.Store(0)
+	r.pool.Add(workers - 1)
 	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			claim()
+			defer r.pool.Done()
+			r.claim(n, job)
 		}()
 	}
-	claim()
-	wg.Wait()
+	r.claim(n, job)
+	r.pool.Wait()
+}
+
+// claim runs job(i) for each index it claims off r.next below n.
+func (r *run) claim(n int, job func(i int)) {
+	for i := int(r.next.Add(1) - 1); i < n; i = int(r.next.Add(1) - 1) {
+		job(i)
+	}
 }
 
 // attempt executes job j once, as attempt n at host, in a private exec

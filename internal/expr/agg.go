@@ -95,30 +95,42 @@ func (a AggCall) NewAccumulators(dst []Accumulator) {
 	if len(dst) == 0 {
 		return
 	}
-	switch {
-	case a.Distinct:
-		fill(dst, distinctAcc{call: a})
-	case a.Func == AggCount:
-		fill(dst, countAcc{star: a.Arg == nil})
-	case a.Func == AggSum:
-		fill(dst, sumAcc{kind: a.Kind()})
-	case a.Func == AggAvg:
-		fill(dst, avgAcc{})
-	case a.Func == AggMin:
-		fill(dst, minMaxAcc{isMin: true})
-	case a.Func == AggMax:
-		fill(dst, minMaxAcc{})
+	switch a.Func {
+	case AggCount:
+		fill(dst, a.Distinct, countAcc{star: a.Arg == nil})
+	case AggSum:
+		fill(dst, a.Distinct, sumAcc{kind: a.Kind()})
+	case AggAvg:
+		fill(dst, a.Distinct, avgAcc{})
+	case AggMin:
+		fill(dst, a.Distinct, minMaxAcc{isMin: true})
+	case AggMax:
+		fill(dst, a.Distinct, minMaxAcc{})
 	default:
 		panic(fmt.Sprintf("expr: unknown aggregate %d", a.Func))
 	}
 }
 
-// fill points every element of dst at its own copy of proto, the copies
-// living side by side in one backing array.
+// fill points every element of dst at its own copy of proto, or of a
+// DISTINCT accumulator feeding one, the copies living side by side in one
+// backing array.
 func fill[T any, P interface {
 	*T
 	Accumulator
-}](dst []Accumulator, proto T) {
+}](dst []Accumulator, distinct bool, proto T) {
+	if distinct {
+		backing := make([]struct {
+			distinctAcc
+			acc T
+		}, len(dst))
+		for i := range backing {
+			b := &backing[i]
+			b.acc = proto
+			b.plain = P(&b.acc)
+			dst[i] = &b.distinctAcc
+		}
+		return
+	}
 	backing := make([]T, len(dst))
 	for i := range backing {
 		backing[i] = proto
@@ -218,12 +230,15 @@ func (m *minMaxAcc) Result() types.Value {
 
 // distinctAcc collects the distinct non-NULL argument values in order of
 // first arrival (index, made by the first Add, maps a value's hash to its
-// positions in vals) and computes the aggregate over them at finalize
-// time. The order is what makes a float SUM or AVG deterministic: the
-// values are added up in arrival order, which the executor keeps fixed,
-// not in map order.
+// positions in vals) and feeds them, in that order, to plain, the
+// accumulator of the same call without DISTINCT: Result feeds the values
+// that arrived since the last Result (fed counts those already fed). The
+// order is what makes a float SUM or AVG deterministic: the values are
+// added up in arrival order, which the executor keeps fixed, not in map
+// order.
 type distinctAcc struct {
-	call  AggCall
+	plain Accumulator
+	fed   int
 	vals  []types.Value
 	index map[uint64][]int
 }
@@ -246,53 +261,11 @@ func (d *distinctAcc) Add(v types.Value) {
 }
 
 func (d *distinctAcc) Result() types.Value {
-	var (
-		sumF float64
-		sumI int64
-		best types.Value
-		set  bool
-	)
-	n := int64(len(d.vals))
-	for _, v := range d.vals {
-		switch d.call.Func {
-		case AggSum, AggAvg:
-			sumF += v.Float()
-			if v.K == types.KindInt {
-				sumI += v.I
-			}
-		case AggMin, AggMax:
-			if !set {
-				best, set = v, true
-				break
-			}
-			c := types.Compare(v, best)
-			if (d.call.Func == AggMin && c < 0) || (d.call.Func == AggMax && c > 0) {
-				best = v
-			}
-		}
+	for _, v := range d.vals[d.fed:] {
+		d.plain.Add(v)
 	}
-	switch d.call.Func {
-	case AggCount:
-		return types.NewInt(n)
-	case AggSum:
-		if n == 0 {
-			return types.Null
-		}
-		if d.call.Kind() == types.KindInt {
-			return types.NewInt(sumI)
-		}
-		return types.NewFloat(sumF)
-	case AggAvg:
-		if n == 0 {
-			return types.Null
-		}
-		return types.NewFloat(sumF / float64(n))
-	default:
-		if !set {
-			return types.Null
-		}
-		return best
-	}
+	d.fed = len(d.vals)
+	return d.plain.Result()
 }
 
 // describeAggs renders a list of calls (helper shared by plan nodes).

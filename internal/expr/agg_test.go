@@ -41,26 +41,70 @@ func feed(acc Accumulator, call AggCall, input []types.Row) {
 	}
 }
 
+// Inputs shared by the aggregate tables: the distinct values of each
+// arrive in a fixed order, with duplicates and NULLs between them.
+var (
+	aggInts = rows(3, 1, nil, 4, 1)
+	// Distinct values 1e16, 1, -1e16, 0.5: summed in this order they give
+	// 0.5 (1e16+1 rounds to 1e16); in most other orders, 1.5.
+	aggOrderedFloats = rows(1e16, 1.0, nil, -1e16, 1.0, 0.5, 1e16)
+	// -0 and 0 compare and hash equal, so DISTINCT keeps the first: -0.
+	aggZeros = rows(math.Copysign(0, -1), 0.0, nil, math.Copysign(0, -1))
+	// NaN compares equal to every number but hashes by its bits.
+	aggNaNs    = rows(math.NaN(), 2.5, nil, math.NaN())
+	aggAllNull = rows(nil, nil, nil)
+)
+
 func TestAggregates(t *testing.T) {
 	arg := NewColRef(0, types.KindInt, "")
-	input := rows(3, 1, nil, 4, 1)
+	farg := NewColRef(0, types.KindFloat, "")
+	negZero, nan := types.NewFloat(math.Copysign(0, -1)), types.NewFloat(math.NaN())
 	cases := []struct {
-		call AggCall
-		want types.Value
+		call  AggCall
+		input []types.Row
+		want  types.Value
 	}{
-		{AggCall{Func: AggCount, Arg: arg}, types.NewInt(4)},
-		{AggCall{Func: AggCount}, types.NewInt(5)}, // COUNT(*)
-		{AggCall{Func: AggSum, Arg: arg}, types.NewInt(9)},
-		{AggCall{Func: AggAvg, Arg: arg}, types.NewFloat(2.25)},
-		{AggCall{Func: AggMin, Arg: arg}, types.NewInt(1)},
-		{AggCall{Func: AggMax, Arg: arg}, types.NewInt(4)},
-		{AggCall{Func: AggCount, Arg: arg, Distinct: true}, types.NewInt(3)},
-		{AggCall{Func: AggSum, Arg: arg, Distinct: true}, types.NewInt(8)},
+		{AggCall{Func: AggCount, Arg: arg}, aggInts, types.NewInt(4)},
+		{AggCall{Func: AggCount}, aggInts, types.NewInt(5)}, // COUNT(*)
+		{AggCall{Func: AggSum, Arg: arg}, aggInts, types.NewInt(9)},
+		{AggCall{Func: AggAvg, Arg: arg}, aggInts, types.NewFloat(2.25)},
+		{AggCall{Func: AggMin, Arg: arg}, aggInts, types.NewInt(1)},
+		{AggCall{Func: AggMax, Arg: arg}, aggInts, types.NewInt(4)},
+		{AggCall{Func: AggCount, Arg: arg, Distinct: true}, aggInts, types.NewInt(3)},
+		{AggCall{Func: AggSum, Arg: arg, Distinct: true}, aggInts, types.NewInt(8)},
+		{AggCall{Func: AggAvg, Arg: arg, Distinct: true}, aggInts, types.NewFloat(8.0 / 3)},
+		{AggCall{Func: AggMin, Arg: arg, Distinct: true}, aggInts, types.NewInt(1)},
+		{AggCall{Func: AggMax, Arg: arg, Distinct: true}, aggInts, types.NewInt(4)},
+
+		{AggCall{Func: AggCount, Arg: farg, Distinct: true}, aggOrderedFloats, types.NewInt(4)},
+		{AggCall{Func: AggSum, Arg: farg, Distinct: true}, aggOrderedFloats, types.NewFloat(0.5)},
+		{AggCall{Func: AggAvg, Arg: farg, Distinct: true}, aggOrderedFloats, types.NewFloat(0.125)},
+		{AggCall{Func: AggMin, Arg: farg, Distinct: true}, aggOrderedFloats, types.NewFloat(-1e16)},
+		{AggCall{Func: AggMax, Arg: farg, Distinct: true}, aggOrderedFloats, types.NewFloat(1e16)},
+
+		{AggCall{Func: AggSum, Arg: farg}, aggZeros, types.NewFloat(0)},
+		{AggCall{Func: AggMin, Arg: farg}, aggZeros, negZero},
+		{AggCall{Func: AggCount, Arg: farg, Distinct: true}, aggZeros, types.NewInt(1)},
+		{AggCall{Func: AggSum, Arg: farg, Distinct: true}, aggZeros, types.NewFloat(0)},
+		{AggCall{Func: AggAvg, Arg: farg, Distinct: true}, aggZeros, types.NewFloat(0)},
+		{AggCall{Func: AggMin, Arg: farg, Distinct: true}, aggZeros, negZero},
+		{AggCall{Func: AggMax, Arg: farg, Distinct: true}, aggZeros, negZero},
+
+		{AggCall{Func: AggCount, Arg: farg, Distinct: true}, aggNaNs, types.NewInt(2)},
+		{AggCall{Func: AggSum, Arg: farg, Distinct: true}, aggNaNs, nan},
+		{AggCall{Func: AggAvg, Arg: farg, Distinct: true}, aggNaNs, nan},
+		{AggCall{Func: AggMin, Arg: farg, Distinct: true}, aggNaNs, nan},
+		{AggCall{Func: AggMax, Arg: farg, Distinct: true}, aggNaNs, nan},
+
+		{AggCall{Func: AggCount, Arg: arg, Distinct: true}, aggAllNull, types.NewInt(0)},
+		{AggCall{Func: AggSum, Arg: arg, Distinct: true}, aggAllNull, types.Null},
+		{AggCall{Func: AggAvg, Arg: arg, Distinct: true}, aggAllNull, types.Null},
+		{AggCall{Func: AggMin, Arg: arg, Distinct: true}, aggAllNull, types.Null},
+		{AggCall{Func: AggMax, Arg: arg, Distinct: true}, aggAllNull, types.Null},
 	}
 	for _, c := range cases {
-		got := runAgg(c.call, input)
-		if !valEq(got, c.want) {
-			t.Errorf("%s = %v, want %v", c.call, got, c.want)
+		if got := runAgg(c.call, c.input); !sameValue(got, c.want) {
+			t.Errorf("%s over %v = %v, want %v", c.call, c.input, got, c.want)
 		}
 	}
 }
@@ -104,24 +148,44 @@ func TestAggMinMaxStrings(t *testing.T) {
 	}
 }
 
-// TestDistinctFloatSumIsDeterministic: SUM/AVG(DISTINCT) over floats adds
-// the distinct values up in arrival order, so accumulators fed the same
-// values in the same order agree to the bit (summed in map order, 50
-// accumulators gave 19 different results).
+// TestDistinctFloatSumIsDeterministic: an aggregate over DISTINCT values
+// is the plain aggregate fed the distinct values in arrival order, so it
+// equals that to the bit and accumulators fed the same values in the same
+// order agree (SUM/AVG summed in map order, 50 accumulators gave 19
+// different results).
 func TestDistinctFloatSumIsDeterministic(t *testing.T) {
 	arg := NewColRef(0, types.KindFloat, "")
-	input := make([]types.Row, 1000)
-	for i := range input {
-		input[i] = types.Row{types.NewFloat(float64(i)*1.1 + 1e-7*float64(i*i))}
+	spread := make([]types.Row, 1000)
+	for i := range spread {
+		spread[i] = types.Row{types.NewFloat(float64(i)*1.1 + 1e-7*float64(i*i))}
 	}
-	for _, f := range []AggFunc{AggSum, AggAvg} {
-		call := AggCall{Func: f, Arg: arg, Distinct: true}
-		want := math.Float64bits(runAgg(call, input).F)
-		for n := 0; n < 50; n++ {
-			acc := call.NewAccumulator()
-			feed(acc, call, input)
-			if got := math.Float64bits(acc.Result().F); got != want {
-				t.Fatalf("%s: accumulator %d = %x, want %x", call, n, got, want)
+	for _, input := range [][]types.Row{spread, aggOrderedFloats, aggZeros, aggNaNs, aggAllNull} {
+		var distinct []types.Row
+	next:
+		for _, r := range input {
+			if r[0].IsNull() {
+				continue
+			}
+			for _, d := range distinct {
+				if types.Equal(d[0], r[0]) && d[0].Hash() == r[0].Hash() {
+					continue next
+				}
+			}
+			distinct = append(distinct, r)
+		}
+		for _, f := range []AggFunc{AggCount, AggSum, AggAvg, AggMin, AggMax} {
+			call := AggCall{Func: f, Arg: arg, Distinct: true}
+			want := runAgg(AggCall{Func: f, Arg: arg}, distinct)
+			for n := 0; n < 50; n++ {
+				acc := call.NewAccumulator()
+				feed(acc, call, input)
+				if got := acc.Result(); !sameValue(got, want) {
+					t.Fatalf("%s over %d rows: accumulator %d = %v (%x), want the plain %s of the distinct values, %v (%x)",
+						call, len(input), n, got, math.Float64bits(got.F), f, want, math.Float64bits(want.F))
+				}
+				if again := acc.Result(); !sameValue(again, want) {
+					t.Fatalf("%s over %d rows: a second Result = %v, want %v", call, len(input), again, want)
+				}
 			}
 		}
 	}

@@ -276,16 +276,27 @@ func assignModes(n physical.Node, mode SourceMode, modes map[physical.Node]Sourc
 	return true
 }
 
-// Format renders the fragmented plan for EXPLAIN output.
-func (p *Plan) Format() string {
+// Format renders the fragmented plan, fragment by fragment: the line
+// "--- fragment N ---" ("root fragment" for the root), header writing
+// before its closing dashes when it is not nil, then the fragment's tree
+// through physical.Format, note writing after each operator's
+// description. EXPLAIN and the plan digest are Format(nil, Estimates).
+func (p *Plan) Format(header func(*strings.Builder, *Fragment), note func(*strings.Builder, *Fragment, physical.Node)) string {
 	var sb strings.Builder
 	for _, f := range p.Fragments {
 		role := "fragment"
 		if f.IsRoot {
 			role = "root fragment"
 		}
-		fmt.Fprintf(&sb, "--- %s %d ---\n", role, f.ID)
-		sb.WriteString(physical.Format(f.Root))
+		fmt.Fprintf(&sb, "--- %s %d", role, f.ID)
+		if header != nil {
+			header(&sb, f)
+		}
+		sb.WriteString(" ---\n")
+		sb.WriteString(physical.Format(f.Root, func(sb *strings.Builder, n physical.Node) { note(sb, f, n) }))
 	}
 	return sb.String()
 }
+
+// Estimates is EXPLAIN's note: physical.Estimates.
+func Estimates(sb *strings.Builder, _ *Fragment, n physical.Node) { physical.Estimates(sb, n) }

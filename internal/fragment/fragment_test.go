@@ -309,7 +309,7 @@ func TestSplitSharedExchangeNodeSplitOnce(t *testing.T) {
 
 func TestFormatListsFragments(t *testing.T) {
 	plan := Split(buildJoinPlan())
-	out := plan.Format()
+	out := plan.Format(nil, Estimates)
 	if len(out) == 0 {
 		t.Fatal("empty format")
 	}

@@ -37,13 +37,13 @@ func TestFilterPushesThroughJoin(t *testing.T) {
 	// Top node should now be the join (filter fully absorbed).
 	j, ok := out.(*logical.Join)
 	if !ok {
-		t.Fatalf("top = %T\n%s", out, logical.Format(out))
+		t.Fatalf("top = %T\n%s", out, out.Digest())
 	}
 	if expr.IsLiteralTrue(j.Cond) {
-		t.Errorf("join condition not installed:\n%s", logical.Format(out))
+		t.Errorf("join condition not installed:\n%s", out.Digest())
 	}
 	if _, ok := j.Left.(*logical.Filter); !ok {
-		t.Errorf("left filter not pushed:\n%s", logical.Format(out))
+		t.Errorf("left filter not pushed:\n%s", out.Digest())
 	}
 }
 
@@ -59,7 +59,7 @@ func TestFilterCorrelateGate(t *testing.T) {
 	// Without FILTER_CORRELATE (the IC baseline), the filter stays above.
 	ic := RunGroups(plan, rules.Stage1Groups(rules.Config{}))
 	if _, ok := ic.(*logical.Filter); !ok {
-		t.Fatalf("baseline pushed past correlate:\n%s", logical.Format(ic))
+		t.Fatalf("baseline pushed past correlate:\n%s", ic.Digest())
 	}
 	// With the rule (IC+), it crosses into the left input.
 	icplus := RunGroups(plan, rules.Stage1Groups(rules.Config{FilterCorrelate: true}))
@@ -68,7 +68,7 @@ func TestFilterCorrelateGate(t *testing.T) {
 		t.Fatalf("top = %T", icplus)
 	}
 	if _, ok := j.Left.(*logical.Filter); !ok {
-		t.Errorf("filter not pushed into left:\n%s", logical.Format(icplus))
+		t.Errorf("filter not pushed into left:\n%s", icplus.Digest())
 	}
 }
 
@@ -83,7 +83,7 @@ func TestFilterMergesAndFolds(t *testing.T) {
 		t.Fatalf("top = %T", out)
 	}
 	if _, ok := f.Input.(*logical.Scan); !ok {
-		t.Errorf("filters not merged:\n%s", logical.Format(out))
+		t.Errorf("filters not merged:\n%s", out.Digest())
 	}
 	if strings.Contains(f.Cond.String(), "true") {
 		t.Errorf("TRUE not folded: %s", f.Cond)
@@ -105,10 +105,10 @@ func TestFilterThroughProjectAndSort(t *testing.T) {
 		return true
 	})
 	if f == nil {
-		t.Fatalf("no filter:\n%s", logical.Format(out))
+		t.Fatalf("no filter:\n%s", out.Digest())
 	}
 	if _, ok := f.Input.(*logical.Scan); !ok {
-		t.Errorf("filter not pushed to scan:\n%s", logical.Format(out))
+		t.Errorf("filter not pushed to scan:\n%s", out.Digest())
 	}
 	if !strings.Contains(f.Cond.String(), "$0") {
 		t.Errorf("filter not remapped through project: %s", f.Cond)
@@ -135,7 +135,7 @@ func TestJoinConditionSimplification(t *testing.T) {
 
 	j, ok := out.(*logical.Join)
 	if !ok {
-		t.Fatalf("top = %T\n%s", out, logical.Format(out))
+		t.Fatalf("top = %T\n%s", out, out.Digest())
 	}
 	keys, _ := expr.SplitJoinCondition(j.Cond, 2)
 	if len(keys) != 1 {
@@ -168,7 +168,7 @@ func TestJoinConditionLiteralBecomesFilter(t *testing.T) {
 	})).Optimize(join)
 	j := out.(*logical.Join)
 	if _, ok := j.Left.(*logical.Filter); !ok {
-		t.Errorf("literal condition not pushed to left input:\n%s", logical.Format(out))
+		t.Errorf("literal condition not pushed to left input:\n%s", out.Digest())
 	}
 }
 

@@ -477,45 +477,3 @@ func MaxJoinNesting(n Node) int {
 	}
 	return depth(n)
 }
-
-// Format pretty-prints a plan tree for EXPLAIN output.
-func Format(n Node) string {
-	var sb strings.Builder
-	formatInto(&sb, n, 0)
-	return sb.String()
-}
-
-func formatInto(sb *strings.Builder, n Node, depth int) {
-	sb.WriteString(strings.Repeat("  ", depth))
-	switch t := n.(type) {
-	case *Scan:
-		fmt.Fprintf(sb, "Scan %s", t.Table.Name)
-		if !strings.EqualFold(t.Alias, t.Table.Name) {
-			fmt.Fprintf(sb, " as %s", t.Alias)
-		}
-	case *Filter:
-		fmt.Fprintf(sb, "Filter %s", t.Cond)
-	case *Project:
-		parts := make([]string, len(t.Exprs))
-		for i, e := range t.Exprs {
-			parts[i] = e.String()
-		}
-		fmt.Fprintf(sb, "Project %s", strings.Join(parts, ", "))
-	case *Join:
-		fmt.Fprintf(sb, "Join %s on %s", t.Type, t.Cond)
-	case *Aggregate:
-		fmt.Fprintf(sb, "Aggregate group=%v aggs=[%s]", t.GroupBy, expr.DescribeAggs(t.Aggs))
-	case *Sort:
-		fmt.Fprintf(sb, "Sort %s", DescribeKeys(t.Keys))
-	case *Limit:
-		fmt.Fprintf(sb, "Limit %d", t.N)
-	case *Values:
-		fmt.Fprintf(sb, "Values %d rows", len(t.Rows))
-	default:
-		fmt.Fprintf(sb, "%T", n)
-	}
-	sb.WriteByte('\n')
-	for _, in := range n.Inputs() {
-		formatInto(sb, in, depth+1)
-	}
-}

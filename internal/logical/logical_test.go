@@ -163,13 +163,13 @@ func TestAggregateSchemaAndDistinct(t *testing.T) {
 	}
 }
 
-func TestFormatReadable(t *testing.T) {
+func TestDigestReadable(t *testing.T) {
 	a := scan("a", "x")
 	plan := NewLimit(NewSort(NewFilter(a, expr.True), []types.SortKey{{Col: 0, Desc: true}}), 10)
-	out := Format(plan)
-	for _, want := range []string{"Limit 10", "Sort 0 desc", "Filter", "Scan a"} {
+	out := plan.Digest()
+	for _, want := range []string{"Limit(10)", "Sort(0 desc)", "Filter(", "Scan(a as a)"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("format missing %q:\n%s", want, out)
+			t.Errorf("digest missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -186,7 +186,7 @@ func TestDescribeAllNodes(t *testing.T) {
 	if !strings.Contains(recv.Describe(), "merging") {
 		t.Errorf("merging receiver not labelled: %s", recv.Describe())
 	}
-	if out := Format(recv); out == "" {
+	if out := Format(recv, Estimates); out == "" {
 		t.Error("format empty")
 	}
 }

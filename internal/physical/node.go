@@ -506,18 +506,30 @@ func CollationSatisfies(actual, wanted []types.SortKey) bool {
 	return true
 }
 
-// Format pretty-prints a physical plan with traits and costs.
-func Format(n Node) string {
+// Format renders the plan rooted at n, one line per operator, indented
+// two spaces a level: the operator's description, then whatever note
+// writes after it (Estimates for EXPLAIN).
+func Format(n Node, note func(*strings.Builder, Node)) string {
 	var sb strings.Builder
-	formatInto(&sb, n, 0)
+	formatInto(&sb, n, note, 0)
 	return sb.String()
 }
 
-func formatInto(sb *strings.Builder, n Node, depth int) {
-	p := n.Props()
-	fmt.Fprintf(sb, "%s%s  [rows=%.0f cost=%.0f dist=%s]\n",
-		strings.Repeat("  ", depth), n.Describe(), p.EstRows, p.Total.Scalar(), p.Dist)
-	for _, in := range n.Inputs() {
-		formatInto(sb, in, depth+1)
+func formatInto(sb *strings.Builder, n Node, note func(*strings.Builder, Node), depth int) {
+	for i := 0; i < depth; i++ {
+		sb.WriteString("  ")
 	}
+	sb.WriteString(n.Describe())
+	note(sb, n)
+	sb.WriteByte('\n')
+	for _, in := range n.Inputs() {
+		formatInto(sb, in, note, depth+1)
+	}
+}
+
+// Estimates is EXPLAIN's note on an operator: the planner's row estimate,
+// cumulative cost and output distribution.
+func Estimates(sb *strings.Builder, n Node) {
+	p := n.Props()
+	fmt.Fprintf(sb, "  [rows=%.0f cost=%.0f dist=%s]", p.EstRows, p.Total.Scalar(), p.Dist)
 }

@@ -256,7 +256,7 @@ func TestJoinSchemaAndSemiProjection(t *testing.T) {
 func TestFormatIncludesTraits(t *testing.T) {
 	s := scanFixture()
 	f := NewFilter(s, expr.True)
-	out := Format(f)
+	out := Format(f, Estimates)
 	if out == "" || len(out) < 10 {
 		t.Errorf("format = %q", out)
 	}

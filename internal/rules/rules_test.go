@@ -39,7 +39,7 @@ func TestFilterMergeRule(t *testing.T) {
 	}
 	f := out.(*logical.Filter)
 	if _, ok := f.Input.(*logical.Scan); !ok {
-		t.Errorf("not merged: %s", logical.Format(out))
+		t.Errorf("not merged: %s", out.Digest())
 	}
 	if len(expr.SplitConjuncts(f.Cond)) != 2 {
 		t.Errorf("cond = %s", f.Cond)
@@ -99,7 +99,7 @@ func TestFilterIntoJoinSemiPushesLeftOnly(t *testing.T) {
 	}
 	j := out.(*logical.Join)
 	if _, ok := j.Left.(*logical.Filter); !ok {
-		t.Errorf("left filter missing:\n%s", logical.Format(out))
+		t.Errorf("left filter missing:\n%s", out.Digest())
 	}
 }
 
@@ -167,7 +167,7 @@ func TestFilterAggregateTransposeRemaps(t *testing.T) {
 	na := out.(*logical.Aggregate)
 	inner, ok := na.Input.(*logical.Filter)
 	if !ok {
-		t.Fatalf("no pushed filter:\n%s", logical.Format(out))
+		t.Fatalf("no pushed filter:\n%s", out.Digest())
 	}
 	cols := expr.ColumnsUsed(inner.Cond)
 	if _, ok := cols[1]; len(cols) != 1 || !ok {

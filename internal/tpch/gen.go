@@ -293,21 +293,21 @@ func (g *Gen) parts() []types.Row {
 // suppliersPerPart is the spec's 4 PARTSUPP rows per part.
 const suppliersPerPart = 4
 
-// suppForPart returns the i-th (0..3) supplier for a part.
-func (g *Gen) suppForPart(partkey, i int64) int64 {
-	s := g.Counts()["supplier"]
+// suppForPart returns the i-th (0..3) of s suppliers for a part.
+func suppForPart(partkey, i, s int64) int64 {
 	return (partkey+i*(s/suppliersPerPart+(partkey-1)/s))%s + 1
 }
 
 func (g *Gen) partsupps() []types.Row {
-	parts := g.Counts()["part"]
+	counts := g.Counts()
+	parts, suppliers := counts["part"], counts["supplier"]
 	rows := make([]types.Row, 0, parts*suppliersPerPart)
 	for p := int64(1); p <= parts; p++ {
 		for i := int64(0); i < suppliersPerPart; i++ {
 			r := g.rowRNG("partsupp", p*suppliersPerPart+i)
 			rows = append(rows, types.Row{
 				types.NewInt(p),
-				types.NewInt(g.suppForPart(p, i)),
+				types.NewInt(suppForPart(p, i, suppliers)),
 				types.NewInt(r.intn(1, 9999)),
 				types.NewFloat(r.decimal(1, 1000)),
 				types.NewString(r.comment(12)),
@@ -362,9 +362,9 @@ func (g *Gen) orders() []types.Row {
 
 // orderDateOf re-derives an order's date by replaying the orders() draw
 // sequence — LINEITEM dates must correlate with their order's date.
-func (g *Gen) orderDateOf(orderkey int64) int64 {
+func (g *Gen) orderDateOf(orderkey, customers int64) int64 {
 	r := g.rowRNG("orders", orderkey-1)
-	_ = r.intn(1, g.Counts()["customer"]) // the customer draw precedes the date draw
+	_ = r.intn(1, customers) // the customer draw precedes the date draw
 	return r.intn(startDate, endDate-151)
 }
 
@@ -375,16 +375,17 @@ func (g *Gen) LinesPerOrder(orderkey int64) int64 {
 }
 
 func (g *Gen) lineitems() []types.Row {
-	orders := g.Counts()["orders"]
-	parts := g.Counts()["part"]
+	counts := g.Counts()
+	orders, parts := counts["orders"], counts["part"]
+	suppliers, customers := counts["supplier"], counts["customer"]
 	var rows []types.Row
 	for o := int64(1); o <= orders; o++ {
-		orderDate := g.orderDateOf(o)
+		orderDate := g.orderDateOf(o, customers)
 		lines := g.LinesPerOrder(o)
 		for ln := int64(1); ln <= lines; ln++ {
 			r := g.rowRNG("lineitem", o*8+ln)
 			partkey := r.intn(1, parts)
-			supp := g.suppForPart(partkey, r.intn(0, 3))
+			supp := suppForPart(partkey, r.intn(0, 3), suppliers)
 			qty := r.intn(1, 50)
 			extended := float64(qty) * retailPrice(partkey)
 			shipDate := orderDate + r.intn(1, 121)

@@ -121,7 +121,7 @@ func TestSimpleScanPlansToSingleRoot(t *testing.T) {
 		_, ok := n.(*physical.Exchange)
 		return ok
 	}); got != 1 {
-		t.Errorf("exchanges = %d\n%s", got, physical.Format(pp))
+		t.Errorf("exchanges = %d\n%s", got, physical.Format(pp, physical.Estimates))
 	}
 }
 
@@ -131,7 +131,7 @@ func TestReplicatedScanNeedsNoExchange(t *testing.T) {
 		_, ok := n.(*physical.Exchange)
 		return ok
 	}) != 0 {
-		t.Errorf("replicated scan exchanged:\n%s", physical.Format(pp))
+		t.Errorf("replicated scan exchanged:\n%s", physical.Format(pp, physical.Estimates))
 	}
 }
 
@@ -143,7 +143,7 @@ func TestHashJoinChosenWhenEnabled(t *testing.T) {
 		return ok && j.Algo == physical.HashAlgo
 	})
 	if hashJoins == 0 {
-		t.Errorf("no hash join in IC+ plan:\n%s", physical.Format(pp))
+		t.Errorf("no hash join in IC+ plan:\n%s", physical.Format(pp, physical.Estimates))
 	}
 	// The co-located mapping should win: both tables partitioned on the
 	// join key, so no exchange below the join.
@@ -156,7 +156,7 @@ func TestHashJoinChosenWhenEnabled(t *testing.T) {
 	})
 	if join.Mapping != "hash" && join.Mapping != "bcast-right" && join.Mapping != "bcast-left" {
 		t.Errorf("join mapping = %s, want a distributed mapping\n%s",
-			join.Mapping, physical.Format(pp))
+			join.Mapping, physical.Format(pp, physical.Estimates))
 	}
 }
 
@@ -167,7 +167,7 @@ func TestBaselineHasNoHashJoin(t *testing.T) {
 		j, ok := n.(*physical.Join)
 		return ok && j.Algo == physical.HashAlgo
 	}) != 0 {
-		t.Errorf("IC plan used hash join:\n%s", physical.Format(pp))
+		t.Errorf("IC plan used hash join:\n%s", physical.Format(pp, physical.Estimates))
 	}
 }
 
@@ -188,7 +188,7 @@ func TestBroadcastMappingKeepsLargeRelationInPlace(t *testing.T) {
 		t.Fatal("no join")
 	}
 	if join.Mapping == "single" {
-		t.Errorf("IC+ shipped everything to one site:\n%s", physical.Format(pp))
+		t.Errorf("IC+ shipped everything to one site:\n%s", physical.Format(pp, physical.Estimates))
 	}
 }
 
@@ -209,7 +209,7 @@ func TestAggregationTwoPhase(t *testing.T) {
 		return ok && a.Phase == physical.AggSinglePhase && a.Dist().Type == physical.Single
 	})
 	if mapAggs+reduceAggs == 0 && singleSite > 0 {
-		t.Logf("plan:\n%s", physical.Format(pp))
+		t.Logf("plan:\n%s", physical.Format(pp, physical.Estimates))
 	}
 	if mapAggs != reduceAggs {
 		t.Errorf("map=%d reduce=%d", mapAggs, reduceAggs)
@@ -223,7 +223,7 @@ func TestDistinctAggregateStaysSinglePhase(t *testing.T) {
 		a, ok := n.(*physical.HashAggregate)
 		return ok && a.Phase == physical.AggMap
 	}) != 0 {
-		t.Errorf("DISTINCT aggregate was split:\n%s", physical.Format(pp))
+		t.Errorf("DISTINCT aggregate was split:\n%s", physical.Format(pp, physical.Estimates))
 	}
 }
 
@@ -232,7 +232,7 @@ func TestOrderBySatisfiedByEnforcedSort(t *testing.T) {
 	pp, _ := planQuery(t, vICPlus, 4, q)
 	lim, ok := pp.(*physical.Limit)
 	if !ok {
-		t.Fatalf("root = %T\n%s", pp, physical.Format(pp))
+		t.Fatalf("root = %T\n%s", pp, physical.Format(pp, physical.Estimates))
 	}
 	if !physical.CollationSatisfies(lim.Inputs()[0].Collation(),
 		lim.Inputs()[0].Collation()) {
@@ -243,7 +243,7 @@ func TestOrderBySatisfiedByEnforcedSort(t *testing.T) {
 		return ok
 	})
 	if sorts == 0 {
-		t.Errorf("no sort enforcer:\n%s", physical.Format(pp))
+		t.Errorf("no sort enforcer:\n%s", physical.Format(pp, physical.Estimates))
 	}
 }
 
@@ -306,7 +306,7 @@ func TestJoinOrderDPReordersByCost(t *testing.T) {
 		return ok
 	})
 	if joins != 2 {
-		t.Errorf("join count = %d\n%s", joins, physical.Format(pp))
+		t.Errorf("join count = %d\n%s", joins, physical.Format(pp, physical.Estimates))
 	}
 }
 
@@ -370,7 +370,7 @@ func TestLogicalSortBecomesCollationRequirement(t *testing.T) {
 	})
 	if indexScans == 0 || sorts != 0 {
 		t.Errorf("index scan not used for ordering (scans=%d sorts=%d):\n%s",
-			indexScans, sorts, physical.Format(pp))
+			indexScans, sorts, physical.Format(pp, physical.Estimates))
 	}
 }
 
@@ -382,6 +382,6 @@ func TestSemiJoinPhysicalization(t *testing.T) {
 		return ok && j.Type == logical.JoinSemi
 	})
 	if semis != 1 {
-		t.Errorf("semi joins = %d\n%s", semis, physical.Format(pp))
+		t.Errorf("semi joins = %d\n%s", semis, physical.Format(pp, physical.Estimates))
 	}
 }

@@ -178,7 +178,7 @@ func splitState(fp *fragment.Plan) (string, []any) {
 			return true
 		})
 	}
-	return fp.Format(), state
+	return fp.Format(nil, fragment.Estimates), state
 }
 
 func appendKernels(state []any, ks []*expr.Scalar) []any {

@@ -319,6 +319,90 @@ func TestPreparedStatements(t *testing.T) {
 	}
 }
 
+// TestPreparedConcurrentReplanWithCacheOff: with the engine's plan cache
+// off, a Stmt keeps its plan in a one-entry cache of its own. It replans
+// after ANALYZE and after CREATE INDEX, concurrent first executions after
+// a version bump plan once between them, and the engine still reports its
+// cache disabled.
+func TestPreparedConcurrentReplanWithCacheOff(t *testing.T) {
+	cfg := ICPlus(2)
+	cfg.PlanCacheSize = 0
+	e := setupEmployees(t, cfg)
+	stmt, err := e.Prepare(`SELECT id, name FROM emp WHERE salary > ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func() *Result {
+		res, err := stmt.Query(types.NewFloat(1500))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := query()
+	if !first.Stats.PlanningSkipped {
+		t.Fatal("first execution should reuse the Prepare-time plan")
+	}
+	base := exactRows(first)
+	for _, bump := range []struct {
+		name string
+		do   func()
+	}{
+		{"ANALYZE", func() {
+			if err := e.Analyze(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"CREATE INDEX", func() { mustExec(t, e, `CREATE INDEX emp_salary ON emp (salary)`) }},
+	} {
+		bump.do()
+		if r := query(); r.Stats.PlanningSkipped || exactRows(r) != base {
+			t.Fatalf("after %s: skipped=%v, rows changed=%v; want a replan and the same rows",
+				bump.name, r.Stats.PlanningSkipped, exactRows(r) != base)
+		}
+		if r := query(); !r.Stats.PlanningSkipped {
+			t.Fatalf("after %s: the replanned plan was not kept", bump.name)
+		}
+	}
+
+	if err := e.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	const clients = 8
+	results := make([]*Result, clients)
+	errs := make([]error, clients)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			results[i], errs[i] = stmt.Query(types.NewFloat(1500))
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	planned := 0
+	for i, r := range results {
+		if errs[i] != nil {
+			t.Fatalf("client %d: %v", i, errs[i])
+		}
+		if !r.Stats.PlanningSkipped {
+			planned++
+		}
+		if exactRows(r) != base {
+			t.Fatalf("client %d: rows changed", i)
+		}
+	}
+	if planned != 1 {
+		t.Fatalf("%d concurrent first executions planned %d times, want once", clients, planned)
+	}
+	if _, enabled := e.PlanCacheStats(); enabled {
+		t.Fatal("the engine's plan cache should still be reported disabled")
+	}
+}
+
 // TestPreparedParametersOutsideFilters: a placeholder in a projection
 // (an aggregate's argument is computed by one) or in a join's residual
 // condition is bound into that operator's per-execution kernels like one

@@ -2,7 +2,6 @@ package gignite
 
 import (
 	"context"
-	"sync"
 
 	"gignite/internal/plancache"
 	"gignite/internal/sql"
@@ -19,19 +18,18 @@ import (
 // operator lines, column names) is rendered by the first execution and
 // shared by later ones: arguments appear in it as their placeholders. A Stmt is safe for concurrent Query calls.
 //
-// When the engine's plan cache is enabled the Stmt shares its entries, so
-// an inline Exec of the same (digest-normalized) text also hits the
-// prepared plan and vice versa. With the cache disabled the Stmt retains
-// its own plan. Either way the plan is replanned automatically when the
-// catalog version moves (DDL, CREATE INDEX, ANALYZE).
+// The Stmt keeps its plan in a plancache.Cache: the engine's when the
+// plan cache is enabled, so an inline Exec of the same (digest-normalized)
+// text also hits the prepared plan and vice versa, otherwise a one-entry
+// cache of its own. Either way the plan is replanned automatically when
+// the catalog version moves (DDL, CREATE INDEX, ANALYZE), and concurrent
+// executions that find it stale plan once between them.
 type Stmt struct {
 	e      *Engine
 	src    string
 	sel    *sql.SelectStmt
 	digest uint64
-
-	mu    sync.Mutex
-	local *plancache.Entry // retained split when the engine cache is disabled
+	plans  *plancache.Cache
 }
 
 // Prepare parses and plans a SELECT once for repeated execution.
@@ -48,7 +46,11 @@ func (e *Engine) Prepare(query string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Stmt{e: e, src: query, sel: sel, digest: sel.Digest}
+	plans := e.plans
+	if plans == nil {
+		plans = plancache.New(1, plancache.Metrics{})
+	}
+	s := &Stmt{e: e, src: query, sel: sel, digest: sel.Digest, plans: plans}
 	// Plan eagerly so Prepare surfaces binding/optimization errors and
 	// Query's first call already skips planning.
 	if _, _, err := s.entry(); err != nil {
@@ -58,27 +60,12 @@ func (e *Engine) Prepare(query string) (*Stmt, error) {
 }
 
 // entry resolves the statement's plan, replanning when the catalog
-// version has moved since it was built. skipped reports whether a
-// retained plan was reused.
+// version has moved since it was built. skipped reports whether a kept
+// plan was reused.
 func (s *Stmt) entry() (*plancache.Entry, bool, error) {
-	e := s.e
-	version := e.catalog.Version()
-	if e.plans != nil {
-		return e.plans.Get(s.digest, version, func() (*plancache.Entry, error) {
-			return e.buildEntry(s.sel)
-		})
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.local != nil && s.local.Version == version {
-		return s.local, true, nil
-	}
-	entry, err := e.buildEntry(s.sel)
-	if err != nil {
-		return nil, false, err
-	}
-	s.local = entry
-	return entry, false, nil
+	return s.plans.Get(s.digest, s.e.catalog.Version(), func() (*plancache.Entry, error) {
+		return s.e.buildEntry(s.sel)
+	})
 }
 
 // Query executes the prepared statement with the given parameter values
