@@ -44,10 +44,15 @@ race:
 # all reading one cached split plan) and the fault outcomes golden (the
 # one with retries: GOMAXPROCS workers write retried attempts' ledger
 # rows, which must price the same at every worker count): their ordering
-# bugs depend on GOMAXPROCS.
+# bugs depend on GOMAXPROCS. internal/fragment runs too because the split
+# marks the operators whose rows reach a result, and
+# TestResultRowsOutliveLaterExecutions holds such rows while concurrent
+# executions borrow and release buffers: race builds overwrite released
+# buffers with a sentinel (internal/exec/poison_race.go), so a result row
+# left in lent storage shows there.
 race-cpu:
-	$(GO) test -race -cpu 1,2,4 ./driver ./internal/server ./internal/cluster ./internal/exec ./internal/governor ./internal/plancache ./internal/obs ./internal/storage
-	$(GO) test -race -cpu 1,2,4 -run 'Concurrent|Hammer|PlanText|Admission|Overload|Close|SharedEntry|FaultOutcomesGolden' .
+	$(GO) test -race -cpu 1,2,4 ./driver ./internal/server ./internal/cluster ./internal/exec ./internal/fragment ./internal/governor ./internal/plancache ./internal/obs ./internal/storage
+	$(GO) test -race -cpu 1,2,4 -run 'Concurrent|Hammer|PlanText|Admission|Overload|Close|SharedEntry|FaultOutcomesGolden|ResultRowsOutliveLaterExecutions' .
 
 # The wall-clock benchmark is a nested module (bench/go.mod), so `./...`
 # skips it; vet and test it against the engine in this checkout.

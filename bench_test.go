@@ -220,15 +220,20 @@ func BenchmarkHashJoin(b *testing.B) {
 			expr.NewColRef(0, types.KindInt, ""), expr.NewColRef(2, types.KindInt, "")),
 		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.SingleDist, "single", nil)
 	physical.Compile(join)
+	// Each iteration is one execution lending from one Lender, as the
+	// scheduler's instances do. The join is the root, so its rows are the
+	// result and its arena is never lent; its hash index is.
+	var l exec.Lender
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := exec.Run(join, &exec.Context{NVariants: 1})
+		rows, err := exec.Run(join, &exec.Context{NVariants: 1, Lender: &l})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(rows) != 20000 {
 			b.Fatalf("join rows = %d", len(rows))
 		}
+		l.Release()
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -30,7 +31,9 @@ var uncalledAllowed = map[string]string{
 // receiver naming its type is not a use of the type. Uses are resolved
 // by object with go/types, so a use of one String says nothing about
 // another. A method also counts as used when its type implements an
-// interface, declared in the module or the standard library, that has it.
+// interface, declared in the module or the standard library, that has it;
+// a generic type implements one through the instantiations the module
+// makes of it.
 // An exported method of an interface declared in the module (bench/
 // excluded) is itself under guard: it counts as used only when a non-test
 // file calls it, through the interface or on a type implementing it,
@@ -40,7 +43,64 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if dead := deadDeclarations(l); len(dead) > 0 {
+		t.Errorf("%d declaration(s) no non-test file uses (an interface's method: calls through the interface or on an implementing type, outside the implementations) — delete them (with their tests) or give them a caller:\n  %s",
+			len(dead), strings.Join(dead, "\n  "))
+	}
+	if len(uncalledAllowed) > 12 {
+		t.Errorf("allowlist has %d names, want <= 12", len(uncalledAllowed))
+	}
+}
 
+// TestDeadCodeGuardSeesGenericTypes: a generic type has methods only as
+// instantiated, so the guard checks it through the module's
+// instantiations. Over a temporary module, a method of a generic type that
+// implements an interface the module calls through counts as used, and
+// a method nothing calls is still reported.
+func TestDeadCodeGuardSeesGenericTypes(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"internal/lend/lend.go": `package lend
+
+type Sizer interface{ Size() int }
+
+type Box[T any] struct{ v []T }
+
+func (b *Box[T]) Size() int { return len(b.v) }
+
+func (b *Box[T]) Dead() int { return 0 }
+
+func Total(s Sizer) int { return s.Size() }
+`,
+		"cmd/use/main.go": `package main
+
+import "gignite/internal/lend"
+
+func main() { println(lend.Total(&lend.Box[int]{})) }
+`,
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := loadModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := deadDeclarations(l)
+	if len(got) != 1 || !strings.HasPrefix(got[0], "lend.(*Box).Dead ") {
+		t.Errorf("the guard reports %q, want lend.(*Box).Dead alone", got)
+	}
+}
+
+// deadDeclarations returns the declarations under the guard of
+// TestExportedNamesHaveCallers that no non-test file of l's module uses,
+// sorted, each with its position, less those uncalledAllowed names.
+func deadDeclarations(l *moduleLoader) []string {
 	// The interfaces a method may be called through, and the module's
 	// types that may have the method, declared or promoted.
 	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
@@ -75,9 +135,26 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	for _, p := range l.pkgs {
 		collect(p)
 	}
+	// A generic type has methods only as instantiated, so it is checked
+	// through every instantiation the module makes.
+	instantiated := make(map[string]bool)
+	for _, inst := range l.info.Instances {
+		n, ok := inst.Type.(*types.Named)
+		if !ok || instantiated[n.String()] {
+			continue
+		}
+		instantiated[n.String()] = true
+		if it, ok := n.Underlying().(*types.Interface); ok && it.IsMethodSet() {
+			ifaces = append(ifaces, it)
+		} else if _, inModule := l.pkgs[n.Obj().Pkg().Path()]; inModule {
+			named = append(named, n, types.NewPointer(n))
+		}
+	}
+	// origin is the declared method a method set entry is, or instantiates.
+	origin := func(sel *types.Selection) types.Object { return sel.Obj().(*types.Func).Origin() }
 	implements := func(fn *types.Func) bool {
 		for _, typ := range named {
-			if sel := types.NewMethodSet(typ).Lookup(fn.Pkg(), fn.Name()); sel == nil || sel.Obj() != fn {
+			if sel := types.NewMethodSet(typ).Lookup(fn.Pkg(), fn.Name()); sel == nil || origin(sel) != fn {
 				continue
 			}
 			for _, it := range ifaces {
@@ -180,8 +257,8 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		var impls []*ast.FuncDecl
 		for _, typ := range named {
 			if sel := types.NewMethodSet(typ).Lookup(fn.Pkg(), fn.Name()); sel != nil && types.Implements(typ, it) {
-				callees = append(callees, sel.Obj())
-				if d := funcs[sel.Obj()]; d != nil {
+				callees = append(callees, origin(sel))
+				if d := funcs[origin(sel)]; d != nil {
 					impls = append(impls, d)
 				}
 			}
@@ -228,13 +305,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		}
 	}
 	sort.Strings(dead)
-	if len(dead) > 0 {
-		t.Errorf("%d declaration(s) no non-test file uses (an interface's method: calls through the interface or on an implementing type, outside the implementations) — delete them (with their tests) or give them a caller:\n  %s",
-			len(dead), strings.Join(dead, "\n  "))
-	}
-	if len(uncalledAllowed) > 12 {
-		t.Errorf("allowlist has %d names, want <= 12", len(uncalledAllowed))
-	}
+	return dead
 }
 
 // qualifiedName renders an object as pkg.Name, pkg.T.Method or
@@ -270,8 +341,9 @@ func loadModule(root string) (*moduleLoader, error) {
 		files: make(map[string][]*ast.File),
 		pkgs:  make(map[string]*types.Package),
 		info: &types.Info{
-			Defs: make(map[*ast.Ident]types.Object),
-			Uses: make(map[*ast.Ident]types.Object),
+			Defs:      make(map[*ast.Ident]types.Object),
+			Uses:      make(map[*ast.Ident]types.Object),
+			Instances: make(map[*ast.Ident]types.Instance),
 		},
 		std: importer.ForCompiler(fset, "source", nil),
 	}
@@ -298,7 +370,11 @@ func loadModule(root string) (*moduleLoader, error) {
 		}
 		// The bench module is gignite/bench, so one mapping serves both.
 		ipath := "gignite"
-		if rel := filepath.ToSlash(filepath.Clean(dir)); rel != "." {
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		if rel = filepath.ToSlash(rel); rel != "." {
 			ipath += "/" + rel
 		}
 		l.files[ipath] = append(l.files[ipath], f)

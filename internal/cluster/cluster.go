@@ -184,11 +184,18 @@ type run struct {
 	// waits for the goroutines runPool started (see runPool).
 	next atomic.Int64
 	pool sync.WaitGroup
+
+	// lender lends every instance's buffers; Run takes them back when
+	// the execution ends (DESIGN.md "Execution memory").
+	lender exec.Lender
 }
 
 // Run executes a fragmented plan under the given options.
 func (c *Cluster) Run(ctx context.Context, plan *fragment.Plan, opts Opts) (*Result, error) {
 	r := c.newRun(ctx, plan, opts)
+	// Every worker has returned by the time schedule does, whatever it
+	// returns, and no row of the result is in lent storage.
+	defer r.lender.Release()
 	if err := r.schedule(); err != nil {
 		return nil, err
 	}

@@ -185,6 +185,9 @@ func (r *run) attempt(j *instanceJob, ir *instanceResult, host, n int) ([]types.
 		Obs:       ectx.Obs,
 		Bound:     bound,
 		Mem:       r.opts.Mem,
+		Lender:    &r.lender,
+		Output:    j.frag.Output,
+		ToResult:  j.frag.ToResult,
 	}
 	if r.opts.Adaptive != nil {
 		ectx.BuildLeft = r.opts.Adaptive.BuildLeft(j.frag.ID)

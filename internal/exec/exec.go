@@ -14,10 +14,17 @@
 // batches of at most batchSize from a source (table or index scan,
 // Values, Receiver) through the streaming operators — splitter, Filter,
 // Project, Limit and the probe side of every join — which write into
-// per-operator scratch buffers reused for the next batch. Only the pipeline breakers keep rows: a join's
-// build (or collected) side, Sort, the aggregates' group state, the
-// Sender, a merging Receiver and the fragment's result. A row that dies
-// in a downstream filter or probe is never allocated. The modeled cost
+// per-operator scratch buffers reused for the next batch. Only the
+// pipeline breakers keep rows: a join's build (or collected) side, Sort,
+// the aggregates' group state, the Sender, a merging Receiver and the
+// fragment's result. A row that dies in a downstream filter or probe is
+// never built. The scratch and the kept rows alike are borrowed (lend.go):
+// what an instance ships from the execution's Lender, which the scheduler
+// takes back when the execution ends, the rest from the attempt's own,
+// which Run takes back when the attempt ends; so a warm execution
+// allocates little beyond its fixed per-instance state. Only the rows
+// that can reach the query result (Context.Output, Context.ToResult) and
+// the aggregates' group state are built on the heap. The modeled cost
 // clock is independent of all this: every operator charges the same work
 // and memory estimates it would under full materialization, per batch.
 //
@@ -32,7 +39,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"gignite/internal/cost"
 	"gignite/internal/faults"
@@ -50,41 +56,6 @@ type Batch struct {
 	Rows   []types.Row
 	ToSite int
 	Bytes  int64
-}
-
-// sendScratch is the reusable per-call state of one hash-routing send:
-// the per-row route assignments and the per-site row counts. Batch row
-// slices are kept until the query finishes, so only the transient
-// routing state is pooled.
-type sendScratch struct {
-	routes []int
-	counts []int
-}
-
-// sendScratchPool is package-level on purpose: the runtime keeps a used
-// pool reachable until the second collection after its last use, so a pool
-// embedded in a per-query object would keep that object, and every batch
-// it points to, alive that long.
-var sendScratchPool sync.Pool
-
-// getScratch borrows a routing buffer sized for rows×sites.
-func getScratch(rows, sites int) *sendScratch {
-	sc, _ := sendScratchPool.Get().(*sendScratch)
-	if sc == nil {
-		sc = &sendScratch{}
-	}
-	if cap(sc.routes) < rows {
-		sc.routes = make([]int, rows)
-	}
-	sc.routes = sc.routes[:rows]
-	if cap(sc.counts) < sites {
-		sc.counts = make([]int, sites)
-	}
-	sc.counts = sc.counts[:sites]
-	for i := range sc.counts {
-		sc.counts[i] = 0
-	}
-	return sc
 }
 
 // Context is the execution environment of one fragment instance.
@@ -174,6 +145,25 @@ type Context struct {
 	// the executor's only adaptive input: the controller reads what the
 	// surviving attempts shipped (Sent) after they finish.
 	BuildLeft []bool
+
+	// --- execution memory (DESIGN.md "Execution memory") ---
+
+	// Lender lends what the instance ships, which later waves read: the
+	// shipped row headers and the storage behind the shipped rows (nil:
+	// made on the heap). The scheduler shares one among the execution's
+	// instances and releases it once they have all returned.
+	Lender *Lender
+	// Output marks, by operator id, the operators whose rows reach the
+	// fragment's root as they are (fragment.Fragment.Output); nil marks
+	// every operator. ToResult reports that the fragment's output reaches
+	// the query result (fragment.Fragment.ToResult). A marked operator
+	// builds or copies the rows it keeps in Lender's storage, or, when
+	// they reach the result and so outlive the execution, on the heap.
+	Output   []bool
+	ToResult bool
+	// private lends everything else the attempt uses (scratch), and Run
+	// releases it when the attempt ends.
+	private Lender
 }
 
 // ErrWorkLimit reports an execution exceeding its work limit.
@@ -240,6 +230,29 @@ func (c *Context) work(st *OpStatsRef, units float64) {
 	if st != nil {
 		st.Work += units
 	}
+}
+
+// keepLender returns the lender for the storage of the rows operator n
+// builds or copies and hands on stable (Output): the attempt's own when
+// they stay inside it, Lender when they are shipped, none when they can
+// reach the query result.
+func (c *Context) keepLender(n physical.Node) *Lender {
+	switch {
+	case c.Output == nil, c.Output[c.OpIDs[n]] && c.ToResult:
+		return nil
+	case c.Output[c.OpIDs[n]]:
+		return c.Lender
+	}
+	return c.scratch()
+}
+
+// scratch returns the lender of what the attempt uses only itself: its
+// private one, or none when the execution lends nothing.
+func (c *Context) scratch() *Lender {
+	if c.Lender == nil {
+		return nil
+	}
+	return &c.private
 }
 
 // bound returns the execution's kernels for n, or nil when n runs its
@@ -329,14 +342,17 @@ func (c *Context) cancelled() error {
 
 // Run executes a fragment instance rooted at n and returns its output
 // rows, which the caller may keep. Sender roots leave their batches in
-// ctx.Sent and return nil.
+// ctx.Sent and return nil. What the attempt borrowed for itself goes back
+// when Run returns.
 func Run(n physical.Node, ctx *Context) ([]types.Row, error) {
+	defer ctx.private.Release()
 	var rows []types.Row
 	var err error
 	if s, ok := n.(*physical.Sender); ok {
 		err = ctx.runSender(s)
 	} else {
-		// Only a root that returns rows has a buffer to keep them in.
+		// Only a root that returns rows has a buffer to keep them in, on
+		// the heap: they are the result.
 		var res rowBuffer
 		err = ctx.run(n, &res)
 		rows = res.rows
@@ -359,6 +375,8 @@ func Run(n physical.Node, ctx *Context) ([]types.Row, error) {
 func (c *Context) runSender(s *physical.Sender) error {
 	snd := &c.sender
 	c.open(&snd.op, s, nil)
+	// A single or broadcast target ships the buffer's own headers.
+	snd.buf = rowBuffer{headers: c.Lender, values: c.keepLender(s)}
 	defer snd.close()
 	if err := c.run(s.Inputs()[0], snd); err != nil {
 		return err
@@ -400,12 +418,20 @@ func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 			}
 		}
 	case physical.Hash:
-		// Two-pass routing over a pooled scratch: compute every row's
-		// destination once, then carve exact-size
-		// per-site slices out of one backing array. This keeps the hot
-		// send path free of append-growth reallocations.
-		sc := getScratch(len(rows), sites)
-		defer sendScratchPool.Put(sc)
+		// Two-pass routing: compute every row's destination once, then
+		// carve exact-size per-site slices out of one backing array. This
+		// keeps the hot send path free of append-growth reallocations.
+		// The routes and per-site counts share one scratch, on the stack
+		// when it is small.
+		var small [1 << minClass]int
+		routing := small[:0]
+		if n := len(rows) + sites; n <= len(small) {
+			routing = small[:n]
+		} else {
+			routing = lend(ctx.scratch(), &intPool, n)
+		}
+		routes, counts := routing[:len(rows)], routing[len(rows):]
+		clear(counts)
 		// A keyless target routes on the whole row.
 		keys := s.Target.Keys
 		if len(keys) == 0 && len(rows) > 0 {
@@ -414,18 +440,20 @@ func sendRows(s *physical.Sender, rows []types.Row, ctx *Context) error {
 		placed := len(s.Target.Keys) == 1
 		for i, r := range rows {
 			site := routeRow(r, keys, placed, sites)
-			sc.routes[i] = site
-			sc.counts[site]++
+			routes[i] = site
+			counts[site]++
 		}
-		backing := make([]types.Row, len(rows))
+		// Later waves read the shipped row headers after the attempt has
+		// released its own buffers.
+		backing := lend(ctx.Lender, &rowPool, len(rows))
 		buckets := make([][]types.Row, sites)
 		off := 0
-		for site, n := range sc.counts {
+		for site, n := range counts {
 			buckets[site] = backing[off : off : off+n]
 			off += n
 		}
 		for i, r := range rows {
-			site := sc.routes[i]
+			site := routes[i]
 			buckets[site] = append(buckets[site], r)
 		}
 		for site, b := range buckets {

@@ -30,7 +30,7 @@ func TestHashJoinCandidatesInBuildOrder(t *testing.T) {
 	st := testStore(t, 1)
 	left, right := joinInputs(3*seamBatch+7, 2*seamBatch+1, false)
 
-	tab := newHashTable(right, []int{0}, nil)
+	tab := newHashTable(right, []int{0}, nil, nil)
 	if len(tab.heads) != 1 {
 		t.Fatalf("%d buckets, want 1", len(tab.heads))
 	}

@@ -50,15 +50,15 @@ func (s *aggState) add(r types.Row) int32 {
 	for i, c := range s.groupBy {
 		row[i] = r[c]
 	}
-	s.rows = append(grow(s.rows, 1), row)
+	s.rows = append(grow(nil, nil, s.rows, 1), row)
 	return s.groups() - 1
 }
 
-// rowGroups returns the scratch that holds each of the next n rows'
-// group.
-func (s *aggState) rowGroups(n int) []int32 {
+// rowGroups returns the scratch, lent by l, that holds each of the next
+// n rows' group.
+func (s *aggState) rowGroups(n int, l *Lender) []int32 {
 	if cap(s.ids) < n {
-		s.ids = make([]int32, n)
+		s.ids = lend(l, &linkPool, n)
 	}
 	return s.ids[:n]
 }
@@ -86,7 +86,7 @@ func (s *aggState) feed(rows []types.Row, ids []int32) {
 		accs := s.accs[i]
 		if have := len(accs); have < n {
 			size := max(n, 2*have)
-			accs = grow(accs, size-have)[:size]
+			accs = grow(nil, nil, accs, size-have)[:size]
 			call.NewAccumulators(accs[have:])
 			s.accs[i] = accs
 		}
@@ -130,10 +130,11 @@ type chains struct {
 var maxBucketBits = 31
 
 // buckets replaces the heads with at least n empty buckets (fewer only
-// under maxBucketBits).
-func (c *chains) buckets(n int) {
+// under maxBucketBits), lent by l.
+func (c *chains) buckets(n int, l *Lender) {
 	b := min(bits.Len(uint(max(n, 1)-1)), maxBucketBits)
-	c.heads = make([]int32, 1<<b)
+	c.heads = lend(l, &linkPool, 1<<b)
+	clear(c.heads)
 	c.shift = 64 - uint(b)
 }
 
@@ -144,17 +145,18 @@ func (c *chains) link(i int, h uint64) {
 	c.heads[b] = int32(i + 1)
 }
 
-// push appends an item whose hash is h. When items come to outnumber the
-// buckets, their number doubles and every item is linked anew.
-func (c *chains) push(h uint64) {
-	c.hashes = append(grow(c.hashes, 1), h)
-	c.next = append(grow(c.next, 1), 0)
+// push appends an item whose hash is h, growing the chains in what l
+// lends. When items come to outnumber the buckets, their number doubles
+// and every item is linked anew.
+func (c *chains) push(h uint64, l *Lender) {
+	c.hashes = append(grow(l, &hashPool, c.hashes, 1), h)
+	c.next = append(grow(l, &linkPool, c.next, 1), 0)
 	i := len(c.hashes) - 1
 	if i < len(c.heads) {
 		c.link(i, h)
 		return
 	}
-	c.buckets(i + 1)
+	c.buckets(i+1, l)
 	for j, h := range c.hashes {
 		c.link(j, h)
 	}
@@ -227,7 +229,7 @@ func (a *hashAggOp) push(rows []types.Row, _ bool) error {
 	if a.stateW == 0 && len(rows) > 0 {
 		a.stateW = rows[0].Width()
 	}
-	ids := a.rowGroups(len(rows))
+	ids := a.rowGroups(len(rows), a.ctx.scratch())
 	for k, r := range rows {
 		ids[k] = a.group(r)
 	}
@@ -257,7 +259,7 @@ func (a *hashAggOp) group(r types.Row) int32 {
 			}
 		}
 	}
-	x.push(h)
+	x.push(h, a.ctx.scratch())
 	return a.add(r)
 }
 
@@ -286,7 +288,7 @@ func (a *sortAggOp) push(rows []types.Row, _ bool) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	ids := a.rowGroups(len(rows))
+	ids := a.rowGroups(len(rows), a.ctx.scratch())
 	for k, r := range rows {
 		if g := a.groups() - 1; g < 0 || !a.matches(g, r) {
 			a.add(r)
@@ -465,16 +467,17 @@ type hashTable struct {
 // newHashTable indexes rows by the hash of their key columns, skipping
 // rows with a NULL key (they never equi-match) and — when hits is non-nil
 // — rows whose hash no row of hits carries. There are at least as many
-// buckets as rows that can be indexed.
-func newHashTable(rows []types.Row, cols []int, hits *hashTable) *hashTable {
+// buckets as rows that can be indexed. l lends the index.
+func newHashTable(rows []types.Row, cols []int, hits *hashTable, l *Lender) *hashTable {
 	size := len(rows)
 	if hits != nil {
 		size = min(size, len(hits.rows))
 	}
 	t := &hashTable{rows: rows}
-	t.buckets(size)
-	t.hashes = make([]uint64, len(rows))
-	t.next = make([]int32, len(rows))
+	t.buckets(size, l)
+	t.hashes = lend(l, &hashPool, len(rows))
+	t.next = lend(l, &linkPool, len(rows))
+	clear(t.next)
 	// Back to front, so that pushing onto a chain's head leaves it in
 	// input order.
 	for i := len(rows) - 1; i >= 0; i-- {
@@ -531,10 +534,7 @@ type joinOp struct {
 	// candidate row is assembled in the next free slot and simply left
 	// there when it matches. Semi and anti joins emit left rows as they
 	// came, so their batch is only as stable as the left input was.
-	// leftBatch is the size of the left batch being joined, which sizes
-	// out when its first row comes.
 	out       []types.Row
-	leftBatch int
 	arena     arena
 	outStable bool
 	// kept: the consumer keeps every row, so the arena's chunks are handed
@@ -549,13 +549,14 @@ type joinOp struct {
 // after the first, and the rows of the pending batch stay where they
 // were written. reset makes every chunk free again; release gives the
 // chunks away with the rows in them and starts the next batch on one
-// chunk of the size this one reached.
+// chunk of the size this one reached. from lends the chunks.
 type arena struct {
 	chunks [][]types.Value
 	cur    int // chunk being filled
 	used   int // values claimed in it
 	size   int // values in all chunks
 	first  int // size of the first chunk after a release
+	from   *Lender
 }
 
 // slot returns the next w free values without claiming them.
@@ -566,7 +567,8 @@ func (a *arena) slot(w int) types.Row {
 		}
 		a.cur, a.used = a.cur+1, 0
 	}
-	c := make([]types.Value, max(w, a.size, a.first))
+	c := lend(a.from, &valuePool, max(w, a.size, a.first))
+	c = c[:cap(c)]
 	a.first = 0
 	a.chunks = append(a.chunks, c)
 	a.size += len(c)
@@ -578,7 +580,11 @@ func (a *arena) claim(w int) { a.used += w }
 
 func (a *arena) reset() { a.cur, a.used = 0, 0 }
 
-func (a *arena) release() { *a = arena{first: max(a.first, a.size)} }
+// release hands the chunks over; the list that held them is reused.
+func (a *arena) release() {
+	clear(a.chunks)
+	*a = arena{chunks: a.chunks[:0], first: max(a.first, a.size), from: a.from}
+}
 
 // runJoin executes a join. The right input is always collected. A hash
 // join building on it and a merge join then stream the left input past
@@ -603,17 +609,29 @@ func (c *Context) runJoin(t *physical.Join, next stage) error {
 	c.open(&j.op, t, next)
 	defer j.close()
 	_, j.kept = next.(keeper)
+	// The arena is scratch unless the consumer keeps its rows; a semi or
+	// anti join emits its left rows as they came, so a collected left
+	// side is kept storage too.
+	keep := c.keepLender(t)
+	j.arena.from = c.scratch()
+	if j.kept {
+		j.arena.from = keep
+	}
+	leftFrom := c.scratch()
+	if !j.pairs {
+		leftFrom = keep
+	}
 
 	buildLeft := t.Algo == physical.HashAlgo && c.BuildLeft != nil && c.BuildLeft[c.OpIDs[t]]
 	streamLeft := t.Algo == physical.Merge || (t.Algo == physical.HashAlgo && !buildLeft)
 	var left []types.Row
 	var err error
 	if !streamLeft {
-		if left, err = c.collect(t.Inputs()[0]); err != nil {
+		if left, err = c.collect(t.Inputs()[0], leftFrom); err != nil {
 			return err
 		}
 	}
-	if j.right, err = c.collect(t.Inputs()[1]); err != nil {
+	if j.right, err = c.collect(t.Inputs()[1], c.scratch()); err != nil {
 		return err
 	}
 	if len(j.right) > 0 {
@@ -650,7 +668,7 @@ func (c *Context) runJoin(t *physical.Join, next stage) error {
 		if err := c.ReserveMem(t, estRowBytes(j.right)); err != nil {
 			return err
 		}
-		j.table = newHashTable(j.right, j.rightCols, nil)
+		j.table = newHashTable(j.right, j.rightCols, nil, c.scratch())
 		j.leftWork = probeWork
 
 	default:
@@ -668,7 +686,7 @@ func (c *Context) runJoin(t *physical.Join, next stage) error {
 		if err := c.ReserveMem(t, estRowBytes(left)); err != nil {
 			return err
 		}
-		j.table = newHashTable(j.right, j.rightCols, newHashTable(left, j.leftCols, nil))
+		j.table = newHashTable(j.right, j.rightCols, newHashTable(left, j.leftCols, nil, c.scratch()), c.scratch())
 	}
 
 	if streamLeft {
@@ -686,7 +704,6 @@ func (c *Context) runJoin(t *physical.Join, next stage) error {
 // push joins one batch of left rows against their candidates, in left
 // order.
 func (j *joinOp) push(rows []types.Row, stable bool) error {
-	j.leftBatch = len(rows)
 	j.st.addIn(len(rows))
 	j.work(float64(len(rows)) * j.leftWork)
 	if !j.pairs {
@@ -879,12 +896,10 @@ func (j *joinOp) keep(row types.Row) {
 }
 
 // room emits the pending batch when it is full. The first row finds no
-// batch yet: it gets room for as many rows as the left batch being joined
-// holds — what a key join most often emits for it — and append grows it
-// from there, up to batchSize.
+// batch yet: it gets a full one, lent.
 func (j *joinOp) room() error {
 	if j.out == nil {
-		j.out = make([]types.Row, 0, j.leftBatch)
+		j.out = lend(j.ctx.scratch(), &rowPool, batchSize)[:0]
 	}
 	if len(j.out) < batchSize {
 		return nil

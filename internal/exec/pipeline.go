@@ -144,7 +144,7 @@ func (o *op) emitSource(rows []types.Row) error {
 	for len(rows) > 0 {
 		n := min(len(rows), batchSize)
 		if cap(o.sel) < n/c.NVariants+1 {
-			o.sel = make([]types.Row, 0, n/c.NVariants+1)
+			o.sel = lend(c.scratch(), &rowPool, n/c.NVariants+1)
 		}
 		sel := o.sel[:0]
 		for _, r := range rows[:n] {
@@ -190,10 +190,13 @@ func (o *op) share(n int) int {
 
 // rowBuffer is what a pipeline breaker keeps: row headers in arrival
 // order, and — for rows that arrived in a producer's scratch — one copy
-// of their values in slab storage.
+// of their values in slab storage. headers lends the row headers and
+// values the slabs (nil: made on the heap).
 type rowBuffer struct {
-	rows []types.Row
-	slab []types.Value
+	rows    []types.Row
+	slab    []types.Value
+	headers *Lender
+	values  *Lender
 }
 
 func (b *rowBuffer) keepsRows() {}
@@ -201,27 +204,14 @@ func (b *rowBuffer) keepsRows() {}
 // expect reserves room for n more rows, exactly.
 func (b *rowBuffer) expect(n int) {
 	if cap(b.rows)-len(b.rows) < n {
-		b.rows = append(make([]types.Row, 0, len(b.rows)+n), b.rows...)
+		grown := lend(b.headers, &rowPool, len(b.rows)+n)
+		b.rows = grown[:copy(grown, b.rows)]
 	}
-}
-
-// grow returns s with room for n more elements. When s has to move, its
-// capacity doubles, or becomes exactly enough if that is more. append
-// grows a large slice by only 1.25× (and slices.Grow overshoots a
-// doubling): for a slice that grows a batch or a group at a time, that
-// would allocate, and abandon, it about five times over.
-func grow[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	grown := make([]T, len(s), max(len(s)+n, 2*cap(s)))
-	copy(grown, s)
-	return grown
 }
 
 func (b *rowBuffer) push(rows []types.Row, stable bool) error {
 	// Unannounced rows double the buffer.
-	b.rows = grow(b.rows, len(rows))
+	b.rows = grow(b.headers, &rowPool, b.rows, len(rows))
 	if stable {
 		b.rows = append(b.rows, rows...)
 		return nil
@@ -229,7 +219,8 @@ func (b *rowBuffer) push(rows []types.Row, stable bool) error {
 	for i, r := range rows {
 		if len(b.slab) < len(r) {
 			// One slab per batch, sized for the rest of it.
-			b.slab = make([]types.Value, (len(rows)-i)*len(r))
+			b.slab = lend(b.values, &valuePool, (len(rows)-i)*len(r))
+			b.slab = b.slab[:cap(b.slab)]
 		}
 		// The capacity limit keeps a later append to the kept row from
 		// running into its neighbour.
@@ -244,12 +235,12 @@ func (b *rowBuffer) push(rows []types.Row, stable bool) error {
 // collect runs a subtree to completion and returns its rows, which the
 // caller may keep: the build (or collected) side of a join. A source
 // whose rows would reach the buffer unchanged gives its own slice instead
-// of a copy.
-func (c *Context) collect(n physical.Node) ([]types.Row, error) {
+// of a copy; values lends the slabs of the rows it copies.
+func (c *Context) collect(n physical.Node, values *Lender) ([]types.Row, error) {
 	if c.adoptable(n) {
 		return c.adopt(n)
 	}
-	var buf rowBuffer
+	buf := rowBuffer{headers: c.scratch(), values: values}
 	if err := c.run(n, &buf); err != nil {
 		return nil, err
 	}
@@ -267,11 +258,12 @@ func (c *Context) run(n physical.Node, next stage) error {
 	case *physical.Filter:
 		s = &filterOp{pred: c.pred(n, t.Predicate)}
 	case *physical.Project:
-		s = &projectOp{cols: c.cols(n, t.Kernels)}
+		s = &projectOp{cols: c.cols(n, t.Kernels), keep: c.keepLender(n)}
 	case *physical.Limit:
 		s = &limitOp{n: t.N}
 	case *physical.Sort:
-		s = &sortOp{keys: t.Keys}
+		// A consumer copies the headers it keeps.
+		s = &sortOp{keys: t.Keys, buf: rowBuffer{headers: c.scratch(), values: c.keepLender(n)}}
 	case *physical.HashAggregate:
 		s = newHashAgg(t.GroupBy, t.Aggs, t.Args(), cost.RPTC+cost.HAC+cost.RCC)
 	case *physical.SortAggregate:
@@ -407,7 +399,7 @@ func (o *op) emitOrdered(rows []types.Row, order []int) error {
 	for len(order) > 0 {
 		n := min(len(order), batchSize)
 		if cap(o.gather) < n {
-			o.gather = make([]types.Row, n)
+			o.gather = lend(o.ctx.scratch(), &rowPool, n)
 		}
 		batch := o.gather[:n]
 		for i, ri := range order[:n] {
@@ -447,7 +439,7 @@ func (o *op) receive(r *physical.Receiver) error {
 		// but the cost clock charges what a real loser-tree merge costs:
 		// one comparison per row.
 		o.work(float64(total) * cost.RCC)
-		merged := make([]types.Row, 0, total)
+		merged := lend(c.scratch(), &rowPool, total)[:0]
 		for _, b := range batches {
 			merged = append(merged, b.Rows...)
 		}
@@ -488,10 +480,11 @@ func (f *filterOp) finish() error { return nil }
 // projectOp streams computed rows. Each compiled expression fills its
 // column of one value arena that the next batch overwrites — unless the
 // consumer keeps every row anyway, in which case each batch gets an arena
-// of its own to keep.
+// of its own to keep, lent by keep.
 type projectOp struct {
 	op
 	cols []*expr.Scalar
+	keep *Lender
 	out  []types.Row
 	vals []types.Value
 }
@@ -502,17 +495,27 @@ func (p *projectOp) push(rows []types.Row, _ bool) error {
 	p.work(float64(len(rows)) * cost.RPTC * float64(w))
 	_, kept := p.next.(keeper)
 	if cap(p.out) < len(rows) {
-		p.out = make([]types.Row, len(rows))
+		p.out = lend(p.ctx.scratch(), &rowPool, len(rows))
 	}
-	if kept || len(p.vals) < len(rows)*w {
-		p.vals = make([]types.Value, len(rows)*w)
+	if len(p.vals) < len(rows)*w {
+		from := p.ctx.scratch()
+		if kept {
+			from = p.keep
+		}
+		p.vals = lend(from, &valuePool, len(rows)*w)
+		p.vals = p.vals[:cap(p.vals)]
+	}
+	vals := p.vals
+	if kept {
+		// The batch keeps its values; the next one fills the rest.
+		p.vals = p.vals[len(rows)*w:]
 	}
 	for j, c := range p.cols {
-		c.Fill(rows, p.vals[j:], w)
+		c.Fill(rows, vals[j:], w)
 	}
 	out := p.out[:len(rows)]
 	for i := range out {
-		out[i] = p.vals[i*w : (i+1)*w : (i+1)*w]
+		out[i] = vals[i*w : (i+1)*w : (i+1)*w]
 	}
 	return p.emit(out, kept)
 }

@@ -6,21 +6,25 @@ import (
 	"gignite/internal/expr"
 	"gignite/internal/logical"
 	"gignite/internal/physical"
+	"gignite/internal/storage"
 	"gignite/internal/types"
 )
 
 // BenchmarkPipelineScanAgg is TPC-H Q1's shape — scan → filter → project
 // → hash aggregate into a handful of groups — whose cost under full
-// materialization was one projected row per input row.
+// materialization was one projected row per input row. Each iteration is
+// one execution lending from one Lender (lentCtx).
 func BenchmarkPipelineScanAgg(b *testing.B) {
 	const n = 60_000
 	st, plan := scanAggPlan(b, n)
+	var l Lender
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runPlan(plan, ctxAt(st, 0)); err != nil {
+		if _, err := runPlan(plan, lentCtx(st, &l)); err != nil {
 			b.Fatal(err)
 		}
+		l.Release()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
 }
@@ -72,13 +76,25 @@ func BenchmarkPipelineJoinChain(b *testing.B) {
 		ints("n_region", "s"))
 
 	st := testStore(b, 1)
+	var l Lender
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := runPlan(plan, ctxAt(st, 0))
+		rows, err := runPlan(plan, lentCtx(st, &l))
 		if err != nil || len(rows) != 5 {
 			b.Fatalf("%d groups, err %v", len(rows), err)
 		}
+		l.Release()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(parts*suppliers), "ns/row")
+}
+
+// lentCtx is ctxAt(st, 0) lending from l, as the scheduler's instances
+// do. Both benchmarks' root is an aggregate, whose rows are never lent,
+// and every operator below it builds only scratch, which is lent
+// whatever Context.Output marks.
+func lentCtx(st *storage.Store, l *Lender) *Context {
+	ctx := ctxAt(st, 0)
+	ctx.Lender = l
+	return ctx
 }

@@ -488,7 +488,7 @@ func TestCollectAdoptsSourceRows(t *testing.T) {
 			}
 			ctx := c.ctx()
 			tracked(ctx, c.src)
-			got, err := ctx.collect(c.src)
+			got, err := ctx.collect(c.src, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -38,30 +38,37 @@ func benchSendSetup(b *testing.B, dist physical.Distribution, nrows int) (*stora
 	return st, sender, rows
 }
 
-// BenchmarkSendRowsHash measures the hash-routing send path (the satellite
-// pooling/preallocation target): allocations here repeat once per sender
-// instance per wave.
+// BenchmarkSendRowsHash measures the hash-routing send path: allocations
+// here repeat once per sender instance per wave. Each iteration is one
+// execution, lending from one Lender that it releases at the end, as the
+// scheduler does.
 func BenchmarkSendRowsHash(b *testing.B) {
 	st, sender, rows := benchSendSetup(b, physical.HashDist(0), 8192)
+	var l Lender
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx := &Context{Store: st, Site: 0, Host: 0, NVariants: 1}
+		ctx := &Context{Store: st, Site: 0, Host: 0, NVariants: 1, Lender: &l}
 		if err := sendRows(sender, rows, ctx); err != nil {
 			b.Fatal(err)
 		}
+		ctx.private.Release() // what Run would release
+		l.Release()
 	}
 }
 
 // BenchmarkSendRowsBroadcast measures the broadcast send path.
 func BenchmarkSendRowsBroadcast(b *testing.B) {
 	st, sender, rows := benchSendSetup(b, physical.BroadcastDist, 8192)
+	var l Lender
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx := &Context{Store: st, Site: 0, Host: 0, NVariants: 1}
+		ctx := &Context{Store: st, Site: 0, Host: 0, NVariants: 1, Lender: &l}
 		if err := sendRows(sender, rows, ctx); err != nil {
 			b.Fatal(err)
 		}
+		ctx.private.Release() // what Run would release
+		l.Release()
 	}
 }

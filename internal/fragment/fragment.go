@@ -53,6 +53,18 @@ type Fragment struct {
 	// placeholder: the only ones an execution's arguments reach
 	// (physical.Bind).
 	Params []int
+	// Output marks, by operator id, the operators whose rows reach the
+	// fragment's root as they are: the root, and below a marked operator
+	// the inputs it passes on as they came — a Filter's, a Limit's, a
+	// Sort's, a Sender's and a semi or anti join's left input. ToResult
+	// reports that the fragment's output reaches the query result: the
+	// root fragment does, and so does the producer of a marked Receiver
+	// in a fragment that does. The executor keeps the rows a marked
+	// operator builds or copies for the rest of the execution when they
+	// are shipped, and on the heap when they reach the result, since then
+	// they outlive it (exec.Lender).
+	Output   []bool
+	ToResult bool
 
 	wave int // the fragment's index in Plan.Waves
 }
@@ -144,6 +156,8 @@ func Split(root physical.Node) *Plan {
 				f.Params = append(f.Params, id)
 			}
 		}
+		f.Output = make([]bool, len(f.Ops))
+		f.markOutput(f.Root)
 	}
 
 	var splitTree func(n physical.Node, frag *Fragment) physical.Node
@@ -183,12 +197,40 @@ func Split(root physical.Node) *Plan {
 	p.Fragments = append(p.Fragments, rootFrag)
 	rootFrag.Root = splitTree(root, rootFrag)
 	complete(rootFrag)
+	p.markToResult(rootFrag)
 	for _, f := range p.Fragments {
 		for _, ex := range f.Receivers {
 			p.Edges = append(p.Edges, Edge{Exchange: ex, From: p.Producer[ex].ID, To: f.ID})
 		}
 	}
 	return p
+}
+
+// markOutput marks n, whose rows reach the fragment's root as they are,
+// and below it every input n passes on as it came (Fragment.Output).
+func (f *Fragment) markOutput(n physical.Node) {
+	f.Output[f.OpIDs[n]] = true
+	switch t := n.(type) {
+	case *physical.Filter, *physical.Limit, *physical.Sort, *physical.Sender:
+		f.markOutput(n.Inputs()[0])
+	case *physical.Join:
+		if t.Type == logical.JoinSemi || t.Type == logical.JoinAnti {
+			f.markOutput(t.Inputs()[0])
+		}
+	}
+}
+
+// markToResult sets ToResult on f, whose output reaches the query result,
+// and on the producer of every Receiver whose rows reach f's output.
+func (p *Plan) markToResult(f *Fragment) {
+	f.ToResult = true
+	for id, n := range f.Ops {
+		if r, ok := n.(*physical.Receiver); ok && f.Output[id] {
+			if prod := p.Producer[r.ExchangeID]; !prod.ToResult {
+				p.markToResult(prod)
+			}
+		}
+	}
 }
 
 // SourceMode is how a source operator behaves inside a variant fragment

@@ -1,7 +1,9 @@
 package fragment
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"gignite/internal/catalog"
@@ -485,6 +487,74 @@ func TestSplitNumbersOperators(t *testing.T) {
 			if f.OpIDs[n] != id {
 				t.Errorf("fragment %d: %s has id %d, want %d", f.ID, n.Describe(), f.OpIDs[n], id)
 			}
+		}
+	}
+}
+
+// TestSplitMarksRowsReachingTheResult: Output marks each fragment's root
+// and, below a marked operator, every input whose rows it passes on as
+// they came — a Filter's, a Limit's, a Sort's, a Sender's, a semi join's
+// left input — but not an operator that builds rows of its own (Project,
+// an inner join, an aggregate) nor anything below one. ToResult holds for
+// the root fragment and, across an exchange, for the producer of a
+// marked Receiver of a fragment that holds it.
+func TestSplitMarksRowsReachingTheResult(t *testing.T) {
+	on := expr.NewBinOp(expr.OpEq, expr.NewColRef(0, types.KindInt, ""), expr.NewColRef(2, types.KindInt, ""))
+	keys := []expr.EquiKey{{Left: 0, Right: 0}}
+	positive := expr.NewBinOp(expr.OpGt, expr.NewColRef(1, types.KindInt, ""), expr.NewLit(types.NewInt(0)))
+	join := func(typ logical.JoinType, l, r physical.Node) physical.Node {
+		return physical.NewJoin(l, r, physical.HashAlgo, typ, on, keys, physical.HashDist(0), "hash", nil)
+	}
+	ints := types.Fields{{Name: "id", Kind: types.KindInt}}
+	for _, c := range []struct {
+		name string
+		plan physical.Node
+		// want lists each fragment's operators in pre-order, a marked one
+		// with a star, after "result:" or "shipped:".
+		want []string
+	}{{
+		"semi join shipped to a sort",
+		physical.NewLimit(physical.NewSort(physical.NewExchange(
+			join(logical.JoinSemi, physical.NewFilter(scan("a"), positive), physical.NewExchange(scan("b"), physical.HashDist(0))),
+			physical.SingleDist), []types.SortKey{{Col: 0}}), 10),
+		[]string{
+			"result: Limit* Sort* Receiver*",
+			"result: Sender* Join* Filter* TableScan* Receiver",
+			"shipped: Sender* TableScan*",
+		},
+	}, {
+		"projected inner join",
+		physical.NewExchange(physical.NewProject(
+			join(logical.JoinInner, scan("a"), physical.NewExchange(scan("b"), physical.HashDist(0))),
+			[]expr.Expr{expr.NewColRef(0, types.KindInt, "")}, ints), physical.SingleDist),
+		[]string{
+			"result: Receiver*",
+			"result: Sender* Project* Join TableScan Receiver",
+			"shipped: Sender* TableScan*",
+		},
+	}, {
+		"inner join in the root fragment",
+		join(logical.JoinInner, scan("a"), scan("b")),
+		[]string{"result: Join* TableScan TableScan"},
+	}} {
+		p := Split(c.plan)
+		var got []string
+		for _, f := range p.Fragments {
+			names := []string{"shipped:"}
+			if f.ToResult {
+				names[0] = "result:"
+			}
+			for id, n := range f.Ops {
+				name := strings.TrimPrefix(fmt.Sprintf("%T", n), "*physical.")
+				if f.Output[id] {
+					name += "*"
+				}
+				names = append(names, name)
+			}
+			got = append(got, strings.Join(names, " "))
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: marks\n  %s\nwant\n  %s", c.name, strings.Join(got, "\n  "), strings.Join(c.want, "\n  "))
 		}
 	}
 }

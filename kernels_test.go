@@ -58,13 +58,13 @@ func TestPreparedExecutionCompilesNothing(t *testing.T) {
 
 // q6Allocs is the most heap objects one execution of prepared TPC-H Q6
 // may make (IC+M, 4 sites, SF 0.001, one worker): about 10% above the
-// measured 209. The kernels and the split plan live with the cached
+// measured 201. The kernels and the split plan live with the cached
 // entry, an instance's fixed state comes from its wave's slabs, the
-// execution is recorded once, in its ledger, and an attempt's batches
-// are values in one slice. The interpreter made 561, splitting the plan
-// per execution 328, the simnet trace's maps 238, and a heap batch per
-// shipment 217.
-const q6Allocs = 230
+// execution is recorded once, in its ledger, an attempt's batches are
+// values in one slice, and its scratch is borrowed (exec.Lender). The
+// interpreter made 561, splitting the plan per execution 328, the simnet
+// trace's maps 238, a heap batch per shipment 217, and heap scratch 209.
+const q6Allocs = 221
 
 func TestPreparedQ6Allocations(t *testing.T) {
 	e := openTPCH(t, 0.001, 4, icpm(0.001), parallelism(1))
