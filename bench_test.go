@@ -18,12 +18,15 @@ import (
 	"time"
 
 	"gignite"
+	"gignite/internal/catalog"
 	"gignite/internal/exec"
 	"gignite/internal/expr"
+	"gignite/internal/fragment"
 	"gignite/internal/harness"
 	"gignite/internal/logical"
 	"gignite/internal/physical"
 	"gignite/internal/ssb"
+	"gignite/internal/storage"
 	"gignite/internal/tpch"
 	"gignite/internal/types"
 )
@@ -187,10 +190,10 @@ func BenchmarkHashAggregate(b *testing.B) {
 		}, physical.AggSinglePhase,
 		types.Fields{{Name: "g", Kind: types.KindInt}, {Name: "n", Kind: types.KindInt},
 			{Name: "s", Kind: types.KindFloat}})
-	physical.Compile(agg)
+	f := fragment.Split(agg).Fragments[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := exec.Run(agg, &exec.Context{NVariants: 1})
+		_, rows, err := runFragment(f, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,7 +204,13 @@ func BenchmarkHashAggregate(b *testing.B) {
 }
 
 // BenchmarkHashJoin measures the hash-join operator (its build table and
-// output batch show up here).
+// output batch show up here), in the two places a join stands. As the
+// plan root ("root") its rows are the result, so its arena is never
+// lent; its hash index is. Under a Sender ("sender"), in a fragment whose
+// rows do not reach the result — a COUNT(*) reads the exchange — the
+// arena is lent too, as it is for most joins of a distributed plan. Each
+// iteration is one execution lending from one Lender, as the scheduler's
+// instances do.
 func BenchmarkHashJoin(b *testing.B) {
 	lFields := types.Fields{{Name: "k", Kind: types.KindInt}, {Name: "a", Kind: types.KindInt}}
 	rFields := types.Fields{{Name: "k2", Kind: types.KindInt}, {Name: "b", Kind: types.KindFloat}}
@@ -219,22 +228,53 @@ func BenchmarkHashJoin(b *testing.B) {
 		expr.NewBinOp(expr.OpEq,
 			expr.NewColRef(0, types.KindInt, ""), expr.NewColRef(2, types.KindInt, "")),
 		[]expr.EquiKey{{Left: 0, Right: 0}}, physical.SingleDist, "single", nil)
-	physical.Compile(join)
-	// Each iteration is one execution lending from one Lender, as the
-	// scheduler's instances do. The join is the root, so its rows are the
-	// result and its arena is never lent; its hash index is.
-	var l exec.Lender
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := exec.Run(join, &exec.Context{NVariants: 1, Lender: &l})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 20000 {
-			b.Fatalf("join rows = %d", len(rows))
-		}
-		l.Release()
+	count := physical.NewHashAggregate(physical.NewExchange(join, physical.SingleDist), nil,
+		[]expr.AggCall{{Func: expr.AggCount, Name: "n"}}, physical.AggSinglePhase,
+		types.Fields{{Name: "n", Kind: types.KindInt}})
+	shipped := fragment.Split(count).Producer[0]
+	if shipped.ToResult {
+		b.Fatal("the shipped join's rows reach the result")
 	}
+	// A Sender routes by the store's site count.
+	st := storage.NewReplicatedStore(catalog.New(), 1, 0)
+	for _, c := range []struct {
+		name string
+		f    *fragment.Fragment
+	}{
+		{"root", fragment.Split(join).Fragments[0]},
+		{"sender", shipped},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var l exec.Lender
+			for i := 0; i < b.N; i++ {
+				ctx, rows, err := runFragment(c.f, st, &l)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := len(rows)
+				for _, sent := range ctx.Sent {
+					n += len(sent.Rows)
+				}
+				if n != 20000 {
+					b.Fatalf("join rows = %d", n)
+				}
+				l.Release()
+			}
+		})
+	}
+}
+
+// runFragment runs fragment f of a split plan as the scheduler runs one
+// instance at site 0: with the fragment's operator ids, kernels and
+// output marks, over store st, lending from l (nil: every buffer on the
+// heap).
+func runFragment(f *fragment.Fragment, st *storage.Store, l *exec.Lender) (*exec.Context, []types.Row, error) {
+	ctx := &exec.Context{
+		Store: st, NVariants: 1, OpIDs: f.OpIDs, Kernels: f.Kernels,
+		Output: f.Output, ToResult: f.ToResult, Lender: l,
+	}
+	rows, err := exec.Run(f.Root, ctx)
+	return ctx, rows, err
 }
 
 // updateGate makes TestBenchGate rewrite BENCH_gate.json from the current

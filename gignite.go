@@ -151,8 +151,8 @@ type Config struct {
 	// --- limits and modeling ---
 
 	// ExecParallelism bounds how many fragment instances execute
-	// concurrently on host goroutines. 0 uses runtime.GOMAXPROCS(0); 1
-	// forces the deterministic sequential path (determinism tests, -par 1).
+	// concurrently on host goroutines. 0 uses runtime.GOMAXPROCS(0); with
+	// 1 the calling goroutine runs each wave's instances in order (-par 1).
 	// Results and modeled times are identical at every setting — host
 	// parallelism changes wall-clock time only, while the paper's
 	// per-fragment threads stay accounted for by the simnet cost clock.
@@ -765,9 +765,9 @@ func (e *Engine) newPlanner() *volcano.Planner {
 // version planning started from. Reading the version first is
 // deliberate: a DDL landing mid-plan leaves the entry marked stale, never
 // the reverse. Planning holds e.mu shared throughout, so CREATE INDEX and
-// ANALYZE wait for it. The plan's expressions are compiled, and the plan
-// split (the engine's only fragment.Split), before anyone else can see
-// it: every execution, adaptive or not, runs that one split, read-only.
+// ANALYZE wait for it. The plan is split, its expressions compiled with
+// it (the engine's only fragment.Split), before anyone else can see it:
+// every execution, adaptive or not, runs that one split, read-only.
 // Entry.Plan stays nil: its last reader, bench/staged.go, fills its own.
 func (e *Engine) buildEntry(sel *sql.SelectStmt) (*plancache.Entry, error) {
 	version := e.catalog.Version()
@@ -782,7 +782,6 @@ func (e *Engine) buildEntry(sel *sql.SelectStmt) (*plancache.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	physical.Compile(pp)
 	return &plancache.Entry{
 		Split:      fragment.Split(pp),
 		ParamKinds: b.ParamKinds(sel.Params), Tickets: vp.TicketsUsed, Version: version,
@@ -920,16 +919,14 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, src string, args 
 		return nil, nil, err
 	}
 	qobs := res.Obs
-	if qobs != nil {
-		qobs.QueryID = e.queryID.Add(1)
-		qobs.SQL = src
-		qobs.PlanDigest = text.Digest
-		// Operator lines describe the plan as planned; an adaptive switch
-		// is recorded once, in qobs.Replans.
-		for _, fo := range qobs.Fragments {
-			for i, op := range text.Ops[fo.Frag] {
-				fo.Ops[i].Op = op
-			}
+	qobs.QueryID = e.queryID.Add(1)
+	qobs.SQL = src
+	qobs.PlanDigest = text.Digest
+	// Operator lines describe the plan as planned; an adaptive switch is
+	// recorded once, in qobs.Replans.
+	for _, fo := range qobs.Fragments {
+		for i, op := range text.Ops[fo.Frag] {
+			fo.Ops[i].Op = op
 		}
 	}
 	out := &Result{
@@ -963,11 +960,9 @@ func (e *Engine) recordQuery(res *Result, qobs *obs.QueryObs, src string) {
 		e.em.planSkipped.Inc()
 	}
 	e.em.modeledSeconds.Observe(res.Modeled.Seconds())
-	if qobs != nil {
-		e.em.wallSeconds.Observe(time.Duration(qobs.WallNanos).Seconds())
-	}
+	e.em.wallSeconds.Observe(time.Duration(qobs.WallNanos).Seconds())
 	thr := e.cfg.SlowQueryThreshold
-	if thr <= 0 || res.Modeled < thr || qobs == nil {
+	if thr <= 0 || res.Modeled < thr {
 		return
 	}
 	e.em.slow.Inc()

@@ -7,8 +7,9 @@
 // Fragments execute wave by wave, in the Plan.Waves fragment.Split
 // recorded: every producer finishes before its consumers start, and all
 // instances within one wave run concurrently on a bounded pool of host
-// goroutines (Workers; 1 falls back to the deterministic sequential
-// path). Host parallelism changes only wall-clock time — the modeled
+// goroutines (Workers; with one, the calling goroutine runs the jobs in
+// order). Results are deterministic at every setting, and host
+// parallelism changes only wall-clock time — the modeled
 // response time still comes from the simnet cost clock, which accounts
 // for the paper's per-fragment threads analytically (see DESIGN.md §2
 // and package simnet).
@@ -26,10 +27,11 @@
 // exchange edges' volumes all read it.
 //
 // Run only reads the plan it is given — its waves, operator ids, edges
-// and compiled kernels — so one split plan serves every concurrent
-// execution of a cached entry, adaptive or not. What is particular to an
-// execution reaches its instances by operator id beside the plan: its
-// arguments as kernels bound for the operators holding a placeholder
+// and kernel tables — so one split plan serves every concurrent
+// execution of a cached entry, adaptive or not, and compiles nothing it
+// holds. What is particular to an execution reaches its instances by
+// operator id beside the plan: its arguments, in a copy of the kernel
+// table of each fragment holding a placeholder with those entries bound
 // (Opts.Args, physical.Bind), and an adaptive controller's build-side
 // swaps (exec.Context.BuildLeft).
 //
@@ -81,9 +83,9 @@ type Cluster struct {
 	// Sim is the modeled hardware profile for the cost clock.
 	Sim simnet.Params
 	// Workers bounds how many fragment instances execute concurrently on
-	// the host. 0 means runtime.GOMAXPROCS(0); 1 keeps the sequential
-	// path (used by determinism tests and the commands' -par 1). Results
-	// and modeled times are identical at every setting.
+	// the host. 0 means runtime.GOMAXPROCS(0); with 1 the calling
+	// goroutine runs a wave's jobs in order. Results and modeled times
+	// are identical at every setting.
 	Workers int
 	// RowLimit bounds the rows one instance's join emission may
 	// materialize (0 = unlimited). It keeps runaway cross products from
@@ -107,9 +109,9 @@ type Result struct {
 	// statistics per fragment, and one trace span per fragment-instance
 	// attempt, in deterministic job order.
 	Obs *obs.QueryObs
-	// Compiled counts the expressions compiled for this execution: none
-	// for a plan that came compiled (physical.Compile), only those holding
-	// a placeholder, bound to Opts.Args (physical.Bind).
+	// Compiled counts the expressions compiled for this execution: only
+	// those holding a placeholder, bound to Opts.Args (physical.Bind);
+	// the split compiled the rest (physical.Compile).
 	Compiled int
 }
 
@@ -176,9 +178,10 @@ type run struct {
 	// work; every later ordinal finds the site dead.
 	dying map[int]int
 
-	// bound holds each fragment's kernels bound to Opts.Args, by fragment
-	// id, then operator id (nil: the plan holds no placeholder).
-	bound [][]*physical.Kernels
+	// bound holds, by fragment id, the kernel table bound to Opts.Args of
+	// each fragment holding a placeholder (nil: the plan holds none, and
+	// every fragment runs its split's own).
+	bound [][]physical.Kernels
 
 	// next is the index of the next job a batch's workers claim, and pool
 	// waits for the goroutines runPool started (see runPool).
@@ -219,8 +222,9 @@ func (r *run) schedule() error {
 
 // newRun sets one execution up: the exchanges, the ledger, the
 // observation record and the kernels bound to the arguments. The wave
-// schedule, the exchange edges and the operator ids are the plan's own
-// (fragment.Split), shared read-only by every execution of it.
+// schedule, the exchange edges, the operator ids and the kernel tables
+// are the plan's own (fragment.Split), shared read-only by every
+// execution of it.
 func (c *Cluster) newRun(ctx context.Context, plan *fragment.Plan, opts Opts) *run {
 	if ctx == nil {
 		ctx = context.Background()
@@ -238,23 +242,18 @@ func (c *Cluster) newRun(ctx context.Context, plan *fragment.Plan, opts Opts) *r
 	for ex := range r.exchanges {
 		r.exchanges[ex] = streams[ex*sites : (ex+1)*sites : (ex+1)*sites]
 	}
-	// The executor runs compiled expressions only. Kernels are shared by
-	// every instance, so they are compiled here, before any instance runs:
-	// none for a plan that came compiled, which is then only read.
+	// The arguments reach only the fragments holding a placeholder, each
+	// in a copy of its kernel table shared by the fragment's instances.
 	for _, f := range plan.Fragments {
-		r.res.Compiled += physical.Compile(f.Root)
 		if len(f.Params) == 0 {
 			continue
 		}
 		if r.bound == nil {
-			r.bound = make([][]*physical.Kernels, len(plan.Fragments))
+			r.bound = make([][]physical.Kernels, len(plan.Fragments))
 		}
-		r.bound[f.ID] = make([]*physical.Kernels, len(f.Ops))
-		for _, id := range f.Params {
-			k, n := physical.Bind(f.Ops[id], opts.Args)
-			r.bound[f.ID][id] = k
-			r.res.Compiled += n
-		}
+		var n int
+		r.bound[f.ID], n = physical.Bind(f.Kernels, f.Ops, f.Params, opts.Args)
+		r.res.Compiled += n
 	}
 	if r.workers <= 0 {
 		r.workers = runtime.GOMAXPROCS(0)

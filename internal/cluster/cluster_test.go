@@ -256,6 +256,47 @@ func TestDistributedAggregation(t *testing.T) {
 	}
 }
 
+// TestHandBuiltPlanRunsAsSplit: a hand-built plan that nothing compiled
+// runs as fragment.Split leaves it, since splitting compiles every
+// operator's expressions. Its placeholders are bound per execution, and
+// the rows are the reference ones, computed from the stored rows.
+func TestHandBuiltPlanRunsAsSplit(t *testing.T) {
+	c := testCluster(t, 3, 0)
+	id, grp := expr.NewColRef(0, types.KindInt, "id"), expr.NewColRef(1, types.KindInt, "grp")
+	filter := physical.NewFilter(scanT(t, c), expr.NewBinOp(expr.OpAnd,
+		expr.NewBinOp(expr.OpEq, grp, expr.NewParam(0, types.KindInt)),
+		expr.NewBinOp(expr.OpLt, id, expr.NewLit(types.NewInt(50)))))
+	proj := physical.NewProject(filter, []expr.Expr{id, expr.NewBinOp(expr.OpAdd,
+		expr.NewBinOp(expr.OpMul, id, expr.NewLit(types.NewInt(10))), expr.NewParam(1, types.KindInt))},
+		types.Fields{{Name: "id", Kind: types.KindInt}, {Name: "x", Kind: types.KindInt}})
+	plan := fragment.Split(physical.NewExchange(proj, physical.SingleDist))
+	for _, args := range [][2]int64{{1, 5}, {3, -7}} {
+		res, err := c.Run(context.Background(), plan, Opts{Variants: 1,
+			Args: []types.Value{types.NewInt(args[0]), types.NewInt(args[1])}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Compiled != 2 {
+			t.Errorf("args %v: compiled %d expressions, want the 2 holding a placeholder", args, res.Compiled)
+		}
+		var want []string
+		for i := int64(0); i < 50; i++ {
+			if i%4 == args[0] {
+				want = append(want, types.Row{types.NewInt(i), types.NewInt(10*i + args[1])}.String())
+			}
+		}
+		var got []string
+		for _, r := range res.Rows {
+			got = append(got, r.String())
+		}
+		sort.Strings(got)
+		sort.Strings(want)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("args %v: rows\n%v\nwant\n%v", args, got, want)
+		}
+	}
+}
+
 // replicatedTestCluster is testCluster with backup replicas and a fault
 // plan.
 func replicatedTestCluster(t *testing.T, sites, backups int, spec string) *Cluster {

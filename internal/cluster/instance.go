@@ -11,7 +11,6 @@ import (
 	"gignite/internal/faults"
 	"gignite/internal/fragment"
 	"gignite/internal/obs"
-	"gignite/internal/physical"
 	"gignite/internal/types"
 )
 
@@ -162,9 +161,9 @@ func (r *run) attempt(j *instanceJob, ir *instanceResult, host, n int) ([]types.
 		ir.ctx = &exec.Context{Obs: obs.NewInstanceObs(j.fobs)}
 	}
 	ectx := ir.ctx
-	var bound []*physical.Kernels
-	if r.bound != nil {
-		bound = r.bound[j.frag.ID]
+	kernels := j.frag.Kernels
+	if r.bound != nil && r.bound[j.frag.ID] != nil {
+		kernels = r.bound[j.frag.ID]
 	}
 	*ectx = exec.Context{
 		Store:     c.Store,
@@ -183,7 +182,7 @@ func (r *run) attempt(j *instanceJob, ir *instanceResult, host, n int) ([]types.
 		Counters:  ectx.Counters,
 		OpIDs:     j.frag.OpIDs,
 		Obs:       ectx.Obs,
-		Bound:     bound,
+		Kernels:   kernels,
 		Mem:       r.opts.Mem,
 		Lender:    &r.lender,
 		Output:    j.frag.Output,

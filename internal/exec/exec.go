@@ -28,6 +28,11 @@
 // clock is independent of all this: every operator charges the same work
 // and memory estimates it would under full materialization, per batch.
 //
+// Operators evaluate compiled expressions only, which the split plan keeps
+// apart from its nodes, in a table per fragment indexed by operator id:
+// an instance reads its fragment's table, or its execution's copy with
+// the arguments bound, from Context.Kernels.
+//
 // The three join algorithms (operators.go) differ only in how they find a
 // left row's candidate right rows — every right row, a hash chain, a
 // sorted run; matching the candidates and emitting per join type is one
@@ -132,11 +137,10 @@ type Context struct {
 	// (microbenchmarks, operator unit tests).
 	OpIDs map[physical.Node]int
 	Obs   *obs.InstanceObs
-	// Bound holds, by operator id, the kernels an execution compiled with
-	// its arguments for the operators whose expressions hold a
-	// placeholder (physical.Bind); the others, and every operator when
-	// Bound is nil, run the plan's own kernels.
-	Bound []*physical.Kernels
+	// Kernels are the fragment's compiled expressions, by operator id:
+	// the split's table (fragment.Fragment.Kernels), or an execution's
+	// copy of it with its arguments bound (physical.Bind).
+	Kernels []physical.Kernels
 
 	// --- adaptive execution (DESIGN.md §17) ---
 
@@ -255,29 +259,15 @@ func (c *Context) scratch() *Lender {
 	return &c.private
 }
 
-// bound returns the execution's kernels for n, or nil when n runs its
-// own.
-func (c *Context) bound(n physical.Node) *physical.Kernels {
-	if c.Bound == nil {
-		return nil
-	}
-	id, ok := c.OpIDs[n]
-	if !ok {
-		return nil
-	}
-	return c.Bound[id]
-}
+// kernels returns operator n's compiled expressions.
+func (c *Context) kernels(n physical.Node) *physical.Kernels { return &c.Kernels[c.OpIDs[n]] }
 
 // opstat returns an operator's recorder slot (nil when untracked).
 func (c *Context) opstat(n physical.Node) *OpStatsRef {
 	if c.Obs == nil {
 		return nil
 	}
-	id, ok := c.OpIDs[n]
-	if !ok {
-		return nil
-	}
-	return (*OpStatsRef)(&c.Obs.Ops[id])
+	return (*OpStatsRef)(&c.Obs.Ops[c.OpIDs[n]])
 }
 
 // OpStatsRef aliases an operator's recorder slot; its methods accept a

@@ -78,10 +78,16 @@ func publish(sites, ex int, batches ...Batch) [][][]*Batch {
 	return out
 }
 
-// runPlan compiles a hand-built plan's expressions, as cluster.Run does
-// before any instance starts, and runs it as one instance.
+// runPlan runs a hand-built plan as one instance, with the operator ids
+// (unless ctx has its own) and kernels fragment.Split gives a fragment:
+// physical.Number and physical.Compile.
 func runPlan(n physical.Node, ctx *Context) ([]types.Row, error) {
-	physical.Compile(n)
+	ops, ids := physical.Number(n)
+	if ctx.OpIDs == nil {
+		ctx.OpIDs = ids
+		defer func() { ctx.OpIDs = nil }()
+	}
+	ctx.Kernels = physical.Compile(nil, ops)
 	return Run(n, ctx)
 }
 
@@ -642,7 +648,7 @@ func TestJoinResidual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := nl.Residual(); r == nil || r.Source() != nl.Cond {
+		if r := nl.ResidualCond(); r != nl.Cond {
 			t.Errorf("%s nested loop: residual %v, want the whole condition", jt, r)
 		}
 		for _, algo := range []physical.JoinAlgo{physical.HashAlgo, physical.Merge} {
@@ -655,8 +661,8 @@ func TestJoinResidual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if j.Residual() != nil {
-				t.Errorf("%s %s join on its keys alone tests %s per candidate", jt, algo, j.Residual().Source())
+			if r := j.ResidualCond(); r != nil || physical.Compile(nil, []physical.Node{j})[0].Pred != nil {
+				t.Errorf("%s %s join on its keys alone tests %s per candidate", jt, algo, r)
 			}
 			if !slices.Equal(sortRows(got), sortRows(want)) {
 				t.Errorf("%s %s join differs from the nested loop", jt, algo)
@@ -664,15 +670,12 @@ func TestJoinResidual(t *testing.T) {
 		}
 	}
 	withResidual := mkJoin(physical.HashAlgo, logical.JoinInner)
-	physical.Compile(withResidual)
-	if got := withResidual.Residual().Source().String(); got != "($1 > $3)" {
+	if got := withResidual.ResidualCond().String(); got != "($1 > $3)" {
 		t.Errorf("residual of %s is %s, want ($1 > $3)", withResidual.Cond, got)
 	}
 	unmatched := mkJoin(physical.HashAlgo, logical.JoinInner)
 	unmatched.Cond = bin(expr.OpAnd, bin(expr.OpEq, col(0), col(2)), bin(expr.OpEq, col(1), col(3)))
-	physical.Compile(unmatched)
-	if unmatched.Residual().Source() != unmatched.Cond {
-		t.Errorf("keys %v do not reproduce %s, yet its residual is %s",
-			unmatched.Keys, unmatched.Cond, unmatched.Residual().Source())
+	if r := unmatched.ResidualCond(); r != unmatched.Cond {
+		t.Errorf("keys %v do not reproduce %s, yet its residual is %s", unmatched.Keys, unmatched.Cond, r)
 	}
 }

@@ -602,7 +602,7 @@ func (c *Context) runJoin(t *physical.Join, next stage) error {
 		j:         t,
 		leftCols:  t.KeyCols(0),
 		rightCols: t.KeyCols(1),
-		residual:  c.pred(t, t.Residual),
+		residual:  c.kernels(t).Pred,
 		pairs:     t.Type == logical.JoinInner || t.Type == logical.JoinLeft,
 		rightW:    len(t.Inputs()[1].Schema()),
 	}

@@ -256,23 +256,23 @@ func (c *Context) run(n physical.Node, next stage) error {
 	case *physical.Join:
 		return c.runJoin(t, next)
 	case *physical.Filter:
-		s = &filterOp{pred: c.pred(n, t.Predicate)}
+		s = &filterOp{pred: c.kernels(n).Pred}
 	case *physical.Project:
-		s = &projectOp{cols: c.cols(n, t.Kernels), keep: c.keepLender(n)}
+		s = &projectOp{cols: c.kernels(n).Cols, keep: c.keepLender(n)}
 	case *physical.Limit:
 		s = &limitOp{n: t.N}
 	case *physical.Sort:
 		// A consumer copies the headers it keeps.
 		s = &sortOp{keys: t.Keys, buf: rowBuffer{headers: c.scratch(), values: c.keepLender(n)}}
 	case *physical.HashAggregate:
-		s = newHashAgg(t.GroupBy, t.Aggs, t.Args(), cost.RPTC+cost.HAC+cost.RCC)
+		s = newHashAgg(t.GroupBy, t.Aggs, c.kernels(n).Cols, cost.RPTC+cost.HAC+cost.RCC)
 	case *physical.SortAggregate:
 		if len(t.GroupBy) == 0 {
 			// A scalar aggregate has no order to exploit: it runs on the
 			// hash operator, on top of the sort aggregate's own charge.
-			s = newHashAgg(nil, t.Aggs, t.Args(), (cost.RPTC+cost.RCC)+(cost.RPTC+cost.HAC+cost.RCC))
+			s = newHashAgg(nil, t.Aggs, c.kernels(n).Cols, (cost.RPTC+cost.RCC)+(cost.RPTC+cost.HAC+cost.RCC))
 		} else {
-			s = &sortAggOp{aggState: newAggState(t.GroupBy, t.Aggs, t.Args())}
+			s = &sortAggOp{aggState: newAggState(t.GroupBy, t.Aggs, c.kernels(n).Cols)}
 		}
 	default:
 		return fmt.Errorf("exec: no runtime for %T", n)
@@ -284,22 +284,6 @@ func (c *Context) run(n physical.Node, next stage) error {
 		return err
 	}
 	return s.finish()
-}
-
-// pred returns n's predicate kernel: the execution's bound one, or own().
-func (c *Context) pred(n physical.Node, own func() *expr.Predicate) *expr.Predicate {
-	if k := c.bound(n); k != nil {
-		return k.Pred
-	}
-	return own()
-}
-
-// cols returns n's scalar kernels: the execution's bound ones, or own().
-func (c *Context) cols(n physical.Node, own func() []*expr.Scalar) []*expr.Scalar {
-	if k := c.bound(n); k != nil {
-		return k.Cols
-	}
-	return own()
 }
 
 // adoptable reports whether collecting n may take a source's own rows: n

@@ -8,34 +8,23 @@ import (
 
 // Kernels. The executor does not walk expression trees row by row: every
 // filter condition, projection, join residual and aggregate argument of a
-// plan is compiled once (physical.Compile) into a kernel — a tree of
-// kind-specialised nodes that runs over a whole batch of rows. A predicate
-// narrows the batch (AND conjunct by conjunct, in place); a comparison of
-// a column with a constant is one loop over the batch; arithmetic writes a
-// projection column with the operands read in place. Eval stays the
-// reference semantics: a kernel returns, bit for bit, what Eval returns,
-// and the node kinds the compiler does not specialise (Case, Func) are
-// compiled to a leaf that calls Eval.
+// plan is compiled once, when the plan is split (physical.Compile), into
+// a kernel — a tree of kind-specialised nodes that runs over a whole
+// batch of rows. A predicate narrows the batch (AND conjunct by conjunct,
+// in place); a comparison of a column with a constant is one loop over
+// the batch; arithmetic writes a projection column with the operands read
+// in place. Eval stays the reference semantics: a kernel returns, bit for
+// bit, what Eval returns, and the node kinds the compiler does not
+// specialise (Case, Func) are compiled to a leaf that calls Eval.
 //
 // Kernels are immutable once built, so one kernel serves every fragment
 // instance of every execution of a cached plan concurrently.
 
 // Predicate is a compiled condition.
-type Predicate struct {
-	src Expr
-	p   pred
-}
+type Predicate struct{ p pred }
 
 // CompilePredicate compiles a condition.
-func CompilePredicate(e Expr) *Predicate { return &Predicate{src: e, p: compilePred(e)} }
-
-// Source returns the expression p was compiled from (nil for a nil p).
-func (p *Predicate) Source() Expr {
-	if p == nil {
-		return nil
-	}
-	return p.src
-}
+func CompilePredicate(e Expr) *Predicate { return &Predicate{p: compilePred(e)} }
 
 // Select appends to dst, in order, the rows of rows for which the
 // condition is TRUE (NULL and FALSE drop the row). dst must not share
@@ -48,21 +37,10 @@ func (p *Predicate) Select(dst, rows []types.Row) []types.Row { return sel(p.p, 
 func (p *Predicate) Holds(row types.Row) bool { return p.p.test(row) == isTrue }
 
 // Scalar is a compiled value expression.
-type Scalar struct {
-	src Expr
-	o   operand
-}
+type Scalar struct{ o operand }
 
 // CompileScalar compiles a value expression.
-func CompileScalar(e Expr) *Scalar { return &Scalar{src: e, o: compileOperand(e)} }
-
-// Source returns the expression s was compiled from (nil for a nil s).
-func (s *Scalar) Source() Expr {
-	if s == nil {
-		return nil
-	}
-	return s.src
-}
+func CompileScalar(e Expr) *Scalar { return &Scalar{o: compileOperand(e)} }
 
 // At returns the value for one row. A column reference is a direct index.
 func (s *Scalar) At(row types.Row) types.Value { return s.o.at(row) }

@@ -12,10 +12,11 @@ import (
 // comparison, the tested expression of an IN list, ...); KindNull means no
 // hint was derivable and the argument's own kind is used at execution.
 //
-// A Param never evaluates: an execution runs the kernels of every
-// operator holding one compiled with its argument in the Param's place
-// (physical.Bind), so reaching Eval means a parameterized plan leaked into
-// the executor unbound.
+// A Param never evaluates: an execution binds its arguments into a copy
+// of the kernel table of each fragment holding one, recompiling only the
+// expressions that hold a placeholder with the argument in the Param's
+// place (physical.Bind), so reaching Eval means a kernel compiled with its
+// placeholders ran unbound.
 type Param struct {
 	Ordinal int
 	Typ     types.Kind

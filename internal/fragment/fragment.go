@@ -5,9 +5,10 @@
 // waves its fragments run in, and each fragment's variant source modes
 // (§5.3, Algorithm 3) for multi-threaded execution — its exchange edges
 // (the receiver each exchange feeds and every place that receiver stands
-// in) and its operator ids. The scheduler, the executor, the observation
-// record and the adaptive controller read these instead of walking the
-// fragments to derive them, so a plan split once serves every execution.
+// in), its operator ids and, by operator id, its compiled expressions.
+// The scheduler, the executor, the observation record and the adaptive
+// controller read these instead of walking the fragments to derive them,
+// so a plan split once serves every execution.
 package fragment
 
 import (
@@ -49,9 +50,13 @@ type Fragment struct {
 	// executions address per-operator state. OpIDs maps each back.
 	Ops   []physical.Node
 	OpIDs map[physical.Node]int
+	// Kernels are the operators' compiled expressions, by operator id
+	// (physical.Compile), which every execution without arguments runs;
+	// the fragments of a plan share one backing array.
+	Kernels []physical.Kernels
 	// Params lists the ids of the operators whose expressions hold a
-	// placeholder: the only ones an execution's arguments reach
-	// (physical.Bind).
+	// placeholder: the only entries an execution's arguments reach, in a
+	// copy of the table of its own (physical.Bind).
 	Params []int
 	// Output marks, by operator id, the operators whose rows reach the
 	// fragment's root as they are: the root, and below a marked operator
@@ -103,15 +108,17 @@ type Plan struct {
 // operator ids, so the plan carries its schedule and no executor
 // re-derives it. It records each exchange's edge the same way: the
 // producer's Receiver and, for every place the receiver stands in, the
-// reading fragment in Consumers.
+// reading fragment in Consumers. Last, it compiles every fragment's
+// expressions into its kernel table (Fragment.Kernels), so no execution
+// compiles any but those its arguments reach.
 //
 // Split writes no node reachable from root: every operator other than an
 // Exchange becomes a fresh shallow copy (physical.Copy) sharing its
-// expressions and compiled kernels, and placeholders stay placeholders.
-// The engine splits a plan once, when it is planned, and keeps the split
-// in the plan-cache entry (or the prepared statement): every execution,
-// adaptive or not, runs that one split read-only, binding its arguments
-// into kernels of its own (physical.Bind) and keeping an adaptive
+// expressions, and placeholders stay placeholders. The engine splits a
+// plan once, when it is planned, and keeps the split in the plan-cache
+// entry (or the prepared statement): every execution, adaptive or not,
+// runs that one split read-only, binding its arguments into a copy of a
+// fragment's kernel table (physical.Bind) and keeping an adaptive
 // controller's decisions beside it, by operator id.
 //
 // The optimizer may emit a DAG rather than a tree: a subtree (often a
@@ -198,7 +205,17 @@ func Split(root physical.Node) *Plan {
 	rootFrag.Root = splitTree(root, rootFrag)
 	complete(rootFrag)
 	p.markToResult(rootFrag)
+	// One table holds every fragment's kernels; each fragment keeps its
+	// part, indexed by its own operator ids.
+	n := 0
 	for _, f := range p.Fragments {
+		n += len(f.Ops)
+	}
+	kernels := make([]physical.Kernels, 0, n)
+	for _, f := range p.Fragments {
+		from := len(kernels)
+		kernels = physical.Compile(kernels, f.Ops)
+		f.Kernels = kernels[from:len(kernels):len(kernels)]
 		for _, ex := range f.Receivers {
 			p.Edges = append(p.Edges, Edge{Exchange: ex, From: p.Producer[ex].ID, To: f.ID})
 		}

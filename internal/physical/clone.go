@@ -12,8 +12,8 @@ import (
 // consumers is cloned once and both clones point at the same copy.
 //
 // Its last caller is bench's staged mirror of Engine.run; the engine
-// splits a plan once, when it plans it, and binds arguments into
-// per-execution kernels (Bind), never into a copy of the plan.
+// splits a plan once, when it plans it, and binds arguments into a copy
+// of the split's kernel table (Bind), never into a copy of the plan.
 func CloneTree(root Node, rewrite func(expr.Expr) expr.Expr) Node {
 	memo := make(map[Node]Node)
 	var clone func(n Node) Node
@@ -38,9 +38,8 @@ func CloneTree(root Node, rewrite func(expr.Expr) expr.Expr) Node {
 // Copy returns a shallow copy of one operator: a fresh node that shares
 // the original's inputs and properties. Its scalar expressions are
 // rewritten through rewrite (expr.Transform), or shared when rewrite is
-// nil — expressions are immutable, and a copy whose expressions are
-// unchanged shares its original's compiled kernels. Copy panics on a node
-// type it does not know, so a new operator cannot be silently shared.
+// nil — expressions are immutable. Copy panics on a node type it does not
+// know, so a new operator cannot be silently shared.
 func Copy(n Node, rewrite func(expr.Expr) expr.Expr) Node {
 	switch t := n.(type) {
 	case *TableScan:

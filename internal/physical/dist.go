@@ -2,7 +2,9 @@
 // cost-based planner produces — the gignite analogue of Ignite's physical
 // RelNodes. Each operator carries a distribution trait (§3.2.2) and a
 // collation trait, estimated cardinality, and its self cost under the
-// active cost model.
+// active cost model. Operators are descriptions only: their expressions
+// are compiled apart from them (Compile), into the kernel table a split
+// fragment keeps by operator id.
 package physical
 
 import (

@@ -131,7 +131,6 @@ func (v *Values) Describe() string { return fmt.Sprintf("Values %d rows", len(v.
 type Filter struct {
 	base
 	Cond expr.Expr
-	pred *expr.Predicate // Cond compiled (Compile)
 }
 
 // NewFilter builds a filter over an input.
@@ -152,7 +151,6 @@ func (f *Filter) Describe() string { return fmt.Sprintf("Filter %s", f.Cond) }
 type Project struct {
 	base
 	Exprs []expr.Expr
-	cols  []*expr.Scalar // Exprs compiled (Compile)
 }
 
 // NewProject builds a projection.
@@ -281,7 +279,6 @@ type HashAggregate struct {
 	GroupBy []int
 	Aggs    []expr.AggCall
 	Phase   AggPhase
-	args    []*expr.Scalar // the Aggs' arguments compiled (Compile)
 }
 
 // NewHashAggregate builds a hash aggregation with the given output schema.
@@ -325,7 +322,6 @@ type SortAggregate struct {
 	GroupBy []int
 	Aggs    []expr.AggCall
 	Phase   AggPhase
-	args    []*expr.Scalar // the Aggs' arguments compiled (Compile)
 }
 
 // NewSortAggregate builds a streaming aggregation; the input must be
@@ -389,10 +385,6 @@ type Join struct {
 	// the planner's many join alternatives allocate nothing for them.
 	keyCols [2][]int
 	keyBuf  [4]int
-	// residual is what the join tests per candidate once the keys
-	// matched, compiled from residualOf (Compile).
-	residual   *expr.Predicate
-	residualOf expr.Expr
 }
 
 // NewJoin builds a physical join; dist is the mapping's target

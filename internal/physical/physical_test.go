@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"slices"
 	"testing"
 
 	"gignite/internal/catalog"
@@ -262,11 +263,11 @@ func TestFormatIncludesTraits(t *testing.T) {
 	}
 }
 
-// TestBindLeavesTheOperatorAlone: Bind compiles an operator's
-// placeholder-holding expressions with the arguments in place, reuses
-// the operator's own kernels for the rest, and writes nothing of the
-// operator, so two executions binding different arguments each get
-// their own.
+// TestBindLeavesTheOperatorAlone: Bind compiles a fragment's
+// placeholder-holding expressions with the arguments in place into a copy
+// of the fragment's kernel table, which reuses the table's kernels for
+// the rest, and writes neither the operators nor the table, so two
+// executions binding different arguments each get their own.
 func TestBindLeavesTheOperatorAlone(t *testing.T) {
 	scan := scanFixture()
 	id := expr.NewColRef(0, types.KindInt, "id")
@@ -274,25 +275,27 @@ func TestBindLeavesTheOperatorAlone(t *testing.T) {
 	flt := NewFilter(scan, cond)
 	proj := NewProject(flt, []expr.Expr{id, expr.NewBinOp(expr.OpAdd, id, expr.NewParam(0, types.KindInt))},
 		types.Fields{{Name: "id", Kind: types.KindInt}, {Name: "x", Kind: types.KindInt}})
-	Compile(proj)
 	if !HoldsParam(flt) || !HoldsParam(proj) || HoldsParam(scan) {
 		t.Fatal("HoldsParam misses a placeholder or finds one in a scan")
 	}
-	pred, cols := flt.Predicate(), proj.Kernels()
+	ops, ids := Number(proj)
+	table := Compile(nil, ops)
+	params := []int{ids[proj], ids[flt]}
+	was := kernelPointers(table)
 
 	rows := []types.Row{{types.NewInt(7)}, {types.NewInt(9)}}
 	for _, arg := range []int64{7, 9} {
 		args := []types.Value{types.NewInt(arg)}
-		fk, n := Bind(flt, args)
-		if n != 1 {
-			t.Errorf("filter bound to %d: compiled %d expressions, want 1", arg, n)
+		bound, n := Bind(table, ops, params, args)
+		if n != 2 {
+			t.Errorf("bound to %d: compiled %d expressions, want the two holding the placeholder", arg, n)
 		}
-		if got := fk.Pred.Select(nil, rows); len(got) != 1 || got[0][0].Int() != arg {
+		if got := bound[ids[flt]].Pred.Select(nil, rows); len(got) != 1 || got[0][0].Int() != arg {
 			t.Errorf("filter bound to %d selects %v", arg, got)
 		}
-		pk, n := Bind(proj, args)
-		if n != 1 || pk.Cols[0] != cols[0] || pk.Cols[1] == cols[1] {
-			t.Errorf("project bound to %d: compiled %d, want only the placeholder's expression", arg, n)
+		pk := bound[ids[proj]]
+		if pk.Cols[0] != table[ids[proj]].Cols[0] || pk.Cols[1] == table[ids[proj]].Cols[1] {
+			t.Errorf("project bound to %d: want only the placeholder's expression compiled anew", arg)
 		}
 		out := make([]types.Value, 1)
 		pk.Cols[1].Fill(rows[:1], out, 1)
@@ -300,7 +303,19 @@ func TestBindLeavesTheOperatorAlone(t *testing.T) {
 			t.Errorf("project bound to %d computes %v, want %d", arg, out[0], 7+arg)
 		}
 	}
-	if flt.Cond != cond || flt.Predicate() != pred || proj.Kernels()[1] != cols[1] {
-		t.Error("Bind wrote the operator it bound")
+	if flt.Cond != cond || !slices.Equal(kernelPointers(table), was) {
+		t.Error("Bind wrote the operators or the table it bound")
 	}
+}
+
+// kernelPointers lists every kernel a table holds, in table order.
+func kernelPointers(table []Kernels) []any {
+	var out []any
+	for _, k := range table {
+		out = append(out, k.Pred)
+		for _, c := range k.Cols {
+			out = append(out, c)
+		}
+	}
+	return out
 }

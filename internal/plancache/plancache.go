@@ -25,10 +25,11 @@ import (
 )
 
 // Entry is one cached plan, shared read-only by every execution. Split is
-// the compiled plan's fragmentation (fragment.Split), made once when the
-// entry is built: every execution, adaptive or not, runs Split as it is,
-// with its `?` values bound into kernels of its own (physical.Bind) and
-// an adaptive controller's decisions kept beside it. Plan is the
+// the plan's fragmentation (fragment.Split), with its compiled kernels,
+// made once when the entry is built: every execution, adaptive or not,
+// runs Split as it is, with its `?` values bound into a copy of a
+// fragment's kernel table (physical.Bind) and an adaptive controller's
+// decisions kept beside it. Plan is the
 // unsplit physical tree, which the engine leaves nil; only the
 // benchmark's staged pipeline (bench/staged.go) fills and reads it.
 // ParamKinds holds the bind-time type hint for each `?` placeholder

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"gignite"
-	"gignite/internal/expr"
 	"gignite/internal/fragment"
 	"gignite/internal/harness"
 	"gignite/internal/physical"
@@ -88,8 +87,9 @@ func TestPreparedQ6Allocations(t *testing.T) {
 // split plan and its compiled kernels (run under -race by make race-cpu).
 // Each result is the sequential one. In the parameterised case every
 // goroutine binds a key of its own into kernels of its own; afterwards
-// the shared split reads as before — its text, its operators and their
-// kernels — and a further execution still compiles only its bound one.
+// the shared split reads as before — its text, its operators and its
+// kernel tables — and a further execution still compiles only its bound
+// one.
 func TestConcurrentPreparedKernels(t *testing.T) {
 	e := openTPCH(t, 0.001, 4, icpm(0.001))
 	for _, c := range []struct {
@@ -156,36 +156,23 @@ func TestConcurrentPreparedKernels(t *testing.T) {
 }
 
 // splitState is what no execution may change in a split plan it shares:
-// its text, and every operator it reaches with that operator's compiled
-// kernels, in walk order.
+// its text, every operator it reaches in walk order, and every kernel of
+// each fragment's table, in table order.
 func splitState(fp *fragment.Plan) (string, []any) {
 	var state []any
 	for _, f := range fp.Fragments {
 		physical.Walk(f.Root, func(n physical.Node) bool {
 			state = append(state, n)
-			switch t := n.(type) {
-			case *physical.Filter:
-				state = append(state, t.Predicate())
-			case *physical.Join:
-				state = append(state, t.Residual())
-			case *physical.Project:
-				state = appendKernels(state, t.Kernels())
-			case *physical.HashAggregate:
-				state = appendKernels(state, t.Args())
-			case *physical.SortAggregate:
-				state = appendKernels(state, t.Args())
-			}
 			return true
 		})
+		for _, k := range f.Kernels {
+			state = append(state, k.Pred)
+			for _, c := range k.Cols {
+				state = append(state, c)
+			}
+		}
 	}
 	return fp.Format(nil, fragment.Estimates), state
-}
-
-func appendKernels(state []any, ks []*expr.Scalar) []any {
-	for _, k := range ks {
-		state = append(state, k)
-	}
-	return state
 }
 
 // TestFloatModuloByFractionIsNull: a float % divisor in (-1, 1) truncates

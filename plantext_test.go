@@ -77,23 +77,25 @@ func TestPlanTextIgnoresArguments(t *testing.T) {
 // made 115, 323 and 327 objects; splitting the plan per execution, with
 // each instance allocating its own fixed state, 51, 203 and 203; the
 // simnet trace's maps and per-exchange maps beside the spans, 40, 122
-// and 122; a heap batch per shipment, 34, 101 and 101.
+// and 122; a heap batch per shipment, 34, 101 and 101; binding the
+// arguments through a copy of the bound operator, 34, 93 and 93.
 var lookupAllocs = map[string]float64{
-	"nation":   37,  // 34
-	"supplier": 102, // 93
-	"customer": 102, // 93
+	"nation":   35,  // 32
+	"supplier": 100, // 91
+	"customer": 100, // 91
 }
 
 // adaptiveLookupAllocs is the same budget with adaptive execution on. An
 // adaptive execution used to split the cached plan again for its
 // controller to rewrite, at 59, 161 and 161 objects, and to have every
 // sender instance of every attempt sketch what it shipped, at 36, 122
-// and 122; the controller's state and the sketches of the exchanges a
-// join reads remain.
+// and 122. Binding the arguments through a copy of the bound operator
+// made 36, 96 and 96. The controller's state and the sketches of the
+// exchanges a join reads remain.
 var adaptiveLookupAllocs = map[string]float64{
-	"nation":   40,  // 36
-	"supplier": 106, // 96
-	"customer": 106, // 96
+	"nation":   37,  // 34
+	"supplier": 103, // 94
+	"customer": 103, // 94
 }
 
 // TestPreparedLookupAllocations holds each lookup's per-execution
